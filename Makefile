@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCriteoSource -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s ./cmd/rmserve/
 	$(GO) test -run='^$$' -fuzz=FuzzArrayPartitionConfig -fuzztime=10s ./internal/array/
+	$(GO) test -run='^$$' -fuzz=FuzzEVCacheOps -fuzztime=10s ./internal/evcache/
 
 bench:
 	$(GO) run ./cmd/rmbench -exp all
@@ -91,7 +92,7 @@ bench-perf:
 bench-micro:
 	$(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/
 	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
-	$(GO) test -run='^$$' -bench=BenchmarkEVCacheHit -benchtime=100x -benchmem ./internal/evcache/
+	$(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/
 
 check: build fmt vet lint test test-simdebug test-faults test-obs test-array race
 	@echo "all checks passed"

@@ -19,13 +19,17 @@ import (
 // allocation-lean rework, so BENCH_simcore.json shows the delta without
 // having to rebuild history.
 
-// Frozen per-op baselines (see note above). The EV cache is new in the same
-// change, so it has no pre-rework baseline.
+// Frozen per-op baselines (see note above). The EV cache hit path is new in
+// the same change, so it has no pre-rework baseline; the miss+fill baseline
+// is the list+map LRU that preceded the slab cache (one list element and
+// one entry per reservation).
 const (
-	baseSubmitAllocs = 5
-	baseSubmitBytes  = 288
-	baseLookupAllocs = 1369
-	baseLookupBytes  = 165696
+	baseSubmitAllocs   = 5
+	baseSubmitBytes    = 288
+	baseLookupAllocs   = 1369
+	baseLookupBytes    = 165696
+	baseMissFillAllocs = 2
+	baseMissFillBytes  = 96
 )
 
 // MicroStat is one benchmark's per-op numbers next to its frozen baseline.
@@ -43,6 +47,7 @@ type MicroReport struct {
 	PoolSubmit    MicroStat `json:"pool_submit"`
 	LookupPoolHot MicroStat `json:"lookup_pool_hot"`
 	EVCacheHit    MicroStat `json:"evcache_hit"`
+	EVCacheMiss   MicroStat `json:"evcache_miss_fill"`
 	GCPauseMS     float64   `json:"gc_pause_total_ms"`
 }
 
@@ -64,7 +69,7 @@ func (nullBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
 	return serving.BatchResult{Preds: make([]float32, serving.CountOf(reqs))}
 }
 
-// runMicro measures the three hot paths. The lookup benchmark mirrors
+// runMicro measures the hot paths. The lookup benchmark mirrors
 // internal/engine's BenchmarkLookupPoolHotTrace (same model shape, geometry,
 // trace seed and K=2 locality) so its numbers are comparable with `make
 // bench-micro` output and with the frozen baselines.
@@ -121,16 +126,36 @@ func runMicro() MicroReport {
 	evSize := cfg.EVSize()
 	cache := evcache.New(int64(evSize)*1024, evSize)
 	vec := make([]byte, evSize)
-	cache.Reserve(0, 1).Fill(vec)
+	cache.Fill(cache.Reserve(0, 1), vec)
 	hit := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			entry, ok := cache.Get(0, 1)
-			if !ok || !entry.Filled() {
+			h, ok := cache.Get(0, 1)
+			if !ok || !cache.Filled(h) {
 				b.Fatal("vector fell out of a one-entry working set")
 			}
 			cache.Hit(0)
+		}
+	})
+
+	// Steady-state miss on a full cache: the Get misses, the Reserve evicts
+	// the LRU entry, the Fill copies one vector in. Mirrors internal/evcache's
+	// BenchmarkEVCacheMissFill.
+	const missCap = 1024
+	miss := testing.Benchmark(func(b *testing.B) {
+		full := evcache.New(int64(evSize)*missCap, evSize)
+		for r := int64(0); r < missCap; r++ {
+			full.Fill(full.Reserve(0, r), vec)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			row := int64(missCap + i)
+			if _, ok := full.Get(0, row); ok {
+				b.Fatal("fresh row hit")
+			}
+			full.Fill(full.Reserve(0, row), vec)
 		}
 	})
 
@@ -139,6 +164,7 @@ func runMicro() MicroReport {
 		PoolSubmit:    stat(submit, baseSubmitAllocs, baseSubmitBytes),
 		LookupPoolHot: stat(lookup, baseLookupAllocs, baseLookupBytes),
 		EVCacheHit:    stat(hit, 0, 0),
+		EVCacheMiss:   stat(miss, baseMissFillAllocs, baseMissFillBytes),
 		GCPauseMS:     float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
 	}
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,5 +83,37 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 	}
 	if lk.DedupHits == 0 && ev.Hits == 0 {
 		t.Errorf("hot trace produced no dedup or cache hits (lookups=%d)", lk.Lookups)
+	}
+}
+
+// TestEVCacheMBBounds: -ev-cache-mb and the -models key evCacheMB share one
+// bound, checked before the MiB→byte shift. Unchecked, 2^43 MiB shifted
+// into MinInt64 and a negative budget silently switched the cache off.
+func TestEVCacheMBBounds(t *testing.T) {
+	cfg := rmssd.RMC1()
+	cfg.RowsPerTable = cfg.RowsForBudget(1 << 20)
+	for _, mb := range []int64{-1, 1<<20 + 1, 8796093022208} {
+		if _, err := newSingleServer(cfg, hostOptions{shards: 1, queue: 8, evCacheMB: mb}); err == nil ||
+			!strings.Contains(err.Error(), "evCacheMB") {
+			t.Errorf("-ev-cache-mb %d: err = %v, want an evCacheMB bound error", mb, err)
+		}
+		doc := `{"models": [{"model": "RMC1", "tableMB": 1, "evCacheMB": ` + strconv.FormatInt(mb, 10) + `}]}`
+		mc, err := parseModelsConfig(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.build(1); err == nil || !strings.Contains(err.Error(), "evCacheMB") {
+			t.Errorf("evCacheMB %d: err = %v, want an evCacheMB bound error", mb, err)
+		}
+	}
+	// The top of the range is accepted: the cache allocates only what is
+	// resident, so even a 2^40-byte budget costs nothing up front.
+	s, err := newSingleServer(cfg, hostOptions{shards: 1, queue: 8, evCacheMB: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if c := s.def.shards[0].members()[0].Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
+		t.Fatal("2^20 MiB cache not installed")
 	}
 }

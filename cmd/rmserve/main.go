@@ -288,6 +288,10 @@ func newHostedModel(name string, cfg rmssd.ModelConfig, o hostOptions) (*hostedM
 	if o.partition != "" && o.arrayDevices <= 1 {
 		return nil, fmt.Errorf("rmserve: model %q: partition %q needs arrayDevices > 1", name, o.partition)
 	}
+	// Bounded before the MiB→byte shift below, which would otherwise wrap.
+	if o.evCacheMB < 0 || o.evCacheMB > 1<<20 {
+		return nil, fmt.Errorf("rmserve: model %q: evCacheMB %d outside [0, 2^20]", name, o.evCacheMB)
+	}
 	m := &hostedModel{name: name, weight: o.weight, cfg: cfg, queue: o.queue}
 	maxBatch := o.maxBatch
 	for i := 0; i < nshards; i++ {

@@ -109,9 +109,6 @@ func parseModelsConfig(r io.Reader) (modelsConfig, error) {
 		if d.Shards < 0 || d.MaxBatch < 0 || d.Queue < 0 || d.Weight < 0 {
 			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): negative shard/batch/queue/weight", i, d.Name)
 		}
-		if d.EVCacheMB < 0 || d.EVCacheMB > 1<<20 {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): evCacheMB %d outside [0, 2^20]", i, d.Name, d.EVCacheMB)
-		}
 		if d.FaultRate < 0 || d.FaultRate >= 1 {
 			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): faultRate %v outside [0,1)", i, d.Name, d.FaultRate)
 		}

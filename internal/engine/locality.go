@@ -24,8 +24,9 @@ import (
 //   - EV cache: vectors resident in the controller's DRAM are served in
 //     params.EVCacheHitCycles (~8 cycles for a 128 B vector, vs C_EV ≈ 2838)
 //     over the cache's FCFS DRAM port; misses read flash as before and fill
-//     the cache. The cached bytes alias the immutable flash page buffers, so
-//     a hit returns exactly the bytes a flash read would.
+//     the cache. Fill copies the read bytes into the cache's slab, so a hit
+//     returns exactly the bytes a flash read would, and the read buffer is
+//     not retained.
 //   - Dedup: within one pooled batch, repeated (table,row) references merge
 //     with the first occurrence's read. Each duplicate still contributes its
 //     own term to the pooled sum (SparseLengthsSum semantics: a row listed
@@ -56,6 +57,14 @@ import (
 // during reduce, so an unfilled resident entry always belongs to the current
 // batch and its owning slot is in e.owners. Entries never persist unfilled
 // across batches.
+//
+// Stale handles: when a batch reserves more entries than the cache holds, a
+// later reservation in the same plan can evict an earlier one and reuse its
+// cache slot. The earlier lookup's handle is then stale and its reduce-phase
+// Fill is a no-op, leaving the slot to its new owner. A hit's bytes alias
+// the cache slab; they are safe to read in reduce because a slot is only
+// refilled by a reservation planned after the hit, and reduce runs in plan
+// order.
 
 // slotKind says how one lookup's bytes are produced.
 type slotKind uint8
@@ -75,7 +84,7 @@ type lkSlot struct {
 	start sim.Time // slotDup: the duplicate's own issue time (ready floor)
 	key   evcache.Key
 	vr    ssd.VectorRead
-	fill  *evcache.Entry // slotFlash/slotZero: reserved entry to Fill (may be nil)
+	fill  evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
 	data  []byte
 	ready sim.Time
 	err   error // uncorrectable read (wraps flash.ErrUncorrectable)
@@ -139,7 +148,7 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 // entry survives into the next batch.
 func (e *LookupEngine) abortLocality(slots []lkSlot) {
 	for i := range slots {
-		if slots[i].fill != nil {
+		if slots[i].fill.Reserved() {
 			e.cache.Invalidate(slots[i].key.Table, slots[i].key.Row)
 		}
 	}
@@ -188,12 +197,12 @@ func (e *LookupEngine) poolLocality(at sim.Time, sparses [][][]int64, materializ
 					}
 				}
 				if e.cache != nil {
-					if entry, ok := e.cache.Get(t, row); ok {
-						if entry.Filled() {
+					if h, ok := e.cache.Get(t, row); ok {
+						if e.cache.Filled(h) {
 							// Resident vector: one DRAM burst on the port.
 							slots = append(slots, lkSlot{
 								vec: vec, kind: slotHit, key: key,
-								data: entry.Data(), ready: e.cache.Hit(issue),
+								data: e.cache.Data(h), ready: e.cache.Hit(issue),
 							})
 						} else {
 							// In-flight miss from this batch (MSHR merge).
@@ -214,7 +223,7 @@ func (e *LookupEngine) poolLocality(at sim.Time, sparses [][][]int64, materializ
 					return nil, sim.Max(issue, maxIssue), fmt.Errorf("engine: inference %d: %w", b, err)
 				}
 				vr := e.dev.PrepareVectorRead(issue, addr, evSize)
-				var fill *evcache.Entry
+				var fill evcache.Handle
 				if e.cache != nil {
 					fill = e.cache.Reserve(t, row)
 				}
@@ -257,8 +266,7 @@ func (e *LookupEngine) poolLocality(at sim.Time, sparses [][][]int64, materializ
 		for _, i := range perCh[ch] {
 			r := &slots[i]
 			// Bytes are materialised even on timing-only runs: the cache
-			// may serve them to a later materialising batch, and fetching
-			// them is a copy-free alias into the immutable page store.
+			// may serve them to a later materialising batch.
 			r.data, r.ready, r.err = lane.ReadVector(r.vr.Start, r.vr.PPA, r.vr.Col, r.vr.Size)
 		}
 	}
@@ -306,12 +314,12 @@ func (e *LookupEngine) poolLocality(at sim.Time, sparses [][][]int64, materializ
 			s.err = own.err
 		}
 		if s.err != nil {
-			// Uncorrectable read: drop the reserved entry (a Fill(nil)
-			// would later serve nil bytes as a resident hit), contribute
-			// no bytes and no EV Sum term, and fail the call after the
-			// reduce completes so cache state stays on the deterministic
-			// schedule.
-			if s.fill != nil {
+			// Uncorrectable read: drop the reserved entry (left unfilled
+			// it would later look like another batch's in-flight miss),
+			// contribute no bytes and no EV Sum term, and fail the call
+			// after the reduce completes so cache state stays on the
+			// deterministic schedule.
+			if s.fill.Reserved() {
 				e.cache.Invalidate(s.key.Table, s.key.Row)
 			}
 			if firstErr == nil {
@@ -320,9 +328,10 @@ func (e *LookupEngine) poolLocality(at sim.Time, sparses [][][]int64, materializ
 			done = sim.Max(done, s.ready)
 			continue
 		}
-		if s.fill != nil {
-			// Deposit the read bytes (global order; recency untouched).
-			s.fill.Fill(s.data)
+		if s.fill.Reserved() {
+			// Copy the read bytes in (global order; recency untouched; a
+			// no-op if a later reservation took the slot).
+			e.cache.Fill(s.fill, s.data)
 		}
 		if materialize {
 			model.AccumulateEV(vecs[s.vec], s.data)

@@ -10,14 +10,28 @@
 // paper's Fig. 14 sensitivity sweep and the RecSSD baseline's host cache
 // exploit, but without crossing the host interface.
 //
+// Storage is one pointer-free slab. Each entry occupies a slot: a fixed
+// record holding its Key, its recency links (slot indices, not pointers) and
+// its fill state, plus an evSize-byte window of a storage chunk. Chunks are
+// allocated as slots are first used, so a cache costs only what is resident
+// however large its budget. An index map takes a Key to its slot. Fill copies
+// the read bytes into the slot's window: the buffer a flash read returned
+// (on a linear device a fresh buffer synthesised per miss) is never retained.
+//
+// Reserve hands out a Handle naming the slot and its generation. Evicting or
+// invalidating an entry bumps its slot's generation, so a handle that
+// outlives its entry — reserved early in a lookup batch, then evicted by a
+// later reservation of the same batch — is stale: Fill through it is a no-op
+// and the slot's next occupant is untouched.
+//
 // Determinism contract (relied on by engine's lane-parallel lookup path):
 // every state mutation — recency moves in Get, insertion and eviction in
 // Reserve, port scheduling in Hit — happens on the caller's goroutine in the
 // caller's order; Fill only deposits bytes into an already-placed entry and
 // touches neither recency nor the index, so it may run in any phase of a
-// batch without perturbing LRU state. The LRU itself is a list plus an index
-// map that is never iterated: identical call sequences produce identical
-// hits, misses, evictions and contents.
+// batch without perturbing LRU state. The index map is never iterated:
+// identical call sequences produce identical hits, misses, evictions and
+// contents.
 //
 // MSHR semantics: a miss Reserves its entry immediately (at plan time), so a
 // later lookup of the same key in the same batch Gets the reserved entry and
@@ -26,7 +40,8 @@
 package evcache
 
 import (
-	"container/list"
+	"fmt"
+	"math"
 
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -47,28 +62,30 @@ type Stats struct {
 	Evictions int64
 }
 
-// Entry is one cached vector. The data slice aliases the flash page store's
-// immutable page buffers (pages are never mutated in place; rewrites allocate
-// fresh buffers), so holding it costs no copy and stays valid across updates
-// to the underlying row — the cache is invalidated explicitly on update.
-type Entry struct {
-	key    Key
-	data   []byte
-	filled bool
+// Handle names one entry's slot as of its reservation. The zero Handle names
+// nothing (Reserve on a cache that cannot hold a vector returns it).
+type Handle struct {
+	ref uint32 // slot index + 1; 0 = no slot
+	gen uint32 // the slot's generation when the handle was issued
 }
 
-// Data returns the cached bytes (nil until Fill, and for timing-only fills).
-func (e *Entry) Data() []byte { return e.data }
+// Reserved reports whether the handle came from a successful Reserve (it may
+// since have gone stale).
+func (h Handle) Reserved() bool { return h.ref != 0 }
 
-// Filled reports whether the entry's flash read has completed.
-func (e *Entry) Filled() bool { return e.filled }
+// chunkBytes sizes one storage chunk (rounded down to whole vectors).
+const chunkBytes = 64 << 10
 
-// Fill deposits the vector bytes read from flash. A nil data records
-// presence only (timing-only runs). Fill does not touch recency or the
-// index, so it is safe to call from any phase of a lookup batch.
-func (e *Entry) Fill(data []byte) {
-	e.data = data
-	e.filled = true
+// noSlot terminates the recency list and the free list.
+const noSlot = -1
+
+// slot is one entry's bookkeeping. It holds no pointers, so the slot array
+// is invisible to the garbage collector's scan.
+type slot struct {
+	key        Key
+	prev, next int32  // recency neighbours (free list: next only)
+	gen        uint32 // bumped when the entry leaves, staling its handles
+	filled     bool   // the entry's flash read has completed
 }
 
 // Cache is the device-DRAM EV cache. It is not safe for concurrent use; the
@@ -76,8 +93,13 @@ func (e *Entry) Fill(data []byte) {
 type Cache struct {
 	capEntries int
 	evSize     int
-	lru        *list.List // front = most recently used
-	index      map[Key]*list.Element
+	perChunk   int      // vectors per storage chunk
+	chunks     [][]byte // vector bytes: slot i at chunks[i/perChunk]
+	slots      []slot
+	index      map[Key]int32
+	head, tail int32         // most / least recently used; noSlot when empty
+	free       int32         // released slots, linked through next
+	n          int           // resident entries
 	port       *sim.Resource // DRAM read port serving hit transfers
 	hitOcc     sim.Time      // per-hit port occupancy (params.EVCacheHitCycles)
 	stats      Stats
@@ -85,22 +107,26 @@ type Cache struct {
 
 // New builds a cache bounded to budgetBytes of evSize-byte vectors. A budget
 // below one vector yields a cache that never admits (every Get misses and
-// Reserve returns nil).
+// Reserve returns the zero Handle). Slot indices are int32, so the capacity
+// saturates at math.MaxInt32 entries (256 GiB of 128-byte vectors). New
+// allocates no vector storage.
 func New(budgetBytes int64, evSize int) *Cache {
 	if evSize <= 0 {
 		panic("evcache: non-positive vector size")
 	}
 	c := &Cache{
-		capEntries: int(budgetBytes / int64(evSize)),
-		evSize:     evSize,
-		lru:        list.New(),
-		index:      make(map[Key]*list.Element),
-		port:       sim.NewResource("evcache.dram"),
-		hitOcc:     params.Duration(params.EVCacheHitCycles(evSize)),
+		evSize: evSize,
+		index:  make(map[Key]int32),
+		head:   noSlot,
+		tail:   noSlot,
+		free:   noSlot,
+		port:   sim.NewResource("evcache.dram"),
+		hitOcc: params.Duration(params.EVCacheHitCycles(evSize)),
 	}
-	if c.capEntries < 0 {
-		c.capEntries = 0
+	if budgetBytes > 0 {
+		c.capEntries = int(min(budgetBytes/int64(evSize), math.MaxInt32))
 	}
+	c.perChunk = max(1, min(chunkBytes/evSize, c.capEntries))
 	return c
 }
 
@@ -111,56 +137,91 @@ func (c *Cache) CapEntries() int { return c.capEntries }
 func (c *Cache) EVSize() int { return c.evSize }
 
 // Len returns the number of resident entries (filled or reserved).
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return c.n }
 
 // Get looks the key up, refreshing its recency and counting a hit or miss.
 // The returned entry may still be unfilled: that is an in-flight miss from
 // the current batch, which the caller merges with (MSHR) rather than
 // re-reading.
-func (c *Cache) Get(table int, row int64) (*Entry, bool) {
-	if el, ok := c.index[Key{table, row}]; ok {
-		c.lru.MoveToFront(el)
+func (c *Cache) Get(table int, row int64) (Handle, bool) {
+	if i, ok := c.index[Key{table, row}]; ok {
+		c.touch(i)
 		c.stats.Hits++
-		return el.Value.(*Entry), true
+		return c.handle(i), true
 	}
 	c.stats.Misses++
-	return nil, false
+	return Handle{}, false
 }
 
-// Reserve inserts an unfilled entry for the key at the front, evicting from
-// the back as needed, and returns it for a later Fill. It returns nil when
-// the cache cannot hold a single vector. Reserving an already-present key
-// refreshes it and returns the existing entry.
-func (c *Cache) Reserve(table int, row int64) *Entry {
+// Reserve inserts an unfilled entry for the key as most recently used,
+// evicting the least recently used entry when full, and returns its handle
+// for a later Fill. It returns the zero Handle when the cache cannot hold a
+// single vector. Reserving an already-present key refreshes it and returns
+// the existing entry's handle.
+func (c *Cache) Reserve(table int, row int64) Handle {
 	key := Key{table, row}
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*Entry)
+	if i, ok := c.index[key]; ok {
+		c.touch(i)
+		return c.handle(i)
 	}
 	if c.capEntries <= 0 {
-		return nil
+		return Handle{}
 	}
-	for c.lru.Len() >= c.capEntries {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(*Entry).key)
+	if c.n == c.capEntries {
+		c.release(c.tail)
 		c.stats.Evictions++
 	}
-	e := &Entry{key: key}
-	c.index[key] = c.lru.PushFront(e)
-	return e
+	i := c.alloc()
+	c.slots[i].key = key
+	c.pushFront(i)
+	c.index[key] = i
+	c.n++
+	return c.handle(i)
+}
+
+// Fill copies one vector's bytes, as read from flash, into the handle's
+// entry. A stale handle — its entry was evicted or invalidated since
+// Reserve — makes Fill a no-op. Fill does not touch recency or the index, so
+// it is safe to call from any phase of a lookup batch.
+func (c *Cache) Fill(h Handle, data []byte) {
+	i, ok := c.live(h)
+	if !ok {
+		return
+	}
+	if len(data) != c.evSize {
+		panic(fmt.Sprintf("evcache: fill of %d bytes, want %d", len(data), c.evSize))
+	}
+	copy(c.window(i), data)
+	c.slots[i].filled = true
+}
+
+// Filled reports whether the handle's entry has been filled; false for a
+// stale handle.
+func (c *Cache) Filled(h Handle) bool {
+	i, ok := c.live(h)
+	return ok && c.slots[i].filled
+}
+
+// Data returns the handle's cached bytes: nil until Fill and for a stale
+// handle. The slice aliases the slab, so it holds the entry's bytes until
+// the entry leaves and its slot is refilled.
+func (c *Cache) Data(h Handle) []byte {
+	i, ok := c.live(h)
+	if !ok || !c.slots[i].filled {
+		return nil
+	}
+	return c.window(i)
 }
 
 // Invalidate drops the key's entry, reporting whether one was resident. The
 // embedding store calls it when a vector is overwritten through the block
 // path, so cached bytes never go stale.
 func (c *Cache) Invalidate(table int, row int64) bool {
-	el, ok := c.index[Key{table, row}]
+	i, ok := c.index[Key{table, row}]
 	if !ok {
 		return false
 	}
-	c.lru.Remove(el)
-	delete(c.index, Key{table, row})
+	c.release(i)
 	return true
 }
 
@@ -188,4 +249,93 @@ func (c *Cache) HitRatio() float64 {
 		return 0
 	}
 	return float64(c.stats.Hits) / float64(total)
+}
+
+func (c *Cache) handle(i int32) Handle {
+	return Handle{ref: uint32(i) + 1, gen: c.slots[i].gen}
+}
+
+// live resolves a handle to its slot if the handle is still current.
+func (c *Cache) live(h Handle) (int32, bool) {
+	if h.ref == 0 {
+		return 0, false
+	}
+	i := int32(h.ref - 1)
+	return i, c.slots[i].gen == h.gen
+}
+
+// window is slot i's evSize-byte storage, capacity-clipped so an append
+// through it cannot spill into the neighbouring slot.
+func (c *Cache) window(i int32) []byte {
+	off := int(i) % c.perChunk * c.evSize
+	return c.chunks[int(i)/c.perChunk][off : off+c.evSize : off+c.evSize]
+}
+
+// alloc returns a free slot, taking a released one first and otherwise
+// appending a new one, growing the slot array and the storage chunks only as
+// far as the capacity needs.
+func (c *Cache) alloc() int32 {
+	if i := c.free; i != noSlot {
+		c.free = c.slots[i].next
+		return i
+	}
+	i := len(c.slots)
+	if i == cap(c.slots) {
+		grown := make([]slot, i, min(max(2*i, 64), c.capEntries))
+		copy(grown, c.slots)
+		c.slots = grown
+	}
+	c.slots = append(c.slots, slot{})
+	if i%c.perChunk == 0 {
+		vecs := min(c.perChunk, c.capEntries-i)
+		c.chunks = append(c.chunks, make([]byte, vecs*c.evSize))
+	}
+	return int32(i)
+}
+
+// release removes slot i's entry: it leaves the recency list and the index,
+// its handles go stale, and the slot joins the free list.
+func (c *Cache) release(i int32) {
+	s := &c.slots[i]
+	c.unlink(i)
+	delete(c.index, s.key)
+	s.gen++
+	s.filled = false
+	s.next = c.free
+	c.free = i
+	c.n--
+}
+
+// touch makes slot i the most recently used.
+func (c *Cache) touch(i int32) {
+	if c.head == i {
+		return
+	}
+	c.unlink(i)
+	c.pushFront(i)
+}
+
+func (c *Cache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = noSlot, c.head
+	if c.head != noSlot {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *Cache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev != noSlot {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next != noSlot {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
 }
