@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-fixtures test test-simdebug test-golden test-faults test-obs test-array race fuzz-smoke bench bench-perf bench-micro check
+.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden test-faults test-obs test-array race fuzz-smoke bench bench-perf bench-micro check
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ lint-fixtures:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module, so `go test ./...` above never reaches
+# its tests: the tiny-scale pinned prediction checksums, the traced and
+# leg-to-leg replay agreement checks and the live bit-identity check.
+test-benchmark:
+	cd benchmark && $(GO) test ./...
 
 # Re-run the simulator-heavy packages with runtime invariant checks on.
 test-simdebug:
@@ -94,5 +100,5 @@ bench-micro:
 	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/
 
-check: build fmt vet lint test test-simdebug test-faults test-obs test-array race
+check: build fmt vet lint test test-benchmark test-simdebug test-faults test-obs test-array race
 	@echo "all checks passed"

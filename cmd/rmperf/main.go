@@ -13,7 +13,8 @@
 //  2. Serving: the sharded rmserve front-end (N devices, each with its own
 //     virtual clock, behind the coalescing pool) is hammered by concurrent
 //     clients and the host-side request throughput is recorded next to the
-//     aggregate simulated steady-state QPS.
+//     aggregate simulated QPS, both as measured by a saturated replay over
+//     the same shards and as the analytic steady-state oracle.
 //
 // Every number here is a host measurement, so the wall clock is the right
 // clock; each use is annotated for the wallclock analyzer. Simulated
@@ -58,16 +59,20 @@ type SweepReport struct {
 
 // ServeReport records the sharded-serving throughput measurement.
 type ServeReport struct {
-	Model             string  `json:"model"`
-	TableMB           int64   `json:"table_mb"`
-	Shards            int     `json:"shards"`
-	Clients           int     `json:"clients"`
-	Requests          int64   `json:"requests"`
-	Inferences        int64   `json:"inferences"`
-	MeanBatch         float64 `json:"mean_coalesced_batch"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	HostRequestsPerS  float64 `json:"host_requests_per_second"`
-	HostInferPerS     float64 `json:"host_inferences_per_second"`
+	Model            string  `json:"model"`
+	TableMB          int64   `json:"table_mb"`
+	Shards           int     `json:"shards"`
+	Clients          int     `json:"clients"`
+	Requests         int64   `json:"requests"`
+	Inferences       int64   `json:"inferences"`
+	MeanBatch        float64 `json:"mean_coalesced_batch"`
+	WallSeconds      float64 `json:"wall_seconds"`
+	HostRequestsPerS float64 `json:"host_requests_per_second"`
+	HostInferPerS    float64 `json:"host_inferences_per_second"`
+	// ReplayAggQPS is the shards' simulated throughput measured by a
+	// saturated serving.Replay; SimulatedAggQPS and SimulatedShardQPS are
+	// the analytic steady-state oracle it is checked against.
+	ReplayAggQPS      float64 `json:"replay_aggregate_qps"`
 	SimulatedAggQPS   float64 `json:"simulated_aggregate_qps"`
 	SimulatedShardQPS float64 `json:"simulated_per_shard_qps"`
 }
@@ -255,10 +260,10 @@ func (s *perfShard) ServeBatch(reqs []serving.Request) serving.BatchResult {
 		sparses = append(sparses, s.gen.Batch(req.N)...)
 		s.seq += req.N
 	}
-	outs, done, _, err := s.dev.InferBatch(s.now, denses, sparses)
+	outs, done, bd, err := s.dev.InferBatch(s.now, denses, sparses)
 	lat := done - s.now
 	s.now = done
-	return serving.BatchResult{Preds: outs, Latency: lat, Err: err}
+	return serving.BatchResult{Preds: outs, Latency: lat, Meta: bd, Err: err}
 }
 
 // runServe builds the sharded pool and measures host-side throughput under
@@ -316,6 +321,16 @@ func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBa
 	wall := time.Since(start).Seconds()
 	pool.Close()
 
+	// The pool is closed, so the shards are free for a saturated replay of
+	// the same request stream on the simulated clock.
+	sat, err := serving.Replay(backends, serving.ReplayConfig{
+		Rate: 1e12, MaxBatch: first.NBatch(), Requests: requests, Seed: 1,
+	}, serving.CountSource(reqBatch))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	st := pool.Stats()
 	perShardQPS := first.SteadyStateQPS(first.NBatch())
 	rep := ServeReport{
@@ -327,6 +342,7 @@ func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBa
 		Inferences:        st.Inferences,
 		MeanBatch:         st.MeanBatch,
 		WallSeconds:       wall,
+		ReplayAggQPS:      sat.ThroughputQPS,
 		SimulatedAggQPS:   perShardQPS * float64(nshards),
 		SimulatedShardQPS: perShardQPS,
 	}

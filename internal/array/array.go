@@ -313,7 +313,8 @@ func (a *Array) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 	}
 
 	topRun := &runs[a.top]
-	var bd core.Breakdown
+	top := a.devs[a.top]
+	bd := core.Breakdown{Overlap: top.MLP().Design() != engine.DesignNaive}
 	bd.Send = topRun.sendDone - at
 
 	// A fault on any member fails the batch at the point every active
@@ -347,10 +348,9 @@ func (a *Array) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 
 	merged := a.mergePooled(runs, contrib, n)
 
-	top := a.devs[a.top]
 	bd.Bot = params.Duration(top.MLP().BottomStageCycles(n))
 	joined := sim.Max(gatherDone, topRun.sendDone+bd.Bot)
-	if top.MLP().Design() == engine.DesignNaive {
+	if !bd.Overlap {
 		joined = gatherDone + bd.Bot
 	}
 	bd.Top = params.Duration(top.MLP().TopStageCycles(n))

@@ -10,10 +10,13 @@
 //	RM_read_outputs  -> ReadOutputs
 //
 // plus InferBatch, which runs one small batch end to end (functional float32
-// results and simulated timing), and steady-state helpers implementing the
-// system-level pipelining of Section IV-D: while the device processes batch
-// i, the host pre-sends batch i+1 and reads batch i-1, so throughput is
-// governed by the slowest pipeline stage.
+// results and simulated timing). Its Breakdown reports the pipeline stages
+// the batch occupied; serving.Replay pipelines consecutive batches over
+// them (Section IV-D's system-level pipelining: while the device processes
+// batch i, the host pre-sends batch i+1 and reads batch i-1, so throughput
+// is governed by the slowest stage). The analytic steady-state helpers
+// (StageTimes, SteadyStateQPS) are the oracle that measurement is checked
+// against.
 package core
 
 import (
@@ -112,10 +115,35 @@ type Breakdown struct {
 	Bot  time.Duration // extended bottom MLP
 	Top  time.Duration // shortened top MLP
 	Read time.Duration // status poll + DMA output transfer
+	// Overlap is set by the searched design, whose intra-layer
+	// decomposition runs the bottom MLP beside the embedding stage and
+	// whose stages pipeline across consecutive batches (Section IV-D). The
+	// naive design runs every stage after the previous one, batch by batch.
+	Overlap bool
 }
 
-// Total returns the serial latency of the batch.
-func (b Breakdown) Total() time.Duration { return b.Send + maxDur(b.Emb, b.Bot) + b.Top + b.Read }
+// Stages returns the pipeline stages the batch occupied, in order: send,
+// emb∥bot, top and read with Overlap, or one stage of the whole serial
+// batch without it (the naive design does not pipeline, matching
+// SteadyStateQPS). A batch that failed in its embedding stage never reached
+// the MLP or the read-back (Read is zero), so it occupies send and emb only.
+func (b Breakdown) Stages() []sim.Stage {
+	if !b.Overlap {
+		return []sim.Stage{{Name: "batch", Time: b.Send + b.Emb + b.Bot + b.Top + b.Read}}
+	}
+	if b.Read == 0 {
+		return []sim.Stage{{Name: "send", Time: b.Send}, {Name: "emb", Time: b.Emb}}
+	}
+	return []sim.Stage{
+		{Name: "send", Time: b.Send},
+		{Name: "emb", Time: maxDur(b.Emb, b.Bot)},
+		{Name: "top", Time: b.Top},
+		{Name: "read", Time: b.Read},
+	}
+}
+
+// Total returns the end-to-end latency of the batch: the sum of its stages.
+func (b Breakdown) Total() time.Duration { return sim.Serial(b.Stages()...) }
 
 func maxDur(a, b time.Duration) time.Duration {
 	if a > b {
@@ -324,7 +352,7 @@ func (r *RMSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 	if r.spanSink != nil {
 		probe = r.probeSpan()
 	}
-	var bd Breakdown
+	bd := Breakdown{Overlap: r.mlp.Design() != engine.DesignNaive}
 	sendDone := r.SendInputs(at, n)
 	bd.Send = sendDone - at
 
@@ -350,7 +378,7 @@ func (r *RMSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 
 	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
 	joined := sim.Max(embDone, embStart+bd.Bot)
-	if r.mlp.Design() == engine.DesignNaive {
+	if !bd.Overlap {
 		// No intra-layer decomposition: the whole MLP runs after the
 		// embedding results arrive.
 		joined = embDone + bd.Bot
@@ -382,7 +410,7 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 	if r.spanSink != nil {
 		probe = r.probeSpan()
 	}
-	var bd Breakdown
+	bd := Breakdown{Overlap: r.mlp.Design() != engine.DesignNaive}
 	sendDone := r.SendInputs(at, n)
 	bd.Send = sendDone - at
 	embStart := sendDone
@@ -400,7 +428,7 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 	}
 	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
 	joined := sim.Max(embDone, embStart+bd.Bot)
-	if r.mlp.Design() == engine.DesignNaive {
+	if !bd.Overlap {
 		joined = embDone + bd.Bot
 	}
 	bd.Top = params.Duration(r.mlp.TopStageCycles(n))

@@ -309,9 +309,13 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestBreakdownTotal(t *testing.T) {
-	bd := Breakdown{Send: 1, Emb: 10, Bot: 4, Top: 2, Read: 3}
+	bd := Breakdown{Send: 1, Emb: 10, Bot: 4, Top: 2, Read: 3, Overlap: true}
 	if bd.Total() != 16 { // send + max(emb,bot) + top + read
-		t.Fatalf("Total = %v", bd.Total())
+		t.Fatalf("searched Total = %v", bd.Total())
+	}
+	bd.Overlap = false
+	if bd.Total() != 20 { // the naive design runs bot after emb
+		t.Fatalf("naive Total = %v", bd.Total())
 	}
 }
 

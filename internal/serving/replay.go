@@ -1,3 +1,12 @@
+// Package serving models an online inference service in front of RM-SSD
+// devices: requests arrive continuously, a batcher groups them into device
+// batches, and each device serves its batches. This connects the paper's
+// device-level results to its motivation — the "strict service level
+// agreement requirements of recommendation systems" (Section I) are
+// tail-latency requirements on exactly this queue.
+//
+// Pool and Router serve live traffic on the host clock; Replay and
+// MultiReplay drive the same backends on a deterministic virtual timeline.
 package serving
 
 import (
@@ -16,15 +25,19 @@ import (
 // supplied request stream (a Criteo trace, a synthetic generator) on a
 // virtual arrival timeline.
 //
-// This is the trace-driven analogue of Run: where Run prices an analytic
-// queue against closed-form batch costs, Replay pushes real payloads
-// through real simulated devices. Arrivals are a seeded exponential
-// process; requests are assigned to shards round-robin (exactly like
-// Pool.Submit) and each shard coalesces every request that arrived before
-// its worker picked the group up, capped at MaxBatch — the deterministic
-// mirror of the pool's drain-what's-queued coalescing. Because the whole
-// timeline is virtual and the source is deterministic, two runs with the
-// same seed, source and shard count produce byte-identical results.
+// Replay pushes real payloads through real simulated devices. Arrivals are
+// a seeded exponential process; requests are assigned to shards
+// round-robin (exactly like Pool.Submit). Each shard is a blocking stage
+// pipeline (sim.BlockingPipeline) over the stages its batches report: a
+// core.Breakdown gives send | emb∥bot | top | read on the searched design,
+// so the host pre-sends batch i+1 while the device computes batch i and
+// reads back batch i-1 (the system-level pipelining of Section IV-D); any
+// other backend is one stage of its batch latency. The shard forms its next
+// batch the moment its first stage is vacated, from every request that has
+// already arrived, capped at MaxBatch — the deterministic mirror of the
+// pool's drain-what's-queued coalescing. Because the whole timeline is
+// virtual and the source is deterministic, two runs with the same seed,
+// source and shard count produce byte-identical results.
 
 // RequestSource yields successive requests of a trace; it returns io.EOF
 // when the trace is exhausted.
@@ -45,11 +58,11 @@ type ReplayConfig struct {
 	// Seed drives the exponential arrival process.
 	Seed uint64
 	// Tracer, when non-nil, records one obs.BatchRecord per device batch
-	// (requests, arrivals, service window) and feeds the tracer's metrics
-	// registry. The caller is responsible for installing the tracer's
-	// DeviceSink on each backend's device under the same (TraceModel,
-	// shard index) key so device stage spans join the records. Tracing
-	// observes the replay; it never changes its results.
+	// (requests, arrivals, admission and completion) and feeds the
+	// tracer's metrics registry. The caller is responsible for installing
+	// the tracer's DeviceSink on each backend's device under the same
+	// (TraceModel, shard index) key so device stage spans join the
+	// records. Tracing observes the replay; it never changes its results.
 	Tracer *obs.Tracer
 	// TraceModel is the model label on trace records and metrics; empty
 	// means "default".
@@ -70,8 +83,8 @@ func (c ReplayConfig) Validate() error {
 }
 
 // ReplayResult summarises one replay run. All latencies are simulated
-// (arrival to batch completion, including queueing); wall-clock timing is
-// the caller's concern.
+// (arrival to batch completion, including queueing and waits on busy
+// pipeline stages); wall-clock timing is the caller's concern.
 type ReplayResult struct {
 	Requests   int     // requests served (successfully or with an error)
 	Inferences int     // inferences served successfully
@@ -160,14 +173,14 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 		traceModel = "default"
 	}
 	for sid, jobs := range queues {
-		var free sim.Time
+		var pipe sim.BlockingPipeline
 		i := 0
 		for i < len(jobs) {
 			// The worker picks up the first waiting request the moment it
-			// is both arrived and the shard is free, then drains everything
-			// that has already arrived, capped at MaxBatch (a request
-			// larger than MaxBatch still runs, as its own batch).
-			start := sim.Max(jobs[i].arrival, free)
+			// has arrived and the shard's first stage is vacant, then drains
+			// everything that has already arrived, capped at MaxBatch (a
+			// request larger than MaxBatch still runs, as its own batch).
+			start := sim.Max(jobs[i].arrival, pipe.Vacant())
 			batch := []Request{jobs[i].req}
 			total := jobs[i].req.Count()
 			j := i + 1
@@ -181,8 +194,8 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 				res.PredCheck ^= uint64(math.Float32bits(p))
 				res.PredCheck *= 1099511628211 // FNV prime
 			}
-			complete := start + sim.Time(br.Latency)
-			free = complete
+			complete := pipe.Push(start, batchStages(br))
+			end = sim.Max(end, complete)
 			var traced []obs.TraceRequest
 			if cfg.Tracer != nil {
 				traced = make([]obs.TraceRequest, 0, j-i)
@@ -219,7 +232,6 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 			res.Batches++
 			i = j
 		}
-		end = sim.Max(end, free)
 	}
 
 	res.Requests = len(latencies)
@@ -233,6 +245,21 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 	}
 	res.P50, res.P95, res.P99, res.Max = latencyQuantiles(latencies)
 	return res, nil
+}
+
+// stager is batch metadata that knows the pipeline stages its batch
+// occupied (core.Breakdown).
+type stager interface {
+	Stages() []sim.Stage
+}
+
+// batchStages returns the stages a served batch occupies on its shard's
+// pipeline: the ones its metadata reports, or one stage of its latency.
+func batchStages(br BatchResult) []sim.Stage {
+	if s, ok := br.Meta.(stager); ok {
+		return s.Stages()
+	}
+	return []sim.Stage{{Name: "batch", Time: br.Latency}}
 }
 
 // latencyQuantiles delegates to obs.Quantiles, the tree's single quantile

@@ -1,41 +1,55 @@
 package serving
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"rmssd/internal/sim"
 )
 
-// fixedServer serves any batch in a constant interval/latency.
-type fixedServer struct {
-	interval, latency time.Duration
+// stageMeta is batch metadata reporting pipeline stages, the way
+// core.Breakdown does for a device batch.
+type stageMeta []sim.Stage
+
+func (m stageMeta) Stages() []sim.Stage { return m }
+
+// stagedBatcher is a timing-only device whose batch of n occupies four
+// pipeline stages, each growing with n; serial ignores the stages and
+// reports only the batch latency, as a backend without a breakdown does.
+type stagedBatcher struct {
+	send, emb, top, read time.Duration // per inference
+	serial               bool
 }
 
-func (f fixedServer) BatchInterval(int) time.Duration { return f.interval }
-func (f fixedServer) BatchLatency(int) time.Duration  { return f.latency }
-
-// scaledServer models an embedding-bound device: interval grows linearly
-// with batch size.
-type scaledServer struct{ per time.Duration }
-
-func (s scaledServer) BatchInterval(n int) time.Duration { return time.Duration(n) * s.per }
-func (s scaledServer) BatchLatency(n int) time.Duration {
-	return time.Duration(n)*s.per + 100*time.Microsecond
-}
-
-func baseCfg() Config {
-	return Config{
-		ArrivalRate: 1000,
-		MaxBatch:    8,
-		MaxWait:     time.Millisecond,
-		Requests:    2000,
-		Seed:        1,
+func (b stagedBatcher) ServeBatch(reqs []Request) BatchResult {
+	n := time.Duration(CountOf(reqs))
+	st := stageMeta{
+		{Name: "send", Time: n * b.send},
+		{Name: "emb", Time: n * b.emb},
+		{Name: "top", Time: n * b.top},
+		{Name: "read", Time: n * b.read},
 	}
+	res := BatchResult{Latency: sim.Serial(st...)}
+	if !b.serial {
+		res.Meta = st
+	}
+	return res
 }
 
-// mustRun drives the closed-loop simulation, failing the test on error.
-func mustRun(t *testing.T, srv Server, cfg Config) Result {
+// embBound is an embedding-bound device: 16us of stages per inference, of
+// which the emb stage is the 10us bottleneck.
+var embBound = stagedBatcher{send: 2 * time.Microsecond, emb: 10 * time.Microsecond,
+	top: 3 * time.Microsecond, read: time.Microsecond}
+
+func baseCfg() ReplayConfig {
+	return ReplayConfig{Rate: 20000, MaxBatch: 8, Requests: 2000, Seed: 1}
+}
+
+// mustReplay replays count-only requests of one inference through b.
+func mustReplay(t *testing.T, b Batcher, cfg ReplayConfig) ReplayResult {
 	t.Helper()
-	res, err := Run(srv, cfg)
+	res, err := Replay([]Batcher{b}, cfg, CountSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +61,10 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.ArrivalRate = 0 },
-		func(c *Config) { c.MaxBatch = 0 },
-		func(c *Config) { c.MaxWait = -1 },
-		func(c *Config) { c.Requests = 0 },
+	bad := []func(*ReplayConfig){
+		func(c *ReplayConfig) { c.Rate = 0 },
+		func(c *ReplayConfig) { c.MaxBatch = 0 },
+		func(c *ReplayConfig) { c.Requests = -1 },
 	}
 	for i, mutate := range bad {
 		c := baseCfg()
@@ -59,27 +72,23 @@ func TestValidate(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("case %d should fail", i)
 		}
-	}
-	if _, err := Run(fixedServer{1, 1}, Config{}); err == nil {
-		t.Fatal("Run must validate")
+		if _, err := Replay([]Batcher{embBound}, c, &sliceSource{reqs: []Request{{N: 1}}}); err == nil {
+			t.Errorf("case %d: Replay must validate", i)
+		}
 	}
 }
 
 func TestUnderloadLatencyNearService(t *testing.T) {
-	// Offered load far below capacity: P50 ~ service latency + batching
-	// wait, and everything gets served.
-	srv := fixedServer{interval: 100 * time.Microsecond, latency: 500 * time.Microsecond}
+	// Offered load far below capacity: batches rarely wait, so the median
+	// request takes about one batch of one and everything gets served.
 	cfg := baseCfg()
-	cfg.ArrivalRate = 500 // interval supports 10K batches/s
-	res, err := Run(srv, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Rate = 5000 // the emb stage supports 100K inferences/s
+	res := mustReplay(t, embBound, cfg)
+	if res.Requests != cfg.Requests || res.Inferences != cfg.Requests {
+		t.Fatalf("served %d/%d of %d", res.Requests, res.Inferences, cfg.Requests)
 	}
-	if res.Served != cfg.Requests {
-		t.Fatalf("served %d of %d", res.Served, cfg.Requests)
-	}
-	if res.P50 > 5*time.Millisecond {
-		t.Fatalf("underloaded P50 = %v too high", res.P50)
+	if res.P50 < 16*time.Microsecond || res.P50 > 40*time.Microsecond {
+		t.Fatalf("underloaded P50 = %v, want about one 16us batch", res.P50)
 	}
 	if res.P99 < res.P50 || res.Max < res.P99 {
 		t.Fatal("percentiles not ordered")
@@ -87,38 +96,28 @@ func TestUnderloadLatencyNearService(t *testing.T) {
 }
 
 func TestOverloadLatencyExplodes(t *testing.T) {
-	// Offered load beyond capacity: queueing delay grows without bound,
-	// so P99 must vastly exceed the underloaded P99.
-	srv := scaledServer{per: 500 * time.Microsecond} // capacity 2000 QPS
-	cfgLow := baseCfg()
-	cfgLow.ArrivalRate = 500
-	low, err := Run(srv, cfgLow)
-	if err != nil {
-		t.Fatal(err)
+	// Offered load beyond capacity: queueing delay grows without bound, so
+	// P99 must vastly exceed the underloaded P99 while throughput
+	// saturates at the bottleneck stage's rate.
+	low := baseCfg()
+	low.Rate = 5000
+	high := baseCfg()
+	high.Rate = 400000 // 4x the emb stage's 100K inferences/s
+	lo, hi := mustReplay(t, embBound, low), mustReplay(t, embBound, high)
+	if hi.P99 < 10*lo.P99 {
+		t.Fatalf("overload P99 (%v) should dwarf underload P99 (%v)", hi.P99, lo.P99)
 	}
-	cfgHigh := baseCfg()
-	cfgHigh.ArrivalRate = 4000 // 2x capacity
-	high, err := Run(srv, cfgHigh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if high.P99 < 10*low.P99 {
-		t.Fatalf("overload P99 (%v) should dwarf underload P99 (%v)", high.P99, low.P99)
-	}
-	// Throughput saturates near capacity.
-	if high.ThroughputQPS > 2200 {
-		t.Fatalf("throughput %v exceeds capacity", high.ThroughputQPS)
+	if hi.ThroughputQPS > 100000*1.01 {
+		t.Fatalf("throughput %.0f exceeds the bottleneck stage's 100000", hi.ThroughputQPS)
 	}
 }
 
 func TestBatchingGrowsUnderLoad(t *testing.T) {
-	srv := scaledServer{per: 100 * time.Microsecond}
 	lowCfg := baseCfg()
-	lowCfg.ArrivalRate = 200
-	low := mustRun(t, srv, lowCfg)
+	lowCfg.Rate = 5000
 	highCfg := baseCfg()
-	highCfg.ArrivalRate = 6000
-	high := mustRun(t, srv, highCfg)
+	highCfg.Rate = 400000
+	low, high := mustReplay(t, embBound, lowCfg), mustReplay(t, embBound, highCfg)
 	if high.MeanBatch <= low.MeanBatch {
 		t.Fatalf("mean batch should grow with load: %v -> %v", low.MeanBatch, high.MeanBatch)
 	}
@@ -128,44 +127,44 @@ func TestBatchingGrowsUnderLoad(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	srv := scaledServer{per: 200 * time.Microsecond}
-	a := mustRun(t, srv, baseCfg())
-	b := mustRun(t, srv, baseCfg())
-	if a != b {
+	a, b := mustReplay(t, embBound, baseCfg()), mustReplay(t, embBound, baseCfg())
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
 
 func TestSeedChangesArrivals(t *testing.T) {
-	srv := scaledServer{per: 200 * time.Microsecond}
-	a := mustRun(t, srv, baseCfg())
 	cfg2 := baseCfg()
 	cfg2.Seed = 2
-	b := mustRun(t, srv, cfg2)
-	if a.Elapsed == b.Elapsed {
+	if a, b := mustReplay(t, embBound, baseCfg()), mustReplay(t, embBound, cfg2); a.Elapsed == b.Elapsed {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
 }
 
 func TestMaxBatchOne(t *testing.T) {
-	srv := fixedServer{interval: 10 * time.Microsecond, latency: 20 * time.Microsecond}
 	cfg := baseCfg()
 	cfg.MaxBatch = 1
-	res, err := Run(srv, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanBatch != 1 {
+	if res := mustReplay(t, embBound, cfg); res.MeanBatch != 1 {
 		t.Fatalf("MeanBatch = %v with MaxBatch 1", res.MeanBatch)
 	}
 }
 
-func TestDeviceServerAdapter(t *testing.T) {
-	d := DeviceServer{
-		Interval: func(n int) time.Duration { return time.Duration(n) * time.Microsecond },
-		Latency:  func(n int) time.Duration { return time.Duration(n) * 2 * time.Microsecond },
+// TestMetaStagesAdapter: batch metadata that reports stages pipelines
+// consecutive batches, and metadata that does not is one stage of the
+// batch latency. Saturated at batch 1, the staged device completes a batch
+// every bottleneck interval (10us) after the first batch's 16us; the
+// serial one every 16us.
+func TestMetaStagesAdapter(t *testing.T) {
+	cfg := ReplayConfig{Rate: 1e12, MaxBatch: 1, Requests: 100, Seed: 1}
+	piped := mustReplay(t, embBound, cfg)
+	serialDev := embBound
+	serialDev.serial = true
+	serial := mustReplay(t, serialDev, cfg)
+	const slack = time.Microsecond // the arrivals span well under 1us
+	if want := 99*10*time.Microsecond + 16*time.Microsecond; piped.Elapsed < want || piped.Elapsed > want+slack {
+		t.Fatalf("pipelined makespan %v, want %v (sim.Pipeline interval)", piped.Elapsed, want)
 	}
-	if d.BatchInterval(3) != 3*time.Microsecond || d.BatchLatency(3) != 6*time.Microsecond {
-		t.Fatal("adapter broken")
+	if want := 100 * 16 * time.Microsecond; serial.Elapsed < want || serial.Elapsed > want+slack {
+		t.Fatalf("serial makespan %v, want %v (sim.Serial)", serial.Elapsed, want)
 	}
 }

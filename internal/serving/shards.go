@@ -46,7 +46,9 @@ type BatchResult struct {
 	// Latency is the simulated latency of the whole device batch.
 	Latency time.Duration
 	// Meta carries backend-specific detail (e.g. a stage breakdown)
-	// through to every response that rode this batch.
+	// through to every response that rode this batch. Replay pipelines
+	// consecutive batches over the stages a Meta with a
+	// Stages() []sim.Stage method reports (core.Breakdown does).
 	Meta interface{}
 	// Err fails the whole batch: every request on it gets this error and
 	// no predictions. Set it for device-level failures (an uncorrectable

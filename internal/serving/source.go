@@ -11,7 +11,16 @@ import (
 // Request sources: adapters from the trace layer to payload-carrying
 // requests. Both produce Explicit requests — every index the device serves
 // originated outside the pool, which is what makes the replay trace-driven
-// rather than self-stimulating.
+// rather than self-stimulating. CountSource is the exception, for
+// timing-only replays.
+
+// CountSource yields count-only requests of n inferences without end; the
+// backends synthesise their own inputs. Bound the replay with
+// ReplayConfig.Requests.
+type CountSource int
+
+// Next returns the next request.
+func (n CountSource) Next() (Request, error) { return Request{N: int(n)}, nil }
 
 // GeneratorSource draws requests from a synthetic trace generator with the
 // paper's Criteo-derived locality. It never returns io.EOF; bound the
