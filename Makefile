@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden test-faults test-obs test-array race fuzz-smoke bench bench-perf bench-micro check
+.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden race fuzz-smoke bench bench-perf bench-micro check
 
 build:
 	$(GO) build ./...
@@ -46,33 +46,12 @@ test-simdebug:
 test-golden:
 	$(GO) test -count=1 ./internal/conformance/
 
-# Fault-containment and fault-injection suite under the race detector:
-# panicking backends, dead-on-arrival contexts and per-request errors in
-# the pool; the seeded flash fault plan's determinism and typed-error
-# surfacing on the device; the out-of-range replay path end to end.
-test-faults:
-	$(GO) test -race -count=1 \
-		-run 'TestShard|TestSubmitDead|TestPerRequest|TestPool|TestFault|TestUncorrectable|TestReplayOutOfRange' \
-		./internal/serving/ ./internal/core/ ./cmd/rmserve/
-
-# Observability suite under the race detector: the obs unit tests, the
-# tracing-on/off differential and byte-determinism layer, and the rmserve
-# /metrics + traced-replay surface tests.
-test-obs:
-	$(GO) test -race -count=1 ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestMetrics|TestReplayReportTraced|TestReplayTracer|TestMountPprof' ./cmd/rmserve/
-
-# Multi-SSD array suite under the race detector: the partition property
-# tests, the one-device/N-device differential layer, span and fault
-# invariants, the rmserve array serving surface, and the replay/array
-# conformance golden.
-test-array:
-	$(GO) test -race -count=1 ./internal/array/
-	$(GO) test -race -count=1 -run 'TestArray' ./cmd/rmserve/
-	$(GO) test -race -count=1 -run 'TestGolden|TestRenderDeterministic' ./internal/conformance/
-
+# The whole module under the race detector: every package's tests, among
+# them the pool's fault containment, the seeded fault plan, the obs
+# differential and determinism layer, the array differential and property
+# suites, multi-model serving and the conformance goldens.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCriteoLine -fuzztime=10s ./internal/trace/
@@ -100,5 +79,5 @@ bench-micro:
 	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/
 
-check: build fmt vet lint test test-benchmark test-simdebug test-faults test-obs test-array race
+check: build fmt vet lint test test-benchmark test-simdebug race
 	@echo "all checks passed"

@@ -7,7 +7,6 @@ import (
 	"rmssd/internal/core"
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
-	"rmssd/internal/obs"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
@@ -218,14 +217,11 @@ func (a *Array) ValidateInputs(denses []tensor.Vector, sparses [][][]int64) erro
 
 // memberRun carries one member device's per-batch state.
 type memberRun struct {
-	active   bool
-	probed   bool
-	probe    core.SpanProbe
-	sendDone sim.Time
-	embDone  sim.Time
-	arrival  sim.Time // embDone plus the gather hop (== embDone on the top member)
-	pooled   [][]tensor.Vector
-	err      error
+	active  bool
+	batch   core.Batch // the member's run through core's stage schedule
+	arrival sim.Time   // embedding done plus the gather hop (no hop on the top member)
+	pooled  [][]tensor.Vector
+	err     error
 }
 
 // InferBatch runs one array batch end to end: scatter each inference's
@@ -233,8 +229,10 @@ type memberRun struct {
 // dense features to the top member), pool embeddings per member on
 // independent virtual clocks, gather partial sums on the top member over
 // the modeled inter-device link, then run the MLP towers and read the
-// results from the top member. Outputs are real float32 CTR predictions;
-// the Breakdown's Emb stage covers flash pooling plus the gather.
+// results from the top member. Every member runs core's stage schedule
+// (core.Batch); the top member finishes it once the gather has landed.
+// Outputs are real float32 CTR predictions; the Breakdown's Emb stage
+// covers flash pooling plus the gather.
 //
 // Partial sums merge in fixed member-index order and members with no owned
 // lookups in a batch are skipped entirely, so functional results and
@@ -288,85 +286,63 @@ func (a *Array) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 		if sub[d] == nil {
 			continue
 		}
-		dev := a.devs[d]
 		run := &runs[d]
 		run.active = true
-		if dev.SpanSinkEnabled() {
-			run.probe, run.probed = dev.ProbeSpan(), true
-		}
 		payload := counts[d] * 8
 		if d == a.top {
 			payload += int64(n) * int64(a.cfg.DenseDim) * 4
 		}
-		run.sendDone = dev.SendPayload(at, n, payload)
-		pooled, lookDone, lookErr := dev.Lookup().PoolBatch(run.sendDone, sub[d])
-		run.embDone = sim.Max(run.sendDone, lookDone)
-		if k := params.Duration(dev.MLP().EmbKernelCycles(n)); run.sendDone+k > run.embDone {
-			run.embDone = run.sendDone + k
-		}
-		run.pooled, run.err = pooled, lookErr
-		run.arrival = run.embDone
+		run.batch = a.devs[d].BeginBatch(at, n, payload)
+		run.pooled, run.err = run.batch.Pool(sub[d], true)
+		run.arrival = run.batch.EmbDone()
 		if d != a.top {
 			run.arrival += TransferCost(partials[d] * int64(a.cfg.EVSize()))
 		}
 		a.scattered[d] += counts[d]
 	}
-
 	topRun := &runs[a.top]
-	top := a.devs[a.top]
-	bd := core.Breakdown{Overlap: top.MLP().Design() != engine.DesignNaive}
-	bd.Send = topRun.sendDone - at
 
 	// A fault on any member fails the batch at the point every active
-	// embedding stage has resolved; no gather traffic moves.
+	// embedding stage has resolved; no gather traffic moves. Every active
+	// member ends its span at its own embedding stage, the top member last
+	// (the obs.Tracer contract: the final span of a batch is the batch's
+	// device span).
 	if err := firstMemberErr(runs); err != nil {
-		failTime := topRun.embDone
+		failTime := topRun.batch.EmbDone()
 		for d := range runs {
-			if runs[d].active && runs[d].embDone > failTime {
-				failTime = runs[d].embDone
+			if runs[d].active && d != a.top {
+				failTime = sim.Max(failTime, runs[d].batch.Fail())
 			}
 		}
-		bd.Emb = failTime - topRun.sendDone
-		a.emitFailedSpans(at, runs, n)
+		topRun.batch.Fail()
+		bd := topRun.batch.Breakdown()
+		bd.Emb += failTime - topRun.batch.EmbDone()
 		return nil, failTime, bd, err
 	}
 
 	// Gather: every non-top member's partials arrive over the link; the
-	// embedding stage of the array ends when the last one lands.
-	gatherDone := topRun.embDone
+	// embedding stage of the array ends when the last one lands. Each
+	// lookup-only member's span ends at its partials' arrival.
+	gatherDone := topRun.batch.EmbDone()
 	for d := range runs {
-		if runs[d].active && runs[d].arrival > gatherDone {
-			gatherDone = runs[d].arrival
-		}
 		if runs[d].active && d != a.top {
+			gatherDone = sim.Max(gatherDone, runs[d].arrival)
+			runs[d].batch.Ship(runs[d].arrival)
 			a.transfers++
 			a.partials += partials[d]
 			a.xferBytes += partials[d] * int64(a.cfg.EVSize())
 		}
 	}
-	bd.Emb = gatherDone - topRun.sendDone
 
 	merged := a.mergePooled(runs, contrib, n)
-
-	bd.Bot = params.Duration(top.MLP().BottomStageCycles(n))
-	joined := sim.Max(gatherDone, topRun.sendDone+bd.Bot)
-	if !bd.Overlap {
-		joined = gatherDone + bd.Bot
-	}
-	bd.Top = params.Duration(top.MLP().TopStageCycles(n))
-	topDone := joined + bd.Top
-
+	top := a.devs[a.top]
 	outs := make([]float32, n)
 	for i := 0; i < n; i++ {
 		outs[i] = top.MLP().Forward(denses[i], merged[i])
 	}
-
-	readDone := top.ReadOutputs(topDone, n)
-	bd.Read = readDone - topDone
-	top.AddServed(n)
+	done := topRun.batch.Finish(gatherDone)
 	a.inferences += int64(n)
-	a.emitServedSpans(at, runs, gatherDone, joined, topDone, readDone, bd.Bot, n)
-	return outs, readDone, bd, nil
+	return outs, done, topRun.batch.Breakdown(), nil
 }
 
 // emptyBatch allocates an n-inference batch of empty per-table row lists.
@@ -424,75 +400,4 @@ func (a *Array) mergePooled(runs []memberRun, contrib [][]bool, n int) [][]tenso
 		}
 	}
 	return merged
-}
-
-// emitFailedSpans emits one failed span per active member: stages stop at
-// the member's embedding stage, mirroring core's failed-batch span. The top
-// member emits last (the obs.Tracer contract: the final span of a batch is
-// the batch's device span).
-func (a *Array) emitFailedSpans(at sim.Time, runs []memberRun, n int) {
-	emit := func(d int) {
-		run := &runs[d]
-		if !run.probed {
-			return
-		}
-		a.devs[d].EmitSpan(run.probe, obs.DeviceSpan{
-			Start:  at,
-			Done:   run.embDone,
-			N:      n,
-			Failed: true,
-			Send:   obs.StageSpan{From: at, To: run.sendDone},
-			Emb:    obs.StageSpan{From: run.sendDone, To: run.embDone},
-			Bot:    obs.StageSpan{From: run.embDone, To: run.embDone},
-			Top:    obs.StageSpan{From: run.embDone, To: run.embDone},
-			Read:   obs.StageSpan{From: run.embDone, To: run.embDone},
-		})
-	}
-	for d := range runs {
-		if runs[d].active && d != a.top {
-			emit(d)
-		}
-	}
-	emit(a.top)
-}
-
-// emitServedSpans emits the batch's spans: lookup-only members cover
-// send+pool+transfer and end at their partials' arrival; the top member
-// carries the batch's full pipeline, its Emb stage extended to the gather
-// join. Non-top members emit first, the top member last.
-func (a *Array) emitServedSpans(at sim.Time, runs []memberRun, gatherDone, joined, topDone, readDone sim.Time, bot time.Duration, n int) {
-	for d := range runs {
-		run := &runs[d]
-		if d == a.top || !run.active || !run.probed {
-			continue
-		}
-		a.devs[d].EmitSpan(run.probe, obs.DeviceSpan{
-			Start: at,
-			Done:  run.arrival,
-			N:     n,
-			Send:  obs.StageSpan{From: at, To: run.sendDone},
-			Emb:   obs.StageSpan{From: run.sendDone, To: run.arrival},
-			Bot:   obs.StageSpan{From: run.arrival, To: run.arrival},
-			Top:   obs.StageSpan{From: run.arrival, To: run.arrival},
-			Read:  obs.StageSpan{From: run.arrival, To: run.arrival},
-		})
-	}
-	topRun := &runs[a.top]
-	if !topRun.probed {
-		return
-	}
-	botFrom := topRun.sendDone
-	if a.devs[a.top].MLP().Design() == engine.DesignNaive {
-		botFrom = gatherDone
-	}
-	a.devs[a.top].EmitSpan(topRun.probe, obs.DeviceSpan{
-		Start: at,
-		Done:  readDone,
-		N:     n,
-		Send:  obs.StageSpan{From: at, To: topRun.sendDone},
-		Emb:   obs.StageSpan{From: topRun.sendDone, To: gatherDone},
-		Bot:   obs.StageSpan{From: botFrom, To: botFrom + bot},
-		Top:   obs.StageSpan{From: joined, To: topDone},
-		Read:  obs.StageSpan{From: topDone, To: readDone},
-	})
 }

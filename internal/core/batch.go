@@ -1,0 +1,187 @@
+package core
+
+import (
+	"rmssd/internal/engine"
+	"rmssd/internal/evcache"
+	"rmssd/internal/flash"
+	"rmssd/internal/obs"
+	"rmssd/internal/params"
+	"rmssd/internal/sim"
+	"rmssd/internal/tensor"
+)
+
+// Batch is one device batch moving through the stage schedule of Section
+// IV-D, the one place that schedule is written down:
+//
+//	send → (emb ∥ bot) → top → read
+//
+// InferBatch and InferBatchTiming drive it as BeginBatch → Pool → Finish,
+// or Fail when the embedding stage fails. A multi-device array
+// (internal/array) drives one Batch per member and finishes only its
+// top-MLP member, once the gather has landed; the other members Ship their
+// partial sums.
+//
+// The stage timestamps it records are the batch's obs.DeviceSpan, handed to
+// the device's span sink when the batch ends, and Breakdown reads the stage
+// times off the same timestamps.
+type Batch struct {
+	r      *RMSSD
+	traced bool
+	probe  spanProbe
+	span   obs.DeviceSpan
+}
+
+// spanProbe snapshots the deterministic counters a batch can move, taken
+// before the send so the span's deltas cover exactly the batch.
+type spanProbe struct {
+	look  engine.LookupStats
+	cache evcache.Stats
+	fl    flash.Stats
+	ch    []flash.ChannelCounters
+}
+
+// BeginBatch starts a batch of n inferences at time at. With a span sink
+// installed it snapshots the counters the span attributes; then it sends
+// the inputs: the register writes and a DMA of payload bytes (InputBytes(n)
+// on a single device; an array member receives only its share).
+func (r *RMSSD) BeginBatch(at sim.Time, n int, payload int64) Batch {
+	b := Batch{r: r, traced: r.spanSink != nil}
+	if b.traced {
+		b.probe = spanProbe{
+			look: r.lookup.Stats(),
+			fl:   r.dev.Array().Stats(),
+			ch:   r.dev.Array().ChannelIO(),
+		}
+		if c := r.lookup.EVCache(); c != nil {
+			b.probe.cache = c.Stats()
+		}
+	}
+	sent := r.sendPayload(at, n, payload)
+	b.span = obs.DeviceSpan{Start: at, N: n, Send: obs.StageSpan{From: at, To: sent}}
+	return b
+}
+
+// Pool runs the embedding stage from the end of the send: the lookup
+// planner over the batch, floored by the Le kernel. With values it returns
+// each inference's pooled vectors; otherwise it accounts timing and traffic
+// only. An error is the engine's, unwrapped.
+func (b *Batch) Pool(sparses [][][]int64, values bool) ([][]tensor.Vector, error) {
+	r := b.r
+	from := b.span.Send.To
+	var pooled [][]tensor.Vector
+	var done sim.Time
+	var err error
+	if values {
+		pooled, done, err = r.lookup.PoolBatch(from, sparses)
+	} else {
+		done, err = r.lookup.PoolBatchTiming(from, sparses)
+	}
+	embDone := sim.Max(from, done)
+	if k := params.Duration(r.mlp.EmbKernelCycles(b.span.N)); from+k > embDone {
+		embDone = from + k
+	}
+	b.span.Emb = obs.StageSpan{From: from, To: embDone}
+	return pooled, err
+}
+
+// EmbDone returns when this device's embedding stage ended.
+func (b *Batch) EmbDone() sim.Time { return b.span.Emb.To }
+
+// Finish runs the rest of the schedule once the embedding results are ready
+// on this device at embReady — EmbDone on a single device, the end of the
+// gather on an array's top member — which also ends the emb stage. The
+// bottom MLP runs beside the embedding stage from the end of the send on
+// the searched design (intra-layer decomposition) and after it on the
+// naive one; the top MLP starts when both are done, then the host reads
+// the results back. Finish counts the batch as served, emits its span and
+// returns its completion time.
+func (b *Batch) Finish(embReady sim.Time) sim.Time {
+	r, sp := b.r, &b.span
+	sp.Emb.To = embReady
+	botFrom := sp.Send.To
+	if !r.overlap() {
+		botFrom = embReady
+	}
+	sp.Bot = obs.StageSpan{From: botFrom, To: botFrom + params.Duration(r.mlp.BottomStageCycles(sp.N))}
+	joined := sim.Max(embReady, sp.Bot.To)
+	sp.Top = obs.StageSpan{From: joined, To: joined + params.Duration(r.mlp.TopStageCycles(sp.N))}
+	sp.Read = obs.StageSpan{From: sp.Top.To, To: r.ReadOutputs(sp.Top.To, sp.N)}
+	sp.Done = sp.Read.To
+	r.inferences += int64(sp.N)
+	b.emit()
+	return sp.Done
+}
+
+// Fail ends a batch whose embedding stage failed: it never reaches the MLP
+// or the host interface, is not served, and its remaining stages are empty
+// at the failure point. It emits the failed span and returns the failure
+// time.
+func (b *Batch) Fail() sim.Time {
+	b.stopAt(b.span.Emb.To, true)
+	return b.span.Done
+}
+
+// Ship ends an array member's lookup-only batch: its partial sums leave
+// for the top-MLP member and land there at arrival, which ends its span.
+func (b *Batch) Ship(arrival sim.Time) { b.stopAt(arrival, false) }
+
+func (b *Batch) stopAt(t sim.Time, failed bool) {
+	sp := &b.span
+	sp.Emb.To, sp.Done, sp.Failed = t, t, failed
+	sp.Bot = obs.StageSpan{From: t, To: t}
+	sp.Top, sp.Read = sp.Bot, sp.Bot
+	b.emit()
+}
+
+// Breakdown reads the batch's stage times off its span.
+func (b *Batch) Breakdown() Breakdown {
+	sp := &b.span
+	return Breakdown{
+		Send:    sp.Send.Len(),
+		Emb:     sp.Emb.Len(),
+		Bot:     sp.Bot.Len(),
+		Top:     sp.Top.Len(),
+		Read:    sp.Read.Len(),
+		Overlap: b.r.overlap(),
+	}
+}
+
+// emit fills the span's counter fields with the deltas since BeginBatch and
+// hands it to the sink (nothing without one).
+func (b *Batch) emit() {
+	if !b.traced {
+		return
+	}
+	r, p, sp := b.r, &b.probe, b.span
+	look := r.lookup.Stats()
+	sp.Lookups = look.Lookups - p.look.Lookups
+	sp.DedupHits = look.DedupHits - p.look.DedupHits
+	sp.BytesPooled = look.BytesPooled - p.look.BytesPooled
+	if c := r.lookup.EVCache(); c != nil {
+		cs := c.Stats()
+		sp.CacheHits = cs.Hits - p.cache.Hits
+		sp.CacheMisses = cs.Misses - p.cache.Misses
+		sp.CacheEvictions = cs.Evictions - p.cache.Evictions
+	}
+	fl := r.dev.Array().Stats()
+	sp.VectorReads = fl.VectorReads - p.fl.VectorReads
+	sp.PageReads = fl.PageReads - p.fl.PageReads
+	sp.ECCRetries = fl.ECCRetries - p.fl.ECCRetries
+	sp.ReadFaults = fl.ReadFaults - p.fl.ReadFaults
+	sp.Uncorrectable = fl.Uncorrectable - p.fl.Uncorrectable
+	sp.BytesTransferred = fl.BytesTransferred - p.fl.BytesTransferred
+	for i, c := range r.dev.Array().ChannelIO() {
+		if i < len(p.ch) {
+			c = c.Sub(p.ch[i])
+		}
+		if c != (flash.ChannelCounters{}) {
+			sp.Channels = append(sp.Channels, obs.ChannelIO{
+				Channel:       i,
+				Reads:         c.Reads,
+				Retries:       c.Retries,
+				Uncorrectable: c.Uncorrectable,
+			})
+		}
+	}
+	r.spanSink(sp)
+}

@@ -54,14 +54,14 @@ type Options struct {
 	// concurrent update writes during inference.
 	Dynamic bool
 	// Parallel is the number of host goroutines used to simulate the
-	// flash channels of one lookup batch. 0 means GOMAXPROCS; 1 forces
-	// the exact sequential path. Lane partitioning keeps results
-	// byte-identical at any setting (see engine/parallel.go).
+	// flash channels of one lookup batch. 0 means GOMAXPROCS; 1 replays
+	// every channel's lane on the calling goroutine. Lane partitioning
+	// keeps results byte-identical at any setting (see engine/planner.go).
 	Parallel int
 	// EVCacheBytes budgets a device-DRAM embedding-vector cache (0, the
 	// default, disables it): hot vectors are served from controller DRAM
 	// in ~EVCacheHitCycles instead of a C_EV flash read. Predictions are
-	// byte-identical with the cache on or off (engine/locality.go).
+	// byte-identical with the cache on or off (engine/planner.go).
 	EVCacheBytes int64
 	// DedupLookups merges identical (table,row) lookups within one device
 	// batch into a single vector read whose result fans out. Off by
@@ -167,9 +167,9 @@ type RMSSD struct {
 
 	inferences int64 // total inferences served
 
-	// spanSink, when non-nil, receives one obs.DeviceSpan per InferBatch /
-	// InferBatchTiming call (including fault-failed batches). The nil check
-	// is the entire cost of the disabled state.
+	// spanSink, when non-nil, receives one obs.DeviceSpan per batch this
+	// device runs (including fault-failed batches; see Batch). The nil
+	// check is the entire cost of the disabled state.
 	spanSink obs.SpanSink
 }
 
@@ -274,15 +274,14 @@ func (r *RMSSD) InputBytes(n int) int64 { return r.inputBytes() * int64(n) }
 // of MMIO register writes plus one bulk DMA of indices and dense inputs.
 // It returns the completion time.
 func (r *RMSSD) SendInputs(at sim.Time, n int) sim.Time {
-	return r.SendPayload(at, n, r.inputBytes()*int64(n))
+	return r.sendPayload(at, n, r.InputBytes(n))
 }
 
-// SendPayload is SendInputs with an explicit DMA payload size: the array
-// scatter path (internal/array) ships each member device only the indices
-// it owns (plus the dense features on the top-MLP member), so the register
-// dance is identical but the bulk transfer is smaller. SendInputs is the
-// single-device case where the payload is the full InputBytes(n).
-func (r *RMSSD) SendPayload(at sim.Time, n int, payload int64) sim.Time {
+// sendPayload is SendInputs with an explicit DMA payload size: an array
+// member (internal/array) is shipped only the indices it owns (plus the
+// dense features on the top-MLP member), so the register dance is identical
+// but the bulk transfer is smaller.
+func (r *RMSSD) sendPayload(at sim.Time, n int, payload int64) sim.Time {
 	r.reg.NumLookups = uint32(r.m.Cfg.Lookups)
 	r.reg.BatchSize = uint32(n)
 	r.reg.ResultReady = false
@@ -332,10 +331,11 @@ func (r *RMSSD) ValidateInputs(denses []tensor.Vector, sparses [][][]int64) erro
 	return r.lookup.ValidateLookups(sparses)
 }
 
-// InferBatch runs one device batch end to end: send inputs, pool embeddings
-// on the lookup engine (simulated flash timing), run the remapped MLP, read
-// outputs. Outputs are real float32 CTR predictions; the returned Breakdown
-// carries the simulated stage times.
+// InferBatch runs one device batch end to end through the stage schedule
+// (Batch): send inputs, pool embeddings on the lookup engine (simulated
+// flash timing), run the remapped MLP, read outputs. Outputs are real
+// float32 CTR predictions; the returned Breakdown carries the simulated
+// stage times.
 //
 // Shape and range errors (ErrShapeMismatch, ErrRowOutOfRange) are detected
 // before the device sees the batch: the call fails, the device does not.
@@ -347,57 +347,7 @@ func (r *RMSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 	if err := r.ValidateInputs(denses, sparses); err != nil {
 		return nil, at, Breakdown{}, err
 	}
-	n := len(sparses)
-	var probe spanProbe
-	if r.spanSink != nil {
-		probe = r.probeSpan()
-	}
-	bd := Breakdown{Overlap: r.mlp.Design() != engine.DesignNaive}
-	sendDone := r.SendInputs(at, n)
-	bd.Send = sendDone - at
-
-	// Extended embedding stage: flash pooling for the whole batch plus
-	// the Le kernel, overlapped with the extended bottom MLP.
-	outs := make([]float32, n)
-	embStart := sendDone
-	// PoolBatch shares one dedup table across the whole device batch when
-	// the locality path is enabled; otherwise it is exactly the
-	// per-inference Pool loop.
-	pooled, lookDone, lookErr := r.lookup.PoolBatch(embStart, sparses)
-	embDone := sim.Max(embStart, lookDone)
-	if k := params.Duration(r.mlp.EmbKernelCycles(n)); embStart+k > embDone {
-		embDone = embStart + k
-	}
-	bd.Emb = embDone - embStart
-	if lookErr != nil {
-		if r.spanSink != nil {
-			r.emitSpan(probe, failedSpan(at, sendDone, embDone, n))
-		}
-		return nil, embDone, bd, fmt.Errorf("core: infer batch: %w", lookErr)
-	}
-
-	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
-	joined := sim.Max(embDone, embStart+bd.Bot)
-	if !bd.Overlap {
-		// No intra-layer decomposition: the whole MLP runs after the
-		// embedding results arrive.
-		joined = embDone + bd.Bot
-	}
-
-	bd.Top = params.Duration(r.mlp.TopStageCycles(n))
-	topDone := joined + bd.Top
-
-	for i := 0; i < n; i++ {
-		outs[i] = r.mlp.Forward(denses[i], pooled[i])
-	}
-
-	readDone := r.ReadOutputs(topDone, n)
-	bd.Read = readDone - topDone
-	r.inferences += int64(n)
-	if r.spanSink != nil {
-		r.emitSpan(probe, r.servedSpan(at, sendDone, embDone, joined, topDone, readDone, bd.Bot, n))
-	}
-	return outs, readDone, bd, nil
+	return r.infer(at, denses, sparses, true)
 }
 
 // InferBatchTiming is InferBatch without materialising values.
@@ -405,42 +355,35 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 	if err := r.lookup.ValidateLookups(sparses); err != nil {
 		return at, Breakdown{}, err
 	}
-	n := len(sparses)
-	var probe spanProbe
-	if r.spanSink != nil {
-		probe = r.probeSpan()
-	}
-	bd := Breakdown{Overlap: r.mlp.Design() != engine.DesignNaive}
-	sendDone := r.SendInputs(at, n)
-	bd.Send = sendDone - at
-	embStart := sendDone
-	lookDone, lookErr := r.lookup.PoolBatchTiming(embStart, sparses)
-	embDone := sim.Max(embStart, lookDone)
-	if k := params.Duration(r.mlp.EmbKernelCycles(n)); embStart+k > embDone {
-		embDone = embStart + k
-	}
-	bd.Emb = embDone - embStart
-	if lookErr != nil {
-		if r.spanSink != nil {
-			r.emitSpan(probe, failedSpan(at, sendDone, embDone, n))
-		}
-		return embDone, bd, fmt.Errorf("core: infer batch: %w", lookErr)
-	}
-	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
-	joined := sim.Max(embDone, embStart+bd.Bot)
-	if !bd.Overlap {
-		joined = embDone + bd.Bot
-	}
-	bd.Top = params.Duration(r.mlp.TopStageCycles(n))
-	topDone := joined + bd.Top
-	readDone := r.ReadOutputs(topDone, n)
-	bd.Read = readDone - topDone
-	r.inferences += int64(n)
-	if r.spanSink != nil {
-		r.emitSpan(probe, r.servedSpan(at, sendDone, embDone, joined, topDone, readDone, bd.Bot, n))
-	}
-	return readDone, bd, nil
+	_, done, bd, err := r.infer(at, nil, sparses, false)
+	return done, bd, err
 }
+
+// infer drives one validated batch through the stage schedule, computing
+// predictions only with values.
+func (r *RMSSD) infer(at sim.Time, denses []tensor.Vector, sparses [][][]int64, values bool) ([]float32, sim.Time, Breakdown, error) {
+	n := len(sparses)
+	b := r.BeginBatch(at, n, r.InputBytes(n))
+	pooled, err := b.Pool(sparses, values)
+	if err != nil {
+		done := b.Fail()
+		return nil, done, b.Breakdown(), fmt.Errorf("core: infer batch: %w", err)
+	}
+	var outs []float32
+	if values {
+		outs = make([]float32, n)
+		for i := range outs {
+			outs[i] = r.mlp.Forward(denses[i], pooled[i])
+		}
+	}
+	done := b.Finish(b.EmbDone())
+	return outs, done, b.Breakdown(), nil
+}
+
+// overlap reports whether the bottom MLP runs beside the embedding stage:
+// the searched design's intra-layer decomposition does, the naive design
+// runs every stage after the previous one.
+func (r *RMSSD) overlap() bool { return r.mlp.Design() != engine.DesignNaive }
 
 // sendCost and readCost price the host-interface stages without touching
 // the shared DMA queue (pure functions for the analytic pipeline model).
@@ -471,7 +414,7 @@ func (r *RMSSD) StageTimes(n int) []sim.Stage {
 // pipelining, Section IV-D); the naive design serialises them.
 func (r *RMSSD) SteadyStateQPS(n int) float64 {
 	st := r.StageTimes(n)
-	if r.mlp.Design() == engine.DesignNaive {
+	if !r.overlap() {
 		return sim.Throughput(sim.Serial(st...), n)
 	}
 	res := sim.Pipeline(st...)
@@ -483,7 +426,7 @@ func (r *RMSSD) SteadyStateQPS(n int) float64 {
 func (r *RMSSD) Latency(n int) time.Duration {
 	st := r.StageTimes(n)
 	send, emb, bot, top, read := st[0].Time, st[1].Time, st[2].Time, st[3].Time, st[4].Time
-	if r.mlp.Design() == engine.DesignNaive {
+	if !r.overlap() {
 		return send + emb + bot + top + read
 	}
 	return send + maxDur(emb, bot) + top + read
@@ -523,127 +466,6 @@ func (r *RMSSD) UpdateVector(at sim.Time, table int, row int64, v tensor.Vector)
 // with stage spans and counter deltas derived purely from simulated
 // state — attaching it changes nothing about timing or predictions.
 func (r *RMSSD) SetSpanSink(s obs.SpanSink) { r.spanSink = s }
-
-// spanProbe snapshots the deterministic counters a batch can move, taken
-// before the embedding stage so emitSpan can attribute the deltas.
-type spanProbe struct {
-	look  engine.LookupStats
-	cache evcache.Stats
-	fl    flash.Stats
-	ch    []flash.ChannelCounters
-}
-
-func (r *RMSSD) probeSpan() spanProbe {
-	p := spanProbe{
-		look: r.lookup.Stats(),
-		fl:   r.dev.Array().Stats(),
-		ch:   r.dev.Array().ChannelIO(),
-	}
-	if c := r.lookup.EVCache(); c != nil {
-		p.cache = c.Stats()
-	}
-	return p
-}
-
-// emitSpan fills sp's counter fields with the deltas since probe and hands
-// the span to the sink.
-func (r *RMSSD) emitSpan(probe spanProbe, sp obs.DeviceSpan) {
-	look := r.lookup.Stats()
-	sp.Lookups = look.Lookups - probe.look.Lookups
-	sp.DedupHits = look.DedupHits - probe.look.DedupHits
-	sp.BytesPooled = look.BytesPooled - probe.look.BytesPooled
-	if c := r.lookup.EVCache(); c != nil {
-		cs := c.Stats()
-		sp.CacheHits = cs.Hits - probe.cache.Hits
-		sp.CacheMisses = cs.Misses - probe.cache.Misses
-		sp.CacheEvictions = cs.Evictions - probe.cache.Evictions
-	}
-	fl := r.dev.Array().Stats()
-	sp.VectorReads = fl.VectorReads - probe.fl.VectorReads
-	sp.PageReads = fl.PageReads - probe.fl.PageReads
-	sp.ECCRetries = fl.ECCRetries - probe.fl.ECCRetries
-	sp.ReadFaults = fl.ReadFaults - probe.fl.ReadFaults
-	sp.Uncorrectable = fl.Uncorrectable - probe.fl.Uncorrectable
-	sp.BytesTransferred = fl.BytesTransferred - probe.fl.BytesTransferred
-	for i, c := range r.dev.Array().ChannelIO() {
-		if i < len(probe.ch) {
-			c = c.Sub(probe.ch[i])
-		}
-		if c != (flash.ChannelCounters{}) {
-			sp.Channels = append(sp.Channels, obs.ChannelIO{
-				Channel:       i,
-				Reads:         c.Reads,
-				Retries:       c.Retries,
-				Uncorrectable: c.Uncorrectable,
-			})
-		}
-	}
-	r.spanSink(sp)
-}
-
-// failedSpan builds the span for a batch that failed after the embedding
-// stage: the remaining stages are empty at the failure point.
-func failedSpan(at, sendDone, embDone sim.Time, n int) obs.DeviceSpan {
-	return obs.DeviceSpan{
-		Start:  at,
-		Done:   embDone,
-		N:      n,
-		Failed: true,
-		Send:   obs.StageSpan{From: at, To: sendDone},
-		Emb:    obs.StageSpan{From: sendDone, To: embDone},
-		Bot:    obs.StageSpan{From: embDone, To: embDone},
-		Top:    obs.StageSpan{From: embDone, To: embDone},
-		Read:   obs.StageSpan{From: embDone, To: embDone},
-	}
-}
-
-// servedSpan builds the span for a successfully served batch. The bottom
-// MLP overlaps the embedding gather on the searched design and follows it
-// on the naive one; either way the top MLP starts at the join.
-func (r *RMSSD) servedSpan(at, sendDone, embDone, joined, topDone, readDone sim.Time, bot time.Duration, n int) obs.DeviceSpan {
-	botFrom := sendDone
-	if r.mlp.Design() == engine.DesignNaive {
-		botFrom = embDone
-	}
-	return obs.DeviceSpan{
-		Start: at,
-		Done:  readDone,
-		N:     n,
-		Send:  obs.StageSpan{From: at, To: sendDone},
-		Emb:   obs.StageSpan{From: sendDone, To: embDone},
-		Bot:   obs.StageSpan{From: botFrom, To: botFrom + bot},
-		Top:   obs.StageSpan{From: joined, To: topDone},
-		Read:  obs.StageSpan{From: topDone, To: readDone},
-	}
-}
-
-// SpanProbe is an opaque counter snapshot for orchestrators that drive a
-// device's stages directly instead of going through InferBatch
-// (internal/array): ProbeSpan before the first stage, EmitSpan after the
-// last, and the span's counter deltas cover exactly that window.
-type SpanProbe struct{ p spanProbe }
-
-// SpanSinkEnabled reports whether a span sink is installed — orchestrators
-// skip probing (and span assembly) entirely when it is not, mirroring
-// InferBatch's nil check.
-func (r *RMSSD) SpanSinkEnabled() bool { return r.spanSink != nil }
-
-// ProbeSpan snapshots the device's deterministic counters.
-func (r *RMSSD) ProbeSpan() SpanProbe { return SpanProbe{r.probeSpan()} }
-
-// EmitSpan fills sp's counter fields with the deltas since probe and hands
-// the span to the installed sink (a no-op without one).
-func (r *RMSSD) EmitSpan(probe SpanProbe, sp obs.DeviceSpan) {
-	if r.spanSink == nil {
-		return
-	}
-	r.emitSpan(probe.p, sp)
-}
-
-// AddServed adds externally orchestrated inferences to the served count.
-// The array credits its top-MLP member, whose pipeline produced the batch's
-// outputs, so per-member /stats accounting stays meaningful.
-func (r *RMSSD) AddServed(n int) { r.inferences += int64(n) }
 
 // Inferences returns the number of inferences served.
 func (r *RMSSD) Inferences() int64 { return r.inferences }

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"rmssd/internal/engine"
 	"rmssd/internal/flash"
 	"rmssd/internal/model"
+	"rmssd/internal/obs"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
@@ -89,17 +91,64 @@ func TestInferBatchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTimingPathAgreesWithDataPath pins that InferBatch and
+// InferBatchTiming run one stage schedule: on both designs, plain, with
+// four lane workers, with an EV cache, with dedup and under fault
+// injection, a stream of batches gives the same completion times,
+// Breakdowns, error classes and emitted device spans whether or not values
+// are computed.
 func TestTimingPathAgreesWithDataPath(t *testing.T) {
-	a := newSmall(t, "RMC1", engine.DesignSearched)
-	b := newSmall(t, "RMC1", engine.DesignSearched)
-	denses, sparses := genInputs(a, 2, 9)
-	_, doneA, bdA, errA := a.InferBatch(0, denses, sparses)
-	doneB, bdB, errB := b.InferBatchTiming(0, sparses)
-	if errA != nil || errB != nil {
-		t.Fatalf("infer errs: %v, %v", errA, errB)
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{Parallel: 1}},
+		{"parallel4", Options{Parallel: 4}},
+		{"cache", Options{Parallel: 1, EVCacheBytes: 1 << 20}},
+		{"dedup", Options{Parallel: 1, DedupLookups: true}},
+		{"faults", Options{Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.02, Seed: 9}}},
 	}
-	if doneA != doneB || bdA != bdB {
-		t.Fatalf("paths diverge: %v/%v vs %v/%v", doneA, bdA, doneB, bdB)
+	for _, design := range []engine.Design{engine.DesignSearched, engine.DesignNaive} {
+		for _, v := range variants {
+			name := fmt.Sprintf("%s/design%d", v.name, design)
+			opts := v.opts
+			opts.Geometry, opts.Design = smallGeometry(), design
+			var spans [2][]obs.DeviceSpan
+			var devs [2]*RMSSD
+			for i := range devs {
+				r, err := New(smallCfg("RMC1"), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.SetSpanSink(func(sp obs.DeviceSpan) { spans[i] = append(spans[i], sp) })
+				devs[i] = r
+			}
+			denses, sparses := hotInputs(t, devs[0].Model().Cfg, 16, 9)
+			var at sim.Time
+			for lo, n := 0, 1; lo < len(sparses); lo, n = lo+n, n%4+1 {
+				hi := min(lo+n, len(sparses))
+				_, doneA, bdA, errA := devs[0].InferBatch(at, denses[lo:hi], sparses[lo:hi])
+				doneB, bdB, errB := devs[1].InferBatchTiming(at, sparses[lo:hi])
+				if doneA != doneB || bdA != bdB {
+					t.Fatalf("%s batch at %d: paths diverge: %v/%+v vs %v/%+v", name, lo, doneA, bdA, doneB, bdB)
+				}
+				if (errA == nil) != (errB == nil) || errors.Is(errA, ErrReadFault) != errors.Is(errB, ErrReadFault) {
+					t.Fatalf("%s batch at %d: errors diverge: %v vs %v", name, lo, errA, errB)
+				}
+				at = doneA
+			}
+			if len(spans[0]) == 0 || !reflect.DeepEqual(spans[0], spans[1]) {
+				t.Fatalf("%s: spans diverge:\n%+v\n%+v", name, spans[0], spans[1])
+			}
+			// Each variant must actually exercise its feature.
+			var hits, dups, retries int64
+			for _, sp := range spans[0] {
+				hits, dups, retries = hits+sp.CacheHits, dups+sp.DedupHits, retries+sp.ECCRetries
+			}
+			if (opts.EVCacheBytes > 0) != (hits > 0) || opts.DedupLookups != (dups > 0) || opts.FaultPlan.Enabled() != (retries > 0) {
+				t.Fatalf("%s: cache hits %d, dedup hits %d, ECC retries %d", name, hits, dups, retries)
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"rmssd/internal/embedding"
 	"rmssd/internal/evcache"
+	"rmssd/internal/flash"
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -124,7 +125,7 @@ type LookupStats struct {
 	BytesPooled int64 // bytes read at vector granularity
 	// DedupHits counts lookups merged with an earlier identical (table,row)
 	// lookup of the same coalesced batch instead of issuing their own read
-	// (locality path with dedup enabled; see locality.go).
+	// (dedup enabled; see planner.go).
 	DedupHits int64
 }
 
@@ -137,12 +138,12 @@ type LookupEngine struct {
 	stats LookupStats
 
 	// parallel is the number of host goroutines used to simulate the flash
-	// channels of one batch (see parallel.go). <=1 keeps the original
-	// sequential path; results are byte-identical either way.
+	// channels of one batch (see planner.go). <=1 replays the lanes on the
+	// calling goroutine; results are byte-identical either way.
 	parallel int
 
-	// cache and dedup enable the locality fast path (locality.go). Both off
-	// (the default) keeps pool() on the exact calibrated default path.
+	// cache and dedup are the planner's locality optimisations (planner.go),
+	// both off by default.
 	cache *evcache.Cache
 	dedup bool
 
@@ -150,9 +151,9 @@ type LookupEngine struct {
 	// from a single goroutine (one device per serving shard); every buffer
 	// is dead by the time a pool call returns, so reuse only trims
 	// allocations, never aliases live state.
-	pend   []pendingRead
 	slots  []lkSlot
 	perCh  [][]int32
+	lanes  []flash.Lane
 	owners map[evcache.Key]int32
 	oneInf [1][][]int64
 	zeroEV []byte
@@ -173,8 +174,8 @@ func (e *LookupEngine) Translator() *Translator { return e.tr }
 
 // SetParallel sets the number of host goroutines used to simulate the flash
 // channels of one lookup batch. n <= 0 means GOMAXPROCS. Lane partitioning
-// keeps results byte-identical to the sequential schedule (parallel.go), so
-// this only trades host CPU for wall-clock.
+// keeps results byte-identical to one lane worker (planner.go), so this only
+// trades host CPU for wall-clock.
 func (e *LookupEngine) SetParallel(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -190,9 +191,8 @@ func (e *LookupEngine) Parallel() int {
 	return e.parallel
 }
 
-// SetEVCache installs (or, with nil, removes) the device-DRAM EV cache.
-// Installing a cache routes lookups through the locality path of
-// locality.go; predictions remain byte-identical to the uncached path.
+// SetEVCache installs (or, with nil, removes) the device-DRAM EV cache
+// (planner.go); predictions remain byte-identical to the uncached path.
 func (e *LookupEngine) SetEVCache(c *evcache.Cache) { e.cache = c }
 
 // EVCache returns the installed cache, or nil.
@@ -206,9 +206,6 @@ func (e *LookupEngine) SetDedup(on bool) { e.dedup = on }
 
 // Dedup reports whether intra-batch dedup is enabled.
 func (e *LookupEngine) Dedup() bool { return e.dedup }
-
-// LocalityEnabled reports whether lookups run through the locality path.
-func (e *LookupEngine) LocalityEnabled() bool { return e.cache != nil || e.dedup }
 
 // Invalidate drops a vector from the EV cache (no-op without one). The
 // device calls it when the row is overwritten through the block path.
@@ -237,100 +234,45 @@ func (e *LookupEngine) sumCycles() sim.Cycles {
 // engine translates indices (one per cycle from the Index Buffer), issues
 // vector-grained reads striped over channels and dies by the FTL's linear
 // map, and accumulates returns in the EV Sum unit. It returns the pooled
-// vector per table and the completion time.
-//
-// Shape and row errors (ErrShapeMismatch, ErrRowOutOfRange) abort the pool
-// immediately; callers that prevalidate with ValidateLookups never see
-// them. Injected read faults (flash.ErrUncorrectable) do not abort: every
-// lookup of the batch still issues — so the simulated timeline stays
-// deterministic and identical across host-parallelism settings — and the
-// first fault is returned, wrapped with its table and row.
+// vector per table and the completion time. It is PoolBatch over a batch of
+// one, with the same error contract.
 func (e *LookupEngine) Pool(at sim.Time, sparse [][]int64) ([]tensor.Vector, sim.Time, error) {
-	return e.pool(at, sparse, true)
+	return e.poolOne(at, sparse, true)
 }
 
 // PoolTiming is Pool without materialising values (timing and traffic only).
 func (e *LookupEngine) PoolTiming(at sim.Time, sparse [][]int64) (sim.Time, error) {
-	_, done, err := e.pool(at, sparse, false)
+	_, done, err := e.poolOne(at, sparse, false)
 	return done, err
 }
 
-// pooledVectors allocates n inferences' worth of per-table accumulators over
-// one flat backing array (2 allocations per inference instead of Tables+1;
-// the zero values and full-cap sub-slices are indistinguishable from
-// individually allocated vectors).
-func pooledVectors(n, tables, dim int) [][]tensor.Vector {
-	flat := make(tensor.Vector, n*tables*dim)
-	out := make([][]tensor.Vector, n)
-	for i := range out {
-		vecs := make([]tensor.Vector, tables)
-		for t := range vecs {
-			off := (i*tables + t) * dim
-			vecs[t] = flat[off : off+dim : off+dim]
-		}
-		out[i] = vecs
+// poolOne runs the planner over a one-inference batch.
+func (e *LookupEngine) poolOne(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, error) {
+	e.oneInf[0] = sparse
+	pooled, done, err := e.poolBatch(at, e.oneInf[:], materialize)
+	e.oneInf[0] = nil
+	if pooled == nil {
+		return nil, done, err
 	}
-	return out
+	return pooled[0], done, err
 }
 
-func (e *LookupEngine) pool(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, error) {
-	cfg := e.st.Model().Cfg
-	if len(sparse) != cfg.Tables {
-		return nil, at, fmt.Errorf("engine: %d sparse inputs, want %d: %w", len(sparse), cfg.Tables, ErrShapeMismatch)
+// pooledVectors allocates n inferences' worth of per-table accumulators in
+// three allocations: one float backing array, the n*tables vectors over it
+// in the planner's slot order (inference*tables + table), and each
+// inference's view of those. Full-cap sub-slices are indistinguishable from
+// individually allocated vectors.
+func pooledVectors(n, tables, dim int) ([][]tensor.Vector, []tensor.Vector) {
+	flat := make(tensor.Vector, n*tables*dim)
+	vecs := make([]tensor.Vector, n*tables)
+	for i := range vecs {
+		vecs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	if e.LocalityEnabled() {
-		e.oneInf[0] = sparse
-		pooled, done, err := e.poolLocality(at, e.oneInf[:], materialize)
-		e.oneInf[0] = nil
-		if pooled == nil {
-			return nil, done, err
-		}
-		return pooled[0], done, err
+	out := make([][]tensor.Vector, n)
+	for i := range out {
+		out[i] = vecs[i*tables : (i+1)*tables : (i+1)*tables]
 	}
-	if e.Parallel() > 1 && e.dev.Channels() > 1 {
-		return e.poolParallel(at, sparse, materialize)
-	}
-	var pooled []tensor.Vector
-	if materialize {
-		pooled = pooledVectors(1, cfg.Tables, cfg.EVDim)[0]
-	}
-	evSize := cfg.EVSize()
-	sumOcc := params.Duration(e.sumCycles())
-	issue := at
-	var done sim.Time
-	var firstErr error
-	for t, rows := range sparse {
-		for _, row := range rows {
-			// One index parsed per cycle (Read EV Req, Fig. 6).
-			issue += params.CycleTime
-			addr, err := e.tr.Lookup(t, row)
-			if err != nil {
-				return nil, sim.Max(done, issue), err
-			}
-			data, readDone, err := e.dev.ReadVectorAt(issue, addr, evSize)
-			if err != nil {
-				// Uncorrectable read: no bytes returned, no EV Sum term.
-				// The batch keeps issuing so the timeline stays on the
-				// deterministic schedule; the call fails at the end.
-				if firstErr == nil {
-					firstErr = fmt.Errorf("engine: row %d of table %d: %w", row, t, err)
-				}
-				done = sim.Max(done, readDone)
-			} else {
-				if materialize {
-					model.AccumulateEV(pooled[t], data)
-				}
-				_, sumDone := e.sum.Acquire(readDone, sumOcc)
-				done = sim.Max(done, sumDone)
-			}
-			e.stats.Lookups++
-			e.stats.BytesPooled += int64(evSize)
-		}
-	}
-	if done < issue {
-		done = issue
-	}
-	return pooled, done, firstErr
+	return out, vecs
 }
 
 // VectorReadBandwidth returns bEV: the steady-state vector-read bandwidth

@@ -38,12 +38,13 @@ type Lane struct {
 
 // Lane creates the lane for channel ch, claiming its bus and dies. The
 // caller must not issue timed operations on that channel through the Array
-// until Close; under simdebug doing so panics.
-func (a *Array) Lane(ch int) *Lane {
+// until Close; under simdebug doing so panics. The lane is returned by value
+// so a caller that opens lanes per batch can keep them in reusable storage.
+func (a *Array) Lane(ch int) Lane {
 	if ch < 0 || ch >= a.geo.Channels {
 		panic(fmt.Sprintf("flash: lane channel %d of %d", ch, a.geo.Channels))
 	}
-	l := &Lane{a: a, ch: ch, scope: sim.NewLaneScope(ch + 1)}
+	l := Lane{a: a, ch: ch, scope: sim.NewLaneScope(ch + 1)}
 	l.scope.Bind(a.buses[ch])
 	for d := 0; d < a.geo.DiesPerChannel; d++ {
 		l.scope.Bind(a.dies[ch].Get(d))

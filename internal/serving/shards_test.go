@@ -105,6 +105,24 @@ func TestPoolServesAndCounts(t *testing.T) {
 	}
 }
 
+// TestPoolStatsCountBeforeReply is the regression test for a reply that
+// raced its shard's counters: the shard used to send each reply before
+// adding the batch's served inferences, so a Stats read right after Infer
+// returned (as rmserve's /models does) could miss the batch.
+func TestPoolStatsCountBeforeReply(t *testing.T) {
+	p := NewPool([]Batcher{&fakeBatcher{}, &fakeBatcher{}}, 8, 16)
+	defer p.Close()
+	for i := 1; i <= 200; i++ {
+		if _, err := p.Infer(2); err != nil {
+			t.Fatal(err)
+		}
+		st := p.Stats()
+		if st.Inferences != int64(2*i) || st.Requests != int64(i) || st.Batches != int64(i) {
+			t.Fatalf("after request %d: stats = %+v", i, st)
+		}
+	}
+}
+
 // TestPoolPayloadRequests: explicit requests ride coalesced batches and
 // each gets back predictions computed from exactly its own indices.
 func TestPoolPayloadRequests(t *testing.T) {
