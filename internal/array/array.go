@@ -315,9 +315,7 @@ func (a *Array) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 			}
 		}
 		topRun.batch.Fail()
-		bd := topRun.batch.Breakdown()
-		bd.Emb += failTime - topRun.batch.EmbDone()
-		return nil, failTime, bd, err
+		return nil, failTime, a.breakdown(runs), err
 	}
 
 	// Gather: every non-top member's partials arrive over the link; the
@@ -342,7 +340,20 @@ func (a *Array) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 	}
 	done := topRun.batch.Finish(gatherDone)
 	a.inferences += int64(n)
-	return outs, done, topRun.batch.Breakdown(), nil
+	return outs, done, a.breakdown(runs), nil
+}
+
+// breakdown assembles the array batch's Breakdown from its members'
+// batches (core.GatherBreakdown): the top member's stages, its emb stage
+// extended to the gather and laned over every member's dies.
+func (a *Array) breakdown(runs []memberRun) core.Breakdown {
+	members := make([]*core.Batch, len(runs))
+	for d := range runs {
+		if runs[d].active {
+			members[d] = &runs[d].batch
+		}
+	}
+	return core.GatherBreakdown(&runs[a.top].batch, members)
 }
 
 // emptyBatch allocates an n-inference batch of empty per-table row lists.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"rmssd/internal/core"
 	"rmssd/internal/engine"
@@ -107,7 +108,7 @@ func diffTraces(t *testing.T, label string, got, want []batchTrace) {
 		if g.done != w.done {
 			t.Fatalf("%s: batch %d done %v vs %v", label, b, g.done, w.done)
 		}
-		if g.bd != w.bd {
+		if !reflect.DeepEqual(g.bd, w.bd) {
 			t.Fatalf("%s: batch %d breakdown %+v vs %+v", label, b, g.bd, w.bd)
 		}
 		if len(g.preds) != len(w.preds) {
@@ -151,6 +152,9 @@ func TestOneDeviceArrayMatchesCore(t *testing.T) {
 				want := runBatches(t, ref, cfg, 6)
 				got := runBatches(t, arr, cfg, 6)
 				diffTraces(t, "array(1) vs core", got, want)
+				if searched := design == engine.DesignSearched; searched != (len(want[0].bd.Lanes) > 0) {
+					t.Fatalf("design %v: breakdown has %d lanes", design, len(want[0].bd.Lanes))
+				}
 
 				if len(refSpans) != len(arrSpans) {
 					t.Fatalf("%d core spans vs %d array spans", len(refSpans), len(arrSpans))
@@ -345,6 +349,12 @@ func TestArrayFaultContainment(t *testing.T) {
 	if bd.Send <= 0 || bd.Emb <= 0 || bd.Bot != 0 || bd.Top != 0 || bd.Read != 0 {
 		t.Fatalf("failed breakdown %+v, want send+emb only", bd)
 	}
+	// The failed batch's emb stage runs until every member resolved its
+	// lookups, over both members' die lanes.
+	if bd.Total() != done {
+		t.Fatalf("failed breakdown totals %v, batch failed at %v", bd.Total(), done)
+	}
+	checkLanes(t, arr, bd)
 	if arr.Inferences() != 0 {
 		t.Fatalf("failed batch counted %d inferences", arr.Inferences())
 	}
@@ -357,6 +367,64 @@ func TestArrayFaultContainment(t *testing.T) {
 	}
 	if _, _, _, err := clean.InferBatch(0, denses, sparses); err != nil {
 		t.Fatalf("unfaulted array rejected the same batch: %v", err)
+	}
+}
+
+// checkLanes asserts an array batch's breakdown carries every member's
+// lanes, member-major, each fitting inside the emb stage, and that each
+// member loaded its own dies.
+func checkLanes(t *testing.T, arr *Array, bd core.Breakdown) {
+	t.Helper()
+	devs := arr.Devices()
+	per := len(devs[0].Lookup().Loads()) + 2 // dies and port, Le kernel, bottom MLP
+	if len(bd.Lanes) != per*len(devs) {
+		t.Fatalf("%d lanes, want %d per member for %d members", len(bd.Lanes), per, len(devs))
+	}
+	emb := bd.Stages()[1]
+	for d := range devs {
+		var busy time.Duration
+		for _, ld := range bd.Lanes[d*per : d*per+per-3] {
+			busy += ld.Busy
+		}
+		if busy == 0 {
+			t.Fatalf("member %d: no die load", d)
+		}
+	}
+	for l, ld := range bd.Lanes {
+		if ld.Release < 0 || ld.Busy < 0 || ld.Release+ld.Busy > emb.Time {
+			t.Fatalf("lane %d: %+v outside the emb stage %v", l, ld, emb.Time)
+		}
+	}
+}
+
+// A multi-member array's breakdown stays the device stage algebra over the
+// gather: its stages add up to the batch latency, its emb stage carries
+// every member's lanes, and a pipeline of its batches saturates no faster
+// than they complete in isolation.
+func TestArrayBreakdownLanes(t *testing.T) {
+	cfg := smallCfg("RMC1")
+	arr, err := New(cfg, core.Options{Geometry: smallGeometry(), ArrayDevices: 2, Partition: "hash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pipe sim.BlockingPipeline
+	var now, serial, makespan sim.Time
+	for b := 0; b < 6; b++ {
+		denses, sparses := genInputs(cfg, 4, uint64(300+b))
+		_, done, bd, err := arr.InferBatch(now, denses, sparses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bd.Total() != done-now {
+			t.Fatalf("batch %d: stages total %v, latency %v", b, bd.Total(), done-now)
+		}
+		checkLanes(t, arr, bd)
+		serial += done - now
+		makespan = pipe.Push(0, bd.Stages())
+		now = done
+	}
+	if makespan > serial || makespan <= 0 {
+		t.Fatalf("pipelined makespan %v, serial %v", makespan, serial)
 	}
 }
 

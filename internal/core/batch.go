@@ -23,12 +23,15 @@ import (
 //
 // The stage timestamps it records are the batch's obs.DeviceSpan, handed to
 // the device's span sink when the batch ends, and Breakdown reads the stage
-// times off the same timestamps.
+// times off the same timestamps. On the searched design the batch also
+// records its loads on the emb stage's lanes — the units consecutive
+// batches share inside that stage — which Breakdown hands to the pipeline.
 type Batch struct {
 	r      *RMSSD
 	traced bool
 	probe  spanProbe
 	span   obs.DeviceSpan
+	lanes  []sim.LaneLoad
 }
 
 // spanProbe snapshots the deterministic counters a batch can move, taken
@@ -77,10 +80,19 @@ func (b *Batch) Pool(sparses [][][]int64, values bool) ([][]tensor.Vector, error
 		done, err = r.lookup.PoolBatchTiming(from, sparses)
 	}
 	embDone := sim.Max(from, done)
-	if k := params.Duration(r.mlp.EmbKernelCycles(b.span.N)); from+k > embDone {
+	k := params.Duration(r.mlp.EmbKernelCycles(b.span.N))
+	if from+k > embDone {
 		embDone = from + k
 	}
 	b.span.Emb = obs.StageSpan{From: from, To: embDone}
+	if r.overlap() {
+		// Lanes: the lookup's dies and EV-cache port, the Le kernel, and
+		// the bottom MLP, which Finish fills in.
+		loads := r.lookup.Loads()
+		b.lanes = make([]sim.LaneLoad, len(loads)+2)
+		copy(b.lanes, loads)
+		b.lanes[len(loads)] = sim.LaneLoad{Busy: k}
+	}
 	return pooled, err
 }
 
@@ -103,6 +115,9 @@ func (b *Batch) Finish(embReady sim.Time) sim.Time {
 		botFrom = embReady
 	}
 	sp.Bot = obs.StageSpan{From: botFrom, To: botFrom + params.Duration(r.mlp.BottomStageCycles(sp.N))}
+	if b.lanes != nil {
+		b.lanes[len(b.lanes)-1] = sim.LaneLoad{Busy: sp.Bot.Len()}
+	}
 	joined := sim.Max(embReady, sp.Bot.To)
 	sp.Top = obs.StageSpan{From: joined, To: joined + params.Duration(r.mlp.TopStageCycles(sp.N))}
 	sp.Read = obs.StageSpan{From: sp.Top.To, To: r.ReadOutputs(sp.Top.To, sp.N)}
@@ -133,7 +148,7 @@ func (b *Batch) stopAt(t sim.Time, failed bool) {
 	b.emit()
 }
 
-// Breakdown reads the batch's stage times off its span.
+// Breakdown reads the batch's stage times off its span, with its lanes.
 func (b *Batch) Breakdown() Breakdown {
 	sp := &b.span
 	return Breakdown{
@@ -142,8 +157,54 @@ func (b *Batch) Breakdown() Breakdown {
 		Bot:     sp.Bot.Len(),
 		Top:     sp.Top.Len(),
 		Read:    sp.Read.Len(),
+		Lanes:   b.lanes,
 		Overlap: b.r.overlap(),
 	}
+}
+
+// GatherBreakdown is the Breakdown of one batch spread over several
+// devices: members holds an array's member Batches in member order, nil
+// for a member the batch never reached, and top is the member that ran
+// the send and MLP stages. The emb stage lasts until the last member's
+// span ended — the gather, or a failure resolved on every member — which
+// is the tail after every member's lanes. Lanes are member-major, each
+// member's shifted to the top member's emb start; a member whose send ended
+// earlier overlapped that much of its lookups with the top member's send,
+// so its lanes are cut to the stage. A one-member array's breakdown is
+// top's own.
+func GatherBreakdown(top *Batch, members []*Batch) Breakdown {
+	bd := top.Breakdown()
+	from := top.span.Emb.From
+	end := top.span.Emb.To
+	for _, m := range members {
+		if m != nil && m != top {
+			end = sim.Max(end, m.span.Done)
+		}
+	}
+	bd.Emb = end - from
+	if top.lanes == nil {
+		return bd
+	}
+	stage := bd.Emb
+	if bd.Read != 0 {
+		stage = maxDur(bd.Emb, bd.Bot)
+	}
+	per := len(top.lanes)
+	bd.Lanes = make([]sim.LaneLoad, per*len(members))
+	for d, m := range members {
+		if m == nil {
+			continue
+		}
+		shift := m.span.Emb.From - from
+		for l, ld := range m.lanes {
+			if ld.Busy == 0 {
+				continue
+			}
+			rel := max(0, ld.Release+shift)
+			bd.Lanes[d*per+l] = sim.LaneLoad{Release: rel, Busy: min(ld.Busy, stage-rel)}
+		}
+	}
+	return bd
 }
 
 // emit fills the span's counter fields with the deltas since BeginBatch and

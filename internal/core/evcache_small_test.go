@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rmssd/internal/evcache"
@@ -51,7 +52,7 @@ func sameTimelines(t *testing.T, name string, got, want []batchTimeline, timing 
 	}
 	for i := range got {
 		bitsEqual(t, fmt.Sprintf("%s batch %d", name, i), got[i].preds, want[i].preds)
-		if timing && (got[i].done != want[i].done || got[i].bd != want[i].bd) {
+		if timing && (got[i].done != want[i].done || !reflect.DeepEqual(got[i].bd, want[i].bd)) {
 			t.Fatalf("%s batch %d: done %v %+v, want %v %+v", name, i, got[i].done, got[i].bd, want[i].done, want[i].bd)
 		}
 	}

@@ -115,6 +115,12 @@ type Breakdown struct {
 	Bot  time.Duration // extended bottom MLP
 	Top  time.Duration // shortened top MLP
 	Read time.Duration // status poll + DMA output transfer
+	// Lanes are the batch's loads on the units inside its emb stage that
+	// consecutive batches share: each flash die (channel-major), the
+	// EV-cache port, the Le kernel and the bottom MLP, every member's in
+	// member order on an array. Only the searched design, which pipelines,
+	// has them.
+	Lanes []sim.LaneLoad
 	// Overlap is set by the searched design, whose intra-layer
 	// decomposition runs the bottom MLP beside the embedding stage and
 	// whose stages pipeline across consecutive batches (Section IV-D). The
@@ -127,16 +133,18 @@ type Breakdown struct {
 // batch without it (the naive design does not pipeline, matching
 // SteadyStateQPS). A batch that failed in its embedding stage never reached
 // the MLP or the read-back (Read is zero), so it occupies send and emb only.
+// The emb stage is a lane stage over the batch's Lanes: it holds up to
+// sim.LaneDepth batches, each on the dies and kernels it uses.
 func (b Breakdown) Stages() []sim.Stage {
 	if !b.Overlap {
 		return []sim.Stage{{Name: "batch", Time: b.Send + b.Emb + b.Bot + b.Top + b.Read}}
 	}
 	if b.Read == 0 {
-		return []sim.Stage{{Name: "send", Time: b.Send}, {Name: "emb", Time: b.Emb}}
+		return []sim.Stage{{Name: "send", Time: b.Send}, {Name: "emb", Time: b.Emb, Lanes: b.Lanes}}
 	}
 	return []sim.Stage{
 		{Name: "send", Time: b.Send},
-		{Name: "emb", Time: maxDur(b.Emb, b.Bot)},
+		{Name: "emb", Time: maxDur(b.Emb, b.Bot), Lanes: b.Lanes},
 		{Name: "top", Time: b.Top},
 		{Name: "read", Time: b.Read},
 	}

@@ -129,7 +129,7 @@ func TestTimingPathAgreesWithDataPath(t *testing.T) {
 				hi := min(lo+n, len(sparses))
 				_, doneA, bdA, errA := devs[0].InferBatch(at, denses[lo:hi], sparses[lo:hi])
 				doneB, bdB, errB := devs[1].InferBatchTiming(at, sparses[lo:hi])
-				if doneA != doneB || bdA != bdB {
+				if doneA != doneB || !reflect.DeepEqual(bdA, bdB) {
 					t.Fatalf("%s batch at %d: paths diverge: %v/%+v vs %v/%+v", name, lo, doneA, bdA, doneB, bdB)
 				}
 				if (errA == nil) != (errB == nil) || errors.Is(errA, ErrReadFault) != errors.Is(errB, ErrReadFault) {

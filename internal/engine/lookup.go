@@ -154,6 +154,7 @@ type LookupEngine struct {
 	slots  []lkSlot
 	perCh  [][]int32
 	lanes  []flash.Lane
+	loads  []sim.LaneLoad // Loads: per die, then the EV-cache port
 	owners map[evcache.Key]int32
 	oneInf [1][][]int64
 	zeroEV []byte

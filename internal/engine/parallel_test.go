@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"rmssd/internal/evcache"
 	"rmssd/internal/flash"
+	"rmssd/internal/params"
 	"rmssd/internal/sim"
 	"rmssd/internal/ssd"
 	"rmssd/internal/tensor"
@@ -103,7 +106,9 @@ func runDiffRounds(pool func(at sim.Time, sparses [][][]int64, materialize bool)
 // completion times, error class, engine, device and flash counters, drain
 // time and per-channel bus utilization — on a linear device, under fault
 // injection light and heavy enough to fail reads, and on a dynamic device
-// whose unmapped pages take the zero path.
+// whose unmapped pages take the zero path. The per-die lane profile
+// (Loads) has no reference counterpart; it must be byte-identical at every
+// worker count.
 func TestPoolParallelMatchesSequential(t *testing.T) {
 	for _, c := range diffCases {
 		ref, refDev := setupDiff(t, c)
@@ -118,13 +123,30 @@ func TestPoolParallelMatchesSequential(t *testing.T) {
 		}
 		// 3 lanes do not divide the 4 channels (worker 0 takes channels 0
 		// and 3), so it covers uneven striding; 8 exceeds the channel count.
+		var wantLoads [][]sim.LaneLoad
 		for _, lanes := range []int{1, 2, 3, 4, 8} {
 			eng, dev := setupDiff(t, c)
 			eng.SetParallel(lanes)
 			if eng.Parallel() != lanes {
 				t.Fatalf("Parallel() = %d, want %d", eng.Parallel(), lanes)
 			}
-			got := runDiffRounds(eng.poolBatch)
+			var loads [][]sim.LaneLoad
+			got := runDiffRounds(func(at sim.Time, sparses [][][]int64, mat bool) ([][]tensor.Vector, sim.Time, error) {
+				pooled, done, err := eng.poolBatch(at, sparses, mat)
+				loads = append(loads, slices.Clone(eng.Loads()))
+				return pooled, done, err
+			})
+			if wantLoads == nil {
+				wantLoads = loads
+				if !c.dynamic && !slices.ContainsFunc(loads[0], func(ld sim.LaneLoad) bool { return ld.Busy > 0 }) {
+					t.Fatalf("%s: no die load recorded", c.name)
+				}
+			}
+			for r := range wantLoads {
+				if !slices.Equal(loads[r], wantLoads[r]) {
+					t.Fatalf("%s lanes=%d round %d: die loads %v, one worker %v", c.name, lanes, r, loads[r], wantLoads[r])
+				}
+			}
 			for r := range want {
 				g, w := got[r], want[r]
 				if g.done != w.done {
@@ -224,5 +246,56 @@ func TestPoolParallelReusableAfterClose(t *testing.T) {
 	}
 	if rd <= done {
 		t.Fatalf("read done %v not after %v", rd, done)
+	}
+}
+
+// TestLoadsProfile checks Loads against the flash counters of the batch it
+// describes: the dies' busy time adds up to one flush per vector read,
+// every die's load fits inside the batch, and a repeat of the batch served
+// from the EV cache loads the port instead of the dies.
+func TestLoadsProfile(t *testing.T) {
+	cfg := smallRMC1()
+	_, _, eng, dev := setupLookup(t, cfg)
+	eng.SetEVCache(evcache.New(int64(cfg.Tables)*cfg.RowsPerTable*int64(cfg.EVSize()), cfg.EVSize()))
+	sparse := buildSparse(5, cfg.Tables, cfg.Lookups, cfg.RowsPerTable)
+	const at = sim.Time(1000)
+	done, err := eng.PoolTiming(at, sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := eng.Loads()
+	geo := dev.Array().Geometry()
+	if len(loads) != geo.Channels*geo.DiesPerChannel+1 {
+		t.Fatalf("%d loads, want one per die plus the port", len(loads))
+	}
+	var busy time.Duration
+	for d, ld := range loads[:len(loads)-1] {
+		if ld.Release < 0 || at+ld.Release+ld.Busy > done {
+			t.Fatalf("die %d load %+v outside the batch [%v, %v]", d, ld, at, done)
+		}
+		busy += ld.Busy
+	}
+	if want := time.Duration(dev.Array().Stats().VectorReads) * params.Duration(params.FlushCycles); busy != want {
+		t.Fatalf("dies busy %v, want %v for %d vector reads", busy, want, dev.Array().Stats().VectorReads)
+	}
+	if port := loads[len(loads)-1]; port.Busy != 0 {
+		t.Fatalf("cold batch loaded the cache port: %+v", port)
+	}
+
+	cold := eng.EVCache().Stats().Hits // in-batch repeats merged with misses
+	done, err = eng.PoolTiming(done, sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads = eng.Loads()
+	port := loads[len(loads)-1]
+	hits := eng.EVCache().Stats().Hits - cold
+	if hits == 0 || port.Busy != time.Duration(hits)*eng.EVCache().HitOccupancy() {
+		t.Fatalf("warm batch: port load %+v for %d hits", port, hits)
+	}
+	for d, ld := range loads[:len(loads)-1] {
+		if ld != (sim.LaneLoad{}) {
+			t.Fatalf("warm batch loaded die %d: %+v", d, ld)
+		}
 	}
 }

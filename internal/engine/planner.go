@@ -38,6 +38,7 @@ import (
 //     strided over min(Parallel, channels) workers. One worker runs them on
 //     the calling goroutine; more run concurrently and touch only
 //     channel-disjoint state (asserted under simdebug via lane binding).
+//     Each worker also records its dies' loads for Loads.
 //  3. reduce (sequential, global order): resolve each slot's bytes (flash
 //     result, cached bytes, zeros, or the owning slot's bytes), accumulate
 //     floats in the original lookup order, fill reserved cache entries, and
@@ -102,6 +103,15 @@ type lkSlot struct {
 	ready sim.Time
 	err   error // uncorrectable read (wraps flash.ErrUncorrectable)
 }
+
+// Loads returns the most recent batch's loads on the units its lookups
+// shared with neighbouring batches: one per flash die, channel-major, then
+// the EV-cache port. A load's Release is the unit's first use after the
+// batch's issue time (a die's first flush start, the port's first hit) and
+// its Busy the unit's total occupancy for the batch (every flush, ECC
+// retries included; every hit's DRAM burst). The slice is the engine's
+// scratch, valid until its next batch.
+func (e *LookupEngine) Loads() []sim.LaneLoad { return e.loads }
 
 // PoolBatch performs the pooled lookups of a whole coalesced batch of
 // inferences, sharing one dedup table across them: identical (table,row)
@@ -189,9 +199,11 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 					if h, ok := e.cache.Get(t, row); ok {
 						if e.cache.Filled(h) {
 							// Resident vector: one DRAM burst on the port.
+							ready := e.cache.Hit(issue)
+							addLoad(&e.loads[len(e.loads)-1], at, ready-e.cache.HitOccupancy(), ready)
 							slots = append(slots, lkSlot{
 								vec: vec, kind: slotHit, key: key,
-								data: e.cache.Data(h), ready: e.cache.Hit(issue),
+								data: e.cache.Data(h), ready: ready,
 							})
 						} else {
 							// In-flight miss from this batch (MSHR merge).
@@ -238,7 +250,7 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	// Phase 2 — flash scheduling, one lane per channel. Bytes are read even
 	// on timing-only runs when a cache is installed: it may serve them to a
 	// later materialising batch.
-	e.readFlash(materialize || e.cache != nil)
+	e.readFlash(at, materialize || e.cache != nil)
 
 	// Phase 3 — sequential reduce in global order.
 	var pooled [][]tensor.Vector
@@ -290,22 +302,37 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	return pooled, done, firstErr
 }
 
-// resetPerCh returns the engine's per-channel bucket scratch, emptied.
+// resetPerCh returns the engine's per-channel bucket scratch, emptied, and
+// zeroes the loads.
 func (e *LookupEngine) resetPerCh() [][]int32 {
-	if len(e.perCh) != e.dev.Channels() {
-		e.perCh = make([][]int32, e.dev.Channels())
-		e.lanes = make([]flash.Lane, e.dev.Channels())
+	geo := e.dev.Array().Geometry()
+	if len(e.perCh) != geo.Channels {
+		e.perCh = make([][]int32, geo.Channels)
+		e.lanes = make([]flash.Lane, geo.Channels)
+		e.loads = make([]sim.LaneLoad, geo.Channels*geo.DiesPerChannel+1)
 	}
 	for ch := range e.perCh {
 		e.perCh[ch] = e.perCh[ch][:0]
 	}
+	clear(e.loads)
 	return e.perCh
+}
+
+// addLoad adds a use of a unit over [start, end) to its load for a batch
+// issued at at. Uses arrive in start order per unit, so the first one sets
+// the release.
+func addLoad(ld *sim.LaneLoad, at, start, end sim.Time) {
+	if ld.Busy == 0 {
+		ld.Release = start - at
+	}
+	ld.Busy += end - start
 }
 
 // readFlash is phase 2: it opens a lane on every channel with planned
 // reads, replays them strided over min(Parallel, channels) workers, and
-// closes the lanes, folding their counters back into the array.
-func (e *LookupEngine) readFlash(bytes bool) {
+// closes the lanes, folding their counters back into the array. at is the
+// batch's issue time, which die loads are released from.
+func (e *LookupEngine) readFlash(at sim.Time, bytes bool) {
 	arr := e.dev.Array()
 	for ch, reqs := range e.perCh {
 		if len(reqs) > 0 {
@@ -314,14 +341,14 @@ func (e *LookupEngine) readFlash(bytes bool) {
 	}
 	workers := min(e.Parallel(), len(e.perCh))
 	if workers == 1 {
-		e.readLanes(0, 1, bytes)
+		e.readLanes(at, 0, 1, bytes)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				e.readLanes(w, workers, bytes)
+				e.readLanes(at, w, workers, bytes)
 			}(w)
 		}
 		wg.Wait()
@@ -334,17 +361,22 @@ func (e *LookupEngine) readFlash(bytes bool) {
 }
 
 // readLanes replays worker w's share of the channels (w, w+workers, ...),
-// each in plan order on its lane. Workers write only their own slots.
-func (e *LookupEngine) readLanes(w, workers int, bytes bool) {
+// each in plan order on its lane. Workers write only their own slots and
+// their own channels' die loads.
+func (e *LookupEngine) readLanes(at sim.Time, w, workers int, bytes bool) {
+	dies := e.dev.Array().Geometry().DiesPerChannel
 	for ch := w; ch < len(e.perCh); ch += workers {
 		lane := &e.lanes[ch]
 		for _, i := range e.perCh[ch] {
 			s := &e.slots[i]
+			var vt flash.VectorTiming
 			if bytes {
-				s.data, s.ready, s.err = lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+				s.data, vt, s.err = lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
 			} else {
-				s.ready, s.err = lane.ReadVectorTiming(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+				vt, s.err = lane.ReadVectorTiming(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
 			}
+			s.ready = vt.Done
+			addLoad(&e.loads[ch*dies+s.vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
 		}
 	}
 }

@@ -233,6 +233,9 @@ func (c *Cache) Hit(at sim.Time) sim.Time {
 	return done
 }
 
+// HitOccupancy returns how long one hit holds the DRAM port.
+func (c *Cache) HitOccupancy() sim.Time { return c.hitOcc }
+
 // ResetTime idles the DRAM port (between experiment phases).
 func (c *Cache) ResetTime() { c.port.Reset() }
 

@@ -63,41 +63,52 @@ func (l *Lane) checkPPA(p PPA) {
 	}
 }
 
+// VectorTiming is the schedule of one vector read on a lane: the die
+// interval its flush held, ECC retries included, and when its bytes left
+// the channel bus (the flush end for an uncorrectable read, which
+// transfers nothing).
+type VectorTiming struct {
+	FlushStart, FlushEnd sim.Time
+	Done                 sim.Time
+}
+
 // ReadVector is Array.ReadVector on this lane: die flush, then size bytes
 // over the channel bus. Stats accumulate lane-locally. On an uncorrectable
 // read the returned slice is nil and the error wraps ErrUncorrectable.
-func (l *Lane) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, sim.Time, error) {
-	done, err := l.ReadVectorTiming(at, p, col, size)
+func (l *Lane) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, VectorTiming, error) {
+	vt, err := l.ReadVectorTiming(at, p, col, size)
 	if err != nil {
-		return nil, done, err
+		return nil, vt, err
 	}
-	return l.a.store.ReadRange(l.a.geo.FlatIndex(p), col, size), done, nil
+	return l.a.store.ReadRange(l.a.geo.FlatIndex(p), col, size), vt, nil
 }
 
 // ReadVectorTiming is ReadVector without materialising data. Fault draws
 // advance only this lane's channel stream (a distinct slice element), so
 // concurrent lanes stay race-free and the draw order matches the
 // single-threaded schedule.
-func (l *Lane) ReadVectorTiming(at sim.Time, p PPA, col, size int) (sim.Time, error) {
+func (l *Lane) ReadVectorTiming(at sim.Time, p PPA, col, size int) (VectorTiming, error) {
 	l.checkPPA(p)
 	if col < 0 || size <= 0 || col+size > l.a.geo.PageSize {
 		panic(fmt.Sprintf("flash: vector read [%d,%d) crosses page of size %d", col, col+size, l.a.geo.PageSize))
 	}
 	retries, fatal := l.a.sampleVectorFaults(l.ch)
 	die := l.a.dies[l.ch].Get(p.Die)
-	_, flushDone := l.scope.Acquire(die, at, l.a.vectorFlushOccupancy(retries))
+	var vt VectorTiming
+	vt.FlushStart, vt.FlushEnd = l.scope.Acquire(die, at, l.a.vectorFlushOccupancy(retries))
+	vt.Done = vt.FlushEnd
 	l.stats.VectorReads++
 	l.stats.BytesFlushed += int64(l.a.geo.PageSize)
 	countVectorFaults(&l.stats, l.a.geo.PageSize, retries, fatal)
 	countChannelFaults(&l.chIO, retries, fatal)
 	if fatal {
-		return flushDone, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
+		return vt, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
 			l.ch, p.Die, p.Page, retries, ErrUncorrectable)
 	}
 	trans := params.Duration(params.VectorTransferCycles(size))
-	_, done := l.scope.Acquire(l.a.buses[l.ch], flushDone, trans)
+	_, vt.Done = l.scope.Acquire(l.a.buses[l.ch], vt.FlushEnd, trans)
 	l.stats.BytesTransferred += int64(size)
-	return done, nil
+	return vt, nil
 }
 
 // Stats returns the lane-local traffic counters accumulated so far.

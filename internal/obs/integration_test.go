@@ -37,6 +37,7 @@ type deviceBatcher struct {
 	cfg model.Config
 	now time.Duration
 	seq int
+	bds []core.Breakdown // every served batch's, in service order
 }
 
 func (d *deviceBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
@@ -64,6 +65,7 @@ func (d *deviceBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
 	outs, done, bd, err := d.dev.InferBatch(d.now, denses, sparses)
 	lat := done - d.now
 	d.now = done
+	d.bds = append(d.bds, bd)
 	return serving.BatchResult{Preds: outs, Latency: lat, Meta: bd, Err: err}
 }
 
@@ -96,7 +98,15 @@ func configMatrix() []obsConfig {
 // non-nil tracer gets a DeviceSink installed per shard under model "m".
 func replayOnce(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *obs.Tracer) serving.ReplayResult {
 	t.Helper()
+	res, _ := replayDevices(t, cfg, oc, nshards, tr)
+	return res
+}
+
+// replayDevices is replayOnce, also returning each shard's batcher.
+func replayDevices(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *obs.Tracer) (serving.ReplayResult, []*deviceBatcher) {
+	t.Helper()
 	backends := make([]serving.Batcher, 0, nshards)
+	devs := make([]*deviceBatcher, 0, nshards)
 	for i := 0; i < nshards; i++ {
 		dev, err := core.New(cfg, oc.opts)
 		if err != nil {
@@ -112,7 +122,9 @@ func replayOnce(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *o
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends = append(backends, &deviceBatcher{dev: dev, gen: gen, cfg: cfg})
+		db := &deviceBatcher{dev: dev, gen: gen, cfg: cfg}
+		backends = append(backends, db)
+		devs = append(devs, db)
 	}
 	gen, err := trace.NewGenerator(trace.Config{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 9,
@@ -131,7 +143,7 @@ func replayOnce(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *o
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, devs
 }
 
 // artifact renders a tracer's complete deterministic output.
@@ -302,23 +314,41 @@ func TestPercentileHistogramAgree(t *testing.T) {
 // TestTraceSpansJoinBatches: every traced batch that reached the device
 // carries a span whose request count matches the record. A record's window
 // runs from admission (Start) to completion, and a batch may wait in it for
-// a busy downstream stage, so its device span is never longer than the
-// window — and exactly as long when its shard's previous batch had already
-// completed by admission. Consecutive batches on one shard overlap in time
-// (the shard pipelines them), yet no stage ever holds two batches at once.
+// a busy downstream stage or a busy die, so its device span, measured on
+// the device's own clock, is never longer than the window — and exactly as
+// long when its shard's previous batch had already completed by admission.
+// Consecutive batches on one shard overlap in time (the shard pipelines
+// them), yet send, top and read never hold two batches at once, emb never
+// holds more than two (the double-buffered EV Sum), counted from
+// admission, and each die lane serves its batches in order without
+// overlap.
 func TestTraceSpansJoinBatches(t *testing.T) {
+	const embDepth = 2
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	tr := obs.NewTracer(nil)
-	replayOnce(t, cfg, obsConfig{opts: core.Options{Parallel: 1}}, 2, tr)
+	_, devs := replayDevices(t, cfg, obsConfig{opts: core.Options{Parallel: 1}}, 2, tr)
 	recs := tr.Records()
 	if len(recs) == 0 {
 		t.Fatal("no records traced")
 	}
-	overlapped := 0
-	for i, rec := range recs {
+	overlapped, deep, laneWaits := 0, 0, 0
+	var shardRecs []obs.BatchRecord // the current shard's records so far
+	var shardBDs []core.Breakdown
+	lastOnLane := map[int]int{} // die lane -> index in shardRecs of its latest user
+	for _, rec := range recs {
 		if rec.Device == nil {
 			t.Fatalf("shard %d seq %d: batch has no device span", rec.Shard, rec.Seq)
+		}
+		if len(shardRecs) > 0 && shardRecs[0].Shard != rec.Shard {
+			shardRecs, shardBDs = shardRecs[:0], shardBDs[:0]
+			clear(lastOnLane)
+		}
+		// Records join the shard's batches in service order.
+		bd := devs[rec.Shard].bds[len(shardRecs)]
+		if bd.Send != rec.Device.Send.Len() || len(bd.Lanes) == 0 {
+			t.Fatalf("shard %d seq %d: breakdown %v/%d lanes does not join span send %v",
+				rec.Shard, rec.Seq, bd.Send, len(bd.Lanes), rec.Device.Send.Len())
 		}
 		n := 0
 		for _, rq := range rec.Requests {
@@ -335,27 +365,20 @@ func TestTraceSpansJoinBatches(t *testing.T) {
 		if span > window {
 			t.Fatalf("shard %d seq %d: span length %v exceeds batch window %v", rec.Shard, rec.Seq, span, window)
 		}
-		if i == 0 || recs[i-1].Shard != rec.Shard {
-			if span != window {
-				t.Fatalf("shard %d seq %d: first batch waited: span %v, window %v", rec.Shard, rec.Seq, span, window)
-			}
-			continue
+		idle := len(shardRecs) == 0 || shardRecs[len(shardRecs)-1].Complete <= rec.Start
+		if idle && span != window {
+			t.Fatalf("shard %d seq %d: admitted to an idle shard yet waited: span %v, window %v",
+				rec.Shard, rec.Seq, span, window)
 		}
-		prev := recs[i-1]
-		if prev.Complete <= rec.Start {
-			if span != window {
-				t.Fatalf("shard %d seq %d: admitted to an idle shard yet waited: span %v, window %v",
-					rec.Shard, rec.Seq, span, window)
+		e := stagesOf(*rec.Device)
+		// held checks that a batch ahead, prev, had left stage k before rec
+		// entered it: prev leaves stage k no earlier than its admission plus
+		// its stages up to k, and rec still needs its stages from k on.
+		held := func(prev obs.BatchRecord, k int) {
+			d := stagesOf(*prev.Device)
+			if k >= len(d) || k >= len(e) {
+				return
 			}
-			continue
-		}
-		overlapped++
-		// Batch prev leaves stage k no earlier than its admission plus its
-		// stages up to k; rec can only enter stage k after that and still
-		// needs its stages from k on. Any shortfall means one stage held
-		// both batches at once.
-		d, e := stagesOf(*prev.Device), stagesOf(*rec.Device)
-		for k := 0; k < len(d) && k < len(e); k++ {
 			var need time.Duration
 			for _, x := range d[:k+1] {
 				need += x
@@ -364,14 +387,75 @@ func TestTraceSpansJoinBatches(t *testing.T) {
 				need += x
 			}
 			if got := rec.Complete - prev.Start; got < need {
-				t.Fatalf("shard %d seq %d: stage %d held two batches: %v from prev admission to completion, need %v",
-					rec.Shard, rec.Seq, k, got, need)
+				t.Fatalf("shard %d seq %d: stage %d held two batches: %v from admission of seq %d to completion, need %v",
+					rec.Shard, rec.Seq, k, got, prev.Seq, need)
 			}
 		}
+		if !idle {
+			overlapped++
+			prev := shardRecs[len(shardRecs)-1]
+			for _, k := range []int{0, 2, 3} {
+				held(prev, k)
+			}
+			if len(shardRecs) >= embDepth {
+				// A batch claims its emb buffer when it is admitted: the
+				// batch two places ahead had left emb by then.
+				ahead := shardRecs[len(shardRecs)-embDepth]
+				if ahead.Complete > rec.Start {
+					deep++
+				}
+				d := stagesOf(*ahead.Device)
+				if left := ahead.Start + d[0] + d[1]; rec.Start < left {
+					t.Fatalf("shard %d seq %d: admitted at %v, before seq %d could leave emb at %v",
+						rec.Shard, rec.Seq, rec.Start, ahead.Seq, left)
+				}
+			}
+		}
+		// Each die lane is FIFO without overlap: rec's use of die lane l
+		// starts after the lane's previous user finished with it, which is
+		// no earlier than that user's emb entry plus its release and busy
+		// time; rec then needs its own busy time, its tail after its last
+		// lane, and its stages after emb.
+		dies := dieLanes(devs[rec.Shard].dev)
+		reach := time.Duration(0)
+		for _, ld := range bd.Lanes {
+			reach = max(reach, ld.Release+ld.Busy)
+		}
+		var after time.Duration
+		for _, x := range e[2:] {
+			after += x
+		}
+		for l, ld := range bd.Lanes[:dies] {
+			if ld.Busy == 0 {
+				continue
+			}
+			if j, ok := lastOnLane[l]; ok {
+				prev, pl := shardRecs[j], shardBDs[j].Lanes[l]
+				need := prev.Device.Send.Len() + pl.Release + pl.Busy + ld.Busy + (e[1] - reach) + after
+				if got := rec.Complete - prev.Start; got < need {
+					t.Fatalf("shard %d seq %d: die lane %d overlapped seq %d: %v from its admission to completion, need %v",
+						rec.Shard, rec.Seq, l, prev.Seq, got, need)
+				}
+				if prev.Complete > rec.Start {
+					laneWaits++
+				}
+			}
+			lastOnLane[l] = len(shardRecs)
+		}
+		shardRecs = append(shardRecs, rec)
+		shardBDs = append(shardBDs, bd)
 	}
-	if overlapped == 0 {
-		t.Fatal("no consecutive batches overlapped: the replay did not pipeline")
+	t.Logf("%d records: %d admitted behind a busy batch, %d behind two, %d die-lane waits", len(recs), overlapped, deep, laneWaits)
+	if overlapped == 0 || deep == 0 || laneWaits == 0 {
+		t.Fatalf("overlapped %d, two deep %d, lane waits %d: the replay did not pipeline its emb stage",
+			overlapped, deep, laneWaits)
 	}
+}
+
+// dieLanes is how many of a device batch's lanes are flash dies.
+func dieLanes(dev *core.RMSSD) int {
+	g := dev.Device().Array().Geometry()
+	return g.Channels * g.DiesPerChannel
 }
 
 // stagesOf reads a span's pipeline stage occupancies: send, emb∥bot, top

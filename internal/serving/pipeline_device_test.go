@@ -12,12 +12,11 @@ import (
 	"rmssd/internal/trace"
 )
 
-// pipelineEpsilon bounds the relative gap between a saturated replay's
-// makespan and sim.Pipeline over the batches' own measured stages. Stage
-// times vary from batch to batch with the flash traffic; when the
+// pipelineEpsilon bounds the relative slack of the bracket
+// TestReplayPipelineMatchesOracle puts the measured replay interval in.
+// Stage times vary from batch to batch with the flash traffic; when the
 // bottleneck moves between stages, a blocking pipeline pays waits the
-// per-batch oracle does not see. On every case below one stage stays the
-// bottleneck and the gap is zero.
+// per-batch oracle does not see.
 const pipelineEpsilon = 0.005
 
 // stageRecorder serves count-only requests on one device from a trace
@@ -38,12 +37,17 @@ func (s *stageRecorder) ServeBatch(reqs []serving.Request) serving.BatchResult {
 }
 
 // TestReplayPipelineMatchesOracle is the device differential for the
-// replay's stage pipeline: for each model, design and batch size, a
-// saturated replay over a real device completes its batches when
-// sim.Pipeline over their own measured stages says it should — within
-// pipelineEpsilon on the searched design, exactly sim.Serial on the naive
-// one, which does not pipeline. The analytic StageTimes interval is logged
-// beside it; its gap is TembEstimate's error, not the scheduler's.
+// replay's stage pipeline. For each model, design and batch size, a
+// saturated replay over a real device must land its steady-state interval
+// in a bracket. The upper end is the blocking oracle: sim.Pipeline over the
+// batches' own measured stages, each batch holding its emb stage until its
+// busiest die is done. The lower end is the analytic Eq. 1a interval
+// (sim.Pipeline over StageTimes), which spreads every batch's reads evenly
+// over all dies. The replay's emb stage overlaps consecutive batches on
+// per-die lanes, so it sits between the two: the gap to the analytic
+// interval is die imbalance, the gap to the blocking oracle what the lanes
+// recover. Both ends hold within pipelineEpsilon. The naive design does not
+// pipeline and must equal sim.Serial exactly.
 func TestReplayPipelineMatchesOracle(t *testing.T) {
 	const batches = 48
 	for _, name := range []string{"RMC1", "RMC3", "WnD", "NCF"} {
@@ -81,31 +85,32 @@ func TestReplayPipelineMatchesOracle(t *testing.T) {
 					t.Fatalf("%s design %d n=%d: %d batches, want %d", name, design, n, res.Batches, batches)
 				}
 				// Every arrival lands at t=0: the first batch takes its full
-				// latency, each later one its own bottleneck stage.
+				// latency, each later one at least its bottleneck stage.
 				first := sim.Serial(rec.stages[0]...)
-				oracle := first
-				var serial time.Duration
+				var blocking, serial time.Duration
 				for i, st := range rec.stages {
 					serial += sim.Serial(st...)
 					if i > 0 {
-						oracle += sim.Pipeline(st...).Interval
+						blocking += sim.Pipeline(st...).Interval
 					}
 				}
-				measured := res.Elapsed
 				if design == engine.DesignNaive {
-					if measured != serial {
-						t.Fatalf("%s naive n=%d: makespan %v, sim.Serial %v", name, n, measured, serial)
+					if res.Elapsed != serial {
+						t.Fatalf("%s naive n=%d: makespan %v, sim.Serial %v", name, n, res.Elapsed, serial)
 					}
-					oracle = serial
-				} else if gap := float64(measured-oracle) / float64(oracle); gap < 0 || gap > pipelineEpsilon {
-					t.Fatalf("%s searched n=%d: makespan %v, sim.Pipeline oracle %v (gap %.4f)", name, n, measured, oracle, gap)
+					continue
 				}
-				analytic := sim.Pipeline(dev.StageTimes(n)...).Interval
-				if design == engine.DesignNaive {
-					analytic = sim.Serial(dev.StageTimes(n)...)
+				measured := float64(res.Elapsed-first) / (batches - 1)
+				oracle := float64(blocking) / (batches - 1)
+				analytic := float64(sim.Pipeline(dev.StageTimes(n)...).Interval)
+				t.Logf("%-4s n=%d interval: analytic %.0fns <= measured %.0fns <= blocking oracle %.0fns",
+					name, n, analytic, measured, oracle)
+				if measured > oracle*(1+pipelineEpsilon) {
+					t.Fatalf("%s searched n=%d: interval %.0fns above the blocking oracle %.0fns", name, n, measured, oracle)
 				}
-				t.Logf("%-4s %-9s n=%d interval: measured %v, oracle over measured stages %v, analytic StageTimes %v",
-					name, design, n, (measured-first)/(batches-1), (oracle-first)/(batches-1), analytic)
+				if measured < analytic*(1-pipelineEpsilon) {
+					t.Fatalf("%s searched n=%d: interval %.0fns below the analytic Eq. 1a interval %.0fns", name, n, measured, analytic)
+				}
 			}
 		}
 	}

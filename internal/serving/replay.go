@@ -32,10 +32,13 @@ import (
 // core.Breakdown gives send | emb∥bot | top | read on the searched design,
 // so the host pre-sends batch i+1 while the device computes batch i and
 // reads back batch i-1 (the system-level pipelining of Section IV-D); any
-// other backend is one stage of its batch latency. The shard forms its next
-// batch the moment its first stage is vacated, from every request that has
-// already arrived, capped at MaxBatch — the deterministic mirror of the
-// pool's drain-what's-queued coalescing. Because the whole timeline is
+// other backend is one stage of its batch latency. The emb stage is a lane
+// stage over the batch's per-die loads: it holds up to sim.LaneDepth
+// batches, so batch i+1 reads the dies batch i has finished with while
+// batch i still drains. The shard forms its next batch the moment the
+// pipeline can take it (BlockingPipeline.Vacant), from every request that
+// has already arrived, capped at MaxBatch — the deterministic mirror of
+// the pool's drain-what's-queued coalescing. Because the whole timeline is
 // virtual and the source is deterministic, two runs with the same seed,
 // source and shard count produce byte-identical results.
 
@@ -177,7 +180,7 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 		i := 0
 		for i < len(jobs) {
 			// The worker picks up the first waiting request the moment it
-			// has arrived and the shard's first stage is vacant, then drains
+			// has arrived and the shard's pipeline can take it, then drains
 			// everything that has already arrived, capped at MaxBatch (a
 			// request larger than MaxBatch still runs, as its own batch).
 			start := sim.Max(jobs[i].arrival, pipe.Vacant())

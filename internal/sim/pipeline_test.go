@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,7 +109,7 @@ func TestBlockingPipelineNeverLaterThanSerial(t *testing.T) {
 // moves on.
 func TestBlockingPipelineBlocks(t *testing.T) {
 	var p BlockingPipeline
-	stages := []Stage{{"send", 1}, {"emb", 5}, {"read", 1}}
+	stages := []Stage{{Name: "send", Time: 1}, {Name: "emb", Time: 5}, {Name: "read", Time: 1}}
 	if done := p.Push(0, stages); done != 7 {
 		t.Fatalf("first item done at %v, want 7", done)
 	}
@@ -132,5 +133,233 @@ func TestBlockingPipelineBlocks(t *testing.T) {
 			t.Fatal("negative stage time must panic")
 		}
 	}()
-	p.Push(0, []Stage{{"bad", -1}})
+	p.Push(0, []Stage{{Name: "bad", Time: -1}})
+}
+
+// laneItems decodes raw fuzz bytes into arrival gaps and stage vectors of
+// 1..4 stages, the second of which is a lane stage over up to four lanes
+// whose Release+Busy fits the stage time (the LaneLoad contract). Lanes a
+// byte leaves idle have zero Busy.
+func laneItems(raw []byte) (gaps []Time, items [][]Stage) {
+	next := func() time.Duration {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return time.Duration(b)
+	}
+	for len(raw) > 0 && len(items) < 64 {
+		gaps = append(gaps, Time(next())*4)
+		n := 1 + int(next())%4
+		st := make([]Stage, n)
+		for k := range st {
+			st[k] = Stage{Name: "s", Time: next()}
+		}
+		if n > 1 {
+			lanes := make([]LaneLoad, 1+int(next())%4)
+			var reach time.Duration
+			for l := range lanes {
+				lanes[l] = LaneLoad{Release: next() / 4, Busy: next()}
+				reach = max(reach, lanes[l].Release+lanes[l].Busy)
+			}
+			st[1] = Stage{Name: "lanes", Time: reach + next()/8, Lanes: lanes}
+		}
+		items = append(items, st)
+	}
+	return gaps, items
+}
+
+// withoutLanes strips every stage's lanes, leaving its Time.
+func withoutLanes(items [][]Stage) [][]Stage {
+	out := make([][]Stage, len(items))
+	for i, st := range items {
+		out[i] = make([]Stage, len(st))
+		for k, s := range st {
+			out[i][k] = Stage{Name: s.Name, Time: s.Time}
+		}
+	}
+	return out
+}
+
+// checkLanes pushes items through a BlockingPipeline at the given gaps and
+// checks the lane-stage properties against the pipeline's own history
+// after every push: each lane serves items in order without overlap and
+// never before the item's entry plus the lane's release; a lane stage
+// holds at most LaneDepth items, counted from their entry into the
+// pipeline, and any other stage one; items leave
+// every stage in order; no item completes later than in the same pipeline
+// without lanes; and the makespan covers every lane's cumulative busy
+// time. With spaced, each item arrives once its predecessor completed,
+// and the timeline must equal the lane-less one exactly.
+func checkLanes(gaps []Time, items [][]Stage, spaced bool) error {
+	var p, plain BlockingPipeline
+	flat := withoutLanes(items)
+	var entered []Time            // each item's pipeline entry
+	left := map[int][]Time{}      // stage -> leave times of the items that used it
+	laneEnd := map[[2]int]Time{}  // (stage, lane) -> end of its latest interval
+	laneBusy := map[[2]int]Time{} // (stage, lane) -> cumulative busy time
+	var at, makespan Time
+	for i, st := range items {
+		if spaced {
+			at = makespan + gaps[i]
+		} else {
+			at += gaps[i]
+		}
+		done := p.Push(at, st)
+		want := plain.Push(at, flat[i])
+		if done > want || (spaced && done != want) {
+			return fmt.Errorf("item %d: completes at %v, lane-less pipeline %v", i, done, want)
+		}
+		makespan = Max(makespan, done)
+		entry := at
+		for k, s := range st {
+			hist := left[k]
+			depth := 1
+			if len(s.Lanes) > 0 {
+				depth = LaneDepth
+			}
+			if k == 0 {
+				// The item enters the pipeline once stage 0 and every lane
+				// stage it lists have room.
+				if n := len(hist); n >= depth {
+					entry = Max(entry, hist[n-depth])
+				}
+				for j, sj := range st {
+					if n := len(left[j]); len(sj.Lanes) > 0 && n >= LaneDepth {
+						entry = Max(entry, left[j][n-LaneDepth])
+					}
+				}
+			}
+			if n := len(hist); n >= depth && entry < hist[n-depth] {
+				return fmt.Errorf("item %d entered stage %d at %v before item %d places ahead left at %v",
+					i, k, entry, depth, hist[n-depth])
+			}
+			leave := p.stages[k].left[0]
+			if n := len(hist); n > 0 && leave < hist[n-1] {
+				return fmt.Errorf("item %d left stage %d at %v before its predecessor at %v", i, k, leave, hist[n-1])
+			}
+			if k == 0 {
+				entered = append(entered, entry)
+			}
+			if leave < entry+s.Time {
+				return fmt.Errorf("item %d: stage %d held it %v, shorter than its time %v", i, k, leave-entry, s.Time)
+			}
+			left[k] = append(hist, leave)
+			for l, ld := range s.Lanes {
+				if ld.Busy == 0 {
+					continue
+				}
+				key := [2]int{k, l}
+				end := p.stages[k].lanes[l]
+				start := end - ld.Busy
+				if start < entry+ld.Release || start < laneEnd[key] {
+					return fmt.Errorf("item %d: stage %d lane %d runs [%v,%v), entry %v + release %v, lane free at %v",
+						i, k, l, start, end, entry, ld.Release, laneEnd[key])
+				}
+				laneEnd[key] = end
+				laneBusy[key] += ld.Busy
+			}
+			entry = leave
+		}
+	}
+	// Lane-stage occupancy from pipeline entry: when an item entered, at
+	// most LaneDepth-1 earlier users of each lane stage it lists had not
+	// yet left that stage.
+	seen := map[int]int{} // stage -> users so far
+	for i, st := range items {
+		for k, s := range st {
+			if len(s.Lanes) == 0 {
+				continue
+			}
+			n := seen[k]
+			if n >= LaneDepth && entered[i] < left[k][n-LaneDepth] {
+				return fmt.Errorf("item %d entered at %v while lane stage %d still held %d items", i, entered[i], k, LaneDepth)
+			}
+			seen[k] = n + 1
+		}
+	}
+	for key, busy := range laneBusy {
+		if makespan < busy {
+			return fmt.Errorf("makespan %v below lane %v's busy time %v", makespan, key, busy)
+		}
+	}
+	return nil
+}
+
+// TestBlockingPipelineLaneProperties runs checkLanes over random items,
+// both saturated and widely spaced.
+func TestBlockingPipelineLaneProperties(t *testing.T) {
+	for _, spaced := range []bool{false, true} {
+		f := func(raw []byte) bool {
+			gaps, items := laneItems(raw)
+			if err := checkLanes(gaps, items, spaced); err != nil {
+				t.Log(err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Fatalf("spaced=%v: %v", spaced, err)
+		}
+	}
+}
+
+// TestBlockingPipelineLanesOverlapBatches: two items whose loads sit on
+// different lanes share the lane stage; a third enters the pipeline only
+// once the first has left it (depth 2); on the same lane an item waits for
+// the one ahead.
+func TestBlockingPipelineLanesOverlapBatches(t *testing.T) {
+	item := func(a, b time.Duration) []Stage {
+		return []Stage{
+			{Name: "send", Time: 1},
+			{Name: "emb", Time: 12, Lanes: []LaneLoad{{Release: 0, Busy: a}, {Release: 0, Busy: b}}},
+			{Name: "read", Time: 1},
+		}
+	}
+	var p BlockingPipeline
+	if done := p.Push(0, item(10, 0)); done != 14 {
+		t.Fatalf("first item done at %v, want 14", done)
+	}
+	// Enters emb at 2 on the idle lane 1: finishes at 12, tail 2, leaves
+	// at 14 behind the first, reads until 15.
+	if done := p.Push(0, item(0, 10)); done != 15 {
+		t.Fatalf("disjoint-lane item done at %v, want 15", done)
+	}
+	// Enters the pipeline only when the first left emb (13), so emb never
+	// holds three; sends until 14, lane 0 has been idle since 11:
+	// 14+10+2 = 26, read until 27.
+	if done := p.Push(0, item(10, 0)); done != 27 {
+		t.Fatalf("third item done at %v, want 27", done)
+	}
+	if v := p.Vacant(); v != 14 {
+		t.Fatalf("pipeline vacant at %v, want 14 (when the second item leaves emb)", v)
+	}
+	// Same lane as the item ahead of it: enters at 14, reaches emb at 15,
+	// but lane 0 is busy until 24, so it finishes at 34, leaves at 36 and
+	// reads until 37.
+	if done := p.Push(0, item(10, 0)); done != 37 {
+		t.Fatalf("same-lane item done at %v, want 37", done)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a lane outlasting its stage must panic")
+		}
+	}()
+	p.Push(0, []Stage{{Name: "emb", Time: 3, Lanes: []LaneLoad{{Release: 2, Busy: 2}}}})
+}
+
+// FuzzBlockingPipelineLanes checks the lane-stage properties of checkLanes
+// on arbitrary item streams, saturated and widely spaced.
+func FuzzBlockingPipelineLanes(f *testing.F) {
+	f.Add([]byte{0, 3, 5, 40, 2, 0, 30, 1, 9, 7, 5, 3, 0, 3, 5, 40, 2, 0, 30, 1, 9, 7, 5, 3})
+	f.Add([]byte{1, 1, 9, 200, 4, 255, 0, 255, 10, 0, 10, 8, 8, 8})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		gaps, items := laneItems(raw)
+		for _, spaced := range []bool{false, true} {
+			if err := checkLanes(gaps, items, spaced); err != nil {
+				t.Fatalf("spaced=%v: %v", spaced, err)
+			}
+		}
+	})
 }

@@ -174,9 +174,9 @@ func TestDiesBehindSharedBus(t *testing.T) {
 
 func TestPipeline(t *testing.T) {
 	res := Pipeline(
-		Stage{"emb", 100 * time.Microsecond},
-		Stage{"bot", 40 * time.Microsecond},
-		Stage{"top", 60 * time.Microsecond},
+		Stage{Name: "emb", Time: 100 * time.Microsecond},
+		Stage{Name: "bot", Time: 40 * time.Microsecond},
+		Stage{Name: "top", Time: 60 * time.Microsecond},
 	)
 	if res.Latency != 200*time.Microsecond {
 		t.Fatalf("Latency = %v, want 200us", res.Latency)
@@ -206,7 +206,7 @@ func TestThroughput(t *testing.T) {
 }
 
 func TestSerial(t *testing.T) {
-	got := Serial(Stage{"a", 3}, Stage{"b", 4})
+	got := Serial(Stage{Name: "a", Time: 3}, Stage{Name: "b", Time: 4})
 	if got != 7 {
 		t.Fatalf("Serial = %v, want 7ns", got)
 	}
