@@ -19,17 +19,10 @@ import (
 // array.
 func arrayTestServer(t *testing.T, shards, devices int, partition string) *server {
 	t.Helper()
-	cfg := rmssd.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(16 << 20)
-	s, err := newSingleServer(cfg, hostOptions{
-		shards: shards, seed: 1, maxBatch: 8, queue: 64,
-		arrayDevices: devices, partition: partition,
+	return serveDecls(t, 0, modelDecl{
+		Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64,
+		ArrayDevices: devices, Partition: partition,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.close)
-	return s
 }
 
 // An explicit payload served through an array-backed server must return
@@ -317,22 +310,19 @@ func TestArrayModelsConfig(t *testing.T) {
 		t.Fatal("small unexpectedly array-backed")
 	}
 
-	for name, doc := range map[string]string{
-		"partition without array": `{"models": [{"model": "RMC1", "partition": "hash"}]}`,
-		"unknown partition":       `{"models": [{"model": "RMC1", "arrayDevices": 2, "partition": "modulo"}]}`,
-		"negative devices":        `{"models": [{"model": "RMC1", "arrayDevices": -1}]}`,
-		"too many devices":        `{"models": [{"model": "RMC1", "arrayDevices": 65}]}`,
+	// Both entry points share the array bounds (the flags cover -partition
+	// and -array-devices).
+	for _, c := range []struct {
+		name string
+		args []string
+		doc  string
+	}{
+		{"partition without array", []string{"-shards", "1", "-partition", "hash"}, `{"models": [{"model": "RMC1", "partition": "hash"}]}`},
+		{"unknown partition", []string{"-array-devices", "2", "-partition", "modulo"}, `{"models": [{"model": "RMC1", "arrayDevices": 2, "partition": "modulo"}]}`},
+		{"negative devices", []string{"-array-devices", "-1"}, `{"models": [{"model": "RMC1", "arrayDevices": -1}]}`},
+		{"too many devices", []string{"-array-devices", "65"}, `{"models": [{"model": "RMC1", "arrayDevices": 65}]}`},
 	} {
-		if _, err := parseModelsConfig(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-
-	// The host-option path guards too (covers the -partition flag).
-	cfg := rmssd.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(16 << 20)
-	if _, err := newSingleServer(cfg, hostOptions{shards: 1, partition: "hash"}); err == nil {
-		t.Fatal("partition without arrayDevices accepted by newHostedModel")
+		rejectBoth(t, c.name, c.args, c.doc, "")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -21,14 +20,10 @@ import (
 func TestCachedShardedPoolConcurrent(t *testing.T) {
 	cfg := rmssd.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(8 << 20)
-	s, err := newSingleServer(cfg, hostOptions{
-		shards: 2, seed: 1, maxBatch: 8, queue: 64,
-		evCacheMB: 4, dedup: true,
+	s := serveDecls(t, 0, modelDecl{
+		Model: "RMC1", TableMB: 8, Shards: 2, MaxBatch: 8, Queue: 64,
+		EVCacheMB: 4, Dedup: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.close)
 
 	// Hot-skewed inputs (K=2) so the caches actually serve hits.
 	tc, err := rmssd.TraceConfig{
@@ -90,29 +85,15 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 // bound, checked before the MiB→byte shift. Unchecked, 2^43 MiB shifted
 // into MinInt64 and a negative budget silently switched the cache off.
 func TestEVCacheMBBounds(t *testing.T) {
-	cfg := rmssd.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(1 << 20)
 	for _, mb := range []int64{-1, 1<<20 + 1, 8796093022208} {
-		if _, err := newSingleServer(cfg, hostOptions{shards: 1, queue: 8, evCacheMB: mb}); err == nil ||
-			!strings.Contains(err.Error(), "evCacheMB") {
-			t.Errorf("-ev-cache-mb %d: err = %v, want an evCacheMB bound error", mb, err)
-		}
-		doc := `{"models": [{"model": "RMC1", "tableMB": 1, "evCacheMB": ` + strconv.FormatInt(mb, 10) + `}]}`
-		mc, err := parseModelsConfig(strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mc.build(1); err == nil || !strings.Contains(err.Error(), "evCacheMB") {
-			t.Errorf("evCacheMB %d: err = %v, want an evCacheMB bound error", mb, err)
-		}
+		v := strconv.FormatInt(mb, 10)
+		rejectBoth(t, "evCacheMB "+v,
+			[]string{"-table-mb", "1", "-shards", "1", "-queue", "8", "-ev-cache-mb", v},
+			`{"models": [{"model": "RMC1", "tableMB": 1, "evCacheMB": `+v+`}]}`, "evCacheMB")
 	}
 	// The top of the range is accepted: the cache allocates only what is
 	// resident, so even a 2^40-byte budget costs nothing up front.
-	s, err := newSingleServer(cfg, hostOptions{shards: 1, queue: 8, evCacheMB: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
+	s := serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 1, Shards: 1, Queue: 8, EVCacheMB: 1 << 20})
 	if c := s.def.shards[0].members()[0].Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
 		t.Fatal("2^20 MiB cache not installed")
 	}

@@ -25,16 +25,39 @@
 // reports predictions, the simulated latency breakdown and how the request
 // was coalesced.
 //
-// Single-model mode hosts -shards independent devices (default GOMAXPROCS)
-// behind a batching front-end that coalesces concurrent requests landing on
-// the same shard into one device batch (Section VI's consecutive-small-batch
-// pipelining). Multi-model mode (-models config.json) hosts several
-// heterogeneous replicas — different architectures, table budgets and shard
-// counts — each behind its own pool, with a router dispatching by model
-// name. -host-budget B bounds the requests in flight across all models at
-// once (the models share the host's cores and PCIe lanes even though their
-// devices are independent); freed slots are granted by weighted round robin
-// over the waiting models.
+// Each model is hosted on independent device shards behind a batching
+// front-end that coalesces concurrent requests landing on the same shard
+// into one device batch (Section VI's consecutive-small-batch pipelining).
+// Multi-model mode (-models config.json) hosts several heterogeneous
+// replicas — different architectures, table budgets and shard counts — each
+// behind its own pool, with a router dispatching by model name. -host-budget
+// B bounds the requests in flight across all models at once (the models
+// share the host's cores and PCIe lanes even though their devices are
+// independent); freed slots are granted by weighted round robin over the
+// waiting models.
+//
+// A hosted model is one declaration (modelDecl): each -models entry is one,
+// and single-model mode binds its flags into one. Both go through the same
+// validation, which applies every default and owns every bound; /info and
+// /models render the validated declaration back with the same keys. Only
+// -shards and -fault-seed default differently from their keys (the key's
+// default is in parentheses):
+//
+//	flag            key           default          bound
+//	-model          model         RMC1 (required)  a built-in architecture
+//	                name          the architecture unique across the file
+//	-table-mb       tableMB       256              (0, 2^20] MiB
+//	-shards         shards        GOMAXPROCS (1)   >= 0; 0 means 1
+//	-max-batch      maxBatch      device NBatch    >= 0
+//	-queue          queue         256              >= 0; 0 means 256
+//	                weight        1                >= 0; 0 means 1
+//	                seed          -seed            0 inherits -seed
+//	-ev-cache-mb    evCacheMB     0 (off)          [0, 2^20] MiB
+//	-dedup          dedup         off
+//	-fault-rate     faultRate     0 (off)          [0, 1)
+//	-fault-seed     faultSeed     1 (0)
+//	-array-devices  arrayDevices  0 (one device)   [0, 64]
+//	-partition      partition     range            range or hash; needs arrayDevices > 1
 //
 // With -trace, rmserve does not serve HTTP at all: it replays a request
 // stream through the pool(s) open-loop at -rate requests per simulated
@@ -54,6 +77,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,7 +86,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -233,105 +256,14 @@ func (m *hostedModel) arrayStats() (total rmssd.ArrayStats, ok bool) {
 	return total, true
 }
 
-// hostedModel is one named model on the server: its config, device shards
-// and effective batching parameters. The pool itself lives in the registry;
+// hostedModel is one named model on the server: its validated declaration,
+// resolved config and device shards. The pool itself lives in the registry;
 // the pointer here is a convenience for the handlers and tests.
 type hostedModel struct {
-	name     string
-	weight   int
-	cfg      rmssd.ModelConfig
-	shards   []*deviceShard
-	pool     *serving.Pool
-	maxBatch int
-	queue    int
-}
-
-// hostOptions bundles a hosted model's serving knobs.
-type hostOptions struct {
-	shards   int // independent devices (<=0 = GOMAXPROCS)
-	seed     uint64
-	maxBatch int // coalesced device batch cap (<=0 = device NBatch)
-	queue    int // per-shard queue depth
-	weight   int // WRR admission weight
-	// evCacheMB budgets each shard's device-DRAM EV cache in MiB (0 = off);
-	// dedup merges duplicate (table,row) lookups within a device batch.
-	// Both are value-preserving: predictions are unchanged, only the
-	// simulated timing improves on skewed traffic.
-	evCacheMB int64
-	dedup     bool
-	// faultRate/faultSeed enable deterministic flash read-fault injection
-	// on every shard device (0 rate = off, the default: timelines and
-	// predictions stay byte-identical to an unfaulted server).
-	faultRate float64
-	faultSeed uint64
-	// arrayDevices > 1 backs each shard with a multi-device array: the
-	// model's tables are partitioned across that many member SSDs per
-	// `partition` ("range" or "hash"; empty = range). Predictions stay
-	// byte-identical to a single device hosting the whole model.
-	arrayDevices int
-	partition    string
-}
-
-// newHostedModel builds o.shards independent devices for cfg. When several
-// shards exist, each device simulates its flash channels sequentially
-// (shard-level parallelism already saturates the host); a single shard
-// keeps the device's own channel-parallel lanes.
-func newHostedModel(name string, cfg rmssd.ModelConfig, o hostOptions) (*hostedModel, error) {
-	nshards := o.shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	devParallel := 1
-	if nshards == 1 {
-		devParallel = 0 // GOMAXPROCS lanes inside the single device
-	}
-	if o.partition != "" && o.arrayDevices <= 1 {
-		return nil, fmt.Errorf("rmserve: model %q: partition %q needs arrayDevices > 1", name, o.partition)
-	}
-	// Bounded before the MiB→byte shift below, which would otherwise wrap.
-	if o.evCacheMB < 0 || o.evCacheMB > 1<<20 {
-		return nil, fmt.Errorf("rmserve: model %q: evCacheMB %d outside [0, 2^20]", name, o.evCacheMB)
-	}
-	m := &hostedModel{name: name, weight: o.weight, cfg: cfg, queue: o.queue}
-	maxBatch := o.maxBatch
-	for i := 0; i < nshards; i++ {
-		opts := rmssd.DeviceOptions{
-			Parallel:     devParallel,
-			EVCacheBytes: o.evCacheMB << 20,
-			DedupLookups: o.dedup,
-			// Per-shard seed offset mirrors the trace generator's, so shards
-			// draw independent (but reproducible) fault sequences.
-			FaultPlan:    rmssd.FaultPlan{Rate: o.faultRate, Seed: o.faultSeed + uint64(i)*0x9e37},
-			ArrayDevices: o.arrayDevices,
-			Partition:    o.partition,
-		}
-		var (
-			dev backendDevice
-			err error
-		)
-		if o.arrayDevices > 1 {
-			dev, err = rmssd.NewArray(cfg, opts)
-		} else {
-			dev, err = rmssd.NewDevice(cfg, opts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("rmserve: model %q: %w", name, err)
-		}
-		if maxBatch <= 0 {
-			maxBatch = dev.NBatch()
-		}
-		m.shards = append(m.shards, &deviceShard{
-			id:  i,
-			dev: dev,
-			cfg: cfg,
-			gen: rmssd.MustNewTrace(rmssd.TraceConfig{
-				Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-				Seed: o.seed + uint64(i)*0x9e37,
-			}),
-		})
-	}
-	m.maxBatch = maxBatch
-	return m, nil
+	decl   modelDecl
+	cfg    rmssd.ModelConfig
+	shards []*deviceShard
+	pool   *serving.Pool
 }
 
 // localityStats aggregates the model's lookup-engine and EV-cache counters
@@ -396,37 +328,24 @@ func newServer(hosted []*hostedModel, budget int) (*server, error) {
 	}
 	for _, m := range hosted {
 		err := s.reg.Register(serving.ModelSpec{
-			Name:       m.name,
+			Name:       m.decl.Name,
 			Backends:   m.backends(),
-			MaxBatch:   m.maxBatch,
-			QueueDepth: m.queue,
-			Weight:     m.weight,
+			MaxBatch:   m.decl.MaxBatch,
+			QueueDepth: m.decl.Queue,
+			Weight:     m.decl.Weight,
 		})
 		if err != nil {
 			s.reg.Close()
 			return nil, err
 		}
-		if m.pool, err = s.reg.Pool(m.name); err != nil {
+		if m.pool, err = s.reg.Pool(m.decl.Name); err != nil {
 			s.reg.Close()
 			return nil, err
 		}
-		s.byName[m.name] = m
+		s.byName[m.decl.Name] = m
 	}
 	s.router = serving.NewRouter(s.reg, budget)
 	return s, nil
-}
-
-// newSingleServer is the single-model construction used by the classic
-// flag set (and most tests): one hosted model under its architecture name.
-func newSingleServer(cfg rmssd.ModelConfig, o hostOptions) (*server, error) {
-	if o.weight == 0 {
-		o.weight = 1
-	}
-	m, err := newHostedModel(cfg.Name, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return newServer([]*hostedModel{m}, 0)
 }
 
 // close shuts down every pool.
@@ -446,22 +365,13 @@ func (s *server) resolve(name string) (*hostedModel, error) {
 }
 
 func main() {
+	var single modelDecl
+	bindModelFlags(flag.CommandLine, &single)
 	var (
-		modelName  = flag.String("model", "RMC1", "model to host (RMC1/RMC2/RMC3/NCF/WnD)")
-		tableMB    = flag.Int64("table-mb", 256, "embedding table budget in MiB")
 		modelsFile = flag.String("models", "", "JSON file declaring hosted models (multi-model mode; overrides -model)")
 		hostBudget = flag.Int("host-budget", 0, "shared in-flight request budget across models (0 = unlimited)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		seed       = flag.Uint64("seed", 1, "trace seed")
-		shards     = flag.Int("shards", 0, "independent device shards (0 = GOMAXPROCS; single-model mode)")
-		maxBatch   = flag.Int("max-batch", 0, "coalesced device batch cap (0 = device NBatch; single-model mode)")
-		queue      = flag.Int("queue", 256, "per-shard request queue depth (single-model mode)")
-		evCacheMB  = flag.Int64("ev-cache-mb", 0, "device-DRAM EV cache budget per shard in MiB (0 = off; single-model mode)")
-		dedup      = flag.Bool("dedup", false, "merge duplicate (table,row) lookups within a device batch (single-model mode)")
-		faultRate  = flag.Float64("fault-rate", 0, "per-attempt flash ECC failure probability in [0,1) (0 = off; single-model mode)")
-		faultSeed  = flag.Uint64("fault-seed", 1, "seed for deterministic fault injection (single-model mode)")
-		arrayDevs  = flag.Int("array-devices", 0, "member SSDs per shard: >1 partitions each table across a device array (single-model mode)")
-		partition  = flag.String("partition", "", "array partition strategy: 'range' or 'hash' (needs -array-devices > 1; single-model mode)")
 		traceMode  = flag.String("trace", "", "replay a trace through the pool(s) and exit: 'synthetic' or 'criteo'")
 		criteoIn   = flag.String("criteo-in", "", "Criteo-format TSV file for -trace criteo")
 		rate       = flag.Float64("rate", 50000, "replay offered load in requests per simulated second")
@@ -473,35 +383,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		s   *server
-		err error
-	)
+	mc := modelsConfig{Models: []modelDecl{single}}
 	if *modelsFile != "" {
-		mc, lerr := loadModelsConfig(*modelsFile)
-		if lerr != nil {
-			log.Fatal(lerr)
+		var err error
+		if mc, err = loadModelsConfig(*modelsFile); err != nil {
+			log.Fatal(err)
 		}
-		log.Printf("building RM-SSD pools for %d models...", len(mc.Models))
-		hosted, berr := mc.build(*seed)
-		if berr != nil {
-			log.Fatal(berr)
-		}
-		s, err = newServer(hosted, *hostBudget)
-	} else {
-		cfg, cerr := rmssd.ModelByName(*modelName)
-		if cerr != nil {
-			log.Fatal(cerr)
-		}
-		cfg.RowsPerTable = cfg.RowsForBudget(*tableMB << 20)
-		log.Printf("building RM-SSD shards for %s (%d MiB tables)...", cfg.Name, *tableMB)
-		s, err = newSingleServer(cfg, hostOptions{
-			shards: *shards, seed: *seed, maxBatch: *maxBatch, queue: *queue,
-			evCacheMB: *evCacheMB, dedup: *dedup,
-			faultRate: *faultRate, faultSeed: *faultSeed,
-			arrayDevices: *arrayDevs, partition: *partition,
-		})
 	}
+	log.Printf("building RM-SSD pools for %d model(s)...", len(mc.Models))
+	s, err := mc.serve(*seed, *hostBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -560,27 +450,40 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	}
 }
 
+// describe renders the model's validated declaration together with its
+// resolved architecture: the shared base of its /info and /models entries.
+func (m *hostedModel) describe() (map[string]interface{}, error) {
+	raw, err := json.Marshal(m.decl)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber() // keeps 64-bit seeds exact
+	var out map[string]interface{}
+	if err := dec.Decode(&out); err != nil {
+		return nil, err
+	}
+	out["tables"] = m.cfg.Tables
+	out["lookups"] = m.cfg.Lookups
+	out["evDim"] = m.cfg.EVDim
+	out["rowsPerTable"] = m.cfg.RowsPerTable
+	out["denseDim"] = m.cfg.DenseDim
+	out["tableBytes"] = m.cfg.TableBytes()
+	out["deviceBatch"] = m.shards[0].dev.NBatch()
+	return out, nil
+}
+
 func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	// The top-level fields describe the default model, which keeps the
+	// The model fields describe the default model, which keeps the
 	// single-model API shape; `models` lists every hosted name.
-	info := map[string]interface{}{
-		"model":        s.def.cfg.Name,
-		"tables":       s.def.cfg.Tables,
-		"lookups":      s.def.cfg.Lookups,
-		"evDim":        s.def.cfg.EVDim,
-		"rowsPerTable": s.def.cfg.RowsPerTable,
-		"denseDim":     s.def.cfg.DenseDim,
-		"tableBytes":   s.def.cfg.TableBytes(),
-		"deviceBatch":  s.def.shards[0].dev.NBatch(),
-		"shards":       len(s.def.shards),
-		"models":       s.reg.Models(),
-		"defaultModel": s.def.name,
-		"hostBudget":   s.router.Budget(),
+	info, err := s.def.describe()
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
 	}
-	if a := s.def.shards[0].array(); a != nil {
-		info["arrayDevices"] = a.Layout().Devices()
-		info["partition"] = string(a.Layout().Strategy())
-	}
+	info["models"] = s.reg.Models()
+	info["defaultModel"] = s.def.decl.Name
+	info["hostBudget"] = s.router.Budget()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -589,43 +492,35 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // response bytes are deterministic by construction.
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	hosted := append([]*hostedModel(nil), s.models...)
-	sort.Slice(hosted, func(i, j int) bool { return hosted[i].name < hosted[j].name })
+	sort.Slice(hosted, func(i, j int) bool { return hosted[i].decl.Name < hosted[j].decl.Name })
 	out := make([]map[string]interface{}, 0, len(hosted))
 	for _, m := range hosted {
-		st, err := s.reg.ModelStats(m.name)
+		st, err := s.reg.ModelStats(m.decl.Name)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}
-		out = append(out, map[string]interface{}{
-			"name":           m.name,
-			"model":          m.cfg.Name,
-			"tables":         m.cfg.Tables,
-			"lookups":        m.cfg.Lookups,
-			"evDim":          m.cfg.EVDim,
-			"rowsPerTable":   m.cfg.RowsPerTable,
-			"denseDim":       m.cfg.DenseDim,
-			"tableBytes":     m.cfg.TableBytes(),
-			"deviceBatch":    m.shards[0].dev.NBatch(),
-			"shards":         len(m.shards),
-			"maxBatch":       m.maxBatch,
-			"weight":         st.Weight,
-			"submitted":      st.Submitted,
-			"rejected":       st.Rejected,
-			"failed":         st.Failed,
-			"shardFaults":    st.Pool.Faults,
-			"waited":         st.Waited,
-			"requests":       st.Pool.Requests,
-			"inferences":     st.Pool.Inferences,
-			"deviceBatches":  st.Pool.Batches,
-			"meanBatch":      st.Pool.MeanBatch,
-			"meanSimLatency": st.MeanLatency.String(),
-			"maxSimLatency":  st.MaxLatency.String(),
-		})
+		e, err := m.describe()
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			return
+		}
+		e["submitted"] = st.Submitted
+		e["rejected"] = st.Rejected
+		e["failed"] = st.Failed
+		e["shardFaults"] = st.Pool.Faults
+		e["waited"] = st.Waited
+		e["requests"] = st.Pool.Requests
+		e["inferences"] = st.Pool.Inferences
+		e["deviceBatches"] = st.Pool.Batches
+		e["meanBatch"] = st.Pool.MeanBatch
+		e["meanSimLatency"] = st.MeanLatency.String()
+		e["maxSimLatency"] = st.MaxLatency.String()
+		out = append(out, e)
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"models":       out,
-		"defaultModel": s.def.name,
+		"defaultModel": s.def.decl.Name,
 		"hostBudget":   s.router.Budget(),
 	})
 }
@@ -649,7 +544,7 @@ func (s *server) handleQPS(w http.ResponseWriter, r *http.Request) {
 	// no shard state is involved.
 	per := m.shards[0].dev.SteadyStateQPS(batch)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"model":          m.name,
+		"model":          m.decl.Name,
 		"batch":          batch,
 		"shards":         len(m.shards),
 		"steadyStateQPS": per,
@@ -758,14 +653,14 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
-	resp, err := s.router.Submit(r.Context(), m.name, sreq)
+	resp, err := s.router.Submit(r.Context(), m.decl.Name, sreq)
 	if err != nil {
 		writeJSON(w, inferStatus(err), map[string]string{"error": err.Error()})
 		return
 	}
 	bd, _ := resp.Meta.(rmssd.Breakdown)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"model":             m.name,
+		"model":             m.decl.Name,
 		"predictions":       resp.Preds,
 		"simulatedLatency":  resp.Latency.String(),
 		"shard":             resp.Shard,
@@ -834,7 +729,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 			observedQPS += qps
 			entry := map[string]interface{}{
-				"model":      m.name,
+				"model":      m.decl.Name,
 				"shard":      sh.id,
 				"inferences": inf,
 				"simClock":   now.String(),

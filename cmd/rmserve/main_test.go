@@ -11,20 +11,24 @@ import (
 	"testing"
 	"time"
 
-	"rmssd"
 	"rmssd/internal/serving"
 )
 
-func testServer(t *testing.T, shards int) *server {
+// serveDecls validates, builds and hosts decls exactly as rmserve does, at
+// global seed 1 behind the given host budget.
+func serveDecls(t *testing.T, budget int, decls ...modelDecl) *server {
 	t.Helper()
-	cfg := rmssd.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(16 << 20)
-	s, err := newSingleServer(cfg, hostOptions{shards: shards, seed: 1, maxBatch: 8, queue: 64})
+	s, err := modelsConfig{Models: decls}.serve(1, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.close)
 	return s
+}
+
+func testServer(t *testing.T, shards int) *server {
+	t.Helper()
+	return serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64})
 }
 
 func TestHandleInfo(t *testing.T) {
@@ -44,6 +48,30 @@ func TestHandleInfo(t *testing.T) {
 	if body["shards"].(float64) != 2 {
 		t.Fatalf("shards = %v", body["shards"])
 	}
+
+	// /info renders the default model's validated decl, every knob set.
+	for _, s := range []*server{s, knobServer(t)} {
+		rec := httptest.NewRecorder()
+		s.handleInfo(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
+		var d modelDecl
+		if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+			t.Fatal(err)
+		}
+		if d != s.def.decl {
+			t.Fatalf("/info decl %+v, hosted %+v", d, s.def.decl)
+		}
+	}
+}
+
+// knobServer hosts one model with every declared knob away from its
+// default, so endpoint round trips cover them all.
+func knobServer(t *testing.T) *server {
+	t.Helper()
+	return serveDecls(t, 0, modelDecl{
+		Name: "knobs", Model: "RMC2", TableMB: 8, Shards: 2, MaxBatch: 4, Queue: 32, Weight: 3,
+		Seed: 1 << 63, EVCacheMB: 2, Dedup: true, FaultRate: 0.001, FaultSeed: 5,
+		ArrayDevices: 2, Partition: "hash",
+	})
 }
 
 func TestHandleQPS(t *testing.T) {

@@ -2,16 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"rmssd"
 )
 
-// Multi-model configuration: `rmserve -models config.json` hosts several
-// heterogeneous replicas on one server, each with its own devices, table
-// budget and shard count. The file is a JSON object:
+// Model declarations: every hosted model, in either mode, is one modelDecl.
+// `rmserve -models config.json` decodes a list of them from a JSON object:
 //
 //	{"models": [
 //	  {"name": "ctr",    "model": "RMC1", "tableMB": 256, "shards": 2, "weight": 2},
@@ -19,19 +21,27 @@ import (
 //	]}
 //
 // Unknown fields are rejected (strict decoding), so typos in a config file
-// fail loudly instead of silently hosting a default.
+// fail loudly instead of silently hosting a default. Single-model mode binds
+// its flags straight into one decl (bindModelFlags), and both paths share
+// validate and build.
 
-// modelDecl declares one hosted model in the -models file.
+// maxBudgetMB bounds every MiB budget before its MiB→byte shift, which would
+// otherwise wrap.
+const maxBudgetMB = 1 << 20
+
+// modelDecl declares one hosted model: its -models entry, or single-model
+// mode's flags.
 type modelDecl struct {
 	// Name is the serving name clients address (`model` field of /infer).
 	// Defaults to the architecture name; must be unique across the file.
 	Name string `json:"name"`
 	// Model is the architecture: RMC1/RMC2/RMC3/NCF/WnD. Required.
 	Model string `json:"model"`
-	// TableMB is the embedding-table budget in MiB. Defaults to 256.
+	// TableMB is the embedding-table budget in MiB, in (0, 2^20]. Defaults
+	// to 256.
 	TableMB int64 `json:"tableMB"`
-	// Shards is the model's independent device count. Defaults to 1 in
-	// multi-model mode (models already parallelise across each other).
+	// Shards is the model's independent device count. Defaults to 1 (the
+	// -shards flag defaults to GOMAXPROCS instead).
 	Shards int `json:"shards"`
 	// MaxBatch caps the coalesced device batch; 0 means the device NBatch.
 	MaxBatch int `json:"maxBatch"`
@@ -44,8 +54,8 @@ type modelDecl struct {
 	// the global -seed flag.
 	Seed uint64 `json:"seed"`
 	// EVCacheMB budgets a device-DRAM embedding-vector cache per shard, in
-	// MiB (0 = disabled). Hot vectors get served from controller DRAM;
-	// predictions are byte-identical either way.
+	// MiB, in [0, 2^20] (0 = disabled). Hot vectors get served from
+	// controller DRAM; predictions are byte-identical either way.
 	EVCacheMB int64 `json:"evCacheMB"`
 	// Dedup merges identical (table,row) lookups within one coalesced
 	// device batch into a single vector read.
@@ -59,16 +69,115 @@ type modelDecl struct {
 	// ArrayDevices > 1 backs each of this model's shards with a
 	// multi-device array: the embedding tables are partitioned across that
 	// many member SSDs. 0 or 1 hosts the whole model on one device.
-	ArrayDevices int `json:"arrayDevices"`
+	// Omitted from /info and /models when 0, like Partition when empty.
+	ArrayDevices int `json:"arrayDevices,omitempty"`
 	// Partition selects the array's row partitioning: "range" (contiguous
-	// blocks) or "hash" (modular striping). Empty means "range"; only valid
-	// with ArrayDevices > 1.
-	Partition string `json:"partition"`
+	// blocks, the default) or "hash" (modular striping); only valid with
+	// ArrayDevices > 1.
+	Partition string `json:"partition,omitempty"`
+}
+
+// bindModelFlags binds single-model mode's flags to the decl fields they
+// set; the package comment tabulates flag and key names.
+func bindModelFlags(fs *flag.FlagSet, d *modelDecl) {
+	fs.StringVar(&d.Model, "model", "RMC1", "model to host (RMC1/RMC2/RMC3/NCF/WnD)")
+	fs.Int64Var(&d.TableMB, "table-mb", 256, "embedding table budget in MiB")
+	fs.IntVar(&d.Shards, "shards", runtime.GOMAXPROCS(0), "independent device shards (single-model mode)")
+	fs.IntVar(&d.MaxBatch, "max-batch", 0, "coalesced device batch cap (0 = device NBatch; single-model mode)")
+	fs.IntVar(&d.Queue, "queue", 256, "per-shard request queue depth (single-model mode)")
+	fs.Int64Var(&d.EVCacheMB, "ev-cache-mb", 0, "device-DRAM EV cache budget per shard in MiB (0 = off; single-model mode)")
+	fs.BoolVar(&d.Dedup, "dedup", false, "merge duplicate (table,row) lookups within a device batch (single-model mode)")
+	fs.Float64Var(&d.FaultRate, "fault-rate", 0, "per-attempt flash ECC failure probability in [0,1) (0 = off; single-model mode)")
+	fs.Uint64Var(&d.FaultSeed, "fault-seed", 1, "seed for deterministic fault injection (single-model mode)")
+	fs.IntVar(&d.ArrayDevices, "array-devices", 0, "member SSDs per shard: >1 partitions each table across a device array (single-model mode)")
+	fs.StringVar(&d.Partition, "partition", "", "array partition strategy: 'range' or 'hash' (needs -array-devices > 1; single-model mode)")
+}
+
+// config resolves the declared architecture sized to its table budget.
+func (d modelDecl) config() (rmssd.ModelConfig, error) {
+	cfg, err := rmssd.ModelByName(d.Model)
+	if err != nil {
+		return rmssd.ModelConfig{}, err
+	}
+	cfg.RowsPerTable = cfg.RowsForBudget(d.TableMB << 20)
+	return cfg, nil
+}
+
+// validate applies every default and checks every bound, in place. The
+// fault rate and the array partition go through the library's own
+// validators. It is idempotent: a validated decl validates to itself.
+func (d *modelDecl) validate() error {
+	if d.Model == "" {
+		return errors.New(`missing architecture ("model")`)
+	}
+	if d.Name == "" {
+		d.Name = d.Model
+	}
+	if d.TableMB == 0 {
+		d.TableMB = 256
+	}
+	if d.TableMB < 0 || d.TableMB > maxBudgetMB {
+		return fmt.Errorf("tableMB %d outside (0, 2^20]", d.TableMB)
+	}
+	if d.EVCacheMB < 0 || d.EVCacheMB > maxBudgetMB {
+		return fmt.Errorf("evCacheMB %d outside [0, 2^20]", d.EVCacheMB)
+	}
+	if d.Shards < 0 || d.MaxBatch < 0 || d.Queue < 0 || d.Weight < 0 {
+		return fmt.Errorf("negative shards/maxBatch/queue/weight %d/%d/%d/%d", d.Shards, d.MaxBatch, d.Queue, d.Weight)
+	}
+	cfg, err := d.config()
+	if err != nil {
+		return err
+	}
+	if err := (rmssd.FaultPlan{Rate: d.FaultRate}).Validate(); err != nil {
+		return fmt.Errorf("faultRate: %w", err)
+	}
+	if d.Partition != "" && d.ArrayDevices <= 1 {
+		return fmt.Errorf("partition %q needs arrayDevices > 1", d.Partition)
+	}
+	if d.ArrayDevices != 0 {
+		p := rmssd.ArrayPartition{Strategy: rmssd.ArrayStrategy(d.Partition), Devices: d.ArrayDevices}
+		if err := p.Validate(cfg.RowsPerTable); err != nil {
+			return fmt.Errorf("arrayDevices %d: %w", d.ArrayDevices, err)
+		}
+	}
+	if d.ArrayDevices > 1 && d.Partition == "" {
+		d.Partition = string(rmssd.PartitionRange)
+	}
+	if d.Shards == 0 {
+		d.Shards = 1
+	}
+	if d.Queue == 0 {
+		d.Queue = 256
+	}
+	if d.Weight == 0 {
+		d.Weight = 1
+	}
+	return nil
 }
 
 // modelsConfig is the top-level shape of the -models file.
 type modelsConfig struct {
 	Models []modelDecl `json:"models"`
+}
+
+// validate validates every decl in place and rejects duplicate names.
+func (mc modelsConfig) validate() error {
+	if len(mc.Models) == 0 {
+		return errors.New("rmserve: models config declares no models")
+	}
+	seen := make(map[string]bool, len(mc.Models))
+	for i := range mc.Models {
+		d := &mc.Models[i]
+		if err := d.validate(); err != nil {
+			return fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
+		}
+		if seen[d.Name] {
+			return fmt.Errorf("rmserve: models[%d]: duplicate name %q", i, d.Name)
+		}
+		seen[d.Name] = true
+	}
+	return nil
 }
 
 // parseModelsConfig strictly decodes and validates a -models document.
@@ -84,54 +193,8 @@ func parseModelsConfig(r io.Reader) (modelsConfig, error) {
 	if dec.More() {
 		return modelsConfig{}, fmt.Errorf("rmserve: models config: trailing data after document")
 	}
-	if len(mc.Models) == 0 {
-		return modelsConfig{}, fmt.Errorf("rmserve: models config declares no models")
-	}
-	seen := make(map[string]bool, len(mc.Models))
-	for i := range mc.Models {
-		d := &mc.Models[i]
-		if d.Model == "" {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d]: missing architecture (\"model\")", i)
-		}
-		if d.Name == "" {
-			d.Name = d.Model
-		}
-		if seen[d.Name] {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d]: duplicate name %q", i, d.Name)
-		}
-		seen[d.Name] = true
-		if d.TableMB == 0 {
-			d.TableMB = 256
-		}
-		if d.TableMB < 0 || d.TableMB > 1<<20 {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): tableMB %d outside (0, 2^20]", i, d.Name, d.TableMB)
-		}
-		if d.Shards < 0 || d.MaxBatch < 0 || d.Queue < 0 || d.Weight < 0 {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): negative shard/batch/queue/weight", i, d.Name)
-		}
-		if d.FaultRate < 0 || d.FaultRate >= 1 {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): faultRate %v outside [0,1)", i, d.Name, d.FaultRate)
-		}
-		if d.ArrayDevices < 0 || d.ArrayDevices > rmssd.MaxArrayDevices {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): arrayDevices %d outside [0,%d]", i, d.Name, d.ArrayDevices, rmssd.MaxArrayDevices)
-		}
-		switch d.Partition {
-		case "", string(rmssd.PartitionRange), string(rmssd.PartitionHash):
-		default:
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): unknown partition %q (want range or hash)", i, d.Name, d.Partition)
-		}
-		if d.Partition != "" && d.ArrayDevices <= 1 {
-			return modelsConfig{}, fmt.Errorf("rmserve: models[%d] (%q): partition %q needs arrayDevices > 1", i, d.Name, d.Partition)
-		}
-		if d.Shards == 0 {
-			d.Shards = 1
-		}
-		if d.Queue == 0 {
-			d.Queue = 256
-		}
-		if d.Weight == 0 {
-			d.Weight = 1
-		}
+	if err := mc.validate(); err != nil {
+		return modelsConfig{}, err
 	}
 	return mc, nil
 }
@@ -146,30 +209,75 @@ func loadModelsConfig(path string) (modelsConfig, error) {
 	return parseModelsConfig(f)
 }
 
-// build materialises the declared models as hosted models: each declaration
-// resolves its architecture, sizes its tables for the budget and gets its
-// own device shards.
+// serve validates the declarations (a no-op for a parsed file), builds
+// them and hosts them behind one router with the shared host budget
+// (0 = unlimited). The first declaration is the default model.
+func (mc modelsConfig) serve(globalSeed uint64, budget int) (*server, error) {
+	if err := mc.validate(); err != nil {
+		return nil, err
+	}
+	hosted, err := mc.build(globalSeed)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(hosted, budget)
+}
+
+// build materialises validated declarations as hosted models: each resolves
+// its architecture, sizes its tables for the budget and gets its own device
+// shards. When several shards exist, each device simulates its flash
+// channels sequentially (shard-level parallelism already saturates the
+// host); a single shard keeps the device's own channel-parallel lanes. The
+// hosted decl records the resolved seed and batch cap.
 func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 	hosted := make([]*hostedModel, 0, len(mc.Models))
 	for i, d := range mc.Models {
-		cfg, err := rmssd.ModelByName(d.Model)
+		cfg, err := d.config()
 		if err != nil {
 			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
 		}
-		cfg.RowsPerTable = cfg.RowsForBudget(d.TableMB << 20)
-		seed := d.Seed
-		if seed == 0 {
-			seed = globalSeed
+		if d.Seed == 0 {
+			d.Seed = globalSeed
 		}
-		m, err := newHostedModel(d.Name, cfg, hostOptions{
-			shards: d.Shards, seed: seed, maxBatch: d.MaxBatch, queue: d.Queue,
-			weight: d.Weight, evCacheMB: d.EVCacheMB, dedup: d.Dedup,
-			faultRate: d.FaultRate, faultSeed: d.FaultSeed,
-			arrayDevices: d.ArrayDevices, partition: d.Partition,
-		})
-		if err != nil {
-			return nil, err
+		devParallel := 1
+		if d.Shards == 1 {
+			devParallel = 0 // GOMAXPROCS lanes inside the single device
 		}
+		m := &hostedModel{cfg: cfg}
+		for s := 0; s < d.Shards; s++ {
+			opts := rmssd.DeviceOptions{
+				Parallel:     devParallel,
+				EVCacheBytes: d.EVCacheMB << 20,
+				DedupLookups: d.Dedup,
+				// Per-shard seed offset mirrors the trace generator's, so shards
+				// draw independent (but reproducible) fault sequences.
+				FaultPlan:    rmssd.FaultPlan{Rate: d.FaultRate, Seed: d.FaultSeed + uint64(s)*0x9e37},
+				ArrayDevices: d.ArrayDevices,
+				Partition:    d.Partition,
+			}
+			var dev backendDevice
+			if d.ArrayDevices > 1 {
+				dev, err = rmssd.NewArray(cfg, opts)
+			} else {
+				dev, err = rmssd.NewDevice(cfg, opts)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
+			}
+			if d.MaxBatch == 0 {
+				d.MaxBatch = dev.NBatch()
+			}
+			m.shards = append(m.shards, &deviceShard{
+				id:  s,
+				dev: dev,
+				cfg: cfg,
+				gen: rmssd.MustNewTrace(rmssd.TraceConfig{
+					Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
+					Seed: d.Seed + uint64(s)*0x9e37,
+				}),
+			})
+		}
+		m.decl = d
 		hosted = append(hosted, m)
 	}
 	return hosted, nil

@@ -2,15 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"rmssd"
 	"rmssd/internal/serving"
 )
 
@@ -20,28 +22,12 @@ import (
 // lookups, embedding width and dense width.
 func testMultiServer(t *testing.T, budget int) *server {
 	t.Helper()
-	ctr := rmssd.RMC1()
-	ctr.RowsPerTable = ctr.RowsForBudget(16 << 20)
-	wide, err := rmssd.ModelByName("WnD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide.RowsPerTable = wide.RowsForBudget(16 << 20)
-	a, err := newHostedModel("ctr", ctr, hostOptions{shards: 2, seed: 1, maxBatch: 8, queue: 64, weight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newHostedModel("wide", wide, hostOptions{shards: 1, seed: 1, maxBatch: 8, queue: 64, weight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := newServer([]*hostedModel{a, b}, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.close)
-	return s
+	return serveDecls(t, budget, ctrDecl,
+		modelDecl{Name: "wide", Model: "WnD", TableMB: 16, Shards: 1, MaxBatch: 8, Queue: 64, Weight: 1})
 }
+
+// ctrDecl is testMultiServer's first model, also replayed solo.
+var ctrDecl = modelDecl{Name: "ctr", Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64, Weight: 2}
 
 func TestParseModelsConfig(t *testing.T) {
 	mc, err := parseModelsConfig(strings.NewReader(`{"models": [
@@ -68,8 +54,8 @@ func TestParseModelsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hosted) != 2 || hosted[0].name != "ctr" || hosted[1].name != "WnD" {
-		t.Fatalf("hosted = %v, %v", hosted[0].name, hosted[1].name)
+	if len(hosted) != 2 || hosted[0].decl.Name != "ctr" || hosted[1].decl.Name != "WnD" {
+		t.Fatalf("hosted = %v, %v", hosted[0].decl.Name, hosted[1].decl.Name)
 	}
 	if hosted[0].cfg.Tables != 8 || hosted[1].cfg.Tables != 26 {
 		t.Fatalf("configs not heterogeneous: %d/%d tables",
@@ -77,32 +63,108 @@ func TestParseModelsConfig(t *testing.T) {
 	}
 }
 
-func TestParseModelsConfigRejects(t *testing.T) {
-	cases := []struct {
-		name, doc string
-	}{
-		{"empty", `{}`},
-		{"no models", `{"models": []}`},
-		{"missing architecture", `{"models": [{"name": "x"}]}`},
-		{"duplicate name", `{"models": [{"model": "RMC1"}, {"model": "RMC1"}]}`},
-		{"unknown field", `{"models": [{"model": "RMC1", "tableGB": 1}]}`},
-		{"negative weight", `{"models": [{"model": "RMC1", "weight": -1}]}`},
-		{"negative tableMB", `{"models": [{"model": "RMC1", "tableMB": -4}]}`},
-		{"trailing garbage", `{"models": [{"model": "RMC1"}]} {"models": []}`},
-		{"not json", `models: [RMC1]`},
+// parseSingleFlags binds args into one decl exactly as single-model mode
+// does and validates it as a one-entry config.
+func parseSingleFlags(args []string) (modelDecl, error) {
+	fs := flag.NewFlagSet("rmserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var d modelDecl
+	bindModelFlags(fs, &d)
+	if err := fs.Parse(args); err != nil {
+		return modelDecl{}, err
 	}
-	for _, c := range cases {
-		if _, err := parseModelsConfig(strings.NewReader(c.doc)); err == nil {
-			t.Errorf("%s: accepted", c.name)
+	mc := modelsConfig{Models: []modelDecl{d}}
+	if err := mc.validate(); err != nil {
+		return modelDecl{}, err
+	}
+	return mc.Models[0], nil
+}
+
+// rejectBoth requires both entry points to refuse a case: the single-model
+// flags args (skipped when nil) and the -models document doc (skipped when
+// empty). A non-empty want must appear in each error.
+func rejectBoth(t *testing.T, name string, args []string, doc, want string) {
+	t.Helper()
+	check := func(path string, err error) {
+		if err == nil {
+			t.Errorf("%s (%s): accepted", name, path)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s (%s): err = %v, want it to name %s", name, path, err, want)
 		}
 	}
-	// Unknown architectures surface at build time.
-	mc, err := parseModelsConfig(strings.NewReader(`{"models": [{"model": "RMC9"}]}`))
+	if args != nil {
+		_, err := parseSingleFlags(args)
+		check("flags", err)
+	}
+	if doc != "" {
+		_, err := parseModelsConfig(strings.NewReader(doc))
+		check("-models", err)
+	}
+}
+
+// TestParseModelsConfigRejects runs every reject case through both entry
+// points; cases with no flag form (several models, unknown keys, weights,
+// malformed JSON) go through the decoder only.
+func TestParseModelsConfigRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		doc  string
+	}{
+		{"empty", nil, `{}`},
+		{"no models", nil, `{"models": []}`},
+		{"missing architecture", []string{"-model", ""}, `{"models": [{"name": "x"}]}`},
+		{"unknown architecture", []string{"-model", "RMC9"}, `{"models": [{"model": "RMC9"}]}`},
+		{"duplicate name", nil, `{"models": [{"model": "RMC1"}, {"model": "RMC1"}]}`},
+		{"unknown field", nil, `{"models": [{"model": "RMC1", "tableGB": 1}]}`},
+		{"negative weight", nil, `{"models": [{"model": "RMC1", "weight": -1}]}`},
+		{"negative tableMB", []string{"-table-mb", "-4"}, `{"models": [{"model": "RMC1", "tableMB": -4}]}`},
+		{"tableMB over 2^20", []string{"-table-mb", "1048577"}, `{"models": [{"model": "RMC1", "tableMB": 1048577}]}`},
+		{"negative shards", []string{"-shards", "-3"}, `{"models": [{"model": "RMC1", "shards": -3}]}`},
+		{"negative queue", []string{"-queue", "-1"}, `{"models": [{"model": "RMC1", "queue": -1}]}`},
+		{"negative maxBatch", []string{"-max-batch", "-2"}, `{"models": [{"model": "RMC1", "maxBatch": -2}]}`},
+		{"fault rate 1", []string{"-fault-rate", "1"}, `{"models": [{"model": "RMC1", "faultRate": 1}]}`},
+		{"negative fault rate", []string{"-fault-rate", "-0.5"}, `{"models": [{"model": "RMC1", "faultRate": -0.5}]}`},
+		{"NaN fault rate", []string{"-fault-rate", "NaN"}, ""},
+		{"trailing garbage", nil, `{"models": [{"model": "RMC1"}]} {"models": []}`},
+		{"not json", nil, `models: [RMC1]`},
+	}
+	for _, c := range cases {
+		rejectBoth(t, c.name, c.args, c.doc, "")
+	}
+}
+
+// The flags and the -models keys are one declaration: the same settings
+// through either entry point validate to equal decls, zero shards and
+// queue included (1 and 256 on both paths).
+func TestSingleFlagsMatchModelsKeys(t *testing.T) {
+	flagDecl, err := parseSingleFlags([]string{
+		"-model", "RMC2", "-table-mb", "16", "-shards", "0", "-max-batch", "4", "-queue", "0",
+		"-ev-cache-mb", "2", "-dedup", "-fault-rate", "0.1", "-fault-seed", "9",
+		"-array-devices", "2", "-partition", "hash",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.build(1); err == nil {
-		t.Fatal("unknown architecture accepted at build")
+	mc, err := parseModelsConfig(strings.NewReader(`{"models": [{"model": "RMC2", "tableMB": 16,
+		"shards": 0, "maxBatch": 4, "queue": 0, "evCacheMB": 2, "dedup": true,
+		"faultRate": 0.1, "faultSeed": 9, "arrayDevices": 2, "partition": "hash"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flagDecl, mc.Models[0]) {
+		t.Fatalf("flags %+v\n-models %+v", flagDecl, mc.Models[0])
+	}
+	if flagDecl.Shards != 1 || flagDecl.Queue != 256 || flagDecl.Weight != 1 || flagDecl.Name != "RMC2" {
+		t.Fatalf("defaults not applied: %+v", flagDecl)
+	}
+	// Unset flags carry their defaults: GOMAXPROCS shards, 256 MiB tables.
+	def, err := parseSingleFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Shards != runtime.GOMAXPROCS(0) || def.TableMB != 256 || def.Queue != 256 || def.Model != "RMC1" {
+		t.Fatalf("flag defaults = %+v", def)
 	}
 }
 
@@ -157,6 +219,26 @@ func TestHandleModels(t *testing.T) {
 	}
 	if ctr.MeanSimLat == "0s" || wide.MeanSimLat == "0s" {
 		t.Fatalf("no latency observed: %q/%q", ctr.MeanSimLat, wide.MeanSimLat)
+	}
+
+	// Every /models entry decodes back into its hosted validated decl.
+	for _, s := range []*server{s, knobServer(t)} {
+		rec := httptest.NewRecorder()
+		s.handleModels(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
+		var decls struct {
+			Models []modelDecl `json:"models"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &decls); err != nil {
+			t.Fatal(err)
+		}
+		if len(decls.Models) != len(s.models) {
+			t.Fatalf("/models lists %d models, hosting %d", len(decls.Models), len(s.models))
+		}
+		for _, d := range decls.Models {
+			if m := s.byName[d.Name]; m == nil || d != m.decl {
+				t.Fatalf("/models decl %+v, hosted %+v", d, m)
+			}
+		}
 	}
 }
 
@@ -320,24 +402,14 @@ func TestMultiReplaySynthetic(t *testing.T) {
 
 	// Solo identity: replay ctr alone (fresh single-model server of the
 	// same config) over the same derived stream seed and request count.
-	ctr := rmssd.RMC1()
-	ctr.RowsPerTable = ctr.RowsForBudget(16 << 20)
-	m, err := newHostedModel("ctr", ctr, hostOptions{shards: 2, seed: 1, maxBatch: 8, queue: 64, weight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := newServer([]*hostedModel{m}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(solo.close)
+	m := serveDecls(t, 0, ctrDecl).def
 	seed := serving.ModelReplaySeed(rc.Seed, "ctr")
 	src, _, err := m.newSource(rc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := serving.Replay(m.backends(), serving.ReplayConfig{
-		Rate: rc.Rate, MaxBatch: m.maxBatch, Requests: 60, Seed: seed,
+		Rate: rc.Rate, MaxBatch: m.decl.MaxBatch, Requests: 60, Seed: seed,
 	}, src)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func (s *server) enableMetrics() {
 	s.metrics = obs.NewRegistry()
 	for _, m := range s.models {
 		for _, sh := range m.shards {
-			model, shard := m.name, sh.id
+			model, shard := m.decl.Name, sh.id
 			if a := sh.array(); a != nil {
 				// Array shards record one span per member device, labeled by
 				// member index, so the flamegraph shows the scatter/gather.
@@ -65,7 +65,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // monotonic).
 func (s *server) collectModelMetrics() {
 	for _, m := range s.models {
-		st, err := s.reg.ModelStats(m.name)
+		st, err := s.reg.ModelStats(m.decl.Name)
 		if err != nil {
 			continue
 		}
@@ -76,7 +76,7 @@ func (s *server) collectModelMetrics() {
 			fl.add(fs.VectorReads, fs.PageReads, fs.BytesTransferred,
 				fs.ReadFaults, fs.ECCRetries, fs.Uncorrectable, inf)
 		}
-		label := obs.L("model", m.name)
+		label := obs.L("model", m.decl.Name)
 		for _, c := range []struct {
 			name string
 			v    int64
@@ -145,11 +145,11 @@ func (s *server) installReplaySinks(t *obs.Tracer) {
 				// One sink per member; the array emits the top member's span
 				// last, which the tracer keeps as the batch's device span.
 				for di, dev := range a.Devices() {
-					dev.SetSpanSink(t.ArrayDeviceSink(m.name, sh.id, di))
+					dev.SetSpanSink(t.ArrayDeviceSink(m.decl.Name, sh.id, di))
 				}
 				continue
 			}
-			sh.members()[0].SetSpanSink(t.DeviceSink(m.name, sh.id))
+			sh.members()[0].SetSpanSink(t.DeviceSink(m.decl.Name, sh.id))
 		}
 	}
 }

@@ -149,7 +149,7 @@ func TestReplayTracerMatchesDirect(t *testing.T) {
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracer perturbed the replay:\n%+v\n%+v", plain, traced)
 	}
-	if got := c.Tracer.Breakdown(s2.def.name).Requests; got != int64(traced.Requests) {
+	if got := c.Tracer.Breakdown(s2.def.decl.Name).Requests; got != int64(traced.Requests) {
 		t.Fatalf("trace saw %d requests, replay served %d", got, traced.Requests)
 	}
 }

@@ -102,8 +102,8 @@ func (s *server) replay(rc replayConfig) (serving.ReplayResult, error) {
 		s.installReplaySinks(rc.Tracer)
 	}
 	return serving.Replay(m.backends(), serving.ReplayConfig{
-		Rate: rc.Rate, MaxBatch: m.maxBatch, Requests: rc.Requests, Seed: rc.Seed,
-		Tracer: rc.Tracer, TraceModel: m.name,
+		Rate: rc.Rate, MaxBatch: m.decl.MaxBatch, Requests: rc.Requests, Seed: rc.Seed,
+		Tracer: rc.Tracer, TraceModel: m.decl.Name,
 	}, src)
 }
 
@@ -121,15 +121,15 @@ func (s *server) multiReplay(rc replayConfig) (serving.MultiReplayResult, error)
 		// Each model draws its inputs from its own seeded stream; the seed
 		// is derived exactly like the model's arrival seed so a solo rerun
 		// can reproduce both the inputs and the timeline.
-		src, closer, err := m.newSource(rc, serving.ModelReplaySeed(rc.Seed, m.name))
+		src, closer, err := m.newSource(rc, serving.ModelReplaySeed(rc.Seed, m.decl.Name))
 		if err != nil {
 			return serving.MultiReplayResult{}, err
 		}
 		if closer != nil {
 			defer closer.Close()
 		}
-		parts = append(parts, serving.TaggedPart{Model: m.name, Source: src, Weight: m.weight})
-		models = append(models, serving.ReplayModel{Name: m.name, Backends: m.backends(), MaxBatch: m.maxBatch})
+		parts = append(parts, serving.TaggedPart{Model: m.decl.Name, Source: src, Weight: m.decl.Weight})
+		models = append(models, serving.ReplayModel{Name: m.decl.Name, Backends: m.backends(), MaxBatch: m.decl.MaxBatch})
 	}
 	src, err := serving.NewInterleavedSource(parts)
 	if err != nil {
@@ -241,7 +241,7 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 		formatArray(&sb, s.def)
 		formatFaults(&sb, s.def, res)
 		if rc.Tracer != nil {
-			formatStages(&sb, rc.Tracer, s.def.name)
+			formatStages(&sb, rc.Tracer, s.def.decl.Name)
 		}
 	} else {
 		res, err := s.multiReplay(rc)
@@ -255,7 +255,7 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 		for _, name := range res.Models {
 			m := s.byName[name]
 			fmt.Fprintf(&sb, "--- model %s (%s, %d shards, weight %d, seed %d)\n",
-				name, m.cfg.Name, len(m.shards), m.weight, serving.ModelReplaySeed(rc.Seed, name))
+				name, m.cfg.Name, len(m.shards), m.decl.Weight, serving.ModelReplaySeed(rc.Seed, name))
 			formatReplayResult(&sb, res.PerModel[name])
 			formatLocality(&sb, m)
 			formatArray(&sb, m)

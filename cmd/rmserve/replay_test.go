@@ -144,12 +144,7 @@ func TestPayloadPathMatchesCountOnly(t *testing.T) {
 		batch = 2
 	)
 	newS := func() *server {
-		s, err := newSingleServer(cfg, hostOptions{shards: 1, seed: seed, maxBatch: 8, queue: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.close)
-		return s
+		return serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 16, Shards: 1, MaxBatch: 8, Queue: 64, Seed: seed})
 	}
 
 	// Server A: count-only requests; the shard synthesises inputs from its
@@ -317,7 +312,7 @@ func TestReplayOutOfRangeTraceFailsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := serving.Replay(s.def.backends(), serving.ReplayConfig{
-		Rate: 100000, MaxBatch: s.def.maxBatch, Requests: 30, Seed: 7,
+		Rate: 100000, MaxBatch: s.def.decl.MaxBatch, Requests: 30, Seed: 7,
 	}, src)
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,10 @@ type FaultPlan struct {
 // Enabled reports whether the plan injects any faults.
 func (p FaultPlan) Enabled() bool { return p.Rate > 0 }
 
-// Validate rejects rates outside [0, 1). A rate of 1 would make every read
-// uncorrectable and is almost certainly a misconfiguration.
+// Validate rejects rates outside [0, 1), NaN included. A rate of 1 would
+// make every read uncorrectable and is almost certainly a misconfiguration.
 func (p FaultPlan) Validate() error {
-	if p.Rate < 0 || p.Rate >= 1 {
+	if !(p.Rate >= 0 && p.Rate < 1) {
 		return fmt.Errorf("flash: fault rate %v outside [0, 1)", p.Rate)
 	}
 	return nil
