@@ -75,11 +75,24 @@ bench-perf:
 # Allocation micro-benchmarks for the serving/lookup/cache hot paths.
 # -benchtime=100x keeps it a smoke run: fixed iteration count, so it is
 # fast and deterministic enough for CI while still exercising
-# b.ReportAllocs on every hot path.
+# b.ReportAllocs on every hot path. The target fails when a benchmark's
+# allocs/op rises above its ceiling in ALLOC_CEILINGS (frozen at the
+# values measured when the gate was added; lower a ceiling when a change
+# removes allocations) or when a gated benchmark does not run.
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkLookupPoolHotTrace=723 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0
+
 bench-micro:
-	$(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/
-	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
-	$(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	{ $(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/ && \
+	  $(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/ && \
+	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/; \
+	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \
+	awk -v ceilings='$(ALLOC_CEILINGS)' ' \
+		BEGIN { n = split(ceilings, kv, " "); for (i = 1; i <= n; i++) { split(kv[i], p, "="); ceil[p[1]] = p[2] } } \
+		/^Benchmark/ { name = $$1; sub(/-[0-9]+$$/, "", name); \
+			for (i = 2; i < NF; i++) if ($$(i+1) == "allocs/op" && name in ceil) { ran[name] = 1; \
+				if ($$i + 0 > ceil[name] + 0) { printf "bench-micro: %s: %s allocs/op, ceiling %s\n", name, $$i, ceil[name]; bad = 1 } } } \
+		END { for (b in ceil) if (!(b in ran)) { printf "bench-micro: %s did not run\n", b; bad = 1 } exit bad }' "$$out"
 
 check: build fmt vet lint test test-benchmark test-simdebug race
 	@echo "all checks passed"

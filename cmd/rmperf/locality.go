@@ -103,20 +103,19 @@ func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
 		}
 	}
 
+	c := cached.Counters()
 	rep := LocalityReport{
 		Model:         cfg.Name,
 		TableMB:       tableMB,
 		LocalityK:     2,
 		Inferences:    inferences,
 		EVCacheMB:     cacheMB,
-		Lookups:       cached.Lookup().Stats().Lookups,
-		DedupHits:     cached.Lookup().Stats().DedupHits,
+		Lookups:       c.Lookups,
+		DedupHits:     c.DedupHits,
+		CacheHitRatio: c.HitRatio(),
 		PlainSimQPS:   plainQPS,
 		CachedSimQPS:  cachedQPS,
 		ByteIdentical: identical,
-	}
-	if c := cached.Lookup().EVCache(); c != nil {
-		rep.CacheHitRatio = c.HitRatio()
 	}
 	if plainQPS > 0 {
 		rep.SimSpeedup = cachedQPS / plainQPS

@@ -159,7 +159,9 @@ func TestArrayReplayDeterministic(t *testing.T) {
 		}
 		var sb strings.Builder
 		formatReplayResult(&sb, res)
-		formatArray(&sb, s.def)
+		if err := s.formatCounters(&sb, s.def, res); err != nil {
+			t.Fatal(err)
+		}
 		return sb.String()
 	}
 	rep := report(2)
@@ -178,7 +180,9 @@ func TestArrayReplayDeterministic(t *testing.T) {
 	}
 	var sb strings.Builder
 	formatReplayResult(&sb, res)
-	formatArray(&sb, s.def)
+	if err := s.formatCounters(&sb, s.def, res); err != nil {
+		t.Fatal(err)
+	}
 	if strings.Contains(sb.String(), "array:") {
 		t.Fatalf("plain replay grew an array line:\n%s", sb.String())
 	}

@@ -72,12 +72,17 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 
-	lk, ev, cached := s.def.localityStats()
-	if !cached {
-		t.Fatal("no EV cache installed on any shard")
+	for i, sh := range s.def.shards {
+		if sh.dev.(*rmssd.Device).Lookup().EVCache() == nil {
+			t.Fatalf("no EV cache installed on shard %d", i)
+		}
 	}
-	if lk.DedupHits == 0 && ev.Hits == 0 {
-		t.Errorf("hot trace produced no dedup or cache hits (lookups=%d)", lk.Lookups)
+	snap, err := s.def.snapshot(s.reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.DedupHits == 0 && snap.CacheHits == 0 {
+		t.Errorf("hot trace produced no dedup or cache hits (lookups=%d)", snap.Lookups)
 	}
 }
 
@@ -94,7 +99,7 @@ func TestEVCacheMBBounds(t *testing.T) {
 	// The top of the range is accepted: the cache allocates only what is
 	// resident, so even a 2^40-byte budget costs nothing up front.
 	s := serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 1, Shards: 1, Queue: 8, EVCacheMB: 1 << 20})
-	if c := s.def.shards[0].members()[0].Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
+	if c := s.def.shards[0].dev.(*rmssd.Device).Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
 		t.Fatal("2^20 MiB cache not installed")
 	}
 }

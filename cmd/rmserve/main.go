@@ -10,7 +10,8 @@
 //	GET  /models           hosted models with live per-model counters
 //	GET  /qps?batch=N      analytic steady-state throughput (add &model=NAME)
 //	POST /infer            inference request -> CTR predictions + simulated timing
-//	GET  /stats            aggregate flash traffic, per-shard clocks, observed QPS
+//	GET  /stats            device counters and pool totals over all models,
+//	                       per-shard clocks and observed QPS
 //
 // /infer accepts two request forms, optionally addressed to a hosted model
 // by name (`"model": "ctr"`; the first configured model is the default).
@@ -104,6 +105,7 @@ type backendDevice interface {
 	InferBatch(at time.Duration, denses []rmssd.Vector, sparses [][][]int64) ([]float32, time.Duration, rmssd.Breakdown, error)
 	NBatch() int
 	Inferences() int64
+	Counters() obs.Counters
 	SteadyStateQPS(n int) float64
 	Latency(n int) time.Duration
 }
@@ -198,62 +200,80 @@ func (d *deviceShard) array() *rmssd.Array {
 	return a
 }
 
-// members returns the shard's member devices in index order: the device
-// itself for a plain shard, every array member otherwise. Flash, locality
-// and fault surfaces all live per member.
-func (d *deviceShard) members() []*rmssd.Device {
-	if a := d.array(); a != nil {
-		return a.Devices()
+// setSpanSinks installs span sinks on the shard's devices: single on a
+// plain shard, member(i) on member i of an array.
+func (d *deviceShard) setSpanSinks(single obs.SpanSink, member func(i int) obs.SpanSink) {
+	a := d.array()
+	if a == nil {
+		d.dev.(*rmssd.Device).SetSpanSink(single)
+		return
 	}
-	return []*rmssd.Device{d.dev.(*rmssd.Device)}
+	for i, dev := range a.Devices() {
+		dev.SetSpanSink(member(i))
+	}
 }
 
-// snapshot returns the shard's counters consistently; flash traffic is
-// summed over member devices.
-func (d *deviceShard) snapshot() (fs rmssd.FlashStats, inferences int64, now time.Duration) {
+// shardSnapshot is one shard's counters, read under one lock.
+type shardSnapshot struct {
+	obs.Counters                   // summed over the shard's devices
+	inferences   int64             // served by the device(s)
+	now          time.Duration     // shard-local simulated clock
+	array        *rmssd.ArrayStats // scatter/gather; nil on a plain shard
+}
+
+// snapshot returns the shard's counters consistently.
+func (d *deviceShard) snapshot() shardSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, dev := range d.members() {
-		st := dev.Device().Array().Stats()
-		fs.PageReads += st.PageReads
-		fs.VectorReads += st.VectorReads
-		fs.PageWrites += st.PageWrites
-		fs.Erases += st.Erases
-		fs.BytesTransferred += st.BytesTransferred
-		fs.BytesFlushed += st.BytesFlushed
-		fs.ReadFaults += st.ReadFaults
-		fs.ECCRetries += st.ECCRetries
-		fs.Uncorrectable += st.Uncorrectable
+	sn := shardSnapshot{Counters: d.dev.Counters(), inferences: d.dev.Inferences(), now: d.now}
+	if a := d.array(); a != nil {
+		st := a.Stats()
+		sn.array = &st
 	}
-	return fs, d.dev.Inferences(), d.now
+	return sn
 }
 
-// arrayStats sums the model's array scatter/gather counters across shards;
-// ok reports whether the model is array-backed at all.
-func (m *hostedModel) arrayStats() (total rmssd.ArrayStats, ok bool) {
-	for _, sh := range m.shards {
-		a := sh.array()
-		if a == nil {
-			return rmssd.ArrayStats{}, false
-		}
-		sh.mu.Lock()
-		st := a.Stats()
-		sh.mu.Unlock()
-		total.Devices = st.Devices
-		total.Partition = st.Partition
-		total.Batches += st.Batches
-		total.Inferences += st.Inferences
-		if total.Scattered == nil {
-			total.Scattered = make([]int64, len(st.Scattered))
-		}
-		for d, n := range st.Scattered {
-			total.Scattered[d] += n
-		}
-		total.Partials += st.Partials
-		total.Transfers += st.Transfers
-		total.TransferBytes += st.TransferBytes
+// modelSnapshot is one hosted model's counters: its shards' snapshots,
+// their sum, and the serving layer's routing and pool counters. /stats,
+// /models, /metrics and the replay report are renderings of it.
+type modelSnapshot struct {
+	obs.Counters                   // summed over shards
+	inferences   int64             // served by the devices
+	array        *rmssd.ArrayStats // summed over shards; nil unless array-backed
+	shards       []shardSnapshot
+	serving.ModelStats
+}
+
+// snapshot reads every shard and the model's serving counters.
+func (m *hostedModel) snapshot(reg *serving.Registry) (modelSnapshot, error) {
+	st, err := reg.ModelStats(m.decl.Name)
+	if err != nil {
+		return modelSnapshot{}, err
 	}
-	return total, true
+	snap := modelSnapshot{ModelStats: st}
+	for _, sh := range m.shards {
+		sn := sh.snapshot()
+		snap.Add(sn.Counters)
+		snap.inferences += sn.inferences
+		if a := sn.array; a != nil {
+			if snap.array == nil {
+				snap.array = &rmssd.ArrayStats{
+					Devices: a.Devices, Partition: a.Partition, Scattered: make([]int64, len(a.Scattered)),
+				}
+			}
+			t := snap.array
+			t.Batches += a.Batches
+			t.Inferences += a.Inferences
+			for d, n := range a.Scattered {
+				t.Scattered[d] += n
+			}
+			t.Partials += a.Partials
+			t.Transfers += a.Transfers
+			t.TransferBytes += a.TransferBytes
+		}
+		snap.shards = append(snap.shards, sn)
+	}
+	return snap, nil
 }
 
 // hostedModel is one named model on the server: its validated declaration,
@@ -264,29 +284,6 @@ type hostedModel struct {
 	cfg    rmssd.ModelConfig
 	shards []*deviceShard
 	pool   *serving.Pool
-}
-
-// localityStats aggregates the model's lookup-engine and EV-cache counters
-// across shards; cached reports whether any shard has a cache installed.
-func (m *hostedModel) localityStats() (lk rmssd.LookupStats, ev rmssd.EVCacheStats, cached bool) {
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, dev := range sh.members() {
-			st := dev.Lookup().Stats()
-			lk.Lookups += st.Lookups
-			lk.BytesPooled += st.BytesPooled
-			lk.DedupHits += st.DedupHits
-			if c := dev.Lookup().EVCache(); c != nil {
-				cached = true
-				cs := c.Stats()
-				ev.Hits += cs.Hits
-				ev.Misses += cs.Misses
-				ev.Evictions += cs.Evictions
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return lk, ev, cached
 }
 
 // backends adapts the shards to the serving layer.
@@ -495,7 +492,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(hosted, func(i, j int) bool { return hosted[i].decl.Name < hosted[j].decl.Name })
 	out := make([]map[string]interface{}, 0, len(hosted))
 	for _, m := range hosted {
-		st, err := s.reg.ModelStats(m.decl.Name)
+		snap, err := m.snapshot(s.reg)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
@@ -505,17 +502,17 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}
-		e["submitted"] = st.Submitted
-		e["rejected"] = st.Rejected
-		e["failed"] = st.Failed
-		e["shardFaults"] = st.Pool.Faults
-		e["waited"] = st.Waited
-		e["requests"] = st.Pool.Requests
-		e["inferences"] = st.Pool.Inferences
-		e["deviceBatches"] = st.Pool.Batches
-		e["meanBatch"] = st.Pool.MeanBatch
-		e["meanSimLatency"] = st.MeanLatency.String()
-		e["maxSimLatency"] = st.MaxLatency.String()
+		e["submitted"] = snap.Submitted
+		e["rejected"] = snap.Rejected
+		e["failed"] = snap.Failed
+		e["shardFaults"] = snap.Pool.Faults
+		e["waited"] = snap.Waited
+		e["requests"] = snap.Pool.Requests
+		e["inferences"] = snap.Pool.Inferences
+		e["deviceBatches"] = snap.Pool.Batches
+		e["meanBatch"] = snap.Pool.MeanBatch
+		e["meanSimLatency"] = snap.MeanLatency.String()
+		e["maxSimLatency"] = snap.MaxLatency.String()
 		out = append(out, e)
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -696,94 +693,76 @@ func inferStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// handleStats renders every model's snapshot: the device counters and
+// pool totals summed over models, and one entry per shard.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var (
-		vectorReads, pageReads, bytesTransferred, inferences int64
-		requests, batches                                    int64
-		lookups, dedupHits                                   int64
-		cacheHits, cacheMisses, cacheEvictions               int64
-		readFaults, eccRetries, uncorrectable                int64
-		shardFaults, failedReqs                              int64
-		observedQPS                                          float64
-		perShard                                             []map[string]interface{}
+		total       modelSnapshot
+		observedQPS float64
+		perShard    []map[string]interface{}
 	)
 	for _, m := range s.models {
-		lk, ev, _ := m.localityStats()
-		lookups += lk.Lookups
-		dedupHits += lk.DedupHits
-		cacheHits += ev.Hits
-		cacheMisses += ev.Misses
-		cacheEvictions += ev.Evictions
-		for _, sh := range m.shards {
-			fs, inf, now := sh.snapshot()
-			vectorReads += fs.VectorReads
-			pageReads += fs.PageReads
-			bytesTransferred += fs.BytesTransferred
-			readFaults += fs.ReadFaults
-			eccRetries += fs.ECCRetries
-			uncorrectable += fs.Uncorrectable
-			inferences += inf
+		snap, err := m.snapshot(s.reg)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			return
+		}
+		total.Add(snap.Counters)
+		total.inferences += snap.inferences
+		total.Pool.Requests += snap.Pool.Requests
+		total.Pool.Batches += snap.Pool.Batches
+		total.Pool.Faults += snap.Pool.Faults
+		total.Pool.Failed += snap.Pool.Failed
+		for i, sh := range snap.shards {
 			var qps float64
-			if now > 0 {
-				qps = float64(inf) / now.Seconds()
+			if sh.now > 0 {
+				qps = float64(sh.inferences) / sh.now.Seconds()
 			}
 			observedQPS += qps
 			entry := map[string]interface{}{
 				"model":      m.decl.Name,
-				"shard":      sh.id,
-				"inferences": inf,
-				"simClock":   now.String(),
+				"shard":      m.shards[i].id,
+				"inferences": sh.inferences,
+				"simClock":   sh.now.String(),
 				"qps":        qps,
 			}
-			if a := sh.array(); a != nil {
-				sh.mu.Lock()
-				ast := a.Stats()
-				sh.mu.Unlock()
+			if a := sh.array; a != nil {
 				entry["array"] = map[string]interface{}{
-					"devices":       ast.Devices,
-					"partition":     string(ast.Partition),
-					"scattered":     ast.Scattered,
-					"partials":      ast.Partials,
-					"transfers":     ast.Transfers,
-					"transferBytes": ast.TransferBytes,
+					"devices":       a.Devices,
+					"partition":     string(a.Partition),
+					"scattered":     a.Scattered,
+					"partials":      a.Partials,
+					"transfers":     a.Transfers,
+					"transferBytes": a.TransferBytes,
 				}
 			}
 			perShard = append(perShard, entry)
 		}
-		ps := m.pool.Stats()
-		requests += ps.Requests
-		batches += ps.Batches
-		shardFaults += ps.Faults
-		failedReqs += ps.Failed
 	}
 	var meanBatch float64
-	if batches > 0 {
-		meanBatch = float64(inferences) / float64(batches)
-	}
-	var cacheHitRatio float64
-	if probes := cacheHits + cacheMisses; probes > 0 {
-		cacheHitRatio = float64(cacheHits) / float64(probes)
+	if total.Pool.Batches > 0 {
+		meanBatch = float64(total.inferences) / float64(total.Pool.Batches)
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"vectorReads":      vectorReads,
-		"pageReads":        pageReads,
-		"bytesTransferred": bytesTransferred,
-		"inferences":       inferences,
+		"vectorReads":      total.VectorReads,
+		"pageReads":        total.PageReads,
+		"bytesTransferred": total.BytesTransferred,
+		"inferences":       total.inferences,
 		"observedQPS":      observedQPS,
-		"requests":         requests,
-		"deviceBatches":    batches,
+		"requests":         total.Pool.Requests,
+		"deviceBatches":    total.Pool.Batches,
 		"meanBatch":        meanBatch,
-		"lookups":          lookups,
-		"dedupHits":        dedupHits,
-		"evCacheHits":      cacheHits,
-		"evCacheMisses":    cacheMisses,
-		"evCacheEvictions": cacheEvictions,
-		"evCacheHitRatio":  cacheHitRatio,
-		"readFaults":       readFaults,
-		"eccRetries":       eccRetries,
-		"uncorrectable":    uncorrectable,
-		"shardFaults":      shardFaults,
-		"failedRequests":   failedReqs,
+		"lookups":          total.Lookups,
+		"dedupHits":        total.DedupHits,
+		"evCacheHits":      total.CacheHits,
+		"evCacheMisses":    total.CacheMisses,
+		"evCacheEvictions": total.CacheEvictions,
+		"evCacheHitRatio":  total.HitRatio(),
+		"readFaults":       total.ReadFaults,
+		"eccRetries":       total.ECCRetries,
+		"uncorrectable":    total.Uncorrectable,
+		"shardFaults":      total.Pool.Faults,
+		"failedRequests":   total.Pool.Failed,
 		"inFlight":         s.router.InFlight(),
 		"shards":           perShard,
 	})

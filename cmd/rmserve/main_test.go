@@ -204,8 +204,7 @@ func TestConcurrentClients(t *testing.T) {
 	var inferences int64
 	var seq int
 	for _, sh := range s.def.shards {
-		_, inf, _ := sh.snapshot()
-		inferences += inf
+		inferences += sh.snapshot().inferences
 		sh.mu.Lock()
 		seq += sh.seq
 		sh.mu.Unlock()
@@ -230,8 +229,7 @@ func TestShardsIndependentClocks(t *testing.T) {
 	s.def.shards[0].ServeBatch(one)
 	s.def.shards[0].ServeBatch(one)
 	s.def.shards[1].ServeBatch(one)
-	_, _, now0 := s.def.shards[0].snapshot()
-	_, _, now1 := s.def.shards[1].snapshot()
+	now0, now1 := s.def.shards[0].snapshot().now, s.def.shards[1].snapshot().now
 	if now0 <= now1 || now1 <= 0 {
 		t.Fatalf("clocks: shard0=%v shard1=%v", now0, now1)
 	}

@@ -289,8 +289,7 @@ func TestInferRoutesByModel(t *testing.T) {
 	}
 
 	// The wide inference must have landed on wide's devices, not ctr's.
-	_, wideInf, _ := s.byName["wide"].shards[0].snapshot()
-	if wideInf != 1 {
+	if wideInf := s.byName["wide"].shards[0].snapshot().inferences; wideInf != 1 {
 		t.Fatalf("wide device served %d inferences", wideInf)
 	}
 
@@ -362,12 +361,10 @@ func TestMultiModelConcurrentClients(t *testing.T) {
 	// Every inference is accounted to the right model.
 	var ctrInf, wideInf int64
 	for _, sh := range s.byName["ctr"].shards {
-		_, inf, _ := sh.snapshot()
-		ctrInf += inf
+		ctrInf += sh.snapshot().inferences
 	}
 	for _, sh := range s.byName["wide"].shards {
-		_, inf, _ := sh.snapshot()
-		wideInf += inf
+		wideInf += sh.snapshot().inferences
 	}
 	if want := int64(clients / 2 * perClient); ctrInf != want || wideInf != want {
 		t.Fatalf("inferences ctr=%d wide=%d, want %d each", ctrInf, wideInf, want)

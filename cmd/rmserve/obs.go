@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -26,27 +27,21 @@ func (s *server) enableMetrics() {
 	for _, m := range s.models {
 		for _, sh := range m.shards {
 			model, shard := m.decl.Name, sh.id
-			if a := sh.array(); a != nil {
-				// Array shards record one span per member device, labeled by
-				// member index, so the flamegraph shows the scatter/gather.
-				for di, dev := range a.Devices() {
-					dev.SetSpanSink(func(sp obs.DeviceSpan) {
-						obs.RecordMemberSpan(s.metrics, model, shard, di, sp)
-					})
-				}
-				continue
-			}
-			sh.members()[0].SetSpanSink(func(sp obs.DeviceSpan) {
+			// Array shards record one span per member device, labeled by
+			// member index, so the flamegraph shows the scatter/gather.
+			sh.setSpanSinks(func(sp obs.DeviceSpan) {
 				obs.RecordDeviceSpan(s.metrics, model, shard, sp)
+			}, func(di int) obs.SpanSink {
+				return func(sp obs.DeviceSpan) { obs.RecordMemberSpan(s.metrics, model, shard, di, sp) }
 			})
 		}
 	}
 }
 
 // handleMetrics renders the registry in Prometheus text exposition format.
-// Pool/router/locality counters owned by the serving layer are mirrored in
-// at scrape time under the rmssd_model_* namespace (distinct from the
-// span-driven families, which only ever Add), so one scrape shows both.
+// Each model's snapshot is mirrored in at scrape time under the
+// rmssd_model_* namespace (distinct from the span-driven families, which
+// only ever Add), so one scrape shows both.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.metrics == nil {
 		http.Error(w, "metrics disabled (start rmserve with -metrics)", http.StatusNotFound)
@@ -55,73 +50,43 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.collectModelMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.metrics.WritePrometheus(w); err != nil {
-		// The response is already partially written; nothing to do but note it.
-		return
+		// The response is already partially written; all that is left is
+		// to note it.
+		log.Printf("metrics: %v", err)
 	}
 }
 
-// collectModelMetrics mirrors the serving layer's cumulative counters into
-// scrape-time gauges-as-counters (Counter.Set: the sources are themselves
-// monotonic).
+// collectModelMetrics mirrors each model's snapshot into scrape-time
+// gauges-as-counters (Counter.Set: the sources are themselves monotonic):
+// the serving layer's counters, and the device counters under the mirror
+// names of the shared obs.Counters table.
 func (s *server) collectModelMetrics() {
 	for _, m := range s.models {
-		st, err := s.reg.ModelStats(m.decl.Name)
+		snap, err := m.snapshot(s.reg)
 		if err != nil {
 			continue
-		}
-		lk, ev, _ := m.localityStats()
-		var fl FlashTotals
-		for _, sh := range m.shards {
-			fs, inf, _ := sh.snapshot()
-			fl.add(fs.VectorReads, fs.PageReads, fs.BytesTransferred,
-				fs.ReadFaults, fs.ECCRetries, fs.Uncorrectable, inf)
 		}
 		label := obs.L("model", m.decl.Name)
 		for _, c := range []struct {
 			name string
 			v    int64
 		}{
-			{"rmssd_model_submitted_total", st.Submitted},
-			{"rmssd_model_rejected_total", st.Rejected},
-			{"rmssd_model_failed_total", st.Failed},
-			{"rmssd_model_waited_total", st.Waited},
-			{"rmssd_model_requests_total", st.Pool.Requests},
-			{"rmssd_model_inferences_total", st.Pool.Inferences},
-			{"rmssd_model_device_batches_total", st.Pool.Batches},
-			{"rmssd_model_shard_faults_total", st.Pool.Faults},
-			{"rmssd_model_lookups_total", lk.Lookups},
-			{"rmssd_model_dedup_hits_total", lk.DedupHits},
-			{"rmssd_model_evcache_hits_total", ev.Hits},
-			{"rmssd_model_evcache_misses_total", ev.Misses},
-			{"rmssd_model_evcache_evictions_total", ev.Evictions},
-			{"rmssd_model_flash_vector_reads_total", fl.vectorReads},
-			{"rmssd_model_flash_page_reads_total", fl.pageReads},
-			{"rmssd_model_flash_bytes_transferred_total", fl.bytes},
-			{"rmssd_model_flash_read_faults_total", fl.readFaults},
-			{"rmssd_model_flash_ecc_retries_total", fl.eccRetries},
-			{"rmssd_model_flash_uncorrectable_total", fl.uncorrectable},
-			{"rmssd_model_device_inferences_total", fl.inferences},
+			{"rmssd_model_submitted_total", snap.Submitted},
+			{"rmssd_model_rejected_total", snap.Rejected},
+			{"rmssd_model_failed_total", snap.Failed},
+			{"rmssd_model_waited_total", snap.Waited},
+			{"rmssd_model_requests_total", snap.Pool.Requests},
+			{"rmssd_model_inferences_total", snap.Pool.Inferences},
+			{"rmssd_model_device_batches_total", snap.Pool.Batches},
+			{"rmssd_model_shard_faults_total", snap.Pool.Faults},
+			{"rmssd_model_device_inferences_total", snap.inferences},
 		} {
 			s.metrics.Counter(c.name, label).Set(c.v)
 		}
+		snap.Each(func(name obs.CounterName, v int64) {
+			s.metrics.Counter(name.Mirror, label).Set(v)
+		})
 	}
-}
-
-// FlashTotals accumulates per-shard flash snapshots for one model.
-type FlashTotals struct {
-	vectorReads, pageReads, bytes         int64
-	readFaults, eccRetries, uncorrectable int64
-	inferences                            int64
-}
-
-func (f *FlashTotals) add(vr, pr, b, rf, er, un, inf int64) {
-	f.vectorReads += vr
-	f.pageReads += pr
-	f.bytes += b
-	f.readFaults += rf
-	f.eccRetries += er
-	f.uncorrectable += un
-	f.inferences += inf
 }
 
 // mountPprof registers the net/http/pprof handlers on the mux. Gated
@@ -137,19 +102,16 @@ func mountPprof(mux *http.ServeMux) {
 
 // installReplaySinks points every shard device of the hosted models at the
 // tracer, keyed (model name, shard index) — the same key the replay's
-// EndBatch uses, so device spans join their batch records.
+// EndBatch uses, so device spans join their batch records. An array emits
+// its top member's span last, which the tracer keeps as the batch's device
+// span.
 func (s *server) installReplaySinks(t *obs.Tracer) {
 	for _, m := range s.models {
 		for _, sh := range m.shards {
-			if a := sh.array(); a != nil {
-				// One sink per member; the array emits the top member's span
-				// last, which the tracer keeps as the batch's device span.
-				for di, dev := range a.Devices() {
-					dev.SetSpanSink(t.ArrayDeviceSink(m.decl.Name, sh.id, di))
-				}
-				continue
-			}
-			sh.members()[0].SetSpanSink(t.DeviceSink(m.decl.Name, sh.id))
+			model, shard := m.decl.Name, sh.id
+			sh.setSpanSinks(t.DeviceSink(model, shard), func(di int) obs.SpanSink {
+				return t.ArrayDeviceSink(model, shard, di)
+			})
 		}
 	}
 }

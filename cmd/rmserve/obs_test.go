@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"rmssd/internal/obs"
@@ -63,6 +70,173 @@ func TestMetricsEndpoint(t *testing.T) {
 	if body != rec2.Body.String() {
 		t.Fatal("idle rescrape changed the exposition bytes")
 	}
+}
+
+// failingWriter is a ResponseWriter whose client went away mid-response.
+type failingWriter struct{ http.ResponseWriter }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+
+// TestMetricsWriteErrorLogged: a failed /metrics write is logged, as a
+// failed JSON encode is, rather than dropped.
+func TestMetricsWriteErrorLogged(t *testing.T) {
+	s := testServer(t, 1)
+	s.enableMetrics()
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	s.handleMetrics(failingWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(buf.String(), "metrics: client went away") {
+		t.Fatalf("write error not logged; log holds %q", buf.String())
+	}
+}
+
+// TestCounterSurfacesAgree: every surface renders the same counters. After
+// concurrent traffic on a plain, a cache+dedup, a faulty and an array-backed
+// server, each device counter's /stats key, its rmssd_model_* mirror and
+// the sum of its span-driven family over every shard and member device are
+// equal, and the pool's served inferences (/models) equal the devices'
+// (/stats and the device-inferences mirror).
+func TestCounterSurfacesAgree(t *testing.T) {
+	statsKey := map[string]string{ // span family -> /stats key
+		"rmssd_device_lookups_total":          "lookups",
+		"rmssd_device_dedup_hits_total":       "dedupHits",
+		"rmssd_device_bytes_pooled_total":     "", // not on /stats
+		"rmssd_evcache_hits_total":            "evCacheHits",
+		"rmssd_evcache_misses_total":          "evCacheMisses",
+		"rmssd_evcache_evictions_total":       "evCacheEvictions",
+		"rmssd_flash_vector_reads_total":      "vectorReads",
+		"rmssd_flash_page_reads_total":        "pageReads",
+		"rmssd_flash_ecc_retries_total":       "eccRetries",
+		"rmssd_flash_read_faults_total":       "readFaults",
+		"rmssd_flash_uncorrectable_total":     "uncorrectable",
+		"rmssd_flash_bytes_transferred_total": "bytesTransferred",
+	}
+	base := modelDecl{Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64}
+	cached, faulty, arrayed := base, base, base
+	cached.EVCacheMB, cached.Dedup = 8, true
+	faulty.FaultRate = 0.3
+	arrayed.ArrayDevices, arrayed.Partition = 2, "hash"
+	for _, tc := range []struct {
+		name  string
+		decl  modelDecl
+		moved string // a /stats counter the traffic must move
+	}{
+		{"plain", base, "vectorReads"},
+		{"cache+dedup", cached, "evCacheHits"},
+		{"faults", faulty, "eccRetries"},
+		{"array", arrayed, "lookups"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := serveDecls(t, 0, tc.decl)
+			s.enableMetrics()
+			mux := s.routes()
+			get := func(path string) []byte {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body.String())
+				}
+				return rec.Body.Bytes()
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < 6; i++ {
+						rec := httptest.NewRecorder()
+						body := fmt.Sprintf(`{"batch":%d}`, 1+(c+i)%3)
+						mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body)))
+						// An injected uncorrectable read answers 503.
+						if rec.Code != http.StatusOK && rec.Code != http.StatusServiceUnavailable {
+							t.Errorf("POST /infer: status %d: %s", rec.Code, rec.Body.String())
+						}
+						// Snapshots are read while other clients are served.
+						path := [...]string{"/stats", "/models", "/metrics"}[(c+i)%3]
+						rec = httptest.NewRecorder()
+						mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+						if rec.Code != http.StatusOK {
+							t.Errorf("GET %s: status %d", path, rec.Code)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+
+			var stats map[string]interface{}
+			if err := json.Unmarshal(get("/stats"), &stats); err != nil {
+				t.Fatal(err)
+			}
+			var models struct {
+				Models []struct {
+					Inferences int64 `json:"inferences"`
+				} `json:"models"`
+			}
+			if err := json.Unmarshal(get("/models"), &models); err != nil {
+				t.Fatal(err)
+			}
+			metrics := string(get("/metrics"))
+			statsInt := func(key string) int64 {
+				v, ok := stats[key].(float64)
+				if !ok {
+					t.Fatalf("/stats lacks %q", key)
+				}
+				return int64(v)
+			}
+			checked := 0
+			obs.Counters{}.Each(func(name obs.CounterName, _ int64) {
+				key, ok := statsKey[name.Family]
+				if !ok {
+					t.Fatalf("no /stats key listed for %s", name.Family)
+				}
+				span, mirror := sumFamily(t, metrics, name.Family), sumFamily(t, metrics, name.Mirror)
+				if span != mirror {
+					t.Errorf("%s: spans sum to %d, mirror %s is %d", name.Family, span, name.Mirror, mirror)
+				}
+				if key != "" && statsInt(key) != mirror {
+					t.Errorf("%s: /stats %s is %d, mirror %d", name.Mirror, key, statsInt(key), mirror)
+				}
+				checked++
+			})
+			if checked != len(statsKey) {
+				t.Fatalf("checked %d counters, listed %d", checked, len(statsKey))
+			}
+			if statsInt(tc.moved) == 0 {
+				t.Fatalf("traffic did not move %s", tc.moved)
+			}
+			inferences := statsInt("inferences")
+			if len(models.Models) != 1 || models.Models[0].Inferences != inferences {
+				t.Errorf("/models reports %+v served inferences, /stats %d", models.Models, inferences)
+			}
+			if dev := sumFamily(t, metrics, "rmssd_model_device_inferences_total"); dev != inferences {
+				t.Errorf("device-inferences mirror %d, /stats %d", dev, inferences)
+			}
+		})
+	}
+}
+
+// sumFamily sums every series of the named counter family in a Prometheus
+// text exposition; an absent family sums to 0.
+func sumFamily(t *testing.T, text, family string) int64 {
+	t.Helper()
+	var sum int64
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		series := line[:sp]
+		if name, _, _ := strings.Cut(series, "{"); name != family {
+			continue
+		}
+		v, err := strconv.ParseInt(line[sp+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("series %s: %v", series, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestReplayReportTracedDifferential: tracing adds report sections and a

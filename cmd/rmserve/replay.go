@@ -163,60 +163,36 @@ func formatReplayResult(sb *strings.Builder, res serving.ReplayResult) {
 	fmt.Fprintf(sb, " (inferences)\n")
 }
 
-// formatLocality appends the model's dedup/EV-cache counters when its
-// locality path is on; the default configuration prints nothing, keeping
-// classic replay reports byte-identical.
-func formatLocality(sb *strings.Builder, m *hostedModel) {
-	lk, ev, cached := m.localityStats()
-	if !cached && !m.shards[0].members()[0].Lookup().Dedup() {
-		return
+// formatCounters appends the model's device counter lines, each only when
+// its feature is on, so the default configuration prints none and classic
+// replay reports stay byte-identical: locality with dedup or the EV cache,
+// scatter/gather on an array, and fault injection with its failed requests.
+func (s *server) formatCounters(sb *strings.Builder, m *hostedModel, res serving.ReplayResult) error {
+	snap, err := m.snapshot(s.reg)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(sb, "locality:     %d/%d lookups deduped", lk.DedupHits, lk.Lookups)
-	if cached {
-		probes := ev.Hits + ev.Misses
-		var ratio float64
-		if probes > 0 {
-			ratio = float64(ev.Hits) / float64(probes)
+	if cached := m.decl.EVCacheMB > 0; cached || m.decl.Dedup {
+		fmt.Fprintf(sb, "locality:     %d/%d lookups deduped", snap.DedupHits, snap.Lookups)
+		if cached {
+			fmt.Fprintf(sb, "; cache %d/%d hits (%.1f%%), %d evictions",
+				snap.CacheHits, snap.CacheHits+snap.CacheMisses, 100*snap.HitRatio(), snap.CacheEvictions)
 		}
-		fmt.Fprintf(sb, "; cache %d/%d hits (%.1f%%), %d evictions",
-			ev.Hits, probes, 100*ratio, ev.Evictions)
+		fmt.Fprintf(sb, "\n")
 	}
-	fmt.Fprintf(sb, "\n")
-}
-
-// formatArray appends the model's scatter/gather counters when its shards
-// are backed by multi-device arrays. Array-free models print nothing,
-// keeping classic replay reports byte-identical.
-func formatArray(sb *strings.Builder, m *hostedModel) {
-	st, ok := m.arrayStats()
-	if !ok {
-		return
+	if a := snap.array; a != nil {
+		fmt.Fprintf(sb, "array:        %d devices (%s); scattered", a.Devices, a.Partition)
+		for _, n := range a.Scattered {
+			fmt.Fprintf(sb, " %d", n)
+		}
+		fmt.Fprintf(sb, " lookups; %d partials in %d transfers (%d bytes)\n",
+			a.Partials, a.Transfers, a.TransferBytes)
 	}
-	fmt.Fprintf(sb, "array:        %d devices (%s); scattered", st.Devices, st.Partition)
-	for _, n := range st.Scattered {
-		fmt.Fprintf(sb, " %d", n)
+	if m.decl.FaultRate > 0 {
+		fmt.Fprintf(sb, "faults:       %d read faults, %d ECC retries, %d uncorrectable; %d requests failed\n",
+			snap.ReadFaults, snap.ECCRetries, snap.Uncorrectable, res.Failed)
 	}
-	fmt.Fprintf(sb, " lookups; %d partials in %d transfers (%d bytes)\n",
-		st.Partials, st.Transfers, st.TransferBytes)
-}
-
-// formatFaults appends fault-injection counters when the model's devices
-// have a fault plan enabled. With injection off (the default) nothing is
-// printed, keeping faults-off replay reports byte-identical to historical
-// output.
-func formatFaults(sb *strings.Builder, m *hostedModel, res serving.ReplayResult) {
-	if !m.shards[0].members()[0].Device().Array().FaultPlan().Enabled() {
-		return
-	}
-	var readFaults, retries, uncorrectable int64
-	for _, sh := range m.shards {
-		fs, _, _ := sh.snapshot()
-		readFaults += fs.ReadFaults
-		retries += fs.ECCRetries
-		uncorrectable += fs.Uncorrectable
-	}
-	fmt.Fprintf(sb, "faults:       %d read faults, %d ECC retries, %d uncorrectable; %d requests failed\n",
-		readFaults, retries, uncorrectable, res.Failed)
+	return nil
 }
 
 // runReplay runs the replay and prints the report: the classic single-model
@@ -237,9 +213,9 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 		fmt.Fprintf(&sb, "replay %s: model=%s shards=%d rate=%.0f req/s req-batch=%d seed=%d\n",
 			rc.Mode, s.def.cfg.Name, len(s.def.shards), rc.Rate, rc.ReqBatch, rc.Seed)
 		formatReplayResult(&sb, res)
-		formatLocality(&sb, s.def)
-		formatArray(&sb, s.def)
-		formatFaults(&sb, s.def, res)
+		if err := s.formatCounters(&sb, s.def, res); err != nil {
+			return err
+		}
 		if rc.Tracer != nil {
 			formatStages(&sb, rc.Tracer, s.def.decl.Name)
 		}
@@ -257,9 +233,9 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 			fmt.Fprintf(&sb, "--- model %s (%s, %d shards, weight %d, seed %d)\n",
 				name, m.cfg.Name, len(m.shards), m.decl.Weight, serving.ModelReplaySeed(rc.Seed, name))
 			formatReplayResult(&sb, res.PerModel[name])
-			formatLocality(&sb, m)
-			formatArray(&sb, m)
-			formatFaults(&sb, m, res.PerModel[name])
+			if err := s.formatCounters(&sb, m, res.PerModel[name]); err != nil {
+				return err
+			}
 			if rc.Tracer != nil {
 				formatStages(&sb, rc.Tracer, name)
 			}

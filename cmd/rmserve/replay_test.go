@@ -192,10 +192,9 @@ func TestPayloadPathMatchesCountOnly(t *testing.T) {
 		}
 	}
 	// And the simulated device state advanced identically.
-	_, aInf, aNow := a.def.shards[0].snapshot()
-	_, bInf, bNow := b.def.shards[0].snapshot()
-	if aInf != bInf || aNow != bNow {
-		t.Fatalf("device divergence: %d@%v vs %d@%v", aInf, aNow, bInf, bNow)
+	sa, sb := a.def.shards[0].snapshot(), b.def.shards[0].snapshot()
+	if sa.inferences != sb.inferences || sa.now != sb.now {
+		t.Fatalf("device divergence: %d@%v vs %d@%v", sa.inferences, sa.now, sb.inferences, sb.now)
 	}
 }
 
@@ -324,8 +323,7 @@ func TestReplayOutOfRangeTraceFailsTyped(t *testing.T) {
 	// test only the single in-range submission above reached a device.
 	var total int64
 	for _, sh := range s.def.shards {
-		_, inf, _ := sh.snapshot()
-		total += inf
+		total += sh.snapshot().inferences
 	}
 	if total != 1 {
 		t.Fatalf("devices ran %d inferences, want 1 (rejected payloads must not reach flash)", total)

@@ -7,6 +7,7 @@ import (
 	"rmssd/internal/core"
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
+	"rmssd/internal/obs"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
@@ -131,6 +132,15 @@ func (a *Array) Stats() Stats {
 		Transfers:     a.transfers,
 		TransferBytes: a.xferBytes,
 	}
+}
+
+// Counters sums the members' device counters, channel by channel.
+func (a *Array) Counters() obs.Counters {
+	var c obs.Counters
+	for _, dev := range a.devs {
+		c.Add(dev.Counters())
+	}
+	return c
 }
 
 // ResetTime idles every member's timing resources (between experiments).

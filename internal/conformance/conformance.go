@@ -324,10 +324,9 @@ func renderEVCacheReplay() (string, error) {
 	sb.WriteString("replay RMC1 shards=2 evcache=4MiB dedup=on locality K=2\n")
 	sb.WriteString(formatReplay(res))
 	for i, dev := range devs {
-		lk := dev.Lookup().Stats()
-		cs := dev.Lookup().EVCache().Stats()
+		c := dev.Counters()
 		fmt.Fprintf(&sb, "shard %d: lookups=%d dedup=%d hits=%d misses=%d evictions=%d\n",
-			i, lk.Lookups, lk.DedupHits, cs.Hits, cs.Misses, cs.Evictions)
+			i, c.Lookups, c.DedupHits, c.CacheHits, c.CacheMisses, c.CacheEvictions)
 	}
 	return sb.String(), nil
 }
@@ -383,9 +382,9 @@ func renderFaultReplay() (string, error) {
 	sb.WriteString(formatReplay(res))
 	fmt.Fprintf(&sb, "failed=%d\n", res.Failed)
 	for i, dev := range devs {
-		fs := dev.Device().Array().Stats()
+		c := dev.Counters()
 		fmt.Fprintf(&sb, "shard %d: readfaults=%d eccretries=%d uncorrectable=%d\n",
-			i, fs.ReadFaults, fs.ECCRetries, fs.Uncorrectable)
+			i, c.ReadFaults, c.ECCRetries, c.Uncorrectable)
 	}
 	return sb.String(), nil
 }

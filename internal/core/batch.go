@@ -1,9 +1,6 @@
 package core
 
 import (
-	"rmssd/internal/engine"
-	"rmssd/internal/evcache"
-	"rmssd/internal/flash"
 	"rmssd/internal/obs"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -29,35 +26,20 @@ import (
 type Batch struct {
 	r      *RMSSD
 	traced bool
-	probe  spanProbe
+	probe  obs.Counters
 	span   obs.DeviceSpan
 	lanes  []sim.LaneLoad
 }
 
-// spanProbe snapshots the deterministic counters a batch can move, taken
-// before the send so the span's deltas cover exactly the batch.
-type spanProbe struct {
-	look  engine.LookupStats
-	cache evcache.Stats
-	fl    flash.Stats
-	ch    []flash.ChannelCounters
-}
-
 // BeginBatch starts a batch of n inferences at time at. With a span sink
-// installed it snapshots the counters the span attributes; then it sends
-// the inputs: the register writes and a DMA of payload bytes (InputBytes(n)
-// on a single device; an array member receives only its share).
+// installed it snapshots the device's Counters before the send, so the
+// span's deltas cover exactly the batch; then it sends the inputs: the
+// register writes and a DMA of payload bytes (InputBytes(n) on a single
+// device; an array member receives only its share).
 func (r *RMSSD) BeginBatch(at sim.Time, n int, payload int64) Batch {
 	b := Batch{r: r, traced: r.spanSink != nil}
 	if b.traced {
-		b.probe = spanProbe{
-			look: r.lookup.Stats(),
-			fl:   r.dev.Array().Stats(),
-			ch:   r.dev.Array().ChannelIO(),
-		}
-		if c := r.lookup.EVCache(); c != nil {
-			b.probe.cache = c.Stats()
-		}
+		b.probe = r.Counters()
 	}
 	sent := r.sendPayload(at, n, payload)
 	b.span = obs.DeviceSpan{Start: at, N: n, Send: obs.StageSpan{From: at, To: sent}}
@@ -207,42 +189,12 @@ func GatherBreakdown(top *Batch, members []*Batch) Breakdown {
 	return bd
 }
 
-// emit fills the span's counter fields with the deltas since BeginBatch and
+// emit fills the span's counters with the deltas since BeginBatch and
 // hands it to the sink (nothing without one).
 func (b *Batch) emit() {
-	if !b.traced {
-		return
+	if b.traced {
+		sp := b.span
+		sp.Counters = b.r.Counters().Sub(b.probe)
+		b.r.spanSink(sp)
 	}
-	r, p, sp := b.r, &b.probe, b.span
-	look := r.lookup.Stats()
-	sp.Lookups = look.Lookups - p.look.Lookups
-	sp.DedupHits = look.DedupHits - p.look.DedupHits
-	sp.BytesPooled = look.BytesPooled - p.look.BytesPooled
-	if c := r.lookup.EVCache(); c != nil {
-		cs := c.Stats()
-		sp.CacheHits = cs.Hits - p.cache.Hits
-		sp.CacheMisses = cs.Misses - p.cache.Misses
-		sp.CacheEvictions = cs.Evictions - p.cache.Evictions
-	}
-	fl := r.dev.Array().Stats()
-	sp.VectorReads = fl.VectorReads - p.fl.VectorReads
-	sp.PageReads = fl.PageReads - p.fl.PageReads
-	sp.ECCRetries = fl.ECCRetries - p.fl.ECCRetries
-	sp.ReadFaults = fl.ReadFaults - p.fl.ReadFaults
-	sp.Uncorrectable = fl.Uncorrectable - p.fl.Uncorrectable
-	sp.BytesTransferred = fl.BytesTransferred - p.fl.BytesTransferred
-	for i, c := range r.dev.Array().ChannelIO() {
-		if i < len(p.ch) {
-			c = c.Sub(p.ch[i])
-		}
-		if c != (flash.ChannelCounters{}) {
-			sp.Channels = append(sp.Channels, obs.ChannelIO{
-				Channel:       i,
-				Reads:         c.Reads,
-				Retries:       c.Retries,
-				Uncorrectable: c.Uncorrectable,
-			})
-		}
-	}
-	r.spanSink(sp)
 }

@@ -478,6 +478,31 @@ func (r *RMSSD) SetSpanSink(s obs.SpanSink) { r.spanSink = s }
 // Inferences returns the number of inferences served.
 func (r *RMSSD) Inferences() int64 { return r.inferences }
 
+// Counters reads the device's deterministic counters: the lookup engine's,
+// the EV cache's (zero without one) and the flash array's, with every
+// channel that has seen traffic. It is the one place the leaf stats are
+// read; spans, rmserve and the reports all start from it.
+func (r *RMSSD) Counters() obs.Counters {
+	look, fl := r.lookup.Stats(), r.dev.Array().Stats()
+	c := obs.Counters{
+		Lookups: look.Lookups, DedupHits: look.DedupHits, BytesPooled: look.BytesPooled,
+		VectorReads: fl.VectorReads, PageReads: fl.PageReads, ECCRetries: fl.ECCRetries,
+		ReadFaults: fl.ReadFaults, Uncorrectable: fl.Uncorrectable, BytesTransferred: fl.BytesTransferred,
+	}
+	if ev := r.lookup.EVCache(); ev != nil {
+		st := ev.Stats()
+		c.CacheHits, c.CacheMisses, c.CacheEvictions = st.Hits, st.Misses, st.Evictions
+	}
+	for i, ch := range r.dev.Array().ChannelIO() {
+		if ch != (flash.ChannelCounters{}) {
+			c.Channels = append(c.Channels, obs.ChannelIO{
+				Channel: i, Reads: ch.Reads, Retries: ch.Retries, Uncorrectable: ch.Uncorrectable,
+			})
+		}
+	}
+	return c
+}
+
 // ResetTime idles the device's timing resources (between experiments).
 func (r *RMSSD) ResetTime() {
 	r.dev.ResetTime()

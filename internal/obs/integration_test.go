@@ -213,11 +213,17 @@ func TestTraceDeterminism(t *testing.T) {
 
 // TestSpanInvariants: randomized direct batches against every matrix
 // configuration; each emitted span validates, spans on one device are
-// ordered and disjoint, and the span covers exactly the simulated batch.
+// ordered and disjoint, the span covers exactly the simulated batch, and
+// the spans' counters, failed batches included, add up to the device's.
+// Beside the matrix, a fault rate high enough to exhaust the ECC retry
+// budget makes some batches fail.
 func TestSpanInvariants(t *testing.T) {
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
-	for _, oc := range configMatrix() {
+	uncorrectable := obsConfig{name: "uncorrectable", opts: core.Options{
+		Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.4, Seed: 3},
+	}}
+	for _, oc := range append(configMatrix(), uncorrectable) {
 		t.Run(oc.name, func(t *testing.T) {
 			dev, err := core.New(cfg, oc.opts)
 			if err != nil {
@@ -238,18 +244,20 @@ func TestSpanInvariants(t *testing.T) {
 				for i := range denses {
 					denses[i] = gen.DenseInput(batches*8+i, cfg.DenseDim)
 				}
+				// A failed batch still ran up to its failure, so the clock
+				// advances either way, as in the serving shell.
 				_, done, _, err := dev.InferBatch(now, denses, gen.Batch(n))
 				if err == nil && done <= now {
 					t.Fatalf("batch %d: virtual time did not advance", batches)
 				}
-				if err == nil {
-					now = done
-				}
+				now = done
 				batches++
 			}
 			if len(spans) != batches {
 				t.Fatalf("%d spans for %d batches", len(spans), batches)
 			}
+			var sum obs.Counters
+			failed := 0
 			for i, sp := range spans {
 				if err := sp.Validate(); err != nil {
 					t.Fatalf("span %d: %v\n%+v", i, err, sp)
@@ -258,6 +266,19 @@ func TestSpanInvariants(t *testing.T) {
 					t.Fatalf("span %d overlaps its predecessor: starts %v, previous done %v",
 						i, sp.Start, spans[i-1].Done)
 				}
+				sum.Add(sp.Counters)
+				if sp.Failed {
+					failed++
+				}
+			}
+			if got := dev.Counters(); !reflect.DeepEqual(sum, got) {
+				t.Fatalf("spans (%d failed) sum to\n%+v\ndevice counts\n%+v", failed, sum, got)
+			}
+			if oc.opts.FaultPlan.Enabled() && sum.ECCRetries == 0 {
+				t.Fatal("fault plan on, yet no span carries an ECC retry")
+			}
+			if oc.name == uncorrectable.name && (failed == 0 || failed == len(spans)) {
+				t.Fatalf("%d of %d batches failed, want some but not all", failed, len(spans))
 			}
 		})
 	}

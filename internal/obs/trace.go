@@ -30,21 +30,13 @@ type StageSpan struct {
 // Len returns the stage's simulated duration.
 func (s StageSpan) Len() time.Duration { return s.To - s.From }
 
-// ChannelIO is per-flash-channel read traffic attributed to one batch.
-type ChannelIO struct {
-	Channel       int   `json:"channel"`
-	Reads         int64 `json:"reads"`
-	Retries       int64 `json:"retries,omitempty"`
-	Uncorrectable int64 `json:"uncorrectable,omitempty"`
-}
-
 // DeviceSpan is the device-side accounting for one inference batch: the
 // five pipeline stage spans InferBatch walks (host send, embedding
 // gather — coalesce/translate/EV-cache/flash —, bottom MLP, top MLP,
 // result read-out) plus the deterministic counters that moved during the
-// batch (lookup, cache, dedup and flash deltas). Every field is derived
-// from simulated state, so two runs of the same seed produce equal spans
-// byte for byte.
+// batch: the device's Counters after it minus those before. Every field is
+// derived from simulated state, so two runs of the same seed produce equal
+// spans byte for byte.
 type DeviceSpan struct {
 	Start  time.Duration `json:"start"`
 	Done   time.Duration `json:"done"`
@@ -57,21 +49,7 @@ type DeviceSpan struct {
 	Top  StageSpan `json:"top"`
 	Read StageSpan `json:"read"`
 
-	Lookups        int64 `json:"lookups,omitempty"`
-	DedupHits      int64 `json:"dedupHits,omitempty"`
-	BytesPooled    int64 `json:"bytesPooled,omitempty"`
-	CacheHits      int64 `json:"cacheHits,omitempty"`
-	CacheMisses    int64 `json:"cacheMisses,omitempty"`
-	CacheEvictions int64 `json:"cacheEvictions,omitempty"`
-
-	VectorReads      int64 `json:"vectorReads,omitempty"`
-	PageReads        int64 `json:"pageReads,omitempty"`
-	ECCRetries       int64 `json:"eccRetries,omitempty"`
-	ReadFaults       int64 `json:"readFaults,omitempty"`
-	Uncorrectable    int64 `json:"uncorrectable,omitempty"`
-	BytesTransferred int64 `json:"bytesTransferred,omitempty"`
-
-	Channels []ChannelIO `json:"channels,omitempty"`
+	Counters
 }
 
 // Validate checks the span-accounting invariants the property suite pins:
@@ -326,31 +304,12 @@ func recordSpan(reg *Registry, model string, sp DeviceSpan, labels ...Label) {
 	}{{"send", sp.Send}, {"emb", sp.Emb}, {"bot", sp.Bot}, {"top", sp.Top}, {"read", sp.Read}} {
 		reg.Histogram("rmssd_stage_sim_seconds", L("model", model), L("stage", st.name)).Observe(st.span.Len())
 	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"rmssd_device_lookups_total", sp.Lookups},
-		{"rmssd_device_dedup_hits_total", sp.DedupHits},
-		{"rmssd_device_bytes_pooled_total", sp.BytesPooled},
-		{"rmssd_evcache_hits_total", sp.CacheHits},
-		{"rmssd_evcache_misses_total", sp.CacheMisses},
-		{"rmssd_evcache_evictions_total", sp.CacheEvictions},
-		{"rmssd_flash_vector_reads_total", sp.VectorReads},
-		{"rmssd_flash_page_reads_total", sp.PageReads},
-		{"rmssd_flash_ecc_retries_total", sp.ECCRetries},
-		{"rmssd_flash_read_faults_total", sp.ReadFaults},
-		{"rmssd_flash_uncorrectable_total", sp.Uncorrectable},
-		{"rmssd_flash_bytes_transferred_total", sp.BytesTransferred},
-	} {
-		if c.v != 0 {
-			reg.Counter(c.name, labels...).Add(c.v)
+	sp.Counters.Each(func(name CounterName, v int64) {
+		if v != 0 {
+			reg.Counter(name.Family, labels...).Add(v)
 		}
-	}
-	for _, ch := range sp.Channels {
-		if ch.Reads == 0 && ch.Retries == 0 && ch.Uncorrectable == 0 {
-			continue
-		}
+	})
+	for _, ch := range sp.Channels { // only channels that moved (Counters.Sub)
 		chLabels := append(append([]Label(nil), labels...), L("channel", strconv.Itoa(ch.Channel)))
 		if ch.Reads != 0 {
 			reg.Counter("rmssd_channel_reads_total", chLabels...).Add(ch.Reads)
