@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzConfigValidate -fuzztime=10s ./internal/model/
 	$(GO) test -run='^$$' -fuzz=FuzzCriteoSource -fuzztime=10s ./internal/serving/
+	$(GO) test -run='^$$' -fuzz=FuzzDeviceShard -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s ./cmd/rmserve/
 	$(GO) test -run='^$$' -fuzz=FuzzModelsConfig -fuzztime=10s ./cmd/rmserve/
 	$(GO) test -run='^$$' -fuzz=FuzzArrayPartitionConfig -fuzztime=10s ./internal/array/
@@ -79,11 +80,11 @@ bench-perf:
 # allocs/op rises above its ceiling in ALLOC_CEILINGS (frozen at the
 # values measured when the gate was added; lower a ceiling when a change
 # removes allocations) or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkLookupPoolHotTrace=723 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=5838 BenchmarkLookupPoolHotTrace=723 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0
 
 bench-micro:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	{ $(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/ && \
+	{ $(GO) test -run='^$$' -bench='BenchmarkPoolSubmit|BenchmarkDeviceShardServe' -benchtime=100x -benchmem ./internal/serving/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/ && \
 	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/; \
 	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \

@@ -39,6 +39,7 @@ import (
 
 	"rmssd"
 	"rmssd/internal/bench"
+	"rmssd/internal/obs"
 	"rmssd/internal/serving"
 )
 
@@ -224,46 +225,32 @@ func runSweep(names []string, tableMB int64, parallel int) SweepReport {
 	return rep
 }
 
-// perfShard is one serving backend: an independent device replica with its
-// own virtual clock and trace stream. The pool calls ServeBatch from a
-// single goroutine per shard, so no locking is needed.
-type perfShard struct {
-	dev *rmssd.Device
-	gen *rmssd.TraceGenerator
-	cfg rmssd.ModelConfig
-	now time.Duration
-	seq int
-}
-
-// ServeBatch implements serving.Batcher: the perf harness only submits
-// count-only requests, so inputs come from the shard's generator stream;
-// explicit payloads are concatenated as-is.
-func (s *perfShard) ServeBatch(reqs []serving.Request) serving.BatchResult {
-	n := serving.CountOf(reqs)
-	denses := make([]rmssd.Vector, 0, n)
-	sparses := make([][][]int64, 0, n)
-	for _, req := range reqs {
-		if req.Explicit() {
-			for i, sp := range req.Sparse {
-				sparses = append(sparses, sp)
-				if req.Dense != nil {
-					denses = append(denses, req.Dense[i])
-				} else {
-					denses = append(denses, make(rmssd.Vector, s.cfg.DenseDim))
-				}
-			}
-			continue
+// newShards builds n independent device shards of cfg, each drawing
+// count-only inputs from its own trace stream, and returns them with their
+// first device. parallel is each device's lookup parallelism; a non-nil
+// sink(i) receives shard i's device spans.
+func newShards(cfg rmssd.ModelConfig, n, parallel int, sink func(i int) obs.SpanSink) ([]serving.Batcher, *rmssd.Device) {
+	var first *rmssd.Device
+	backends := make([]serving.Batcher, 0, n)
+	for i := 0; i < n; i++ {
+		dev, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{Parallel: parallel})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		for i := 0; i < req.N; i++ {
-			denses = append(denses, s.gen.DenseInput(s.seq+i, s.cfg.DenseDim))
+		if first == nil {
+			first = dev
 		}
-		sparses = append(sparses, s.gen.Batch(req.N)...)
-		s.seq += req.N
+		if sink != nil {
+			dev.SetSpanSink(sink(i))
+		}
+		gen := rmssd.MustNewTrace(rmssd.TraceConfig{
+			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
+			Seed: serving.ShardSeed(1, i, 1),
+		})
+		backends = append(backends, serving.NewDeviceShard(dev, gen, cfg.DenseDim))
 	}
-	outs, done, bd, err := s.dev.InferBatch(s.now, denses, sparses)
-	lat := done - s.now
-	s.now = done
-	return serving.BatchResult{Preds: outs, Latency: lat, Meta: bd, Err: err}
+	return backends, first
 }
 
 // runServe builds the sharded pool and measures host-side throughput under
@@ -282,25 +269,7 @@ func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBa
 	if nshards == 1 {
 		devParallel = 0 // channel-parallel lanes inside the single device
 	}
-	var first *rmssd.Device
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		dev, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{Parallel: devParallel})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if first == nil {
-			first = dev
-		}
-		backends = append(backends, &perfShard{
-			dev: dev, cfg: cfg,
-			gen: rmssd.MustNewTrace(rmssd.TraceConfig{
-				Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-				Seed: 1 + uint64(i)*0x9e37,
-			}),
-		})
-	}
+	backends, first := newShards(cfg, nshards, devParallel, nil)
 	pool := serving.NewPool(backends, first.NBatch(), 256)
 
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time

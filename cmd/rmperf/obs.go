@@ -45,24 +45,11 @@ type ObsReport struct {
 // obsReplay runs one replay over freshly built shards, optionally traced,
 // and returns the result plus the wall-clock spent inside Replay.
 func obsReplay(cfg rmssd.ModelConfig, nshards, requests, reqBatch int, tr *obs.Tracer) (serving.ReplayResult, float64) {
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		dev, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{Parallel: 1})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if tr != nil {
-			dev.SetSpanSink(tr.DeviceSink("default", i))
-		}
-		backends = append(backends, &perfShard{
-			dev: dev, cfg: cfg,
-			gen: rmssd.MustNewTrace(rmssd.TraceConfig{
-				Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-				Seed: 1 + uint64(i)*0x9e37,
-			}),
-		})
+	var sink func(i int) obs.SpanSink
+	if tr != nil {
+		sink = func(i int) obs.SpanSink { return tr.DeviceSink("default", i) }
 	}
+	backends, _ := newShards(cfg, nshards, 1, sink)
 	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -327,6 +328,32 @@ func TestArrayModelsConfig(t *testing.T) {
 		{"too many devices", []string{"-array-devices", "65"}, `{"models": [{"model": "RMC1", "arrayDevices": 65}]}`},
 	} {
 		rejectBoth(t, c.name, c.args, c.doc, "")
+	}
+}
+
+// Every member of every array shard draws its own fault sequence: shard s
+// member d must not share shard s+1 member d-1's seed, and shard 0 keeps the
+// declared seed.
+func TestArrayShardFaultSeedsDistinct(t *testing.T) {
+	s := serveDecls(t, 0, modelDecl{
+		Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64,
+		ArrayDevices: 2, Partition: "hash", FaultRate: 0.1, FaultSeed: 5,
+	})
+	owner := map[uint64]string{}
+	for si, sh := range s.def.shards {
+		for d, dev := range sh.array().Devices() {
+			seed := dev.Device().Array().FaultPlan().Seed
+			if prev, dup := owner[seed]; dup {
+				t.Fatalf("shard %d member %d shares fault seed %#x with %s", si, d, seed, prev)
+			}
+			owner[seed] = fmt.Sprintf("shard %d member %d", si, d)
+		}
+	}
+	if len(owner) != 4 {
+		t.Fatalf("%d fault seeds, want 4: %v", len(owner), owner)
+	}
+	if owner[5] != "shard 0 member 0" {
+		t.Fatalf("shard 0 member 0 moved off the declared seed: %v", owner)
 	}
 }
 

@@ -98,11 +98,10 @@ import (
 )
 
 // backendDevice is the compute backend behind one shard: a single simulated
-// device or a multi-device array (sim.Time is a time.Duration alias, so the
-// two expose identical signatures for everything the serving path needs).
+// device or a multi-device array, serving batches through serving.Device
+// and exposing the counters and oracles the endpoints read.
 type backendDevice interface {
-	ValidateInputs(denses []rmssd.Vector, sparses [][][]int64) error
-	InferBatch(at time.Duration, denses []rmssd.Vector, sparses [][][]int64) ([]float32, time.Duration, rmssd.Breakdown, error)
+	serving.Device
 	NBatch() int
 	Inferences() int64
 	Counters() obs.Counters
@@ -110,87 +109,24 @@ type backendDevice interface {
 	Latency(n int) time.Duration
 }
 
-// deviceShard is one independent device replica: its own virtual clock,
-// trace stream and sequence counter. The pool calls ServeBatch from one
-// goroutine; the mutex only fences those calls against stats readers.
+// deviceShard is one independent device replica: a serving.DeviceShard
+// (its own virtual clock and trace stream) behind a mutex. The pool calls
+// ServeBatch from one goroutine; the mutex only fences those calls against
+// stats readers.
 type deviceShard struct {
 	id  int
 	dev backendDevice
-	gen *rmssd.TraceGenerator
-	cfg rmssd.ModelConfig
 
-	mu  sync.Mutex
-	now time.Duration // shard-local simulated clock
-	seq int           // trace sequence cursor
-
-	// Batch-assembly scratch, reused across ServeBatch calls (the serving
-	// contract guarantees one caller at a time). zeroDense stands in for
-	// absent dense payloads; the MLP only reads its inputs, so one shared
-	// zero vector serves every inference.
-	denses    []rmssd.Vector
-	sparses   [][][]int64
-	zeroDense rmssd.Vector
+	mu sync.Mutex
+	sh *serving.DeviceShard
 }
 
-// ServeBatch implements serving.Batcher: concatenate the coalesced
-// requests' inputs into one device batch at the shard's virtual now.
-// Payload-carrying requests are served from exactly the indices they carry
-// (the trace-driven path); count-only requests draw from the shard's own
-// generator stream exactly as the original demo mode did.
+// ServeBatch implements serving.Batcher by serving the batch on the shard
+// under its lock.
 func (d *deviceShard) ServeBatch(reqs []serving.Request) serving.BatchResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.zeroDense == nil {
-		d.zeroDense = make(rmssd.Vector, d.cfg.DenseDim)
-	}
-	denses := d.denses[:0]
-	sparses := d.sparses[:0]
-	var reqErrs []error
-	for ri, req := range reqs {
-		if req.Explicit() {
-			mark := len(sparses)
-			for i, sp := range req.Sparse {
-				sparses = append(sparses, sp)
-				if req.Dense != nil {
-					denses = append(denses, req.Dense[i])
-				} else {
-					denses = append(denses, d.zeroDense)
-				}
-			}
-			// Prevalidate this request's slice of the batch on its own: a
-			// malformed payload (wrong shape, out-of-range row) fails exactly
-			// its submission with a typed error while its coalesced
-			// batch-mates are served normally.
-			if err := d.dev.ValidateInputs(denses[mark:], sparses[mark:]); err != nil {
-				if reqErrs == nil {
-					reqErrs = make([]error, len(reqs))
-				}
-				reqErrs[ri] = err
-				denses = denses[:mark]
-				sparses = sparses[:mark]
-			}
-			continue
-		}
-		for i := 0; i < req.N; i++ {
-			denses = append(denses, d.gen.DenseInput(d.seq+i, d.cfg.DenseDim))
-		}
-		sparses = append(sparses, d.gen.Batch(req.N)...)
-		d.seq += req.N
-	}
-	res := serving.BatchResult{ReqErrs: reqErrs}
-	if len(sparses) > 0 {
-		// Device-level failure (e.g. an injected uncorrectable read) fails
-		// everyone who rode the batch; the clock still advances because the
-		// device did the work up to the failure.
-		outs, done, bd, err := d.dev.InferBatch(d.now, denses, sparses)
-		res.Preds, res.Latency, res.Meta, res.Err = outs, done-d.now, bd, err
-		d.now = done
-	}
-	// Drop payload references before the next batch; keep the capacity.
-	clear(denses)
-	clear(sparses)
-	d.denses, d.sparses = denses[:0], sparses[:0]
-	return res
+	return d.sh.ServeBatch(reqs)
 }
 
 // array returns the shard's backend as a multi-device array, or nil for a
@@ -225,7 +161,7 @@ type shardSnapshot struct {
 func (d *deviceShard) snapshot() shardSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sn := shardSnapshot{Counters: d.dev.Counters(), inferences: d.dev.Inferences(), now: d.now}
+	sn := shardSnapshot{Counters: d.dev.Counters(), inferences: d.dev.Inferences(), now: d.sh.Now()}
 	if a := d.array(); a != nil {
 		st := a.Stats()
 		sn.array = &st

@@ -206,7 +206,7 @@ func TestConcurrentClients(t *testing.T) {
 	for _, sh := range s.def.shards {
 		inferences += sh.snapshot().inferences
 		sh.mu.Lock()
-		seq += sh.seq
+		seq += sh.sh.Drawn()
 		sh.mu.Unlock()
 	}
 	if want := int64(clients * perClient * batch); inferences != want {

@@ -10,6 +10,7 @@ import (
 	"runtime"
 
 	"rmssd"
+	"rmssd/internal/serving"
 )
 
 // Model declarations: every hosted model, in either mode, is one modelDecl.
@@ -249,9 +250,9 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 				Parallel:     devParallel,
 				EVCacheBytes: d.EVCacheMB << 20,
 				DedupLookups: d.Dedup,
-				// Per-shard seed offset mirrors the trace generator's, so shards
-				// draw independent (but reproducible) fault sequences.
-				FaultPlan:    rmssd.FaultPlan{Rate: d.FaultRate, Seed: d.FaultSeed + uint64(s)*0x9e37},
+				// Every device of every shard draws its own (but reproducible)
+				// fault sequence.
+				FaultPlan:    rmssd.FaultPlan{Rate: d.FaultRate, Seed: serving.ShardSeed(d.FaultSeed, s, d.ArrayDevices)},
 				ArrayDevices: d.ArrayDevices,
 				Partition:    d.Partition,
 			}
@@ -267,15 +268,11 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 			if d.MaxBatch == 0 {
 				d.MaxBatch = dev.NBatch()
 			}
-			m.shards = append(m.shards, &deviceShard{
-				id:  s,
-				dev: dev,
-				cfg: cfg,
-				gen: rmssd.MustNewTrace(rmssd.TraceConfig{
-					Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-					Seed: d.Seed + uint64(s)*0x9e37,
-				}),
+			gen := rmssd.MustNewTrace(rmssd.TraceConfig{
+				Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
+				Seed: serving.ShardSeed(d.Seed, s, 1),
 			})
+			m.shards = append(m.shards, &deviceShard{id: s, dev: dev, sh: serving.NewDeviceShard(dev, gen, cfg.DenseDim)})
 		}
 		m.decl = d
 		hosted = append(hosted, m)

@@ -132,72 +132,6 @@ func TestExplicitInferValidation(t *testing.T) {
 	}
 }
 
-// TestPayloadPathMatchesCountOnly is the differential check: serving
-// explicit payloads drawn from a generator stream must be byte-identical to
-// the count-only path consuming the same stream server-side.
-func TestPayloadPathMatchesCountOnly(t *testing.T) {
-	cfg := rmssd.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(16 << 20)
-	const (
-		seed  = 7
-		reqs  = 6
-		batch = 2
-	)
-	newS := func() *server {
-		return serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 16, Shards: 1, MaxBatch: 8, Queue: 64, Seed: seed})
-	}
-
-	// Server A: count-only requests; the shard synthesises inputs from its
-	// own generator (seeded seed+0*0x9e37 = seed).
-	a := newS()
-	var aPreds []float32
-	for i := 0; i < reqs; i++ {
-		resp, err := a.def.pool.Infer(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aPreds = append(aPreds, resp.Preds...)
-	}
-
-	// Server B: explicit payloads drawn client-side from an identically
-	// seeded generator, submitted sequentially (no coalescing, same batch
-	// boundaries).
-	b := newS()
-	src, err := serving.NewGeneratorSource(
-		rmssd.MustNewTrace(rmssd.TraceConfig{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: seed,
-		}), batch, cfg.DenseDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bPreds []float32
-	for i := 0; i < reqs; i++ {
-		req, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := b.def.pool.Submit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bPreds = append(bPreds, resp.Preds...)
-	}
-
-	if len(aPreds) != reqs*batch || len(bPreds) != reqs*batch {
-		t.Fatalf("preds: %d vs %d", len(aPreds), len(bPreds))
-	}
-	for i := range aPreds {
-		if math.Float32bits(aPreds[i]) != math.Float32bits(bPreds[i]) {
-			t.Fatalf("pred %d: count-only %v != payload %v", i, aPreds[i], bPreds[i])
-		}
-	}
-	// And the simulated device state advanced identically.
-	sa, sb := a.def.shards[0].snapshot(), b.def.shards[0].snapshot()
-	if sa.inferences != sb.inferences || sa.now != sb.now {
-		t.Fatalf("device divergence: %d@%v vs %d@%v", sa.inferences, sa.now, sb.inferences, sb.now)
-	}
-}
-
 // TestReplaySyntheticDeterministic: the in-process trace replay emits an
 // identical report for identical seed and shard count.
 func TestReplaySyntheticDeterministic(t *testing.T) {

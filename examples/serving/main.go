@@ -3,6 +3,11 @@
 // A saturated replay measures the device's pipelined capacity; the loads
 // are fractions of it, and tail latency grows as load approaches capacity.
 //
+// The device sits behind rmssd.NewDeviceShard, the same adapter rmserve
+// puts behind each of its shards: coalesced requests run as one device
+// batch on the shard's own simulated clock, and Replay pipelines the
+// batches over their stage breakdowns.
+//
 //	go run ./examples/serving
 package main
 
@@ -19,26 +24,6 @@ const (
 	seed     = 7
 )
 
-// shard serves coalesced requests as one device batch on the device's own
-// clock; Replay pipelines the batches from their Breakdown.
-type shard struct {
-	dev *rmssd.Device
-	now time.Duration
-}
-
-func (s *shard) ServeBatch(reqs []rmssd.ServingRequest) rmssd.ServingBatchResult {
-	var denses []rmssd.Vector
-	var sparses [][][]int64
-	for _, r := range reqs {
-		denses = append(denses, r.Dense...)
-		sparses = append(sparses, r.Sparse...)
-	}
-	outs, done, bd, err := s.dev.InferBatch(s.now, denses, sparses)
-	res := rmssd.ServingBatchResult{Preds: outs, Latency: done - s.now, Meta: bd, Err: err}
-	s.now = done
-	return res
-}
-
 // replay serves the same request stream at rate requests per simulated
 // second on a fresh device.
 func replay(cfg rmssd.ModelConfig, rate float64) rmssd.ReplayResult {
@@ -49,8 +34,10 @@ func replay(cfg rmssd.ModelConfig, rate float64) rmssd.ReplayResult {
 	if err != nil {
 		panic(err)
 	}
-	dev := &shard{dev: rmssd.MustNewDevice(cfg, rmssd.DeviceOptions{})}
-	res, err := rmssd.Replay([]rmssd.ServingBatcher{dev}, rmssd.ReplayConfig{
+	// The stream's requests carry their own inputs, so the shard needs no
+	// generator of its own.
+	sh := rmssd.NewDeviceShard(rmssd.MustNewDevice(cfg, rmssd.DeviceOptions{}), nil, cfg.DenseDim)
+	res, err := rmssd.Replay([]rmssd.ServingBatcher{sh}, rmssd.ReplayConfig{
 		Rate: rate, MaxBatch: maxBatch, Requests: requests, Seed: seed,
 	}, src)
 	if err != nil {

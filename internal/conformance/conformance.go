@@ -159,69 +159,77 @@ func renderDeviceInfer() (string, error) {
 	return sb.String(), nil
 }
 
-// inferBackend is the inference surface the replay batcher drives. Both a
-// single core.RMSSD and a multi-device array.Array satisfy it, so the same
-// batcher serves every replay case.
-type inferBackend interface {
-	InferBatch(at time.Duration, denses []tensor.Vector, sparses [][][]int64) ([]float32, time.Duration, core.Breakdown, error)
+// confRMC1 is the RMC1 configuration every replay case but the mixed one
+// hosts.
+func confRMC1() model.Config {
+	cfg := model.RMC1()
+	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
+	return cfg
 }
 
-// deviceBatcher adapts one device to the serving layer for the replay
-// cases: a single-goroutine virtual clock, no locking needed.
-type deviceBatcher struct {
-	dev inferBackend
-	gen *trace.Generator
-	cfg model.Config
-	now time.Duration
-	seq int
+// plainDevice builds a default sequential device of cfg for every shard.
+func plainDevice(cfg model.Config) func(i int) (serving.Device, error) {
+	return func(int) (serving.Device, error) { return core.New(cfg, core.Options{Parallel: 1}) }
 }
 
-func (d *deviceBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
-	n := serving.CountOf(reqs)
-	denses := make([]tensor.Vector, 0, n)
-	sparses := make([][][]int64, 0, n)
-	for _, req := range reqs {
-		if req.Explicit() {
-			for i, sp := range req.Sparse {
-				sparses = append(sparses, sp)
-				if req.Dense != nil {
-					denses = append(denses, req.Dense[i])
-				} else {
-					denses = append(denses, make(tensor.Vector, d.cfg.DenseDim))
-				}
-			}
-			continue
-		}
-		for i := 0; i < req.N; i++ {
-			denses = append(denses, d.gen.DenseInput(d.seq+i, d.cfg.DenseDim))
-		}
-		sparses = append(sparses, d.gen.Batch(req.N)...)
-		d.seq += req.N
-	}
-	outs, done, bd, err := d.dev.InferBatch(d.now, denses, sparses)
-	lat := done - d.now
-	d.now = done
-	return serving.BatchResult{Preds: outs, Latency: lat, Meta: bd, Err: err}
-}
-
-// newBackends builds nshards device batchers for the config.
-func newBackends(cfg model.Config, nshards int, seed uint64) ([]serving.Batcher, error) {
+// deviceShards builds nshards DeviceShards of cfg over the devices newDev
+// returns. Shard i draws count-only inputs from a generator of shape tc
+// seeded serving.ShardSeed(tc.Seed, i, 1).
+func deviceShards(cfg model.Config, tc trace.Config, nshards int, newDev func(i int) (serving.Device, error)) ([]serving.Batcher, error) {
 	backends := make([]serving.Batcher, 0, nshards)
+	base := tc.Seed
 	for i := 0; i < nshards; i++ {
-		dev, err := core.New(cfg, core.Options{Parallel: 1})
+		dev, err := newDev(i)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := trace.NewGenerator(trace.Config{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: seed + uint64(i)*0x9e37,
-		})
+		tc.Seed = serving.ShardSeed(base, i, 1)
+		gen, err := trace.NewGenerator(tc)
 		if err != nil {
 			return nil, err
 		}
-		backends = append(backends, &deviceBatcher{dev: dev, gen: gen, cfg: cfg})
+		backends = append(backends, serving.NewDeviceShard(dev, gen, cfg.DenseDim))
 	}
 	return backends, nil
+}
+
+// traceConfig is cfg's trace shape at seed, with locality preset k when
+// k > 0.
+func traceConfig(cfg model.Config, seed uint64, k float64) (trace.Config, error) {
+	tc := trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: seed}
+	if k > 0 {
+		return tc.WithLocality(k)
+	}
+	return tc, nil
+}
+
+// replayRMC1 replays the pinned synthetic stream (40 requests of two
+// inferences at 100k req/s, seed 5) through two confRMC1 shards over the
+// devices newDev returns: the rmserve -trace synthetic path in library
+// form. Shard generators are seeded from shardSeed; k > 0 gives the shards
+// and the stream locality preset k.
+func replayRMC1(shardSeed uint64, k float64, tracer *obs.Tracer, newDev func(i int) (serving.Device, error)) (serving.ReplayResult, error) {
+	cfg := confRMC1()
+	tc, err := traceConfig(cfg, shardSeed, k)
+	if err != nil {
+		return serving.ReplayResult{}, err
+	}
+	backends, err := deviceShards(cfg, tc, 2, newDev)
+	if err != nil {
+		return serving.ReplayResult{}, err
+	}
+	tc.Seed = 5
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		return serving.ReplayResult{}, err
+	}
+	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
+	if err != nil {
+		return serving.ReplayResult{}, err
+	}
+	return serving.Replay(backends, serving.ReplayConfig{
+		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5, Tracer: tracer,
+	}, src)
 }
 
 // formatReplay renders a replay result completely — counts, coalescing,
@@ -240,25 +248,7 @@ func formatReplay(res serving.ReplayResult) string {
 // renderSingleReplay replays a synthetic trace through two RMC1 device
 // shards: the rmserve -trace synthetic path in library form.
 func renderSingleReplay() (string, error) {
-	cfg := model.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
-	backends, err := newBackends(cfg, 2, 1)
-	if err != nil {
-		return "", err
-	}
-	gen, err := trace.NewGenerator(trace.Config{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
-	})
-	if err != nil {
-		return "", err
-	}
-	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
-	if err != nil {
-		return "", err
-	}
-	res, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5,
-	}, src)
+	res, err := replayRMC1(1, 0, nil, plainDevice(confRMC1()))
 	if err != nil {
 		return "", err
 	}
@@ -272,51 +262,16 @@ func renderSingleReplay() (string, error) {
 // counters, so both the timing effect of the cache and its bookkeeping are
 // under golden control.
 func renderEVCacheReplay() (string, error) {
-	cfg := model.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
-	const nshards = 2
-	devs := make([]*core.RMSSD, 0, nshards)
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		dev, err := core.New(cfg, core.Options{
+	var devs []*core.RMSSD
+	res, err := replayRMC1(5, 2, nil, func(int) (serving.Device, error) {
+		dev, err := core.New(confRMC1(), core.Options{
 			Parallel:     1,
 			EVCacheBytes: 4 << 20,
 			DedupLookups: true,
 		})
-		if err != nil {
-			return "", err
-		}
-		tc, err := trace.Config{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: 5 + uint64(i)*0x9e37,
-		}.WithLocality(2)
-		if err != nil {
-			return "", err
-		}
-		gen, err := trace.NewGenerator(tc)
-		if err != nil {
-			return "", err
-		}
 		devs = append(devs, dev)
-		backends = append(backends, &deviceBatcher{dev: dev, gen: gen, cfg: cfg})
-	}
-	tc, err := trace.Config{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
-	}.WithLocality(2)
-	if err != nil {
-		return "", err
-	}
-	gen, err := trace.NewGenerator(tc)
-	if err != nil {
-		return "", err
-	}
-	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
-	if err != nil {
-		return "", err
-	}
-	res, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5,
-	}, src)
+		return dev, err
+	})
 	if err != nil {
 		return "", err
 	}
@@ -338,42 +293,15 @@ func renderEVCacheReplay() (string, error) {
 // retried, which went uncorrectable, and what the retries cost the
 // timeline — is under golden control.
 func renderFaultReplay() (string, error) {
-	cfg := model.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
-	const nshards = 2
-	devs := make([]*core.RMSSD, 0, nshards)
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		dev, err := core.New(cfg, core.Options{
+	var devs []*core.RMSSD
+	res, err := replayRMC1(5, 0, nil, func(i int) (serving.Device, error) {
+		dev, err := core.New(confRMC1(), core.Options{
 			Parallel:  1,
-			FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: 7 + uint64(i)*0x9e37},
+			FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: serving.ShardSeed(7, i, 1)},
 		})
-		if err != nil {
-			return "", err
-		}
-		gen, err := trace.NewGenerator(trace.Config{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: 5 + uint64(i)*0x9e37,
-		})
-		if err != nil {
-			return "", err
-		}
 		devs = append(devs, dev)
-		backends = append(backends, &deviceBatcher{dev: dev, gen: gen, cfg: cfg})
-	}
-	gen, err := trace.NewGenerator(trace.Config{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
+		return dev, err
 	})
-	if err != nil {
-		return "", err
-	}
-	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
-	if err != nil {
-		return "", err
-	}
-	res, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5,
-	}, src)
 	if err != nil {
 		return "", err
 	}
@@ -398,43 +326,16 @@ func renderFaultReplay() (string, error) {
 // control. The array merges partials in member-index order, so the
 // prediction checksum here is as pinnable as any single-device case.
 func renderArrayReplay() (string, error) {
-	cfg := model.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
-	const nshards = 2
-	arrs := make([]*array.Array, 0, nshards)
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		arr, err := array.New(cfg, core.Options{
+	var arrs []*array.Array
+	res, err := replayRMC1(5, 0, nil, func(int) (serving.Device, error) {
+		arr, err := array.New(confRMC1(), core.Options{
 			Parallel:     1,
 			ArrayDevices: 2,
 			Partition:    string(array.StrategyHash),
 		})
-		if err != nil {
-			return "", err
-		}
-		gen, err := trace.NewGenerator(trace.Config{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: 5 + uint64(i)*0x9e37,
-		})
-		if err != nil {
-			return "", err
-		}
 		arrs = append(arrs, arr)
-		backends = append(backends, &deviceBatcher{dev: arr, gen: gen, cfg: cfg})
-	}
-	gen, err := trace.NewGenerator(trace.Config{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
+		return arr, err
 	})
-	if err != nil {
-		return "", err
-	}
-	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
-	if err != nil {
-		return "", err
-	}
-	res, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5,
-	}, src)
 	if err != nil {
 		return "", err
 	}
@@ -458,39 +359,15 @@ func renderArrayReplay() (string, error) {
 // themselves are pinned separately by replay/single — tracing must not
 // move them (the differential suite enforces that directly).
 func renderTraceReplay() (string, error) {
-	cfg := model.RMC1()
-	cfg.RowsPerTable = cfg.RowsForBudget(tableBudget)
-	const nshards = 2
 	tracer := obs.NewTracer(obs.NewRegistry())
-	backends := make([]serving.Batcher, 0, nshards)
-	for i := 0; i < nshards; i++ {
-		dev, err := core.New(cfg, core.Options{Parallel: 1})
+	if _, err := replayRMC1(5, 0, tracer, func(i int) (serving.Device, error) {
+		dev, err := core.New(confRMC1(), core.Options{Parallel: 1})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		dev.SetSpanSink(tracer.DeviceSink("default", i))
-		gen, err := trace.NewGenerator(trace.Config{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: 5 + uint64(i)*0x9e37,
-		})
-		if err != nil {
-			return "", err
-		}
-		backends = append(backends, &deviceBatcher{dev: dev, gen: gen, cfg: cfg})
-	}
-	gen, err := trace.NewGenerator(trace.Config{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
-	})
-	if err != nil {
-		return "", err
-	}
-	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
-	if err != nil {
-		return "", err
-	}
-	if _, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5, Tracer: tracer,
-	}, src); err != nil {
+		return dev, nil
+	}); err != nil {
 		return "", err
 	}
 	var sb strings.Builder
@@ -512,8 +389,7 @@ func renderMixedReplay() (string, error) {
 		cfg    model.Config
 		weight int
 	}
-	rmc1 := model.RMC1()
-	rmc1.RowsPerTable = rmc1.RowsForBudget(tableBudget)
+	rmc1 := confRMC1()
 	wnd := model.WnD()
 	wnd.RowsPerTable = wnd.RowsForBudget(tableBudget)
 	hs := []hosted{{"ctr", rmc1, 2}, {"wide", wnd, 1}}
@@ -522,14 +398,16 @@ func renderMixedReplay() (string, error) {
 	parts := make([]serving.TaggedPart, 0, len(hs))
 	models := make([]serving.ReplayModel, 0, len(hs))
 	for _, h := range hs {
-		backends, err := newBackends(h.cfg, 1, seed)
+		tc, err := traceConfig(h.cfg, seed, 0)
 		if err != nil {
 			return "", err
 		}
-		gen, err := trace.NewGenerator(trace.Config{
-			Tables: h.cfg.Tables, Rows: h.cfg.RowsPerTable, Lookups: h.cfg.Lookups,
-			Seed: serving.ModelReplaySeed(seed, h.name),
-		})
+		backends, err := deviceShards(h.cfg, tc, 1, plainDevice(h.cfg))
+		if err != nil {
+			return "", err
+		}
+		tc.Seed = serving.ModelReplaySeed(seed, h.name)
+		gen, err := trace.NewGenerator(tc)
 		if err != nil {
 			return "", err
 		}

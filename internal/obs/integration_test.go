@@ -29,44 +29,19 @@ import (
 // testBudget keeps the embedding tables small enough for fast tests.
 const testBudget = 4 << 20
 
-// deviceBatcher adapts one device to the serving layer (single-goroutine
-// virtual clock, mirroring the conformance replay cases).
-type deviceBatcher struct {
+// recordingShard is a serving.DeviceShard over dev that records every
+// served batch's stage breakdown, in service order.
+type recordingShard struct {
+	*serving.DeviceShard
 	dev *core.RMSSD
-	gen *trace.Generator
-	cfg model.Config
-	now time.Duration
-	seq int
-	bds []core.Breakdown // every served batch's, in service order
+	bds []core.Breakdown
 }
 
-func (d *deviceBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
-	n := serving.CountOf(reqs)
-	denses := make([]tensor.Vector, 0, n)
-	sparses := make([][][]int64, 0, n)
-	for _, req := range reqs {
-		if req.Explicit() {
-			for i, sp := range req.Sparse {
-				sparses = append(sparses, sp)
-				if req.Dense != nil {
-					denses = append(denses, req.Dense[i])
-				} else {
-					denses = append(denses, make(tensor.Vector, d.cfg.DenseDim))
-				}
-			}
-			continue
-		}
-		for i := 0; i < req.N; i++ {
-			denses = append(denses, d.gen.DenseInput(d.seq+i, d.cfg.DenseDim))
-		}
-		sparses = append(sparses, d.gen.Batch(req.N)...)
-		d.seq += req.N
-	}
-	outs, done, bd, err := d.dev.InferBatch(d.now, denses, sparses)
-	lat := done - d.now
-	d.now = done
-	d.bds = append(d.bds, bd)
-	return serving.BatchResult{Preds: outs, Latency: lat, Meta: bd, Err: err}
+func (r *recordingShard) ServeBatch(reqs []serving.Request) serving.BatchResult {
+	res := r.DeviceShard.ServeBatch(reqs)
+	bd, _ := res.Meta.(core.Breakdown)
+	r.bds = append(r.bds, bd)
+	return res
 }
 
 // obsConfig is one device configuration of the differential matrix.
@@ -103,10 +78,10 @@ func replayOnce(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *o
 }
 
 // replayDevices is replayOnce, also returning each shard's batcher.
-func replayDevices(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *obs.Tracer) (serving.ReplayResult, []*deviceBatcher) {
+func replayDevices(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *obs.Tracer) (serving.ReplayResult, []*recordingShard) {
 	t.Helper()
 	backends := make([]serving.Batcher, 0, nshards)
-	devs := make([]*deviceBatcher, 0, nshards)
+	devs := make([]*recordingShard, 0, nshards)
 	for i := 0; i < nshards; i++ {
 		dev, err := core.New(cfg, oc.opts)
 		if err != nil {
@@ -117,12 +92,12 @@ func replayDevices(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr
 		}
 		gen, err := trace.NewGenerator(trace.Config{
 			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: 3 + uint64(i)*0x9e37,
+			Seed: serving.ShardSeed(3, i, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := &deviceBatcher{dev: dev, gen: gen, cfg: cfg}
+		db := &recordingShard{DeviceShard: serving.NewDeviceShard(dev, gen, cfg.DenseDim), dev: dev}
 		backends = append(backends, db)
 		devs = append(devs, db)
 	}

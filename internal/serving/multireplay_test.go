@@ -208,6 +208,33 @@ func TestModelReplaySeed(t *testing.T) {
 	}
 }
 
+// TestShardSeed: single-device shards keep base + s*stride, and array
+// shards stride by their member count so that every member of every shard
+// (array.New adds d*stride for member d) gets a seed of its own.
+func TestShardSeed(t *testing.T) {
+	for s := 0; s < 4; s++ {
+		want := 7 + uint64(s)*seedStride
+		if ShardSeed(7, s, 0) != want || ShardSeed(7, s, 1) != want {
+			t.Fatalf("single-device shard %d: seeds %#x/%#x, want %#x", s, ShardSeed(7, s, 0), ShardSeed(7, s, 1), want)
+		}
+	}
+	for n := 2; n <= 4; n++ {
+		if ShardSeed(7, 0, n) != 7 {
+			t.Fatalf("%d-member array: shard 0 seed %#x moved", n, ShardSeed(7, 0, n))
+		}
+		seen := map[uint64]bool{}
+		for s := 0; s < 4; s++ {
+			for d := 0; d < n; d++ {
+				seed := ShardSeed(7, s, n) + uint64(d)*seedStride
+				if seen[seed] {
+					t.Fatalf("%d-member array: shard %d member %d reuses seed %#x", n, s, d, seed)
+				}
+				seen[seed] = true
+			}
+		}
+	}
+}
+
 func TestInterleavedSourceWeights(t *testing.T) {
 	mk := func(n int) *sliceSource {
 		reqs := make([]Request, n)

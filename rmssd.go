@@ -303,6 +303,13 @@ type ServingBatcher = serving.Batcher
 // ServingBatchResult is the outcome of one coalesced device batch.
 type ServingBatchResult = serving.BatchResult
 
+// NewDeviceShard builds the serving backend over a Device or an Array: one
+// model replica with its own simulated clock, serving coalesced requests as
+// one device batch. Count-only requests draw inputs from the generator (nil
+// fails them); denseDim sizes the zero dense vector substituted for an
+// absent dense payload.
+var NewDeviceShard = serving.NewDeviceShard
+
 // ServingStats is an aggregate snapshot of a pool's counters, including
 // recovered backend faults and error-answered requests.
 type ServingStats = serving.Stats
