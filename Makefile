@@ -36,9 +36,12 @@ test:
 test-benchmark:
 	cd benchmark && $(GO) test ./...
 
-# Re-run the simulator-heavy packages with runtime invariant checks on.
+# Re-run the simulator-heavy packages, and the array, serving and
+# conformance layers above them, with runtime invariant checks on. CI runs
+# this target, so the package list lives only here.
 test-simdebug:
-	$(GO) test -tags simdebug ./internal/sim/ ./internal/flash/ ./internal/core/ ./internal/ftl/ ./internal/ssd/ ./internal/engine/
+	$(GO) test -tags simdebug ./internal/sim/ ./internal/flash/ ./internal/core/ ./internal/ftl/ ./internal/ssd/ ./internal/engine/ \
+		./internal/array/ ./internal/serving/ ./internal/conformance/
 
 # Verify every pinned end-to-end artifact checksum. Regenerate (after an
 # intended calibration or behaviour change) with:

@@ -225,15 +225,20 @@ func runSweep(names []string, tableMB int64, parallel int) SweepReport {
 	return rep
 }
 
-// newShards builds n independent device shards of cfg, each drawing
-// count-only inputs from its own trace stream, and returns them with their
-// first device. parallel is each device's lookup parallelism; a non-nil
-// sink(i) receives shard i's device spans.
+// newShards builds n independent device shards of cfg over one shared
+// model, each drawing count-only inputs from its own trace stream, and
+// returns them with their first device. parallel is each device's lookup
+// parallelism; a non-nil sink(i) receives shard i's device spans.
 func newShards(cfg rmssd.ModelConfig, n, parallel int, sink func(i int) obs.SpanSink) ([]serving.Batcher, *rmssd.Device) {
+	m, err := rmssd.BuildModel(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var first *rmssd.Device
 	backends := make([]serving.Batcher, 0, n)
 	for i := 0; i < n; i++ {
-		dev, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{Parallel: parallel})
+		dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{Parallel: parallel})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -22,14 +22,18 @@ import (
 // Frozen per-op baselines (see note above). The EV cache hit path is new in
 // the same change, so it has no pre-rework baseline; the miss+fill baseline
 // is the list+map LRU that preceded the slab cache (one list element and
-// one entry per reservation).
+// one entry per reservation). The shard-build baseline is rmssd.NewDevice
+// before shards shared their hosted model, when every shard built its own
+// weights.
 const (
-	baseSubmitAllocs   = 5
-	baseSubmitBytes    = 288
-	baseLookupAllocs   = 1369
-	baseLookupBytes    = 165696
-	baseMissFillAllocs = 2
-	baseMissFillBytes  = 96
+	baseSubmitAllocs     = 5
+	baseSubmitBytes      = 288
+	baseLookupAllocs     = 1369
+	baseLookupBytes      = 165696
+	baseMissFillAllocs   = 2
+	baseMissFillBytes    = 96
+	baseShardBuildAllocs = 1039
+	baseShardBuildBytes  = 13603256
 )
 
 // MicroStat is one benchmark's per-op numbers next to its frozen baseline.
@@ -42,12 +46,14 @@ type MicroStat struct {
 }
 
 // MicroReport aggregates the micro-benchmarks plus the GC pause accumulated
-// while they ran (host wall-clock figures; simulated time is not involved).
+// while the hot-path ones ran, shard_build excluded (host wall-clock
+// figures; simulated time is not involved).
 type MicroReport struct {
 	PoolSubmit    MicroStat `json:"pool_submit"`
 	LookupPoolHot MicroStat `json:"lookup_pool_hot"`
 	EVCacheHit    MicroStat `json:"evcache_hit"`
 	EVCacheMiss   MicroStat `json:"evcache_miss_fill"`
+	ShardBuild    MicroStat `json:"shard_build"`
 	GCPauseMS     float64   `json:"gc_pause_total_ms"`
 }
 
@@ -160,11 +166,32 @@ func runMicro() MicroReport {
 	})
 
 	runtime.ReadMemStats(&after)
+
+	// One more shard of a hosted model: the RMC3 64 MiB device of the
+	// MLP-dominated serving workload, built over weights that already exist.
+	// It allocates by design, so it runs after the GC pause snapshot.
+	shardCfg := rmssd.RMC3()
+	shardCfg.RowsPerTable = shardCfg.RowsForBudget(64 << 20)
+	hosted, err := rmssd.BuildModel(shardCfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	shardBuild := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rmssd.NewDeviceFromModel(hosted, rmssd.DeviceOptions{Parallel: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	return MicroReport{
 		PoolSubmit:    stat(submit, baseSubmitAllocs, baseSubmitBytes),
 		LookupPoolHot: stat(lookup, baseLookupAllocs, baseLookupBytes),
 		EVCacheHit:    stat(hit, 0, 0),
 		EVCacheMiss:   stat(miss, baseMissFillAllocs, baseMissFillBytes),
+		ShardBuild:    stat(shardBuild, baseShardBuildAllocs, baseShardBuildBytes),
 		GCPauseMS:     float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
 	}
 }

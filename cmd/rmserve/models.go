@@ -225,11 +225,13 @@ func (mc modelsConfig) serve(globalSeed uint64, budget int) (*server, error) {
 }
 
 // build materialises validated declarations as hosted models: each resolves
-// its architecture, sizes its tables for the budget and gets its own device
-// shards. When several shards exist, each device simulates its flash
-// channels sequentially (shard-level parallelism already saturates the
-// host); a single shard keeps the device's own channel-parallel lanes. The
-// hosted decl records the resolved seed and batch cap.
+// its architecture, sizes its tables for the budget, builds its weights once
+// and gets its own device shards over them (every shard, single device or
+// array, reads the same read-only model.Model). When several shards exist,
+// each device simulates its flash channels sequentially (shard-level
+// parallelism already saturates the host); a single shard keeps the
+// device's own channel-parallel lanes. The hosted decl records the resolved
+// seed and batch cap.
 func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 	hosted := make([]*hostedModel, 0, len(mc.Models))
 	for i, d := range mc.Models {
@@ -243,6 +245,10 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 		devParallel := 1
 		if d.Shards == 1 {
 			devParallel = 0 // GOMAXPROCS lanes inside the single device
+		}
+		weights, err := rmssd.BuildModel(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
 		}
 		m := &hostedModel{cfg: cfg}
 		for s := 0; s < d.Shards; s++ {
@@ -258,9 +264,9 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 			}
 			var dev backendDevice
 			if d.ArrayDevices > 1 {
-				dev, err = rmssd.NewArray(cfg, opts)
+				dev, err = rmssd.NewArrayFromModel(weights, opts)
 			} else {
-				dev, err = rmssd.NewDevice(cfg, opts)
+				dev, err = rmssd.NewDeviceFromModel(weights, opts)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)

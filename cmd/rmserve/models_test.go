@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"rmssd"
 	"rmssd/internal/serving"
 )
 
@@ -60,6 +61,41 @@ func TestParseModelsConfig(t *testing.T) {
 	if hosted[0].cfg.Tables != 8 || hosted[1].cfg.Tables != 26 {
 		t.Fatalf("configs not heterogeneous: %d/%d tables",
 			hosted[0].cfg.Tables, hosted[1].cfg.Tables)
+	}
+}
+
+// Both shards of a -models entry read one copy of the model's weights,
+// whether each shard is a single device or a two-device array.
+func TestShardsShareWeights(t *testing.T) {
+	mc, err := parseModelsConfig(strings.NewReader(`{"models": [
+		{"name": "plain", "model": "RMC1", "tableMB": 16, "shards": 2},
+		{"name": "arr", "model": "RMC1", "tableMB": 16, "shards": 2, "arrayDevices": 2}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted, err := mc.build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosted {
+		var devs []*rmssd.Device
+		for _, sh := range h.shards {
+			if a := sh.array(); a != nil {
+				devs = append(devs, a.Devices()...)
+			} else {
+				devs = append(devs, sh.dev.(*rmssd.Device))
+			}
+		}
+		if want := 2 * max(h.decl.ArrayDevices, 1); len(devs) != want {
+			t.Fatalf("%s: %d devices, want %d", h.decl.Name, len(devs), want)
+		}
+		w := &devs[0].Model().Bottom[0].W.Data[0]
+		for i, dev := range devs[1:] {
+			if &dev.Model().Bottom[0].W.Data[0] != w {
+				t.Fatalf("%s: device %d holds its own copy of the weights", h.decl.Name, i+1)
+			}
+		}
 	}
 }
 

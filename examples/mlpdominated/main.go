@@ -32,7 +32,10 @@ func main() {
 
 		// Full RM-SSD: the kernel search picks the device batch that
 		// converts the model to embedding-dominated (Rule Three).
-		dev := rmssd.MustNewDevice(cfg, rmssd.DeviceOptions{})
+		dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{})
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("kernel search chose device batch %d\n", dev.NBatch())
 		fmt.Println("throughput scaling with device batch size:")
 		for _, b := range []int{1, 2, 4, 8, 16} {
@@ -45,7 +48,7 @@ func main() {
 
 		// The naive in-storage mapping for contrast (no decomposition,
 		// no composition, no pipelining).
-		naive, err := rmssd.NewNaiveDevice(cfg, rmssd.DeviceOptions{})
+		naive, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{Design: rmssd.DesignNaive})
 		if err != nil {
 			panic(err)
 		}

@@ -25,8 +25,10 @@ const (
 )
 
 // replay serves the same request stream at rate requests per simulated
-// second on a fresh device.
-func replay(cfg rmssd.ModelConfig, rate float64) rmssd.ReplayResult {
+// second on a fresh device over the model m, and returns that device with
+// the result.
+func replay(m *rmssd.Model, rate float64) (rmssd.ReplayResult, *rmssd.Device) {
+	cfg := m.Cfg
 	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: seed,
 	})
@@ -36,28 +38,38 @@ func replay(cfg rmssd.ModelConfig, rate float64) rmssd.ReplayResult {
 	}
 	// The stream's requests carry their own inputs, so the shard needs no
 	// generator of its own.
-	sh := rmssd.NewDeviceShard(rmssd.MustNewDevice(cfg, rmssd.DeviceOptions{}), nil, cfg.DenseDim)
+	dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{})
+	if err != nil {
+		panic(err)
+	}
+	sh := rmssd.NewDeviceShard(dev, nil, cfg.DenseDim)
 	res, err := rmssd.Replay([]rmssd.ServingBatcher{sh}, rmssd.ReplayConfig{
 		Rate: rate, MaxBatch: maxBatch, Requests: requests, Seed: seed,
 	}, src)
 	if err != nil {
 		panic(err)
 	}
-	return res
+	return res, dev
 }
 
 func main() {
 	cfg := rmssd.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(256 << 20)
 
-	capacity := replay(cfg, 1e12).ThroughputQPS
-	analytic := rmssd.MustNewDevice(cfg, rmssd.DeviceOptions{}).SteadyStateQPS(maxBatch)
+	m, err := rmssd.BuildModel(cfg)
+	if err != nil {
+		panic(err)
+	}
+
+	sat, dev := replay(m, 1e12)
+	capacity := sat.ThroughputQPS
+	analytic := dev.SteadyStateQPS(maxBatch)
 	fmt.Printf("RM-SSD %s capacity: %.0f QPS measured (batch %d; analytic %.0f)\n\n",
 		cfg.Name, capacity, maxBatch, analytic)
 	fmt.Printf("%-12s %-12s %-10s %-10s %-10s\n", "load", "throughput", "batch", "P50", "P99")
 
 	for _, frac := range []float64{0.2, 0.5, 0.8, 0.95} {
-		res := replay(cfg, frac*capacity)
+		res, _ := replay(m, frac*capacity)
 		fmt.Printf("%-12s %-12s %-10.1f %-10s %-10s\n",
 			fmt.Sprintf("%.0f%% cap", 100*frac),
 			fmt.Sprintf("%.0f QPS", res.ThroughputQPS),

@@ -52,13 +52,32 @@ type Stats struct {
 	TransferBytes int64
 }
 
-// New builds an array hosting cfg across opts.ArrayDevices members
-// partitioned by opts.Partition. The remaining Options apply to every
-// member (each gets its own flash array, lookup engine, EV cache and MLP
-// engine); an enabled fault plan is reseeded per member so fault streams
-// stay independent, with member 0 keeping the base seed. ArrayDevices <= 1
-// builds the one-member degenerate array, bit-identical to core.New.
+// New builds an array hosting cfg: model.Build materialises the weights
+// once, then NewFromModel assembles the members around them.
 func New(cfg model.Config, opts core.Options) (*Array, error) {
+	m, err := model.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromModel(m, opts)
+}
+
+// NewFromModel builds an array hosting the already-built model m across
+// opts.ArrayDevices members partitioned by opts.Partition. Every member
+// hosts a model.Model whose Cfg is its Layout.MemberConfig over m's Bottom
+// and Top layers: the weights are shared read-only, since they depend only
+// on the seed and layer dimensions, never on the row remap. Each member
+// gets its own flash array, lookup engine, EV cache and MLP engine (kernel
+// schedule and split top L0); the remaining Options apply to every member.
+// An enabled fault plan is reseeded per member so fault streams stay
+// independent, with member 0 keeping the base seed. ArrayDevices <= 1
+// builds the one-member degenerate array, bit-identical to
+// core.NewFromModel.
+func NewFromModel(m *model.Model, opts core.Options) (*Array, error) {
+	if m == nil {
+		return nil, fmt.Errorf("array: nil model")
+	}
+	cfg := m.Cfg
 	n := opts.ArrayDevices
 	if n <= 0 {
 		n = 1
@@ -81,7 +100,8 @@ func New(cfg model.Config, opts core.Options) (*Array, error) {
 		if o.FaultPlan.Enabled() {
 			o.FaultPlan.Seed += uint64(d) * 0x9e37
 		}
-		dev, err := core.New(layout.MemberConfig(cfg, d), o)
+		member := &model.Model{Cfg: layout.MemberConfig(cfg, d), Bottom: m.Bottom, Top: m.Top}
+		dev, err := core.NewFromModel(member, o)
 		if err != nil {
 			return nil, fmt.Errorf("array: device %d: %w", d, err)
 		}

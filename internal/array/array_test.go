@@ -178,6 +178,41 @@ func TestOneDeviceArrayMatchesCore(t *testing.T) {
 	}
 }
 
+// Every member of an array built from a model reads that model's weights in
+// place under its own member config, two arrays over one model run
+// independently, and NewFromModel is bit-identical to New.
+func TestNewFromModelSharesWeights(t *testing.T) {
+	cfg := smallCfg("RMC1")
+	opts := core.Options{Geometry: smallGeometry(), Parallel: 1, ArrayDevices: 3, Partition: "hash"}
+	m := model.MustBuild(cfg)
+	a, err := NewFromModel(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewFromModel(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arr := range []*Array{a, b} {
+		for d, dev := range arr.Devices() {
+			got := dev.Model()
+			if &got.Bottom[0].W.Data[0] != &m.Bottom[0].W.Data[0] || &got.Top[0].W.Data[0] != &m.Top[0].W.Data[0] {
+				t.Fatalf("member %d copied the weights", d)
+			}
+			if want := arr.Layout().MemberConfig(cfg, d); !reflect.DeepEqual(got.Cfg, want) {
+				t.Fatalf("member %d hosts %+v, want %+v", d, got.Cfg, want)
+			}
+		}
+	}
+	ref, err := New(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runBatches(t, ref, cfg, 6)
+	diffTraces(t, "NewFromModel vs New", runBatches(t, a, cfg, 6), want)
+	diffTraces(t, "second array over the same model", runBatches(t, b, cfg, 6), want)
+}
+
 // Partitioned arrays stay functionally correct: predictions match the DRAM
 // reference model within float tolerance for every strategy and member
 // count (exact equality with the single device is not promised — partial

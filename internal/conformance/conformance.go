@@ -167,19 +167,27 @@ func confRMC1() model.Config {
 	return cfg
 }
 
-// plainDevice builds a default sequential device of cfg for every shard.
-func plainDevice(cfg model.Config) func(i int) (serving.Device, error) {
-	return func(int) (serving.Device, error) { return core.New(cfg, core.Options{Parallel: 1}) }
+// newDevice builds shard i's device over the hosted model m, which every
+// shard shares.
+type newDevice func(m *model.Model, i int) (serving.Device, error)
+
+// plainDevice builds a default sequential device for every shard.
+func plainDevice(m *model.Model, _ int) (serving.Device, error) {
+	return core.NewFromModel(m, core.Options{Parallel: 1})
 }
 
-// deviceShards builds nshards DeviceShards of cfg over the devices newDev
-// returns. Shard i draws count-only inputs from a generator of shape tc
-// seeded serving.ShardSeed(tc.Seed, i, 1).
-func deviceShards(cfg model.Config, tc trace.Config, nshards int, newDev func(i int) (serving.Device, error)) ([]serving.Batcher, error) {
+// deviceShards builds cfg's model once and nshards DeviceShards over the
+// devices newDev returns from it. Shard i draws count-only inputs from a
+// generator of shape tc seeded serving.ShardSeed(tc.Seed, i, 1).
+func deviceShards(cfg model.Config, tc trace.Config, nshards int, newDev newDevice) ([]serving.Batcher, error) {
+	m, err := model.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
 	backends := make([]serving.Batcher, 0, nshards)
 	base := tc.Seed
 	for i := 0; i < nshards; i++ {
-		dev, err := newDev(i)
+		dev, err := newDev(m, i)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +216,7 @@ func traceConfig(cfg model.Config, seed uint64, k float64) (trace.Config, error)
 // devices newDev returns: the rmserve -trace synthetic path in library
 // form. Shard generators are seeded from shardSeed; k > 0 gives the shards
 // and the stream locality preset k.
-func replayRMC1(shardSeed uint64, k float64, tracer *obs.Tracer, newDev func(i int) (serving.Device, error)) (serving.ReplayResult, error) {
+func replayRMC1(shardSeed uint64, k float64, tracer *obs.Tracer, newDev newDevice) (serving.ReplayResult, error) {
 	cfg := confRMC1()
 	tc, err := traceConfig(cfg, shardSeed, k)
 	if err != nil {
@@ -248,7 +256,7 @@ func formatReplay(res serving.ReplayResult) string {
 // renderSingleReplay replays a synthetic trace through two RMC1 device
 // shards: the rmserve -trace synthetic path in library form.
 func renderSingleReplay() (string, error) {
-	res, err := replayRMC1(1, 0, nil, plainDevice(confRMC1()))
+	res, err := replayRMC1(1, 0, nil, plainDevice)
 	if err != nil {
 		return "", err
 	}
@@ -263,8 +271,8 @@ func renderSingleReplay() (string, error) {
 // under golden control.
 func renderEVCacheReplay() (string, error) {
 	var devs []*core.RMSSD
-	res, err := replayRMC1(5, 2, nil, func(int) (serving.Device, error) {
-		dev, err := core.New(confRMC1(), core.Options{
+	res, err := replayRMC1(5, 2, nil, func(m *model.Model, _ int) (serving.Device, error) {
+		dev, err := core.NewFromModel(m, core.Options{
 			Parallel:     1,
 			EVCacheBytes: 4 << 20,
 			DedupLookups: true,
@@ -294,8 +302,8 @@ func renderEVCacheReplay() (string, error) {
 // timeline — is under golden control.
 func renderFaultReplay() (string, error) {
 	var devs []*core.RMSSD
-	res, err := replayRMC1(5, 0, nil, func(i int) (serving.Device, error) {
-		dev, err := core.New(confRMC1(), core.Options{
+	res, err := replayRMC1(5, 0, nil, func(m *model.Model, i int) (serving.Device, error) {
+		dev, err := core.NewFromModel(m, core.Options{
 			Parallel:  1,
 			FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: serving.ShardSeed(7, i, 1)},
 		})
@@ -327,8 +335,8 @@ func renderFaultReplay() (string, error) {
 // prediction checksum here is as pinnable as any single-device case.
 func renderArrayReplay() (string, error) {
 	var arrs []*array.Array
-	res, err := replayRMC1(5, 0, nil, func(int) (serving.Device, error) {
-		arr, err := array.New(confRMC1(), core.Options{
+	res, err := replayRMC1(5, 0, nil, func(m *model.Model, _ int) (serving.Device, error) {
+		arr, err := array.NewFromModel(m, core.Options{
 			Parallel:     1,
 			ArrayDevices: 2,
 			Partition:    string(array.StrategyHash),
@@ -360,8 +368,8 @@ func renderArrayReplay() (string, error) {
 // move them (the differential suite enforces that directly).
 func renderTraceReplay() (string, error) {
 	tracer := obs.NewTracer(obs.NewRegistry())
-	if _, err := replayRMC1(5, 0, tracer, func(i int) (serving.Device, error) {
-		dev, err := core.New(confRMC1(), core.Options{Parallel: 1})
+	if _, err := replayRMC1(5, 0, tracer, func(m *model.Model, i int) (serving.Device, error) {
+		dev, err := core.NewFromModel(m, core.Options{Parallel: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +410,7 @@ func renderMixedReplay() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		backends, err := deviceShards(h.cfg, tc, 1, plainDevice(h.cfg))
+		backends, err := deviceShards(h.cfg, tc, 1, plainDevice)
 		if err != nil {
 			return "", err
 		}

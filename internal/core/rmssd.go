@@ -4,8 +4,8 @@
 //
 // The host-visible API mirrors the paper's four calls:
 //
-//	RM_create_table  -> New (tables are laid out as files over block I/O)
-//	RM_open_table    -> New (extent metadata registered with EV Translator)
+//	RM_create_table  -> New, NewFromModel (tables are laid out as files over block I/O)
+//	RM_open_table    -> New, NewFromModel (extent metadata registered with EV Translator)
 //	RM_send_inputs   -> SendInputs
 //	RM_read_outputs  -> ReadOutputs
 //
@@ -181,27 +181,44 @@ type RMSSD struct {
 	spanSink obs.SpanSink
 }
 
-// New builds an RM-SSD hosting the given model: tables are created and laid
-// out on the device (RM_create_table) and their extent metadata registered
-// with the EV Translator (RM_open_table).
+// New builds an RM-SSD hosting the given model: model.Build materialises
+// its weights, then NewFromModel assembles the device around them.
 func New(cfg model.Config, opts Options) (*RMSSD, error) {
-	if opts.ArrayDevices > 1 {
-		return nil, fmt.Errorf("core: ArrayDevices=%d: a multi-device array must be built with array.New", opts.ArrayDevices)
-	}
-	opts = opts.withDefaults()
 	m, err := model.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var dev *ssd.Device
-	var err2 error
-	if opts.Dynamic {
-		dev, err2 = ssd.NewDynamic(opts.Geometry)
-	} else {
-		dev, err2 = ssd.New(opts.Geometry)
+	return NewFromModel(m, opts)
+}
+
+// NewFromModel builds an RM-SSD hosting an already-built model: tables are
+// created and laid out on the device (RM_create_table) and their extent
+// metadata registered with the EV Translator (RM_open_table). The device
+// reads m's weights in place and never writes them, so every device of one
+// hosted model can share a single m (Rule One places the weights once per
+// device; the host keeps one copy). The MLP engine, with its kernel schedule
+// and split top L0, stays per device.
+func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
+	if opts.ArrayDevices > 1 {
+		return nil, fmt.Errorf("core: ArrayDevices=%d: a multi-device array must be built with array.New", opts.ArrayDevices)
 	}
-	if err2 != nil {
-		return nil, err2
+	if m == nil {
+		return nil, fmt.Errorf("core: nil model")
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := m.Cfg
+	opts = opts.withDefaults()
+	var dev *ssd.Device
+	var err error
+	if opts.Dynamic {
+		dev, err = ssd.NewDynamic(opts.Geometry)
+	} else {
+		dev, err = ssd.New(opts.Geometry)
+	}
+	if err != nil {
+		return nil, err
 	}
 	fs := hostio.NewFS(dev, opts.ExtentBytes)
 	store, err := embedding.NewStore(m, fs)

@@ -497,3 +497,86 @@ func TestUpdateVectorErrors(t *testing.T) {
 		t.Fatalf("valid update err = %v", err)
 	}
 }
+
+// Devices built from one model read its weights in place, and a device built
+// from a model is bit-identical to New's: the same predictions and
+// Breakdowns batch for batch, with the sharing device interleaved so its
+// traffic cannot disturb the other's. NCF has no bottom tower, so its top L0
+// is the whole embedding half.
+func TestNewFromModelSharesWeights(t *testing.T) {
+	for _, name := range []string{"RMC1", "RMC3", "NCF"} {
+		cfg := smallCfg(name)
+		opts := Options{Geometry: smallGeometry(), Parallel: 1}
+		m := model.MustBuild(cfg)
+		a, err := NewFromModel(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewFromModel(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := New(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dev := range []*RMSSD{a, b} {
+			got := dev.Model()
+			if len(cfg.BottomMLP) > 0 && &got.Bottom[0].W.Data[0] != &m.Bottom[0].W.Data[0] {
+				t.Fatalf("%s: device copied the bottom weights", name)
+			}
+			if &got.Top[0].W.Data[0] != &m.Top[0].W.Data[0] {
+				t.Fatalf("%s: device copied the top weights", name)
+			}
+		}
+		var atA, atB, atRef sim.Time
+		for i, n := range []int{1, 3, 4, 2, 8} {
+			denses, sparses := genInputs(ref, n, uint64(40+i))
+			outs, done, bd, err := a.InferBatch(atA, denses, sparses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantDone, wantBd, err := ref.InferBatch(atRef, denses, sparses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bits(outs), bits(want)) || done != wantDone || !reflect.DeepEqual(bd, wantBd) {
+				t.Fatalf("%s batch %d: NewFromModel (%v, %+v) differs from New (%v, %+v)",
+					name, i, done, bd, wantDone, wantBd)
+			}
+			if _, atB, _, err = b.InferBatch(atB, denses, sparses); err != nil {
+				t.Fatal(err)
+			}
+			atA, atRef = done, wantDone
+		}
+	}
+}
+
+// bits returns the predictions' bit patterns, so comparison is exact.
+func bits(preds []float32) []uint32 {
+	out := make([]uint32, len(preds))
+	for i, p := range preds {
+		out[i] = math.Float32bits(p)
+	}
+	return out
+}
+
+// NewFromModel refuses a nil model and one whose layers do not match its
+// config.
+func TestNewFromModelRejectsInconsistentModel(t *testing.T) {
+	opts := Options{Geometry: smallGeometry()}
+	if _, err := NewFromModel(nil, opts); err == nil {
+		t.Fatal("accepted a nil model")
+	}
+	m := model.MustBuild(smallCfg("RMC1"))
+	wider := *m
+	wider.Cfg.Tables++
+	if _, err := NewFromModel(&wider, opts); err == nil {
+		t.Fatal("accepted top layers narrower than the config's top input")
+	}
+	shallow := *m
+	shallow.Bottom = m.Bottom[:1]
+	if _, err := NewFromModel(&shallow, opts); err == nil {
+		t.Fatal("accepted a bottom tower missing a layer")
+	}
+}

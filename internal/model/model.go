@@ -338,6 +338,13 @@ func (l Layer) Out() int { return l.W.Rows }
 func (l Layer) FLOPs() int64 { return 2 * int64(l.W.Rows) * int64(l.W.Cols) }
 
 // Model is a materialised recommendation model: configuration plus weights.
+//
+// The weights — Bottom, Top and every layer's W and B — are read-only after
+// Build: nothing writes them, so one Model may back any number of devices,
+// shards and array members, read concurrently from their goroutines. They
+// depend only on Cfg's seed and layer dimensions, never on its row space
+// (RowsPerTable, RowBase, RowStride), so a Model that keeps the layers and
+// swaps in a config differing only there is the same model over other rows.
 type Model struct {
 	Cfg    Config
 	Bottom []Layer
@@ -368,6 +375,30 @@ func Build(cfg Config) (*Model, error) {
 	m.Bottom = build(cfg.BottomMLP, cfg.DenseDim, cfg.Seed^0xb07700, false)
 	m.Top = build(cfg.TopMLP, cfg.TopInputDim(), cfg.Seed^0x70b, true)
 	return m, nil
+}
+
+// Validate reports whether m is servable: its config validates and every
+// layer has the shape Build gives that config.
+func (m *Model) Validate() error {
+	if err := m.Cfg.Validate(); err != nil {
+		return err
+	}
+	check := func(tower string, layers []Layer, dims []int, in int) error {
+		if len(layers) != len(dims) {
+			return fmt.Errorf("model %s: %d %s layers, config has %d", m.Cfg.Name, len(layers), tower, len(dims))
+		}
+		for i, l := range layers {
+			if l.W == nil || l.W.Rows != dims[i] || l.W.Cols != in || len(l.B) != dims[i] {
+				return fmt.Errorf("model %s: %s layer %d is not %dx%d", m.Cfg.Name, tower, i, dims[i], in)
+			}
+			in = dims[i]
+		}
+		return nil
+	}
+	if err := check("bottom", m.Bottom, m.Cfg.BottomMLP, m.Cfg.DenseDim); err != nil {
+		return err
+	}
+	return check("top", m.Top, m.Cfg.TopMLP, m.Cfg.TopInputDim())
 }
 
 // MustBuild is Build, panicking on error.

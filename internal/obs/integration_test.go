@@ -80,10 +80,14 @@ func replayOnce(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *o
 // replayDevices is replayOnce, also returning each shard's batcher.
 func replayDevices(t *testing.T, cfg model.Config, oc obsConfig, nshards int, tr *obs.Tracer) (serving.ReplayResult, []*recordingShard) {
 	t.Helper()
+	m, err := model.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	backends := make([]serving.Batcher, 0, nshards)
 	devs := make([]*recordingShard, 0, nshards)
 	for i := 0; i < nshards; i++ {
-		dev, err := core.New(cfg, oc.opts)
+		dev, err := core.NewFromModel(m, oc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

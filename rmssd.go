@@ -134,6 +134,13 @@ func NewDevice(cfg ModelConfig, opts DeviceOptions) (*Device, error) {
 	return core.New(cfg, opts)
 }
 
+// NewDeviceFromModel is NewDevice around an already-built model. The device
+// reads m's weights in place and never writes them, so every shard of one
+// hosted model can share a single BuildModel result.
+func NewDeviceFromModel(m *Model, opts DeviceOptions) (*Device, error) {
+	return core.NewFromModel(m, opts)
+}
+
 // MustNewDevice is NewDevice, panicking on error.
 func MustNewDevice(cfg ModelConfig, opts DeviceOptions) *Device {
 	d, err := NewDevice(cfg, opts)
@@ -217,6 +224,12 @@ const MaxArrayDevices = array.MaxDevices
 // options apply to every member device.
 func NewArray(cfg ModelConfig, opts DeviceOptions) (*Array, error) {
 	return array.New(cfg, opts)
+}
+
+// NewArrayFromModel is NewArray around an already-built model: every member
+// shares m's weights read-only.
+func NewArrayFromModel(m *Model, opts DeviceOptions) (*Array, error) {
+	return array.NewFromModel(m, opts)
 }
 
 // MustNewArray is NewArray, panicking on error.
