@@ -40,7 +40,7 @@ test-benchmark:
 # conformance layers above them, with runtime invariant checks on. CI runs
 # this target, so the package list lives only here.
 test-simdebug:
-	$(GO) test -tags simdebug ./internal/sim/ ./internal/flash/ ./internal/core/ ./internal/ftl/ ./internal/ssd/ ./internal/engine/ \
+	$(GO) test -tags simdebug ./internal/sim/ ./internal/flash/ ./internal/core/ ./internal/ftl/ ./internal/ssd/ ./internal/engine/ ./internal/evcache/ \
 		./internal/array/ ./internal/serving/ ./internal/conformance/
 
 # Verify every pinned end-to-end artifact checksum. Regenerate (after an
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzArrayPartitionConfig -fuzztime=10s ./internal/array/
 	$(GO) test -run='^$$' -fuzz=FuzzEVCacheOps -fuzztime=10s ./internal/evcache/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockingPipelineLanes -fuzztime=10s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzBlockingPipelineBusiestLane -fuzztime=10s ./internal/sim/
 
 bench:
 	$(GO) run ./cmd/rmbench -exp all

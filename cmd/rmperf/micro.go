@@ -24,7 +24,8 @@ import (
 // is the list+map LRU that preceded the slab cache (one list element and
 // one entry per reservation). The shard-build baseline is rmssd.NewDevice
 // before shards shared their hosted model, when every shard built its own
-// weights.
+// weights. The resident-bytes baseline is the full churned 8 MiB cache of
+// 128-byte vectors measured the same way while a Go map indexed the slab.
 const (
 	baseSubmitAllocs     = 5
 	baseSubmitBytes      = 288
@@ -34,6 +35,7 @@ const (
 	baseMissFillBytes    = 96
 	baseShardBuildAllocs = 1039
 	baseShardBuildBytes  = 13603256
+	baseResidentBytes    = 213.4
 )
 
 // MicroStat is one benchmark's per-op numbers next to its frozen baseline.
@@ -46,15 +48,18 @@ type MicroStat struct {
 }
 
 // MicroReport aggregates the micro-benchmarks plus the GC pause accumulated
-// while the hot-path ones ran, shard_build excluded (host wall-clock
-// figures; simulated time is not involved).
+// while the hot-path ones ran, shard_build and the footprint excluded (host
+// wall-clock figures; simulated time is not involved), and the heap a full
+// EV cache retains per resident entry.
 type MicroReport struct {
-	PoolSubmit    MicroStat `json:"pool_submit"`
-	LookupPoolHot MicroStat `json:"lookup_pool_hot"`
-	EVCacheHit    MicroStat `json:"evcache_hit"`
-	EVCacheMiss   MicroStat `json:"evcache_miss_fill"`
-	ShardBuild    MicroStat `json:"shard_build"`
-	GCPauseMS     float64   `json:"gc_pause_total_ms"`
+	PoolSubmit        MicroStat `json:"pool_submit"`
+	LookupPoolHot     MicroStat `json:"lookup_pool_hot"`
+	EVCacheHit        MicroStat `json:"evcache_hit"`
+	EVCacheMiss       MicroStat `json:"evcache_miss_fill"`
+	ShardBuild        MicroStat `json:"shard_build"`
+	GCPauseMS         float64   `json:"gc_pause_total_ms"`
+	ResidentBytes     float64   `json:"evcache_resident_bytes_per_entry"`
+	BaseResidentBytes float64   `json:"baseline_evcache_resident_bytes_per_entry"`
 }
 
 func stat(r testing.BenchmarkResult, baseAllocs, baseBytes int64) MicroStat {
@@ -187,11 +192,33 @@ func runMicro() MicroReport {
 	})
 
 	return MicroReport{
-		PoolSubmit:    stat(submit, baseSubmitAllocs, baseSubmitBytes),
-		LookupPoolHot: stat(lookup, baseLookupAllocs, baseLookupBytes),
-		EVCacheHit:    stat(hit, 0, 0),
-		EVCacheMiss:   stat(miss, baseMissFillAllocs, baseMissFillBytes),
-		ShardBuild:    stat(shardBuild, baseShardBuildAllocs, baseShardBuildBytes),
-		GCPauseMS:     float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
+		PoolSubmit:        stat(submit, baseSubmitAllocs, baseSubmitBytes),
+		LookupPoolHot:     stat(lookup, baseLookupAllocs, baseLookupBytes),
+		EVCacheHit:        stat(hit, 0, 0),
+		EVCacheMiss:       stat(miss, baseMissFillAllocs, baseMissFillBytes),
+		ShardBuild:        stat(shardBuild, baseShardBuildAllocs, baseShardBuildBytes),
+		GCPauseMS:         float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
+		ResidentBytes:     residentBytesPerEntry(8<<20, 128),
+		BaseResidentBytes: baseResidentBytes,
 	}
+}
+
+// residentBytesPerEntry fills a New(budget, evSize) EV cache, churns three
+// times its capacity of distinct keys through it, and returns the heap it
+// retains per resident entry after a GC: vector, slot and index together.
+// Mirrors internal/evcache's TestResidentFootprint, which bounds the same
+// figure.
+func residentBytesPerEntry(budget int64, evSize int) float64 {
+	vec := make([]byte, evSize)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := evcache.New(budget, evSize)
+	for r := range 3 * c.CapEntries() {
+		c.Fill(c.Reserve(0, int64(r)), vec)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(c.Len())
 }

@@ -10,13 +10,19 @@
 // paper's Fig. 14 sensitivity sweep and the RecSSD baseline's host cache
 // exploit, but without crossing the host interface.
 //
-// Storage is one pointer-free slab. Each entry occupies a slot: a fixed
-// record holding its Key, its recency links (slot indices, not pointers) and
-// its fill state, plus an evSize-byte window of a storage chunk. Chunks are
-// allocated as slots are first used, so a cache costs only what is resident
-// however large its budget. An index map takes a Key to its slot. Fill copies
-// the read bytes into the slot's window: the buffer a flash read returned
-// (on a linear device a fresh buffer synthesised per miss) is never retained.
+// Storage is one pointer-free slab. Each entry occupies a slot: a 32-byte
+// record holding its Key, its recency links and its hash-chain link (slot
+// indices, not pointers) and its generation and fill state, plus an
+// evSize-byte window of a storage chunk. Chunks are allocated as slots are
+// first used, so a cache costs only what is resident however large its
+// budget. The index is part of the slab too: a power-of-two array of bucket
+// heads, each the first slot of a chain linked through the slots, keyed by a
+// fixed 64-bit mix of the Key. The bucket array doubles (rehashing every
+// chain) whenever the resident count reaches its length, up to the capacity
+// rounded up to a power of two, so chains average at most one slot and the
+// index costs about 4 bytes per resident entry. Fill copies the read bytes into the
+// slot's window: the buffer a flash read returned (on a linear device a fresh
+// buffer synthesised per miss) is never retained.
 //
 // Reserve hands out a Handle naming the slot and its generation. Evicting or
 // invalidating an entry bumps its slot's generation, so a handle that
@@ -29,9 +35,9 @@
 // Reserve, port scheduling in Hit — happens on the caller's goroutine in the
 // caller's order; Fill only deposits bytes into an already-placed entry and
 // touches neither recency nor the index, so it may run in any phase of a
-// batch without perturbing LRU state. The index map is never iterated:
-// identical call sequences produce identical hits, misses, evictions and
-// contents.
+// batch without perturbing LRU state. The hash is seed-free and the index is
+// plain arrays, never a Go map: identical call sequences produce identical
+// hits, misses, evictions, chains and contents.
 //
 // MSHR semantics: a miss Reserves its entry immediately (at plan time), so a
 // later lookup of the same key in the same batch Gets the reserved entry and
@@ -42,6 +48,7 @@ package evcache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -76,16 +83,32 @@ func (h Handle) Reserved() bool { return h.ref != 0 }
 // chunkBytes sizes one storage chunk (rounded down to whole vectors).
 const chunkBytes = 64 << 10
 
-// noSlot terminates the recency list and the free list.
-const noSlot = -1
+// noSlot terminates the recency list, the free list and the hash chains, and
+// marks an empty bucket. offChain is a free slot's chain link: it is on no
+// chain.
+const (
+	noSlot   = -1
+	offChain = -2
+)
 
-// slot is one entry's bookkeeping. It holds no pointers, so the slot array
-// is invisible to the garbage collector's scan.
+// minBuckets is the bucket array's length once the first entry arrives.
+const minBuckets = 8
+
+// A slot's gen packs its fill state into bit 0 and its generation into the
+// bits above: when the entry leaves, gen advances by genStep, which also
+// clears filledBit, and every handle issued before goes stale.
+const (
+	filledBit = 1
+	genStep   = 2
+)
+
+// slot is one entry's bookkeeping: 32 bytes holding no pointers, so the slot
+// array is invisible to the garbage collector's scan.
 type slot struct {
 	key        Key
 	prev, next int32  // recency neighbours (free list: next only)
-	gen        uint32 // bumped when the entry leaves, staling its handles
-	filled     bool   // the entry's flash read has completed
+	hnext      int32  // next slot in the key's bucket chain
+	gen        uint32 // generation<<1 | filled
 }
 
 // Cache is the device-DRAM EV cache. It is not safe for concurrent use; the
@@ -96,7 +119,8 @@ type Cache struct {
 	perChunk   int      // vectors per storage chunk
 	chunks     [][]byte // vector bytes: slot i at chunks[i/perChunk]
 	slots      []slot
-	index      map[Key]int32
+	buckets    []int32       // hash-chain heads, power-of-two length
+	maxBuckets int           // bucket array growth ceiling
 	head, tail int32         // most / least recently used; noSlot when empty
 	free       int32         // released slots, linked through next
 	n          int           // resident entries
@@ -116,7 +140,6 @@ func New(budgetBytes int64, evSize int) *Cache {
 	}
 	c := &Cache{
 		evSize: evSize,
-		index:  make(map[Key]int32),
 		head:   noSlot,
 		tail:   noSlot,
 		free:   noSlot,
@@ -127,6 +150,7 @@ func New(budgetBytes int64, evSize int) *Cache {
 		c.capEntries = int(min(budgetBytes/int64(evSize), math.MaxInt32))
 	}
 	c.perChunk = max(1, min(chunkBytes/evSize, c.capEntries))
+	c.maxBuckets = 1 << bits.Len(uint(max(c.capEntries-1, 0)))
 	return c
 }
 
@@ -144,7 +168,7 @@ func (c *Cache) Len() int { return c.n }
 // the current batch, which the caller merges with (MSHR) rather than
 // re-reading.
 func (c *Cache) Get(table int, row int64) (Handle, bool) {
-	if i, ok := c.index[Key{table, row}]; ok {
+	if i := c.find(Key{table, row}); i != noSlot {
 		c.touch(i)
 		c.stats.Hits++
 		return c.handle(i), true
@@ -160,7 +184,7 @@ func (c *Cache) Get(table int, row int64) (Handle, bool) {
 // the existing entry's handle.
 func (c *Cache) Reserve(table int, row int64) Handle {
 	key := Key{table, row}
-	if i, ok := c.index[key]; ok {
+	if i := c.find(key); i != noSlot {
 		c.touch(i)
 		return c.handle(i)
 	}
@@ -171,11 +195,15 @@ func (c *Cache) Reserve(table int, row int64) Handle {
 		c.release(c.tail)
 		c.stats.Evictions++
 	}
+	if c.n == len(c.buckets) && c.n < c.maxBuckets {
+		c.growIndex()
+	}
 	i := c.alloc()
 	c.slots[i].key = key
 	c.pushFront(i)
-	c.index[key] = i
+	c.link(i)
 	c.n++
+	debugIndex(c)
 	return c.handle(i)
 }
 
@@ -192,14 +220,14 @@ func (c *Cache) Fill(h Handle, data []byte) {
 		panic(fmt.Sprintf("evcache: fill of %d bytes, want %d", len(data), c.evSize))
 	}
 	copy(c.window(i), data)
-	c.slots[i].filled = true
+	c.slots[i].gen |= filledBit
 }
 
 // Filled reports whether the handle's entry has been filled; false for a
 // stale handle.
 func (c *Cache) Filled(h Handle) bool {
 	i, ok := c.live(h)
-	return ok && c.slots[i].filled
+	return ok && c.slots[i].gen&filledBit != 0
 }
 
 // Data returns the handle's cached bytes: nil until Fill and for a stale
@@ -207,7 +235,7 @@ func (c *Cache) Filled(h Handle) bool {
 // the entry leaves and its slot is refilled.
 func (c *Cache) Data(h Handle) []byte {
 	i, ok := c.live(h)
-	if !ok || !c.slots[i].filled {
+	if !ok || c.slots[i].gen&filledBit == 0 {
 		return nil
 	}
 	return c.window(i)
@@ -217,8 +245,8 @@ func (c *Cache) Data(h Handle) []byte {
 // embedding store calls it when a vector is overwritten through the block
 // path, so cached bytes never go stale.
 func (c *Cache) Invalidate(table int, row int64) bool {
-	i, ok := c.index[Key{table, row}]
-	if !ok {
+	i := c.find(Key{table, row})
+	if i == noSlot {
 		return false
 	}
 	c.release(i)
@@ -255,7 +283,7 @@ func (c *Cache) HitRatio() float64 {
 }
 
 func (c *Cache) handle(i int32) Handle {
-	return Handle{ref: uint32(i) + 1, gen: c.slots[i].gen}
+	return Handle{ref: uint32(i) + 1, gen: c.slots[i].gen &^ filledBit}
 }
 
 // live resolves a handle to its slot if the handle is still current.
@@ -264,7 +292,7 @@ func (c *Cache) live(h Handle) (int32, bool) {
 		return 0, false
 	}
 	i := int32(h.ref - 1)
-	return i, c.slots[i].gen == h.gen
+	return i, c.slots[i].gen&^filledBit == h.gen
 }
 
 // window is slot i's evSize-byte storage, capacity-clipped so an append
@@ -296,17 +324,81 @@ func (c *Cache) alloc() int32 {
 	return int32(i)
 }
 
-// release removes slot i's entry: it leaves the recency list and the index,
-// its handles go stale, and the slot joins the free list.
+// release removes slot i's entry: it leaves the recency list and its hash
+// chain, its handles go stale, and the slot joins the free list.
 func (c *Cache) release(i int32) {
-	s := &c.slots[i]
 	c.unlink(i)
-	delete(c.index, s.key)
-	s.gen++
-	s.filled = false
+	c.unhash(i)
+	s := &c.slots[i]
+	s.hnext = offChain
+	s.gen = s.gen&^filledBit + genStep
 	s.next = c.free
 	c.free = i
 	c.n--
+	debugIndex(c)
+}
+
+// hashKey mixes a Key into 64 well-spread bits (the MurmurHash3 finalizer
+// over the row folded with the golden-ratio-scaled table). It is fixed and
+// seed-free, so chain order, like everything else, is reproducible.
+func hashKey(k Key) uint64 {
+	h := uint64(k.Row) ^ uint64(k.Table)*0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// bucket returns the bucket array position of key's chain.
+func (c *Cache) bucket(k Key) int {
+	return int(hashKey(k) & uint64(len(c.buckets)-1))
+}
+
+// find returns the slot holding key, or noSlot.
+func (c *Cache) find(k Key) int32 {
+	if len(c.buckets) == 0 {
+		return noSlot
+	}
+	i := c.buckets[c.bucket(k)]
+	for i != noSlot && c.slots[i].key != k {
+		i = c.slots[i].hnext
+	}
+	return i
+}
+
+// link pushes slot i onto the front of its key's chain.
+func (c *Cache) link(i int32) {
+	b := c.bucket(c.slots[i].key)
+	c.slots[i].hnext = c.buckets[b]
+	c.buckets[b] = i
+}
+
+// unhash removes slot i from its key's chain.
+func (c *Cache) unhash(i int32) {
+	p := &c.buckets[c.bucket(c.slots[i].key)]
+	for *p != i {
+		p = &c.slots[*p].hnext
+	}
+	*p = c.slots[i].hnext
+}
+
+// growIndex doubles the bucket array (to minBuckets from empty, never past
+// maxBuckets) and relinks every chain into it.
+func (c *Cache) growIndex() {
+	old := c.buckets
+	c.buckets = make([]int32, min(max(2*len(old), minBuckets), c.maxBuckets))
+	for b := range c.buckets {
+		c.buckets[b] = noSlot
+	}
+	for _, i := range old {
+		for i != noSlot {
+			next := c.slots[i].hnext
+			c.link(i)
+			i = next
+		}
+	}
 }
 
 // touch makes slot i the most recently used.
@@ -341,4 +433,52 @@ func (c *Cache) unlink(i int32) {
 	} else {
 		c.tail = s.prev
 	}
+}
+
+// indexErr checks the hash index against the slab: every resident slot's
+// key finds that slot, the chains hold exactly the n resident slots, and no
+// free slot is reachable from a bucket. It walks the whole cache without
+// allocating, so the simdebug layer can run it after every insertion and
+// removal.
+func (c *Cache) indexErr() error {
+	free := 0
+	for i := c.free; i != noSlot; i = c.slots[i].next {
+		if c.slots[i].hnext != offChain {
+			return fmt.Errorf("free slot %d still carries a chain link", i)
+		}
+		if free++; free > len(c.slots) {
+			return fmt.Errorf("free list cycles")
+		}
+	}
+	if c.n+free != len(c.slots) {
+		return fmt.Errorf("%d resident + %d free slots, %d allocated", c.n, free, len(c.slots))
+	}
+	chained := 0
+	for b, head := range c.buckets {
+		for i := head; i != noSlot; i = c.slots[i].hnext {
+			k := c.slots[i].key
+			if c.slots[i].hnext == offChain {
+				return fmt.Errorf("free slot %d reachable from bucket %d", i, b)
+			}
+			if c.bucket(k) != b {
+				return fmt.Errorf("slot %d (key %v) chained from bucket %d, hashes to %d", i, k, b, c.bucket(k))
+			}
+			// find walks this chain from its head: nothing before i may
+			// hold i's key.
+			for j := head; j != i; j = c.slots[j].hnext {
+				if c.slots[j].key == k {
+					return fmt.Errorf("slot %d (key %v) shadowed by slot %d", i, k, j)
+				}
+			}
+			if chained++; chained > c.n {
+				return fmt.Errorf("chains hold more than the %d resident slots", c.n)
+			}
+		}
+	}
+	// Chained slots are distinct, non-free and n in number, so they are
+	// exactly the resident ones, and each finds itself.
+	if chained != c.n {
+		return fmt.Errorf("chains hold %d slots, %d resident", chained, c.n)
+	}
+	return nil
 }

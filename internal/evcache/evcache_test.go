@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"rmssd/internal/params"
 )
@@ -296,31 +298,124 @@ func (c *Cache) order() []Key {
 	return keys
 }
 
-// checkAgainstRef decodes ops into a Get/Reserve/Fill/Invalidate sequence,
-// drives the slab cache and the reference LRU with it, and fails on the
-// first divergence in outcomes, bytes, Stats, Len or recency (eviction)
-// order. Reservations are remembered so later fills may go through handles
-// that have since gone stale. The first byte picks the capacity (0..7
-// entries).
-func checkAgainstRef(t *testing.T, evSize int, ops []byte) {
-	t.Helper()
+// refOp is one decoded operation for checkOps.
+type refOp struct {
+	op  byte // 0 Get, 1 Reserve, 2 Fill, 3 Invalidate
+	key Key
+	arg int // Fill: which earlier reservation to fill through
+}
+
+// wideMode marks a byte stream's first byte as selecting decodeOps's wide
+// form; oneBucketBit in a wide first byte caps the index at one bucket.
+const (
+	wideMode     = 0x80
+	oneBucketBit = 0x40
+)
+
+// decodeOps turns a byte stream into a capacity and an operation sequence,
+// two bytes per operation: the first byte's low two bits pick the
+// operation. A first stream byte below wideMode (the narrow form) gives the
+// capacity ops[0]%8 and draws keys from 16, one per second byte. From
+// wideMode on (the wide form) the capacity is (ops[0]&0x3f)*5, up to 315
+// entries, oneBucketBit chains every key in one bucket, and the
+// operation's upper six bits and second byte name one of 16384 keys, enough
+// to grow the bucket array through several doublings.
+func decodeOps(ops []byte) (capEntries int, oneBucket bool, seq []refOp) {
 	if len(ops) == 0 {
-		return
+		return 0, false, nil
 	}
-	capEntries := int(ops[0] % 8)
+	wide := ops[0] >= wideMode
+	capEntries = int(ops[0] % 8)
+	if wide {
+		capEntries, oneBucket = int(ops[0]&0x3f)*5, ops[0]&oneBucketBit != 0
+	}
+	for i := 1; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%4, ops[i+1]
+		if !wide {
+			seq = append(seq, refOp{op, Key{Table: int(arg>>3) & 1, Row: int64(arg & 7)}, int(arg)})
+			continue
+		}
+		hi := int(ops[i] >> 2)
+		seq = append(seq, refOp{op, Key{Table: hi & 1, Row: int64(hi>>1)<<8 | int64(arg)}, hi<<8 | int(arg)})
+	}
+	return capEntries, oneBucket, seq
+}
+
+// Chain positions an entry can leave from: a lone slot is its chain's
+// head and tail at once.
+const (
+	chainLone = iota
+	chainHead
+	chainMiddle
+	chainTail
+)
+
+// chainPos reports where slot i sits in its bucket's chain.
+func (c *Cache) chainPos(i int32) int {
+	before, after := 0, 0
+	for j := c.buckets[c.bucket(c.slots[i].key)]; j != i; j = c.slots[j].hnext {
+		before++
+	}
+	for j := c.slots[i].hnext; j != noSlot; j = c.slots[j].hnext {
+		after++
+	}
+	switch {
+	case before == 0 && after == 0:
+		return chainLone
+	case before == 0:
+		return chainHead
+	case after == 0:
+		return chainTail
+	}
+	return chainMiddle
+}
+
+// checkStats summarises one checkOps run: how often entries left the index
+// from each chain position, and the largest bucket array it reached.
+type checkStats struct {
+	unlinked   [4]int
+	maxBuckets int
+}
+
+func (a *checkStats) add(b checkStats) {
+	for p := range a.unlinked {
+		a.unlinked[p] += b.unlinked[p]
+	}
+	a.maxBuckets = max(a.maxBuckets, b.maxBuckets)
+}
+
+// checkAgainstRef decodes ops (see decodeOps) and runs them through
+// checkOps.
+func checkAgainstRef(t *testing.T, evSize int, ops []byte) checkStats {
+	t.Helper()
+	capEntries, oneBucket, seq := decodeOps(ops)
+	return checkOps(t, evSize, capEntries, oneBucket, seq)
+}
+
+// checkOps drives the slab cache and the reference LRU with one
+// Get/Reserve/Fill/Invalidate sequence and fails on the first divergence in
+// outcomes, bytes, Stats, Len or recency (eviction) order, or on a broken
+// hash index (indexErr). Reservations are remembered so later fills may go
+// through handles that have since gone stale. With oneBucket the index
+// never grows past one bucket, so every resident key shares one chain.
+func checkOps(t *testing.T, evSize, capEntries int, oneBucket bool, seq []refOp) checkStats {
+	t.Helper()
 	slab := New(int64(capEntries*evSize), evSize)
+	if oneBucket {
+		slab.maxBuckets = 1
+	}
 	ref := newRef(capEntries)
 	type reservation struct {
 		h Handle
 		e *refEntry
 	}
 	var held []reservation
+	var st checkStats
 	fills := 0
-	for step, i := 0, 1; i+1 < len(ops); step, i = step+1, i+2 {
-		op, arg := ops[i]%4, ops[i+1]
-		k := Key{Table: int(arg>>3) & 1, Row: int64(arg & 7)}
-		where := fmt.Sprintf("step %d (op %d, key %v, cap %d, evSize %d)", step, op, k, capEntries, evSize)
-		switch op {
+	for step, o := range seq {
+		k := o.key
+		where := fmt.Sprintf("step %d (op %d, key %v, cap %d, evSize %d, one bucket %v)", step, o.op, k, capEntries, evSize, oneBucket)
+		switch o.op {
 		case 0:
 			h, ok := slab.Get(k.Table, k.Row)
 			e, rok := ref.get(k)
@@ -336,6 +431,9 @@ func checkAgainstRef(t *testing.T, evSize int, ops []byte) {
 				}
 			}
 		case 1:
+			if slab.n == slab.capEntries && slab.capEntries > 0 && slab.find(k) == noSlot {
+				st.unlinked[slab.chainPos(slab.tail)]++
+			}
 			h := slab.Reserve(k.Table, k.Row)
 			e := ref.reserve(k)
 			if h.Reserved() != (e != nil) {
@@ -348,13 +446,16 @@ func checkAgainstRef(t *testing.T, evSize int, ops []byte) {
 			if len(held) == 0 {
 				continue
 			}
-			r := held[int(arg)%len(held)]
+			r := held[o.arg%len(held)]
 			fills++
 			data := make([]byte, evSize)
 			binary.LittleEndian.PutUint32(data, uint32(fills))
 			slab.Fill(r.h, data)
 			r.e.data, r.e.filled = data, true
 		case 3:
+			if i := slab.find(k); i != noSlot {
+				st.unlinked[slab.chainPos(i)]++
+			}
 			if got, want := slab.Invalidate(k.Table, k.Row), ref.invalidate(k); got != want {
 				t.Fatalf("%s: invalidate %v, reference %v", where, got, want)
 			}
@@ -362,17 +463,45 @@ func checkAgainstRef(t *testing.T, evSize int, ops []byte) {
 		if slab.Stats() != ref.stats || slab.Len() != ref.lru.Len() {
 			t.Fatalf("%s: stats %+v len %d, reference %+v len %d", where, slab.Stats(), slab.Len(), ref.stats, ref.lru.Len())
 		}
-		if got, want := slab.order(), ref.order(); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := slab.order(), ref.order(); !slices.Equal(got, want) {
 			t.Fatalf("%s: recency order %v, reference %v", where, got, want)
 		}
+		if err := slab.indexErr(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		st.maxBuckets = max(st.maxBuckets, len(slab.buckets))
 	}
+	return st
+}
+
+// wideOps builds a seeded wide-form stream (see decodeOps) of n operations
+// at capacity capSel*5: Gets and Reserves mostly, some Fills and
+// Invalidates, with keys drawn half from 64 hot ones and half from 4096.
+func wideOps(rng *rand.Rand, capSel int, oneBucket bool, n int) []byte {
+	ops := []byte{wideMode | byte(capSel)}
+	if oneBucket {
+		ops[0] |= oneBucketBit
+	}
+	for range n {
+		op := [...]byte{0, 0, 0, 1, 1, 1, 2, 2, 3}[rng.Intn(9)]
+		key := rng.Intn(4096)
+		if rng.Intn(2) == 0 {
+			key = rng.Intn(64)
+		}
+		table, row := key&1, key>>1
+		ops = append(ops, byte((row>>8)<<3|table<<2)|op, byte(row))
+	}
+	return ops
 }
 
 // TestSlabMatchesReference runs seeded random operation sequences against
-// the slab cache and the list+map reference, across every capacity the
-// decoder produces (0, 1 and 2 entries included). Every fourth sequence uses
-// vectors of almost half a storage chunk, so slots span several chunks and
-// odd capacities end on a partial one.
+// the slab cache and the list+map reference. The narrow sequences cover
+// every capacity the narrow decoder produces (0, 1 and 2 entries
+// included); every fourth uses vectors of almost half a storage chunk, so
+// slots span several chunks and odd capacities end on a partial one. The
+// wide sequences run capacities up to 315 over more than a thousand
+// distinct keys, so the bucket array doubles from 8 to 512 and entries
+// leave from the head, middle and tail of their chains.
 func TestSlabMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for seq := 0; seq < 400; seq++ {
@@ -380,12 +509,197 @@ func TestSlabMatchesReference(t *testing.T) {
 		for i := range ops {
 			ops[i] = byte(rng.Intn(256))
 		}
-		ops[0] = byte(seq)
+		ops[0] = byte(seq) % wideMode
 		evSize := 8
 		if seq%4 == 3 {
 			evSize = chunkBytes/2 - 8
 		}
 		checkAgainstRef(t, evSize, ops)
+	}
+	var all checkStats
+	for seq := 0; seq < 12; seq++ {
+		capSel := 63 - 4*seq // 315 entries down to 95
+		all.add(checkAgainstRef(t, 8, wideOps(rng, capSel, false, 3000)))
+	}
+	if all.maxBuckets != 512 {
+		t.Fatalf("wide sequences grew the bucket array to %d, want 512", all.maxBuckets)
+	}
+	for p, n := range all.unlinked {
+		if n == 0 {
+			t.Fatalf("no entry left its chain from position %d (lone, head, middle, tail): %v", p, all.unlinked)
+		}
+	}
+}
+
+// TestOneBucketMatchesReference forces every key into one chain, hundreds
+// of slots long, and checks the slab against the reference all the same:
+// a lookup walks the whole chain and every removal unlinks from an
+// arbitrary position of it.
+func TestOneBucketMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var all checkStats
+	for seq := 0; seq < 6; seq++ {
+		all.add(checkAgainstRef(t, 8, wideOps(rng, 60-7*seq, true, 2000)))
+	}
+	if all.maxBuckets != 1 {
+		t.Fatalf("one-bucket index grew to %d buckets", all.maxBuckets)
+	}
+	for _, p := range []int{chainHead, chainMiddle, chainTail} {
+		if all.unlinked[p] == 0 {
+			t.Fatalf("no entry left the shared chain from position %d: %v", p, all.unlinked)
+		}
+	}
+}
+
+// TestChainUnlinkPositions removes the head, a middle slot and the tail of
+// one known chain and checks every other key still finds its entry.
+func TestChainUnlinkPositions(t *testing.T) {
+	c := New(16*128, 128)
+	c.maxBuckets = 1
+	for r := int64(0); r < 10; r++ {
+		c.Reserve(0, r) // pushed onto the chain's front: 9 is its head, 0 its tail
+	}
+	for _, tc := range []struct {
+		row int64
+		pos int
+	}{{9, chainHead}, {4, chainMiddle}, {0, chainTail}} {
+		i := c.find(Key{0, tc.row})
+		if i == noSlot || c.chainPos(i) != tc.pos {
+			t.Fatalf("row %d: slot %d at chain position %d, want %d", tc.row, i, c.chainPos(i), tc.pos)
+		}
+		if !c.Invalidate(0, tc.row) {
+			t.Fatalf("row %d: invalidate missed", tc.row)
+		}
+		if err := c.indexErr(); err != nil {
+			t.Fatalf("after unlinking row %d: %v", tc.row, err)
+		}
+	}
+	for r := int64(0); r < 10; r++ {
+		_, ok := c.Get(0, r)
+		if gone := r == 9 || r == 4 || r == 0; ok == gone {
+			t.Fatalf("row %d: resident %v after the unlinks", r, ok)
+		}
+	}
+}
+
+// TestIndexErrCatchesCorruption: each invariant indexErr states trips on a
+// cache corrupted to break it, so the simdebug check cannot rot into a
+// no-op.
+func TestIndexErrCatchesCorruption(t *testing.T) {
+	build := func() *Cache {
+		c := New(64*128, 128)
+		for r := int64(0); r < 40; r++ {
+			c.Reserve(0, r)
+		}
+		c.Invalidate(0, 7)
+		if err := c.indexErr(); err != nil {
+			t.Fatalf("healthy cache: %v", err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+	}{
+		{"free slot on a chain", func(c *Cache) {
+			b := c.bucket(c.slots[c.free].key)
+			c.slots[c.free].hnext = c.buckets[b]
+			c.buckets[b] = c.free
+		}},
+		{"resident slot unreachable", func(c *Cache) { c.unhash(c.head); c.slots[c.head].hnext = noSlot }},
+		{"slot under the wrong bucket", func(c *Cache) {
+			i := c.head
+			c.unhash(i)
+			b := (c.bucket(c.slots[i].key) + 1) % len(c.buckets)
+			c.slots[i].hnext, c.buckets[b] = c.buckets[b], i
+		}},
+		{"key shadowed on its chain", func(c *Cache) {
+			c.unhash(c.tail)
+			c.slots[c.tail].key = c.slots[c.head].key
+			c.link(c.tail)
+		}},
+		{"resident count off", func(c *Cache) { c.n++ }},
+	} {
+		c := build()
+		tc.corrupt(c)
+		if c.indexErr() == nil {
+			t.Errorf("%s: not caught", tc.name)
+		}
+	}
+}
+
+// TestChainsStayShort fills a 4096-entry cache with regular key patterns
+// (consecutive rows, rows strided by the bucket count, one row across
+// many tables) and checks the hash spreads each over the buckets: with one
+// entry per bucket on average, no chain may reach 16.
+func TestChainsStayShort(t *testing.T) {
+	const entries = 4096
+	for _, tc := range []struct {
+		name string
+		key  func(i int) Key
+	}{
+		{"consecutive rows", func(i int) Key { return Key{0, int64(i)} }},
+		{"strided rows", func(i int) Key { return Key{1, int64(i) * entries} }},
+		{"one row per table", func(i int) Key { return Key{i, 42} }},
+	} {
+		c := New(entries*8, 8)
+		for i := range entries {
+			k := tc.key(i)
+			c.Reserve(k.Table, k.Row)
+		}
+		longest := 0
+		for _, i := range c.buckets {
+			n := 0
+			for ; i != noSlot; i = c.slots[i].hnext {
+				n++
+			}
+			longest = max(longest, n)
+		}
+		if len(c.buckets) != entries || longest >= 16 {
+			t.Errorf("%s: longest of %d chains holds %d slots", tc.name, len(c.buckets), longest)
+		}
+	}
+}
+
+// residentBytesPerEntry fills a New(budget, evSize) cache, churns three
+// times its capacity of distinct keys through it, and returns the heap it
+// retains per resident entry after a GC: vector, slot and index together.
+// cmd/rmperf reports the same measurement as
+// micro.evcache_resident_bytes_per_entry.
+func residentBytesPerEntry(budget int64, evSize int) float64 {
+	vec := make([]byte, evSize)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(budget, evSize)
+	for r := range 3 * c.CapEntries() {
+		c.Fill(c.Reserve(0, int64(r)), vec)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(c.Len())
+}
+
+// TestResidentFootprint pins what a full cache costs: a 32-byte slot, and
+// at most 40 bytes of bookkeeping per resident entry on top of its vector
+// (the slot plus about 4 bytes of bucket array; a Go map index alone
+// cost about 49).
+func TestResidentFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Fatalf("slot is %d bytes, want 32", got)
+	}
+	const evSize = 128
+	budget := int64(8 << 20)
+	if Debug {
+		// The simdebug layer walks the whole index after every Reserve,
+		// which makes churning 65536 entries quadratic: measure 2048.
+		budget = 256 << 10
+	}
+	got := residentBytesPerEntry(budget, evSize)
+	t.Logf("full churned %d KiB cache: %.1f B per %d-byte entry", budget>>10, got, evSize)
+	if got > evSize+40 {
+		t.Fatalf("full churned %d KiB cache retains %.1f B per %d-byte entry, want at most %d", budget>>10, got, evSize, evSize+40)
 	}
 }
 
@@ -394,6 +708,25 @@ func FuzzEVCacheOps(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 2, 2, 0, 0, 1})             // one entry: evict before fill
 	f.Add([]byte{2, 1, 0, 1, 1, 1, 2, 0, 0, 2, 1, 0, 1}) // two entries, refill
 	f.Add([]byte{0, 1, 3, 0, 3, 2, 0, 3, 3})             // zero capacity
+	// Wide form, 20 entries: reservation r is key (r%2, r*37 mod 256).
+	// 17 of them grow the bucket array from 8 to 16 and then to 32;
+	// invalidations and lookups follow.
+	wide := func(first byte, ops ...int) []byte {
+		b := []byte{first}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, r := ops[i], ops[i+1]
+			b = append(b, byte(op)|byte(r%2)<<2, byte(r*37))
+		}
+		return b
+	}
+	var grow []int
+	for r := range 17 {
+		grow = append(grow, 1, r)
+	}
+	f.Add(wide(wideMode|4, append(grow, 3, 0, 3, 1, 0, 2, 0, 1)...))
+	// The same reservations in one 17-slot chain, then removals from its
+	// middle, head and tail.
+	f.Add(wide(wideMode|oneBucketBit|4, append(grow, 3, 4, 3, 16, 3, 0, 0, 2)...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 513 { // 256 operations
 			ops = ops[:513]

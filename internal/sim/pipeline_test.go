@@ -363,3 +363,165 @@ func FuzzBlockingPipelineLanes(f *testing.F) {
 		}
 	})
 }
+
+// laneBoundItem decodes raw bytes into one stage vector with exactly one
+// lane stage, and an item count. Lane busy times are drawn large and
+// releases, tails and the other stages' times small, so most vectors bind
+// on a lane, but any combination can occur.
+func laneBoundItem(raw []byte) (stages []Stage, n int) {
+	next := func() time.Duration {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return time.Duration(b)
+	}
+	n = 1 + int(next())%48
+	stages = make([]Stage, 1+int(next())%4)
+	lane := int(next()) % len(stages)
+	for k := range stages {
+		stages[k] = Stage{Name: "s", Time: next() / 2}
+	}
+	loads := make([]LaneLoad, 1+int(next())%4)
+	var reach time.Duration
+	for l := range loads {
+		loads[l] = LaneLoad{Release: next() / 8, Busy: 4 * next()}
+		reach = max(reach, loads[l].Release+loads[l].Busy)
+	}
+	stages[lane] = Stage{Name: "lanes", Time: reach + next()/8, Lanes: loads}
+	return stages, n
+}
+
+// laneCycle returns the cycle time of a saturated BlockingPipeline fed one
+// stage vector with a single lane stage over and over, and the busiest
+// lane's per-item load:
+//
+//	λ = max(every other stage's Time, the busiest lane's Busy,
+//	        (the stage Times up to and including the lane stage)/LaneDepth)
+//
+// The first two are the stages and lanes each serving one item at a time;
+// the last is the lane stage's LaneDepth places, each held from the item's
+// pipeline entry until it leaves the lane stage.
+func laneCycle(stages []Stage) (lambda, busiest time.Duration) {
+	var upTo time.Duration
+	for _, s := range stages {
+		upTo += s.Time
+		if len(s.Lanes) == 0 {
+			lambda = max(lambda, s.Time)
+			continue
+		}
+		for _, ld := range s.Lanes {
+			busiest = max(busiest, ld.Busy)
+		}
+		lambda = max(lambda, busiest, (upTo+LaneDepth-1)/LaneDepth)
+	}
+	return lambda, busiest
+}
+
+// checkBusiestLane pushes n copies of stages into an empty pipeline, all at
+// time 0, and checks the bottleneck bound: item i completes by
+// i·λ + Serial(stages) (laneCycle's λ), and the makespan covers the
+// busiest lane's total load n·Busy. When the lane stage binds — every other
+// stage's Time and the lane stage's depth term at most the busiest lane's
+// Busy, so λ is that Busy — the two bounds pinch the makespan between the
+// busiest lane's total load and that total plus one item's serial time
+// (less one Busy). It reports whether the lane stage bound.
+//
+// The upper bound is a potential argument over the pipeline's event graph:
+// give each event of an item the time it would have in an empty pipeline
+// (entry into stage k at the sum of the stage Times before k, a lane's
+// start at the lane stage's entry plus its Release). Every constraint
+// within an item then costs at most its potential difference, and every
+// constraint reaching j items back (a stage or lane freeing for the next
+// item, the lane stage's LaneDepth places) costs at most j·λ more, so
+// item i's completion is at most i·λ past its own potential, Serial.
+func checkBusiestLane(stages []Stage, n int) (bound bool, err error) {
+	lambda, busiest := laneCycle(stages)
+	serial := Serial(stages...)
+	var p BlockingPipeline
+	var makespan Time
+	for i := range n {
+		done := p.Push(0, stages)
+		if limit := Time(i)*lambda + serial; done > limit {
+			return false, fmt.Errorf("item %d of %d completes at %v, past %d·λ(%v) + serial %v = %v", i, n, done, i, lambda, serial, limit)
+		}
+		makespan = Max(makespan, done)
+	}
+	total := Time(n) * busiest
+	if makespan < total {
+		return false, fmt.Errorf("makespan %v below the busiest lane's load %v", makespan, total)
+	}
+	if lambda == busiest && makespan > total+serial {
+		return false, fmt.Errorf("lane-bound makespan %v exceeds the busiest lane's load %v by more than serial %v", makespan, total, serial)
+	}
+	return lambda == busiest, nil
+}
+
+// TestBlockingPipelineBusiestLaneBound: a saturated pipeline of identical
+// items whose binding stage is a lane stage runs for the busiest lane's
+// total load plus at most one item's serial time; other vectors meet the
+// general cycle-time bound. The generator is checked to reach the
+// lane-bound case often.
+func TestBlockingPipelineBusiestLaneBound(t *testing.T) {
+	bound := 0
+	f := func(raw []byte) bool {
+		stages, n := laneBoundItem(raw)
+		b, err := checkBusiestLane(stages, n)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if b {
+			bound++
+		}
+		return true
+	}
+	const runs = 1000
+	if err := quick.Check(f, &quick.Config{MaxCount: runs}); err != nil {
+		t.Fatal(err)
+	}
+	if bound < runs/4 {
+		t.Fatalf("only %d of %d vectors bound on a lane", bound, runs)
+	}
+}
+
+// TestBlockingPipelineMixedLanesOutrunMeanLoad: the busiest-lane bound
+// needs identical items. Items that alternate lanes in runs of three leave
+// each lane idle while the lane stage's two places hold items of the other
+// lane, so the makespan grows to about 4/3 of the busiest lane's load, well
+// past that load plus one item's serial time.
+func TestBlockingPipelineMixedLanesOutrunMeanLoad(t *testing.T) {
+	item := func(lane int) []Stage {
+		loads := make([]LaneLoad, 2)
+		loads[lane].Busy = 10
+		return []Stage{{Name: "lanes", Time: 10, Lanes: loads}}
+	}
+	var p BlockingPipeline
+	var makespan Time
+	const n = 60
+	for i := range n {
+		makespan = Max(makespan, p.Push(0, item(i/3%2)))
+	}
+	busiest := Time(n/2) * 10
+	if makespan <= busiest+10 {
+		t.Fatalf("makespan %v within the busiest lane's load %v plus one item", makespan, busiest)
+	}
+	if want := busiest * 4 / 3; makespan < want-20 || makespan > want+20 {
+		t.Fatalf("makespan %v, want about %v", makespan, want)
+	}
+}
+
+// FuzzBlockingPipelineBusiestLane checks checkBusiestLane's bounds on
+// arbitrary stage vectors.
+func FuzzBlockingPipelineBusiestLane(f *testing.F) {
+	f.Add([]byte{40, 2, 1, 8, 30, 1, 0, 60, 8})                 // send, lanes: one lane binds
+	f.Add([]byte{20, 3, 1, 4, 9, 6, 3, 3, 50, 0, 20, 9, 40, 0}) // three stages, three lanes
+	f.Add([]byte{47, 0, 0, 255, 0, 255, 200})                   // lone lane stage, long release and tail
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		stages, n := laneBoundItem(raw)
+		if _, err := checkBusiestLane(stages, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
