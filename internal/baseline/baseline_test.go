@@ -168,46 +168,6 @@ func TestWarmDoesNotCountTraffic(t *testing.T) {
 	}
 }
 
-func TestVectorCacheBasics(t *testing.T) {
-	c := NewVectorCache(3*128, 128) // 3 entries
-	if _, ok := c.Get(0, 1); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(0, 1, tensor.Vector{1})
-	c.Put(0, 2, tensor.Vector{2})
-	c.Put(0, 3, tensor.Vector{3})
-	if v, ok := c.Get(0, 1); !ok || v[0] != 1 {
-		t.Fatal("expected hit on 1")
-	}
-	c.Put(0, 4, tensor.Vector{4}) // evicts 2 (LRU)
-	if _, ok := c.Get(0, 2); ok {
-		t.Fatal("2 should be evicted")
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// Update in place.
-	c.Put(0, 1, tensor.Vector{9})
-	if v, _ := c.Get(0, 1); v[0] != 9 {
-		t.Fatal("update failed")
-	}
-	if c.HitRatio() <= 0 {
-		t.Fatal("hit ratio should be positive")
-	}
-	c.ResetStats()
-	if c.HitRatio() != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}
-
-func TestVectorCacheZeroCapacity(t *testing.T) {
-	c := NewVectorCache(0, 128)
-	c.Put(0, 1, tensor.Vector{1})
-	if c.Len() != 0 {
-		t.Fatal("zero-capacity cache must stay empty")
-	}
-}
-
 func TestRecSSDCacheHitRatioTracksLocality(t *testing.T) {
 	// Fig. 14's mechanism: the host cache hit ratio follows the trace's
 	// hot mass once warm.
@@ -233,6 +193,63 @@ func TestRecSSDCacheHitRatioTracksLocality(t *testing.T) {
 		// ratio must still track the hot mass.
 		if got < hot-0.12 {
 			t.Errorf("hot=%v: hit ratio %v too low", hot, got)
+		}
+	}
+}
+
+// TestRecSSDPresenceOnlyEntriesRefill: a timing run leaves presence-only
+// entries (reserved, never filled) in RecSSD's host cache. A materialised
+// inference over the same rows must serve each of them as a miss — the same
+// device reads and breakdown as a RecSSD that never ran the timing pass —
+// fill it, and predict bit for bit what the DRAM host does. The cache
+// counts every lookup of a resident key as a hit, presence-only or not, so
+// with no evictions its hit ratio over both passes is (2L-D)/2L for L
+// lookups of D distinct keys.
+func TestRecSSDPresenceOnlyEntriesRefill(t *testing.T) {
+	cfg := smallCfg("RMC1")
+	env := MustNewEnv(cfg, testGeo())
+	rec, fresh, dram := NewRecSSD(env), NewRecSSD(MustNewEnv(cfg, testGeo())), NewDRAM(env.M)
+	g := batchGen(cfg, 17)
+	sparses := g.Batch(6)
+	lookups, distinct := 0, map[[2]int64]bool{}
+	var now sim.Time
+	for _, sparse := range sparses {
+		now, _ = rec.InferTiming(now, sparse)
+		for tb, rows := range sparse {
+			for _, row := range rows {
+				lookups++
+				distinct[[2]int64{int64(tb), row}] = true
+			}
+		}
+	}
+	if rec.Cache().Len() != len(distinct) {
+		t.Fatalf("timing pass left %d entries, want %d", rec.Cache().Len(), len(distinct))
+	}
+	for i, sparse := range sparses {
+		dense := g.DenseInput(i, cfg.DenseDim)
+		got, _, bd := rec.Infer(now, dense, sparse)
+		_, _, freshBD := fresh.Infer(now, dense, sparse)
+		want, _, _ := dram.Infer(0, dense, sparse)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("inference %d: RecSSD predicts %v, DRAM %v", i, got, want)
+		}
+		if bd != freshBD {
+			t.Fatalf("inference %d: breakdown %+v after the timing pass, %+v without it", i, bd, freshBD)
+		}
+		if i == 0 && bd.EmbSSD <= 0 {
+			t.Fatal("presence-only entries were served without device reads")
+		}
+	}
+	if got, want := rec.Cache().HitRatio(), float64(2*lookups-len(distinct))/float64(2*lookups); got != want {
+		t.Fatalf("hit ratio %v, want %v", got, want)
+	}
+	for _, sparse := range sparses {
+		for tb, rows := range sparse {
+			for _, row := range rows {
+				if h, ok := rec.Cache().Get(tb, row); !ok || !rec.Cache().Filled(h) {
+					t.Fatalf("table %d row %d not filled by the materialised pass", tb, row)
+				}
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func (s *RecSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, B
 				issue += params.CycleTime
 				addr := mustAddr(s.tr, t, row)
 				devDone = sim.Max(devDone, s.pageRead(issue, addr/ps))
-				s.cache.Put(t, row, nil)
+				s.cache.Reserve(t, row)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package baseline
 
 import (
-	"container/list"
 	"time"
 
 	"rmssd/internal/engine"
+	"rmssd/internal/evcache"
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -17,92 +17,17 @@ import (
 // Fig. 14's locality sensitivity.
 const DefaultRecSSDCacheBytes = 512 << 20
 
-// vecKey identifies a cached embedding vector.
-type vecKey struct {
-	table int
-	row   int64
-}
-
-// VectorCache is RecSSD's host-side cache of individual embedding vectors.
-type VectorCache struct {
-	capacity int // entries
-	lru      *list.List
-	index    map[vecKey]*list.Element
-	hits     int64
-	misses   int64
-}
-
-type vecEntry struct {
-	key vecKey
-	val tensor.Vector
-}
-
-// NewVectorCache creates a cache bounded to capacityBytes of vectors of
-// evSize bytes each.
-func NewVectorCache(capacityBytes int64, evSize int) *VectorCache {
-	return &VectorCache{
-		capacity: int(capacityBytes / int64(evSize)),
-		lru:      list.New(),
-		index:    make(map[vecKey]*list.Element),
-	}
-}
-
-// Get returns the cached vector, if present.
-func (c *VectorCache) Get(table int, row int64) (tensor.Vector, bool) {
-	if el, ok := c.index[vecKey{table, row}]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		return el.Value.(*vecEntry).val, true
-	}
-	c.misses++
-	return nil, false
-}
-
-// Put inserts a vector, evicting the least recently used as needed. A nil
-// value records presence only (timing-only runs).
-func (c *VectorCache) Put(table int, row int64, v tensor.Vector) {
-	key := vecKey{table, row}
-	if el, ok := c.index[key]; ok {
-		el.Value.(*vecEntry).val = v
-		c.lru.MoveToFront(el)
-		return
-	}
-	if c.capacity <= 0 {
-		return
-	}
-	for c.lru.Len() >= c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(*vecEntry).key)
-	}
-	c.index[key] = c.lru.PushFront(&vecEntry{key: key, val: v})
-}
-
-// Len returns the number of cached vectors.
-func (c *VectorCache) Len() int { return c.lru.Len() }
-
-// HitRatio returns the observed hit ratio.
-func (c *VectorCache) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// ResetStats zeroes the hit/miss counters, keeping contents.
-func (c *VectorCache) ResetStats() { c.hits, c.misses = 0, 0 }
-
 // RecSSD re-implements Wilkening et al.'s near-data design on the
 // simulated SSD, following the paper's own re-implementation notes
 // (Section VI-C): page-grained in-SSD reads and pooling for vectors that
 // miss the host-side cache (the design is "similar to EMB-PageSum plus a
 // userspace cache"), with the returned partial sums merged against cached
-// vectors on the host.
+// vectors on the host. The host cache is the same byte-budgeted vector LRU
+// as RM-SSD's device cache (evcache.Cache); only its timing differs.
 type RecSSD struct {
 	env   *Env
 	tr    *engine.Translator
-	cache *VectorCache
+	cache *evcache.Cache
 	// channels models the firmware's synchronous per-channel page
 	// service: one outstanding page per channel, Tpage plus firmware
 	// overhead each (no die-level pipelining, unlike the RM-SSD
@@ -120,7 +45,7 @@ func NewRecSSDWithCache(env *Env, cacheBytes int64) *RecSSD {
 	return &RecSSD{
 		env:      env,
 		tr:       engine.NewTranslator(env.Store, env.Dev.PageSize()),
-		cache:    NewVectorCache(cacheBytes, env.M.Cfg.EVSize()),
+		cache:    evcache.New(cacheBytes, env.M.Cfg.EVSize()),
 		channels: sim.NewPool("recssd.ch", env.Dev.Array().Geometry().Channels),
 	}
 }
@@ -139,8 +64,9 @@ func (s *RecSSD) Name() string { return "RecSSD" }
 // Model implements System.
 func (s *RecSSD) Model() *model.Model { return s.env.M }
 
-// Cache exposes the host-side vector cache.
-func (s *RecSSD) Cache() *VectorCache { return s.cache }
+// Cache exposes the host-side vector cache. Its DRAM port and hit timing
+// are unused: RecSSD charges host hits through its own cost model.
+func (s *RecSSD) Cache() *evcache.Cache { return s.cache }
 
 // PreWarmHot statically populates the host cache with the trace's hot set,
 // hottest entries most recent, emulating RecSSD's history-partitioned
@@ -149,14 +75,12 @@ func (s *RecSSD) Cache() *VectorCache { return s.cache }
 // the table; hotPerTable bounds how many ranks exist.
 func (s *RecSSD) PreWarmHot(hotRow func(table int, rank int64) int64, hotPerTable int64) {
 	tables := s.env.M.Cfg.Tables
-	per := int64(s.cache.capacity / tables)
-	if per > hotPerTable {
-		per = hotPerTable
-	}
-	// Insert coldest-first so the hottest entries end up most recent.
+	per := min(int64(s.cache.CapEntries()/tables), hotPerTable)
+	// Insert coldest-first so the hottest entries end up most recent. The
+	// entries are presence-only (reserved, never filled).
 	for t := 0; t < tables; t++ {
 		for rank := per - 1; rank >= 0; rank-- {
-			s.cache.Put(t, hotRow(t, rank), nil)
+			s.cache.Reserve(t, hotRow(t, rank))
 		}
 	}
 }
@@ -179,12 +103,13 @@ func (s *RecSSD) infer(at sim.Time, dense tensor.Vector, sparse [][]int64, mater
 	var hits, misses int64
 	for t, rows := range sparse {
 		for _, row := range rows {
-			// A presence-only entry (from a timing run) cannot serve a
-			// materialised inference; treat it as a miss then.
-			if v, ok := s.cache.Get(t, row); ok && (!materialize || v != nil) {
+			// A presence-only entry (an unfilled reservation from a timing
+			// run or PreWarmHot) cannot serve a materialised inference;
+			// treat it as a miss then, and fill it.
+			if h, ok := s.cache.Get(t, row); ok && (!materialize || s.cache.Filled(h)) {
 				hits++
 				if materialize {
-					tensor.AccumulateInto(pooled[t], v)
+					model.AccumulateEV(pooled[t], s.cache.Data(h))
 				}
 				continue
 			}
@@ -193,12 +118,12 @@ func (s *RecSSD) infer(at sim.Time, dense tensor.Vector, sparse [][]int64, mater
 			addr := mustAddr(s.tr, t, row)
 			readDone := s.pageRead(issue, addr/ps)
 			devDone = sim.Max(devDone, readDone)
-			var v tensor.Vector
+			h := s.cache.Reserve(t, row)
 			if materialize {
-				v = model.DecodeEV(s.env.Dev.PeekRange(addr, cfg.EVSize()))
-				tensor.AccumulateInto(pooled[t], v)
+				ev := s.env.Dev.PeekRange(addr, cfg.EVSize())
+				model.AccumulateEV(pooled[t], ev)
+				s.cache.Fill(h, ev)
 			}
-			s.cache.Put(t, row, v)
 		}
 	}
 

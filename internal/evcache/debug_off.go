@@ -7,4 +7,4 @@ package evcache
 const Debug = false
 
 // debugIndex is a no-op in normal builds; the compiler removes the call.
-func debugIndex(c *Cache) {}
+func debugIndex(l *LRU) {}

@@ -14,7 +14,7 @@ func TestIndexInvariantFires(t *testing.T) {
 			c := New(4*128, 128)
 			c.Reserve(0, 1)
 			c.Reserve(0, 2)
-			c.n++ // the chains now hold one slot fewer than the count
+			c.lru.n++ // the chains now hold one slot fewer than the count
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("corrupted resident count not caught on %s", name)

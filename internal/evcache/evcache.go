@@ -10,18 +10,15 @@
 // paper's Fig. 14 sensitivity sweep and the RecSSD baseline's host cache
 // exploit, but without crossing the host interface.
 //
-// Storage is one pointer-free slab. Each entry occupies a slot: a 32-byte
-// record holding its Key, its recency links and its hash-chain link (slot
-// indices, not pointers) and its generation and fill state, plus an
-// evSize-byte window of a storage chunk. Chunks are allocated as slots are
-// first used, so a cache costs only what is resident however large its
-// budget. The index is part of the slab too: a power-of-two array of bucket
-// heads, each the first slot of a chain linked through the slots, keyed by a
-// fixed 64-bit mix of the Key. The bucket array doubles (rehashing every
-// chain) whenever the resident count reaches its length, up to the capacity
-// rounded up to a power of two, so chains average at most one slot and the
-// index costs about 4 bytes per resident entry. Fill copies the read bytes into the
-// slot's window: the buffer a flash read returned (on a linear device a fresh
+// Entries live in an LRU (lru.go): the package's presence-keyed slab, which
+// every keyed cache in the simulator shares (hostio's page cache sits on it
+// too). Cache adds one evSize-byte window of a storage chunk per
+// slot. A chunk is allocated when the first of its slots is filled, so a
+// cache costs only what is resident however large its budget: a 32-byte
+// slot, about 4 bytes of index and, once filled, the vector. Entries that
+// are only ever reserved (RecSSD's timing runs track presence this way)
+// cost no vector storage. Fill copies the read bytes into the slot's
+// window: the buffer a flash read returned (on a linear device a fresh
 // buffer synthesised per miss) is never retained.
 //
 // Reserve hands out a Handle naming the slot and its generation. Evicting or
@@ -47,8 +44,6 @@ package evcache
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -83,50 +78,16 @@ func (h Handle) Reserved() bool { return h.ref != 0 }
 // chunkBytes sizes one storage chunk (rounded down to whole vectors).
 const chunkBytes = 64 << 10
 
-// noSlot terminates the recency list, the free list and the hash chains, and
-// marks an empty bucket. offChain is a free slot's chain link: it is on no
-// chain.
-const (
-	noSlot   = -1
-	offChain = -2
-)
-
-// minBuckets is the bucket array's length once the first entry arrives.
-const minBuckets = 8
-
-// A slot's gen packs its fill state into bit 0 and its generation into the
-// bits above: when the entry leaves, gen advances by genStep, which also
-// clears filledBit, and every handle issued before goes stale.
-const (
-	filledBit = 1
-	genStep   = 2
-)
-
-// slot is one entry's bookkeeping: 32 bytes holding no pointers, so the slot
-// array is invisible to the garbage collector's scan.
-type slot struct {
-	key        Key
-	prev, next int32  // recency neighbours (free list: next only)
-	hnext      int32  // next slot in the key's bucket chain
-	gen        uint32 // generation<<1 | filled
-}
-
 // Cache is the device-DRAM EV cache. It is not safe for concurrent use; the
 // lookup engine drives it from its sequential plan phase only.
 type Cache struct {
-	capEntries int
-	evSize     int
-	perChunk   int      // vectors per storage chunk
-	chunks     [][]byte // vector bytes: slot i at chunks[i/perChunk]
-	slots      []slot
-	buckets    []int32       // hash-chain heads, power-of-two length
-	maxBuckets int           // bucket array growth ceiling
-	head, tail int32         // most / least recently used; noSlot when empty
-	free       int32         // released slots, linked through next
-	n          int           // resident entries
-	port       *sim.Resource // DRAM read port serving hit transfers
-	hitOcc     sim.Time      // per-hit port occupancy (params.EVCacheHitCycles)
-	stats      Stats
+	lru      LRU
+	evSize   int
+	perChunk int           // vectors per storage chunk
+	chunks   [][]byte      // vector bytes: slot i at chunks[i/perChunk]; nil until filled
+	port     *sim.Resource // DRAM read port serving hit transfers
+	hitOcc   sim.Time      // per-hit port occupancy (params.EVCacheHitCycles)
+	stats    Stats
 }
 
 // New builds a cache bounded to budgetBytes of evSize-byte vectors. A budget
@@ -138,38 +99,32 @@ func New(budgetBytes int64, evSize int) *Cache {
 	if evSize <= 0 {
 		panic("evcache: non-positive vector size")
 	}
-	c := &Cache{
-		evSize: evSize,
-		head:   noSlot,
-		tail:   noSlot,
-		free:   noSlot,
-		port:   sim.NewResource("evcache.dram"),
-		hitOcc: params.Duration(params.EVCacheHitCycles(evSize)),
+	lru := NewLRU(int(budgetBytes / int64(evSize)))
+	return &Cache{
+		lru:      lru,
+		evSize:   evSize,
+		perChunk: max(1, min(chunkBytes/evSize, lru.Cap())),
+		port:     sim.NewResource("evcache.dram"),
+		hitOcc:   params.Duration(params.EVCacheHitCycles(evSize)),
 	}
-	if budgetBytes > 0 {
-		c.capEntries = int(min(budgetBytes/int64(evSize), math.MaxInt32))
-	}
-	c.perChunk = max(1, min(chunkBytes/evSize, c.capEntries))
-	c.maxBuckets = 1 << bits.Len(uint(max(c.capEntries-1, 0)))
-	return c
 }
 
 // CapEntries returns the entry capacity implied by the byte budget.
-func (c *Cache) CapEntries() int { return c.capEntries }
+func (c *Cache) CapEntries() int { return c.lru.Cap() }
 
 // EVSize returns the vector size the budget was divided by.
 func (c *Cache) EVSize() int { return c.evSize }
 
 // Len returns the number of resident entries (filled or reserved).
-func (c *Cache) Len() int { return c.n }
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Get looks the key up, refreshing its recency and counting a hit or miss.
 // The returned entry may still be unfilled: that is an in-flight miss from
 // the current batch, which the caller merges with (MSHR) rather than
 // re-reading.
 func (c *Cache) Get(table int, row int64) (Handle, bool) {
-	if i := c.find(Key{table, row}); i != noSlot {
-		c.touch(i)
+	if i := c.lru.find(Key{table, row}); i != noSlot {
+		c.lru.touch(i)
 		c.stats.Hits++
 		return c.handle(i), true
 	}
@@ -183,27 +138,13 @@ func (c *Cache) Get(table int, row int64) (Handle, bool) {
 // single vector. Reserving an already-present key refreshes it and returns
 // the existing entry's handle.
 func (c *Cache) Reserve(table int, row int64) Handle {
-	key := Key{table, row}
-	if i := c.find(key); i != noSlot {
-		c.touch(i)
-		return c.handle(i)
-	}
-	if c.capEntries <= 0 {
+	i, _, evicted := c.lru.access(Key{table, row})
+	if i == noSlot {
 		return Handle{}
 	}
-	if c.n == c.capEntries {
-		c.release(c.tail)
+	if evicted {
 		c.stats.Evictions++
 	}
-	if c.n == len(c.buckets) && c.n < c.maxBuckets {
-		c.growIndex()
-	}
-	i := c.alloc()
-	c.slots[i].key = key
-	c.pushFront(i)
-	c.link(i)
-	c.n++
-	debugIndex(c)
 	return c.handle(i)
 }
 
@@ -219,15 +160,18 @@ func (c *Cache) Fill(h Handle, data []byte) {
 	if len(data) != c.evSize {
 		panic(fmt.Sprintf("evcache: fill of %d bytes, want %d", len(data), c.evSize))
 	}
+	if ci := int(i) / c.perChunk; ci >= len(c.chunks) || c.chunks[ci] == nil {
+		c.allocChunk(ci)
+	}
 	copy(c.window(i), data)
-	c.slots[i].gen |= filledBit
+	c.lru.slots[i].gen |= filledBit
 }
 
 // Filled reports whether the handle's entry has been filled; false for a
 // stale handle.
 func (c *Cache) Filled(h Handle) bool {
 	i, ok := c.live(h)
-	return ok && c.slots[i].gen&filledBit != 0
+	return ok && c.lru.slots[i].gen&filledBit != 0
 }
 
 // Data returns the handle's cached bytes: nil until Fill and for a stale
@@ -235,7 +179,7 @@ func (c *Cache) Filled(h Handle) bool {
 // the entry leaves and its slot is refilled.
 func (c *Cache) Data(h Handle) []byte {
 	i, ok := c.live(h)
-	if !ok || c.slots[i].gen&filledBit == 0 {
+	if !ok || c.lru.slots[i].gen&filledBit == 0 {
 		return nil
 	}
 	return c.window(i)
@@ -245,11 +189,11 @@ func (c *Cache) Data(h Handle) []byte {
 // embedding store calls it when a vector is overwritten through the block
 // path, so cached bytes never go stale.
 func (c *Cache) Invalidate(table int, row int64) bool {
-	i := c.find(Key{table, row})
+	i := c.lru.find(Key{table, row})
 	if i == noSlot {
 		return false
 	}
-	c.release(i)
+	c.lru.remove(i)
 	return true
 }
 
@@ -283,7 +227,7 @@ func (c *Cache) HitRatio() float64 {
 }
 
 func (c *Cache) handle(i int32) Handle {
-	return Handle{ref: uint32(i) + 1, gen: c.slots[i].gen &^ filledBit}
+	return Handle{ref: uint32(i) + 1, gen: c.lru.slots[i].gen &^ filledBit}
 }
 
 // live resolves a handle to its slot if the handle is still current.
@@ -292,7 +236,16 @@ func (c *Cache) live(h Handle) (int32, bool) {
 		return 0, false
 	}
 	i := int32(h.ref - 1)
-	return i, c.slots[i].gen&^filledBit == h.gen
+	return i, c.lru.slots[i].gen&^filledBit == h.gen
+}
+
+// allocChunk allocates storage chunk ci, the first time one of its slots
+// is filled.
+func (c *Cache) allocChunk(ci int) {
+	if ci >= len(c.chunks) {
+		c.chunks = append(c.chunks, make([][]byte, ci+1-len(c.chunks))...)
+	}
+	c.chunks[ci] = make([]byte, min(c.perChunk, c.lru.Cap()-ci*c.perChunk)*c.evSize)
 }
 
 // window is slot i's evSize-byte storage, capacity-clipped so an append
@@ -300,185 +253,4 @@ func (c *Cache) live(h Handle) (int32, bool) {
 func (c *Cache) window(i int32) []byte {
 	off := int(i) % c.perChunk * c.evSize
 	return c.chunks[int(i)/c.perChunk][off : off+c.evSize : off+c.evSize]
-}
-
-// alloc returns a free slot, taking a released one first and otherwise
-// appending a new one, growing the slot array and the storage chunks only as
-// far as the capacity needs.
-func (c *Cache) alloc() int32 {
-	if i := c.free; i != noSlot {
-		c.free = c.slots[i].next
-		return i
-	}
-	i := len(c.slots)
-	if i == cap(c.slots) {
-		grown := make([]slot, i, min(max(2*i, 64), c.capEntries))
-		copy(grown, c.slots)
-		c.slots = grown
-	}
-	c.slots = append(c.slots, slot{})
-	if i%c.perChunk == 0 {
-		vecs := min(c.perChunk, c.capEntries-i)
-		c.chunks = append(c.chunks, make([]byte, vecs*c.evSize))
-	}
-	return int32(i)
-}
-
-// release removes slot i's entry: it leaves the recency list and its hash
-// chain, its handles go stale, and the slot joins the free list.
-func (c *Cache) release(i int32) {
-	c.unlink(i)
-	c.unhash(i)
-	s := &c.slots[i]
-	s.hnext = offChain
-	s.gen = s.gen&^filledBit + genStep
-	s.next = c.free
-	c.free = i
-	c.n--
-	debugIndex(c)
-}
-
-// hashKey mixes a Key into 64 well-spread bits (the MurmurHash3 finalizer
-// over the row folded with the golden-ratio-scaled table). It is fixed and
-// seed-free, so chain order, like everything else, is reproducible.
-func hashKey(k Key) uint64 {
-	h := uint64(k.Row) ^ uint64(k.Table)*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// bucket returns the bucket array position of key's chain.
-func (c *Cache) bucket(k Key) int {
-	return int(hashKey(k) & uint64(len(c.buckets)-1))
-}
-
-// find returns the slot holding key, or noSlot.
-func (c *Cache) find(k Key) int32 {
-	if len(c.buckets) == 0 {
-		return noSlot
-	}
-	i := c.buckets[c.bucket(k)]
-	for i != noSlot && c.slots[i].key != k {
-		i = c.slots[i].hnext
-	}
-	return i
-}
-
-// link pushes slot i onto the front of its key's chain.
-func (c *Cache) link(i int32) {
-	b := c.bucket(c.slots[i].key)
-	c.slots[i].hnext = c.buckets[b]
-	c.buckets[b] = i
-}
-
-// unhash removes slot i from its key's chain.
-func (c *Cache) unhash(i int32) {
-	p := &c.buckets[c.bucket(c.slots[i].key)]
-	for *p != i {
-		p = &c.slots[*p].hnext
-	}
-	*p = c.slots[i].hnext
-}
-
-// growIndex doubles the bucket array (to minBuckets from empty, never past
-// maxBuckets) and relinks every chain into it.
-func (c *Cache) growIndex() {
-	old := c.buckets
-	c.buckets = make([]int32, min(max(2*len(old), minBuckets), c.maxBuckets))
-	for b := range c.buckets {
-		c.buckets[b] = noSlot
-	}
-	for _, i := range old {
-		for i != noSlot {
-			next := c.slots[i].hnext
-			c.link(i)
-			i = next
-		}
-	}
-}
-
-// touch makes slot i the most recently used.
-func (c *Cache) touch(i int32) {
-	if c.head == i {
-		return
-	}
-	c.unlink(i)
-	c.pushFront(i)
-}
-
-func (c *Cache) pushFront(i int32) {
-	s := &c.slots[i]
-	s.prev, s.next = noSlot, c.head
-	if c.head != noSlot {
-		c.slots[c.head].prev = i
-	} else {
-		c.tail = i
-	}
-	c.head = i
-}
-
-func (c *Cache) unlink(i int32) {
-	s := &c.slots[i]
-	if s.prev != noSlot {
-		c.slots[s.prev].next = s.next
-	} else {
-		c.head = s.next
-	}
-	if s.next != noSlot {
-		c.slots[s.next].prev = s.prev
-	} else {
-		c.tail = s.prev
-	}
-}
-
-// indexErr checks the hash index against the slab: every resident slot's
-// key finds that slot, the chains hold exactly the n resident slots, and no
-// free slot is reachable from a bucket. It walks the whole cache without
-// allocating, so the simdebug layer can run it after every insertion and
-// removal.
-func (c *Cache) indexErr() error {
-	free := 0
-	for i := c.free; i != noSlot; i = c.slots[i].next {
-		if c.slots[i].hnext != offChain {
-			return fmt.Errorf("free slot %d still carries a chain link", i)
-		}
-		if free++; free > len(c.slots) {
-			return fmt.Errorf("free list cycles")
-		}
-	}
-	if c.n+free != len(c.slots) {
-		return fmt.Errorf("%d resident + %d free slots, %d allocated", c.n, free, len(c.slots))
-	}
-	chained := 0
-	for b, head := range c.buckets {
-		for i := head; i != noSlot; i = c.slots[i].hnext {
-			k := c.slots[i].key
-			if c.slots[i].hnext == offChain {
-				return fmt.Errorf("free slot %d reachable from bucket %d", i, b)
-			}
-			if c.bucket(k) != b {
-				return fmt.Errorf("slot %d (key %v) chained from bucket %d, hashes to %d", i, k, b, c.bucket(k))
-			}
-			// find walks this chain from its head: nothing before i may
-			// hold i's key.
-			for j := head; j != i; j = c.slots[j].hnext {
-				if c.slots[j].key == k {
-					return fmt.Errorf("slot %d (key %v) shadowed by slot %d", i, k, j)
-				}
-			}
-			if chained++; chained > c.n {
-				return fmt.Errorf("chains hold more than the %d resident slots", c.n)
-			}
-		}
-	}
-	// Chained slots are distinct, non-free and n in number, so they are
-	// exactly the resident ones, and each finds itself.
-	if chained != c.n {
-		return fmt.Errorf("chains hold %d slots, %d resident", chained, c.n)
-	}
-	return nil
 }

@@ -94,6 +94,11 @@ func TestReserveExistingRefreshes(t *testing.T) {
 	if _, ok := c.Get(0, 1); !ok {
 		t.Fatal("refreshed entry evicted")
 	}
+	// Filling a present entry again replaces its bytes in place.
+	c.Fill(c.Reserve(0, 1), vecOf(9, 128))
+	if h, ok := c.Get(0, 1); !ok || !bytes.Equal(c.Data(h), vecOf(9, 128)) || c.Len() != 2 {
+		t.Fatal("refill must replace the entry's bytes without adding one")
+	}
 }
 
 func TestInvalidate(t *testing.T) {
@@ -221,6 +226,29 @@ func TestHugeBudgetAllocatesOnlyResident(t *testing.T) {
 	}
 }
 
+// TestReservedOnlyEntriesHoldNoVectorBytes: entries that are reserved but
+// never filled — how RecSSD's timing runs track presence — cost their slot
+// and index share only; a chunk of vector storage appears with its first
+// fill.
+func TestReservedOnlyEntriesHoldNoVectorBytes(t *testing.T) {
+	const evSize, entries = 1024, 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(entries*evSize, evSize)
+	for r := range int64(entries) {
+		c.Reserve(0, r)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > entries*evSize/4 {
+		t.Fatalf("%d unfilled reservations allocated %d bytes", entries, got)
+	}
+	h, _ := c.Get(0, entries-1)
+	c.Fill(h, vecOf(4, evSize))
+	if h, ok := c.Get(0, entries-1); !ok || !bytes.Equal(c.Data(h), vecOf(4, evSize)) {
+		t.Fatal("fill into a slot past every allocated chunk lost its bytes")
+	}
+}
+
 // refCache is the list+map LRU this package shipped before the slab: every
 // entry is a *refEntry in a container/list element, Fill stores the caller's
 // slice, and an evicted entry simply detaches (filling it changes nothing
@@ -290,10 +318,10 @@ func (c *refCache) order() []Key {
 }
 
 // order walks the slab's recency list from most to least recently used.
-func (c *Cache) order() []Key {
+func (l *LRU) order() []Key {
 	var keys []Key
-	for i := c.head; i != noSlot; i = c.slots[i].next {
-		keys = append(keys, c.slots[i].key)
+	for i := l.head; i != noSlot; i = l.slots[i].next {
+		keys = append(keys, l.slots[i].key)
 	}
 	return keys
 }
@@ -351,12 +379,12 @@ const (
 )
 
 // chainPos reports where slot i sits in its bucket's chain.
-func (c *Cache) chainPos(i int32) int {
+func (l *LRU) chainPos(i int32) int {
 	before, after := 0, 0
-	for j := c.buckets[c.bucket(c.slots[i].key)]; j != i; j = c.slots[j].hnext {
+	for j := l.buckets[l.bucket(l.slots[i].key)]; j != i; j = l.slots[j].hnext {
 		before++
 	}
-	for j := c.slots[i].hnext; j != noSlot; j = c.slots[j].hnext {
+	for j := l.slots[i].hnext; j != noSlot; j = l.slots[j].hnext {
 		after++
 	}
 	switch {
@@ -402,7 +430,7 @@ func checkOps(t *testing.T, evSize, capEntries int, oneBucket bool, seq []refOp)
 	t.Helper()
 	slab := New(int64(capEntries*evSize), evSize)
 	if oneBucket {
-		slab.maxBuckets = 1
+		slab.lru.maxBuckets = 1
 	}
 	ref := newRef(capEntries)
 	type reservation struct {
@@ -431,8 +459,8 @@ func checkOps(t *testing.T, evSize, capEntries int, oneBucket bool, seq []refOp)
 				}
 			}
 		case 1:
-			if slab.n == slab.capEntries && slab.capEntries > 0 && slab.find(k) == noSlot {
-				st.unlinked[slab.chainPos(slab.tail)]++
+			if slab.lru.n == slab.lru.capEntries && slab.lru.capEntries > 0 && slab.lru.find(k) == noSlot {
+				st.unlinked[slab.lru.chainPos(slab.lru.tail)]++
 			}
 			h := slab.Reserve(k.Table, k.Row)
 			e := ref.reserve(k)
@@ -453,8 +481,8 @@ func checkOps(t *testing.T, evSize, capEntries int, oneBucket bool, seq []refOp)
 			slab.Fill(r.h, data)
 			r.e.data, r.e.filled = data, true
 		case 3:
-			if i := slab.find(k); i != noSlot {
-				st.unlinked[slab.chainPos(i)]++
+			if i := slab.lru.find(k); i != noSlot {
+				st.unlinked[slab.lru.chainPos(i)]++
 			}
 			if got, want := slab.Invalidate(k.Table, k.Row), ref.invalidate(k); got != want {
 				t.Fatalf("%s: invalidate %v, reference %v", where, got, want)
@@ -463,13 +491,13 @@ func checkOps(t *testing.T, evSize, capEntries int, oneBucket bool, seq []refOp)
 		if slab.Stats() != ref.stats || slab.Len() != ref.lru.Len() {
 			t.Fatalf("%s: stats %+v len %d, reference %+v len %d", where, slab.Stats(), slab.Len(), ref.stats, ref.lru.Len())
 		}
-		if got, want := slab.order(), ref.order(); !slices.Equal(got, want) {
+		if got, want := slab.lru.order(), ref.order(); !slices.Equal(got, want) {
 			t.Fatalf("%s: recency order %v, reference %v", where, got, want)
 		}
-		if err := slab.indexErr(); err != nil {
+		if err := slab.lru.indexErr(); err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		st.maxBuckets = max(st.maxBuckets, len(slab.buckets))
+		st.maxBuckets = max(st.maxBuckets, len(slab.lru.buckets))
 	}
 	return st
 }
@@ -555,7 +583,7 @@ func TestOneBucketMatchesReference(t *testing.T) {
 // one known chain and checks every other key still finds its entry.
 func TestChainUnlinkPositions(t *testing.T) {
 	c := New(16*128, 128)
-	c.maxBuckets = 1
+	c.lru.maxBuckets = 1
 	for r := int64(0); r < 10; r++ {
 		c.Reserve(0, r) // pushed onto the chain's front: 9 is its head, 0 its tail
 	}
@@ -563,14 +591,14 @@ func TestChainUnlinkPositions(t *testing.T) {
 		row int64
 		pos int
 	}{{9, chainHead}, {4, chainMiddle}, {0, chainTail}} {
-		i := c.find(Key{0, tc.row})
-		if i == noSlot || c.chainPos(i) != tc.pos {
-			t.Fatalf("row %d: slot %d at chain position %d, want %d", tc.row, i, c.chainPos(i), tc.pos)
+		i := c.lru.find(Key{0, tc.row})
+		if i == noSlot || c.lru.chainPos(i) != tc.pos {
+			t.Fatalf("row %d: slot %d at chain position %d, want %d", tc.row, i, c.lru.chainPos(i), tc.pos)
 		}
 		if !c.Invalidate(0, tc.row) {
 			t.Fatalf("row %d: invalidate missed", tc.row)
 		}
-		if err := c.indexErr(); err != nil {
+		if err := c.lru.indexErr(); err != nil {
 			t.Fatalf("after unlinking row %d: %v", tc.row, err)
 		}
 	}
@@ -592,7 +620,7 @@ func TestIndexErrCatchesCorruption(t *testing.T) {
 			c.Reserve(0, r)
 		}
 		c.Invalidate(0, 7)
-		if err := c.indexErr(); err != nil {
+		if err := c.lru.indexErr(); err != nil {
 			t.Fatalf("healthy cache: %v", err)
 		}
 		return c
@@ -602,27 +630,27 @@ func TestIndexErrCatchesCorruption(t *testing.T) {
 		corrupt func(c *Cache)
 	}{
 		{"free slot on a chain", func(c *Cache) {
-			b := c.bucket(c.slots[c.free].key)
-			c.slots[c.free].hnext = c.buckets[b]
-			c.buckets[b] = c.free
+			b := c.lru.bucket(c.lru.slots[c.lru.free].key)
+			c.lru.slots[c.lru.free].hnext = c.lru.buckets[b]
+			c.lru.buckets[b] = c.lru.free
 		}},
-		{"resident slot unreachable", func(c *Cache) { c.unhash(c.head); c.slots[c.head].hnext = noSlot }},
+		{"resident slot unreachable", func(c *Cache) { c.lru.unhash(c.lru.head); c.lru.slots[c.lru.head].hnext = noSlot }},
 		{"slot under the wrong bucket", func(c *Cache) {
-			i := c.head
-			c.unhash(i)
-			b := (c.bucket(c.slots[i].key) + 1) % len(c.buckets)
-			c.slots[i].hnext, c.buckets[b] = c.buckets[b], i
+			i := c.lru.head
+			c.lru.unhash(i)
+			b := (c.lru.bucket(c.lru.slots[i].key) + 1) % len(c.lru.buckets)
+			c.lru.slots[i].hnext, c.lru.buckets[b] = c.lru.buckets[b], i
 		}},
 		{"key shadowed on its chain", func(c *Cache) {
-			c.unhash(c.tail)
-			c.slots[c.tail].key = c.slots[c.head].key
-			c.link(c.tail)
+			c.lru.unhash(c.lru.tail)
+			c.lru.slots[c.lru.tail].key = c.lru.slots[c.lru.head].key
+			c.lru.link(c.lru.tail)
 		}},
-		{"resident count off", func(c *Cache) { c.n++ }},
+		{"resident count off", func(c *Cache) { c.lru.n++ }},
 	} {
 		c := build()
 		tc.corrupt(c)
-		if c.indexErr() == nil {
+		if c.lru.indexErr() == nil {
 			t.Errorf("%s: not caught", tc.name)
 		}
 	}
@@ -648,15 +676,15 @@ func TestChainsStayShort(t *testing.T) {
 			c.Reserve(k.Table, k.Row)
 		}
 		longest := 0
-		for _, i := range c.buckets {
+		for _, i := range c.lru.buckets {
 			n := 0
-			for ; i != noSlot; i = c.slots[i].hnext {
+			for ; i != noSlot; i = c.lru.slots[i].hnext {
 				n++
 			}
 			longest = max(longest, n)
 		}
-		if len(c.buckets) != entries || longest >= 16 {
-			t.Errorf("%s: longest of %d chains holds %d slots", tc.name, len(c.buckets), longest)
+		if len(c.lru.buckets) != entries || longest >= 16 {
+			t.Errorf("%s: longest of %d chains holds %d slots", tc.name, len(c.lru.buckets), longest)
 		}
 	}
 }

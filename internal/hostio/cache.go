@@ -1,13 +1,6 @@
 package hostio
 
-import "container/list"
-
-// pageKey identifies a cached page: file identity plus page index within
-// the file's device address space.
-type pageKey struct {
-	file int
-	lpn  int64
-}
+import "rmssd/internal/evcache"
 
 // CacheStats counts page-cache behaviour.
 type CacheStats struct {
@@ -28,82 +21,53 @@ func (s CacheStats) HitRatio() float64 {
 // PageCache is an LRU page cache with a byte budget, standing in for the
 // kernel page cache of the SSD-S/SSD-M baselines. It tracks presence only;
 // data always comes from the device's backing store, which keeps the cache
-// cheap while preserving exact hit/miss behaviour.
+// cheap while preserving exact hit/miss behaviour. Its index is the
+// simulator's one LRU (evcache.LRU), keyed by file identity and page index
+// within the file's device address space; PageCache adds only the counters.
 type PageCache struct {
-	capacityPages int
-	pageSize      int
-	lru           *list.List                // front = most recent
-	index         map[pageKey]*list.Element // element value is pageKey
-	stats         CacheStats
+	lru   evcache.LRU
+	stats CacheStats
 }
 
 // NewPageCache creates a cache holding at most capacityBytes of pages.
 // A zero or negative capacity yields a cache that misses everything,
 // modelling a fully memory-starved host.
 func NewPageCache(capacityBytes int64, pageSize int) *PageCache {
-	pages := int(capacityBytes / int64(pageSize))
-	return &PageCache{
-		capacityPages: pages,
-		pageSize:      pageSize,
-		lru:           list.New(),
-		index:         make(map[pageKey]*list.Element),
-	}
+	return &PageCache{lru: evcache.NewLRU(int(capacityBytes / int64(pageSize)))}
 }
+
+func pageKey(fileID int, lpn int64) evcache.Key { return evcache.Key{Table: fileID, Row: lpn} }
 
 // Touch records an access to the page and reports whether it hit. On a
 // miss the page is inserted (faulted in), evicting the least recently used
 // page if the cache is full.
 func (c *PageCache) Touch(fileID int, lpn int64) bool {
-	key := pageKey{fileID, lpn}
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
+	hit, evicted := c.lru.Access(pageKey(fileID, lpn))
+	if hit {
 		c.stats.Hits++
-		return true
+	} else {
+		c.stats.Misses++
 	}
-	c.stats.Misses++
-	if c.capacityPages <= 0 {
-		return false
-	}
-	for c.lru.Len() >= c.capacityPages {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(pageKey))
+	if evicted {
 		c.stats.Evictions++
 	}
-	c.index[key] = c.lru.PushFront(key)
-	return false
+	return hit
 }
 
 // Contains reports presence without touching recency or stats.
 func (c *PageCache) Contains(fileID int, lpn int64) bool {
-	_, ok := c.index[pageKey{fileID, lpn}]
-	return ok
+	return c.lru.Contains(pageKey(fileID, lpn))
 }
 
-// Warm inserts the page without counting a hit or a miss; used to model
-// the paper's warm-up period before steady-state measurement.
-func (c *PageCache) Warm(fileID int, lpn int64) {
-	key := pageKey{fileID, lpn}
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	if c.capacityPages <= 0 {
-		return
-	}
-	for c.lru.Len() >= c.capacityPages {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(pageKey))
-	}
-	c.index[key] = c.lru.PushFront(key)
-}
+// Warm inserts the page without counting a hit, a miss or an eviction;
+// used to model the paper's warm-up period before steady-state measurement.
+func (c *PageCache) Warm(fileID int, lpn int64) { c.lru.Access(pageKey(fileID, lpn)) }
 
 // Len returns the number of resident pages.
 func (c *PageCache) Len() int { return c.lru.Len() }
 
-// CapacityPages returns the page budget.
-func (c *PageCache) CapacityPages() int { return c.capacityPages }
+// CapacityPages returns the page budget (0 for a non-positive budget).
+func (c *PageCache) CapacityPages() int { return c.lru.Cap() }
 
 // Stats returns a snapshot of the counters.
 func (c *PageCache) Stats() CacheStats { return c.stats }

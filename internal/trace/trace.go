@@ -132,6 +132,10 @@ type Generator struct {
 	// scramble parameters (bijective affine map over rows)
 	mulA uint64
 	addB uint64
+	// zipfRank's inverse-CDF constants, fixed by HotSetSize and ZipfS:
+	// zipfNorm is (n+1)^(1-s) - 1, or log(n+1) when s is 1, and zipfExp
+	// is 1/(1-s).
+	zipfNorm, zipfExp float64
 }
 
 // NewGenerator builds a generator; the config is validated after defaults
@@ -141,13 +145,21 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{
+	g := &Generator{
 		cfg:      cfg,
 		rng:      tensor.NewRNG(cfg.Seed ^ 0x5eed),
 		coldNext: make([]int64, cfg.Tables),
 		mulA:     2654435761, // Knuth's multiplicative constant, prime
 		addB:     tensor.Mix64(cfg.Seed),
-	}, nil
+	}
+	n := float64(cfg.HotSetSize)
+	if g.zipfHarmonic() {
+		g.zipfNorm = math.Log(n + 1)
+	} else {
+		p := 1 - cfg.ZipfS
+		g.zipfNorm, g.zipfExp = math.Pow(n+1, p)-1, 1/p
+	}
+	return g, nil
 }
 
 // MustNew is NewGenerator, panicking on error.
@@ -170,19 +182,20 @@ func (g *Generator) scatter(table int, rank int64) int64 {
 	return int64((r * g.mulA) % uint64(g.cfg.Rows))
 }
 
+// zipfHarmonic reports whether the skew is 1, where the continuous CDF is
+// logarithmic rather than a power.
+func (g *Generator) zipfHarmonic() bool { return math.Abs(g.cfg.ZipfS-1) < 1e-9 }
+
 // zipfRank draws a rank in [0, HotSetSize) with Zipf skew s via inverse-CDF
 // sampling of the continuous approximation.
 func (g *Generator) zipfRank() int64 {
-	n := float64(g.cfg.HotSetSize)
 	u := g.rng.Float64()
-	s := g.cfg.ZipfS
 	var x float64
-	if math.Abs(s-1) < 1e-9 {
-		x = math.Exp(u*math.Log(n+1)) - 1
+	if g.zipfHarmonic() {
+		x = math.Exp(u*g.zipfNorm) - 1
 	} else {
 		// CDF(x) = ((x+1)^(1-s) - 1) / ((n+1)^(1-s) - 1)
-		p := 1 - s
-		x = math.Pow(u*(math.Pow(n+1, p)-1)+1, 1/p) - 1
+		x = math.Pow(u*g.zipfNorm+1, g.zipfExp) - 1
 	}
 	r := int64(x)
 	if r < 0 {
