@@ -239,7 +239,7 @@ func BenchmarkSSDSInference(b *testing.B) {
 	b.ResetTimer()
 	var at sim.Time
 	for i := 0; i < b.N; i++ {
-		at, _ = sys.InferTiming(at, gen.Inference())
+		at, _ = sys.InferBatchTiming(at, gen.Batch(1))
 	}
 }
 

@@ -34,8 +34,7 @@ func main() {
 	ssds := rmssd.NewSSDS(env)
 	var now time.Duration // simulated time (sim.Time is a Duration alias)
 	for i := 0; i < inferences; i++ {
-		done, _ := ssds.InferTiming(now, gen.Inference())
-		now = done
+		now, _ = ssds.InferBatchTiming(now, gen.Batch(1))
 	}
 	ssdsTime := time.Duration(now) / inferences
 	amp := ssds.Host().Stats().Amplification()
@@ -49,8 +48,7 @@ func main() {
 	rec := rmssd.NewRecSSD(env2)
 	now = 0
 	for i := 0; i < inferences; i++ {
-		done, _ := rec.InferTiming(now, gen.Inference())
-		now = done
+		now, _ = rec.InferBatchTiming(now, gen.Batch(1))
 	}
 	recTime := time.Duration(now) / inferences
 	fmt.Printf("RecSSD: %8v per inference (host cache hit %.0f%%)\n",

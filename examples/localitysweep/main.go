@@ -45,13 +45,11 @@ func main() {
 		var now time.Duration
 		// Warm the cache, then measure.
 		for i := 0; i < inferences/2; i++ {
-			done, _ := rec.InferTiming(now, gen.Inference())
-			now = done
+			now, _ = rec.InferBatchTiming(now, gen.Batch(1))
 		}
 		start := now
 		for i := 0; i < inferences; i++ {
-			done, _ := rec.InferTiming(now, gen.Inference())
-			now = done
+			now, _ = rec.InferBatchTiming(now, gen.Batch(1))
 		}
 		recQPS := float64(inferences) / (now - start).Seconds()
 

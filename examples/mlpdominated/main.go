@@ -26,7 +26,7 @@ func main() {
 
 		// Host (DRAM-resident) single-stream inference cost.
 		dram := rmssd.NewDRAM(m)
-		done, bd := dram.InferTiming(0, sparseFor(cfg))
+		done, bd := dram.InferBatchTiming(0, batchOfOne(cfg))
 		fmt.Printf("host DRAM inference: %v (MLP share %.0f%%)\n",
 			done, 100*float64(bd.MLP())/float64(bd.Total()))
 
@@ -59,12 +59,12 @@ func main() {
 	}
 }
 
-// sparseFor builds a deterministic sparse input for the model.
-func sparseFor(cfg rmssd.ModelConfig) [][]int64 {
+// batchOfOne builds a deterministic single-inference batch for the model.
+func batchOfOne(cfg rmssd.ModelConfig) [][][]int64 {
 	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 3,
 	})
-	return gen.Inference()
+	return gen.Batch(1)
 }
 
 // hostBatchSeconds prices one host batch iteration in seconds.

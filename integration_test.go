@@ -33,35 +33,45 @@ func integTrace(cfg model.Config, seed uint64) *trace.Generator {
 	})
 }
 
-// Every model, every system, one shared input: identical CTR predictions.
+// Every model, every system, the same inputs: every baseline predicts bit
+// for bit what the reference model does, at batch 1 and 4, and the device
+// agrees with it.
 func TestIntegrationAllModelsAllSystems(t *testing.T) {
 	for _, name := range []string{"RMC1", "RMC2", "RMC3", "NCF", "WnD"} {
 		cfg := integCfg(name)
 		gen := integTrace(cfg, 101)
-		dense := gen.DenseInput(0, cfg.DenseDim)
-		sparse := gen.Inference()
+		denses := make([]rmssd.Vector, 4)
+		for i := range denses {
+			denses[i] = gen.DenseInput(i, cfg.DenseDim)
+		}
+		sparses := gen.Batch(len(denses))
 
 		env := baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())
-		want := env.M.Infer(dense, sparse)
+		for _, b := range []int{1, 4} {
+			systems := []baseline.System{
+				baseline.NewDRAM(env.M),
+				baseline.NewSSDS(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+				baseline.NewSSDM(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+				baseline.NewEmbMMIO(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+				baseline.NewEmbPageSum(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+				baseline.NewEmbVectorSum(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+				baseline.NewRecSSD(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
+			}
+			for _, sys := range systems {
+				outs, done, _ := sys.InferBatch(0, denses[:b], sparses[:b])
+				for i, got := range outs {
+					if want := env.M.Infer(denses[i], sparses[i]); math.Float32bits(got) != math.Float32bits(want) {
+						t.Errorf("%s/%s batch %d inference %d: %v vs reference %v", name, sys.Name(), b, i, got, want)
+					}
+				}
+				if len(outs) != b || done <= 0 {
+					t.Errorf("%s/%s batch %d: %d predictions, completion %v", name, sys.Name(), b, len(outs), done)
+				}
+			}
+		}
 
-		systems := []baseline.System{
-			baseline.NewDRAM(env.M),
-			baseline.NewSSDS(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-			baseline.NewSSDM(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-			baseline.NewEmbMMIO(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-			baseline.NewEmbPageSum(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-			baseline.NewEmbVectorSum(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-			baseline.NewRecSSD(baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())),
-		}
-		for _, sys := range systems {
-			got, done, _ := sys.Infer(0, dense, sparse)
-			if math.Abs(float64(got-want)) > 1e-4 {
-				t.Errorf("%s/%s: %v vs reference %v", name, sys.Name(), got, want)
-			}
-			if done <= 0 {
-				t.Errorf("%s/%s: non-positive completion time", name, sys.Name())
-			}
-		}
+		dense, sparse := denses[0], sparses[0]
+		want := env.M.Infer(dense, sparse)
 
 		// The device itself, both designs.
 		for _, design := range []rmssd.Design{rmssd.DesignSearched, rmssd.DesignNaive} {
@@ -90,8 +100,7 @@ func TestIntegrationPerformanceOrdering(t *testing.T) {
 		gen := integTrace(cfg, seed)
 		var now sim.Time
 		for i := 0; i < n; i++ {
-			done, _ := sys.InferTiming(now, gen.Inference())
-			now = done
+			now, _ = sys.InferBatchTiming(now, gen.Batch(1))
 		}
 		return time.Duration(now) / n
 	}
@@ -122,9 +131,9 @@ func TestIntegrationDeterminismAcrossSystems(t *testing.T) {
 		var now sim.Time
 		var out float32
 		for i := 0; i < 5; i++ {
-			o, done, _ := rec.Infer(now, gen.DenseInput(i, cfg.DenseDim), gen.Inference())
+			outs, done, _ := rec.InferBatch(now, []rmssd.Vector{gen.DenseInput(i, cfg.DenseDim)}, gen.Batch(1))
 			now = done
-			out = o
+			out = outs[0]
 		}
 		return now, out
 	}
@@ -193,8 +202,7 @@ func TestIntegrationRecSSDPreWarm(t *testing.T) {
 	rec.PreWarmHot(gen.HotRow, gen.HotSetSize())
 	var now sim.Time
 	for i := 0; i < 30; i++ {
-		done, _ := rec.InferTiming(now, gen.Inference())
-		now = done
+		now, _ = rec.InferBatchTiming(now, gen.Batch(1))
 	}
 	hr := rec.Cache().HitRatio()
 	if hr < 0.55 || hr > 0.75 {

@@ -71,17 +71,22 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 	}
 }
 
-// System is a complete recommendation-inference deployment.
+// System is a complete recommendation-inference deployment. It runs whole
+// batch iterations the way the host frameworks do: per-inference I/O, but
+// host compute (SLS, MLPs, framework dispatch) amortised across the batch,
+// which is what Figs. 2 and 12 measure. A single inference is a batch of
+// one, which is what Figs. 10, 11 and 13 measure.
 type System interface {
 	// Name identifies the system as the paper labels it.
 	Name() string
-	// Infer runs one inference functionally and timed, returning the CTR
-	// prediction, the completion time and the stage breakdown.
-	Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown)
-	// InferTiming runs one inference timing-only.
-	InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown)
 	// Model returns the hosted model.
 	Model() *model.Model
+	// InferBatch runs one batch iteration functionally and timed,
+	// returning one CTR prediction per inference, the completion time and
+	// the breakdown summed over the batch.
+	InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown)
+	// InferBatchTiming is InferBatch without materialising values.
+	InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown)
 }
 
 // Env bundles the shared substrate of the SSD-backed baselines: one model's
@@ -120,16 +125,20 @@ func MustNewEnv(cfg model.Config, geo flash.Geometry) *Env {
 	return e
 }
 
-// hostMLP returns the host-CPU stage costs shared by all systems that run
-// the MLP on the host.
-func hostMLP(m *model.Model) (bot, concat, top, other time.Duration) {
-	return m.BottomTime(), m.ConcatTime(), m.TopTime(), m.HostOverheadTime()
-}
-
-// checkSparse validates the sparse input shape.
-func checkSparse(m *model.Model, sparse [][]int64) {
-	if len(sparse) != m.Cfg.Tables {
-		panic(fmt.Sprintf("baseline: %d sparse inputs, want %d", len(sparse), m.Cfg.Tables))
+// checkBatch validates a batch's shape: at least one inference, one sparse
+// input per table for each, and one dense input per inference when
+// materialising.
+func checkBatch(m *model.Model, denses []tensor.Vector, sparses [][][]int64, materialize bool) {
+	if len(sparses) == 0 {
+		panic("baseline: empty batch")
+	}
+	if materialize && len(denses) != len(sparses) {
+		panic(fmt.Sprintf("baseline: %d dense inputs for %d inferences", len(denses), len(sparses)))
+	}
+	for _, sparse := range sparses {
+		if len(sparse) != m.Cfg.Tables {
+			panic(fmt.Sprintf("baseline: %d sparse inputs, want %d", len(sparse), m.Cfg.Tables))
+		}
 	}
 }
 
@@ -145,10 +154,31 @@ func mustAddr(tr *engine.Translator, table int, row int64) int64 {
 	return addr
 }
 
-// hostForward completes an inference on the host given pooled embeddings.
-func hostForward(m *model.Model, dense tensor.Vector, pooled []tensor.Vector) float32 {
-	z := m.Interact(m.BottomForward(dense), pooled)
-	return m.TopForward(z)[0]
+// hostBatch completes a batch of len(pooled) inferences on the host once
+// their pooled embeddings are in host memory at ready: it prices the
+// amortised interaction, MLP and framework stages into bd, which holds the
+// embedding stages, and when materialising runs each inference's
+// interaction and MLPs over its pooled vectors.
+func hostBatch(m *model.Model, ready sim.Time, bd Breakdown, denses []tensor.Vector, pooled [][]tensor.Vector, materialize bool) ([]float32, sim.Time, Breakdown) {
+	b := len(pooled)
+	bd.Concat = time.Duration(b) * m.ConcatTime()
+	bd.BotMLP = m.BottomTimeBatch(b)
+	bd.TopMLP = m.TopTimeBatch(b)
+	bd.Other = m.HostOverheadTime()
+	var outs []float32
+	if materialize {
+		outs = make([]float32, b)
+		for i, dense := range denses {
+			outs[i] = m.TopForward(m.Interact(m.BottomForward(dense), pooled[i]))[0]
+		}
+	}
+	return outs, ready + bd.EmbOp + bd.MLP() + bd.Other, bd
+}
+
+// pooledReturn prices the DMA of a batch's device-pooled vectors, one per
+// table and inference, to the host.
+func pooledReturn(cfg model.Config, b int) time.Duration {
+	return DMAOut(int64(b) * int64(cfg.Tables) * int64(cfg.EVSize()))
 }
 
 // DMAOut models the device-to-host transfer of n bytes.

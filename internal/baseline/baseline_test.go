@@ -57,19 +57,61 @@ func inputsFor(cfg model.Config, seed uint64) (tensor.Vector, [][]int64) {
 	return g.DenseInput(0, cfg.DenseDim), g.Inference()
 }
 
-// Every system must compute the same CTR as the reference model.
+// Every system must compute, at batch 1 and 4, bit for bit the CTR the
+// reference model computes for each inference.
 func TestAllSystemsFunctionallyEquivalent(t *testing.T) {
 	for _, name := range []string{"RMC1", "RMC3"} {
 		cfg := smallCfg(name)
-		dense, sparse := inputsFor(cfg, 11)
-		for _, sys := range allSystems(t, cfg) {
-			want := sys.Model().Infer(dense, sparse)
-			got, done, bd := sys.Infer(0, dense, sparse)
-			if math.Abs(float64(got-want)) > 1e-4 {
-				t.Errorf("%s/%s: got %v, want %v", name, sys.Name(), got, want)
+		for _, b := range []int{1, 4} {
+			g := batchGen(cfg, 11)
+			sparses := g.Batch(b)
+			denses := make([]tensor.Vector, b)
+			for i := range denses {
+				denses[i] = g.DenseInput(i, cfg.DenseDim)
 			}
-			if done <= 0 || bd.Total() <= 0 {
-				t.Errorf("%s/%s: no time recorded", name, sys.Name())
+			for _, sys := range allSystems(t, cfg) {
+				got, done, bd := sys.InferBatch(0, denses, sparses)
+				if len(got) != b {
+					t.Fatalf("%s/%s batch %d: %d predictions", name, sys.Name(), b, len(got))
+				}
+				for i := range got {
+					if want := sys.Model().Infer(denses[i], sparses[i]); math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Errorf("%s/%s batch %d inference %d: got %v, want %v", name, sys.Name(), b, i, got[i], want)
+					}
+				}
+				if done <= 0 || bd.Total() <= 0 {
+					t.Errorf("%s/%s batch %d: no time recorded", name, sys.Name(), b)
+				}
+			}
+		}
+	}
+}
+
+// Materialising values must not change timing: twin systems, one running
+// InferBatch and the other InferBatchTiming over the same chained batches,
+// finish every batch at the same instant with the same breakdown.
+func TestMaterialisedMatchesTiming(t *testing.T) {
+	for _, name := range []string{"RMC1", "RMC2", "RMC3", "NCF", "WnD"} {
+		cfg := smallCfg(name)
+		for _, b := range []int{1, 4} {
+			values, timing := allSystems(t, cfg), allSystems(t, cfg)
+			for si := range values {
+				g := batchGen(cfg, 19)
+				var nowV, nowT sim.Time
+				for it := 0; it < 6; it++ {
+					sparses := g.Batch(b)
+					denses := make([]tensor.Vector, b)
+					for i := range denses {
+						denses[i] = g.DenseInput(it*b+i, cfg.DenseDim)
+					}
+					_, doneV, bdV := values[si].InferBatch(nowV, denses, sparses)
+					doneT, bdT := timing[si].InferBatchTiming(nowT, sparses)
+					if doneV != doneT || bdV != bdT {
+						t.Fatalf("%s/%s batch %d iteration %d: InferBatch %v %+v, InferBatchTiming %v %+v",
+							name, values[si].Name(), b, it, doneV, bdV, doneT, bdT)
+					}
+					nowV, nowT = doneV, doneT
+				}
 			}
 		}
 	}
@@ -79,16 +121,13 @@ func TestAllSystemsFunctionallyEquivalent(t *testing.T) {
 // EMB-PageSum, then EMB-VectorSum.
 func TestEmbeddingPathOrdering(t *testing.T) {
 	cfg := smallCfg("RMC1")
-	dense, _ := inputsFor(cfg, 13)
-	_ = dense
 	g := trace.MustNew(trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 13})
 	batch := g.Batch(30)
 
 	measure := func(sys System) time.Duration {
 		var now sim.Time
-		for _, sparse := range batch {
-			done, _ := sys.InferTiming(now, sparse)
-			now = done
+		for i := range batch {
+			now, _ = sys.InferBatchTiming(now, batch[i:i+1])
 		}
 		return time.Duration(now)
 	}
@@ -116,9 +155,8 @@ func TestSSDMFasterThanSSDS(t *testing.T) {
 	run := func(s *NaiveSSD) time.Duration {
 		s.Warm(batch[:10])
 		var now sim.Time
-		for _, sparse := range batch {
-			done, _ := s.InferTiming(now, sparse)
-			now = done
+		for i := range batch {
+			now, _ = s.InferBatchTiming(now, batch[i:i+1])
 		}
 		return time.Duration(now)
 	}
@@ -135,7 +173,7 @@ func TestDRAMBreakdownShape(t *testing.T) {
 	m := model.MustBuild(smallCfg("RMC3"))
 	d := NewDRAM(m)
 	_, sparse := inputsFor(m.Cfg, 23)
-	_, bdDone := d.InferTiming(0, sparse)
+	_, bdDone := d.InferBatchTiming(0, [][][]int64{sparse})
 	if bdDone.EmbSSD != 0 || bdDone.EmbFS != 0 {
 		t.Fatal("DRAM must not touch the SSD")
 	}
@@ -149,7 +187,7 @@ func TestNaiveSSDReadAmplification(t *testing.T) {
 	env := MustNewEnv(cfg, testGeo())
 	s := NewNaiveSSD(env, "SSD-0", 1<<40) // effectively no cache budget pressure, but cold
 	_, sparse := inputsFor(cfg, 31)
-	s.InferTiming(0, sparse)
+	s.InferBatchTiming(0, [][][]int64{sparse})
 	amp := s.Host().Stats().Amplification()
 	// Cold cache: every distinct page faults once; with 80 lookups/table
 	// over 2048 rows, amplification is large but below the 32x ceiling.
@@ -182,8 +220,7 @@ func TestRecSSDCacheHitRatioTracksLocality(t *testing.T) {
 		})
 		var now sim.Time
 		for i := 0; i < 60; i++ {
-			done, _ := s.InferTiming(now, g.Inference())
-			now = done
+			now, _ = s.InferBatchTiming(now, g.Batch(1))
 			if i == 30 {
 				s.Cache().ResetStats()
 			}
@@ -199,7 +236,7 @@ func TestRecSSDCacheHitRatioTracksLocality(t *testing.T) {
 
 // TestRecSSDPresenceOnlyEntriesRefill: a timing run leaves presence-only
 // entries (reserved, never filled) in RecSSD's host cache. A materialised
-// inference over the same rows must serve each of them as a miss — the same
+// batch over the same rows must serve each of them as a miss — the same
 // device reads and breakdown as a RecSSD that never ran the timing pass —
 // fill it, and predict bit for bit what the DRAM host does. The cache
 // counts every lookup of a resident key as a hit, presence-only or not, so
@@ -210,11 +247,13 @@ func TestRecSSDPresenceOnlyEntriesRefill(t *testing.T) {
 	env := MustNewEnv(cfg, testGeo())
 	rec, fresh, dram := NewRecSSD(env), NewRecSSD(MustNewEnv(cfg, testGeo())), NewDRAM(env.M)
 	g := batchGen(cfg, 17)
-	sparses := g.Batch(6)
+	sparses := g.Batch(4)
+	denses := make([]tensor.Vector, len(sparses))
+	for i := range denses {
+		denses[i] = g.DenseInput(i, cfg.DenseDim)
+	}
 	lookups, distinct := 0, map[[2]int64]bool{}
-	var now sim.Time
 	for _, sparse := range sparses {
-		now, _ = rec.InferTiming(now, sparse)
 		for tb, rows := range sparse {
 			for _, row := range rows {
 				lookups++
@@ -222,23 +261,23 @@ func TestRecSSDPresenceOnlyEntriesRefill(t *testing.T) {
 			}
 		}
 	}
+	now, _ := rec.InferBatchTiming(0, sparses)
 	if rec.Cache().Len() != len(distinct) {
 		t.Fatalf("timing pass left %d entries, want %d", rec.Cache().Len(), len(distinct))
 	}
-	for i, sparse := range sparses {
-		dense := g.DenseInput(i, cfg.DenseDim)
-		got, _, bd := rec.Infer(now, dense, sparse)
-		_, _, freshBD := fresh.Infer(now, dense, sparse)
-		want, _, _ := dram.Infer(0, dense, sparse)
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("inference %d: RecSSD predicts %v, DRAM %v", i, got, want)
+	got, _, bd := rec.InferBatch(now, denses, sparses)
+	_, _, freshBD := fresh.InferBatch(now, denses, sparses)
+	want, _, _ := dram.InferBatch(0, denses, sparses)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("inference %d: RecSSD predicts %v, DRAM %v", i, got[i], want[i])
 		}
-		if bd != freshBD {
-			t.Fatalf("inference %d: breakdown %+v after the timing pass, %+v without it", i, bd, freshBD)
-		}
-		if i == 0 && bd.EmbSSD <= 0 {
-			t.Fatal("presence-only entries were served without device reads")
-		}
+	}
+	if bd != freshBD {
+		t.Fatalf("breakdown %+v after the timing pass, %+v without it", bd, freshBD)
+	}
+	if bd.EmbSSD <= 0 {
+		t.Fatal("presence-only entries were served without device reads")
 	}
 	if got, want := rec.Cache().HitRatio(), float64(2*lookups-len(distinct))/float64(2*lookups); got != want {
 		t.Fatalf("hit ratio %v, want %v", got, want)
@@ -268,7 +307,7 @@ func TestRecSSDFasterWithMoreLocality(t *testing.T) {
 		var now sim.Time
 		var start sim.Time
 		for i := 0; i < 40; i++ {
-			done, _ := s.InferTiming(now, g.Inference())
+			done, _ := s.InferBatchTiming(now, g.Batch(1))
 			if i == 20 {
 				start = now // measure the warm half
 			}
@@ -293,9 +332,8 @@ func TestEmbVectorSumBeatsRecSSD(t *testing.T) {
 	rec := NewRecSSDWithCache(MustNewEnv(cfg, testGeo()), int64(64*cfg.Tables*cfg.EVSize()))
 	var nowV, nowR sim.Time
 	for i := 0; i < 30; i++ {
-		dv, _ := vec.InferTiming(nowV, g1.Inference())
-		dr, _ := rec.InferTiming(nowR, g2.Inference())
-		nowV, nowR = dv, dr
+		nowV, _ = vec.InferBatchTiming(nowV, g1.Batch(1))
+		nowR, _ = rec.InferBatchTiming(nowR, g2.Batch(1))
 	}
 	if nowV >= nowR {
 		t.Fatalf("EMB-VectorSum (%v) not faster than RecSSD (%v) at low locality", nowV, nowR)
@@ -304,15 +342,26 @@ func TestEmbVectorSumBeatsRecSSD(t *testing.T) {
 
 func TestSystemsPanicOnBadShape(t *testing.T) {
 	cfg := smallCfg("RMC1")
+	dense, sparse := inputsFor(cfg, 3)
+	bad := []struct {
+		what string
+		run  func(System)
+	}{
+		{"wrong table count", func(sys System) { sys.InferBatchTiming(0, [][][]int64{make([][]int64, 1)}) }},
+		{"empty batch", func(sys System) { sys.InferBatchTiming(0, nil) }},
+		{"missing dense", func(sys System) { sys.InferBatch(0, []tensor.Vector{dense}, [][][]int64{sparse, sparse}) }},
+	}
 	for _, sys := range allSystems(t, cfg) {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", sys.Name())
-				}
+		for _, c := range bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s: expected panic", sys.Name(), c.what)
+					}
+				}()
+				c.run(sys)
 			}()
-			sys.InferTiming(0, make([][]int64, 1))
-		}()
+		}
 	}
 }
 

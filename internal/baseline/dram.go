@@ -23,29 +23,29 @@ func (d *DRAM) Name() string { return "DRAM" }
 // Model implements System.
 func (d *DRAM) Model() *model.Model { return d.m }
 
-// breakdown prices one inference: everything is memory-resident, so the
+// InferBatch implements System.
+func (d *DRAM) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return d.batch(at, denses, sparses, true)
+}
+
+// InferBatchTiming implements System.
+func (d *DRAM) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := d.batch(at, nil, sparses, false)
+	return done, bd
+}
+
+// batch runs one batch iteration. Everything is memory-resident, so the
 // embedding layer costs only the SLS gather+sum compute.
-func (d *DRAM) breakdown() Breakdown {
-	bot, concat, top, other := hostMLP(d.m)
-	return Breakdown{
-		EmbOp:  d.m.SLSComputeTime(),
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
+func (d *DRAM) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	checkBatch(d.m, denses, sparses, materialize)
+	pooled := make([][]tensor.Vector, len(sparses))
+	if materialize {
+		for i, sparse := range sparses {
+			pooled[i] = make([]tensor.Vector, len(sparse))
+			for t, rows := range sparse {
+				pooled[i][t] = d.m.PoolReference(t, rows)
+			}
+		}
 	}
-}
-
-// Infer implements System.
-func (d *DRAM) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(d.m, sparse)
-	bd := d.breakdown()
-	return d.m.Infer(dense, sparse), at + bd.Total(), bd
-}
-
-// InferTiming implements System.
-func (d *DRAM) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(d.m, sparse)
-	bd := d.breakdown()
-	return at + bd.Total(), bd
+	return hostBatch(d.m, at, Breakdown{EmbOp: d.m.SLSComputeTimeBatch(len(sparses))}, denses, pooled, materialize)
 }

@@ -34,7 +34,35 @@ func (s *EmbMMIO) Model() *model.Model { return s.env.M }
 // Host exposes the I/O path for traffic accounting.
 func (s *EmbMMIO) Host() *hostio.Host { return s.host }
 
-func (s *EmbMMIO) read(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, time.Duration, time.Duration) {
+// InferBatch implements System.
+func (s *EmbMMIO) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return s.batch(at, denses, sparses, true)
+}
+
+// InferBatchTiming implements System.
+func (s *EmbMMIO) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := s.batch(at, nil, sparses, false)
+	return done, bd
+}
+
+// batch runs one batch iteration: the page fetches stay serial, inference
+// after inference, while pooling and the MLPs amortise.
+func (s *EmbMMIO) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	checkBatch(s.env.M, denses, sparses, materialize)
+	pooled := make([][]tensor.Vector, len(sparses))
+	now := at
+	var bd Breakdown
+	for i, sparse := range sparses {
+		pooled[i], now = s.read(now, sparse, materialize, &bd)
+	}
+	bd.EmbOp = s.env.M.SLSComputeTimeBatch(len(sparses))
+	return hostBatch(s.env.M, now, bd, denses, pooled, materialize)
+}
+
+// read fetches one inference's pages through the MMIO window, returning
+// the pooled vectors (nil when materialize is false) and the completion
+// time, and adds the fetches' device and MMIO time to bd.
+func (s *EmbMMIO) read(at sim.Time, sparse [][]int64, materialize bool, bd *Breakdown) ([]tensor.Vector, sim.Time) {
 	cfg := s.env.M.Cfg
 	now := at
 	var pooled []tensor.Vector
@@ -61,36 +89,7 @@ func (s *EmbMMIO) read(at sim.Time, sparse [][]int64, materialize bool) ([]tenso
 			pooled[t] = sum
 		}
 	}
-	embSSD := time.Duration(pages) * params.TPage
-	embFS := time.Duration(pages) * params.MMIOPageFetchCost
-	return pooled, now, embSSD, embFS
-}
-
-func (s *EmbMMIO) finish(readDone sim.Time, embSSD, embFS time.Duration) (sim.Time, Breakdown) {
-	bot, concat, top, other := hostMLP(s.env.M)
-	bd := Breakdown{
-		EmbSSD: embSSD,
-		EmbFS:  embFS,
-		EmbOp:  s.env.M.SLSComputeTime(),
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
-	}
-	return readDone + bd.EmbOp + bd.Concat + bd.BotMLP + bd.TopMLP + bd.Other, bd
-}
-
-// Infer implements System.
-func (s *EmbMMIO) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	pooled, readDone, embSSD, embFS := s.read(at, sparse, true)
-	done, bd := s.finish(readDone, embSSD, embFS)
-	return hostForward(s.env.M, dense, pooled), done, bd
-}
-
-// InferTiming implements System.
-func (s *EmbMMIO) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	_, readDone, embSSD, embFS := s.read(at, sparse, false)
-	return s.finish(readDone, embSSD, embFS)
+	bd.EmbSSD += time.Duration(pages) * params.TPage
+	bd.EmbFS += time.Duration(pages) * params.MMIOPageFetchCost
+	return pooled, now
 }

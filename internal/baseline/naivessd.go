@@ -66,9 +66,36 @@ func (s *NaiveSSD) Warm(batch [][][]int64) {
 	}
 }
 
-// readEmbeddings performs the per-vector file reads, returning the data
-// (nil when materialize is false), the completion time and the I/O split.
-func (s *NaiveSSD) readEmbeddings(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, time.Duration, time.Duration) {
+// InferBatch implements System.
+func (s *NaiveSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return s.batch(at, denses, sparses, true)
+}
+
+// InferBatchTiming implements System.
+func (s *NaiveSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := s.batch(at, nil, sparses, false)
+	return done, bd
+}
+
+// batch runs one batch iteration: the vector file reads stay strictly
+// serial, inference after inference (the lseek+read loop cannot batch),
+// while pooling and the MLPs amortise.
+func (s *NaiveSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	checkBatch(s.env.M, denses, sparses, materialize)
+	pooled := make([][]tensor.Vector, len(sparses))
+	now := at
+	var bd Breakdown
+	for i, sparse := range sparses {
+		pooled[i], now = s.readEmbeddings(now, sparse, materialize, &bd)
+	}
+	bd.EmbOp = s.env.M.SLSComputeTimeBatch(len(sparses))
+	return hostBatch(s.env.M, now, bd, denses, pooled, materialize)
+}
+
+// readEmbeddings performs one inference's per-vector file reads, returning
+// the pooled vectors (nil when materialize is false) and the completion
+// time, and adds the read time's device and I/O-stack split to bd.
+func (s *NaiveSSD) readEmbeddings(at sim.Time, sparse [][]int64, materialize bool, bd *Breakdown) ([]tensor.Vector, sim.Time) {
 	cfg := s.env.M.Cfg
 	before := s.host.Cache().Stats()
 	now := at
@@ -99,39 +126,7 @@ func (s *NaiveSSD) readEmbeddings(at sim.Time, sparse [][]int64, materialize boo
 	after := s.host.Cache().Stats()
 	hits := after.Hits - before.Hits
 	misses := after.Misses - before.Misses
-	// Split the read time into device and I/O-stack components.
-	embSSD := time.Duration(misses) * (params.NVMeCmdCost + params.TPage + params.NVMeCompletionCost)
-	embFS := time.Duration(hits)*params.PageCacheHitCost + time.Duration(misses)*params.PageCacheMissOverhead
-	return pooled, now, embSSD, embFS
-}
-
-func (s *NaiveSSD) finish(at sim.Time, readDone sim.Time, embSSD, embFS time.Duration) (sim.Time, Breakdown) {
-	bot, concat, top, other := hostMLP(s.env.M)
-	bd := Breakdown{
-		EmbSSD: embSSD,
-		EmbFS:  embFS,
-		EmbOp:  s.env.M.SLSComputeTime(),
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
-	}
-	done := readDone + bd.EmbOp + bd.Concat + bd.BotMLP + bd.TopMLP + bd.Other
-	_ = at
-	return done, bd
-}
-
-// Infer implements System.
-func (s *NaiveSSD) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	pooled, readDone, embSSD, embFS := s.readEmbeddings(at, sparse, true)
-	done, bd := s.finish(at, readDone, embSSD, embFS)
-	return hostForward(s.env.M, dense, pooled), done, bd
-}
-
-// InferTiming implements System.
-func (s *NaiveSSD) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	_, readDone, embSSD, embFS := s.readEmbeddings(at, sparse, false)
-	return s.finish(at, readDone, embSSD, embFS)
+	bd.EmbSSD += time.Duration(misses) * (params.NVMeCmdCost + params.TPage + params.NVMeCompletionCost)
+	bd.EmbFS += time.Duration(hits)*params.PageCacheHitCost + time.Duration(misses)*params.PageCacheMissOverhead
+	return pooled, now
 }

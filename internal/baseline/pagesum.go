@@ -32,7 +32,33 @@ func (s *EmbPageSum) Name() string { return "EMB-PageSum" }
 // Model implements System.
 func (s *EmbPageSum) Model() *model.Model { return s.env.M }
 
-// pool performs the in-SSD page-grained pooling.
+// InferBatch implements System.
+func (s *EmbPageSum) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return s.batch(at, denses, sparses, true)
+}
+
+// InferBatchTiming implements System.
+func (s *EmbPageSum) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := s.batch(at, nil, sparses, false)
+	return done, bd
+}
+
+// batch runs one batch iteration: in-SSD pooling of all inferences
+// overlaps on the flash array, and the pooled vectors return together.
+func (s *EmbPageSum) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	checkBatch(s.env.M, denses, sparses, materialize)
+	pooled := make([][]tensor.Vector, len(sparses))
+	devDone := at
+	for i, sparse := range sparses {
+		var done sim.Time
+		pooled[i], done = s.pool(at, sparse, materialize)
+		devDone = sim.Max(devDone, done)
+	}
+	bd := Breakdown{EmbSSD: time.Duration(devDone - at), EmbFS: pooledReturn(s.env.M.Cfg, len(sparses))}
+	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
+}
+
+// pool performs one inference's in-SSD page-grained pooling.
 func (s *EmbPageSum) pool(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time) {
 	cfg := s.env.M.Cfg
 	ps := int64(s.env.Dev.PageSize())
@@ -59,34 +85,4 @@ func (s *EmbPageSum) pool(at sim.Time, sparse [][]int64, materialize bool) ([]te
 		}
 	}
 	return pooled, done
-}
-
-func (s *EmbPageSum) finish(at, poolDone sim.Time) (sim.Time, Breakdown) {
-	cfg := s.env.M.Cfg
-	bot, concat, top, other := hostMLP(s.env.M)
-	ret := DMAOut(int64(cfg.Tables) * int64(cfg.EVSize()))
-	bd := Breakdown{
-		EmbSSD: time.Duration(poolDone - at),
-		EmbFS:  ret,
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
-	}
-	return poolDone + ret + bd.Concat + bd.BotMLP + bd.TopMLP + bd.Other, bd
-}
-
-// Infer implements System.
-func (s *EmbPageSum) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	pooled, poolDone := s.pool(at, sparse, true)
-	done, bd := s.finish(at, poolDone)
-	return hostForward(s.env.M, dense, pooled), done, bd
-}
-
-// InferTiming implements System.
-func (s *EmbPageSum) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	_, poolDone := s.pool(at, sparse, false)
-	return s.finish(at, poolDone)
 }

@@ -85,83 +85,78 @@ func (s *RecSSD) PreWarmHot(hotRow func(table int, rank int64) int64, hotPerTabl
 	}
 }
 
-func (s *RecSSD) infer(at sim.Time, dense tensor.Vector, sparse [][]int64, materialize bool) (float32, sim.Time, Breakdown) {
-	cfg := s.env.M.Cfg
-	ps := int64(s.env.Dev.PageSize())
+// InferBatch implements System.
+func (s *RecSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return s.batch(at, denses, sparses, true)
+}
 
-	var pooled []tensor.Vector
-	if materialize {
-		pooled = make([]tensor.Vector, cfg.Tables)
-		for t := range pooled {
-			pooled[t] = make(tensor.Vector, cfg.EVDim)
-		}
-	}
-	// Partition lookups into host-cache hits and device misses; misses go
-	// to the SSD as page-grained ISC reads, pooled on the device.
+// InferBatchTiming implements System.
+func (s *RecSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := s.batch(at, nil, sparses, false)
+	return done, bd
+}
+
+// batch runs one batch iteration. Lookups split into host-cache hits and
+// device misses; the misses go to the SSD as page-grained ISC reads issued
+// back to back across the batch and pooled on the device. The partial sums
+// return over DMA and the host merges them with the cached vectors'
+// contribution, a gather and an accumulate per hit.
+func (s *RecSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	cfg := s.env.M.Cfg
+	checkBatch(s.env.M, denses, sparses, materialize)
+	ps := int64(s.env.Dev.PageSize())
+	b := len(sparses)
+	pooled := make([][]tensor.Vector, b)
 	issue := at
 	devDone := at
-	var hits, misses int64
-	for t, rows := range sparse {
-		for _, row := range rows {
-			// A presence-only entry (an unfilled reservation from a timing
-			// run or PreWarmHot) cannot serve a materialised inference;
-			// treat it as a miss then, and fill it.
-			if h, ok := s.cache.Get(t, row); ok && (!materialize || s.cache.Filled(h)) {
-				hits++
-				if materialize {
-					model.AccumulateEV(pooled[t], s.cache.Data(h))
-				}
-				continue
+	var hits int64
+	for i, sparse := range sparses {
+		if materialize {
+			pooled[i] = make([]tensor.Vector, cfg.Tables)
+			for t := range pooled[i] {
+				pooled[i][t] = make(tensor.Vector, cfg.EVDim)
 			}
-			misses++
-			issue += params.CycleTime
-			addr := mustAddr(s.tr, t, row)
-			readDone := s.pageRead(issue, addr/ps)
-			devDone = sim.Max(devDone, readDone)
-			h := s.cache.Reserve(t, row)
-			if materialize {
-				ev := s.env.Dev.PeekRange(addr, cfg.EVSize())
-				model.AccumulateEV(pooled[t], ev)
-				s.cache.Fill(h, ev)
+		}
+		for t, rows := range sparse {
+			for _, row := range rows {
+				// A presence-only entry (an unfilled reservation from a
+				// timing run or PreWarmHot) cannot serve a materialised
+				// inference; treat it as a miss then, and fill it.
+				if h, ok := s.cache.Get(t, row); ok && (!materialize || s.cache.Filled(h)) {
+					hits++
+					if materialize {
+						model.AccumulateEV(pooled[i][t], s.cache.Data(h))
+					}
+					continue
+				}
+				issue += params.CycleTime
+				addr := mustAddr(s.tr, t, row)
+				devDone = sim.Max(devDone, s.pageRead(issue, addr/ps))
+				h := s.cache.Reserve(t, row)
+				if materialize {
+					ev := s.env.Dev.PeekRange(addr, cfg.EVSize())
+					model.AccumulateEV(pooled[i][t], ev)
+					s.cache.Fill(h, ev)
+				}
 			}
 		}
 	}
-
-	// Partial sums return over DMA; the host merges them with the cached
-	// vectors' contribution (gather + accumulate per hit).
-	ret := DMAOut(int64(cfg.Tables) * int64(cfg.EVSize()))
-	merge := time.Duration(hits)*params.CPULookupCost +
-		time.Duration((hits*int64(cfg.EVDim)+int64(cfg.Tables*cfg.EVDim))/
-			params.CPUAccumulateElemsPerNanosecond)*time.Nanosecond
-
-	bot, concat, top, other := hostMLP(s.env.M)
 	bd := Breakdown{
 		EmbSSD: time.Duration(devDone - at),
-		EmbFS:  ret,
-		EmbOp:  merge,
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
+		EmbFS:  pooledReturn(cfg, b),
+		EmbOp: time.Duration(hits)*mergeLookupCost(b) +
+			time.Duration((hits+int64(b)*int64(cfg.Tables))*int64(cfg.EVDim)/
+				params.CPUAccumulateElemsPerNanosecond)*time.Nanosecond,
 	}
-	done := devDone + ret + merge + bd.Concat + bd.BotMLP + bd.TopMLP + bd.Other
-
-	var out float32
-	if materialize {
-		out = hostForward(s.env.M, dense, pooled)
-	}
-	return out, done, bd
+	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
 }
 
-// Infer implements System.
-func (s *RecSSD) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	return s.infer(at, dense, sparse, true)
-}
-
-// InferTiming implements System.
-func (s *RecSSD) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	_, done, bd := s.infer(at, nil, sparse, false)
-	return done, bd
+// mergeLookupCost returns the per-cached-lookup host merge cost at batch b
+// (amortising like the SLS gather).
+func mergeLookupCost(b int) time.Duration {
+	per := params.CPULookupCost / time.Duration(b)
+	if per < params.CPULookupCostBatched {
+		per = params.CPULookupCostBatched
+	}
+	return per
 }

@@ -32,39 +32,38 @@ func (s *EmbVectorSum) Model() *model.Model { return s.env.M }
 // Lookup exposes the engine for traffic accounting.
 func (s *EmbVectorSum) Lookup() *engine.LookupEngine { return s.lookup }
 
-func (s *EmbVectorSum) finish(at, poolDone sim.Time) (sim.Time, Breakdown) {
-	cfg := s.env.M.Cfg
-	bot, concat, top, other := hostMLP(s.env.M)
-	ret := DMAOut(int64(cfg.Tables) * int64(cfg.EVSize()))
-	bd := Breakdown{
-		EmbSSD: time.Duration(poolDone - at),
-		EmbFS:  ret,
-		Concat: concat,
-		BotMLP: bot,
-		TopMLP: top,
-		Other:  other,
-	}
-	return poolDone + ret + bd.Concat + bd.BotMLP + bd.TopMLP + bd.Other, bd
+// InferBatch implements System.
+func (s *EmbVectorSum) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, Breakdown) {
+	return s.batch(at, denses, sparses, true)
 }
 
-// Infer implements System.
-func (s *EmbVectorSum) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	pooled, poolDone, err := s.lookup.Pool(at, sparse)
-	if err != nil {
-		// In-range generator inputs on an unfaulted device cannot error.
-		panic(fmt.Sprintf("baseline: %v", err))
-	}
-	done, bd := s.finish(at, poolDone)
-	return hostForward(s.env.M, dense, pooled), done, bd
+// InferBatchTiming implements System.
+func (s *EmbVectorSum) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
+	_, done, bd := s.batch(at, nil, sparses, false)
+	return done, bd
 }
 
-// InferTiming implements System.
-func (s *EmbVectorSum) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
-	checkSparse(s.env.M, sparse)
-	poolDone, err := s.lookup.PoolTiming(at, sparse)
-	if err != nil {
-		panic(fmt.Sprintf("baseline: %v", err))
+// batch runs one batch iteration: the engine pools every inference from
+// the same start, overlapping on the flash array, and the pooled vectors
+// return together.
+func (s *EmbVectorSum) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
+	checkBatch(s.env.M, denses, sparses, materialize)
+	pooled := make([][]tensor.Vector, len(sparses))
+	devDone := at
+	for i, sparse := range sparses {
+		var done sim.Time
+		var err error
+		if materialize {
+			pooled[i], done, err = s.lookup.Pool(at, sparse)
+		} else {
+			done, err = s.lookup.PoolTiming(at, sparse)
+		}
+		if err != nil {
+			// In-range generator inputs on an unfaulted device cannot error.
+			panic(fmt.Sprintf("baseline: %v", err))
+		}
+		devDone = sim.Max(devDone, done)
 	}
-	return s.finish(at, poolDone)
+	bd := Breakdown{EmbSSD: time.Duration(devDone - at), EmbFS: pooledReturn(s.env.M.Cfg, len(sparses))}
+	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
 }

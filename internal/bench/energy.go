@@ -7,7 +7,6 @@ import (
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
 	"rmssd/internal/power"
-	"rmssd/internal/sim"
 )
 
 // EnergyStudy extends the paper: first-order energy per inference for the
@@ -43,7 +42,7 @@ func EnergyStudy(opts Options) []*Table {
 		// DRAM: everything on the host.
 		dram := baseline.NewDRAM(m)
 		gen := traceFor(cfg, opts)
-		_, bdD := dram.InferTiming(0, gen.Inference())
+		_, bdD := dram.InferBatchTiming(0, gen.Batch(1))
 		addRow("DRAM", power.Profile{
 			HostCPUTime:   bdD.Total(),
 			HostDRAMBytes: lookups*evSize + cfg.MLPWeightBytes(),
@@ -52,18 +51,9 @@ func EnergyStudy(opts Options) []*Table {
 		// SSD-S: host CPU active outside the device wait; page-granular
 		// flash traffic for every cache miss.
 		ssds := baseline.NewSSDS(envFor(cfg))
-		var now sim.Time
-		for i := 0; i < opts.WarmupIterations; i++ {
-			done, _ := ssds.InferTiming(now, gen.Inference())
-			now = done
-		}
+		now, _ := iterate(ssds, gen, 1, opts.WarmupIterations, 0)
 		ssds.Host().ResetStats()
-		var bdS baseline.Breakdown
-		for i := 0; i < opts.Iterations; i++ {
-			done, bd := ssds.InferTiming(now, gen.Inference())
-			now = done
-			bdS = bdS.Add(bd)
-		}
+		_, bdS := iterate(ssds, gen, 1, opts.Iterations, now)
 		iters := int64(opts.Iterations)
 		misses := ssds.Host().Stats().DeviceReads / iters
 		ps := int64(ssds.Host().FS().PageSize())

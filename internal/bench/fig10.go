@@ -7,7 +7,6 @@ import (
 	"rmssd/internal/baseline"
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
-	"rmssd/internal/sim"
 )
 
 // namedSystem is a deferred System construction: the Fig. 10/11 comparison
@@ -30,29 +29,13 @@ func slsSystemSet() []namedSystem {
 	}
 }
 
-// measureSum runs warm-up plus measured iterations of a system and returns
-// the summed stage breakdown over the measured iterations.
+// measureSum runs warm-up plus measured single inferences of a system and
+// returns the summed stage breakdown over the measured ones.
 func measureSum(sys baseline.System, cfg model.Config, opts Options) baseline.Breakdown {
 	gen := traceFor(cfg, opts)
-	var now sim.Time
-	for i := 0; i < opts.WarmupIterations; i++ {
-		done, _ := sys.InferTiming(now, gen.Inference())
-		now = done
-	}
-	var sum baseline.Breakdown
-	for i := 0; i < opts.Iterations; i++ {
-		done, bd := sys.InferTiming(now, gen.Inference())
-		now = done
-		sum = sum.Add(bd)
-	}
+	now, _ := iterate(sys, gen, 1, opts.WarmupIterations, 0)
+	_, sum := iterate(sys, gen, 1, opts.Iterations, now)
 	return sum
-}
-
-// measureEmb runs iterations of a system and returns the summed
-// embedding-layer time and total time.
-func measureEmb(sys baseline.System, cfg model.Config, opts Options) (emb, total time.Duration) {
-	sum := measureSum(sys, cfg, opts)
-	return sum.Emb(), sum.Total()
 }
 
 // Fig10 reproduces the standalone SLS-operator study: (a) execution time of
@@ -76,7 +59,7 @@ func Fig10(opts Options) []*Table {
 	aCells := make([]aCell, len(systems))
 	runIndexed(opts.Parallel, len(systems), func(i int) {
 		sys := systems[i].build(cfg)
-		emb, _ := measureEmb(sys, cfg, opts)
+		emb := measureSum(sys, cfg, opts).Emb()
 		aCells[i] = aCell{sys.Name(), emb.Seconds() * 1000 / float64(opts.Iterations)}
 	})
 	var base float64
@@ -108,7 +91,7 @@ func Fig10(opts Options) []*Table {
 		c := cfg
 		c.Lookups = lookups[li]
 		sys := systems[si].build(c)
-		emb, _ := measureEmb(sys, c, opts)
+		emb := measureSum(sys, c, opts).Emb()
 		grid[li][si] = fmtSeconds(emb.Seconds() * 1000 / float64(opts.Iterations))
 	})
 	for li, cells := range grid {
@@ -176,23 +159,15 @@ func Fig13(opts Options) []*Table {
 		case ci < len(measured):
 			sys := measured[ci](cfg)
 			gen := traceFor(cfg, opts)
-			var now sim.Time
-			for i := 0; i < opts.WarmupIterations; i++ {
-				done, _ := sys.InferTiming(now, gen.Inference())
-				now = done
-			}
-			start := now
-			for i := 0; i < opts.Iterations; i++ {
-				done, _ := sys.InferTiming(now, gen.Inference())
-				now = done
-			}
-			grid[mi][ci] = fmtSeconds(time.Duration(now-start).Seconds() * 1000 / float64(opts.Iterations))
+			start, _ := iterate(sys, gen, 1, opts.WarmupIterations, 0)
+			end, _ := iterate(sys, gen, 1, opts.Iterations, start)
+			grid[mi][ci] = fmtSeconds(time.Duration(end-start).Seconds() * 1000 / float64(opts.Iterations))
 		case ci == 3:
 			rm := rmssdFor(cfg, engine.DesignSearched)
 			grid[mi][ci] = fmtSeconds(rm.Latency(1).Seconds() * 1000)
 		default:
 			dram := baseline.NewDRAM(model.MustBuild(cfg))
-			done, _ := dram.InferTiming(0, traceFor(cfg, opts).Inference())
+			done, _ := dram.InferBatchTiming(0, traceFor(cfg, opts).Batch(1))
 			grid[mi][ci] = fmtSeconds(time.Duration(done).Seconds() * 1000)
 		}
 	})

@@ -7,14 +7,13 @@ import (
 	"rmssd/internal/core"
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
-	"rmssd/internal/sim"
 )
 
-// hostQPS measures a BatchSystem's steady-state throughput at a batch
+// hostQPS measures a host system's steady-state throughput at a batch
 // size. Each cell builds its own fresh system (and trace) so measurements
 // never replay indices another cell faulted in — which is also what makes
 // the cells safe to evaluate in parallel.
-func hostQPS(sys baseline.BatchSystem, cfg model.Config, opts Options, batch int) float64 {
+func hostQPS(sys baseline.System, cfg model.Config, opts Options, batch int) float64 {
 	gen := traceFor(cfg, opts)
 	iters := opts.Iterations
 	if batch > 1 {
@@ -23,19 +22,9 @@ func hostQPS(sys baseline.BatchSystem, cfg model.Config, opts Options, batch int
 			iters = 5
 		}
 	}
-	warm := iters / 2
-	var now sim.Time
-	for i := 0; i < warm; i++ {
-		done, _ := sys.InferBatchTiming(now, gen.Batch(batch))
-		now = done
-	}
-	start := now
-	for i := 0; i < iters; i++ {
-		done, _ := sys.InferBatchTiming(now, gen.Batch(batch))
-		now = done
-	}
-	elapsed := (now - start).Seconds()
-	return float64(iters*batch) / elapsed
+	start, _ := iterate(sys, gen, batch, iters/2, 0)
+	end, _ := iterate(sys, gen, batch, iters, start)
+	return float64(iters*batch) / (end - start).Seconds()
 }
 
 // rmssdQPS returns the device's steady-state throughput at a host batch
@@ -53,12 +42,12 @@ func Fig12(opts Options) []*Table {
 	batches := []int{1, 2, 4, 8, 16, 32}
 	hosts := []struct {
 		col   int
-		build func(cfg model.Config) baseline.BatchSystem
+		build func(cfg model.Config) baseline.System
 	}{
-		{1, func(cfg model.Config) baseline.BatchSystem { return baseline.NewSSDS(envFor(cfg)) }},
-		{2, func(cfg model.Config) baseline.BatchSystem { return recssdFor(cfg, opts) }},
-		{3, func(cfg model.Config) baseline.BatchSystem { return baseline.NewEmbVectorSum(envFor(cfg)) }},
-		{6, func(cfg model.Config) baseline.BatchSystem { return baseline.NewDRAM(model.MustBuild(cfg)) }},
+		{1, func(cfg model.Config) baseline.System { return baseline.NewSSDS(envFor(cfg)) }},
+		{2, func(cfg model.Config) baseline.System { return recssdFor(cfg, opts) }},
+		{3, func(cfg model.Config) baseline.System { return baseline.NewEmbVectorSum(envFor(cfg)) }},
+		{6, func(cfg model.Config) baseline.System { return baseline.NewDRAM(model.MustBuild(cfg)) }},
 	}
 	var tables []*Table
 	for _, name := range []string{"RMC1", "RMC2", "RMC3"} {
@@ -201,16 +190,9 @@ func Table4(opts Options) []*Table {
 		cfg := scaledConfig(models[mi], opts)
 		ssds := baseline.NewSSDS(envFor(cfg))
 		gen := traceFor(cfg, opts)
-		var now sim.Time
-		for i := 0; i < opts.WarmupIterations; i++ {
-			done, _ := ssds.InferTiming(now, gen.Inference())
-			now = done
-		}
+		now, _ := iterate(ssds, gen, 1, opts.WarmupIterations, 0)
 		ssds.Host().ResetStats()
-		for i := 0; i < opts.Iterations; i++ {
-			done, _ := ssds.InferTiming(now, gen.Inference())
-			now = done
-		}
+		iterate(ssds, gen, 1, opts.Iterations, now)
 		perInf := float64(ssds.Host().Stats().BytesFromDevice) / float64(opts.Iterations)
 		pooledBytes := float64(cfg.Tables * cfg.EVSize()) // RecSSD and EMB-VectorSum return pooled vectors
 		rows[mi] = []string{models[mi],

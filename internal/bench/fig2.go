@@ -5,25 +5,7 @@ import (
 
 	"rmssd/internal/baseline"
 	"rmssd/internal/model"
-	"rmssd/internal/sim"
 )
-
-// runBatchSystem measures a BatchSystem over the options' iteration counts
-// and returns the per-iteration breakdown average.
-func runBatchSystem(sys baseline.BatchSystem, gen func() [][][]int64, warm, iters int) baseline.Breakdown {
-	var now sim.Time
-	for i := 0; i < warm; i++ {
-		done, _ := sys.InferBatchTiming(now, gen())
-		now = done
-	}
-	var total baseline.Breakdown
-	for i := 0; i < iters; i++ {
-		done, bd := sys.InferBatchTiming(now, gen())
-		now = done
-		total = total.Add(bd)
-	}
-	return total
-}
 
 // scaleTo1K converts a summed breakdown over iters iterations to the
 // paper's 1K-iteration reporting unit, in seconds.
@@ -47,11 +29,11 @@ func Fig2(opts Options) []*Table {
 	models := []string{"RMC1", "RMC2", "RMC3"}
 	batches := []int{1, 32, 64}
 	systems := []struct {
-		build func(cfg model.Config) baseline.BatchSystem
+		build func(cfg model.Config) baseline.System
 	}{
-		{func(cfg model.Config) baseline.BatchSystem { return baseline.NewSSDS(envFor(cfg)) }},
-		{func(cfg model.Config) baseline.BatchSystem { return baseline.NewSSDM(envFor(cfg)) }},
-		{func(cfg model.Config) baseline.BatchSystem { return baseline.NewDRAM(model.MustBuild(cfg)) }},
+		{func(cfg model.Config) baseline.System { return baseline.NewSSDS(envFor(cfg)) }},
+		{func(cfg model.Config) baseline.System { return baseline.NewSSDM(envFor(cfg)) }},
+		{func(cfg model.Config) baseline.System { return baseline.NewDRAM(model.MustBuild(cfg)) }},
 	}
 	// One cell per (model, batch, system): each builds its own system on a
 	// fresh device, so the 27 cells are independent and the two tables are
@@ -74,8 +56,8 @@ func Fig2(opts Options) []*Table {
 		warm := iters / 2
 		sys := systems[si].build(cfg)
 		gen := traceFor(cfg, opts)
-		next := func() [][][]int64 { return gen.Batch(batch) }
-		total := runBatchSystem(sys, next, warm, iters)
+		now, _ := iterate(sys, gen, batch, warm, 0)
+		_, total := iterate(sys, gen, batch, iters, now)
 		tt := float64(total.Total())
 		pct := func(d float64) string { return fmt.Sprintf("%.1f", 100*d/tt) }
 		grid[idx] = f2Cell{
@@ -115,16 +97,9 @@ func Fig3(opts Options) []*Table {
 		cfg := scaledConfig(name, opts)
 		amp := func(sys *baseline.NaiveSSD) string {
 			gen := traceFor(cfg, opts)
-			var now sim.Time
-			for i := 0; i < opts.WarmupIterations; i++ {
-				done, _ := sys.InferTiming(now, gen.Inference())
-				now = done
-			}
+			now, _ := iterate(sys, gen, 1, opts.WarmupIterations, 0)
 			sys.Host().ResetStats()
-			for i := 0; i < opts.Iterations; i++ {
-				done, _ := sys.InferTiming(now, gen.Inference())
-				now = done
-			}
+			iterate(sys, gen, 1, opts.Iterations, now)
 			return fmt.Sprintf("%.1f", sys.Host().Stats().Amplification())
 		}
 		ssdm := amp(baseline.NewSSDM(envFor(cfg)))

@@ -37,7 +37,7 @@ func rmssdBatcher(r *core.RMSSD, gen *trace.Generator) *timedBatcher {
 
 // hostBatcher times batch iterations on a host baseline, which runs them
 // one after another.
-func hostBatcher(sys baseline.BatchSystem, gen *trace.Generator) *timedBatcher {
+func hostBatcher(sys baseline.System, gen *trace.Generator) *timedBatcher {
 	return &timedBatcher{gen: gen, infer: func(at sim.Time, sparses [][][]int64) (sim.Time, interface{}, error) {
 		done, _ := sys.InferBatchTiming(at, sparses)
 		return done, nil, nil

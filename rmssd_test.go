@@ -77,9 +77,9 @@ func TestPublicBaselinesAgree(t *testing.T) {
 		rmssd.NewSSDS(env),
 	}
 	for _, sys := range systems {
-		got, _, _ := sys.Infer(0, dense, sparse)
-		if math.Abs(float64(got-want)) > 1e-4 {
-			t.Fatalf("%s: %v vs %v", sys.Name(), got, want)
+		got, _, _ := sys.InferBatch(0, []rmssd.Vector{dense}, [][][]int64{sparse})
+		if math.Abs(float64(got[0]-want)) > 1e-4 {
+			t.Fatalf("%s: %v vs %v", sys.Name(), got[0], want)
 		}
 	}
 }
