@@ -1,9 +1,13 @@
-# Development entry points. `make check` mirrors the CI gate
-# (.github/workflows/ci.yml); run it before sending a change.
+# Development entry points. `make check` runs the CI gate
+# (.github/workflows/ci.yml) except two steps: the rmperf smoke run, which
+# only checks that the perf harness still runs and prints wall-clock
+# numbers that depend on the machine (`make bench-perf` is the real run),
+# and `fuzz-smoke`, which spends about two minutes fuzzing. Run
+# `make check` before sending a change.
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden race fuzz-smoke bench results bench-perf bench-micro check
+.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden race fuzz-smoke bench results results-check bench-perf bench-micro check
 
 build:
 	$(GO) build ./...
@@ -80,6 +84,11 @@ bench:
 results:
 	$(GO) run ./cmd/rmbench -exp all -iters 40 >results_full.txt 2>results_full.log
 
+# The committed experiment record must be what the code produces; a change
+# that moves a table commits the regenerated file. CI runs this target.
+results-check: results
+	git diff --exit-code results_full.txt
+
 # Host-side perf trajectory: times a fixed sweep at -parallel 1 vs N and
 # hammers the sharded serving pool, writing BENCH_simcore.json.
 bench-perf:
@@ -108,5 +117,5 @@ bench-micro:
 				if ($$i + 0 > ceil[name] + 0) { printf "bench-micro: %s: %s allocs/op, ceiling %s\n", name, $$i, ceil[name]; bad = 1 } } } \
 		END { for (b in ceil) if (!(b in ran)) { printf "bench-micro: %s did not run\n", b; bad = 1 } exit bad }' "$$out"
 
-check: build fmt vet lint test test-benchmark test-simdebug race
+check: build fmt vet lint test test-benchmark test-simdebug test-golden race results-check bench-micro
 	@echo "all checks passed"
