@@ -437,10 +437,13 @@ func (m *Model) EVBytes(table int, row int64) []byte {
 
 // EVBytesInto fills buf with the on-SSD byte encoding of the vector at
 // (table, row) starting from byte offset `from` within the vector.
+// It folds the vector's (seed, table, row) hash prefix once and derives
+// each element from it, bit-identical to EmbeddingValue per element.
 func (m *Model) EVBytesInto(table int, row int64, from int, buf []byte) {
+	p := tensor.HashPrefix(m.Cfg.Seed^0xe3b, uint64(table), uint64(m.Cfg.GlobalRow(row)))
 	for i := 0; i < len(buf); i += 4 {
 		e := (from + i) / 4
-		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(m.EmbeddingValue(table, row, e)))
+		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(tensor.HashFloatFrom(p, uint64(e))))
 	}
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -181,6 +182,35 @@ func TestEVBytesIntoPartial(t *testing.T) {
 	for i := range part {
 		if part[i] != full[16+i] {
 			t.Fatal("partial encoding mismatch")
+		}
+	}
+}
+
+// TestEVBytesIntoMatchesEmbeddingValue: EVBytesInto, which folds the
+// vector's hash prefix once, writes the little-endian bits of EmbeddingValue
+// for element (from+i)/4 at every 4-byte step i, for every from offset in
+// the vector, on a plain config and on a row-remapped array member.
+func TestEVBytesIntoMatchesEmbeddingValue(t *testing.T) {
+	member := smallConfig()
+	member.RowBase, member.RowStride = 3, 5
+	for _, cfg := range []Config{smallConfig(), member} {
+		m := &Model{Cfg: cfg}
+		evSize := cfg.EVSize()
+		for _, key := range []struct {
+			table int
+			row   int64
+		}{{0, 0}, {2, 77}, {cfg.Tables - 1, cfg.RowsPerTable - 1}} {
+			for from := 0; from < evSize; from++ {
+				buf := make([]byte, (evSize-from)&^3)
+				m.EVBytesInto(key.table, key.row, from, buf)
+				for i := 0; i < len(buf); i += 4 {
+					want := math.Float32bits(m.EmbeddingValue(key.table, key.row, (from+i)/4))
+					if got := binary.LittleEndian.Uint32(buf[i:]); got != want {
+						t.Fatalf("row base %d: table %d row %d from %d byte %d: bits %#x, want %#x",
+							cfg.RowBase, key.table, key.row, from, i, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -17,12 +17,28 @@ func Mix64(x uint64) uint64 {
 
 // HashFloat returns a deterministic float32 in [-1, 1) derived from the
 // given keys.
-func HashFloat(keys ...uint64) float32 {
+func HashFloat(keys ...uint64) float32 { return hashToFloat(HashPrefix(keys...)) }
+
+// HashPrefix folds leading keys into a state that HashFloatFrom continues:
+// HashFloatFrom(HashPrefix(a...), b) == HashFloat(a..., b) bit for bit. A
+// caller generating many values that share their leading keys (every
+// element of one embedding vector, every column of one weight row) folds
+// the shared part once.
+func HashPrefix(keys ...uint64) uint64 {
 	h := uint64(0x243f6a8885a308d3)
 	for _, k := range keys {
 		h = Mix64(h ^ k)
 	}
-	// 24 mantissa bits -> uniform in [0,1), then shift to [-1,1).
+	return h
+}
+
+// HashFloatFrom returns HashFloat of the keys folded into prefix followed
+// by k.
+func HashFloatFrom(prefix, k uint64) float32 { return hashToFloat(Mix64(prefix ^ k)) }
+
+// hashToFloat maps a hash state to [-1, 1): 24 mantissa bits -> uniform in
+// [0,1), then shifted.
+func hashToFloat(h uint64) float32 {
 	u := float64(h>>40) / float64(1<<24)
 	return float32(2*u - 1)
 }
@@ -64,8 +80,9 @@ func (r *RNG) Intn(n int) int {
 // seed, in [-scale, scale).
 func FillMatrix(m *Matrix, seed uint64, scale float32) {
 	for r := 0; r < m.Rows; r++ {
+		p := HashPrefix(seed, uint64(r))
 		for c := 0; c < m.Cols; c++ {
-			m.Set(r, c, scale*HashFloat(seed, uint64(r), uint64(c)))
+			m.Set(r, c, scale*HashFloatFrom(p, uint64(c)))
 		}
 	}
 }

@@ -240,6 +240,37 @@ func TestHashFloatRoughlyCentered(t *testing.T) {
 	}
 }
 
+// TestHashPrefixMatchesHashFloat: continuing a folded prefix with one more
+// key is bitwise HashFloat of all the keys, for prefixes of every length
+// up to four over random keys, and FillMatrix (which folds each row's
+// prefix once) matches HashFloat element by element.
+func TestHashPrefixMatchesHashFloat(t *testing.T) {
+	r := NewRNG(11)
+	for i := 0; i < 5000; i++ {
+		keys := make([]uint64, 1+i%5)
+		for j := range keys {
+			keys[j] = r.Uint64()
+		}
+		if i%3 == 0 {
+			keys[len(keys)-1] %= 64 // small element indices, as callers use
+		}
+		head, last := keys[:len(keys)-1], keys[len(keys)-1]
+		got, want := HashFloatFrom(HashPrefix(head...), last), HashFloat(keys...)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("keys %v: HashFloatFrom(HashPrefix) = %v, HashFloat = %v", keys, got, want)
+		}
+	}
+	m := NewMatrix(7, 33)
+	FillMatrix(m, 0xfeed, 0.5)
+	for row := 0; row < m.Rows; row++ {
+		for c := 0; c < m.Cols; c++ {
+			if want := 0.5 * HashFloat(0xfeed, uint64(row), uint64(c)); math.Float32bits(m.At(row, c)) != math.Float32bits(want) {
+				t.Fatalf("FillMatrix(%d,%d) = %v, want %v", row, c, m.At(row, c), want)
+			}
+		}
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {
