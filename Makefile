@@ -101,12 +101,12 @@ bench-perf:
 # allocs/op rises above its ceiling in ALLOC_CEILINGS (frozen at the
 # values measured when the gate was added; lower a ceiling when a change
 # removes allocations) or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=5838 BenchmarkLookupPoolHotTrace=723 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=5838 BenchmarkLookupPoolHotTrace=723 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0
 
 bench-micro:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 	{ $(GO) test -run='^$$' -bench='BenchmarkPoolSubmit|BenchmarkDeviceShardServe' -benchtime=100x -benchmem ./internal/serving/ && \
-	  $(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/ && \
+	  $(GO) test -run='^$$' -bench='BenchmarkLookupPoolHotTrace|BenchmarkLookupPoolCachedHotTrace' -benchtime=100x -benchmem ./internal/engine/ && \
 	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkPageCacheTouch -benchtime=100x -benchmem ./internal/hostio/; \
 	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \
