@@ -136,8 +136,7 @@ func runMicro() MicroReport {
 
 	evSize := cfg.EVSize()
 	cache := evcache.New(int64(evSize)*1024, evSize)
-	vec := make([]byte, evSize)
-	cache.Fill(cache.Reserve(0, 1), vec)
+	cache.Fill(cache.Reserve(0, 1))
 	hit := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -151,13 +150,13 @@ func runMicro() MicroReport {
 	})
 
 	// Steady-state miss on a full cache: the Get misses, the Reserve evicts
-	// the LRU entry, the Fill copies one vector in. Mirrors internal/evcache's
-	// BenchmarkEVCacheMissFill.
+	// the LRU entry, the Fill marks the new entry filled. Mirrors
+	// internal/evcache's BenchmarkEVCacheMissFill.
 	const missCap = 1024
 	miss := testing.Benchmark(func(b *testing.B) {
 		full := evcache.New(int64(evSize)*missCap, evSize)
 		for r := int64(0); r < missCap; r++ {
-			full.Fill(full.Reserve(0, r), vec)
+			full.Fill(full.Reserve(0, r))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -166,7 +165,7 @@ func runMicro() MicroReport {
 			if _, ok := full.Get(0, row); ok {
 				b.Fatal("fresh row hit")
 			}
-			full.Fill(full.Reserve(0, row), vec)
+			full.Fill(full.Reserve(0, row))
 		}
 	})
 
@@ -205,17 +204,16 @@ func runMicro() MicroReport {
 
 // residentBytesPerEntry fills a New(budget, evSize) EV cache, churns three
 // times its capacity of distinct keys through it, and returns the heap it
-// retains per resident entry after a GC: vector, slot and index together.
-// Mirrors internal/evcache's TestResidentFootprint, which bounds the same
-// figure.
+// retains per resident entry after a GC: slot and index together (the
+// cache keeps no vector bytes). Mirrors internal/evcache's
+// TestResidentFootprint, which bounds the same figure.
 func residentBytesPerEntry(budget int64, evSize int) float64 {
-	vec := make([]byte, evSize)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	c := evcache.New(budget, evSize)
 	for r := range 3 * c.CapEntries() {
-		c.Fill(c.Reserve(0, int64(r)), vec)
+		c.Fill(c.Reserve(0, int64(r)))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -33,6 +33,7 @@ type RecSSD struct {
 	// overhead each (no die-level pipelining, unlike the RM-SSD
 	// hardware engines).
 	channels *sim.Pool
+	ev       []byte // one vector's bytes, peeked from the device
 }
 
 // NewRecSSD builds RecSSD with the default host cache size.
@@ -47,6 +48,7 @@ func NewRecSSDWithCache(env *Env, cacheBytes int64) *RecSSD {
 		tr:       engine.NewTranslator(env.Store, env.Dev.PageSize()),
 		cache:    evcache.New(cacheBytes, env.M.Cfg.EVSize()),
 		channels: sim.NewPool("recssd.ch", env.Dev.Array().Geometry().Channels),
+		ev:       make([]byte, env.M.Cfg.EVSize()),
 	}
 }
 
@@ -119,24 +121,24 @@ func (s *RecSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64,
 		}
 		for t, rows := range sparse {
 			for _, row := range rows {
-				// A presence-only entry (an unfilled reservation from a
-				// timing run or PreWarmHot) cannot serve a materialised
-				// inference; treat it as a miss then, and fill it.
+				// An unfilled entry (a reservation from a timing run or
+				// PreWarmHot) does not serve a materialised inference;
+				// treat it as a miss then, and fill it. Either way the
+				// vector's bytes come from the device's page store.
+				addr := mustAddr(s.tr, t, row)
+				if materialize {
+					s.env.Dev.PeekRangeInto(addr, s.ev)
+					model.AccumulateEV(pooled[i][t], s.ev)
+				}
 				if h, ok := s.cache.Get(t, row); ok && (!materialize || s.cache.Filled(h)) {
 					hits++
-					if materialize {
-						model.AccumulateEV(pooled[i][t], s.cache.Data(h))
-					}
 					continue
 				}
 				issue += params.CycleTime
-				addr := mustAddr(s.tr, t, row)
 				devDone = sim.Max(devDone, s.pageRead(issue, addr/ps))
 				h := s.cache.Reserve(t, row)
 				if materialize {
-					ev := s.env.Dev.PeekRange(addr, cfg.EVSize())
-					model.AccumulateEV(pooled[i][t], ev)
-					s.cache.Fill(h, ev)
+					s.cache.Fill(h)
 				}
 			}
 		}

@@ -155,14 +155,13 @@ func TestFullDeviceCacheMissAllocatesNothing(t *testing.T) {
 	if c.Len() != c.CapEntries() {
 		t.Fatalf("cache holds %d of %d entries after a batch", c.Len(), c.CapEntries())
 	}
-	vec := make([]byte, cfg.EVSize())
 	row := int64(0)
 	allocs := testing.AllocsPerRun(500, func() {
 		// Table index past the model's keeps every key fresh.
 		if _, ok := c.Get(cfg.Tables, row); ok {
 			t.Fatal("fresh key hit")
 		}
-		c.Fill(c.Reserve(cfg.Tables, row), vec)
+		c.Fill(c.Reserve(cfg.Tables, row))
 		row++
 	})
 	if allocs != 0 {

@@ -315,3 +315,87 @@ func TestUpdateVectorInvalidatesCache(t *testing.T) {
 		t.Fatal("update did not change the prediction; test is vacuous")
 	}
 }
+
+// TestCachedTwinMatchesUncachedAcrossWrites: the EV cache keeps no vector
+// bytes, so a hit reads the device's page store. Twin devices, one cached
+// and one not, on the linear and the dynamic FTL, run chained batches that
+// alternate timing-only and materialised inference, with UpdateVector
+// calls between batches on rows the next batch looks up. Every
+// materialised prediction must be bit-identical across the twins, the
+// cached twin must hit (entries filled by timing-only batches, and rows
+// sharing a page with an updated one, included), and the updates must move
+// the predictions.
+func TestCachedTwinMatchesUncachedAcrossWrites(t *testing.T) {
+	const batch = 8
+	for _, dynamic := range []bool{false, true} {
+		name := fmt.Sprintf("dynamic=%v", dynamic)
+		cfg := smallCfg("RMC1")
+		cfg.RowsPerTable = 512 // the dynamic FTL writes every table at construction
+		twin := func(cacheBytes int64) *RMSSD {
+			r, err := New(cfg, Options{Geometry: smallGeometry(), Dynamic: dynamic, Parallel: 1, EVCacheBytes: cacheBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		cached, plain, untouched := twin(4<<20), twin(0), twin(0)
+		denses, sparses := hotInputs(t, cfg, 8*batch, 23)
+		var cachedAt, plainAt sim.Time
+		moved := false
+		for off := 0; off < len(sparses); off += batch {
+			ds, ss := denses[off:off+batch], sparses[off:off+batch]
+			if off/batch%2 == 0 {
+				var err error
+				if cachedAt, _, err = cached.InferBatchTiming(cachedAt, ss); err != nil {
+					t.Fatal(err)
+				}
+				if plainAt, _, err = plain.InferBatchTiming(plainAt, ss); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				got, done, _, err := cached.InferBatch(cachedAt, ds, ss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, pdone, _, err := plain.InferBatch(plainAt, ds, ss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, fmt.Sprintf("%s batch %d", name, off/batch), got, want)
+				cachedAt, plainAt = done, pdone
+				orig, _, _, err := untouched.InferBatch(0, ds, ss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range orig {
+					moved = moved || math.Float32bits(orig[i]) != math.Float32bits(want[i])
+				}
+			}
+			if off+batch == len(sparses) {
+				break
+			}
+			// Overwrite, in every table, the first row the next batch looks
+			// up: hot rows, so mostly resident in the cache.
+			next := sparses[off+batch]
+			v := make(tensor.Vector, cfg.EVDim)
+			for i := range v {
+				v[i] = float32(off+i) * 0.125
+			}
+			for tab := range next {
+				var err error
+				if cachedAt, err = cached.UpdateVector(cachedAt, tab, next[tab][0], v); err != nil {
+					t.Fatal(err)
+				}
+				if plainAt, err = plain.UpdateVector(plainAt, tab, next[tab][0], v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if c := cached.Counters(); c.CacheHits == 0 {
+			t.Fatalf("%s: cached twin counters %+v show no hits", name, c)
+		}
+		if !moved {
+			t.Fatalf("%s: updates never changed a prediction; test is vacuous", name)
+		}
+	}
+}

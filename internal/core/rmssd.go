@@ -481,7 +481,7 @@ func (r *RMSSD) UpdateVector(at sim.Time, table int, row int64, v tensor.Vector)
 		binary.LittleEndian.PutUint32(buf[col+4*i:], math.Float32bits(x))
 	}
 	done := r.dev.WritePage(readDone, lpn, buf)
-	// A cached copy would now serve stale (and aliased-to-dead-page) bytes.
+	// The controller's cached copy is now stale: the next read goes to flash.
 	r.lookup.Invalidate(table, row)
 	return done, nil
 }

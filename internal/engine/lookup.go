@@ -158,6 +158,7 @@ type LookupEngine struct {
 	owners map[evcache.Key]int32
 	oneInf [1][][]int64
 	zeroEV []byte
+	hitEV  []byte // a cache hit's bytes, resolved in reduce (planner.go)
 }
 
 // NewLookupEngine wires the engine to a store's device.

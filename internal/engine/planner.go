@@ -40,9 +40,9 @@ import (
 //     channel-disjoint state (asserted under simdebug via lane binding).
 //     Each worker also records its dies' loads for Loads.
 //  3. reduce (sequential, global order): resolve each slot's bytes (flash
-//     result, cached bytes, zeros, or the owning slot's bytes), accumulate
-//     floats in the original lookup order, fill reserved cache entries, and
-//     replay the EV Sum unit.
+//     result, zeros, the owning slot's bytes, or for a cache hit the
+//     device's page store), accumulate floats in the original lookup
+//     order, fill reserved cache entries, and replay the EV Sum unit.
 //
 // Values, times and every counter are therefore independent of host
 // parallelism and shard interleaving by construction. With no cache, dedup
@@ -55,9 +55,12 @@ import (
 //   - EV cache: vectors resident in the controller's DRAM are served in
 //     params.EVCacheHitCycles (~8 cycles for a 128 B vector, vs C_EV ≈ 2838)
 //     over the cache's FCFS DRAM port; misses read flash as before and fill
-//     the cache. Fill copies the read bytes into the cache's slab, so a hit
-//     returns exactly the bytes a flash read would, and the read buffer is
-//     not retained.
+//     the cache. The cache tracks presence only: when materialising, reduce
+//     resolves a hit's bytes into one engine-owned scratch vector through
+//     the device's untimed ssd.Device.PeekRangeInto, at the address the
+//     translator gives. Written pages (UpdateVector, the dynamic FTL) are
+//     served by the same page store, so a hit returns exactly the bytes a
+//     flash read would.
 //   - Dedup: within one pooled batch, repeated (table,row) references merge
 //     with the first occurrence's read. Each duplicate still contributes its
 //     own term to the pooled sum (SparseLengthsSum semantics: a row listed
@@ -75,10 +78,7 @@ import (
 // Stale handles: when a batch reserves more entries than the cache holds, a
 // later reservation in the same plan can evict an earlier one and reuse its
 // cache slot. The earlier lookup's handle is then stale and its reduce-phase
-// Fill is a no-op, leaving the slot to its new owner. A hit's bytes alias
-// the cache slab; they are safe to read in reduce because a slot is only
-// refilled by a reservation planned after the hit, and reduce runs in plan
-// order.
+// Fill is a no-op, leaving the slot to its new owner.
 
 // slotKind says how one lookup's bytes are produced.
 type slotKind uint8
@@ -86,7 +86,7 @@ type slotKind uint8
 const (
 	slotFlash slotKind = iota // vector read from flash
 	slotZero                  // unmapped page on a dynamic device: zeros
-	slotHit                   // EV cache hit served over the DRAM port
+	slotHit                   // EV cache hit served over the DRAM port (bytes resolved in reduce)
 	slotDup                   // merged with an earlier slot's read
 )
 
@@ -165,6 +165,7 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	}
 	if len(e.zeroEV) != evSize {
 		e.zeroEV = make([]byte, evSize)
+		e.hitEV = make([]byte, evSize)
 	}
 
 	// Phase 1 — sequential plan in global order.
@@ -201,10 +202,7 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 							// Resident vector: one DRAM burst on the port.
 							ready := e.cache.Hit(issue)
 							addLoad(&e.loads[len(e.loads)-1], at, ready-e.cache.HitOccupancy(), ready)
-							slots = append(slots, lkSlot{
-								vec: vec, kind: slotHit, key: key,
-								data: e.cache.Data(h), ready: ready,
-							})
+							slots = append(slots, lkSlot{vec: vec, kind: slotHit, key: key, ready: ready})
 						} else {
 							// In-flight miss from this batch (MSHR merge).
 							own, ok := e.owners[key]
@@ -247,10 +245,8 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	}
 	e.slots = slots
 
-	// Phase 2 — flash scheduling, one lane per channel. Bytes are read even
-	// on timing-only runs when a cache is installed: it may serve them to a
-	// later materialising batch.
-	e.readFlash(at, materialize || e.cache != nil)
+	// Phase 2 — flash scheduling, one lane per channel.
+	e.readFlash(at, materialize)
 
 	// Phase 3 — sequential reduce in global order.
 	var pooled [][]tensor.Vector
@@ -262,8 +258,10 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	var firstErr error
 	for i := range slots {
 		s := &slots[i]
-		if s.kind == slotDup {
+		kind := s.kind
+		if kind == slotDup {
 			own := &slots[s.owner]
+			kind = own.kind
 			s.data = own.data
 			s.ready = sim.Max(s.start, own.ready)
 			s.err = own.err
@@ -285,11 +283,14 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 			continue
 		}
 		if s.fill.Reserved() {
-			// Copy the read bytes in (global order; recency untouched; a
-			// no-op if a later reservation took the slot).
-			e.cache.Fill(s.fill, s.data)
+			// The read completed (global order; recency untouched; a no-op
+			// if a later reservation took the slot).
+			e.cache.Fill(s.fill)
 		}
 		if materialize {
+			if kind == slotHit {
+				s.data = e.hitBytes(s.key)
+			}
 			model.AccumulateEV(vecs[s.vec], s.data)
 		}
 		_, sumDone := e.sum.Acquire(s.ready, sumOcc)
@@ -300,6 +301,20 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	}
 	e.slots = slots[:0]
 	return pooled, done, firstErr
+}
+
+// hitBytes resolves a cache hit's vector into the engine's scratch vector
+// from the device's page store: the bytes a flash read of its address would
+// return, untimed. The scratch holds them until the next hit resolves.
+func (e *LookupEngine) hitBytes(key evcache.Key) []byte {
+	addr, err := e.tr.Lookup(key.Table, key.Row)
+	if err != nil {
+		// Only a translated miss reserves an entry, so a resident key
+		// always translates.
+		panic(fmt.Sprintf("engine: cached vector: %v", err))
+	}
+	e.dev.PeekRangeInto(addr, e.hitEV)
+	return e.hitEV
 }
 
 // resetPerCh returns the engine's per-channel bucket scratch, emptied, and

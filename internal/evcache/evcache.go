@@ -10,16 +10,15 @@
 // paper's Fig. 14 sensitivity sweep and the RecSSD baseline's host cache
 // exploit, but without crossing the host interface.
 //
-// Entries live in an LRU (lru.go): the package's presence-keyed slab, which
-// every keyed cache in the simulator shares (hostio's page cache sits on it
-// too). Cache adds one evSize-byte window of a storage chunk per
-// slot. A chunk is allocated when the first of its slots is filled, so a
-// cache costs only what is resident however large its budget: a 32-byte
-// slot, about 4 bytes of index and, once filled, the vector. Entries that
-// are only ever reserved (RecSSD's timing runs track presence this way)
-// cost no vector storage. Fill copies the read bytes into the slot's
-// window: the buffer a flash read returned (on a linear device a fresh
-// buffer synthesised per miss) is never retained.
+// The cache tracks presence only. Its timing depends only on which vectors
+// are resident, and the bytes a hit returns are the bytes a flash read of
+// the same address would return, which the device's page store supplies
+// for any address (from its filler, or from a written page). So no vector
+// bytes are kept here: a reader of a hit resolves them from the device
+// (ssd.Device.PeekRangeInto), untimed. Entries live in an LRU (lru.go): the
+// package's presence-keyed slab, which every keyed cache in the simulator
+// shares (hostio's page cache sits on it too). A resident entry costs its
+// 32-byte slot and about 4 bytes of index, however large the budget.
 //
 // Reserve hands out a Handle naming the slot and its generation. Evicting or
 // invalidating an entry bumps its slot's generation, so a handle that
@@ -30,21 +29,20 @@
 // Determinism contract (relied on by engine's lane-parallel lookup path):
 // every state mutation — recency moves in Get, insertion and eviction in
 // Reserve, port scheduling in Hit — happens on the caller's goroutine in the
-// caller's order; Fill only deposits bytes into an already-placed entry and
+// caller's order; Fill only marks an already-placed entry filled and
 // touches neither recency nor the index, so it may run in any phase of a
 // batch without perturbing LRU state. The hash is seed-free and the index is
 // plain arrays, never a Go map: identical call sequences produce identical
-// hits, misses, evictions, chains and contents.
+// hits, misses, evictions and chains.
 //
 // MSHR semantics: a miss Reserves its entry immediately (at plan time), so a
 // later lookup of the same key in the same batch Gets the reserved entry and
 // is merged with the in-flight flash read instead of issuing its own — the
-// engine resolves its data and ready time from the owning miss.
+// engine resolves its data and ready time from the owning miss. Fill marks
+// the end of that miss.
 package evcache
 
 import (
-	"fmt"
-
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
 )
@@ -75,45 +73,33 @@ type Handle struct {
 // since have gone stale).
 func (h Handle) Reserved() bool { return h.ref != 0 }
 
-// chunkBytes sizes one storage chunk (rounded down to whole vectors).
-const chunkBytes = 64 << 10
-
 // Cache is the device-DRAM EV cache. It is not safe for concurrent use; the
 // lookup engine drives it from its sequential plan phase only.
 type Cache struct {
-	lru      LRU
-	evSize   int
-	perChunk int           // vectors per storage chunk
-	chunks   [][]byte      // vector bytes: slot i at chunks[i/perChunk]; nil until filled
-	port     *sim.Resource // DRAM read port serving hit transfers
-	hitOcc   sim.Time      // per-hit port occupancy (params.EVCacheHitCycles)
-	stats    Stats
+	lru    LRU
+	port   *sim.Resource // DRAM read port serving hit transfers
+	hitOcc sim.Time      // per-hit port occupancy (params.EVCacheHitCycles)
+	stats  Stats
 }
 
 // New builds a cache bounded to budgetBytes of evSize-byte vectors. A budget
 // below one vector yields a cache that never admits (every Get misses and
 // Reserve returns the zero Handle). Slot indices are int32, so the capacity
-// saturates at math.MaxInt32 entries (256 GiB of 128-byte vectors). New
-// allocates no vector storage.
+// saturates at math.MaxInt32 entries (256 GiB of 128-byte vectors). evSize
+// also sizes a hit's DRAM burst.
 func New(budgetBytes int64, evSize int) *Cache {
 	if evSize <= 0 {
 		panic("evcache: non-positive vector size")
 	}
-	lru := NewLRU(int(budgetBytes / int64(evSize)))
 	return &Cache{
-		lru:      lru,
-		evSize:   evSize,
-		perChunk: max(1, min(chunkBytes/evSize, lru.Cap())),
-		port:     sim.NewResource("evcache.dram"),
-		hitOcc:   params.Duration(params.EVCacheHitCycles(evSize)),
+		lru:    NewLRU(int(budgetBytes / int64(evSize))),
+		port:   sim.NewResource("evcache.dram"),
+		hitOcc: params.Duration(params.EVCacheHitCycles(evSize)),
 	}
 }
 
 // CapEntries returns the entry capacity implied by the byte budget.
 func (c *Cache) CapEntries() int { return c.lru.Cap() }
-
-// EVSize returns the vector size the budget was divided by.
-func (c *Cache) EVSize() int { return c.evSize }
 
 // Len returns the number of resident entries (filled or reserved).
 func (c *Cache) Len() int { return c.lru.Len() }
@@ -148,23 +134,15 @@ func (c *Cache) Reserve(table int, row int64) Handle {
 	return c.handle(i)
 }
 
-// Fill copies one vector's bytes, as read from flash, into the handle's
-// entry. A stale handle — its entry was evicted or invalidated since
-// Reserve — makes Fill a no-op. Fill does not touch recency or the index, so
-// it is safe to call from any phase of a lookup batch.
-func (c *Cache) Fill(h Handle, data []byte) {
-	i, ok := c.live(h)
-	if !ok {
-		return
+// Fill marks the handle's entry filled: its flash read has completed, so
+// the entry now serves hits rather than merging in-flight misses. A stale
+// handle — its entry was evicted or invalidated since Reserve — makes Fill
+// a no-op. Fill does not touch recency or the index, so it is safe to call
+// from any phase of a lookup batch.
+func (c *Cache) Fill(h Handle) {
+	if i, ok := c.live(h); ok {
+		c.lru.slots[i].gen |= filledBit
 	}
-	if len(data) != c.evSize {
-		panic(fmt.Sprintf("evcache: fill of %d bytes, want %d", len(data), c.evSize))
-	}
-	if ci := int(i) / c.perChunk; ci >= len(c.chunks) || c.chunks[ci] == nil {
-		c.allocChunk(ci)
-	}
-	copy(c.window(i), data)
-	c.lru.slots[i].gen |= filledBit
 }
 
 // Filled reports whether the handle's entry has been filled; false for a
@@ -174,20 +152,10 @@ func (c *Cache) Filled(h Handle) bool {
 	return ok && c.lru.slots[i].gen&filledBit != 0
 }
 
-// Data returns the handle's cached bytes: nil until Fill and for a stale
-// handle. The slice aliases the slab, so it holds the entry's bytes until
-// the entry leaves and its slot is refilled.
-func (c *Cache) Data(h Handle) []byte {
-	i, ok := c.live(h)
-	if !ok || c.lru.slots[i].gen&filledBit == 0 {
-		return nil
-	}
-	return c.window(i)
-}
-
 // Invalidate drops the key's entry, reporting whether one was resident. The
-// embedding store calls it when a vector is overwritten through the block
-// path, so cached bytes never go stale.
+// device calls it when a vector is overwritten through the block path (the
+// controller's copy would be stale, so the next read goes to flash), and the
+// lookup engine when a read it reserved the entry for fails.
 func (c *Cache) Invalidate(table int, row int64) bool {
 	i := c.lru.find(Key{table, row})
 	if i == noSlot {
@@ -237,20 +205,4 @@ func (c *Cache) live(h Handle) (int32, bool) {
 	}
 	i := int32(h.ref - 1)
 	return i, c.lru.slots[i].gen&^filledBit == h.gen
-}
-
-// allocChunk allocates storage chunk ci, the first time one of its slots
-// is filled.
-func (c *Cache) allocChunk(ci int) {
-	if ci >= len(c.chunks) {
-		c.chunks = append(c.chunks, make([][]byte, ci+1-len(c.chunks))...)
-	}
-	c.chunks[ci] = make([]byte, min(c.perChunk, c.lru.Cap()-ci*c.perChunk)*c.evSize)
-}
-
-// window is slot i's evSize-byte storage, capacity-clipped so an append
-// through it cannot spill into the neighbouring slot.
-func (c *Cache) window(i int32) []byte {
-	off := int(i) % c.perChunk * c.evSize
-	return c.chunks[int(i)/c.perChunk][off : off+c.evSize : off+c.evSize]
 }

@@ -9,8 +9,8 @@ import (
 // LRU is the keyed least-recently-used index every cache in the simulator
 // sits on: the device EV cache (Cache, which RecSSD's host vector cache
 // reuses) and the naive SSD baselines' host page cache (hostio.PageCache).
-// It tracks presence only. An owner that stores data per entry keeps it in
-// its own array indexed by the LRU's slot numbers, as Cache does.
+// It tracks presence only, and so do its owners: neither keeps data per
+// entry.
 //
 // Storage is one pointer-free slab. Each resident key occupies a slot: a
 // 32-byte record holding the Key, its recency links and its hash-chain link

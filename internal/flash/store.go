@@ -45,6 +45,21 @@ func (s *PageStore) ReadRange(idx uint64, col, n int) []byte {
 	return buf
 }
 
+// ReadRangeInto copies len(dst) bytes of the page starting at byte offset
+// col into dst, synthesising them through the filler if the page was never
+// written. It is ReadRange without the allocation or the aliasing.
+func (s *PageStore) ReadRangeInto(idx uint64, col int, dst []byte) {
+	if p, ok := s.pages[idx]; ok {
+		copy(dst, p[col:col+len(dst)])
+		return
+	}
+	if s.filler != nil {
+		s.filler(idx, col, dst)
+		return
+	}
+	clear(dst)
+}
+
 // Read returns the full contents of the page.
 func (s *PageStore) Read(idx uint64) []byte { return s.ReadRange(idx, 0, s.pageSize) }
 
