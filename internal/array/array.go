@@ -68,7 +68,8 @@ func New(cfg model.Config, opts core.Options) (*Array, error) {
 // and Top layers: the weights are shared read-only, since they depend only
 // on the seed and layer dimensions, never on the row remap. Each member
 // gets its own flash array, lookup engine, EV cache and MLP engine (kernel
-// schedule and split top L0); the remaining Options apply to every member.
+// schedule and layer headers over m's weights); the remaining Options apply
+// to every member.
 // An enabled fault plan is reseeded per member so fault streams stay
 // independent, with member 0 keeping the base seed. ArrayDevices <= 1
 // builds the one-member degenerate array, bit-identical to

@@ -193,12 +193,10 @@ func TestNewFromModelSharesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkMembersViewModel(t, "RMC1", m, a, b)
 	for _, arr := range []*Array{a, b} {
 		for d, dev := range arr.Devices() {
 			got := dev.Model()
-			if &got.Bottom[0].W.Data[0] != &m.Bottom[0].W.Data[0] || &got.Top[0].W.Data[0] != &m.Top[0].W.Data[0] {
-				t.Fatalf("member %d copied the weights", d)
-			}
 			if want := arr.Layout().MemberConfig(cfg, d); !reflect.DeepEqual(got.Cfg, want) {
 				t.Fatalf("member %d hosts %+v, want %+v", d, got.Cfg, want)
 			}
@@ -211,6 +209,65 @@ func TestNewFromModelSharesWeights(t *testing.T) {
 	want := runBatches(t, ref, cfg, 6)
 	diffTraces(t, "NewFromModel vs New", runBatches(t, a, cfg, 6), want)
 	diffTraces(t, "second array over the same model", runBatches(t, b, cfg, 6), want)
+}
+
+// Every member's engine layers, the decomposed top-L0 halves included, read
+// the hosted model's weights in place, for every built-in model and every
+// engine design: all members of both arrays share even Le's storage.
+func TestMemberEngineLayersViewHostedWeights(t *testing.T) {
+	for _, cfg := range model.AllConfigs() {
+		cfg.RowsPerTable = 2048
+		m := model.MustBuild(cfg)
+		for _, d := range []engine.Design{engine.DesignSearched, engine.DesignDefault, engine.DesignNaive} {
+			opts := core.Options{Geometry: smallGeometry(), Parallel: 1, ArrayDevices: 2, Partition: "hash", Design: d}
+			a, err := NewFromModel(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewFromModel(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMembersViewModel(t, cfg.Name+"/"+d.String(), m, a, b)
+		}
+	}
+}
+
+// checkMembersViewModel fails unless every MLP-engine layer of every member
+// lies inside one of m's layer weight arrays and all members share one
+// Emb.W backing array.
+func checkMembersViewModel(t *testing.T, name string, m *model.Model, arrs ...*Array) {
+	t.Helper()
+	layers := append(append([]model.Layer{}, m.Bottom...), m.Top...)
+	var emb *float32
+	for _, arr := range arrs {
+		for d, dev := range arr.Devices() {
+			for _, l := range dev.MLP().Layers() {
+				inside := false
+				for _, ml := range layers {
+					inside = inside || within(l.W.Data, ml.W.Data)
+				}
+				if !inside {
+					t.Fatalf("%s: member %d layer %s holds its own weight copy", name, d, l.Name)
+				}
+			}
+			if e := dev.MLP().Emb; e != nil {
+				if emb == nil {
+					emb = &e.W.Data[0]
+				}
+				if &e.W.Data[0] != emb {
+					t.Fatalf("%s: member %d holds separate Le weights", name, d)
+				}
+			}
+		}
+	}
+}
+
+// within reports whether sub lies inside whole's storage: a slice of whole
+// shares the end of its backing array, so their capacities give its offset.
+func within(sub, whole []float32) bool {
+	k := cap(whole) - cap(sub)
+	return len(sub) > 0 && k >= 0 && k+len(sub) <= len(whole) && &whole[:cap(whole)][k] == &sub[0]
 }
 
 // Partitioned arrays stay functionally correct: predictions match the DRAM

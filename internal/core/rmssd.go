@@ -196,8 +196,9 @@ func New(cfg model.Config, opts Options) (*RMSSD, error) {
 // metadata registered with the EV Translator (RM_open_table). The device
 // reads m's weights in place and never writes them, so every device of one
 // hosted model can share a single m (Rule One places the weights once per
-// device; the host keeps one copy). The MLP engine, with its kernel schedule
-// and split top L0, stays per device.
+// device; the host keeps one copy). The MLP engine's layer headers and
+// kernel schedule stay per device; its decomposed top L0 halves are views
+// of m's top L0.
 func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
 	if opts.ArrayDevices > 1 {
 		return nil, fmt.Errorf("core: ArrayDevices=%d: a multi-device array must be built with array.New", opts.ArrayDevices)

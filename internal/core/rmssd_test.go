@@ -520,15 +520,7 @@ func TestNewFromModelSharesWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, dev := range []*RMSSD{a, b} {
-			got := dev.Model()
-			if len(cfg.BottomMLP) > 0 && &got.Bottom[0].W.Data[0] != &m.Bottom[0].W.Data[0] {
-				t.Fatalf("%s: device copied the bottom weights", name)
-			}
-			if &got.Top[0].W.Data[0] != &m.Top[0].W.Data[0] {
-				t.Fatalf("%s: device copied the top weights", name)
-			}
-		}
+		checkEngineViewsModel(t, name, m, a, b)
 		var atA, atB, atRef sim.Time
 		for i, n := range []int{1, 3, 4, 2, 8} {
 			denses, sparses := genInputs(ref, n, uint64(40+i))
@@ -561,8 +553,76 @@ func bits(preds []float32) []uint32 {
 	return out
 }
 
-// NewFromModel refuses a nil model and one whose layers do not match its
-// config.
+// Every engine layer, the decomposed top-L0 halves included, reads the
+// hosted model's weights in place, for every built-in model and every
+// engine design: two devices over one model share even Le's storage.
+func TestEngineLayersViewHostedWeights(t *testing.T) {
+	for _, cfg := range model.AllConfigs() {
+		cfg.RowsPerTable = 2048
+		m := model.MustBuild(cfg)
+		for _, d := range []engine.Design{engine.DesignSearched, engine.DesignDefault, engine.DesignNaive} {
+			opts := Options{Geometry: smallGeometry(), Parallel: 1, Design: d}
+			a, err := NewFromModel(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewFromModel(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEngineViewsModel(t, cfg.Name+"/"+d.String(), m, a, b)
+		}
+	}
+}
+
+// checkEngineViewsModel fails unless every MLP-engine layer of every device
+// lies inside one of m's layer weight arrays and all devices share one
+// Emb.W backing array.
+func checkEngineViewsModel(t *testing.T, name string, m *model.Model, devs ...*RMSSD) {
+	t.Helper()
+	layers := append(append([]model.Layer{}, m.Bottom...), m.Top...)
+	for i, dev := range devs {
+		for _, l := range dev.MLP().Layers() {
+			inside := false
+			for _, ml := range layers {
+				inside = inside || within(l.W.Data, ml.W.Data)
+			}
+			if !inside {
+				t.Fatalf("%s: device %d layer %s holds its own weight copy", name, i, l.Name)
+			}
+		}
+		if e := dev.MLP().Emb; e != nil && &e.W.Data[0] != &devs[0].MLP().Emb.W.Data[0] {
+			t.Fatalf("%s: devices 0 and %d hold separate Le weights", name, i)
+		}
+	}
+}
+
+// within reports whether sub lies inside whole's storage: a slice of whole
+// shares the end of its backing array, so their capacities give its offset.
+func within(sub, whole []float32) bool {
+	k := cap(whole) - cap(sub)
+	return len(sub) > 0 && k >= 0 && k+len(sub) <= len(whole) && &whole[:cap(whole)][k] == &sub[0]
+}
+
+// BenchmarkNewFromModel builds one more shard of a hosted model, as rmperf's
+// shard_build does: the RMC3 64 MiB device of the MLP-dominated serving
+// workload over weights that already exist. make bench-micro gates its
+// B/op, so a per-device weight copy coming back fails there.
+func BenchmarkNewFromModel(b *testing.B) {
+	cfg := model.RMC3()
+	cfg.RowsPerTable = cfg.RowsForBudget(64 << 20)
+	m := model.MustBuild(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewFromModel(m, Options{Parallel: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// NewFromModel refuses a nil model, one whose layers do not match its
+// config and one whose weight storage does not cover a layer's shape.
 func TestNewFromModelRejectsInconsistentModel(t *testing.T) {
 	opts := Options{Geometry: smallGeometry()}
 	if _, err := NewFromModel(nil, opts); err == nil {
@@ -578,5 +638,15 @@ func TestNewFromModelRejectsInconsistentModel(t *testing.T) {
 	shallow.Bottom = m.Bottom[:1]
 	if _, err := NewFromModel(&shallow, opts); err == nil {
 		t.Fatal("accepted a bottom tower missing a layer")
+	}
+	// Right shape, too little storage: refused here rather than
+	// panicking inside a shard on the first InferBatch.
+	truncated := *m
+	truncated.Top = append([]model.Layer(nil), m.Top...)
+	w := *m.Top[1].W
+	w.Data = make([]float32, 10)
+	truncated.Top[1].W = &w
+	if _, err := NewFromModel(&truncated, opts); err == nil {
+		t.Fatal("accepted a top layer whose weights do not cover its shape")
 	}
 }

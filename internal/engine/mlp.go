@@ -53,7 +53,10 @@ type FCLayer struct {
 	// InDRAM marks layers whose weights live in off-chip DRAM
 	// (Rule One/Two); their kernel is fixed to (Dwidth, II).
 	InDRAM bool
-	// Weights; W is C x R so y = W*x.
+	// Weights; W is C x R so y = W*x. W is the hosted model's matrix or,
+	// for the decomposed top L0 halves, a SplitCols view of it: every
+	// engine over one model.Model reads the same storage, and nothing
+	// ever writes it.
 	W *tensor.Matrix
 	B tensor.Vector // nil for partial layers whose bias is applied at the join
 	// Final applies the sigmoid output activation.
@@ -185,7 +188,7 @@ func NewMLPEngineGeo(m *model.Model, design Design, part params.FPGAPart, channe
 			e.Emb = &FCLayer{
 				Name: "Le",
 				R:    embDim, C: top0.Out(),
-				W: top0.W.Clone(), NoActivation: true,
+				W: top0.W, NoActivation: true,
 			}
 		}
 		e.JoinBias = top0.B

@@ -377,8 +377,9 @@ func Build(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Validate reports whether m is servable: its config validates and every
-// layer has the shape Build gives that config.
+// Validate reports whether m is servable: its config validates, every
+// layer has the shape Build gives that config, and every weight matrix's
+// storage covers that shape.
 func (m *Model) Validate() error {
 	if err := m.Cfg.Validate(); err != nil {
 		return err
@@ -390,6 +391,10 @@ func (m *Model) Validate() error {
 		for i, l := range layers {
 			if l.W == nil || l.W.Rows != dims[i] || l.W.Cols != in || len(l.B) != dims[i] {
 				return fmt.Errorf("model %s: %s layer %d is not %dx%d", m.Cfg.Name, tower, i, dims[i], in)
+			}
+			if w := l.W; w.Stride < w.Cols || len(w.Data) < (w.Rows-1)*w.Stride+w.Cols {
+				return fmt.Errorf("model %s: %s layer %d: %d weights at stride %d do not cover %dx%d",
+					m.Cfg.Name, tower, i, len(w.Data), w.Stride, w.Rows, w.Cols)
 			}
 			in = dims[i]
 		}

@@ -127,6 +127,46 @@ func TestBuildShapes(t *testing.T) {
 	}
 }
 
+// Validate checks that every weight matrix's storage covers its shape, so
+// a model with a short or mis-strided W is refused up front instead of
+// panicking (or reading past the slice's length) on its first inference.
+func TestModelValidateWeightStorage(t *testing.T) {
+	m := MustBuild(smallConfig())
+	if err := m.Validate(); err != nil {
+		t.Fatalf("built model: %v", err)
+	}
+	w := m.Top[1].W
+	// A view over a wider matrix is fine as long as its last row fits.
+	wide := tensor.NewMatrix(w.Rows, w.Cols+3)
+	view, _ := wide.SplitCols(w.Cols)
+	exact := *view
+	exact.Data = view.Data[:(w.Rows-1)*view.Stride+w.Cols]
+	short := exact
+	short.Data = exact.Data[:len(exact.Data)-1]
+	narrow := *w
+	narrow.Stride = w.Cols - 1
+	for _, tc := range []struct {
+		name string
+		w    tensor.Matrix
+		ok   bool
+	}{
+		{"strided view", *view, true},
+		{"view ending at its last element", exact, true},
+		{"view one element short", short, false},
+		{"fresh 10-element slice", tensor.Matrix{Rows: w.Rows, Cols: w.Cols, Stride: w.Stride, Data: make([]float32, 10)}, false},
+		{"short slice with spare capacity", tensor.Matrix{Rows: w.Rows, Cols: w.Cols, Stride: w.Stride, Data: w.Data[:len(w.Data)-1]}, false},
+		{"stride below cols", narrow, false},
+	} {
+		bad := *m
+		bad.Top = append([]Layer(nil), m.Top...)
+		tw := tc.w
+		bad.Top[1].W = &tw
+		if err := bad.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestBuildDeterministic(t *testing.T) {
 	a := MustBuild(smallConfig())
 	b := MustBuild(smallConfig())

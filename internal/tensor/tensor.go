@@ -18,11 +18,15 @@ import (
 type Vector []float32
 
 // Matrix is a dense row-major float32 matrix: element (r, c) lives at
-// Data[r*Cols+c]. For an FC layer with R inputs and C outputs the weight
+// Data[r*Stride+c]. For an FC layer with R inputs and C outputs the weight
 // matrix has Rows=C and Cols=R so that y = W*x.
 type Matrix struct {
 	Rows, Cols int
-	Data       []float32
+	// Stride is the distance in Data between the starts of consecutive
+	// rows: Cols for a matrix from NewMatrix or Clone, the parent's row
+	// length for a SplitCols view.
+	Stride int
+	Data   []float32
 }
 
 // NewMatrix allocates a zeroed Rows x Cols matrix.
@@ -30,25 +34,28 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid matrix shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float32, rows*cols)}
 }
 
 // At returns element (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
+func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Stride+c] }
 
 // Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
+func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Stride+c] = v }
 
 // Row returns row r as a slice aliasing the matrix storage.
-func (m *Matrix) Row(r int) Vector { return Vector(m.Data[r*m.Cols : (r+1)*m.Cols]) }
+func (m *Matrix) Row(r int) Vector { return Vector(m.Data[r*m.Stride : r*m.Stride+m.Cols]) }
 
-// SizeBytes returns the storage footprint of the matrix in bytes (FP32).
+// SizeBytes returns the logical footprint of the matrix in bytes (FP32,
+// 4*Rows*Cols), whether it owns its storage or is a view.
 func (m *Matrix) SizeBytes() int { return 4 * m.Rows * m.Cols }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns a compact deep copy of the matrix (Stride == Cols).
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
+	for r := 0; r < m.Rows; r++ {
+		copy(out.Row(r), m.Row(r))
+	}
 	return out
 }
 
@@ -60,7 +67,7 @@ func (m *Matrix) MatVec(x Vector) Vector {
 	}
 	y := make(Vector, m.Rows)
 	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		row := m.Data[r*m.Stride : r*m.Stride+m.Cols]
 		var acc float32
 		for c, w := range row {
 			acc += w * x[c]
@@ -87,17 +94,15 @@ func (m *Matrix) MatVecBias(x, b Vector) Vector {
 // intra-layer decomposition (Section IV-C2): the first top-MLP layer's
 // weights RC decompose into Rb*C + Re*C halves applied to the bottom-MLP
 // output and the embedding output independently.
+//
+// The halves are read-only views that alias m's storage: nothing is
+// copied, and a write through either would show in m.
 func (m *Matrix) SplitCols(nLeft int) (left, right *Matrix) {
 	if nLeft <= 0 || nLeft >= m.Cols {
 		panic(fmt.Sprintf("tensor: SplitCols(%d) on %d columns", nLeft, m.Cols))
 	}
-	left = NewMatrix(m.Rows, nLeft)
-	right = NewMatrix(m.Rows, m.Cols-nLeft)
-	for r := 0; r < m.Rows; r++ {
-		src := m.Data[r*m.Cols : (r+1)*m.Cols]
-		copy(left.Data[r*nLeft:(r+1)*nLeft], src[:nLeft])
-		copy(right.Data[r*right.Cols:(r+1)*right.Cols], src[nLeft:])
-	}
+	left = &Matrix{Rows: m.Rows, Cols: nLeft, Stride: m.Stride, Data: m.Data}
+	right = &Matrix{Rows: m.Rows, Cols: m.Cols - nLeft, Stride: m.Stride, Data: m.Data[nLeft:]}
 	return left, right
 }
 

@@ -96,6 +96,78 @@ func TestSplitColsProperty(t *testing.T) {
 	}
 }
 
+var splitSinkL, splitSinkR *Matrix
+
+// SplitCols copies nothing: its halves alias the parent's storage, and the
+// call allocates only their two headers.
+func TestSplitColsAliasesParent(t *testing.T) {
+	m := NewMatrix(4, 7)
+	FillMatrix(m, 9, 1)
+	l, r := m.SplitCols(3)
+	if &l.Data[0] != &m.Data[0] || &r.Data[0] != &m.Data[3] {
+		t.Fatal("SplitCols halves do not alias the parent")
+	}
+	if l.Stride != m.Cols || r.Stride != m.Cols || l.Cols != 3 || r.Cols != 4 || l.Rows != 4 || r.Rows != 4 {
+		t.Fatalf("halves %dx%d/%d and %dx%d/%d, want 4x3/7 and 4x4/7",
+			l.Rows, l.Cols, l.Stride, r.Rows, r.Cols, r.Stride)
+	}
+	if got := testing.AllocsPerRun(100, func() { splitSinkL, splitSinkR = m.SplitCols(3) }); got > 2 {
+		t.Fatalf("SplitCols allocates %v times, want at most 2 (the view headers)", got)
+	}
+}
+
+// Property: At, Row and MatVec on a view, including a split of a split,
+// agree bit for bit with the same calls on the view's compact Clone.
+func TestMatrixViewMatchesClone(t *testing.T) {
+	f := func(seed uint64, rows8, cols8, a8, b8 uint8) bool {
+		rows := int(rows8%6) + 1
+		cols := int(cols8%8) + 3
+		a := int(a8)%(cols-2) + 1 // leaves the right half at least 2 wide
+		m := NewMatrix(rows, cols)
+		FillMatrix(m, seed, 1)
+		l, r := m.SplitCols(a)
+		b := int(b8)%(r.Cols-1) + 1
+		rl, rr := r.SplitCols(b)
+		for _, v := range []*Matrix{l, r, rl, rr} {
+			c := v.Clone()
+			if c.Stride != c.Cols || len(c.Data) != c.Rows*c.Cols || &c.Data[0] == &v.Data[0] {
+				return false
+			}
+			for i := 0; i < v.Rows; i++ {
+				if !sameBits(v.Row(i), c.Row(i)) {
+					return false
+				}
+				for j := 0; j < v.Cols; j++ {
+					if math.Float32bits(v.At(i, j)) != math.Float32bits(c.At(i, j)) {
+						return false
+					}
+				}
+			}
+			x := make(Vector, v.Cols)
+			FillVector(x, seed+1, 1)
+			if !sameBits(v.MatVec(x), c.MatVec(x)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func sameBits(a, b Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSplitColsValidation(t *testing.T) {
 	m := NewMatrix(2, 3)
 	for _, n := range []int{0, 3, 4} {
