@@ -176,7 +176,7 @@ func BenchmarkLookupEnginePool(b *testing.B) {
 	var at sim.Time
 	for i := 0; i < b.N; i++ {
 		var err error
-		at, err = eng.PoolTiming(at, sparse)
+		_, at, err = eng.PoolBatch(at, [][][]int64{sparse}, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -82,7 +82,8 @@ func (nullBatcher) ServeBatch(reqs []serving.Request) serving.BatchResult {
 
 // runMicro measures the hot paths. The lookup benchmark mirrors
 // internal/engine's BenchmarkLookupPoolHotTrace (same model shape, geometry,
-// trace seed and K=2 locality) so its numbers are comparable with `make
+// trace seed and K=2 locality, one inference per op through PoolBatch over a
+// one-inference sub-slice) so its numbers are comparable with `make
 // bench-micro` output and with the frozen baselines.
 func runMicro() MicroReport {
 	var before, after runtime.MemStats
@@ -128,7 +129,8 @@ func runMicro() MicroReport {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := dev.Lookup().Pool(0, batches[i%len(batches)]); err != nil {
+			j := i % len(batches)
+			if _, _, err := dev.Lookup().PoolBatch(0, batches[j:j+1], true); err != nil {
 				b.Fatal(err)
 			}
 		}

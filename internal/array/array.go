@@ -62,6 +62,11 @@ func New(cfg model.Config, opts core.Options) (*Array, error) {
 	return NewFromModel(m, opts)
 }
 
+// SeedStride spaces the fault seeds of an array's members: member d runs
+// base + d*SeedStride. Serving strides its shards' seeds by the same amount
+// so that every member of every shard draws its own fault stream.
+const SeedStride = 0x9e37
+
 // NewFromModel builds an array hosting the already-built model m across
 // opts.ArrayDevices members partitioned by opts.Partition. Every member
 // hosts a model.Model whose Cfg is its Layout.MemberConfig over m's Bottom
@@ -70,10 +75,10 @@ func New(cfg model.Config, opts core.Options) (*Array, error) {
 // gets its own flash array, lookup engine, EV cache and MLP engine (kernel
 // schedule and layer headers over m's weights); the remaining Options apply
 // to every member.
-// An enabled fault plan is reseeded per member so fault streams stay
-// independent, with member 0 keeping the base seed. ArrayDevices <= 1
-// builds the one-member degenerate array, bit-identical to
-// core.NewFromModel.
+// An enabled fault plan is reseeded per member (SeedStride apart) so fault
+// streams stay independent, with member 0 keeping the base seed.
+// ArrayDevices <= 1 builds the one-member degenerate array, bit-identical
+// to core.NewFromModel.
 func NewFromModel(m *model.Model, opts core.Options) (*Array, error) {
 	if m == nil {
 		return nil, fmt.Errorf("array: nil model")
@@ -99,7 +104,7 @@ func NewFromModel(m *model.Model, opts core.Options) (*Array, error) {
 	for d := range a.devs {
 		o := mo
 		if o.FaultPlan.Enabled() {
-			o.FaultPlan.Seed += uint64(d) * 0x9e37
+			o.FaultPlan.Seed += uint64(d) * SeedStride
 		}
 		member := &model.Model{Cfg: layout.MemberConfig(cfg, d), Bottom: m.Bottom, Top: m.Top}
 		dev, err := core.NewFromModel(member, o)

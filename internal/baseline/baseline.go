@@ -154,13 +154,12 @@ func mustAddr(tr *engine.Translator, table int, row int64) int64 {
 	return addr
 }
 
-// hostBatch completes a batch of len(pooled) inferences on the host once
-// their pooled embeddings are in host memory at ready: it prices the
-// amortised interaction, MLP and framework stages into bd, which holds the
-// embedding stages, and when materialising runs each inference's
-// interaction and MLPs over its pooled vectors.
-func hostBatch(m *model.Model, ready sim.Time, bd Breakdown, denses []tensor.Vector, pooled [][]tensor.Vector, materialize bool) ([]float32, sim.Time, Breakdown) {
-	b := len(pooled)
+// hostBatch completes a batch of b inferences on the host once their
+// pooled embeddings are in host memory at ready: it prices the amortised
+// interaction, MLP and framework stages into bd, which holds the embedding
+// stages, and when materialising runs each inference's interaction and
+// MLPs over its pooled vectors.
+func hostBatch(m *model.Model, b int, ready sim.Time, bd Breakdown, denses []tensor.Vector, pooled [][]tensor.Vector, materialize bool) ([]float32, sim.Time, Breakdown) {
 	bd.Concat = time.Duration(b) * m.ConcatTime()
 	bd.BotMLP = m.BottomTimeBatch(b)
 	bd.TopMLP = m.TopTimeBatch(b)

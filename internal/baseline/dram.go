@@ -47,5 +47,5 @@ func (d *DRAM) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, m
 			}
 		}
 	}
-	return hostBatch(d.m, at, Breakdown{EmbOp: d.m.SLSComputeTimeBatch(len(sparses))}, denses, pooled, materialize)
+	return hostBatch(d.m, len(sparses), at, Breakdown{EmbOp: d.m.SLSComputeTimeBatch(len(sparses))}, denses, pooled, materialize)
 }

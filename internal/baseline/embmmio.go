@@ -18,11 +18,12 @@ import (
 type EmbMMIO struct {
 	env  *Env
 	host *hostio.Host
+	ev   []byte // one vector's bytes, peeked from the device
 }
 
 // NewEmbMMIO builds the EMB-MMIO system.
 func NewEmbMMIO(env *Env) *EmbMMIO {
-	return &EmbMMIO{env: env, host: hostio.NewHost(env.FS, 0)}
+	return &EmbMMIO{env: env, host: hostio.NewHost(env.FS, 0), ev: make([]byte, env.M.Cfg.EVSize())}
 }
 
 // Name implements System.
@@ -56,7 +57,7 @@ func (s *EmbMMIO) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64
 		pooled[i], now = s.read(now, sparse, materialize, &bd)
 	}
 	bd.EmbOp = s.env.M.SLSComputeTimeBatch(len(sparses))
-	return hostBatch(s.env.M, now, bd, denses, pooled, materialize)
+	return hostBatch(s.env.M, len(sparses), now, bd, denses, pooled, materialize)
 }
 
 // read fetches one inference's pages through the MMIO window, returning
@@ -77,12 +78,11 @@ func (s *EmbMMIO) read(at sim.Time, sparse [][]int64, materialize bool, bd *Brea
 			sum = make(tensor.Vector, cfg.EVDim)
 		}
 		for _, row := range rows {
-			off := s.env.Store.VectorFileOffset(row)
-			data, done := s.host.ReadMMIO(now, f, off, cfg.EVSize())
-			now = done
+			now = s.host.ReadMMIO(now, f, s.env.Store.VectorFileOffset(row), cfg.EVSize())
 			pages++
 			if materialize {
-				tensor.AccumulateInto(sum, model.DecodeEV(data))
+				s.env.Dev.PeekRangeInto(s.env.Store.VectorAddr(t, row), s.ev)
+				model.AccumulateEV(sum, s.ev)
 			}
 		}
 		if materialize {

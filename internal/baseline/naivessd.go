@@ -20,6 +20,7 @@ type NaiveSSD struct {
 	name string
 	env  *Env
 	host *hostio.Host
+	ev   []byte // one vector's bytes, peeked from the device
 }
 
 // NewSSDS builds the SSD-S baseline (DRAM limited to 1/4 of table bytes).
@@ -39,6 +40,7 @@ func NewNaiveSSD(env *Env, name string, divisor int64) *NaiveSSD {
 		name: name,
 		env:  env,
 		host: hostio.NewHost(env.FS, budget),
+		ev:   make([]byte, env.M.Cfg.EVSize()),
 	}
 }
 
@@ -89,7 +91,7 @@ func (s *NaiveSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int6
 		pooled[i], now = s.readEmbeddings(now, sparse, materialize, &bd)
 	}
 	bd.EmbOp = s.env.M.SLSComputeTimeBatch(len(sparses))
-	return hostBatch(s.env.M, now, bd, denses, pooled, materialize)
+	return hostBatch(s.env.M, len(sparses), now, bd, denses, pooled, materialize)
 }
 
 // readEmbeddings performs one inference's per-vector file reads, returning
@@ -110,13 +112,10 @@ func (s *NaiveSSD) readEmbeddings(at sim.Time, sparse [][]int64, materialize boo
 			sum = make(tensor.Vector, cfg.EVDim)
 		}
 		for _, row := range rows {
-			off := s.env.Store.VectorFileOffset(row)
+			now = s.host.ReadAt(now, f, s.env.Store.VectorFileOffset(row), cfg.EVSize())
 			if materialize {
-				data, done := s.host.ReadAt(now, f, off, cfg.EVSize())
-				now = done
-				tensor.AccumulateInto(sum, model.DecodeEV(data))
-			} else {
-				now = s.host.ReadAtTiming(now, f, off, cfg.EVSize())
+				s.env.Dev.PeekRangeInto(s.env.Store.VectorAddr(t, row), s.ev)
+				model.AccumulateEV(sum, s.ev)
 			}
 		}
 		if materialize {

@@ -19,11 +19,16 @@ import (
 type EmbPageSum struct {
 	env *Env
 	tr  *engine.Translator
+	ev  []byte // one vector's bytes, peeked from the device
 }
 
 // NewEmbPageSum builds the EMB-PageSum system.
 func NewEmbPageSum(env *Env) *EmbPageSum {
-	return &EmbPageSum{env: env, tr: engine.NewTranslator(env.Store, env.Dev.PageSize())}
+	return &EmbPageSum{
+		env: env,
+		tr:  engine.NewTranslator(env.Store, env.Dev.PageSize()),
+		ev:  make([]byte, env.M.Cfg.EVSize()),
+	}
 }
 
 // Name implements System.
@@ -55,7 +60,7 @@ func (s *EmbPageSum) batch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 		devDone = sim.Max(devDone, done)
 	}
 	bd := Breakdown{EmbSSD: time.Duration(devDone - at), EmbFS: pooledReturn(s.env.M.Cfg, len(sparses))}
-	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
+	return hostBatch(s.env.M, len(sparses), devDone+bd.EmbFS, bd, denses, pooled, materialize)
 }
 
 // pool performs one inference's in-SSD page-grained pooling.
@@ -76,11 +81,11 @@ func (s *EmbPageSum) pool(at sim.Time, sparse [][]int64, materialize bool) ([]te
 			issue += params.CycleTime
 			addr := mustAddr(s.tr, t, row)
 			lpn := addr / ps
-			readDone := s.env.Dev.ReadPageInternalTiming(issue, lpn)
+			readDone := s.env.Dev.ReadPageInternal(issue, lpn)
 			done = sim.Max(done, readDone)
 			if materialize {
-				data := s.env.Dev.PeekRange(addr, cfg.EVSize())
-				tensor.AccumulateInto(pooled[t], model.DecodeEV(data))
+				s.env.Dev.PeekRangeInto(addr, s.ev)
+				model.AccumulateEV(pooled[t], s.ev)
 			}
 		}
 	}

@@ -150,7 +150,7 @@ func (s *RecSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64,
 			time.Duration((hits+int64(b)*int64(cfg.Tables))*int64(cfg.EVDim)/
 				params.CPUAccumulateElemsPerNanosecond)*time.Nanosecond,
 	}
-	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
+	return hostBatch(s.env.M, len(sparses), devDone+bd.EmbFS, bd, denses, pooled, materialize)
 }
 
 // mergeLookupCost returns the per-cached-lookup host merge cost at batch b

@@ -48,22 +48,12 @@ func (s *EmbVectorSum) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.T
 // return together.
 func (s *EmbVectorSum) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64, materialize bool) ([]float32, sim.Time, Breakdown) {
 	checkBatch(s.env.M, denses, sparses, materialize)
-	pooled := make([][]tensor.Vector, len(sparses))
-	devDone := at
-	for i, sparse := range sparses {
-		var done sim.Time
-		var err error
-		if materialize {
-			pooled[i], done, err = s.lookup.Pool(at, sparse)
-		} else {
-			done, err = s.lookup.PoolTiming(at, sparse)
-		}
-		if err != nil {
-			// In-range generator inputs on an unfaulted device cannot error.
-			panic(fmt.Sprintf("baseline: %v", err))
-		}
-		devDone = sim.Max(devDone, done)
+	pooled, done, err := s.lookup.PoolBatch(at, sparses, materialize)
+	if err != nil {
+		// In-range generator inputs on an unfaulted device cannot error.
+		panic(fmt.Sprintf("baseline: %v", err))
 	}
+	devDone := sim.Max(at, done)
 	bd := Breakdown{EmbSSD: time.Duration(devDone - at), EmbFS: pooledReturn(s.env.M.Cfg, len(sparses))}
-	return hostBatch(s.env.M, devDone+bd.EmbFS, bd, denses, pooled, materialize)
+	return hostBatch(s.env.M, len(sparses), devDone+bd.EmbFS, bd, denses, pooled, materialize)
 }

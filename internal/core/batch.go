@@ -53,14 +53,7 @@ func (r *RMSSD) BeginBatch(at sim.Time, n int, payload int64) Batch {
 func (b *Batch) Pool(sparses [][][]int64, values bool) ([][]tensor.Vector, error) {
 	r := b.r
 	from := b.span.Send.To
-	var pooled [][]tensor.Vector
-	var done sim.Time
-	var err error
-	if values {
-		pooled, done, err = r.lookup.PoolBatch(from, sparses)
-	} else {
-		done, err = r.lookup.PoolBatchTiming(from, sparses)
-	}
+	pooled, done, err := r.lookup.PoolBatch(from, sparses, values)
 	embDone := sim.Max(from, done)
 	k := params.Duration(r.mlp.EmbKernelCycles(b.span.N))
 	if from+k > embDone {

@@ -476,8 +476,8 @@ func (r *RMSSD) UpdateVector(at sim.Time, table int, row int64, v tensor.Vector)
 	ps := int64(r.dev.PageSize())
 	lpn := addr / ps
 	col := int(addr % ps)
-	page, readDone := r.dev.ReadPage(at, lpn)
-	buf := append([]byte(nil), page...)
+	readDone := r.dev.ReadPage(at, lpn)
+	buf := r.dev.PeekPage(lpn)
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(buf[col+4*i:], math.Float32bits(x))
 	}

@@ -445,10 +445,11 @@ func TestUpdateVector(t *testing.T) {
 	table, row := 2, sparses[0][2][0]
 
 	// Baseline pooled value via the lookup engine.
-	before, _, perr := r.Lookup().Pool(0, sparses[0])
+	pb, _, perr := r.Lookup().PoolBatch(0, sparses[:1], true)
 	if perr != nil {
 		t.Fatal(perr)
 	}
+	before := pb[0]
 
 	// Overwrite the vector with zeros and re-pool: the contribution of
 	// (table,row) must vanish from that table's sum.
@@ -460,10 +461,11 @@ func TestUpdateVector(t *testing.T) {
 	if done <= 0 {
 		t.Fatal("update must take time")
 	}
-	after, _, perr2 := r.Lookup().Pool(done, sparses[0])
+	pa, _, perr2 := r.Lookup().PoolBatch(done, sparses[:1], true)
 	if perr2 != nil {
 		t.Fatal(perr2)
 	}
+	after := pa[0]
 
 	oldVec := r.Model().EmbeddingVector(table, row)
 	occurrences := 0

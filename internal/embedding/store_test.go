@@ -138,14 +138,14 @@ func TestFillerVectorReadThroughFlashPath(t *testing.T) {
 	m, st, fs := testSetup(t, smallRMC1())
 	dev := fs.Device()
 	addr := st.VectorAddr(5, 123)
-	data, done, err := dev.ReadVectorAt(0, addr, m.Cfg.EVSize())
+	done, err := dev.ReadVectorAt(0, addr, m.Cfg.EVSize())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done <= 0 {
 		t.Fatal("vector read must consume time")
 	}
-	got := model.DecodeEV(data)
+	got := model.DecodeEV(dev.PeekRange(addr, m.Cfg.EVSize()))
 	want := m.EmbeddingVector(5, 123)
 	if tensor.MaxAbsDiff(got, want) != 0 {
 		t.Fatal("flash-path vector differs from model vector")
@@ -217,11 +217,11 @@ func TestPoolViaDeviceMatchesReference(t *testing.T) {
 	rows := []int64{5, 99, 1024, 5, 2047}
 	sum := make(tensor.Vector, m.Cfg.EVDim)
 	for _, r := range rows {
-		data, _, err := dev.ReadVectorAt(0, st.VectorAddr(4, r), m.Cfg.EVSize())
-		if err != nil {
+		addr := st.VectorAddr(4, r)
+		if _, err := dev.ReadVectorAt(0, addr, m.Cfg.EVSize()); err != nil {
 			t.Fatal(err)
 		}
-		tensor.AccumulateInto(sum, model.DecodeEV(data))
+		tensor.AccumulateInto(sum, model.DecodeEV(dev.PeekRange(addr, m.Cfg.EVSize())))
 	}
 	want := m.PoolReference(4, rows)
 	if tensor.MaxAbsDiff(sum, want) > 1e-5 {

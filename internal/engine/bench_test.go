@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkLookupPoolHotTrace measures the host cost of one inference's
-// pooled lookups under a K=2 locality trace (Fig. 14's least-local preset:
-// a 30 % hot mass over a Zipf hot set). Tracked in BENCH_simcore.json
-// (allocs/op must not regress).
+// pooled lookups (PoolBatch over a one-inference sub-slice) under a K=2
+// locality trace (Fig. 14's least-local preset: a 30 % hot mass over a Zipf
+// hot set). Tracked in BENCH_simcore.json (allocs/op must not regress).
 func BenchmarkLookupPoolHotTrace(b *testing.B) {
 	cfg := smallRMC1()
 	_, _, eng, _ := setupLookup(b, cfg)
@@ -25,7 +25,8 @@ func BenchmarkLookupPoolHotTrace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Pool(0, batches[i%len(batches)]); err != nil {
+		j := i % len(batches)
+		if _, _, err := eng.PoolBatch(0, batches[j:j+1], true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,14 +54,14 @@ func BenchmarkLookupPoolCachedHotTrace(b *testing.B) {
 		batches = append(batches, sparses[i:i+batch])
 	}
 	for _, bt := range batches {
-		if _, _, err := eng.PoolBatch(0, bt); err != nil {
+		if _, _, err := eng.PoolBatch(0, bt, true); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.PoolBatch(0, batches[i%len(batches)]); err != nil {
+		if _, _, err := eng.PoolBatch(0, batches[i%len(batches)], true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -156,9 +156,7 @@ type LookupEngine struct {
 	lanes  []flash.Lane
 	loads  []sim.LaneLoad // Loads: per die, then the EV-cache port
 	owners map[evcache.Key]int32
-	oneInf [1][][]int64
-	zeroEV []byte
-	hitEV  []byte // a cache hit's bytes, resolved in reduce (planner.go)
+	ev     []byte // the slot's bytes being reduced (planner.go)
 }
 
 // NewLookupEngine wires the engine to a store's device.
@@ -230,33 +228,6 @@ func (e *LookupEngine) sumCycles() sim.Cycles {
 		c = 1
 	}
 	return c
-}
-
-// Pool performs the pooled lookups of one inference: for each table, the
-// engine translates indices (one per cycle from the Index Buffer), issues
-// vector-grained reads striped over channels and dies by the FTL's linear
-// map, and accumulates returns in the EV Sum unit. It returns the pooled
-// vector per table and the completion time. It is PoolBatch over a batch of
-// one, with the same error contract.
-func (e *LookupEngine) Pool(at sim.Time, sparse [][]int64) ([]tensor.Vector, sim.Time, error) {
-	return e.poolOne(at, sparse, true)
-}
-
-// PoolTiming is Pool without materialising values (timing and traffic only).
-func (e *LookupEngine) PoolTiming(at sim.Time, sparse [][]int64) (sim.Time, error) {
-	_, done, err := e.poolOne(at, sparse, false)
-	return done, err
-}
-
-// poolOne runs the planner over a one-inference batch.
-func (e *LookupEngine) poolOne(at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, error) {
-	e.oneInf[0] = sparse
-	pooled, done, err := e.poolBatch(at, e.oneInf[:], materialize)
-	e.oneInf[0] = nil
-	if pooled == nil {
-		return nil, done, err
-	}
-	return pooled[0], done, err
 }
 
 // pooledVectors allocates n inferences' worth of per-table accumulators in

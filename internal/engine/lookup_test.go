@@ -87,7 +87,7 @@ func TestPoolMatchesReference(t *testing.T) {
 			sparse[tbl] = append(sparse[tbl], int64((tbl*997+i*13)%2048))
 		}
 	}
-	pooled, done, err := eng.Pool(0, sparse)
+	pooled, done, err := eng.PoolBatch(0, [][][]int64{sparse}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPoolMatchesReference(t *testing.T) {
 	}
 	for tbl := range sparse {
 		want := m.PoolReference(tbl, sparse[tbl])
-		if d := tensor.MaxAbsDiff(pooled[tbl], want); d > 1e-4 {
+		if d := tensor.MaxAbsDiff(pooled[0][tbl], want); d > 1e-4 {
 			t.Fatalf("table %d pooled diff %v", tbl, d)
 		}
 	}
@@ -112,8 +112,8 @@ func TestPoolTimingAgreesWithPool(t *testing.T) {
 			sparse[tbl] = append(sparse[tbl], int64((tbl+i*31)%2048))
 		}
 	}
-	_, doneA, errA := engA.Pool(0, sparse)
-	doneB, errB := engB.PoolTiming(0, sparse)
+	_, doneA, errA := engA.PoolBatch(0, [][][]int64{sparse}, true)
+	_, doneB, errB := engB.PoolBatch(0, [][][]int64{sparse}, false)
 	if errA != nil || errB != nil {
 		t.Fatalf("pool errs: %v, %v", errA, errB)
 	}
@@ -132,7 +132,7 @@ func TestPoolThroughputNearAnalyticBound(t *testing.T) {
 			sparse[tbl] = append(sparse[tbl], int64(gen.Intn(2048)))
 		}
 	}
-	done, err := eng.PoolTiming(0, sparse)
+	_, done, err := eng.PoolBatch(0, [][][]int64{sparse}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPoolStatsAndTraffic(t *testing.T) {
 	for tbl := range sparse {
 		sparse[tbl] = []int64{1, 2, 3}
 	}
-	if _, err := eng.PoolTiming(0, sparse); err != nil {
+	if _, _, err := eng.PoolBatch(0, [][][]int64{sparse}, false); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Lookups != 24 {
@@ -172,8 +172,8 @@ func TestPoolStatsAndTraffic(t *testing.T) {
 
 func TestPoolErrorsOnWrongTableCount(t *testing.T) {
 	_, _, eng, _ := setupLookup(t, smallRMC1())
-	if _, _, err := eng.Pool(0, make([][]int64, 3)); !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("Pool err = %v, want ErrShapeMismatch", err)
+	if _, _, err := eng.PoolBatch(0, [][][]int64{make([][]int64, 3)}, true); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("PoolBatch err = %v, want ErrShapeMismatch", err)
 	}
 }
 
@@ -230,16 +230,16 @@ func TestPoolDeterministic(t *testing.T) {
 	_, _, engA, _ := setupLookup(t, cfg)
 	_, _, engB, _ := setupLookup(t, cfg)
 	sparse := [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}
-	pa, da, errA := engA.Pool(0, sparse)
-	pb, db, errB := engB.Pool(0, sparse)
+	pa, da, errA := engA.PoolBatch(0, [][][]int64{sparse}, true)
+	pb, db, errB := engB.PoolBatch(0, [][][]int64{sparse}, true)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
 	if da != db {
 		t.Fatal("timing not deterministic")
 	}
-	for i := range pa {
-		if tensor.MaxAbsDiff(pa[i], pb[i]) != 0 {
+	for i := range pa[0] {
+		if tensor.MaxAbsDiff(pa[0][i], pb[0][i]) != 0 {
 			t.Fatal("values not deterministic")
 		}
 	}

@@ -132,7 +132,7 @@ func TestPoolParallelMatchesSequential(t *testing.T) {
 			}
 			var loads [][]sim.LaneLoad
 			got := runDiffRounds(func(at sim.Time, sparses [][][]int64, mat bool) ([][]tensor.Vector, sim.Time, error) {
-				pooled, done, err := eng.poolBatch(at, sparses, mat)
+				pooled, done, err := eng.PoolBatch(at, sparses, mat)
 				loads = append(loads, slices.Clone(eng.Loads()))
 				return pooled, done, err
 			})
@@ -215,7 +215,7 @@ func TestPoolLocalityMatchesReferenceValues(t *testing.T) {
 		cfg := smallRMC1()
 		eng.SetEVCache(evcache.New(int64(cfg.Tables)*cfg.RowsPerTable*int64(cfg.EVSize())/4, cfg.EVSize()))
 		eng.SetDedup(true)
-		got := runDiffRounds(eng.poolBatch)
+		got := runDiffRounds(eng.PoolBatch)
 		for r := range want {
 			if got[r].err != nil {
 				t.Fatal(got[r].err)
@@ -235,12 +235,12 @@ func TestPoolParallelReusableAfterClose(t *testing.T) {
 	_, st, eng, dev := setupLookup(t, smallRMC1())
 	eng.SetParallel(4)
 	sparse := buildSparse(42, 8, 40, 2048)
-	_, done, err := eng.Pool(0, sparse)
+	_, done, err := eng.PoolBatch(0, [][][]int64{sparse}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Direct array access after lanes closed: must not panic under simdebug.
-	_, rd, rdErr := dev.ReadVectorAt(done, st.VectorAddr(0, 0), st.Model().Cfg.EVSize())
+	rd, rdErr := dev.ReadVectorAt(done, st.VectorAddr(0, 0), st.Model().Cfg.EVSize())
 	if rdErr != nil {
 		t.Fatal(rdErr)
 	}
@@ -259,7 +259,7 @@ func TestLoadsProfile(t *testing.T) {
 	eng.SetEVCache(evcache.New(int64(cfg.Tables)*cfg.RowsPerTable*int64(cfg.EVSize()), cfg.EVSize()))
 	sparse := buildSparse(5, cfg.Tables, cfg.Lookups, cfg.RowsPerTable)
 	const at = sim.Time(1000)
-	done, err := eng.PoolTiming(at, sparse)
+	_, done, err := eng.PoolBatch(at, [][][]int64{sparse}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestLoadsProfile(t *testing.T) {
 	}
 
 	cold := eng.EVCache().Stats().Hits // in-batch repeats merged with misses
-	done, err = eng.PoolTiming(done, sparse)
+	_, done, err = eng.PoolBatch(done, [][][]int64{sparse}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // The lookup planner: the engine's one datapath (Section IV-B: translate,
-// EV-FMC read, EV Sum) for a batch of inferences. Pool, PoolTiming and
-// PoolBatch all run it.
+// EV-FMC read, EV Sum) for a batch of inferences, and PoolBatch its one
+// entry point. A single inference is a batch of one.
 //
 // A lookup interleaves four kinds of work: index parsing and EV translation
 // (shared translator state, strict per-cycle clocking), FTL translation and
@@ -38,11 +38,13 @@ import (
 //     strided over min(Parallel, channels) workers. One worker runs them on
 //     the calling goroutine; more run concurrently and touch only
 //     channel-disjoint state (asserted under simdebug via lane binding).
-//     Each worker also records its dies' loads for Loads.
-//  3. reduce (sequential, global order): resolve each slot's bytes (flash
-//     result, zeros, the owning slot's bytes, or for a cache hit the
-//     device's page store), accumulate floats in the original lookup
-//     order, fill reserved cache entries, and replay the EV Sum unit.
+//     Each worker also records its dies' loads for Loads. The phase is
+//     timing only: a lane read returns its schedule and no bytes.
+//  3. reduce (sequential, global order): fill reserved cache entries,
+//     replay the EV Sum unit and, when values are asked for, resolve every
+//     slot's bytes — flash read, zeros, cache hit or duplicate — from the
+//     device's page store (slotBytes) and accumulate them in the original
+//     lookup order.
 //
 // Values, times and every counter are therefore independent of host
 // parallelism and shard interleaving by construction. With no cache, dedup
@@ -55,12 +57,10 @@ import (
 //   - EV cache: vectors resident in the controller's DRAM are served in
 //     params.EVCacheHitCycles (~8 cycles for a 128 B vector, vs C_EV ≈ 2838)
 //     over the cache's FCFS DRAM port; misses read flash as before and fill
-//     the cache. The cache tracks presence only: when materialising, reduce
-//     resolves a hit's bytes into one engine-owned scratch vector through
-//     the device's untimed ssd.Device.PeekRangeInto, at the address the
-//     translator gives. Written pages (UpdateVector, the dynamic FTL) are
-//     served by the same page store, so a hit returns exactly the bytes a
-//     flash read would.
+//     the cache. The cache tracks presence only: a hit's bytes, like every
+//     other slot's, come from the page store in reduce, so a hit returns
+//     exactly the bytes a flash read of its address would, written pages
+//     (UpdateVector, the dynamic FTL) included.
 //   - Dedup: within one pooled batch, repeated (table,row) references merge
 //     with the first occurrence's read. Each duplicate still contributes its
 //     own term to the pooled sum (SparseLengthsSum semantics: a row listed
@@ -86,7 +86,7 @@ type slotKind uint8
 const (
 	slotFlash slotKind = iota // vector read from flash
 	slotZero                  // unmapped page on a dynamic device: zeros
-	slotHit                   // EV cache hit served over the DRAM port (bytes resolved in reduce)
+	slotHit                   // EV cache hit served over the DRAM port
 	slotDup                   // merged with an earlier slot's read
 )
 
@@ -99,7 +99,6 @@ type lkSlot struct {
 	key   evcache.Key
 	vr    ssd.VectorRead
 	fill  evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
-	data  []byte
 	ready sim.Time
 	err   error // uncorrectable read (wraps flash.ErrUncorrectable)
 }
@@ -113,29 +112,6 @@ type lkSlot struct {
 // scratch, valid until its next batch.
 func (e *LookupEngine) Loads() []sim.LaneLoad { return e.loads }
 
-// PoolBatch performs the pooled lookups of a whole coalesced batch of
-// inferences, sharing one dedup table across them: identical (table,row)
-// references anywhere in the batch issue a single read when dedup is on.
-// Each inference's index stream is clocked from at. It returns each
-// inference's pooled vectors and the completion time of the whole batch.
-//
-// Shape and row errors (ErrShapeMismatch, ErrRowOutOfRange) abort the batch
-// in the plan phase, before any flash read; callers that prevalidate with
-// ValidateLookups never see them. Injected read faults
-// (flash.ErrUncorrectable) do not abort: every lookup of the batch still
-// issues — so the simulated timeline stays deterministic and identical
-// across host-parallelism settings — and the first fault is returned,
-// wrapped with its inference, table and row.
-func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64) ([][]tensor.Vector, sim.Time, error) {
-	return e.poolBatch(at, sparses, true)
-}
-
-// PoolBatchTiming is PoolBatch without materialising values.
-func (e *LookupEngine) PoolBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, error) {
-	_, done, err := e.poolBatch(at, sparses, false)
-	return done, err
-}
-
 // abortPlan restores the MSHR invariant after an aborted plan phase: every
 // entry the plan reserved is dropped from the cache, so no unfilled entry
 // survives into the next batch.
@@ -148,7 +124,25 @@ func (e *LookupEngine) abortPlan(slots []lkSlot) {
 	e.slots = slots[:0]
 }
 
-func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize bool) ([][]tensor.Vector, sim.Time, error) {
+// PoolBatch performs the pooled lookups of a whole coalesced batch of
+// inferences: for each table of each inference, the engine translates
+// indices (one per cycle from the Index Buffer), issues vector-grained reads
+// striped over channels and dies by the FTL's linear map, and accumulates
+// returns in the EV Sum unit. One dedup table is shared across the batch:
+// identical (table,row) references anywhere in it issue a single read when
+// dedup is on. Each inference's index stream is clocked from at. With
+// values it returns each inference's pooled vectors; without, it accounts
+// timing and traffic only and returns nil vectors. Either way it returns
+// the completion time of the whole batch.
+//
+// Shape and row errors (ErrShapeMismatch, ErrRowOutOfRange) abort the batch
+// in the plan phase, before any flash read; callers that prevalidate with
+// ValidateLookups never see them. Injected read faults
+// (flash.ErrUncorrectable) do not abort: every lookup of the batch still
+// issues — so the simulated timeline stays deterministic and identical
+// across host-parallelism settings — and the first fault is returned,
+// wrapped with its inference, table and row.
+func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) ([][]tensor.Vector, sim.Time, error) {
 	if len(sparses) == 0 {
 		return nil, at, fmt.Errorf("engine: empty lookup batch: %w", ErrShapeMismatch)
 	}
@@ -163,9 +157,8 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 			clear(e.owners)
 		}
 	}
-	if len(e.zeroEV) != evSize {
-		e.zeroEV = make([]byte, evSize)
-		e.hitEV = make([]byte, evSize)
+	if len(e.ev) != evSize {
+		e.ev = make([]byte, evSize)
 	}
 
 	// Phase 1 — sequential plan in global order.
@@ -232,7 +225,7 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 				} else {
 					// Never-written page on a dynamic device: zeros at
 					// translation time, no flash involvement.
-					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ready: vr.Start, fill: fill, data: e.zeroEV, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ready: vr.Start, fill: fill, key: key})
 				}
 				if track {
 					e.owners[key] = idx
@@ -246,23 +239,20 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	e.slots = slots
 
 	// Phase 2 — flash scheduling, one lane per channel.
-	e.readFlash(at, materialize)
+	e.readFlash(at)
 
 	// Phase 3 — sequential reduce in global order.
 	var pooled [][]tensor.Vector
 	var vecs []tensor.Vector
-	if materialize {
+	if values {
 		pooled, vecs = pooledVectors(len(sparses), cfg.Tables, cfg.EVDim)
 	}
 	var done sim.Time
 	var firstErr error
 	for i := range slots {
 		s := &slots[i]
-		kind := s.kind
-		if kind == slotDup {
+		if s.kind == slotDup {
 			own := &slots[s.owner]
-			kind = own.kind
-			s.data = own.data
 			s.ready = sim.Max(s.start, own.ready)
 			s.err = own.err
 		}
@@ -287,11 +277,8 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 			// if a later reservation took the slot).
 			e.cache.Fill(s.fill)
 		}
-		if materialize {
-			if kind == slotHit {
-				s.data = e.hitBytes(s.key)
-			}
-			model.AccumulateEV(vecs[s.vec], s.data)
+		if values {
+			model.AccumulateEV(vecs[s.vec], e.slotBytes(s))
 		}
 		_, sumDone := e.sum.Acquire(s.ready, sumOcc)
 		done = sim.Max(done, sumDone)
@@ -303,18 +290,31 @@ func (e *LookupEngine) poolBatch(at sim.Time, sparses [][][]int64, materialize b
 	return pooled, done, firstErr
 }
 
-// hitBytes resolves a cache hit's vector into the engine's scratch vector
-// from the device's page store: the bytes a flash read of its address would
-// return, untimed. The scratch holds them until the next hit resolves.
-func (e *LookupEngine) hitBytes(key evcache.Key) []byte {
-	addr, err := e.tr.Lookup(key.Table, key.Row)
-	if err != nil {
-		// Only a translated miss reserves an entry, so a resident key
-		// always translates.
-		panic(fmt.Sprintf("engine: cached vector: %v", err))
+// slotBytes resolves a slot's vector into the engine's scratch vector from
+// the device's page store, untimed: a flash read's bytes at its PPA, zeros
+// for an unmapped page, a cache hit's at the address the translator gives,
+// and a duplicate's through its owning slot. These are exactly the bytes a
+// flash read of the slot's address returns. The scratch holds them until
+// the next slot resolves.
+func (e *LookupEngine) slotBytes(s *lkSlot) []byte {
+	if s.kind == slotDup {
+		s = &e.slots[s.owner]
 	}
-	e.dev.PeekRangeInto(addr, e.hitEV)
-	return e.hitEV
+	switch s.kind {
+	case slotFlash:
+		e.dev.Array().PeekRangeInto(s.vr.PPA, s.vr.Col, e.ev)
+	case slotZero:
+		clear(e.ev)
+	case slotHit:
+		addr, err := e.tr.Lookup(s.key.Table, s.key.Row)
+		if err != nil {
+			// Only a translated miss reserves an entry, so a resident key
+			// always translates.
+			panic(fmt.Sprintf("engine: cached vector: %v", err))
+		}
+		e.dev.PeekRangeInto(addr, e.ev)
+	}
+	return e.ev
 }
 
 // resetPerCh returns the engine's per-channel bucket scratch, emptied, and
@@ -347,7 +347,7 @@ func addLoad(ld *sim.LaneLoad, at, start, end sim.Time) {
 // reads, replays them strided over min(Parallel, channels) workers, and
 // closes the lanes, folding their counters back into the array. at is the
 // batch's issue time, which die loads are released from.
-func (e *LookupEngine) readFlash(at sim.Time, bytes bool) {
+func (e *LookupEngine) readFlash(at sim.Time) {
 	arr := e.dev.Array()
 	for ch, reqs := range e.perCh {
 		if len(reqs) > 0 {
@@ -356,14 +356,14 @@ func (e *LookupEngine) readFlash(at sim.Time, bytes bool) {
 	}
 	workers := min(e.Parallel(), len(e.perCh))
 	if workers == 1 {
-		e.readLanes(at, 0, 1, bytes)
+		e.readLanes(at, 0, 1)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				e.readLanes(at, w, workers, bytes)
+				e.readLanes(at, w, workers)
 			}(w)
 		}
 		wg.Wait()
@@ -378,19 +378,14 @@ func (e *LookupEngine) readFlash(at sim.Time, bytes bool) {
 // readLanes replays worker w's share of the channels (w, w+workers, ...),
 // each in plan order on its lane. Workers write only their own slots and
 // their own channels' die loads.
-func (e *LookupEngine) readLanes(at sim.Time, w, workers int, bytes bool) {
+func (e *LookupEngine) readLanes(at sim.Time, w, workers int) {
 	dies := e.dev.Array().Geometry().DiesPerChannel
 	for ch := w; ch < len(e.perCh); ch += workers {
 		lane := &e.lanes[ch]
 		for _, i := range e.perCh[ch] {
 			s := &e.slots[i]
-			var vt flash.VectorTiming
-			if bytes {
-				s.data, vt, s.err = lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
-			} else {
-				vt, s.err = lane.ReadVectorTiming(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
-			}
-			s.ready = vt.Done
+			vt, err := lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+			s.ready, s.err = vt.Done, err
 			addLoad(&e.loads[ch*dies+s.vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
 		}
 	}

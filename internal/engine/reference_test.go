@@ -13,9 +13,9 @@ import (
 
 // refPool is the reference model of the Embedding Lookup Engine: the
 // straight-line sequential datapath, one lookup at a time. Each index is
-// parsed in its own cycle, translated, read from flash through the device's
-// untouched ReadVectorAt, and summed on the EV Sum unit as soon as its bytes
-// return. The planner (planner.go) must reproduce it bit for bit with the
+// parsed in its own cycle, translated, timed through the device's untouched
+// ReadVectorAt, and summed on the EV Sum unit as soon as its read completes,
+// with the bytes at its logical address (ssd.Device.PeekRange). The planner (planner.go) must reproduce it bit for bit with the
 // cache off and dedup off, at any lane count: values, completion times and
 // every engine, device and flash counter.
 func refPool(e *LookupEngine, at sim.Time, sparse [][]int64, materialize bool) ([]tensor.Vector, sim.Time, error) {
@@ -42,7 +42,7 @@ func refPool(e *LookupEngine, at sim.Time, sparse [][]int64, materialize bool) (
 			if err != nil {
 				return nil, sim.Max(done, issue), err
 			}
-			data, readDone, err := e.dev.ReadVectorAt(issue, addr, evSize)
+			readDone, err := e.dev.ReadVectorAt(issue, addr, evSize)
 			if err != nil {
 				// Uncorrectable read: no bytes, no EV Sum term; the batch
 				// keeps issuing and the call fails at the end.
@@ -52,7 +52,7 @@ func refPool(e *LookupEngine, at sim.Time, sparse [][]int64, materialize bool) (
 				done = sim.Max(done, readDone)
 			} else {
 				if materialize {
-					model.AccumulateEV(pooled[t], data)
+					model.AccumulateEV(pooled[t], e.dev.PeekRange(addr, evSize))
 				}
 				_, sumDone := e.sum.Acquire(readDone, sumOcc)
 				done = sim.Max(done, sumDone)

@@ -153,7 +153,10 @@ func (c ChannelCounters) Sub(o ChannelCounters) ChannelCounters {
 	}
 }
 
-// Array is the simulated flash array: data plus timing resources.
+// Array is the simulated flash array: timing resources plus the page store
+// holding its contents. The timed operations (ReadPage, ReadVector,
+// WritePage, EraseBlock) return times only; contents leave the array through
+// the untimed PeekPage and PeekRangeInto copies.
 type Array struct {
 	geo    Geometry
 	dies   []*sim.Pool     // per channel: pool of die resources
@@ -238,9 +241,9 @@ func (a *Array) checkPPA(p PPA) {
 }
 
 // ReadPage performs a whole-page read: die busy for Tflush, then the channel
-// bus transfers the full page. It returns the page contents and the
-// completion time.
-func (a *Array) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time) {
+// bus transfers the full page. It returns the completion time; the page's
+// bytes, when a caller needs them, come from PeekPage or PeekRangeInto.
+func (a *Array) ReadPage(at sim.Time, p PPA) sim.Time {
 	a.checkPPA(p)
 	die := a.dies[p.Channel].Get(p.Die)
 	_, flushDone := die.Acquire(at, a.tFlush)
@@ -249,20 +252,21 @@ func (a *Array) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time) {
 	a.stats.BytesFlushed += int64(a.geo.PageSize)
 	a.stats.BytesTransferred += int64(a.geo.PageSize)
 	a.chIO[p.Channel].Reads++
-	return a.store.Read(a.geo.FlatIndex(p)), done
+	return done
 }
 
 // ReadVector performs a vector-grained read (Section IV-B2): the die flushes
 // the whole page into its buffer, but only size bytes starting at col are
 // transferred over the bus; "we can drop the remaining data in this page due
 // to the overall poor locality of the embedding workloads". The vector must
-// not cross a page boundary; the embedding layout guarantees alignment.
+// not cross a page boundary; the embedding layout guarantees alignment. It
+// returns the completion time; the vector's bytes come from PeekRangeInto.
 //
 // Under a FaultPlan the flush phase may fail ECC and retry (die busy for the
-// extra attempts); a read that exhausts its retries returns a nil slice, the
-// time at which the die gave up, and an error wrapping ErrUncorrectable.
-// Without a plan the error is always nil.
-func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, sim.Time, error) {
+// extra attempts); a read that exhausts its retries returns the time at
+// which the die gave up and an error wrapping ErrUncorrectable. Without a
+// plan the error is always nil.
+func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) (sim.Time, error) {
 	a.checkPPA(p)
 	if col < 0 || size <= 0 || col+size > a.geo.PageSize {
 		panic(fmt.Sprintf("flash: vector read [%d,%d) crosses page of size %d", col, col+size, a.geo.PageSize))
@@ -275,29 +279,13 @@ func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, sim.Time,
 	countVectorFaults(&a.stats, a.geo.PageSize, retries, fatal)
 	countChannelFaults(&a.chIO[p.Channel], retries, fatal)
 	if fatal {
-		return nil, flushDone, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
+		return flushDone, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
 			p.Channel, p.Die, p.Page, retries, ErrUncorrectable)
 	}
 	trans := params.Duration(params.VectorTransferCycles(size))
 	_, done := a.buses[p.Channel].Acquire(flushDone, trans)
 	a.stats.BytesTransferred += int64(size)
-	return a.store.ReadRange(a.geo.FlatIndex(p), col, size), done, nil
-}
-
-// ReadPageTiming models a whole-page read without materialising the page
-// contents. It is used by paths that account for page-granular traffic but
-// only consume a sub-range of the data (which they then fetch with
-// PeekRangeInto, off the timing path).
-func (a *Array) ReadPageTiming(at sim.Time, p PPA) sim.Time {
-	a.checkPPA(p)
-	die := a.dies[p.Channel].Get(p.Die)
-	_, flushDone := die.Acquire(at, a.tFlush)
-	_, done := a.buses[p.Channel].Acquire(flushDone, a.tTrans)
-	a.stats.PageReads++
-	a.stats.BytesFlushed += int64(a.geo.PageSize)
-	a.stats.BytesTransferred += int64(a.geo.PageSize)
-	a.chIO[p.Channel].Reads++
-	return done
+	return done, nil
 }
 
 // EraseBlock erases a block: the die is busy for TErase and the block's
@@ -355,11 +343,14 @@ func (a *Array) WritePage(at sim.Time, p PPA, data []byte) sim.Time {
 	return done
 }
 
-// PeekPage returns page contents without modelling any time. Used by tests
-// and by functional-only paths.
+// PeekPage returns a copy of the page's contents without modelling any
+// time. Used by tests and by functional-only paths; writing into the result
+// leaves the array untouched.
 func (a *Array) PeekPage(p PPA) []byte {
 	a.checkPPA(p)
-	return a.store.Read(a.geo.FlatIndex(p))
+	buf := make([]byte, a.geo.PageSize)
+	a.store.ReadRangeInto(a.geo.FlatIndex(p), 0, buf)
+	return buf
 }
 
 // PeekRangeInto copies len(dst) bytes of a page starting at col into dst,

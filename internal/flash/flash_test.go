@@ -116,7 +116,7 @@ func TestReadPageLatencyIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, done := a.ReadPage(0, PPA{})
+	done := a.ReadPage(0, PPA{})
 	// Idle-array page read = Tflush + Ttrans = Tpage = 20us (Table II).
 	if done != params.TPage {
 		t.Fatalf("page read latency = %v, want %v", done, params.TPage)
@@ -126,7 +126,7 @@ func TestReadPageLatencyIdle(t *testing.T) {
 func TestReadVectorLatencyIdle(t *testing.T) {
 	a := mustArray(t, smallGeometry())
 	const evSize = 128 // dim-32 fp32 vector
-	_, done, err := a.ReadVector(0, PPA{}, 0, evSize)
+	done, err := a.ReadVector(0, PPA{}, 0, evSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestReadVectorLatencyIdle(t *testing.T) {
 
 func TestVectorReadFasterThanPageRead(t *testing.T) {
 	a := mustArray(t, smallGeometry())
-	_, pageDone := a.ReadPage(0, PPA{Die: 0})
+	pageDone := a.ReadPage(0, PPA{Die: 0})
 	a.ResetTime()
-	_, vecDone, err := a.ReadVector(0, PPA{Die: 0}, 0, 128)
+	vecDone, err := a.ReadVector(0, PPA{Die: 0}, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestVectorGrainedThroughputGain(t *testing.T) {
 	var pageDone sim.Time
 	for i := 0; i < n; i++ {
 		ppa := PPA{Channel: i % g.Channels, Die: (i / g.Channels) % g.DiesPerChannel, Page: i % g.PagesPerBlock}
-		_, done := pageArr.ReadPage(0, ppa)
+		done := pageArr.ReadPage(0, ppa)
 		pageDone = sim.Max(pageDone, done)
 	}
 
@@ -174,7 +174,7 @@ func TestVectorGrainedThroughputGain(t *testing.T) {
 	var vecDone sim.Time
 	for i := 0; i < n; i++ {
 		ppa := PPA{Channel: i % g.Channels, Die: (i / g.Channels) % g.DiesPerChannel, Page: i % g.PagesPerBlock}
-		_, done, err := vecArr.ReadVector(0, ppa, 0, evSize)
+		done, err := vecArr.ReadVector(0, ppa, 0, evSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,8 +222,8 @@ func TestWriteThenRead(t *testing.T) {
 	data := make([]byte, 4096)
 	binary.LittleEndian.PutUint64(data[8:], 0xdeadbeef)
 	a.WritePage(0, PPA{Block: 1, Page: 2}, data)
-	got, _ := a.ReadPage(a.Drained(), PPA{Block: 1, Page: 2})
-	if !bytes.Equal(got, data) {
+	a.ReadPage(a.Drained(), PPA{Block: 1, Page: 2})
+	if got := a.PeekPage(PPA{Block: 1, Page: 2}); !bytes.Equal(got, data) {
 		t.Fatal("read-back mismatch")
 	}
 }
@@ -255,7 +255,7 @@ func TestFillerSynthesis(t *testing.T) {
 		copy(buf, full[col:])
 	})
 	p := PPA{Channel: 2, Die: 1, Block: 3, Page: 4}
-	got, _ := a.ReadPage(0, p)
+	got := a.PeekPage(p)
 	if binary.LittleEndian.Uint64(got) != a.Geometry().FlatIndex(p) {
 		t.Fatal("filler content mismatch")
 	}
@@ -270,7 +270,7 @@ func TestFillerSynthesis(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	a := mustArray(t, smallGeometry())
 	a.ReadPage(0, PPA{})
-	if _, _, err := a.ReadVector(0, PPA{}, 0, 128); err != nil {
+	if _, err := a.ReadVector(0, PPA{}, 0, 128); err != nil {
 		t.Fatal(err)
 	}
 	a.WritePage(0, PPA{}, []byte{1})
@@ -304,7 +304,7 @@ func TestResetTime(t *testing.T) {
 
 func TestBusUtilization(t *testing.T) {
 	a := mustArray(t, smallGeometry())
-	_, done := a.ReadPage(0, PPA{Channel: 0})
+	done := a.ReadPage(0, PPA{Channel: 0})
 	u := a.BusUtilization(done)
 	if u[0] <= 0 {
 		t.Fatal("channel 0 bus should show utilization")
@@ -316,14 +316,15 @@ func TestBusUtilization(t *testing.T) {
 
 func TestPageStoreZeroDefault(t *testing.T) {
 	s := NewPageStore(64)
-	p := s.Read(5)
+	p := bytes.Repeat([]byte{0xff}, 64)
+	s.ReadRangeInto(5, 0, p)
 	for _, b := range p {
 		if b != 0 {
 			t.Fatal("unwritten page without filler should read as zero")
 		}
 	}
 	if s.Resident() != 0 {
-		t.Fatal("Read must not materialise pages")
+		t.Fatal("ReadRangeInto must not materialise pages")
 	}
 	s.Write(5, []byte{9})
 	if s.Resident() != 1 {
@@ -394,7 +395,7 @@ func TestEraseBlock(t *testing.T) {
 		t.Fatal("erase not counted")
 	}
 	// Erase occupies the die: a read on the same die queues behind it.
-	_, readDone := a.ReadPage(done-params.TErase/2, PPA{Channel: 1, Die: 1})
+	readDone := a.ReadPage(done-params.TErase/2, PPA{Channel: 1, Die: 1})
 	if readDone < done {
 		t.Fatal("read did not queue behind erase")
 	}

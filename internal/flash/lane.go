@@ -24,9 +24,10 @@ import (
 // array in Close, which the coordinating goroutine must call after the lane
 // goroutine has been joined.
 //
-// Data reads through a lane are safe concurrently: the page store is only
-// read (written pages are immutable during a read phase) and the filler is
-// a pure function of the address.
+// A lane read moves no bytes: it schedules the die and the bus and counts
+// traffic. The vector's contents are an untimed function of the page store,
+// which the caller copies out with Array.PeekRangeInto once the lanes are
+// joined.
 type Lane struct {
 	a      *Array
 	ch     int
@@ -73,21 +74,13 @@ type VectorTiming struct {
 }
 
 // ReadVector is Array.ReadVector on this lane: die flush, then size bytes
-// over the channel bus. Stats accumulate lane-locally. On an uncorrectable
-// read the returned slice is nil and the error wraps ErrUncorrectable.
-func (l *Lane) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, VectorTiming, error) {
-	vt, err := l.ReadVectorTiming(at, p, col, size)
-	if err != nil {
-		return nil, vt, err
-	}
-	return l.a.store.ReadRange(l.a.geo.FlatIndex(p), col, size), vt, nil
-}
-
-// ReadVectorTiming is ReadVector without materialising data. Fault draws
+// over the channel bus, returning the read's schedule and no bytes (those
+// come from Array.PeekRangeInto). Stats accumulate lane-locally. Fault draws
 // advance only this lane's channel stream (a distinct slice element), so
 // concurrent lanes stay race-free and the draw order matches the
-// single-threaded schedule.
-func (l *Lane) ReadVectorTiming(at sim.Time, p PPA, col, size int) (VectorTiming, error) {
+// single-threaded schedule. On an uncorrectable read the error wraps
+// ErrUncorrectable.
+func (l *Lane) ReadVector(at sim.Time, p PPA, col, size int) (VectorTiming, error) {
 	l.checkPPA(p)
 	if col < 0 || size <= 0 || col+size > l.a.geo.PageSize {
 		panic(fmt.Sprintf("flash: vector read [%d,%d) crosses page of size %d", col, col+size, l.a.geo.PageSize))

@@ -14,7 +14,10 @@ package flash
 // instead of a whole 4 KiB page.
 type Filler func(pageIndex uint64, col int, buf []byte)
 
-// PageStore is a sparse page-indexed byte store.
+// PageStore is a sparse page-indexed byte store: the array's contents,
+// with no notion of time. Timed reads (Array.ReadPage, Array.ReadVector,
+// Lane.ReadVector) move no bytes; every byte a caller sees is copied out
+// of here by ReadRangeInto.
 type PageStore struct {
 	pageSize int
 	pages    map[uint64][]byte
@@ -30,24 +33,11 @@ func NewPageStore(pageSize int) *PageStore {
 // unwritten pages read as zeroes.
 func (s *PageStore) SetFiller(f Filler) { s.filler = f }
 
-// ReadRange returns n bytes of the page starting at byte offset col,
-// synthesising them through the filler if the page was never written. The
-// returned slice aliases the store's buffer for written pages; callers must
-// not mutate it.
-func (s *PageStore) ReadRange(idx uint64, col, n int) []byte {
-	if p, ok := s.pages[idx]; ok {
-		return p[col : col+n]
-	}
-	buf := make([]byte, n)
-	if s.filler != nil {
-		s.filler(idx, col, buf)
-	}
-	return buf
-}
-
 // ReadRangeInto copies len(dst) bytes of the page starting at byte offset
 // col into dst, synthesising them through the filler if the page was never
-// written. It is ReadRange without the allocation or the aliasing.
+// written. It is the store's one read: it never allocates, and dst never
+// aliases a written page, so no caller can rewrite device contents through
+// the bytes it was given.
 func (s *PageStore) ReadRangeInto(idx uint64, col int, dst []byte) {
 	if p, ok := s.pages[idx]; ok {
 		copy(dst, p[col:col+len(dst)])
@@ -59,9 +49,6 @@ func (s *PageStore) ReadRangeInto(idx uint64, col int, dst []byte) {
 	}
 	clear(dst)
 }
-
-// Read returns the full contents of the page.
-func (s *PageStore) Read(idx uint64) []byte { return s.ReadRange(idx, 0, s.pageSize) }
 
 // Write stores data as the page contents, padding with zeroes to the page
 // size. Written pages shadow the filler.

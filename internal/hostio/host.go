@@ -73,45 +73,12 @@ func (h *Host) ResetStats() {
 	h.cache.ResetStats()
 }
 
-// ReadAt reads n bytes at file offset off through the page cache, returning
-// the data and the completion time. Pages are faulted in serially, modelling
-// the synchronous read(2) path of the baseline SLS operator.
-func (h *Host) ReadAt(at sim.Time, f *File, off int64, n int) ([]byte, sim.Time) {
-	if n <= 0 {
-		return nil, at
-	}
-	ps := int64(h.fs.PageSize())
-	h.stats.BytesRequested += int64(n)
-	out := make([]byte, 0, n)
-	now := at
-	remaining := int64(n)
-	pos := off
-	for remaining > 0 {
-		addr := f.AddrOf(pos)
-		lpn := addr / ps
-		col := addr % ps
-		chunk := ps - col
-		if chunk > remaining {
-			chunk = remaining
-		}
-		if h.cache.Touch(f.ID(), lpn) {
-			now += params.PageCacheHitCost
-		} else {
-			done := h.fs.dev.ReadPageTiming(now, lpn)
-			now = done + params.PageCacheMissOverhead
-			h.stats.BytesFromDevice += ps
-			h.stats.DeviceReads++
-			h.faultReadahead(now, f, lpn)
-		}
-		out = append(out, h.fs.dev.PeekRange(addr, int(chunk))...)
-		pos += chunk
-		remaining -= chunk
-	}
-	return out, now
-}
-
-// ReadAtTiming is ReadAt without materialising data, for timing-only runs.
-func (h *Host) ReadAtTiming(at sim.Time, f *File, off int64, n int) sim.Time {
+// ReadAt reads n bytes at file offset off through the page cache and
+// returns the completion time. Pages are faulted in serially, modelling the
+// synchronous read(2) path of the baseline SLS operator. The read carries
+// no bytes: a caller that needs them copies them from the device with
+// ssd.Device.PeekRangeInto at File.AddrOf(off).
+func (h *Host) ReadAt(at sim.Time, f *File, off int64, n int) sim.Time {
 	if n <= 0 {
 		return at
 	}
@@ -131,7 +98,7 @@ func (h *Host) ReadAtTiming(at sim.Time, f *File, off int64, n int) sim.Time {
 		if h.cache.Touch(f.ID(), lpn) {
 			now += params.PageCacheHitCost
 		} else {
-			done := h.fs.dev.ReadPageTiming(now, lpn)
+			done := h.fs.dev.ReadPage(now, lpn)
 			now = done + params.PageCacheMissOverhead
 			h.stats.BytesFromDevice += ps
 			h.stats.DeviceReads++
@@ -146,14 +113,14 @@ func (h *Host) ReadAtTiming(at sim.Time, f *File, off int64, n int) sim.Time {
 // ReadMMIO models the EMB-MMIO baseline's data path: the page holding the
 // requested range is fetched to userspace directly through the MMIO window,
 // bypassing the file system and page cache but still moving whole pages
-// (page-granular device access, no kernel overhead, no caching).
-func (h *Host) ReadMMIO(at sim.Time, f *File, off int64, n int) ([]byte, sim.Time) {
+// (page-granular device access, no kernel overhead, no caching). Like
+// ReadAt it returns only the completion time.
+func (h *Host) ReadMMIO(at sim.Time, f *File, off int64, n int) sim.Time {
 	if n <= 0 {
-		return nil, at
+		return at
 	}
 	ps := int64(h.fs.PageSize())
 	h.stats.BytesRequested += int64(n)
-	out := make([]byte, 0, n)
 	now := at
 	remaining := int64(n)
 	pos := off
@@ -165,15 +132,14 @@ func (h *Host) ReadMMIO(at sim.Time, f *File, off int64, n int) ([]byte, sim.Tim
 		if chunk > remaining {
 			chunk = remaining
 		}
-		done := h.fs.dev.ReadPageInternalTiming(now, lpn)
+		done := h.fs.dev.ReadPageInternal(now, lpn)
 		now = done + params.MMIOPageFetchCost
 		h.stats.BytesFromDevice += ps
 		h.stats.DeviceReads++
-		out = append(out, h.fs.dev.PeekRange(addr, int(chunk))...)
 		pos += chunk
 		remaining -= chunk
 	}
-	return out, now
+	return now
 }
 
 // Warm faults the pages covering [off, off+n) into the cache without
@@ -220,7 +186,7 @@ func (h *Host) faultReadahead(at sim.Time, f *File, lpn int64) {
 		if h.cache.Contains(f.ID(), next) {
 			continue
 		}
-		h.fs.dev.ReadPageTiming(at, next)
+		h.fs.dev.ReadPage(at, next)
 		h.cache.Warm(f.ID(), next)
 		h.stats.BytesFromDevice += ps
 		h.stats.DeviceReads++

@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 
+	"rmssd/internal/array"
 	"rmssd/internal/core"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
@@ -24,9 +25,9 @@ type Device interface {
 // without a trace generator: there is no stream to draw its inputs from.
 var ErrNoGenerator = errors.New("serving: count-only request on a shard without a generator")
 
-// seedStride spaces the seeds of consecutive shards (and array.New spaces
-// its members' fault seeds by the same amount).
-const seedStride = 0x9e37
+// seedStride spaces the seeds of consecutive shards. It is the stride
+// between an array's members' fault seeds, so the two cannot drift apart.
+const seedStride = array.SeedStride
 
 // ShardSeed derives shard s's seed from a model's base seed. devices is the
 // member count behind each shard (0 or 1 for a single device): an array

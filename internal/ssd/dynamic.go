@@ -67,8 +67,8 @@ func (d *Device) dynWrite(at sim.Time, lpn int64, data []byte) sim.Time {
 	ppa, relocs := d.dyn.Write(lpn)
 	now := at
 	for _, r := range relocs {
-		pageData, readDone := d.arr.ReadPage(now, r.From)
-		done := d.arr.WritePage(readDone, r.To, pageData)
+		readDone := d.arr.ReadPage(now, r.From)
+		done := d.arr.WritePage(readDone, r.To, d.arr.PeekPage(r.From))
 		now = done
 	}
 	// Erase freed victims: the die is busy in the background, so later

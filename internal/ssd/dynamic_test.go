@@ -25,16 +25,16 @@ func TestDynamicDeviceWriteReadRoundTrip(t *testing.T) {
 	data := make([]byte, 4096)
 	data[0], data[4095] = 0xaa, 0x55
 	done := d.WritePage(0, 9, data)
-	got, _ := d.ReadPage(done, 9)
-	if !bytes.Equal(got, data) {
+	d.ReadPage(done, 9)
+	if got := d.PeekPage(9); !bytes.Equal(got, data) {
 		t.Fatal("round trip failed")
 	}
 }
 
 func TestDynamicDeviceUnmappedReadsReturnZeros(t *testing.T) {
 	d := dynDevice(t)
-	got, done := d.ReadPage(0, 5)
-	for _, b := range got {
+	done := d.ReadPage(0, 5)
+	for _, b := range d.PeekPage(5) {
 		if b != 0 {
 			t.Fatal("unmapped page should read as zeros")
 		}
@@ -136,13 +136,14 @@ func TestDynamicDeviceVectorReads(t *testing.T) {
 		page[i] = byte(i % 7)
 	}
 	d.WritePageUntimed(2, page)
-	got, done, err := d.ReadVectorAt(0, 2*4096+256, 128)
+	done, err := d.ReadVectorAt(0, 2*4096+256, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done <= 0 {
 		t.Fatal("mapped vector read must take flash time")
 	}
+	got := d.PeekRange(2*4096+256, 128)
 	for i := range got {
 		if got[i] != byte((256+i)%7) {
 			t.Fatal("vector data mismatch on dynamic device")

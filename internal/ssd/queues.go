@@ -56,7 +56,7 @@ func (qp *QueuePair) RunRandomReads(n int, seed uint64) sim.Time {
 		inflight++
 		debugInflight(qp, inflight)
 		lpn := int64(rng.Intn(total))
-		done := qp.dev.ReadPageTiming(now, lpn)
+		done := qp.dev.ReadPage(now, lpn)
 		if done > last {
 			last = done
 		}
@@ -120,7 +120,7 @@ func InternalReadBandwidth(dev *Device, evSize, n int, seed uint64) sim.ByteRate
 		// No fault plan is installed on measurement devices, so the read
 		// cannot fail.
 		//lint:allow errcheck fault-free measurement device; ReadVectorAt cannot error without a FaultPlan
-		_, end, _ := dev.ReadVectorAt(0, addr, evSize)
+		end, _ := dev.ReadVectorAt(0, addr, evSize)
 		if end > done {
 			done = end
 		}

@@ -9,6 +9,12 @@
 //   - the in-storage path (ReadVectorAt/ReadPageInternal), used by the
 //     embedding engines, which bypasses the NVMe controller entirely and
 //     pays only FTL translation plus flash time.
+//
+// Reads on either path return only their completion time (and, for a
+// vector read, the injected-fault error). Contents are an untimed function
+// of the flash page store: PeekRangeInto copies a range of it into the
+// caller's buffer and PeekPage returns a copy of a whole page, each through
+// the same FTL translation a timed read of that address would use.
 package ssd
 
 import (
@@ -87,21 +93,21 @@ func (d *Device) PageSize() int { return d.arr.Geometry().PageSize }
 func (d *Device) TotalPages() int64 { return d.ftl.TotalPages() }
 
 // ReadPage serves a block-path page read: NVMe command processing, FTL
-// translation, flash page read, completion. Returns the data and the time
-// the host observes completion. On a dynamic device, never-written pages
-// return zeros straight from the controller without touching flash.
-func (d *Device) ReadPage(at sim.Time, lpn int64) ([]byte, sim.Time) {
+// translation, flash page read, completion. It returns the time the host
+// observes completion. On a dynamic device, never-written pages complete
+// straight from the controller without touching flash.
+func (d *Device) ReadPage(at sim.Time, lpn int64) sim.Time {
 	_, cmdDone := d.nvme.Acquire(at, params.NVMeCmdCost)
 	ppa, mapped := d.translateRead(lpn)
 	d.stats.BlockReads++
 	d.stats.HostBytesRead += int64(d.PageSize())
 	if !mapped {
-		return make([]byte, d.PageSize()), cmdDone + params.NVMeCompletionCost
+		return cmdDone + params.NVMeCompletionCost
 	}
 	d.path.Push(ftl.BlockIO)
-	data, flashDone := d.arr.ReadPage(cmdDone+params.Duration(params.FTLCycles), ppa)
+	done := d.arr.ReadPage(cmdDone+params.Duration(params.FTLCycles), ppa)
 	d.path.Pop()
-	return data, flashDone + params.NVMeCompletionCost
+	return done + params.NVMeCompletionCost
 }
 
 // WritePage serves a block-path page write (out of place with GC on
@@ -122,68 +128,41 @@ func (d *Device) WritePage(at sim.Time, lpn int64, data []byte) sim.Time {
 // ReadVectorAt serves an in-storage vector-grained read: the Embedding
 // Lookup Engine's data path. byteAddr is the logical byte address of the
 // vector (page-aligned layout guarantees it does not cross a page). The
-// NVMe controller is not involved. Under a flash FaultPlan the read may fail
-// with an error wrapping flash.ErrUncorrectable; data is nil in that case.
-func (d *Device) ReadVectorAt(at sim.Time, byteAddr int64, size int) ([]byte, sim.Time, error) {
+// NVMe controller is not involved. It returns the completion time; the
+// vector's bytes come from PeekRangeInto. Under a flash FaultPlan the read
+// may fail with an error wrapping flash.ErrUncorrectable.
+func (d *Device) ReadVectorAt(at sim.Time, byteAddr int64, size int) (sim.Time, error) {
 	lpn := byteAddr / int64(d.PageSize())
 	col := int(byteAddr % int64(d.PageSize()))
 	ppa, mapped := d.translateRead(lpn)
 	d.stats.EVReads++
 	if !mapped {
-		return make([]byte, size), at + params.Duration(params.FTLCycles), nil
+		return at + params.Duration(params.FTLCycles), nil
 	}
 	d.path.Push(ftl.EVRead)
-	data, done, err := d.arr.ReadVector(at+params.Duration(params.FTLCycles), ppa, col, size)
+	done, err := d.arr.ReadVector(at+params.Duration(params.FTLCycles), ppa, col, size)
 	d.path.Pop()
-	return data, done, err
+	return done, err
 }
 
 // ReadPageInternal serves an in-storage whole-page read (used by the
-// page-grained ISC baselines, e.g. EMB-PageSum and RecSSD's in-SSD sum).
-func (d *Device) ReadPageInternal(at sim.Time, lpn int64) ([]byte, sim.Time) {
-	ppa, mapped := d.translateRead(lpn)
-	d.stats.EVReads++
-	if !mapped {
-		return make([]byte, d.PageSize()), at + params.Duration(params.FTLCycles)
-	}
-	d.path.Push(ftl.EVRead)
-	data, done := d.arr.ReadPage(at+params.Duration(params.FTLCycles), ppa)
-	d.path.Pop()
-	return data, done
-}
-
-// ReadPageTiming serves a block-path page read without materialising data:
-// the caller accounts page-granular traffic and latency but consumes only a
-// sub-range, which it fetches separately with PeekRange.
-func (d *Device) ReadPageTiming(at sim.Time, lpn int64) sim.Time {
-	_, cmdDone := d.nvme.Acquire(at, params.NVMeCmdCost)
-	ppa, mapped := d.translateRead(lpn)
-	d.stats.BlockReads++
-	d.stats.HostBytesRead += int64(d.PageSize())
-	if !mapped {
-		return cmdDone + params.NVMeCompletionCost
-	}
-	d.path.Push(ftl.BlockIO)
-	done := d.arr.ReadPageTiming(cmdDone+params.Duration(params.FTLCycles), ppa)
-	d.path.Pop()
-	return done + params.NVMeCompletionCost
-}
-
-// ReadPageInternalTiming is ReadPageTiming for the in-storage path: no NVMe
-// involvement, used by page-grained ISC baselines.
-func (d *Device) ReadPageInternalTiming(at sim.Time, lpn int64) sim.Time {
+// page-grained ISC baselines, e.g. EMB-PageSum and EMB-MMIO's fetches) and
+// returns its completion time.
+func (d *Device) ReadPageInternal(at sim.Time, lpn int64) sim.Time {
 	ppa, mapped := d.translateRead(lpn)
 	d.stats.EVReads++
 	if !mapped {
 		return at + params.Duration(params.FTLCycles)
 	}
 	d.path.Push(ftl.EVRead)
-	done := d.arr.ReadPageTiming(at+params.Duration(params.FTLCycles), ppa)
+	done := d.arr.ReadPage(at+params.Duration(params.FTLCycles), ppa)
 	d.path.Pop()
 	return done
 }
 
-// PeekPage returns page contents with no timing side effects.
+// PeekPage returns a copy of the page's contents with no timing side
+// effects (zeros for a never-written page on a dynamic device). Writing
+// into the result leaves the device untouched.
 func (d *Device) PeekPage(lpn int64) []byte {
 	ppa, mapped := d.translateRead(lpn)
 	if !mapped {

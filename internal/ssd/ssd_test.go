@@ -29,8 +29,7 @@ func TestQD1Random4KRateMatchesTableII(t *testing.T) {
 	var now sim.Time
 	for i := 0; i < n; i++ {
 		lpn := int64((i * 37) % int(d.TotalPages()))
-		_, done := d.ReadPage(now, lpn)
-		now = done
+		now = d.ReadPage(now, lpn)
 	}
 	iops := float64(n) / now.Seconds()
 	// Table II: 45K IOPS. Accept +-15%.
@@ -45,7 +44,7 @@ func TestBlockReadBeatsNothingButParallelismHelps(t *testing.T) {
 	// should be far better than 64 serial reads.
 	var last sim.Time
 	for i := 0; i < 64; i++ {
-		_, done := d.ReadPage(0, int64(i))
+		done := d.ReadPage(0, int64(i))
 		last = sim.Max(last, done)
 	}
 	serial := 64 * (params.NVMeCmdCost + params.TPage + params.NVMeCompletionCost)
@@ -56,7 +55,7 @@ func TestBlockReadBeatsNothingButParallelismHelps(t *testing.T) {
 
 func TestReadVectorBypassesNVMe(t *testing.T) {
 	d := testDevice(t)
-	_, done, err := d.ReadVectorAt(0, 0, 128)
+	done, err := d.ReadVectorAt(0, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +78,10 @@ func TestReadVectorAddressing(t *testing.T) {
 	const lpn = 5
 	d.WritePageUntimed(lpn, page)
 	byteAddr := int64(lpn*4096 + 256)
-	got, _, err := d.ReadVectorAt(0, byteAddr, 128)
-	if err != nil {
+	if _, err := d.ReadVectorAt(0, byteAddr, 128); err != nil {
 		t.Fatal(err)
 	}
+	got := d.PeekRange(byteAddr, 128)
 	for i := range got {
 		if got[i] != byte((256+i)%251) {
 			t.Fatalf("vector byte %d = %d, want %d", i, got[i], byte((256+i)%251))
@@ -95,8 +94,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	data := make([]byte, 4096)
 	binary.LittleEndian.PutUint32(data, 0xabcd1234)
 	done := d.WritePage(0, 7, data)
-	got, _ := d.ReadPage(done, 7)
-	if binary.LittleEndian.Uint32(got) != 0xabcd1234 {
+	d.ReadPage(done, 7)
+	if got := d.PeekPage(7); binary.LittleEndian.Uint32(got) != 0xabcd1234 {
 		t.Fatal("round trip failed")
 	}
 }
@@ -106,7 +105,7 @@ func TestStatsCounting(t *testing.T) {
 	d.ReadPage(0, 0)
 	d.ReadPage(0, 1)
 	d.WritePage(0, 2, []byte{1})
-	if _, _, err := d.ReadVectorAt(0, 0, 128); err != nil {
+	if _, err := d.ReadVectorAt(0, 0, 128); err != nil {
 		t.Fatal(err)
 	}
 	d.ReadPageInternal(0, 3)
@@ -125,7 +124,7 @@ func TestStatsCounting(t *testing.T) {
 
 func TestFlashStatsDistinguishVectorReads(t *testing.T) {
 	d := testDevice(t)
-	if _, _, err := d.ReadVectorAt(0, 0, 128); err != nil {
+	if _, err := d.ReadVectorAt(0, 0, 128); err != nil {
 		t.Fatal(err)
 	}
 	d.ReadPageInternal(0, 1)
@@ -178,15 +177,30 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 // progress and the shared-resource contention must be visible in timing.
 func TestSharedFlashContention(t *testing.T) {
 	d := testDevice(t)
-	_, aloneDone, aErr := d.ReadVectorAt(0, 0, 128)
+	aloneDone, aErr := d.ReadVectorAt(0, 0, 128)
 	d.ResetTime()
 	// Occupy channel 0's die 0 with a block read first.
 	d.ReadPage(0, 0) // LPN 0 -> channel 0, die 0
-	_, contendedDone, cErr := d.ReadVectorAt(0, 0, 128)
+	contendedDone, cErr := d.ReadVectorAt(0, 0, 128)
 	if aErr != nil || cErr != nil {
 		t.Fatal(aErr, cErr)
 	}
 	if contendedDone <= aloneDone {
 		t.Fatalf("contended vector read (%v) should be slower than alone (%v)", contendedDone, aloneDone)
+	}
+}
+
+// A page read out of the device is the caller's copy: writing into it must
+// not rewrite the stored page.
+func TestPeekPageReturnsCopy(t *testing.T) {
+	d := testDevice(t)
+	page := make([]byte, 4096)
+	page[10] = 0x5a
+	const lpn = 3
+	d.WritePageUntimed(lpn, page)
+	got := d.PeekPage(lpn)
+	got[10] = 0xa5
+	if again := d.PeekPage(lpn); again[10] != 0x5a {
+		t.Fatalf("stored byte = %#x after mutating a peeked copy, want 0x5a", again[10])
 	}
 }

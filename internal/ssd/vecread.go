@@ -17,7 +17,7 @@ type VectorRead struct {
 	PPA    flash.PPA
 	Col    int
 	Size   int
-	Mapped bool     // false: never-written page on a dynamic device; read zeros
+	Mapped bool     // false: never-written page on a dynamic device; its bytes are zeros
 	Start  sim.Time // earliest flash start time (issue + FTL translation)
 }
 
@@ -25,9 +25,12 @@ type VectorRead struct {
 // its flash time. Calling flash.Lane.ReadVector(r.Start, r.PPA, r.Col,
 // r.Size) afterwards — in the same per-channel order the device would have
 // seen — reproduces ReadVectorAt's timing exactly; unmapped reads complete
-// at r.Start with zero data and never touch flash, also exactly as
-// ReadVectorAt. Counters (EVReads, path-buffer pushes) are updated here so
-// their totals match the sequential path.
+// at r.Start and never touch flash, also exactly as ReadVectorAt. Like
+// ReadVectorAt, neither carries bytes: the vector's contents are
+// Array.PeekRangeInto(r.PPA, r.Col, dst) for a mapped read and zeros for an
+// unmapped one, the same bytes PeekRangeInto gives at its logical address.
+// Counters (EVReads, path-buffer pushes) are updated here so their totals
+// match the sequential path.
 func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) VectorRead {
 	lpn := byteAddr / int64(d.PageSize())
 	col := int(byteAddr % int64(d.PageSize()))
