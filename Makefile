@@ -106,7 +106,7 @@ bench-perf:
 # BenchmarkNewFromModel allocated 59 KB per shard once every device read
 # the hosted model's weights in place, and one per-device copy of RMC3's
 # top L0 would add 720 KB), or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=718 BenchmarkLookupPoolHotTrace=83 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0
 BYTES_CEILINGS := BenchmarkNewFromModel=89000
 
 bench-micro:

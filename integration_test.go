@@ -162,8 +162,9 @@ func TestIntegrationKernelSearchContract(t *testing.T) {
 }
 
 // Mixed workload: conventional block I/O sharing the device with inference
-// (the Fig. 5 MUX story). Both must make progress; inference slows down
-// only moderately.
+// (Fig. 5's two request paths into one FTL). The paths contend only through
+// die and channel reservations, so both make progress and inference slows
+// down only moderately.
 func TestIntegrationBlockIOInterference(t *testing.T) {
 	cfg := integCfg("RMC1")
 	gen := integTrace(cfg, 31)

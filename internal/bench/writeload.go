@@ -87,7 +87,7 @@ func WriteLoad(opts Options) []*Table {
 		t.AddRow(fmt.Sprintf("%d", updates), fmtQPS(qps), slow, fmt.Sprintf("%.2f", waf))
 	}
 	t.Notes = append(t.Notes,
-		"updates share the flash channels and dies with vector reads; the MUX",
-		"arbitration keeps both progressing, degrading inference gracefully")
+		"updates and vector reads reserve the same flash dies and channels in",
+		"time order, so both keep progressing and inference degrades gracefully")
 	return []*Table{t}
 }

@@ -7,12 +7,6 @@
 // pages land on consecutive channels, then dies, then planes, so both
 // sequential scans and bulk embedding-vector reads spread across all the
 // parallelism the array offers.
-//
-// The FTL also owns the request-path bookkeeping of Fig. 5: a MUX admits
-// requests from the two sources (conventional block I/O and embedding-vector
-// reads) in round-robin order, and each admitted request's origin is
-// recorded in the Path Buffer so the DEMUX on the return path can route
-// page data to the NVMe controller and vector data to EV Sum.
 package ftl
 
 import (
@@ -95,94 +89,3 @@ func (f *FTL) PageToLBA(lpn int64) int64 { return lpn * int64(f.sectorsPer) }
 
 // SectorsPerPage returns the number of LBA sectors per flash page.
 func (f *FTL) SectorsPerPage() int { return f.sectorsPer }
-
-// RequestKind tags a request's origin for the Path Buffer.
-type RequestKind uint8
-
-const (
-	// BlockIO marks a conventional NVMe block request.
-	BlockIO RequestKind = iota
-	// EVRead marks an embedding-vector read issued by the lookup engine.
-	EVRead
-)
-
-// String implements fmt.Stringer.
-func (k RequestKind) String() string {
-	switch k {
-	case BlockIO:
-		return "block"
-	case EVRead:
-		return "ev"
-	default:
-		return fmt.Sprintf("RequestKind(%d)", uint8(k))
-	}
-}
-
-// PathBuffer records the origin of in-flight requests per channel so the
-// DEMUX can route returned data (Section IV-B3). In the virtual-time model
-// the buffer is FIFO bookkeeping; its occupancy statistics feed the
-// evaluation of MUX fairness.
-type PathBuffer struct {
-	fifo    []RequestKind
-	maxUsed int
-	pushes  [2]int64
-}
-
-// Push records an admitted request.
-func (b *PathBuffer) Push(k RequestKind) {
-	b.fifo = append(b.fifo, k)
-	if len(b.fifo) > b.maxUsed {
-		b.maxUsed = len(b.fifo)
-	}
-	b.pushes[k]++
-}
-
-// Pop removes and returns the oldest in-flight request's kind. It reports
-// false when the buffer is empty.
-func (b *PathBuffer) Pop() (RequestKind, bool) {
-	if len(b.fifo) == 0 {
-		return 0, false
-	}
-	k := b.fifo[0]
-	b.fifo = b.fifo[1:]
-	return k, true
-}
-
-// Depth returns the number of requests currently in flight.
-func (b *PathBuffer) Depth() int { return len(b.fifo) }
-
-// MaxDepth returns the high-water mark of in-flight requests.
-func (b *PathBuffer) MaxDepth() int { return b.maxUsed }
-
-// Admitted returns how many requests of each kind passed the MUX.
-func (b *PathBuffer) Admitted(k RequestKind) int64 { return b.pushes[k] }
-
-// Mux arbitrates between the block-I/O queue and the EV-read queue in
-// round-robin order (Section IV-B2: "Since FTL is shared with conventional
-// block I/O operations, we add a multiplexer (MUX) based on round-robin
-// scheduling to serve data requests").
-type Mux struct {
-	last RequestKind
-}
-
-// Pick chooses which queue to serve next given queue occupancy. With both
-// queues non-empty it alternates; otherwise it serves the non-empty queue.
-func (m *Mux) Pick(blockWaiting, evWaiting bool) (RequestKind, bool) {
-	switch {
-	case blockWaiting && evWaiting:
-		if m.last == BlockIO {
-			m.last = EVRead
-		} else {
-			m.last = BlockIO
-		}
-		return m.last, true
-	case blockWaiting:
-		m.last = BlockIO
-		return BlockIO, true
-	case evWaiting:
-		m.last = EVRead
-		return EVRead, true
-	default:
-		return 0, false
-	}
-}

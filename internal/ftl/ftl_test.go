@@ -118,70 +118,3 @@ func TestNegativeLBAPanics(t *testing.T) {
 	}()
 	f.LBAToPage(-1)
 }
-
-func TestPathBufferFIFO(t *testing.T) {
-	var b PathBuffer
-	b.Push(BlockIO)
-	b.Push(EVRead)
-	b.Push(EVRead)
-	if b.Depth() != 3 || b.MaxDepth() != 3 {
-		t.Fatalf("Depth=%d MaxDepth=%d", b.Depth(), b.MaxDepth())
-	}
-	if k, ok := b.Pop(); !ok || k != BlockIO {
-		t.Fatalf("first pop = %v,%v", k, ok)
-	}
-	if k, ok := b.Pop(); !ok || k != EVRead {
-		t.Fatalf("second pop = %v,%v", k, ok)
-	}
-	if b.Admitted(EVRead) != 2 || b.Admitted(BlockIO) != 1 {
-		t.Fatal("Admitted counters wrong")
-	}
-	b.Pop()
-	if _, ok := b.Pop(); ok {
-		t.Fatal("pop from empty buffer should report false")
-	}
-}
-
-func TestMuxRoundRobin(t *testing.T) {
-	var m Mux
-	// Both waiting: strict alternation.
-	k1, _ := m.Pick(true, true)
-	k2, _ := m.Pick(true, true)
-	k3, _ := m.Pick(true, true)
-	if k1 == k2 || k2 == k3 || k1 != k3 {
-		t.Fatalf("alternation broken: %v %v %v", k1, k2, k3)
-	}
-	// Single queue waiting: serve it regardless of history.
-	if k, ok := m.Pick(true, false); !ok || k != BlockIO {
-		t.Fatal("block-only pick failed")
-	}
-	if k, ok := m.Pick(false, true); !ok || k != EVRead {
-		t.Fatal("ev-only pick failed")
-	}
-	if _, ok := m.Pick(false, false); ok {
-		t.Fatal("empty pick should report false")
-	}
-}
-
-func TestMuxFairnessProperty(t *testing.T) {
-	// Property: over any run with both queues always occupied, the MUX
-	// never serves one side twice in a row.
-	var m Mux
-	prev, _ := m.Pick(true, true)
-	for i := 0; i < 100; i++ {
-		k, _ := m.Pick(true, true)
-		if k == prev {
-			t.Fatalf("served %v twice consecutively", k)
-		}
-		prev = k
-	}
-}
-
-func TestRequestKindString(t *testing.T) {
-	if BlockIO.String() != "block" || EVRead.String() != "ev" {
-		t.Fatal("String() broken")
-	}
-	if RequestKind(9).String() == "" {
-		t.Fatal("unknown kind should still format")
-	}
-}

@@ -54,11 +54,6 @@ func (c *PageCache) Touch(fileID int, lpn int64) bool {
 	return hit
 }
 
-// Contains reports presence without touching recency or stats.
-func (c *PageCache) Contains(fileID int, lpn int64) bool {
-	return c.lru.Contains(pageKey(fileID, lpn))
-}
-
 // Warm inserts the page without counting a hit, a miss or an eviction;
 // used to model the paper's warm-up period before steady-state measurement.
 func (c *PageCache) Warm(fileID int, lpn int64) { c.lru.Access(pageKey(fileID, lpn)) }

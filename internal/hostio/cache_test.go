@@ -74,9 +74,9 @@ func (c *refPageCache) contains(file int, lpn int64) bool {
 
 // TestPageCacheMatchesListReference drives PageCache and the list+map
 // reference through one seeded page trace of interleaved Touch, Warm,
-// Contains, readahead (a Touch whose miss warms the following absent pages,
-// as Host.faultReadahead does) and ResetStats, and compares after every
-// step: the hit or miss, Stats, Len and the resident set. Capacity 1037
+// presence probes, a Touch whose miss warms the following absent pages, and
+// ResetStats, and compares after every step: the hit or miss, Stats, Len and
+// the resident set. Capacity 1037
 // holds more pages than 1024 buckets, so the index doubles up to its
 // 2048-bucket ceiling under the trace.
 func TestPageCacheMatchesListReference(t *testing.T) {
@@ -109,18 +109,18 @@ func TestPageCacheMatchesListReference(t *testing.T) {
 					c.Warm(file, lpn)
 					ref.warm(file, lpn)
 				case op < 8:
-					if got, want := c.Contains(file, lpn), ref.contains(file, lpn); got != want {
+					if got, want := c.lru.Contains(pageKey(file, lpn)), ref.contains(file, lpn); got != want {
 						t.Fatalf("%s: contains %v, reference %v", where, got, want)
 					}
 				case op < 9:
 					hit := c.Touch(file, lpn)
 					if want := ref.touch(file, lpn); hit != want {
-						t.Fatalf("%s: readahead touch hit %v, reference %v", where, hit, want)
+						t.Fatalf("%s: sequential touch hit %v, reference %v", where, hit, want)
 					}
 					for next := lpn + 1; !hit && next <= lpn+4; next++ {
-						in, want := c.Contains(file, next), ref.contains(file, next)
+						in, want := c.lru.Contains(pageKey(file, next)), ref.contains(file, next)
 						if in != want {
-							t.Fatalf("%s: readahead page %d present %v, reference %v", where, next, in, want)
+							t.Fatalf("%s: following page %d present %v, reference %v", where, next, in, want)
 						}
 						if !in {
 							c.Warm(file, next)
@@ -138,7 +138,7 @@ func TestPageCacheMatchesListReference(t *testing.T) {
 				}
 				// Equal sizes and every reference page resident: equal sets.
 				for el := ref.lru.Front(); el != nil; el = el.Next() {
-					if p := el.Value.(refPage); !c.Contains(p.file, p.lpn) {
+					if p := el.Value.(refPage); !c.lru.Contains(pageKey(p.file, p.lpn)) {
 						t.Fatalf("%s: page %v resident in the reference only", where, p)
 					}
 				}

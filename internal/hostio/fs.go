@@ -147,23 +147,30 @@ func (f *File) PageOf(off int64) int64 {
 // used to preload tables. Writes must be page-aligned ranges or fit within
 // single pages; table layout writes whole pages.
 func (f *File) WriteAt(data []byte, off int64) {
-	ps := int64(f.fs.dev.PageSize())
-	for len(data) > 0 {
-		addr := f.AddrOf(off)
-		lpn := addr / ps
-		col := addr % ps
-		n := int(ps - col)
-		if n > len(data) {
-			n = len(data)
-		}
-		if col == 0 && n == int(ps) {
-			f.fs.dev.WritePageUntimed(lpn, data[:n])
+	ps := f.fs.dev.PageSize()
+	f.walkPages(off, len(data), func(lpn int64, col, size int) {
+		if col == 0 && size == ps {
+			f.fs.dev.WritePageUntimed(lpn, data[:size])
 		} else {
 			page := f.fs.dev.PeekPage(lpn)
-			copy(page[col:], data[:n])
+			copy(page[col:], data[:size])
 			f.fs.dev.WritePageUntimed(lpn, page)
 		}
-		data = data[n:]
-		off += int64(n)
+		data = data[size:]
+	})
+}
+
+// walkPages splits the n bytes at file offset off at device page
+// boundaries and calls visit, in file order, with each piece's logical page
+// number, byte offset within that page and length. Extents are page-aligned,
+// so a piece never straddles two extents.
+func (f *File) walkPages(off int64, n int, visit func(lpn int64, col, size int)) {
+	ps := int64(f.fs.dev.PageSize())
+	for end := off + int64(n); off < end; {
+		addr := f.AddrOf(off)
+		col := addr % ps
+		chunk := min(ps-col, end-off)
+		visit(addr/ps, int(col), int(chunk))
+		off += chunk
 	}
 }

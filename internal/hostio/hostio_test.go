@@ -7,6 +7,7 @@ import (
 
 	"rmssd/internal/flash"
 	"rmssd/internal/params"
+	"rmssd/internal/sim"
 	"rmssd/internal/ssd"
 )
 
@@ -166,10 +167,10 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("page 1 should hit")
 	}
 	c.Touch(0, 4) // evicts LRU = 2
-	if c.Contains(0, 2) {
+	if c.lru.Contains(pageKey(0, 2)) {
 		t.Fatal("page 2 should have been evicted")
 	}
-	if !c.Contains(0, 1) || !c.Contains(0, 3) || !c.Contains(0, 4) {
+	if !c.lru.Contains(pageKey(0, 1)) || !c.lru.Contains(pageKey(0, 3)) || !c.lru.Contains(pageKey(0, 4)) {
 		t.Fatal("wrong residents after eviction")
 	}
 	s := c.Stats()
@@ -277,16 +278,68 @@ func TestReadAmplificationVectorReads(t *testing.T) {
 	}
 }
 
+// ReadAt, ReadMMIO and Warm share one page walk: a range crossing a page
+// boundary, and one crossing an extent boundary, touch the same two pages
+// through each of them. ReadAt and Warm leave exactly those pages resident,
+// and ReadAt and ReadMMIO issue one device read per page on their channels.
 func TestReadCrossingPages(t *testing.T) {
-	fs := testFS(t)
-	f := mustCreate(t, fs, "t", 64<<10)
-	h := NewHost(fs, 1<<20)
-	done := h.ReadAt(0, f, 4000, 200) // spans 2 pages
-	if h.Stats().DeviceReads != 2 {
-		t.Fatalf("DeviceReads = %d, want 2", h.Stats().DeviceReads)
-	}
-	if done == 0 {
-		t.Fatal("zero completion time")
+	const ps = 4096
+	for _, tc := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"page", ps - 96, 200},      // pages 0 and 1 of the first extent
+		{"extent", 2*ps - 100, 300}, // last page of extent 0, first of extent 1
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walk := func(do func(h *Host, f *File)) (*Host, *File) {
+				fs := NewFS(testFS(t).Device(), 2*ps) // two-page extents
+				mustCreate(t, fs, "pad", ps)          // the file starts off page 0
+				f := mustCreate(t, fs, "t", 8*ps)
+				h := NewHost(fs, 1<<20)
+				do(h, f)
+				return h, f
+			}
+			var done sim.Time
+			read, f := walk(func(h *Host, f *File) { done = h.ReadAt(0, f, tc.off, tc.n) })
+			mmio, _ := walk(func(h *Host, f *File) { h.ReadMMIO(0, f, tc.off, tc.n) })
+			warm, _ := walk(func(h *Host, f *File) { h.Warm(f, tc.off, tc.n) })
+
+			end := tc.off + int64(tc.n) - 1
+			if second := f.Extents()[1].FileOff; (tc.off < second && end >= second) != (tc.name == "extent") {
+				t.Fatalf("range [%d, %d] vs extent boundary %d", tc.off, end, second)
+			}
+			want := []int64{f.PageOf(tc.off), f.PageOf(end)}
+			if want[1] != want[0]+1 {
+				t.Fatalf("range covers pages %v, want two adjacent", want)
+			}
+			for _, h := range []*Host{read, warm} {
+				if h.Cache().Len() != len(want) {
+					t.Fatalf("%d pages resident, want %v", h.Cache().Len(), want)
+				}
+				for _, lpn := range want {
+					if !h.cache.lru.Contains(pageKey(f.ID(), lpn)) {
+						t.Fatalf("page %d not resident, want %v", lpn, want)
+					}
+				}
+			}
+			if r, m := read.Stats().DeviceReads, mmio.Stats().DeviceReads; r != 2 || m != 2 {
+				t.Fatalf("DeviceReads: ReadAt %d, ReadMMIO %d, want 2", r, m)
+			}
+			if done == 0 {
+				t.Fatal("zero completion time")
+			}
+			if w := warm.Stats().DeviceReads; w != 0 {
+				t.Fatalf("Warm counted %d device reads, want 0", w)
+			}
+			rc, mc := read.FS().Device().Array().ChannelIO(), mmio.FS().Device().Array().ChannelIO()
+			for ch := range rc {
+				if rc[ch].Reads != mc[ch].Reads {
+					t.Fatalf("channel %d reads: ReadAt %d, ReadMMIO %d", ch, rc[ch].Reads, mc[ch].Reads)
+				}
+			}
+		})
 	}
 }
 
@@ -359,66 +412,5 @@ func TestResetStats(t *testing.T) {
 	}
 	if h.Cache().Len() == 0 {
 		t.Fatal("cache contents should persist across ResetStats")
-	}
-}
-
-func TestReadaheadTrafficAndCaching(t *testing.T) {
-	fs := testFS(t)
-	f := mustCreate(t, fs, "t", 1<<20)
-	h := NewHost(fs, 1<<20)
-	h.SetReadahead(2)
-	h.ReadAt(0, f, 0, 128) // miss page 0 -> readahead pages 1, 2
-	s := h.Stats()
-	if s.DeviceReads != 3 {
-		t.Fatalf("DeviceReads = %d, want 3 (1 miss + 2 readahead)", s.DeviceReads)
-	}
-	if s.BytesFromDevice != 3*4096 {
-		t.Fatalf("BytesFromDevice = %d", s.BytesFromDevice)
-	}
-	// The readahead pages must now hit without device traffic.
-	before := h.Stats().DeviceReads
-	done := h.ReadAt(0, f, 4096, 128)
-	if h.Stats().DeviceReads != before {
-		t.Fatal("readahead page should hit")
-	}
-	if done != params.PageCacheHitCost {
-		t.Fatalf("hit cost = %v", done)
-	}
-}
-
-func TestReadaheadCanExceedVectorCeiling(t *testing.T) {
-	// With readahead, amplification exceeds PageSize/EVsize — matching
-	// the paper's RMC2 measurement (17.9x > the 16x ceiling).
-	fs := testFS(t)
-	f := mustCreate(t, fs, "t", 4<<20)
-	h := NewHost(fs, 0) // cacheless: misses everywhere
-	h.SetReadahead(1)
-	for i := 0; i < 32; i++ {
-		h.ReadAt(0, f, int64(i)*3*4096, 128) // stride avoids readahead reuse
-	}
-	if amp := h.Stats().Amplification(); amp <= 32 {
-		t.Fatalf("amplification = %v, want > 32 with readahead", amp)
-	}
-}
-
-func TestReadaheadStopsAtFileEnd(t *testing.T) {
-	fs := testFS(t)
-	f := mustCreate(t, fs, "t", 2*4096)
-	h := NewHost(fs, 1<<20)
-	h.SetReadahead(8)
-	h.ReadAt(0, f, 4096, 128) // last page: nothing to read ahead
-	if h.Stats().DeviceReads != 1 {
-		t.Fatalf("DeviceReads = %d, want 1 (no readahead past EOF)", h.Stats().DeviceReads)
-	}
-}
-
-func TestSetReadaheadNegativeClamps(t *testing.T) {
-	fs := testFS(t)
-	h := NewHost(fs, 0)
-	h.SetReadahead(-5)
-	f := mustCreate(t, fs, "t", 1<<20)
-	h.ReadAt(0, f, 0, 128)
-	if h.Stats().DeviceReads != 1 {
-		t.Fatal("negative readahead should clamp to 0")
 	}
 }

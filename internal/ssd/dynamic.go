@@ -86,9 +86,7 @@ func (d *Device) WritePageDynamic(at sim.Time, lpn int64, data []byte) sim.Time 
 		return d.WritePage(at, lpn, data)
 	}
 	_, cmdDone := d.nvme.Acquire(at, params.NVMeCmdCost)
-	d.path.Push(ftl.BlockIO)
 	done := d.dynWrite(cmdDone+params.Duration(params.FTLCycles), lpn, data)
-	d.path.Pop()
 	d.stats.BlockWrites++
 	return done + params.NVMeCompletionCost
 }

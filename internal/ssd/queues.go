@@ -86,44 +86,3 @@ func (qp *QueuePair) MeasureRandomReadIOPS(n int, seed uint64) float64 {
 	}
 	return float64(n) / done.Seconds()
 }
-
-// SaturationDepth returns the smallest power-of-two depth at which adding
-// depth stops improving random-read IOPS by more than fraction eps: the
-// point where the flash array, not host queueing, is the limit.
-func SaturationDepth(dev *Device, eps float64, n int, seed uint64) int {
-	prev := 0.0
-	for depth := 1; depth <= 256; depth *= 2 {
-		dev.ResetTime()
-		qp, err := NewQueuePair(dev, depth)
-		if err != nil {
-			panic(fmt.Sprintf("ssd: %v", err))
-		}
-		iops := qp.MeasureRandomReadIOPS(n, seed)
-		if prev > 0 && iops < prev*(1+eps) {
-			return depth / 2
-		}
-		prev = iops
-	}
-	return 256
-}
-
-// InternalReadBandwidth measures the in-storage path's sustained
-// vector-read bandwidth: the engines' view of the array, with no NVMe
-// involvement (Section II-B's "mismatch bandwidth").
-func InternalReadBandwidth(dev *Device, evSize, n int, seed uint64) sim.ByteRate {
-	rng := tensor.NewRNG(seed)
-	ps := int64(dev.PageSize())
-	totalBytes := int64(dev.TotalPages()) * ps
-	var done sim.Time
-	for i := 0; i < n; i++ {
-		addr := (int64(rng.Intn(int(totalBytes/ps))) * ps) // page-aligned vector slot
-		// No fault plan is installed on measurement devices, so the read
-		// cannot fail.
-		//lint:allow errcheck fault-free measurement device; ReadVectorAt cannot error without a FaultPlan
-		end, _ := dev.ReadVectorAt(0, addr, evSize)
-		if end > done {
-			done = end
-		}
-	}
-	return sim.RateOver(int64(n)*int64(evSize), done)
-}

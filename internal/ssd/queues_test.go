@@ -77,31 +77,3 @@ func TestRunRandomReadsDeterministic(t *testing.T) {
 }
 
 type sim64 int64
-
-func TestSaturationDepth(t *testing.T) {
-	d := testDevice(t)
-	depth := SaturationDepth(d, 0.05, 300, 5)
-	if depth < 4 || depth > 256 {
-		t.Fatalf("saturation depth = %d, want a few tens", depth)
-	}
-}
-
-func TestInternalBandwidthExceedsExternalAtGrain(t *testing.T) {
-	// Per-vector efficiency: the internal path moves only the vector
-	// bytes; the block path moves whole pages. For the same number of
-	// vectors fetched, internal bus traffic is PageSize/EVsize lower.
-	d := testDevice(t)
-	bw := InternalReadBandwidth(d, 128, 300, 11)
-	if bw <= 0 {
-		t.Fatal("no internal bandwidth measured")
-	}
-	// Useful-byte throughput of the block path at saturation: IOPS*128
-	// useful bytes per page read.
-	d2 := testDevice(t)
-	qp := mustPair(t, d2, 64)
-	useful := qp.MeasureRandomReadIOPS(300, 11) * 128
-	if bw.BytesPerSecond() < useful {
-		t.Fatalf("internal useful bandwidth (%.0f B/s) below external (%.0f B/s)",
-			bw.BytesPerSecond(), useful)
-	}
-}

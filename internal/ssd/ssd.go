@@ -10,6 +10,10 @@
 //     embedding engines, which bypasses the NVMe controller entirely and
 //     pays only FTL translation plus flash time.
 //
+// The two paths share the FTL and the flash array and contend only through
+// die and channel reservations, in time order; the paper's round-robin MUX
+// and Path Buffer in front of the FTL are not modelled.
+//
 // Reads on either path return only their completion time (and, for a
 // vector read, the injected-fault error). Contents are an untimed function
 // of the flash page store: PeekRangeInto copies a range of it into the
@@ -40,7 +44,6 @@ type Device struct {
 	ftl   *ftl.FTL
 	dyn   *ftl.DynamicFTL // non-nil when page-mapped (see dynamic.go)
 	nvme  *sim.Resource
-	path  ftl.PathBuffer
 	stats Stats
 }
 
@@ -104,9 +107,7 @@ func (d *Device) ReadPage(at sim.Time, lpn int64) sim.Time {
 	if !mapped {
 		return cmdDone + params.NVMeCompletionCost
 	}
-	d.path.Push(ftl.BlockIO)
 	done := d.arr.ReadPage(cmdDone+params.Duration(params.FTLCycles), ppa)
-	d.path.Pop()
 	return done + params.NVMeCompletionCost
 }
 
@@ -118,9 +119,7 @@ func (d *Device) WritePage(at sim.Time, lpn int64, data []byte) sim.Time {
 	}
 	_, cmdDone := d.nvme.Acquire(at, params.NVMeCmdCost)
 	ppa := d.ftl.Translate(lpn)
-	d.path.Push(ftl.BlockIO)
 	done := d.arr.WritePage(cmdDone+params.Duration(params.FTLCycles), ppa, data)
-	d.path.Pop()
 	d.stats.BlockWrites++
 	return done + params.NVMeCompletionCost
 }
@@ -132,17 +131,11 @@ func (d *Device) WritePage(at sim.Time, lpn int64, data []byte) sim.Time {
 // vector's bytes come from PeekRangeInto. Under a flash FaultPlan the read
 // may fail with an error wrapping flash.ErrUncorrectable.
 func (d *Device) ReadVectorAt(at sim.Time, byteAddr int64, size int) (sim.Time, error) {
-	lpn := byteAddr / int64(d.PageSize())
-	col := int(byteAddr % int64(d.PageSize()))
-	ppa, mapped := d.translateRead(lpn)
-	d.stats.EVReads++
-	if !mapped {
-		return at + params.Duration(params.FTLCycles), nil
+	r := d.PrepareVectorRead(at, byteAddr, size)
+	if !r.Mapped {
+		return r.Start, nil
 	}
-	d.path.Push(ftl.EVRead)
-	done, err := d.arr.ReadVector(at+params.Duration(params.FTLCycles), ppa, col, size)
-	d.path.Pop()
-	return done, err
+	return d.arr.ReadVector(r.Start, r.PPA, r.Col, r.Size)
 }
 
 // ReadPageInternal serves an in-storage whole-page read (used by the
@@ -154,10 +147,7 @@ func (d *Device) ReadPageInternal(at sim.Time, lpn int64) sim.Time {
 	if !mapped {
 		return at + params.Duration(params.FTLCycles)
 	}
-	d.path.Push(ftl.EVRead)
-	done := d.arr.ReadPage(at+params.Duration(params.FTLCycles), ppa)
-	d.path.Pop()
-	return done
+	return d.arr.ReadPage(at+params.Duration(params.FTLCycles), ppa)
 }
 
 // PeekPage returns a copy of the page's contents with no timing side

@@ -204,3 +204,30 @@ func TestPeekPageReturnsCopy(t *testing.T) {
 		t.Fatalf("stored byte = %#x after mutating a peeked copy, want 0x5a", again[10])
 	}
 }
+
+// TestReadsDoNotAllocate pins the read paths of a linear device at zero
+// heap allocations once warm. Every run issues 16 reads of each kind:
+// testing.AllocsPerRun divides by the run count in integers, so a path that
+// allocated on one read in eight would still report a nonzero average.
+func TestReadsDoNotAllocate(t *testing.T) {
+	d := testDevice(t)
+	ps := int64(d.PageSize())
+	const reads = 16
+	var at sim.Time
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := int64(0); i < reads; i++ {
+			lpn := (i * 7) % d.TotalPages()
+			at = d.ReadPage(at, lpn)
+			at = d.ReadPageInternal(at, lpn+1)
+			done, err := d.ReadVectorAt(at, (lpn+2)*ps+128, 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = done
+			at = d.PrepareVectorRead(at, (lpn+3)*ps+256, 128).Start
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d reads of each kind allocate %v times, want 0", reads, allocs)
+	}
+}

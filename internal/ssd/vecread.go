@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"rmssd/internal/flash"
-	"rmssd/internal/ftl"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
 )
@@ -10,9 +9,9 @@ import (
 // VectorRead is a translated, ready-to-schedule in-storage vector read: the
 // output of the sequential prepare phase of a lane-parallel lookup batch.
 // PrepareVectorRead performs everything ReadVectorAt does that touches
-// shared device state — FTL translation, device counters, path-buffer
-// bookkeeping — so the remaining flash scheduling can run on a per-channel
-// lane goroutine with no shared writes.
+// shared device state — FTL translation and device counters — so the
+// remaining flash scheduling can run on a per-channel lane goroutine with no
+// shared writes.
 type VectorRead struct {
 	PPA    flash.PPA
 	Col    int
@@ -29,23 +28,14 @@ type VectorRead struct {
 // ReadVectorAt, neither carries bytes: the vector's contents are
 // Array.PeekRangeInto(r.PPA, r.Col, dst) for a mapped read and zeros for an
 // unmapped one, the same bytes PeekRangeInto gives at its logical address.
-// Counters (EVReads, path-buffer pushes) are updated here so their totals
-// match the sequential path.
+// The read is counted in Stats.EVReads here; ReadVectorAt is this call
+// followed by the flash read.
 func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) VectorRead {
 	lpn := byteAddr / int64(d.PageSize())
 	col := int(byteAddr % int64(d.PageSize()))
 	ppa, mapped := d.translateRead(lpn)
 	d.stats.EVReads++
-	r := VectorRead{PPA: ppa, Col: col, Size: size, Mapped: mapped, Start: at + params.Duration(params.FTLCycles)}
-	if mapped {
-		// The in-storage read's MUX admission and DEMUX routing happen
-		// back to back in the virtual-time model (ReadVectorAt pushes and
-		// pops around the flash call), so the buffer's occupancy profile
-		// is preserved by pairing them here.
-		d.path.Push(ftl.EVRead)
-		d.path.Pop()
-	}
-	return r
+	return VectorRead{PPA: ppa, Col: col, Size: size, Mapped: mapped, Start: at + params.Duration(params.FTLCycles)}
 }
 
 // Channels returns the number of flash channels — the lane count of a
