@@ -80,7 +80,8 @@ bench:
 # Rewrite the checked experiment record EXPERIMENTS.md quotes: every table
 # at paper scale (about a minute on 2 vCPUs). The simulator is deterministic,
 # so CI reruns this and fails when results_full.txt changes;
-# results_full.log holds the per-experiment wall times and is not checked.
+# results_full.log holds the per-experiment wall times, which differ on
+# every run, so it is not tracked (.gitignore lists it).
 results:
 	$(GO) run ./cmd/rmbench -exp all -iters 40 >results_full.txt 2>results_full.log
 

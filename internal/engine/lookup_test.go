@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"rmssd/internal/embedding"
+	"rmssd/internal/evcache"
 	"rmssd/internal/flash"
 	"rmssd/internal/hostio"
 	"rmssd/internal/model"
@@ -76,6 +77,43 @@ func TestTranslatorErrorsOutOfRange(t *testing.T) {
 	}
 	if eng.Translator().Covers(0, 1<<40) || eng.Translator().Covers(8, 0) {
 		t.Fatal("Covers must reject out-of-range coordinates")
+	}
+}
+
+// TestOutOfRangeRowsMissTheCache: the planner probes the EV cache before
+// the translator validates a row, so a row no table holds must miss the
+// cache, even where a careless key packing would alias it to a resident
+// vector (row 5 + 1<<48 of table 0 onto row 5 of table 0 or 1), and fail
+// the batch with ErrRowOutOfRange, leaving the cache as it was.
+func TestOutOfRangeRowsMissTheCache(t *testing.T) {
+	cfg := smallRMC1()
+	_, _, eng, _ := setupLookup(t, cfg)
+	c := evcache.New(int64(cfg.Tables)*cfg.RowsPerTable*int64(cfg.EVSize()), cfg.EVSize())
+	eng.SetEVCache(c)
+	eng.SetDedup(true)
+	inTable0 := func(rows ...int64) [][][]int64 {
+		sparse := make([][]int64, cfg.Tables)
+		sparse[0] = rows
+		return [][][]int64{sparse}
+	}
+	warm := make([][]int64, cfg.Tables)
+	for tbl := range warm {
+		warm[tbl] = []int64{0, 5, cfg.RowsPerTable - 1}
+	}
+	if _, _, err := eng.PoolBatch(0, [][][]int64{warm}, true); err != nil {
+		t.Fatal(err)
+	}
+	hits, n := c.Stats().Hits, c.Len()
+	for _, row := range []int64{-1, cfg.RowsPerTable, 5 + 1<<48} {
+		if _, _, err := eng.PoolBatch(0, inTable0(row), true); !errors.Is(err, ErrRowOutOfRange) {
+			t.Errorf("row %d: err = %v, want ErrRowOutOfRange", row, err)
+		}
+		if c.Stats().Hits != hits || c.Len() != n {
+			t.Errorf("row %d: cache hits %d, %d resident; want %d and %d", row, c.Stats().Hits, c.Len(), hits, n)
+		}
+	}
+	if _, _, err := eng.PoolBatch(0, inTable0(5), true); err != nil || c.Stats().Hits != hits+1 {
+		t.Fatalf("resident row 5: err %v, %d hits, want a hit", err, c.Stats().Hits-hits)
 	}
 }
 

@@ -97,7 +97,7 @@ type lkSlot struct {
 	owner int32    // slotDup: the owning slot's index
 	start sim.Time // slotDup: the duplicate's own issue time (ready floor)
 	key   evcache.Key
-	vr    ssd.VectorRead
+	vr    ssd.VectorRead // slotFlash/slotZero
 	fill  evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
 	ready sim.Time
 	err   error // uncorrectable read (wraps flash.ErrUncorrectable)
@@ -225,7 +225,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 				} else {
 					// Never-written page on a dynamic device: zeros at
 					// translation time, no flash involvement.
-					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ready: vr.Start, fill: fill, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotZero, vr: vr, ready: vr.Start, fill: fill, key: key})
 				}
 				if track {
 					e.owners[key] = idx
@@ -291,8 +291,8 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 }
 
 // slotBytes resolves a slot's vector into the engine's scratch vector from
-// the device's page store, untimed: a flash read's bytes at its PPA, zeros
-// for an unmapped page, a cache hit's at the address the translator gives,
+// the device, untimed: a flash read's (zeros for an unmapped page) through
+// its prepared read, a cache hit's at the address the translator gives,
 // and a duplicate's through its owning slot. These are exactly the bytes a
 // flash read of the slot's address returns. The scratch holds them until
 // the next slot resolves.
@@ -301,10 +301,8 @@ func (e *LookupEngine) slotBytes(s *lkSlot) []byte {
 		s = &e.slots[s.owner]
 	}
 	switch s.kind {
-	case slotFlash:
-		e.dev.Array().PeekRangeInto(s.vr.PPA, s.vr.Col, e.ev)
-	case slotZero:
-		clear(e.ev)
+	case slotFlash, slotZero:
+		e.dev.PeekVectorInto(&s.vr, e.ev)
 	case slotHit:
 		addr, err := e.tr.Lookup(s.key.Table, s.key.Row)
 		if err != nil {

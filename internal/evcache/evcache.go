@@ -18,7 +18,10 @@
 // (ssd.Device.PeekRangeInto), untimed. Entries live in an LRU (lru.go): the
 // package's presence-keyed slab, which every keyed cache in the simulator
 // shares (hostio's page cache sits on it too). A resident entry costs its
-// 32-byte slot and about 4 bytes of index, however large the budget.
+// 24-byte slot and about 4 bytes of index, however large the budget. Keys
+// pack into one word, so a table must lie in [0, 1<<16) and a row in
+// [0, 1<<48): a key outside that range is never resident (Get and
+// Invalidate miss it) and Reserve panics on it.
 //
 // Reserve hands out a Handle naming the slot and its generation. Evicting or
 // invalidating an entry bumps its slot's generation, so a handle that
@@ -47,7 +50,8 @@ import (
 	"rmssd/internal/sim"
 )
 
-// Key identifies one embedding vector.
+// Key identifies one embedding vector. The cache holds only keys with
+// 0 <= Table < 1<<16 and 0 <= Row < 1<<48 (see LRU).
 type Key struct {
 	Table int
 	Row   int64
@@ -107,7 +111,7 @@ func (c *Cache) Len() int { return c.lru.Len() }
 // Get looks the key up, refreshing its recency and counting a hit or miss.
 // The returned entry may still be unfilled: that is an in-flight miss from
 // the current batch, which the caller merges with (MSHR) rather than
-// re-reading.
+// re-reading. An unrepresentable key misses.
 func (c *Cache) Get(table int, row int64) (Handle, bool) {
 	if i := c.lru.find(Key{table, row}); i != noSlot {
 		c.lru.touch(i)
@@ -122,7 +126,8 @@ func (c *Cache) Get(table int, row int64) (Handle, bool) {
 // evicting the least recently used entry when full, and returns its handle
 // for a later Fill. It returns the zero Handle when the cache cannot hold a
 // single vector. Reserving an already-present key refreshes it and returns
-// the existing entry's handle.
+// the existing entry's handle. It panics on an unrepresentable key: callers
+// reserve only keys their translator has validated.
 func (c *Cache) Reserve(table int, row int64) Handle {
 	i, _, evicted := c.lru.access(Key{table, row})
 	if i == noSlot {
@@ -155,7 +160,8 @@ func (c *Cache) Filled(h Handle) bool {
 // Invalidate drops the key's entry, reporting whether one was resident. The
 // device calls it when a vector is overwritten through the block path (the
 // controller's copy would be stale, so the next read goes to flash), and the
-// lookup engine when a read it reserved the entry for fails.
+// lookup engine when a read it reserved the entry for fails. An
+// unrepresentable key is never resident.
 func (c *Cache) Invalidate(table int, row int64) bool {
 	i := c.lru.find(Key{table, row})
 	if i == noSlot {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -103,6 +104,67 @@ func TestInvalidate(t *testing.T) {
 	}
 	if _, ok := c.Get(1, 5); ok {
 		t.Fatal("invalidated entry still resident")
+	}
+}
+
+// The packing's boundary: the largest table and row a key can hold.
+const (
+	maxTable = 1<<(64-rowBits) - 1
+	maxRow   = 1<<rowBits - 1
+)
+
+// TestUnrepresentableKeysMiss: a key outside the packable range never
+// matches a resident entry, even one holding the key a careless packing
+// (an unchecked OR, a masked row, an overflowed table) would alias it to,
+// and inserting one panics instead of aliasing.
+func TestUnrepresentableKeysMiss(t *testing.T) {
+	resident := []Key{{0, 5}, {1, 5}, {maxTable, 5}, {0, maxRow}, {3, maxRow}, {maxTable, maxRow}}
+	c := New(16*128, 128)
+	for _, k := range resident {
+		c.Fill(c.Reserve(k.Table, k.Row))
+	}
+	for _, k := range []Key{
+		{0, -1}, {3, -1}, {maxTable, -1}, // row -1
+		{0, 5 + 1<<rowBits}, {1, 5 + 1<<rowBits}, {0, maxRow + 1}, // row 1<<48 and beyond
+		{maxTable + 1, 5}, {maxTable + 2, 5}, {-1, 5}, // table 1<<16 and beyond, table -1
+	} {
+		before := c.Stats()
+		if _, ok := c.Get(k.Table, k.Row); ok {
+			t.Errorf("Get%v hit", k)
+		}
+		if got := c.Stats(); got.Hits != before.Hits || got.Misses != before.Misses+1 {
+			t.Errorf("Get%v: stats %+v, want one more miss than %+v", k, got, before)
+		}
+		if c.lru.Contains(k) {
+			t.Errorf("Contains%v reported a resident entry", k)
+		}
+		if c.Invalidate(k.Table, k.Row) {
+			t.Errorf("Invalidate%v dropped an entry", k)
+		}
+		for _, insert := range []struct {
+			name string
+			call func()
+		}{
+			{"Reserve", func() { c.Reserve(k.Table, k.Row) }},
+			{"Access", func() { c.lru.Access(k) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "evcache: ") {
+						t.Errorf("%s%v: panic %q, want an evcache: panic", insert.name, k, msg)
+					}
+				}()
+				insert.call()
+			}()
+		}
+		if c.Len() != len(resident) {
+			t.Fatalf("after %v: %d entries resident, want %d", k, c.Len(), len(resident))
+		}
+	}
+	for _, k := range resident {
+		if _, ok := c.Get(k.Table, k.Row); !ok {
+			t.Errorf("resident key %v lost", k)
+		}
 	}
 }
 
@@ -287,7 +349,7 @@ func (c *refCache) order() []Key {
 func (l *LRU) order() []Key {
 	var keys []Key
 	for i := l.head; i != noSlot; i = l.slots[i].next {
-		keys = append(keys, l.slots[i].key)
+		keys = append(keys, unpackKey(l.slots[i].key))
 	}
 	return keys
 }
@@ -313,7 +375,11 @@ const (
 // wideMode on (the wide form) the capacity is (ops[0]&0x3f)*5, up to 315
 // entries, oneBucketBit chains every key in one bucket, and the
 // operation's upper six bits and second byte name one of 16384 keys, enough
-// to grow the bucket array through several doublings.
+// to grow the bucket array through several doublings. The operation byte's
+// low bits above the opcode pick the table (bit 2) and the row's high bits
+// (bits 3-6; the second byte is its low byte): rows 0-4095 of tables 0
+// and 1. Bit 7 mirrors the key to the packing boundary, table maxTable-t
+// and row maxRow-r, so those keys share chains with small ones.
 func decodeOps(ops []byte) (capEntries int, oneBucket bool, seq []refOp) {
 	if len(ops) == 0 {
 		return 0, false, nil
@@ -330,7 +396,11 @@ func decodeOps(ops []byte) (capEntries int, oneBucket bool, seq []refOp) {
 			continue
 		}
 		hi := int(ops[i] >> 2)
-		seq = append(seq, refOp{op, Key{Table: hi & 1, Row: int64(hi>>1)<<8 | int64(arg)}, hi<<8 | int(arg)})
+		k := Key{Table: hi & 1, Row: int64(hi>>1&0xf)<<8 | int64(arg)}
+		if hi>>5 != 0 {
+			k = Key{Table: maxTable - k.Table, Row: maxRow - k.Row}
+		}
+		seq = append(seq, refOp{op, k, hi<<8 | int(arg)})
 	}
 	return capEntries, oneBucket, seq
 }
@@ -464,7 +534,8 @@ func checkOps(t *testing.T, capEntries int, oneBucket bool, seq []refOp) checkSt
 
 // wideOps builds a seeded wide-form stream (see decodeOps) of n operations
 // at capacity capSel*5: Gets and Reserves mostly, some Fills and
-// Invalidates, with keys drawn half from 64 hot ones and half from 4096.
+// Invalidates, with keys drawn half from 64 hot ones and half from 4096,
+// one in eight of them mirrored to the packing boundary.
 func wideOps(rng *rand.Rand, capSel int, oneBucket bool, n int) []byte {
 	ops := []byte{wideMode | byte(capSel)}
 	if oneBucket {
@@ -477,7 +548,11 @@ func wideOps(rng *rand.Rand, capSel int, oneBucket bool, n int) []byte {
 			key = rng.Intn(64)
 		}
 		table, row := key&1, key>>1
-		ops = append(ops, byte((row>>8)<<3|table<<2)|op, byte(row))
+		b := byte((row>>8)<<3|table<<2) | op
+		if rng.Intn(8) == 0 {
+			b |= 0x80
+		}
+		ops = append(ops, b, byte(row))
 	}
 	return ops
 }
@@ -662,13 +737,14 @@ func residentBytesPerEntry(budget int64, evSize int) float64 {
 	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(c.Len())
 }
 
-// TestResidentFootprint pins what a full cache costs: at most 40 bytes per
-// resident entry, the 32-byte slot plus about 4 bytes of bucket array and
-// no vector bytes (a Go map index alone cost about 49; a cache that kept
-// each 128-byte vector cost about 163.5).
+// TestResidentFootprint pins what a full cache costs: at most 30 bytes per
+// resident entry, the 24-byte slot plus about 4 bytes of bucket array and
+// no vector bytes (a 32-byte slot with the Key unpacked cost about 36, a Go
+// map index alone about 49, and a cache that kept each 128-byte vector
+// about 163.5).
 func TestResidentFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 32 {
-		t.Fatalf("slot is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("slot is %d bytes, want 24", got)
 	}
 	const evSize = 128
 	budget := int64(8 << 20)
@@ -679,8 +755,8 @@ func TestResidentFootprint(t *testing.T) {
 	}
 	got := residentBytesPerEntry(budget, evSize)
 	t.Logf("full churned %d KiB cache: %.1f B per %d-byte entry", budget>>10, got, evSize)
-	if got > 40 {
-		t.Fatalf("full churned %d KiB cache retains %.1f B per %d-byte entry, want at most 40", budget>>10, got, evSize)
+	if got > 30 {
+		t.Fatalf("full churned %d KiB cache retains %.1f B per %d-byte entry, want at most 30", budget>>10, got, evSize)
 	}
 }
 
@@ -708,6 +784,18 @@ func FuzzEVCacheOps(f *testing.F) {
 	// The same reservations in one 17-slot chain, then removals from its
 	// middle, head and tail.
 	f.Add(wide(wideMode|oneBucketBit|4, append(grow, 3, 4, 3, 16, 3, 0, 0, 2)...))
+	// Keys at the packing boundary beside small ones, 10 entries: reserve
+	// (maxTable, maxRow), (0, 0), (maxTable-1, maxRow) and (1, 0), fill
+	// the first, look three up, invalidate the two boundary keys, and look
+	// up (maxTable, maxRow) and (0, 0) again. Then the same in one chain.
+	edge := []byte{
+		0x81, 0, 0x01, 0, 0x85, 0, 0x05, 0, 0x02, 0,
+		0x80, 0, 0x00, 0, 0x84, 0,
+		0x83, 0, 0x87, 0,
+		0x80, 0, 0x00, 0,
+	}
+	f.Add(append([]byte{wideMode | 2}, edge...))
+	f.Add(append([]byte{wideMode | oneBucketBit | 2}, edge...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 513 { // 256 operations
 			ops = ops[:513]

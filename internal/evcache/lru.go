@@ -13,15 +13,20 @@ import (
 // entry.
 //
 // Storage is one pointer-free slab. Each resident key occupies a slot: a
-// 32-byte record holding the Key, its recency links and its hash-chain link
-// (slot indices, not pointers) and a generation. The slot array grows as
-// slots are first used, so an LRU costs only what is resident however large
-// its capacity. The index is part of the slab too: a power-of-two array of
+// 24-byte record holding the Key packed into one word, its recency links
+// and its hash-chain link (slot indices, not pointers) and a generation.
+// The slot array grows as slots are first used, so an LRU costs only what
+// is resident however large its capacity. The index is part of the slab too: a power-of-two array of
 // bucket heads, each the first slot of a chain linked through the slots,
-// keyed by a fixed 64-bit mix of the Key. The bucket array doubles
+// keyed by a fixed 64-bit mix of the packed Key. The bucket array doubles
 // (rehashing every chain) whenever the resident count reaches its length,
 // up to the capacity rounded up to a power of two, so chains average at
 // most one slot and the index costs about 4 bytes per resident entry.
+//
+// A Key packs as Table<<48 | Row, so the LRU holds only keys with
+// 0 <= Table < 1<<16 (model.MaxTables; hostio numbers files from 0) and
+// 0 <= Row < 1<<48. Any other key is unrepresentable: looking it up
+// misses, and inserting it panics, so it can never alias a resident key.
 //
 // The hash is seed-free and the index is plain arrays, never a Go map:
 // identical call sequences produce identical hits, evictions and chains.
@@ -57,13 +62,32 @@ const (
 	genStep   = 2
 )
 
-// slot is one entry's bookkeeping: 32 bytes holding no pointers, so the slot
+// slot is one entry's bookkeeping: 24 bytes holding no pointers, so the slot
 // array is invisible to the garbage collector's scan.
 type slot struct {
-	key        Key
+	key        uint64 // packKey of the entry's Key
 	prev, next int32  // recency neighbours (free list: next only)
 	hnext      int32  // next slot in the key's bucket chain
 	gen        uint32 // generation<<1 | filled
+}
+
+// rowBits is the width of a packed key's row field; the table takes the
+// 64-rowBits bits above it.
+const rowBits = 48
+
+// packKey returns k as one word, Table<<rowBits | Row, and whether k is
+// representable: ok is false, and the word meaningless, unless
+// 0 <= Table < 1<<(64-rowBits) and 0 <= Row < 1<<rowBits.
+func packKey(k Key) (p uint64, ok bool) {
+	if uint64(k.Table) >= 1<<(64-rowBits) || uint64(k.Row) >= 1<<rowBits {
+		return 0, false
+	}
+	return uint64(k.Table)<<rowBits | uint64(k.Row), true
+}
+
+// unpackKey inverts packKey.
+func unpackKey(p uint64) Key {
+	return Key{Table: int(p >> rowBits), Row: int64(p & (1<<rowBits - 1))}
 }
 
 // NewLRU returns an empty LRU holding at most capEntries keys: none when
@@ -86,12 +110,14 @@ func (l *LRU) Cap() int { return l.capEntries }
 // Len returns the number of resident keys.
 func (l *LRU) Len() int { return l.n }
 
-// Contains reports whether k is resident, without touching recency.
+// Contains reports whether k is resident, without touching recency. An
+// unrepresentable key is never resident.
 func (l *LRU) Contains(k Key) bool { return l.find(k) != noSlot }
 
 // Access makes k resident and most recently used. hit reports whether it
 // already was; evicted reports whether inserting it evicted the least
-// recently used key. With zero capacity nothing is ever resident.
+// recently used key. With zero capacity nothing is ever resident. It panics
+// on an unrepresentable key (see LRU).
 func (l *LRU) Access(k Key) (hit, evicted bool) {
 	_, hit, evicted = l.access(k)
 	return hit, evicted
@@ -99,7 +125,11 @@ func (l *LRU) Access(k Key) (hit, evicted bool) {
 
 // access is Access, also returning k's slot (noSlot with zero capacity).
 func (l *LRU) access(k Key) (i int32, hit, evicted bool) {
-	if i = l.find(k); i != noSlot {
+	p, ok := packKey(k)
+	if !ok {
+		panic(fmt.Sprintf("evcache: key %v outside tables [0,%d) and rows [0,%d)", k, 1<<(64-rowBits), int64(1)<<rowBits))
+	}
+	if i = l.findPacked(p); i != noSlot {
 		l.touch(i)
 		return i, true, false
 	}
@@ -113,7 +143,7 @@ func (l *LRU) access(k Key) (i int32, hit, evicted bool) {
 		l.growIndex()
 	}
 	i = l.alloc()
-	l.slots[i].key = k
+	l.slots[i].key = p
 	l.pushFront(i)
 	l.link(i)
 	l.n++
@@ -153,11 +183,11 @@ func (l *LRU) remove(i int32) {
 	debugIndex(l)
 }
 
-// hashKey mixes a Key into 64 well-spread bits (the MurmurHash3 finalizer
-// over the row folded with the golden-ratio-scaled table). It is fixed and
-// seed-free, so chain order, like everything else, is reproducible.
-func hashKey(k Key) uint64 {
-	h := uint64(k.Row) ^ uint64(k.Table)*0x9e3779b97f4a7c15
+// hashKey mixes a packed key into 64 well-spread bits (the MurmurHash3
+// finalizer). It is fixed and seed-free, so chain order, like everything
+// else, is reproducible.
+func hashKey(p uint64) uint64 {
+	h := p
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -166,18 +196,28 @@ func hashKey(k Key) uint64 {
 	return h
 }
 
-// bucket returns the bucket array position of key's chain.
-func (l *LRU) bucket(k Key) int {
-	return int(hashKey(k) & uint64(len(l.buckets)-1))
+// bucket returns the bucket array position of a packed key's chain.
+func (l *LRU) bucket(p uint64) int {
+	return int(hashKey(p) & uint64(len(l.buckets)-1))
 }
 
-// find returns the slot holding key, or noSlot.
+// find returns the slot holding key, or noSlot (always for an
+// unrepresentable key).
 func (l *LRU) find(k Key) int32 {
+	p, ok := packKey(k)
+	if !ok {
+		return noSlot
+	}
+	return l.findPacked(p)
+}
+
+// findPacked returns the slot holding the packed key p, or noSlot.
+func (l *LRU) findPacked(p uint64) int32 {
 	if len(l.buckets) == 0 {
 		return noSlot
 	}
-	i := l.buckets[l.bucket(k)]
-	for i != noSlot && l.slots[i].key != k {
+	i := l.buckets[l.bucket(p)]
+	for i != noSlot && l.slots[i].key != p {
 		i = l.slots[i].hnext
 	}
 	return i
@@ -276,13 +316,13 @@ func (l *LRU) indexErr() error {
 				return fmt.Errorf("free slot %d reachable from bucket %d", i, b)
 			}
 			if l.bucket(k) != b {
-				return fmt.Errorf("slot %d (key %v) chained from bucket %d, hashes to %d", i, k, b, l.bucket(k))
+				return fmt.Errorf("slot %d (key %v) chained from bucket %d, hashes to %d", i, unpackKey(k), b, l.bucket(k))
 			}
 			// find walks this chain from its head: nothing before i may
 			// hold i's key.
 			for j := head; j != i; j = l.slots[j].hnext {
 				if l.slots[j].key == k {
-					return fmt.Errorf("slot %d (key %v) shadowed by slot %d", i, k, j)
+					return fmt.Errorf("slot %d (key %v) shadowed by slot %d", i, unpackKey(k), j)
 				}
 			}
 			if chained++; chained > l.n {

@@ -247,26 +247,6 @@ func TestWriteOversizePanics(t *testing.T) {
 	a.WritePage(0, PPA{}, make([]byte, 5000))
 }
 
-func TestFillerSynthesis(t *testing.T) {
-	a := mustArray(t, smallGeometry())
-	a.SetFiller(func(idx uint64, col int, buf []byte) {
-		full := make([]byte, a.Geometry().PageSize)
-		binary.LittleEndian.PutUint64(full, idx)
-		copy(buf, full[col:])
-	})
-	p := PPA{Channel: 2, Die: 1, Block: 3, Page: 4}
-	got := a.PeekPage(p)
-	if binary.LittleEndian.Uint64(got) != a.Geometry().FlatIndex(p) {
-		t.Fatal("filler content mismatch")
-	}
-	// Written pages shadow the filler.
-	a.WritePage(0, p, []byte{0xff})
-	got = a.PeekPage(p)
-	if got[0] != 0xff {
-		t.Fatal("written page did not shadow filler")
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	a := mustArray(t, smallGeometry())
 	a.ReadPage(0, PPA{})
@@ -317,10 +297,12 @@ func TestBusUtilization(t *testing.T) {
 func TestPageStoreZeroDefault(t *testing.T) {
 	s := NewPageStore(64)
 	p := bytes.Repeat([]byte{0xff}, 64)
-	s.ReadRangeInto(5, 0, p)
+	if s.ReadRangeInto(5, 0, p) {
+		t.Fatal("unwritten page reported written")
+	}
 	for _, b := range p {
 		if b != 0 {
-			t.Fatal("unwritten page without filler should read as zero")
+			t.Fatal("unwritten page should read as zero")
 		}
 	}
 	if s.Resident() != 0 {
@@ -329,6 +311,9 @@ func TestPageStoreZeroDefault(t *testing.T) {
 	s.Write(5, []byte{9})
 	if s.Resident() != 1 {
 		t.Fatal("Write should materialise exactly one page")
+	}
+	if !s.ReadRangeInto(5, 0, p[:2]) || p[0] != 9 || p[1] != 0 {
+		t.Fatalf("written page read back %v, want written [9 0]", p[:2])
 	}
 }
 
@@ -389,7 +374,7 @@ func TestEraseBlock(t *testing.T) {
 		t.Fatalf("max wear = %d", a.MaxWear())
 	}
 	if got := a.PeekPage(p); got[0] != 0 {
-		t.Fatal("erased page should read as zeros (no filler)")
+		t.Fatal("erased page should read as zeros")
 	}
 	if a.Stats().Erases != 1 {
 		t.Fatal("erase not counted")

@@ -25,8 +25,8 @@ import (
 // goroutine has been joined.
 //
 // A lane read moves no bytes: it schedules the die and the bus and counts
-// traffic. The vector's contents are an untimed function of the page store,
-// which the caller copies out with Array.PeekRangeInto once the lanes are
+// traffic. The vector's contents are untimed, and the caller copies them
+// out through the device (ssd.Device.PeekVectorInto) once the lanes are
 // joined.
 type Lane struct {
 	a      *Array
@@ -74,8 +74,8 @@ type VectorTiming struct {
 }
 
 // ReadVector is Array.ReadVector on this lane: die flush, then size bytes
-// over the channel bus, returning the read's schedule and no bytes (those
-// come from Array.PeekRangeInto). Stats accumulate lane-locally. Fault draws
+// over the channel bus, returning the read's schedule and no bytes (see
+// Lane). Stats accumulate lane-locally. Fault draws
 // advance only this lane's channel stream (a distinct slice element), so
 // concurrent lanes stay race-free and the draw order matches the
 // single-threaded schedule. On an uncorrectable read the error wraps

@@ -1,27 +1,15 @@
 package flash
 
-// Filler generates deterministic contents for pages that were never
-// explicitly written. The paper's experiments use 30 GB of embedding tables
-// per model; materialising them would be wasteful when timing depends only
-// on addresses and counts, so unwritten pages are synthesised on demand.
-// The embedding layer installs a filler that derives each float32 from
-// (table, row, column), making functional results reproducible while only
-// the pages actually touched ever exist in memory.
-//
-// The filler receives the page index, the starting byte offset within the
-// page, and the destination buffer; it must fill exactly len(buf) bytes.
-// Range-based filling lets vector-grained reads synthesise 128-256 bytes
-// instead of a whole 4 KiB page.
-type Filler func(pageIndex uint64, col int, buf []byte)
-
-// PageStore is a sparse page-indexed byte store: the array's contents,
-// with no notion of time. Timed reads (Array.ReadPage, Array.ReadVector,
-// Lane.ReadVector) move no bytes; every byte a caller sees is copied out
-// of here by ReadRangeInto.
+// PageStore is a sparse page-indexed byte store: the written pages of the
+// array, with no notion of time. Timed reads (Array.ReadPage,
+// Array.ReadVector, Lane.ReadVector) move no bytes; every byte a caller
+// sees is copied out of here by ReadRangeInto. A page never written reads
+// as zeros; the device above the array, which knows the page's logical
+// address, may synthesise its contents instead (ssd.Filler), so the
+// paper's 30 GB tables never have to exist in memory.
 type PageStore struct {
 	pageSize int
 	pages    map[uint64][]byte
-	filler   Filler
 }
 
 // NewPageStore creates an empty store for pages of the given size.
@@ -29,29 +17,23 @@ func NewPageStore(pageSize int) *PageStore {
 	return &PageStore{pageSize: pageSize, pages: make(map[uint64][]byte)}
 }
 
-// SetFiller installs the on-demand content generator. A nil filler means
-// unwritten pages read as zeroes.
-func (s *PageStore) SetFiller(f Filler) { s.filler = f }
-
 // ReadRangeInto copies len(dst) bytes of the page starting at byte offset
-// col into dst, synthesising them through the filler if the page was never
-// written. It is the store's one read: it never allocates, and dst never
+// col into dst, zeros if the page was never written, and reports whether
+// it was. It is the store's one read: it never allocates, and dst never
 // aliases a written page, so no caller can rewrite device contents through
 // the bytes it was given.
-func (s *PageStore) ReadRangeInto(idx uint64, col int, dst []byte) {
-	if p, ok := s.pages[idx]; ok {
-		copy(dst, p[col:col+len(dst)])
-		return
+func (s *PageStore) ReadRangeInto(idx uint64, col int, dst []byte) (written bool) {
+	p, ok := s.pages[idx]
+	if !ok {
+		clear(dst)
+		return false
 	}
-	if s.filler != nil {
-		s.filler(idx, col, dst)
-		return
-	}
-	clear(dst)
+	copy(dst, p[col:col+len(dst)])
+	return true
 }
 
 // Write stores data as the page contents, padding with zeroes to the page
-// size. Written pages shadow the filler.
+// size.
 func (s *PageStore) Write(idx uint64, data []byte) {
 	buf := make([]byte, s.pageSize)
 	copy(buf, data)
@@ -59,7 +41,7 @@ func (s *PageStore) Write(idx uint64, data []byte) {
 }
 
 // Drop discards any written contents of the page (after a block erase);
-// subsequent reads fall back to the filler or zeros.
+// subsequent reads see an unwritten page.
 func (s *PageStore) Drop(idx uint64) { delete(s.pages, idx) }
 
 // Resident returns the number of pages physically held in memory.

@@ -23,7 +23,9 @@ func (s CacheStats) HitRatio() float64 {
 // data always comes from the device's backing store, which keeps the cache
 // cheap while preserving exact hit/miss behaviour. Its index is the
 // simulator's one LRU (evcache.LRU), keyed by file identity and page index
-// within the file's device address space; PageCache adds only the counters.
+// within the file's device address space (so file IDs, numbered from 0 in
+// creation order, must stay below the LRU's 1<<16 tables); PageCache adds
+// only the counters.
 type PageCache struct {
 	lru   evcache.LRU
 	stats CacheStats

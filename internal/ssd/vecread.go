@@ -13,6 +13,7 @@ import (
 // remaining flash scheduling can run on a per-channel lane goroutine with no
 // shared writes.
 type VectorRead struct {
+	LPN    int64 // the logical page PPA translates
 	PPA    flash.PPA
 	Col    int
 	Size   int
@@ -25,17 +26,22 @@ type VectorRead struct {
 // r.Size) afterwards — in the same per-channel order the device would have
 // seen — reproduces ReadVectorAt's timing exactly; unmapped reads complete
 // at r.Start and never touch flash, also exactly as ReadVectorAt. Like
-// ReadVectorAt, neither carries bytes: the vector's contents are
-// Array.PeekRangeInto(r.PPA, r.Col, dst) for a mapped read and zeros for an
-// unmapped one, the same bytes PeekRangeInto gives at its logical address.
+// ReadVectorAt, neither carries bytes: PeekVectorInto copies the vector's
+// contents, the same bytes PeekRangeInto gives at its logical address.
 // The read is counted in Stats.EVReads here; ReadVectorAt is this call
 // followed by the flash read.
 func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) VectorRead {
-	lpn := byteAddr / int64(d.PageSize())
-	col := int(byteAddr % int64(d.PageSize()))
+	lpn, col := d.split(byteAddr)
 	ppa, mapped := d.translateRead(lpn)
 	d.stats.EVReads++
-	return VectorRead{PPA: ppa, Col: col, Size: size, Mapped: mapped, Start: at + params.Duration(params.FTLCycles)}
+	return VectorRead{LPN: lpn, PPA: ppa, Col: col, Size: size, Mapped: mapped, Start: at + params.Duration(params.FTLCycles)}
+}
+
+// PeekVectorInto copies the bytes the prepared read r returns into dst
+// (len(dst) = r.Size), untimed and without translating again: PeekRangeInto
+// at r's logical address.
+func (d *Device) PeekVectorInto(r *VectorRead, dst []byte) {
+	d.peekInto(r.LPN, r.PPA, r.Mapped, r.Col, dst)
 }
 
 // Channels returns the number of flash channels — the lane count of a
