@@ -62,6 +62,31 @@ func TestTranslateBijectiveExhaustive(t *testing.T) {
 	}
 }
 
+// Translate divides in 32 bits: every page of the default geometry must
+// still round-trip, up to the last one.
+func TestTranslateDefaultGeometryRoundTrip(t *testing.T) {
+	f := New(flash.DefaultGeometry())
+	for lpn := int64(0); lpn < f.TotalPages(); lpn++ {
+		if back := f.Inverse(f.Translate(lpn)); back != lpn {
+			t.Fatalf("Inverse(Translate(%d)) = %d", lpn, back)
+		}
+	}
+}
+
+func TestNewRejectsMoreThan32BitPages(t *testing.T) {
+	g := testGeo()
+	g.BlocksPerPlane = 1 << 26 // 4*4*2*16 pages a block row: 1<<35 pages
+	if g.Validate() == nil {
+		t.Fatal("Validate accepted a geometry of more than 1<<32 pages")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a geometry of more than 1<<32 pages")
+		}
+	}()
+	New(g)
+}
+
 func TestTranslateOutOfRangePanics(t *testing.T) {
 	f := New(testGeo())
 	for _, lpn := range []int64{-1, f.TotalPages()} {
