@@ -38,13 +38,12 @@ func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
 	cfg := rmssd.RMC1() // embedding-dominated: the lookup stage is the bottleneck
 	cfg.RowsPerTable = cfg.RowsForBudget(tableMB << 20)
 
-	plain, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{Parallel: 1})
+	plain, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	cached, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{
-		Parallel:     1,
 		EVCacheBytes: cacheMB << 20,
 		DedupLookups: true,
 	})

@@ -227,9 +227,9 @@ func runSweep(names []string, tableMB int64, parallel int) SweepReport {
 
 // newShards builds n independent device shards of cfg over one shared
 // model, each drawing count-only inputs from its own trace stream, and
-// returns them with their first device. parallel is each device's lookup
-// parallelism; a non-nil sink(i) receives shard i's device spans.
-func newShards(cfg rmssd.ModelConfig, n, parallel int, sink func(i int) obs.SpanSink) ([]serving.Batcher, *rmssd.Device) {
+// returns them with their first device. A non-nil sink(i) receives shard
+// i's device spans.
+func newShards(cfg rmssd.ModelConfig, n int, sink func(i int) obs.SpanSink) ([]serving.Batcher, *rmssd.Device) {
 	m, err := rmssd.BuildModel(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -238,7 +238,7 @@ func newShards(cfg rmssd.ModelConfig, n, parallel int, sink func(i int) obs.Span
 	var first *rmssd.Device
 	backends := make([]serving.Batcher, 0, n)
 	for i := 0; i < n; i++ {
-		dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{Parallel: parallel})
+		dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -270,11 +270,7 @@ func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBa
 	if nshards <= 0 {
 		nshards = runtime.GOMAXPROCS(0)
 	}
-	devParallel := 1
-	if nshards == 1 {
-		devParallel = 0 // channel-parallel lanes inside the single device
-	}
-	backends, first := newShards(cfg, nshards, devParallel, nil)
+	backends, first := newShards(cfg, nshards, nil)
 	pool := serving.NewPool(backends, first.NBatch(), 256)
 
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time

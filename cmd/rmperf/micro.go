@@ -110,7 +110,6 @@ func runMicro() MicroReport {
 			Channels: 4, DiesPerChannel: 4, PlanesPerDie: 2,
 			BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 4096,
 		},
-		Parallel: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -186,7 +185,7 @@ func runMicro() MicroReport {
 	shardBuild := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := rmssd.NewDeviceFromModel(hosted, rmssd.DeviceOptions{Parallel: 1}); err != nil {
+			if _, err := rmssd.NewDeviceFromModel(hosted, rmssd.DeviceOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,7 +49,7 @@ func obsReplay(cfg rmssd.ModelConfig, nshards, requests, reqBatch int, tr *obs.T
 	if tr != nil {
 		sink = func(i int) obs.SpanSink { return tr.DeviceSink("default", i) }
 	}
-	backends, _ := newShards(cfg, nshards, 1, sink)
+	backends, _ := newShards(cfg, nshards, sink)
 	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
 	})

@@ -227,11 +227,8 @@ func (mc modelsConfig) serve(globalSeed uint64, budget int) (*server, error) {
 // build materialises validated declarations as hosted models: each resolves
 // its architecture, sizes its tables for the budget, builds its weights once
 // and gets its own device shards over them (every shard, single device or
-// array, reads the same read-only model.Model). When several shards exist,
-// each device simulates its flash channels sequentially (shard-level
-// parallelism already saturates the host); a single shard keeps the
-// device's own channel-parallel lanes. The hosted decl records the resolved
-// seed and batch cap.
+// array, reads the same read-only model.Model). The hosted decl records
+// the resolved seed and batch cap.
 func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 	hosted := make([]*hostedModel, 0, len(mc.Models))
 	for i, d := range mc.Models {
@@ -242,10 +239,6 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 		if d.Seed == 0 {
 			d.Seed = globalSeed
 		}
-		devParallel := 1
-		if d.Shards == 1 {
-			devParallel = 0 // GOMAXPROCS lanes inside the single device
-		}
 		weights, err := rmssd.BuildModel(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
@@ -253,7 +246,6 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 		m := &hostedModel{cfg: cfg}
 		for s := 0; s < d.Shards; s++ {
 			opts := rmssd.DeviceOptions{
-				Parallel:     devParallel,
 				EVCacheBytes: d.EVCacheMB << 20,
 				DedupLookups: d.Dedup,
 				// Every device of every shard draws its own (but reproducible)

@@ -54,8 +54,9 @@ func genInputs(cfg model.Config, n int, seed uint64) ([]tensor.Vector, [][][]int
 	return denses, sparses
 }
 
-// optionMatrix is the cache x dedup x fault x parallel differential grid;
-// every cell must produce bitwise-identical predictions.
+// optionMatrix is the cache x dedup x fault differential grid; every cell
+// must produce bitwise-identical predictions. The parallel cells set the
+// deprecated core.Options.Parallel, which must change nothing.
 var optionMatrix = []struct {
 	name string
 	opts core.Options
@@ -183,7 +184,7 @@ func TestOneDeviceArrayMatchesCore(t *testing.T) {
 // independently, and NewFromModel is bit-identical to New.
 func TestNewFromModelSharesWeights(t *testing.T) {
 	cfg := smallCfg("RMC1")
-	opts := core.Options{Geometry: smallGeometry(), Parallel: 1, ArrayDevices: 3, Partition: "hash"}
+	opts := core.Options{Geometry: smallGeometry(), ArrayDevices: 3, Partition: "hash"}
 	m := model.MustBuild(cfg)
 	a, err := NewFromModel(m, opts)
 	if err != nil {
@@ -219,7 +220,7 @@ func TestMemberEngineLayersViewHostedWeights(t *testing.T) {
 		cfg.RowsPerTable = 2048
 		m := model.MustBuild(cfg)
 		for _, d := range []engine.Design{engine.DesignSearched, engine.DesignDefault, engine.DesignNaive} {
-			opts := core.Options{Geometry: smallGeometry(), Parallel: 1, ArrayDevices: 2, Partition: "hash", Design: d}
+			opts := core.Options{Geometry: smallGeometry(), ArrayDevices: 2, Partition: "hash", Design: d}
 			a, err := NewFromModel(m, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -307,9 +308,9 @@ func TestArrayMatchesReferenceModel(t *testing.T) {
 }
 
 // The determinism contract at N > 1: predictions are byte-identical across
-// the cache x dedup x fault x parallel matrix and across reruns, and
-// simulated times are byte-identical across host parallelism and reruns
-// (locality and faults shift timing by design, so times pin within a cell).
+// the cache x dedup x fault matrix and across reruns, and simulated times
+// are byte-identical across reruns (locality and faults shift timing by
+// design, so times pin within a cell).
 func TestArrayDifferentialDeterminism(t *testing.T) {
 	for _, strat := range []Strategy{StrategyRange, StrategyHash} {
 		for _, devices := range []int{2, 4} {
@@ -341,11 +342,7 @@ func TestArrayDifferentialDeterminism(t *testing.T) {
 						}
 					}
 				}
-				// Host parallelism must not move a single simulated tick.
-				par := optionMatrix[0].opts
-				par.Parallel = 4
-				diffTraces(t, "parallel=4 vs plain", run(par), base)
-				// And reruns reproduce everything byte for byte.
+				// Reruns reproduce everything byte for byte.
 				diffTraces(t, "rerun", run(optionMatrix[0].opts), base)
 			})
 		}

@@ -173,7 +173,7 @@ type newDevice func(m *model.Model, i int) (serving.Device, error)
 
 // plainDevice builds a default sequential device for every shard.
 func plainDevice(m *model.Model, _ int) (serving.Device, error) {
-	return core.NewFromModel(m, core.Options{Parallel: 1})
+	return core.NewFromModel(m, core.Options{})
 }
 
 // deviceShards builds cfg's model once and nshards DeviceShards over the
@@ -273,7 +273,6 @@ func renderEVCacheReplay() (string, error) {
 	var devs []*core.RMSSD
 	res, err := replayRMC1(5, 2, nil, func(m *model.Model, _ int) (serving.Device, error) {
 		dev, err := core.NewFromModel(m, core.Options{
-			Parallel:     1,
 			EVCacheBytes: 4 << 20,
 			DedupLookups: true,
 		})
@@ -304,7 +303,6 @@ func renderFaultReplay() (string, error) {
 	var devs []*core.RMSSD
 	res, err := replayRMC1(5, 0, nil, func(m *model.Model, i int) (serving.Device, error) {
 		dev, err := core.NewFromModel(m, core.Options{
-			Parallel:  1,
 			FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: serving.ShardSeed(7, i, 1)},
 		})
 		devs = append(devs, dev)
@@ -337,7 +335,6 @@ func renderArrayReplay() (string, error) {
 	var arrs []*array.Array
 	res, err := replayRMC1(5, 0, nil, func(m *model.Model, _ int) (serving.Device, error) {
 		arr, err := array.NewFromModel(m, core.Options{
-			Parallel:     1,
 			ArrayDevices: 2,
 			Partition:    string(array.StrategyHash),
 		})
@@ -369,7 +366,7 @@ func renderArrayReplay() (string, error) {
 func renderTraceReplay() (string, error) {
 	tracer := obs.NewTracer(obs.NewRegistry())
 	if _, err := replayRMC1(5, 0, tracer, func(m *model.Model, i int) (serving.Device, error) {
-		dev, err := core.NewFromModel(m, core.Options{Parallel: 1})
+		dev, err := core.NewFromModel(m, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,7 @@ func TestBreakdownTotalIsBatchLatency(t *testing.T) {
 		}
 		cfg.RowsPerTable = 2048
 		for _, design := range []engine.Design{engine.DesignSearched, engine.DesignNaive} {
-			opts := core.Options{Design: design, Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.4, Seed: 3}}
+			opts := core.Options{Design: design, FaultPlan: flash.FaultPlan{Rate: 0.4, Seed: 3}}
 			dev, err := core.New(cfg, opts)
 			if err != nil {
 				t.Fatal(err)

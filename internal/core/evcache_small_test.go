@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rmssd/internal/evcache"
 	"rmssd/internal/model"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
@@ -80,14 +79,13 @@ func spreadInputs(cfg model.Config, n int) ([]tensor.Vector, [][][]int64) {
 }
 
 // TestSmallCacheMatchesUncached drives a cache smaller than one batch's
-// lookups with dedup on and off and one or four flash lanes.
+// lookups with dedup on and off.
 //
 //   - On a stream without reuse the cache never hits, so predictions AND
 //     every batch's completion and stage breakdown must equal the uncached
 //     device's, even though every batch evicts its own reservations.
 //   - On a K=0 hot stream predictions must still equal the uncached
-//     device's, and each setting's timeline must be identical at one and
-//     four lanes.
+//     device's.
 func TestSmallCacheMatchesUncached(t *testing.T) {
 	cfg := smallCfg("RMC1")
 	budget := int64(smallCacheEntries * cfg.EVSize())
@@ -106,39 +104,26 @@ func TestSmallCacheMatchesUncached(t *testing.T) {
 	}
 	spreadDenses, spreadSparses := spreadInputs(cfg, 48)
 
-	wantSpread := runTimelines(t, newLocality(t, cfg, 0, false, 1), spreadDenses, spreadSparses, 16)
-	wantHot := runTimelines(t, newLocality(t, cfg, 0, false, 1), hotDenses, hotSparses, 16)
+	wantSpread := runTimelines(t, newLocality(t, cfg, 0, false), spreadDenses, spreadSparses, 16)
+	wantHot := runTimelines(t, newLocality(t, cfg, 0, false), hotDenses, hotSparses, 16)
 	for _, dedup := range []bool{false, true} {
-		var seqHot []batchTimeline
-		var seqStats evcache.Stats
-		for _, parallel := range []int{1, 4} {
-			name := fmt.Sprintf("dedup=%v/parallel=%d", dedup, parallel)
+		name := fmt.Sprintf("dedup=%v", dedup)
 
-			r := newLocality(t, cfg, budget, dedup, parallel)
-			sameTimelines(t, name+"/spread", runTimelines(t, r, spreadDenses, spreadSparses, 16), wantSpread, true)
-			st := r.Lookup().EVCache().Stats()
-			if st.Hits != 0 || st.Evictions == 0 {
-				t.Fatalf("%s/spread: cache stats %+v, want no hits and some evictions", name, st)
-			}
+		r := newLocality(t, cfg, budget, dedup)
+		sameTimelines(t, name+"/spread", runTimelines(t, r, spreadDenses, spreadSparses, 16), wantSpread, true)
+		st := r.Lookup().EVCache().Stats()
+		if st.Hits != 0 || st.Evictions == 0 {
+			t.Fatalf("%s/spread: cache stats %+v, want no hits and some evictions", name, st)
+		}
 
-			r = newLocality(t, cfg, budget, dedup, parallel)
-			hot := runTimelines(t, r, hotDenses, hotSparses, 16)
-			sameTimelines(t, name+"/hot", hot, wantHot, false)
-			// Without dedup, repeats within a batch merge through the
-			// cache's in-flight entries and count as hits; with dedup the
-			// engine merges them first.
-			st = r.Lookup().EVCache().Stats()
-			if (!dedup && st.Hits == 0) || st.Evictions == 0 {
-				t.Fatalf("%s/hot: cache stats %+v, want evictions (and hits without dedup)", name, st)
-			}
-			if parallel == 1 {
-				seqHot, seqStats = hot, st
-				continue
-			}
-			sameTimelines(t, name+"/hot vs one lane", hot, seqHot, true)
-			if st != seqStats {
-				t.Fatalf("%s/hot: cache stats %+v, one lane %+v", name, st, seqStats)
-			}
+		r = newLocality(t, cfg, budget, dedup)
+		sameTimelines(t, name+"/hot", runTimelines(t, r, hotDenses, hotSparses, 16), wantHot, false)
+		// Without dedup, repeats within a batch merge through the
+		// cache's in-flight entries and count as hits; with dedup the
+		// engine merges them first.
+		st = r.Lookup().EVCache().Stats()
+		if (!dedup && st.Hits == 0) || st.Evictions == 0 {
+			t.Fatalf("%s/hot: cache stats %+v, want evictions (and hits without dedup)", name, st)
 		}
 	}
 }
@@ -148,7 +133,7 @@ func TestSmallCacheMatchesUncached(t *testing.T) {
 // heap allocation.
 func TestFullDeviceCacheMissAllocatesNothing(t *testing.T) {
 	cfg := smallCfg("RMC1")
-	r := newLocality(t, cfg, int64(smallCacheEntries*cfg.EVSize()), false, 1)
+	r := newLocality(t, cfg, int64(smallCacheEntries*cfg.EVSize()), false)
 	denses, sparses := spreadInputs(cfg, 16)
 	runTimelines(t, r, denses, sparses, 16)
 	c := r.Lookup().EVCache()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"rmssd/internal/flash"
@@ -10,12 +11,11 @@ import (
 )
 
 // newFaulted builds a small RMC1 device with the given fault plan.
-func newFaulted(t *testing.T, plan flash.FaultPlan, parallel int) *RMSSD {
+func newFaulted(t *testing.T, plan flash.FaultPlan) *RMSSD {
 	t.Helper()
 	r, err := New(smallCfg("RMC1"), Options{
 		Geometry:  smallGeometry(),
 		FaultPlan: plan,
-		Parallel:  parallel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func runBatches(t *testing.T, r *RMSSD, nb, batch int) ([]float32, sim.Time, err
 // perturb a single bit of the predictions or the simulated timeline.
 func TestFaultPlanOffIsByteIdentical(t *testing.T) {
 	base := newSmall(t, "RMC1", 0)
-	zero := newFaulted(t, flash.FaultPlan{}, 0) // explicit zero plan
+	zero := newFaulted(t, flash.FaultPlan{}) // explicit zero plan
 
 	p1, d1, err1 := runBatches(t, base, 3, 4)
 	p2, d2, err2 := runBatches(t, zero, 3, 4)
@@ -69,55 +69,84 @@ func TestFaultPlanOffIsByteIdentical(t *testing.T) {
 }
 
 // TestFaultInjectionSeedStable: the same plan reproduces the same fault
-// sequence — counters and timeline — on every run; a different seed draws a
-// different sequence.
+// sequence — predictions, counters and timeline — on every run; a
+// different seed draws a different sequence.
 func TestFaultInjectionSeedStable(t *testing.T) {
-	run := func(seed uint64) (sim.Time, flash.Stats) {
-		r := newFaulted(t, flash.FaultPlan{Rate: 0.2, Seed: seed}, 0)
-		_, done, err := runBatches(t, r, 3, 4)
+	run := func(seed uint64) ([]float32, sim.Time, flash.Stats) {
+		r := newFaulted(t, flash.FaultPlan{Rate: 0.2, Seed: seed})
+		preds, done, err := runBatches(t, r, 3, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return done, r.Device().Array().Stats()
+		return preds, done, r.Device().Array().Stats()
 	}
-	d1, s1 := run(7)
-	d2, s2 := run(7)
-	if d1 != d2 || s1.ReadFaults != s2.ReadFaults || s1.ECCRetries != s2.ECCRetries {
+	p1, d1, s1 := run(7)
+	p2, d2, s2 := run(7)
+	if d1 != d2 || s1.ReadFaults != s2.ReadFaults || s1.ECCRetries != s2.ECCRetries || s1.Uncorrectable != s2.Uncorrectable {
 		t.Fatalf("same seed diverged: %v/%+v vs %v/%+v", d1, s1, d2, s2)
+	}
+	for i := range p1 {
+		if math.Float32bits(p1[i]) != math.Float32bits(p2[i]) {
+			t.Fatalf("same seed: pred %d differs", i)
+		}
 	}
 	if s1.ReadFaults == 0 || s1.ECCRetries < s1.ReadFaults {
 		t.Fatalf("rate 0.2 drew no faults: %+v", s1)
 	}
-	d3, _ := run(8)
+	_, d3, _ := run(8)
 	if d3 == d1 {
 		t.Fatalf("different seed left the retry timeline at exactly %v", d1)
 	}
 }
 
 // TestFaultTimelineParallelMatchesSequential extends the repo's determinism
-// invariant to the fault path: lane-parallel replay must consume each
-// channel's fault stream in the same order as the sequential engine.
+// invariant to the fault path under host parallelism: devices sharing one
+// plan and driven from concurrent goroutines (as the serving pools drive
+// their shards) must each draw the same fault stream as a device replayed
+// alone — no fault RNG or retry state may leak between instances.
 func TestFaultTimelineParallelMatchesSequential(t *testing.T) {
 	plan := flash.FaultPlan{Rate: 0.2, Seed: 11}
-	seq := newFaulted(t, plan, 1)
-	par := newFaulted(t, plan, 4)
-
+	seq := newFaulted(t, plan)
 	ps, ds, errS := runBatches(t, seq, 3, 4)
-	pp, dp, errP := runBatches(t, par, 3, 4)
-	if errS != nil || errP != nil {
-		t.Fatal(errS, errP)
+	if errS != nil {
+		t.Fatal(errS)
 	}
-	if ds != dp {
-		t.Fatalf("parallel faulted timeline %v != sequential %v", dp, ds)
+	ss := seq.Device().Array().Stats()
+
+	const workers = 4
+	devs := make([]*RMSSD, workers)
+	for i := range devs {
+		devs[i] = newFaulted(t, plan)
 	}
-	for i := range ps {
-		if math.Float32bits(ps[i]) != math.Float32bits(pp[i]) {
-			t.Fatalf("pred %d differs under parallel replay", i)
+	preds := make([][]float32, workers)
+	dones := make([]sim.Time, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range devs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			preds[i], dones[i], errs[i] = runBatches(t, devs[i], 3, 4)
+		}(i)
+	}
+	wg.Wait()
+
+	for i, r := range devs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-	}
-	ss, sp := seq.Device().Array().Stats(), par.Device().Array().Stats()
-	if ss.ReadFaults != sp.ReadFaults || ss.ECCRetries != sp.ECCRetries || ss.Uncorrectable != sp.Uncorrectable {
-		t.Fatalf("fault counters diverge: %+v vs %+v", ss, sp)
+		if dones[i] != ds {
+			t.Fatalf("device %d: parallel faulted timeline %v != sequential %v", i, dones[i], ds)
+		}
+		for j := range ps {
+			if math.Float32bits(ps[j]) != math.Float32bits(preds[i][j]) {
+				t.Fatalf("device %d: pred %d differs under parallel replay", i, j)
+			}
+		}
+		sp := r.Device().Array().Stats()
+		if ss.ReadFaults != sp.ReadFaults || ss.ECCRetries != sp.ECCRetries || ss.Uncorrectable != sp.Uncorrectable {
+			t.Fatalf("device %d: fault counters diverge: %+v vs %+v", i, ss, sp)
+		}
 	}
 }
 
@@ -126,7 +155,7 @@ func TestFaultTimelineParallelMatchesSequential(t *testing.T) {
 // timeline still advances deterministically (every lookup issues), and the
 // device keeps serving.
 func TestUncorrectableReadIsTypedAndContained(t *testing.T) {
-	r := newFaulted(t, flash.FaultPlan{Rate: 0.97, Seed: 3}, 0)
+	r := newFaulted(t, flash.FaultPlan{Rate: 0.97, Seed: 3})
 	denses, sparses := genInputs(r, 2, 5)
 
 	_, done, _, err := r.InferBatch(0, denses, sparses)

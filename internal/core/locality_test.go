@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,11 +29,10 @@ var localityConfigs = []struct {
 	{"cache+dedup", 4 << 20, true},
 }
 
-func newLocality(t *testing.T, cfg model.Config, cacheBytes int64, dedup bool, parallel int) *RMSSD {
+func newLocality(t *testing.T, cfg model.Config, cacheBytes int64, dedup bool) *RMSSD {
 	t.Helper()
 	r, err := New(cfg, Options{
 		Geometry:     smallGeometry(),
-		Parallel:     parallel,
 		EVCacheBytes: cacheBytes,
 		DedupLookups: dedup,
 	})
@@ -102,7 +102,7 @@ func TestLocalityDifferentialSynthetic(t *testing.T) {
 	denses, sparses := hotInputs(t, cfg, 48, 42)
 	var want []float32
 	for _, lc := range localityConfigs {
-		r := newLocality(t, cfg, lc.cache, lc.dedup, 1)
+		r := newLocality(t, cfg, lc.cache, lc.dedup)
 		preds, _ := runStream(r, denses, sparses, 16)
 		if want == nil {
 			want = preds
@@ -150,7 +150,7 @@ func TestLocalityDifferentialCriteo(t *testing.T) {
 
 	var want []float32
 	for _, lc := range localityConfigs {
-		r := newLocality(t, cfg, lc.cache, lc.dedup, 1)
+		r := newLocality(t, cfg, lc.cache, lc.dedup)
 		preds, _ := runStream(r, denses, sparses, 8)
 		if want == nil {
 			want = preds
@@ -160,24 +160,43 @@ func TestLocalityDifferentialCriteo(t *testing.T) {
 	}
 }
 
-// TestLocalityParallelMatchesSequential: with the cache and dedup on, the
-// lane-parallel flash phase must reproduce the sequential schedule exactly —
-// predictions AND simulated times (all cache state mutates in the
-// sequential plan/reduce phases, so host parallelism cannot reorder it).
+// TestLocalityParallelMatchesSequential: with the cache and dedup on,
+// devices driven from concurrent goroutines (as the serving pools drive
+// their shards) must each reproduce a device replayed alone exactly —
+// predictions AND simulated times AND cache counters. All cache state is
+// per device, so host parallelism across devices cannot reorder it.
 func TestLocalityParallelMatchesSequential(t *testing.T) {
 	cfg := smallCfg("RMC1")
 	denses, sparses := hotInputs(t, cfg, 32, 7)
-	seqDev := newLocality(t, cfg, 4<<20, true, 1)
-	parDev := newLocality(t, cfg, 4<<20, true, 4)
+	seqDev := newLocality(t, cfg, 4<<20, true)
 	seqPreds, seqDone := runStream(seqDev, denses, sparses, 16)
-	parPreds, parDone := runStream(parDev, denses, sparses, 16)
-	bitsEqual(t, "parallel", parPreds, seqPreds)
-	if seqDone != parDone {
-		t.Fatalf("parallel completion %v, sequential %v", parDone, seqDone)
+
+	const workers = 4
+	devs := make([]*RMSSD, workers)
+	for i := range devs {
+		devs[i] = newLocality(t, cfg, 4<<20, true)
 	}
-	ss, ps := seqDev.Lookup().EVCache().Stats(), parDev.Lookup().EVCache().Stats()
-	if ss != ps {
-		t.Fatalf("cache stats diverge: sequential %+v, parallel %+v", ss, ps)
+	preds := make([][]float32, workers)
+	dones := make([]sim.Time, workers)
+	var wg sync.WaitGroup
+	for i := range devs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			preds[i], dones[i] = runStream(devs[i], denses, sparses, 16)
+		}(i)
+	}
+	wg.Wait()
+
+	for i, parDev := range devs {
+		bitsEqual(t, fmt.Sprintf("parallel device %d", i), preds[i], seqPreds)
+		if dones[i] != seqDone {
+			t.Fatalf("device %d: parallel completion %v, sequential %v", i, dones[i], seqDone)
+		}
+		ss, ps := seqDev.Lookup().EVCache().Stats(), parDev.Lookup().EVCache().Stats()
+		if ss != ps {
+			t.Fatalf("device %d: cache stats diverge: sequential %+v, parallel %+v", i, ss, ps)
+		}
 	}
 }
 
@@ -186,8 +205,8 @@ func TestLocalityParallelMatchesSequential(t *testing.T) {
 func TestLocalityTimingSeedStable(t *testing.T) {
 	cfg := smallCfg("RMC1")
 	denses, sparses := hotInputs(t, cfg, 32, 13)
-	a := newLocality(t, cfg, 4<<20, true, 1)
-	b := newLocality(t, cfg, 4<<20, true, 1)
+	a := newLocality(t, cfg, 4<<20, true)
+	b := newLocality(t, cfg, 4<<20, true)
 	aPreds, aDone := runStream(a, denses, sparses, 16)
 	bPreds, bDone := runStream(b, denses, sparses, 16)
 	bitsEqual(t, "rerun", bPreds, aPreds)
@@ -204,8 +223,8 @@ func TestLocalityTimingSeedStable(t *testing.T) {
 func TestLocalityCacheSpeedsUpHotTrace(t *testing.T) {
 	cfg := smallCfg("RMC1")
 	denses, sparses := hotInputs(t, cfg, 32, 21)
-	plain := newLocality(t, cfg, 0, false, 1)
-	fast := newLocality(t, cfg, 4<<20, true, 1)
+	plain := newLocality(t, cfg, 0, false)
+	fast := newLocality(t, cfg, 4<<20, true)
 	_, plainDone := runStream(plain, denses, sparses, 16)
 	_, fastDone := runStream(fast, denses, sparses, 16)
 	if fastDone >= plainDone {
@@ -232,7 +251,7 @@ func TestFig14HitRatios(t *testing.T) {
 		// rows must survive LRU churn from the cold stream, which inserts
 		// on every miss.
 		hotEntries := int64(cfg.Tables) * g.HotSetSize()
-		r := newLocality(t, cfg, 16*hotEntries*int64(cfg.EVSize()), false, 1)
+		r := newLocality(t, cfg, 16*hotEntries*int64(cfg.EVSize()), false)
 
 		warm := g.Batch(16)
 		denses := make([]tensor.Vector, len(warm))
@@ -264,8 +283,8 @@ func TestFig14HitRatios(t *testing.T) {
 // must drop its cached copy, so the next inference reads the new bytes.
 func TestUpdateVectorInvalidatesCache(t *testing.T) {
 	cfg := smallCfg("RMC1")
-	r := newLocality(t, cfg, 4<<20, false, 1)
-	ref := newLocality(t, cfg, 0, false, 1)
+	r := newLocality(t, cfg, 4<<20, false)
+	ref := newLocality(t, cfg, 0, false)
 
 	// One inference that repeatedly hits (0, 5), priming the cache.
 	sparse := make([][]int64, cfg.Tables)
@@ -332,7 +351,7 @@ func TestCachedTwinMatchesUncachedAcrossWrites(t *testing.T) {
 		cfg := smallCfg("RMC1")
 		cfg.RowsPerTable = 512 // the dynamic FTL writes every table at construction
 		twin := func(cacheBytes int64) *RMSSD {
-			r, err := New(cfg, Options{Geometry: smallGeometry(), Dynamic: dynamic, Parallel: 1, EVCacheBytes: cacheBytes})
+			r, err := New(cfg, Options{Geometry: smallGeometry(), Dynamic: dynamic, EVCacheBytes: cacheBytes})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,19 +44,12 @@ type Options struct {
 	Geometry flash.Geometry
 	// Design of the MLP engine; DesignSearched is the full RM-SSD.
 	Design engine.Design
-	// Part is the FPGA budget; zero value means XCVU9P.
-	Part params.FPGAPart
-	// ExtentBytes controls file-system extent size (default 1 MiB).
-	ExtentBytes int64
 	// Dynamic selects the page-mapped, garbage-collected FTL instead of
 	// the paper's linear map. Tables are then physically written at
 	// construction (use reduced table sizes), and the device can take
 	// concurrent update writes during inference.
 	Dynamic bool
-	// Parallel is the number of host goroutines used to simulate the
-	// flash channels of one lookup batch. 0 means GOMAXPROCS; 1 replays
-	// every channel's lane on the calling goroutine. Lane partitioning
-	// keeps results byte-identical at any setting (see engine/planner.go).
+	// Deprecated: ignored; channels are simulated on the calling goroutine.
 	Parallel int
 	// EVCacheBytes budgets a device-DRAM embedding-vector cache (0, the
 	// default, disables it): hot vectors are served from controller DRAM
@@ -90,12 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Geometry == (flash.Geometry{}) {
 		o.Geometry = flash.DefaultGeometry()
-	}
-	if o.Part.Name == "" {
-		o.Part = params.XCVU9P
-	}
-	if o.ExtentBytes == 0 {
-		o.ExtentBytes = 1 << 20
 	}
 	return o
 }
@@ -197,8 +184,8 @@ func New(cfg model.Config, opts Options) (*RMSSD, error) {
 // reads m's weights in place and never writes them, so every device of one
 // hosted model can share a single m (Rule One places the weights once per
 // device; the host keeps one copy). The MLP engine's layer headers and
-// kernel schedule stay per device; its decomposed top L0 halves are views
-// of m's top L0.
+// kernel schedule stay per device, fitted to the XCVU9P budget; its
+// decomposed top L0 halves are views of m's top L0.
 func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
 	if opts.ArrayDevices > 1 {
 		return nil, fmt.Errorf("core: ArrayDevices=%d: a multi-device array must be built with array.New", opts.ArrayDevices)
@@ -221,12 +208,13 @@ func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := hostio.NewFS(dev, opts.ExtentBytes)
+	const extentBytes = 1 << 20 // file-system extent size
+	fs := hostio.NewFS(dev, extentBytes)
 	store, err := embedding.NewStore(m, fs)
 	if err != nil {
 		return nil, err
 	}
-	mlp, err := engine.NewMLPEngineGeo(m, opts.Design, opts.Part,
+	mlp, err := engine.NewMLPEngineGeo(m, opts.Design, params.XCVU9P,
 		opts.Geometry.Channels, opts.Geometry.DiesPerChannel)
 	if err != nil {
 		return nil, err
@@ -241,7 +229,6 @@ func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
 		m:      m,
 		mmio:   NewMMIOManager(),
 	}
-	r.lookup.SetParallel(opts.Parallel)
 	if opts.EVCacheBytes > 0 {
 		r.lookup.SetEVCache(evcache.New(opts.EVCacheBytes, cfg.EVSize()))
 	}

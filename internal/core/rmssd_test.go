@@ -93,8 +93,7 @@ func TestInferBatchMatchesReference(t *testing.T) {
 
 // TestTimingPathAgreesWithDataPath pins that InferBatch and
 // InferBatchTiming run one stage schedule: on both designs, plain, with
-// four lane workers, with an EV cache, with dedup and under fault
-// injection, a stream of batches gives the same completion times,
+// an EV cache, with dedup and under fault injection, a stream of batches gives the same completion times,
 // Breakdowns, error classes and emitted device spans whether or not values
 // are computed.
 func TestTimingPathAgreesWithDataPath(t *testing.T) {
@@ -102,11 +101,10 @@ func TestTimingPathAgreesWithDataPath(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"plain", Options{Parallel: 1}},
-		{"parallel4", Options{Parallel: 4}},
-		{"cache", Options{Parallel: 1, EVCacheBytes: 1 << 20}},
-		{"dedup", Options{Parallel: 1, DedupLookups: true}},
-		{"faults", Options{Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.02, Seed: 9}}},
+		{"plain", Options{}},
+		{"cache", Options{EVCacheBytes: 1 << 20}},
+		{"dedup", Options{DedupLookups: true}},
+		{"faults", Options{FaultPlan: flash.FaultPlan{Rate: 0.02, Seed: 9}}},
 	}
 	for _, design := range []engine.Design{engine.DesignSearched, engine.DesignNaive} {
 		for _, v := range variants {
@@ -350,10 +348,25 @@ func TestNaiveDesignSlowerOnMLPDominated(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults checks the zero Options' geometry and the fixed
+// construction choices: an MLP engine sized for the XCVU9P and tables laid
+// out in 1 MiB extents.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Geometry.Channels != params.NumChannels || o.Part.Name != "XCVU9P" || o.ExtentBytes != 1<<20 {
+	if o := (Options{}).withDefaults(); o.Geometry.Channels != params.NumChannels {
 		t.Fatalf("defaults = %+v", o)
+	}
+	cfg := smallCfg("RMC1")
+	cfg.RowsPerTable = 3 << 20 / int64(cfg.EVSize()) // 3 MiB per table
+	r, err := New(cfg, Options{Geometry: smallGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part := r.MLP().Part().Name; part != "XCVU9P" {
+		t.Fatalf("MLP engine part %s, want XCVU9P", part)
+	}
+	exts := r.store.File(0).Extents()
+	if len(exts) != 3 || exts[0].Len != 1<<20 {
+		t.Fatalf("a 3 MiB table has extents %+v, want three of 1 MiB", exts)
 	}
 }
 
@@ -508,7 +521,7 @@ func TestUpdateVectorErrors(t *testing.T) {
 func TestNewFromModelSharesWeights(t *testing.T) {
 	for _, name := range []string{"RMC1", "RMC3", "NCF"} {
 		cfg := smallCfg(name)
-		opts := Options{Geometry: smallGeometry(), Parallel: 1}
+		opts := Options{Geometry: smallGeometry()}
 		m := model.MustBuild(cfg)
 		a, err := NewFromModel(m, opts)
 		if err != nil {
@@ -563,7 +576,7 @@ func TestEngineLayersViewHostedWeights(t *testing.T) {
 		cfg.RowsPerTable = 2048
 		m := model.MustBuild(cfg)
 		for _, d := range []engine.Design{engine.DesignSearched, engine.DesignDefault, engine.DesignNaive} {
-			opts := Options{Geometry: smallGeometry(), Parallel: 1, Design: d}
+			opts := Options{Geometry: smallGeometry(), Design: d}
 			a, err := NewFromModel(m, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -617,7 +630,7 @@ func BenchmarkNewFromModel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewFromModel(m, Options{Parallel: 1}); err != nil {
+		if _, err := NewFromModel(m, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

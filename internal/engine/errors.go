@@ -10,8 +10,8 @@ import (
 // fail the *call*, never the device. A trace-driven request can carry any
 // row index or shape, so everything reachable from request payloads returns
 // a typed error that the serving stack threads back to the caller. Panics
-// remain only for programmer invariants — address-math bugs, lane-ownership
-// violations, broken MSHR bookkeeping — which no request can trigger.
+// remain only for programmer invariants — address-math bugs, broken MSHR
+// bookkeeping — which no request can trigger.
 var (
 	// ErrRowOutOfRange marks a lookup whose (table, row) is not covered by
 	// the registered embedding extents.

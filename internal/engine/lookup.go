@@ -13,12 +13,10 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"rmssd/internal/embedding"
 	"rmssd/internal/evcache"
-	"rmssd/internal/flash"
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -137,11 +135,6 @@ type LookupEngine struct {
 	sum   *sim.Resource // EV Sum adder-tree unit
 	stats LookupStats
 
-	// parallel is the number of host goroutines used to simulate the flash
-	// channels of one batch (see planner.go). <=1 replays the lanes on the
-	// calling goroutine; results are byte-identical either way.
-	parallel int
-
 	// cache and dedup are the planner's locality optimisations (planner.go),
 	// both off by default.
 	cache *evcache.Cache
@@ -152,8 +145,6 @@ type LookupEngine struct {
 	// is dead by the time a pool call returns, so reuse only trims
 	// allocations, never aliases live state.
 	slots  []lkSlot
-	perCh  [][]int32
-	lanes  []flash.Lane
 	loads  []sim.LaneLoad // Loads: per die, then the EV-cache port
 	owners map[evcache.Key]int32
 	ev     []byte // the slot's bytes being reduced (planner.go)
@@ -171,25 +162,6 @@ func NewLookupEngine(st *embedding.Store, dev *ssd.Device) *LookupEngine {
 
 // Translator exposes the translator (for tests and tools).
 func (e *LookupEngine) Translator() *Translator { return e.tr }
-
-// SetParallel sets the number of host goroutines used to simulate the flash
-// channels of one lookup batch. n <= 0 means GOMAXPROCS. Lane partitioning
-// keeps results byte-identical to one lane worker (planner.go), so this only
-// trades host CPU for wall-clock.
-func (e *LookupEngine) SetParallel(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.parallel = n
-}
-
-// Parallel returns the effective host-parallelism degree (at least 1).
-func (e *LookupEngine) Parallel() int {
-	if e.parallel <= 1 {
-		return 1
-	}
-	return e.parallel
-}
 
 // SetEVCache installs (or, with nil, removes) the device-DRAM EV cache
 // (planner.go); predictions remain byte-identical to the uncached path.

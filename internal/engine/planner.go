@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"rmssd/internal/evcache"
-	"rmssd/internal/flash"
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -21,35 +19,30 @@ import (
 // (shared translator state, strict per-cycle clocking), FTL translation and
 // device bookkeeping (shared device state), flash scheduling (channel-local
 // resources), and EV Sum accumulation (one shared resource plus float adds
-// whose order matters bit for bit). Only the flash scheduling is expensive —
-// it grows with channels, dies and lookups — and it is exactly the part that
-// decomposes by channel: a vector read touches one die pool and one bus, both
-// owned by the PPA's channel, and sim.Resource is FCFS, so each channel's
-// subsequence replays on its own flash.Lane with bit-identical (start, end)
-// intervals. The planner therefore runs three phases:
+// whose order matters bit for bit). The planner therefore runs three phases:
 //
 //  1. plan (sequential, global order): clock the index stream, consult the
 //     dedup table and the cache, schedule cache-port hits, translate and run
-//     the FTL for misses (ssd.PrepareVectorRead), bucket flash work by
-//     channel. Every piece of shared state the schedule depends on — LRU
-//     recency, reservations, evictions, port and FTL bookkeeping — mutates
-//     here, in one deterministic order.
-//  2. flash: replay each channel's reads in plan order on its lane, the lanes
-//     strided over min(Parallel, channels) workers. One worker runs them on
-//     the calling goroutine; more run concurrently and touch only
-//     channel-disjoint state (asserted under simdebug via lane binding).
-//     Each worker also records its dies' loads for Loads. The phase is
-//     timing only: a lane read returns its schedule and no bytes.
+//     the FTL for misses (ssd.PrepareVectorRead). Every piece of shared
+//     state the schedule depends on — LRU recency, reservations, evictions,
+//     port and FTL bookkeeping — mutates here, in one deterministic order,
+//     and a shape or row error aborts the batch before any flash read.
+//  2. flash: replay every flash read in plan order (flash.Array.ReadVector)
+//     and record its flush on its die's load for Loads. The channels work
+//     concurrently in simulated time — each die and bus is an FCFS
+//     sim.Resource of one channel — so one loop on the calling goroutine
+//     hands every resource, and every channel's fault stream, its reads in
+//     plan order. The phase is timing only: a read returns its schedule and
+//     no bytes.
 //  3. reduce (sequential, global order): fill reserved cache entries,
 //     replay the EV Sum unit and, when values are asked for, resolve every
 //     slot's bytes — flash read, zeros, cache hit or duplicate — from the
 //     device's page store (slotBytes) and accumulate them in the original
 //     lookup order.
 //
-// Values, times and every counter are therefore independent of host
-// parallelism and shard interleaving by construction. With no cache, dedup
-// off and one lane worker this is the plain sequential datapath, lookup by
-// lookup.
+// Values, times and every counter are therefore independent of shard
+// interleaving by construction. With no cache and dedup off this is the
+// plain sequential datapath, lookup by lookup.
 //
 // Recommendation traffic is heavily skewed (Section III-B2), and two
 // strictly value-preserving locality optimisations ride in the plan phase:
@@ -139,9 +132,8 @@ func (e *LookupEngine) abortPlan(slots []lkSlot) {
 // in the plan phase, before any flash read; callers that prevalidate with
 // ValidateLookups never see them. Injected read faults
 // (flash.ErrUncorrectable) do not abort: every lookup of the batch still
-// issues — so the simulated timeline stays deterministic and identical
-// across host-parallelism settings — and the first fault is returned,
-// wrapped with its inference, table and row.
+// issues, so the simulated timeline stays deterministic, and the first
+// fault is returned, wrapped with its inference, table and row.
 func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) ([][]tensor.Vector, sim.Time, error) {
 	if len(sparses) == 0 {
 		return nil, at, fmt.Errorf("engine: empty lookup batch: %w", ErrShapeMismatch)
@@ -163,7 +155,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 
 	// Phase 1 — sequential plan in global order.
 	slots := e.slots[:0]
-	perCh := e.resetPerCh()
+	e.resetLoads()
 	var maxIssue sim.Time
 	for b, sparse := range sparses {
 		if len(sparse) != cfg.Tables {
@@ -221,7 +213,6 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 				}
 				if vr.Mapped {
 					slots = append(slots, lkSlot{vec: vec, kind: slotFlash, vr: vr, fill: fill, key: key})
-					perCh[vr.PPA.Channel] = append(perCh[vr.PPA.Channel], idx)
 				} else {
 					// Never-written page on a dynamic device: zeros at
 					// translation time, no flash involvement.
@@ -238,7 +229,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 	}
 	e.slots = slots
 
-	// Phase 2 — flash scheduling, one lane per channel.
+	// Phase 2 — flash scheduling in plan order.
 	e.readFlash(at)
 
 	// Phase 3 — sequential reduce in global order.
@@ -315,20 +306,14 @@ func (e *LookupEngine) slotBytes(s *lkSlot) []byte {
 	return e.ev
 }
 
-// resetPerCh returns the engine's per-channel bucket scratch, emptied, and
-// zeroes the loads.
-func (e *LookupEngine) resetPerCh() [][]int32 {
+// resetLoads sizes the engine's Loads scratch for the device, one per die
+// plus the EV-cache port, and zeroes it.
+func (e *LookupEngine) resetLoads() {
 	geo := e.dev.Array().Geometry()
-	if len(e.perCh) != geo.Channels {
-		e.perCh = make([][]int32, geo.Channels)
-		e.lanes = make([]flash.Lane, geo.Channels)
-		e.loads = make([]sim.LaneLoad, geo.Channels*geo.DiesPerChannel+1)
-	}
-	for ch := range e.perCh {
-		e.perCh[ch] = e.perCh[ch][:0]
+	if n := geo.Channels*geo.DiesPerChannel + 1; len(e.loads) != n {
+		e.loads = make([]sim.LaneLoad, n)
 	}
 	clear(e.loads)
-	return e.perCh
 }
 
 // addLoad adds a use of a unit over [start, end) to its load for a batch
@@ -341,50 +326,19 @@ func addLoad(ld *sim.LaneLoad, at, start, end sim.Time) {
 	ld.Busy += end - start
 }
 
-// readFlash is phase 2: it opens a lane on every channel with planned
-// reads, replays them strided over min(Parallel, channels) workers, and
-// closes the lanes, folding their counters back into the array. at is the
-// batch's issue time, which die loads are released from.
+// readFlash is phase 2: it replays every flash slot's read in plan order
+// and adds each read's flush to its die's load. at is the batch's issue
+// time, which die loads are released from.
 func (e *LookupEngine) readFlash(at sim.Time) {
 	arr := e.dev.Array()
-	for ch, reqs := range e.perCh {
-		if len(reqs) > 0 {
-			e.lanes[ch] = arr.Lane(ch)
+	dies := arr.Geometry().DiesPerChannel
+	for i := range e.slots {
+		s := &e.slots[i]
+		if s.kind != slotFlash {
+			continue
 		}
-	}
-	workers := min(e.Parallel(), len(e.perCh))
-	if workers == 1 {
-		e.readLanes(at, 0, 1)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				e.readLanes(at, w, workers)
-			}(w)
-		}
-		wg.Wait()
-	}
-	for ch, reqs := range e.perCh {
-		if len(reqs) > 0 {
-			e.lanes[ch].Close()
-		}
-	}
-}
-
-// readLanes replays worker w's share of the channels (w, w+workers, ...),
-// each in plan order on its lane. Workers write only their own slots and
-// their own channels' die loads.
-func (e *LookupEngine) readLanes(at sim.Time, w, workers int) {
-	dies := e.dev.Array().Geometry().DiesPerChannel
-	for ch := w; ch < len(e.perCh); ch += workers {
-		lane := &e.lanes[ch]
-		for _, i := range e.perCh[ch] {
-			s := &e.slots[i]
-			vt, err := lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
-			s.ready, s.err = vt.Done, err
-			addLoad(&e.loads[ch*dies+s.vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
-		}
+		vt, err := arr.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+		s.ready, s.err = vt.Done, err
+		addLoad(&e.loads[s.vr.PPA.Channel*dies+s.vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
 	}
 }

@@ -18,11 +18,9 @@ import (
 // ECC retries it pays and whether it ultimately fails.
 //
 // Determinism: faults are sampled from a per-channel splitmix64 stream at
-// vector-read time. Lane-parallel replay preserves each channel's request
-// order (see Lane), and each lane touches only its own channel's stream
-// state (distinct slice elements), so the draw sequence — and with it every
-// simulated timeline and error — is byte-identical across -parallel
-// settings, shard counts and reruns. With the plan disabled (the default)
+// vector-read time, and every caller issues a channel's reads in one fixed
+// order, so the draw sequence — and with it every simulated timeline and
+// error — is byte-identical across shard counts and reruns. With the plan disabled (the default)
 // no stream is consulted and the timing path is exactly the pre-fault one.
 
 // ErrUncorrectable is the sentinel for a vector read that exhausted its ECC
@@ -77,8 +75,7 @@ func (a *Array) SetFaultPlan(p FaultPlan) error {
 func (a *Array) FaultPlan() FaultPlan { return a.fault }
 
 // faultDraw advances channel ch's splitmix64 stream and returns a uniform
-// draw in [0, 1). Lanes call it only for their own channel, so concurrent
-// lanes touch disjoint slice elements.
+// draw in [0, 1).
 func (a *Array) faultDraw(ch int) float64 {
 	a.faultRNG[ch] += 0x9e3779b97f4a7c15
 	z := a.faultRNG[ch]

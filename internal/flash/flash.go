@@ -133,33 +133,18 @@ type Stats struct {
 // ChannelCounters attribute read traffic to one flash channel, for the
 // observability layer's per-channel spans. They live outside Stats so the
 // value-copy snapshot/delta pattern on Stats keeps working; the array holds
-// one per channel, and lanes accumulate their own before merging in Close.
+// one per channel.
 type ChannelCounters struct {
 	Reads         int64 // page + vector reads issued on the channel
 	Retries       int64 // failed ECC attempts on the channel
 	Uncorrectable int64 // reads that exhausted the retry budget
 }
 
-// Add folds another snapshot into c.
-func (c *ChannelCounters) Add(o ChannelCounters) {
-	c.Reads += o.Reads
-	c.Retries += o.Retries
-	c.Uncorrectable += o.Uncorrectable
-}
-
-// Sub returns c minus o, for before/after deltas.
-func (c ChannelCounters) Sub(o ChannelCounters) ChannelCounters {
-	return ChannelCounters{
-		Reads:         c.Reads - o.Reads,
-		Retries:       c.Retries - o.Retries,
-		Uncorrectable: c.Uncorrectable - o.Uncorrectable,
-	}
-}
-
 // Array is the simulated flash array: timing resources plus the page store
 // holding its written pages. The timed operations (ReadPage, ReadVector,
-// WritePage, EraseBlock) return times only; contents leave the array through
-// the untimed PeekPage and PeekRangeInto copies.
+// WritePage, EraseBlock) return times only (ReadVector its schedule);
+// contents leave the array through the untimed PeekPage and PeekRangeInto
+// copies.
 type Array struct {
 	geo    Geometry
 	dies   []*sim.Pool     // per channel: pool of die resources
@@ -172,7 +157,7 @@ type Array struct {
 	tTrans time.Duration // full-page transfer
 
 	// Deterministic read-fault injection (see fault.go). faultRNG holds one
-	// splitmix64 state per channel; lanes advance only their own element.
+	// splitmix64 state per channel.
 	fault    FaultPlan
 	faultRNG []uint64
 }
@@ -218,11 +203,6 @@ func (a *Array) ChannelIO() []ChannelCounters {
 	return append([]ChannelCounters(nil), a.chIO...)
 }
 
-// AddChannelIO folds externally accumulated per-channel counters (a joined
-// lane's) into the array. Callers must be single-threaded with respect to
-// the array at that point.
-func (a *Array) AddChannelIO(ch int, c ChannelCounters) { a.chIO[ch].Add(c) }
-
 // ResetTime returns all timing resources to idle without touching data.
 func (a *Array) ResetTime() {
 	for i := range a.dies {
@@ -254,37 +234,47 @@ func (a *Array) ReadPage(at sim.Time, p PPA) sim.Time {
 	return done
 }
 
+// VectorTiming is the schedule of one vector read: the die interval its
+// flush held, ECC retries included, and when its bytes left the channel bus
+// (the flush end for an uncorrectable read, which transfers nothing).
+type VectorTiming struct {
+	FlushStart, FlushEnd sim.Time
+	Done                 sim.Time
+}
+
 // ReadVector performs a vector-grained read (Section IV-B2): the die flushes
 // the whole page into its buffer, but only size bytes starting at col are
 // transferred over the bus; "we can drop the remaining data in this page due
 // to the overall poor locality of the embedding workloads". The vector must
 // not cross a page boundary; the embedding layout guarantees alignment. It
-// returns the completion time; the vector's bytes come from PeekRangeInto.
+// returns the read's schedule; the vector's bytes come from PeekRangeInto.
 //
 // Under a FaultPlan the flush phase may fail ECC and retry (die busy for the
-// extra attempts); a read that exhausts its retries returns the time at
-// which the die gave up and an error wrapping ErrUncorrectable. Without a
-// plan the error is always nil.
-func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) (sim.Time, error) {
+// extra attempts); a read that exhausts its retries is done when the die
+// gives up and returns an error wrapping ErrUncorrectable. Without a plan
+// the error is always nil.
+func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) (VectorTiming, error) {
 	a.checkPPA(p)
 	if col < 0 || size <= 0 || col+size > a.geo.PageSize {
 		panic(fmt.Sprintf("flash: vector read [%d,%d) crosses page of size %d", col, col+size, a.geo.PageSize))
 	}
 	retries, fatal := a.sampleVectorFaults(p.Channel)
 	die := a.dies[p.Channel].Get(p.Die)
-	_, flushDone := die.Acquire(at, a.vectorFlushOccupancy(retries))
+	var vt VectorTiming
+	vt.FlushStart, vt.FlushEnd = die.Acquire(at, a.vectorFlushOccupancy(retries))
+	vt.Done = vt.FlushEnd
 	a.stats.VectorReads++
 	a.stats.BytesFlushed += int64(a.geo.PageSize)
 	countVectorFaults(&a.stats, a.geo.PageSize, retries, fatal)
 	countChannelFaults(&a.chIO[p.Channel], retries, fatal)
 	if fatal {
-		return flushDone, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
+		return vt, fmt.Errorf("flash: ch%d die %d page %d: vector read uncorrectable after %d retries: %w",
 			p.Channel, p.Die, p.Page, retries, ErrUncorrectable)
 	}
 	trans := params.Duration(params.VectorTransferCycles(size))
-	_, done := a.buses[p.Channel].Acquire(flushDone, trans)
+	_, vt.Done = a.buses[p.Channel].Acquire(vt.FlushEnd, trans)
 	a.stats.BytesTransferred += int64(size)
-	return done, nil
+	return vt, nil
 }
 
 // EraseBlock erases a block: the die is busy for TErase and the block's

@@ -126,16 +126,26 @@ func TestReadPageLatencyIdle(t *testing.T) {
 func TestReadVectorLatencyIdle(t *testing.T) {
 	a := mustArray(t, smallGeometry())
 	const evSize = 128 // dim-32 fp32 vector
-	done, err := a.ReadVector(0, PPA{}, 0, evSize)
+	vt, err := a.ReadVector(0, PPA{}, 0, evSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := params.Duration(params.FlushCycles + params.VectorTransferCycles(evSize))
-	if done != want {
-		t.Fatalf("vector read latency = %v, want %v", done, want)
+	flush := params.Duration(params.FlushCycles)
+	want := VectorTiming{FlushStart: 0, FlushEnd: flush, Done: flush + params.Duration(params.VectorTransferCycles(evSize))}
+	if vt != want {
+		t.Fatalf("vector read schedule = %+v, want %+v", vt, want)
+	}
+	// A second read on the same die flushes after the first; its transfer
+	// follows its own flush on the then idle bus.
+	vt2, err := a.ReadVector(0, PPA{Page: 1}, 0, evSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want2 := (VectorTiming{FlushStart: flush, FlushEnd: 2 * flush, Done: flush + want.Done}); vt2 != want2 {
+		t.Fatalf("contended vector read schedule = %+v, want %+v", vt2, want2)
 	}
 	// And it must match the paper's C_EV equation within a cycle.
-	cycles := sim.DurationToCycles(done, params.CycleTime)
+	cycles := sim.DurationToCycles(vt.Done, params.CycleTime)
 	wantCycles := params.EVReadCycles(evSize)
 	if diff := cycles - wantCycles; diff < -1 || diff > 1 {
 		t.Fatalf("C_EV = %d cycles, want %d (0.293*EVsize+2800)", cycles, wantCycles)
@@ -146,11 +156,11 @@ func TestVectorReadFasterThanPageRead(t *testing.T) {
 	a := mustArray(t, smallGeometry())
 	pageDone := a.ReadPage(0, PPA{Die: 0})
 	a.ResetTime()
-	vecDone, err := a.ReadVector(0, PPA{Die: 0}, 0, 128)
+	vt, err := a.ReadVector(0, PPA{Die: 0}, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecDone >= pageDone {
+	if vecDone := vt.Done; vecDone >= pageDone {
 		t.Fatalf("vector read (%v) not faster than page read (%v)", vecDone, pageDone)
 	}
 }
@@ -174,11 +184,11 @@ func TestVectorGrainedThroughputGain(t *testing.T) {
 	var vecDone sim.Time
 	for i := 0; i < n; i++ {
 		ppa := PPA{Channel: i % g.Channels, Die: (i / g.Channels) % g.DiesPerChannel, Page: i % g.PagesPerBlock}
-		done, err := vecArr.ReadVector(0, ppa, 0, evSize)
+		vt, err := vecArr.ReadVector(0, ppa, 0, evSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecDone = sim.Max(vecDone, done)
+		vecDone = sim.Max(vecDone, vt.Done)
 	}
 	// Page reads serialize on the bus for 6us each; vector reads are
 	// flush-bound at Tflush/dies = 3.5us. The resulting ~1.7-1.8x bulk

@@ -2,7 +2,7 @@ package flash
 
 // PageStore is a sparse page-indexed byte store: the written pages of the
 // array, with no notion of time. Timed reads (Array.ReadPage,
-// Array.ReadVector, Lane.ReadVector) move no bytes; every byte a caller
+// Array.ReadVector) move no bytes; every byte a caller
 // sees is copied out of here by ReadRangeInto. A page never written reads
 // as zeros; the device above the array, which knows the page's logical
 // address, may synthesise its contents instead (ssd.Filler), so the

@@ -13,10 +13,10 @@ const Debug = true
 
 // debugLinearRoundTrip asserts that the linear mapping is a bijection: the
 // PPA produced by Translate must lie inside the geometry and Inverse must
-// map it back to the same LPN. The channel-parallel lookup engine partitions
-// work by p.Channel, so a PPA outside the geometry — or a mapping that is
-// not its own inverse — silently routes vectors to the wrong lane and
-// corrupts the per-channel schedules the parallel core depends on.
+// map it back to the same LPN. The lookup engine schedules each read on
+// p.Channel's bus and dies, so a PPA outside the geometry — or a mapping
+// that is not its own inverse — silently routes vectors to the wrong
+// channel and corrupts the per-channel schedules every timeline depends on.
 func debugLinearRoundTrip(f *FTL, lpn int64, p flash.PPA) {
 	g := f.geo
 	if p.Channel < 0 || p.Channel >= g.Channels ||

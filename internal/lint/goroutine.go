@@ -8,15 +8,15 @@ import (
 
 // Goroutine enforces spawn discipline in the simulator's concurrent core.
 //
-// The host-parallel paths (internal/sim lane scopes, internal/serving
-// pools and routers, internal/engine worker fan-out) are proven
+// The host-parallel paths (internal/serving pools and routers) are proven
 // byte-identical to their sequential counterparts — but only because every
 // goroutine today is joined before its results are observed. An unjoined
 // goroutine is how that proof rots: work completes "usually before" the
 // read instead of "always before", and the differential tests go flaky
-// instead of failing. The analyzer is scoped to exactly those packages
-// (sim, serving, engine, tests included); command-line harnesses measure
-// wall-clock reality and are out of scope.
+// instead of failing. The device path (sim, engine, flash, evcache, core)
+// spawns no goroutine at all; the analyzer covers it with serving and obs
+// (tests included) so one added there must be joined too. Command-line
+// harnesses measure wall-clock reality and are out of scope.
 //
 // For each `go` statement the analyzer resolves the spawned function —
 // literals directly, local closures through the dataflow engine

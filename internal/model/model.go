@@ -62,8 +62,9 @@ type Config struct {
 
 // GlobalRow maps a local row index through the RowBase/RowStride remap to
 // the logical parent model's row. For the zero-value remap it is the
-// identity, so standalone models are unaffected.
-func (c Config) GlobalRow(local int64) int64 {
+// identity, so standalone models are unaffected. The pointer receiver keeps
+// the per-vector synthesis (EVBytesInto) from copying the whole Config.
+func (c *Config) GlobalRow(local int64) int64 {
 	stride := c.RowStride
 	if stride == 0 {
 		stride = 1

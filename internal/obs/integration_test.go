@@ -4,7 +4,7 @@
 //  1. differential — attaching a tracer never changes any replayed number
 //     (predictions, simulated times, counters) in any device configuration;
 //  2. determinism — the emitted trace JSONL and the rendered metrics are
-//     byte-identical across host parallelism and reruns;
+//     byte-identical across shard counts and reruns;
 //  3. span properties — every emitted DeviceSpan satisfies the stage
 //     accounting invariants, spans on one device never overlap, and the
 //     replay's pipelined batch windows never put two batches in one stage.
@@ -46,20 +46,21 @@ func (r *recordingShard) ServeBatch(reqs []serving.Request) serving.BatchResult 
 
 // obsConfig is one device configuration of the differential matrix.
 type obsConfig struct {
-	name     string
-	opts     core.Options
-	parallel int // serving-level device goroutines (core.Options.Parallel)
+	name string
+	opts core.Options
 }
 
-// configMatrix spans the cache x dedup x fault x parallel feature space.
+// configMatrix spans the cache x dedup x fault feature space. The parallel
+// configs set the deprecated core.Options.Parallel, which must change
+// nothing.
 func configMatrix() []obsConfig {
 	return []obsConfig{
-		{name: "plain", opts: core.Options{Parallel: 1}},
+		{name: "plain", opts: core.Options{}},
 		{name: "cache+dedup", opts: core.Options{
-			Parallel: 1, EVCacheBytes: 1 << 20, DedupLookups: true,
+			EVCacheBytes: 1 << 20, DedupLookups: true,
 		}},
 		{name: "faults", opts: core.Options{
-			Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.2, Seed: 11},
+			FaultPlan: flash.FaultPlan{Rate: 0.2, Seed: 11},
 		}},
 		{name: "parallel", opts: core.Options{Parallel: 2}},
 		{name: "cache+faults+parallel", opts: core.Options{
@@ -158,33 +159,25 @@ func TestTracingDifferential(t *testing.T) {
 }
 
 // TestTraceDeterminism: for each (config, shard count), the trace JSONL
-// plus rendered metrics are byte-identical across reruns and across device
-// host-parallelism — virtual time is the only clock in the artifact.
+// plus rendered metrics are byte-identical across reruns — virtual time is
+// the only clock in the artifact.
 func TestTraceDeterminism(t *testing.T) {
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	for _, nshards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
-			run := func(parallel int) (serving.ReplayResult, string) {
-				oc := obsConfig{opts: core.Options{Parallel: parallel}}
+			run := func() (serving.ReplayResult, string) {
 				tr := obs.NewTracer(obs.NewRegistry())
-				res := replayOnce(t, cfg, oc, nshards, tr)
+				res := replayOnce(t, cfg, obsConfig{}, nshards, tr)
 				return res, artifact(t, tr)
 			}
-			res1, art1 := run(1)
-			res2, art2 := run(1)
+			res1, art1 := run()
+			res2, art2 := run()
 			if art1 != art2 {
 				t.Fatal("rerun changed the trace/metrics bytes")
 			}
 			if !reflect.DeepEqual(res1, res2) {
 				t.Fatal("rerun changed the replay result")
-			}
-			resN, artN := run(4)
-			if art1 != artN {
-				t.Fatal("device host-parallelism leaked into the trace/metrics bytes")
-			}
-			if !reflect.DeepEqual(res1, resN) {
-				t.Fatal("device host-parallelism changed the replay result")
 			}
 		})
 	}
@@ -200,7 +193,7 @@ func TestSpanInvariants(t *testing.T) {
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	uncorrectable := obsConfig{name: "uncorrectable", opts: core.Options{
-		Parallel: 1, FaultPlan: flash.FaultPlan{Rate: 0.4, Seed: 3},
+		FaultPlan: flash.FaultPlan{Rate: 0.4, Seed: 3},
 	}}
 	for _, oc := range append(configMatrix(), uncorrectable) {
 		t.Run(oc.name, func(t *testing.T) {
@@ -270,7 +263,7 @@ func TestPercentileHistogramAgree(t *testing.T) {
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	tr := obs.NewTracer(obs.NewRegistry())
-	res := replayOnce(t, cfg, obsConfig{opts: core.Options{Parallel: 1}}, 2, tr)
+	res := replayOnce(t, cfg, obsConfig{}, 2, tr)
 
 	// Reconstruct the per-request latency samples from the trace.
 	var lat []time.Duration
@@ -327,7 +320,7 @@ func TestTraceSpansJoinBatches(t *testing.T) {
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	tr := obs.NewTracer(nil)
-	_, devs := replayDevices(t, cfg, obsConfig{opts: core.Options{Parallel: 1}}, 2, tr)
+	_, devs := replayDevices(t, cfg, obsConfig{}, 2, tr)
 	recs := tr.Records()
 	if len(recs) == 0 {
 		t.Fatal("no records traced")

@@ -27,8 +27,8 @@ var shardBackends = []struct {
 	name string
 	opts core.Options
 }{
-	{"core", core.Options{Parallel: 1}},
-	{"array", core.Options{Parallel: 1, ArrayDevices: 2, Partition: string(array.StrategyHash)}},
+	{"core", core.Options{}},
+	{"array", core.Options{ArrayDevices: 2, Partition: string(array.StrategyHash)}},
 }
 
 // newBackend builds a fresh device for opts.
@@ -213,7 +213,7 @@ func FuzzDeviceShard(f *testing.F) {
 		if len(script) > 24 {
 			script = script[:24]
 		}
-		opts := core.Options{Parallel: 1}
+		opts := core.Options{}
 		sh := serving.NewDeviceShard(newBackend(t, cfg, opts), newGen(t, cfg, seed^0x5eed), dim)
 		twin := newBackend(t, cfg, opts)
 		client, cseq := newGen(t, cfg, seed), 0
@@ -306,7 +306,7 @@ func FuzzDeviceShard(f *testing.F) {
 // shard's scratch reuse.
 func BenchmarkDeviceShardServe(b *testing.B) {
 	cfg := shardConfig()
-	sh := serving.NewDeviceShard(newBackend(b, cfg, core.Options{Parallel: 1}), nil, cfg.DenseDim)
+	sh := serving.NewDeviceShard(newBackend(b, cfg, core.Options{}), nil, cfg.DenseDim)
 	gen, seq := newGen(b, cfg, 31), 0
 	reqs := make([]serving.Request, 8)
 	for i := range reqs {

@@ -56,7 +56,7 @@ func TestReplayPipelineMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.RowsPerTable = cfg.RowsForBudget(4 << 20)
-		probe, err := core.New(cfg, core.Options{Parallel: 1})
+		probe, err := core.New(cfg, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestReplayPipelineMatchesOracle(t *testing.T) {
 		}
 		for _, design := range []engine.Design{engine.DesignSearched, engine.DesignNaive} {
 			for _, n := range sizes {
-				dev, err := core.New(cfg, core.Options{Design: design, Parallel: 1})
+				dev, err := core.New(cfg, core.Options{Design: design})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,12 +8,3 @@ const Debug = false
 
 // debugAcquire is a no-op in normal builds; the compiler removes the call.
 func debugAcquire(r *Resource, at, start, end, prevFree Time) {}
-
-// debugBindLane is a no-op in normal builds.
-func debugBindLane(id int32, r *Resource) {}
-
-// debugReleaseLane is a no-op in normal builds.
-func debugReleaseLane(id int32, r *Resource) {}
-
-// debugLaneAcquire is a no-op in normal builds.
-func debugLaneAcquire(id int32, r *Resource) {}

@@ -19,10 +19,6 @@ const Debug = true
 //   - nextFree monotone    (scheduling never rewinds the resource clock)
 //   - busy >= 0 and busy never exceeds the time the resource has existed
 func debugAcquire(r *Resource, at, start, end, prevFree Time) {
-	if r.lane != 0 && !r.laneOK {
-		panic(fmt.Sprintf("sim: invariant violated on %s: owned by lane %d but acquired outside its lane scope", r.name, r.lane))
-	}
-	r.laneOK = false
 	if start < at {
 		panic(fmt.Sprintf("sim: invariant violated on %s: start %v before arrival %v", r.name, start, at))
 	}
@@ -38,34 +34,4 @@ func debugAcquire(r *Resource, at, start, end, prevFree Time) {
 	if r.busy > r.nextFree {
 		panic(fmt.Sprintf("sim: invariant violated on %s: busy %v exceeds horizon %v", r.name, r.busy, r.nextFree))
 	}
-}
-
-// debugBindLane claims a resource for a lane. Binding a resource that
-// another lane still owns means two goroutines would race on its nextFree
-// pointer, so it panics; re-binding to the same lane is idempotent.
-func debugBindLane(id int32, r *Resource) {
-	if r.lane != 0 && r.lane != id {
-		panic(fmt.Sprintf("sim: lane %d binding %s still owned by lane %d", id, r.name, r.lane))
-	}
-	r.lane = id
-}
-
-// debugReleaseLane returns a resource to the unbound state. Releasing a
-// resource the lane does not own indicates mismatched Bind/Release pairing.
-func debugReleaseLane(id int32, r *Resource) {
-	if r.lane != id {
-		panic(fmt.Sprintf("sim: lane %d releasing %s owned by lane %d", id, r.name, r.lane))
-	}
-	r.lane = 0
-	r.laneOK = false
-}
-
-// debugLaneAcquire asserts the resource belongs to the acquiring lane and
-// arms the one-shot token debugAcquire consumes, so a bare Acquire on a
-// lane-owned resource is also caught.
-func debugLaneAcquire(id int32, r *Resource) {
-	if r.lane != id {
-		panic(fmt.Sprintf("sim: lane %d acquiring %s owned by lane %d", id, r.name, r.lane))
-	}
-	r.laneOK = true
 }

@@ -27,16 +27,6 @@ type Resource struct {
 	nextFree Time
 	busy     time.Duration // total occupied time, for utilization stats
 	served   int
-
-	// Lane bookkeeping, used only by the simdebug invariant layer (see
-	// lanes.go). lane is the owning LaneScope id (0 = unbound); laneOK is a
-	// one-shot token set by LaneScope.Acquire so debugAcquire can tell a
-	// scoped acquire from a bare Acquire on a lane-owned resource. Both are
-	// written strictly before lane goroutines start and after they join, or
-	// from the single goroutine driving the lane, so they need no
-	// synchronization of their own.
-	lane   int32
-	laneOK bool
 }
 
 // NewResource returns a named FCFS resource, free at the epoch.

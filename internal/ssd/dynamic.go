@@ -50,10 +50,11 @@ func (d *Device) DynamicStats() ftl.DynamicStats {
 	return d.dyn.Stats()
 }
 
-// translateRead resolves a logical page for reading. On the linear device
+// TranslateRead resolves a logical page for reading, untimed and
+// uncounted: the physical page a read of lpn lands on. On the linear device
 // every page is mapped; on the dynamic device unwritten pages report
 // mapped = false and the caller serves zeros from the controller.
-func (d *Device) translateRead(lpn int64) (flash.PPA, bool) {
+func (d *Device) TranslateRead(lpn int64) (flash.PPA, bool) {
 	if d.dyn == nil {
 		return d.ftl.Translate(lpn), true
 	}

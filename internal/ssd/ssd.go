@@ -130,7 +130,7 @@ func (d *Device) TotalPages() int64 { return d.ftl.TotalPages() }
 // straight from the controller without touching flash.
 func (d *Device) ReadPage(at sim.Time, lpn int64) sim.Time {
 	_, cmdDone := d.nvme.Acquire(at, params.NVMeCmdCost)
-	ppa, mapped := d.translateRead(lpn)
+	ppa, mapped := d.TranslateRead(lpn)
 	d.stats.BlockReads++
 	d.stats.HostBytesRead += int64(d.PageSize())
 	if !mapped {
@@ -164,14 +164,15 @@ func (d *Device) ReadVectorAt(at sim.Time, byteAddr int64, size int) (sim.Time, 
 	if !r.Mapped {
 		return r.Start, nil
 	}
-	return d.arr.ReadVector(r.Start, r.PPA, r.Col, r.Size)
+	vt, err := d.arr.ReadVector(r.Start, r.PPA, r.Col, r.Size)
+	return vt.Done, err
 }
 
 // ReadPageInternal serves an in-storage whole-page read (used by the
 // page-grained ISC baselines, e.g. EMB-PageSum and EMB-MMIO's fetches) and
 // returns its completion time.
 func (d *Device) ReadPageInternal(at sim.Time, lpn int64) sim.Time {
-	ppa, mapped := d.translateRead(lpn)
+	ppa, mapped := d.TranslateRead(lpn)
 	d.stats.EVReads++
 	if !mapped {
 		return at + params.Duration(params.FTLCycles)
@@ -184,7 +185,7 @@ func (d *Device) ReadPageInternal(at sim.Time, lpn int64) sim.Time {
 // into the result leaves the device untouched.
 func (d *Device) PeekPage(lpn int64) []byte {
 	buf := make([]byte, d.PageSize())
-	ppa, mapped := d.translateRead(lpn)
+	ppa, mapped := d.TranslateRead(lpn)
 	d.peekInto(lpn, ppa, mapped, 0, buf)
 	return buf
 }
@@ -203,7 +204,7 @@ func (d *Device) PeekRange(byteAddr int64, size int) []byte {
 // no allocation. The range must not cross a page boundary.
 func (d *Device) PeekRangeInto(byteAddr int64, dst []byte) {
 	lpn, col := d.split(byteAddr)
-	ppa, mapped := d.translateRead(lpn)
+	ppa, mapped := d.TranslateRead(lpn)
 	d.peekInto(lpn, ppa, mapped, col, dst)
 }
 

@@ -7,11 +7,10 @@ import (
 )
 
 // VectorRead is a translated, ready-to-schedule in-storage vector read: the
-// output of the sequential prepare phase of a lane-parallel lookup batch.
-// PrepareVectorRead performs everything ReadVectorAt does that touches
-// shared device state — FTL translation and device counters — so the
-// remaining flash scheduling can run on a per-channel lane goroutine with no
-// shared writes.
+// output of a lookup batch's plan phase. PrepareVectorRead performs
+// everything ReadVectorAt does before the flash read — FTL translation and
+// device counters — so a batch can translate all its reads, and abort on a
+// bad one, before it schedules any flash time.
 type VectorRead struct {
 	LPN    int64 // the logical page PPA translates
 	PPA    flash.PPA
@@ -22,7 +21,7 @@ type VectorRead struct {
 }
 
 // PrepareVectorRead translates one in-storage vector read without scheduling
-// its flash time. Calling flash.Lane.ReadVector(r.Start, r.PPA, r.Col,
+// its flash time. Calling flash.Array.ReadVector(r.Start, r.PPA, r.Col,
 // r.Size) afterwards — in the same per-channel order the device would have
 // seen — reproduces ReadVectorAt's timing exactly; unmapped reads complete
 // at r.Start and never touch flash, also exactly as ReadVectorAt. Like
@@ -32,7 +31,7 @@ type VectorRead struct {
 // followed by the flash read.
 func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) VectorRead {
 	lpn, col := d.split(byteAddr)
-	ppa, mapped := d.translateRead(lpn)
+	ppa, mapped := d.TranslateRead(lpn)
 	d.stats.EVReads++
 	return VectorRead{LPN: lpn, PPA: ppa, Col: col, Size: size, Mapped: mapped, Start: at + params.Duration(params.FTLCycles)}
 }
@@ -43,7 +42,3 @@ func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) Vector
 func (d *Device) PeekVectorInto(r *VectorRead, dst []byte) {
 	d.peekInto(r.LPN, r.PPA, r.Mapped, r.Col, dst)
 }
-
-// Channels returns the number of flash channels — the lane count of a
-// parallel lookup schedule.
-func (d *Device) Channels() int { return d.arr.Geometry().Channels }
