@@ -239,7 +239,7 @@ func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
 		if d.Seed == 0 {
 			d.Seed = globalSeed
 		}
-		weights, err := rmssd.BuildModel(cfg)
+		weights, err := rmssd.BuildResidentModel(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
 		}

@@ -99,6 +99,30 @@ func TestShardsShareWeights(t *testing.T) {
 	}
 }
 
+// Hosted weights live outside the GC heap (model.BuildResident), so hosting
+// RMC3 at 64 MiB over two shards grows the heap only by the devices' own
+// state. With its 12.2 MiB of weights on the heap, HeapAlloc grew by about
+// that much, and the GC let as much request garbage build up again.
+func TestBuildKeepsWeightsOffHeap(t *testing.T) {
+	mc := modelsConfig{Models: []modelDecl{{Model: "RMC3", TableMB: 64, Shards: 2}}}
+	if err := mc.validate(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	hosted, err := mc.build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("hosting RMC3 grew the heap by %.2f MiB, want < 1 MiB", float64(grew)/(1<<20))
+	}
+	runtime.KeepAlive(hosted)
+}
+
 // parseSingleFlags binds args into one decl exactly as single-model mode
 // does and validates it as a one-entry config.
 func parseSingleFlags(args []string) (modelDecl, error) {

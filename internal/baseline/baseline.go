@@ -104,6 +104,19 @@ func NewEnv(cfg model.Config, geo flash.Geometry) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewEnvFromModel(m, geo)
+}
+
+// NewEnvFromModel is NewEnv around an already-built model, which the
+// environment reads and never writes, so any number of environments may
+// share one.
+func NewEnvFromModel(m *model.Model, geo flash.Geometry) (*Env, error) {
+	if m == nil {
+		return nil, fmt.Errorf("baseline: nil model")
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	dev, err := ssd.New(geo)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"rmssd/internal/core"
 	"rmssd/internal/engine"
 	"rmssd/internal/flash"
-	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/ssd"
 )
@@ -68,7 +67,7 @@ func ablationMLPMapping(opts Options) *Table {
 	}
 	for _, name := range []string{"RMC1", "RMC3"} {
 		cfg := scaledConfig(name, opts)
-		m := model.MustBuild(cfg)
+		m := modelFor(cfg)
 		searched, err := engine.NewMLPEngine(m, engine.DesignSearched, params.XCVU9P)
 		if err != nil {
 			continue
@@ -139,7 +138,7 @@ func ablationFlashParallelism(opts Options) *Table {
 		g.DiesPerChannel = dies
 		// Keep capacity roughly constant.
 		g.BlocksPerPlane = g.BlocksPerPlane * (4 * 3) / (channels * dies)
-		r, err := core.New(cfg, core.Options{Geometry: g})
+		r, err := core.NewFromModel(modelFor(cfg), core.Options{Geometry: g})
 		if err != nil {
 			rows[idx] = []string{fmt.Sprintf("%d", channels), fmt.Sprintf("%d", dies), "-", "error: " + err.Error()}
 			return

@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"rmssd/internal/baseline"
 	"rmssd/internal/core"
@@ -49,8 +50,9 @@ type Options struct {
 	LocalityK float64
 	// Parallel bounds the number of goroutines used to evaluate
 	// independent experiment cells (each cell builds its own systems and
-	// devices and writes only its own output slot, so the rendered tables
-	// are byte-identical at any setting). 0 means GOMAXPROCS; 1 runs the
+	// devices over the shared read-only model of its config, modelFor,
+	// and writes only its own output slot, so the rendered tables are
+	// byte-identical at any setting). 0 means GOMAXPROCS; 1 runs the
 	// plain sequential loop.
 	Parallel int
 }
@@ -276,7 +278,31 @@ func traceFor(cfg model.Config, opts Options) *trace.Generator {
 
 // envFor lays a model out on a fresh device.
 func envFor(cfg model.Config) *baseline.Env {
-	return baseline.MustNewEnv(cfg, geometryFor(cfg))
+	env, err := baseline.NewEnvFromModel(modelFor(cfg), geometryFor(cfg))
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return env
+}
+
+// builtModels memoises one model.Model per config for the life of the
+// process. A model is read-only once built (DESIGN §16), so every cell,
+// device and baseline of every experiment that hosts a config reads the
+// same weights, built once. Safe under Options.Parallel: the first cell to
+// ask for a config builds it and concurrent askers wait for that build.
+var builtModels sync.Map // fmt.Sprintf("%#v", cfg) → *builtModel
+
+type builtModel struct {
+	once sync.Once
+	m    *model.Model
+}
+
+// modelFor returns the memoised model of cfg, building it on first use.
+func modelFor(cfg model.Config) *model.Model {
+	e, _ := builtModels.LoadOrStore(fmt.Sprintf("%#v", cfg), new(builtModel))
+	b := e.(*builtModel)
+	b.once.Do(func() { b.m = model.MustBuild(cfg) })
+	return b.m
 }
 
 // iterate runs n chained batch iterations of sys from now, each over the
@@ -312,7 +338,11 @@ func recssdFor(cfg model.Config, opts Options) *baseline.RecSSD {
 
 // rmssdFor builds a full RM-SSD (or the naive variant) for a model.
 func rmssdFor(cfg model.Config, design engine.Design) *core.RMSSD {
-	return core.MustNew(cfg, core.Options{Geometry: geometryFor(cfg), Design: design})
+	r, err := core.NewFromModel(modelFor(cfg), core.Options{Geometry: geometryFor(cfg), Design: design})
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return r
 }
 
 // fmtSeconds renders a duration in seconds with an adaptive precision.

@@ -5,7 +5,6 @@ import (
 
 	"rmssd/internal/baseline"
 	"rmssd/internal/engine"
-	"rmssd/internal/model"
 	"rmssd/internal/power"
 )
 
@@ -22,7 +21,7 @@ func EnergyStudy(opts Options) []*Table {
 	}
 	for _, name := range []string{"RMC1", "RMC3"} {
 		cfg := scaledConfig(name, opts)
-		m := model.MustBuild(cfg)
+		m := modelFor(cfg)
 		lookups := int64(cfg.Tables) * int64(cfg.Lookups)
 		evSize := int64(cfg.EVSize())
 		macs := int64(cfg.MLPWeightBytes() / 4)

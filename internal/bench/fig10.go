@@ -25,7 +25,7 @@ func slsSystemSet() []namedSystem {
 		{"EMB-MMIO", func(cfg model.Config) baseline.System { return baseline.NewEmbMMIO(envFor(cfg)) }},
 		{"EMB-PageSum", func(cfg model.Config) baseline.System { return baseline.NewEmbPageSum(envFor(cfg)) }},
 		{"EMB-VectorSum", func(cfg model.Config) baseline.System { return baseline.NewEmbVectorSum(envFor(cfg)) }},
-		{"DRAM", func(cfg model.Config) baseline.System { return baseline.NewDRAM(model.MustBuild(cfg)) }},
+		{"DRAM", func(cfg model.Config) baseline.System { return baseline.NewDRAM(modelFor(cfg)) }},
 	}
 }
 
@@ -166,7 +166,7 @@ func Fig13(opts Options) []*Table {
 			rm := rmssdFor(cfg, engine.DesignSearched)
 			grid[mi][ci] = fmtSeconds(rm.Latency(1).Seconds() * 1000)
 		default:
-			dram := baseline.NewDRAM(model.MustBuild(cfg))
+			dram := baseline.NewDRAM(modelFor(cfg))
 			done, _ := dram.InferBatchTiming(0, traceFor(cfg, opts).Batch(1))
 			grid[mi][ci] = fmtSeconds(time.Duration(done).Seconds() * 1000)
 		}

@@ -47,7 +47,7 @@ func Fig12(opts Options) []*Table {
 		{1, func(cfg model.Config) baseline.System { return baseline.NewSSDS(envFor(cfg)) }},
 		{2, func(cfg model.Config) baseline.System { return recssdFor(cfg, opts) }},
 		{3, func(cfg model.Config) baseline.System { return baseline.NewEmbVectorSum(envFor(cfg)) }},
-		{6, func(cfg model.Config) baseline.System { return baseline.NewDRAM(model.MustBuild(cfg)) }},
+		{6, func(cfg model.Config) baseline.System { return baseline.NewDRAM(modelFor(cfg)) }},
 	}
 	var tables []*Table
 	for _, name := range []string{"RMC1", "RMC2", "RMC3"} {
@@ -162,7 +162,7 @@ func Fig15(opts Options) []*Table {
 			full := rmssdFor(cfg, engine.DesignSearched)
 			q = rmssdQPS(full, full.NBatch())
 		default:
-			q = hostQPS(baseline.NewDRAM(model.MustBuild(cfg)), cfg, opts, hostBatch)
+			q = hostQPS(baseline.NewDRAM(modelFor(cfg)), cfg, opts, hostBatch)
 		}
 		grid[mi][ci] = k(q)
 	})

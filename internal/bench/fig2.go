@@ -33,7 +33,7 @@ func Fig2(opts Options) []*Table {
 	}{
 		{func(cfg model.Config) baseline.System { return baseline.NewSSDS(envFor(cfg)) }},
 		{func(cfg model.Config) baseline.System { return baseline.NewSSDM(envFor(cfg)) }},
-		{func(cfg model.Config) baseline.System { return baseline.NewDRAM(model.MustBuild(cfg)) }},
+		{func(cfg model.Config) baseline.System { return baseline.NewDRAM(modelFor(cfg)) }},
 	}
 	// One cell per (model, batch, system): each builds its own system on a
 	// fresh device, so the 27 cells are independent and the two tables are

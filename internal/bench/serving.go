@@ -6,7 +6,6 @@ import (
 
 	"rmssd/internal/baseline"
 	"rmssd/internal/engine"
-	"rmssd/internal/model"
 )
 
 // ServingStudy extends the paper toward its own motivation: the "strict
@@ -30,7 +29,7 @@ func ServingStudy(opts Options) []*Table {
 			return rmssdBatcher(rmssdFor(cfg, engine.DesignSearched), traceFor(cfg, opts))
 		},
 		"DRAM": func() *timedBatcher {
-			return hostBatcher(baseline.NewDRAM(model.MustBuild(cfg)), traceFor(cfg, opts))
+			return hostBatcher(baseline.NewDRAM(modelFor(cfg)), traceFor(cfg, opts))
 		},
 		"RecSSD": func() *timedBatcher { return hostBatcher(recssdFor(cfg, opts), traceFor(cfg, opts)) },
 	}

@@ -70,7 +70,7 @@ func Table5() *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		m := model.MustBuild(cfg)
+		m := modelFor(cfg)
 		e, err := engine.NewMLPEngine(m, engine.DesignSearched, params.XCVU9P)
 		if err != nil {
 			t.AddRow(name, "-", "search failed: "+err.Error(), "-", "-")
@@ -102,7 +102,7 @@ func Table6() *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		m := model.MustBuild(cfg)
+		m := modelFor(cfg)
 		for _, d := range []engine.Design{engine.DesignNaive, engine.DesignDefault, engine.DesignSearched} {
 			big, err := engine.NewMLPEngine(m, d, params.XCVU9P)
 			if err != nil {

@@ -30,7 +30,7 @@ func WriteLoad(opts Options) []*Table {
 	gen := traceFor(cfg, opts)
 	var baselineQPS float64
 	for _, updates := range []int{0, 8, 32, 128} {
-		r, err := core.New(cfg, core.Options{
+		r, err := core.NewFromModel(modelFor(cfg), core.Options{
 			Geometry: geometryFor(cfg),
 			Design:   engine.DesignSearched,
 			Dynamic:  true,

@@ -240,15 +240,6 @@ func NewFromModel(m *model.Model, opts Options) (*RMSSD, error) {
 	return r, nil
 }
 
-// MustNew is New, panicking on error.
-func MustNew(cfg model.Config, opts Options) *RMSSD {
-	r, err := New(cfg, opts)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return r
-}
-
 // Model returns the hosted model.
 func (r *RMSSD) Model() *model.Model { return r.m }
 

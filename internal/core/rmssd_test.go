@@ -397,12 +397,6 @@ func TestAccessorsAndErrors(t *testing.T) {
 	if _, err := New(bad, Options{Geometry: smallGeometry()}); err == nil {
 		t.Fatal("invalid model must fail")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew should panic on invalid config")
-		}
-	}()
-	MustNew(bad, Options{Geometry: smallGeometry()})
 }
 
 func TestNewFailsWhenTablesExceedDevice(t *testing.T) {

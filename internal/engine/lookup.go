@@ -145,7 +145,8 @@ type LookupEngine struct {
 	// is dead by the time a pool call returns, so reuse only trims
 	// allocations, never aliases live state.
 	slots  []lkSlot
-	loads  []sim.LaneLoad // Loads: per die, then the EV-cache port
+	reads  []ssd.VectorRead // the flash and zero slots' prepared reads
+	loads  []sim.LaneLoad   // Loads: per die, then the EV-cache port
 	owners map[evcache.Key]int32
 	ev     []byte // the slot's bytes being reduced (planner.go)
 }

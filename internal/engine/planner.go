@@ -7,7 +7,6 @@ import (
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
-	"rmssd/internal/ssd"
 	"rmssd/internal/tensor"
 )
 
@@ -83,15 +82,17 @@ const (
 	slotDup                   // merged with an earlier slot's read
 )
 
-// lkSlot is one lookup's state across the three phases.
+// lkSlot is one lookup's state across the three phases, 64 bytes: the plan
+// appends one per lookup, so a flash or zero slot's prepared read lives in
+// the engine's reads side table rather than in every slot.
 type lkSlot struct {
-	vec   int32 // flat accumulator index: inference*Tables + table
-	kind  slotKind
-	owner int32    // slotDup: the owning slot's index
-	start sim.Time // slotDup: the duplicate's own issue time (ready floor)
-	key   evcache.Key
-	vr    ssd.VectorRead // slotFlash/slotZero
-	fill  evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
+	vec  int32          // flat accumulator index: inference*Tables + table
+	ref  int32          // slotDup: the owning slot's index; slotFlash/slotZero: its read in e.reads
+	fill evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
+	kind slotKind
+	key  evcache.Key
+	// ready is when the slot's bytes are ready. A duplicate's holds its own
+	// issue time until reduce raises it to its owner's.
 	ready sim.Time
 	err   error // uncorrectable read (wraps flash.ErrUncorrectable)
 }
@@ -154,7 +155,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 	}
 
 	// Phase 1 — sequential plan in global order.
-	slots := e.slots[:0]
+	slots, reads := e.slots[:0], e.reads[:0]
 	e.resetLoads()
 	var maxIssue sim.Time
 	for b, sparse := range sparses {
@@ -177,7 +178,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 				if e.dedup {
 					if own, ok := e.owners[key]; ok {
 						e.stats.DedupHits++
-						slots = append(slots, lkSlot{vec: vec, kind: slotDup, owner: own, start: issue, key: key})
+						slots = append(slots, lkSlot{vec: vec, kind: slotDup, ref: own, ready: issue, key: key})
 						continue
 					}
 				}
@@ -194,7 +195,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 							if !ok {
 								panic(fmt.Sprintf("engine: unfilled cache entry for table %d row %d has no owning slot", t, row))
 							}
-							slots = append(slots, lkSlot{vec: vec, kind: slotDup, owner: own, start: issue, key: key})
+							slots = append(slots, lkSlot{vec: vec, kind: slotDup, ref: own, ready: issue, key: key})
 						}
 						continue
 					}
@@ -211,12 +212,14 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 				if e.cache != nil {
 					fill = e.cache.Reserve(t, row)
 				}
+				ref := int32(len(reads))
+				reads = append(reads, vr)
 				if vr.Mapped {
-					slots = append(slots, lkSlot{vec: vec, kind: slotFlash, vr: vr, fill: fill, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotFlash, ref: ref, fill: fill, key: key})
 				} else {
 					// Never-written page on a dynamic device: zeros at
 					// translation time, no flash involvement.
-					slots = append(slots, lkSlot{vec: vec, kind: slotZero, vr: vr, ready: vr.Start, fill: fill, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ref: ref, ready: vr.Start, fill: fill, key: key})
 				}
 				if track {
 					e.owners[key] = idx
@@ -227,7 +230,7 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 			maxIssue = issue
 		}
 	}
-	e.slots = slots
+	e.slots, e.reads = slots, reads
 
 	// Phase 2 — flash scheduling in plan order.
 	e.readFlash(at)
@@ -243,8 +246,8 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 	for i := range slots {
 		s := &slots[i]
 		if s.kind == slotDup {
-			own := &slots[s.owner]
-			s.ready = sim.Max(s.start, own.ready)
+			own := &slots[s.ref]
+			s.ready = sim.Max(s.ready, own.ready)
 			s.err = own.err
 		}
 		if s.err != nil {
@@ -289,11 +292,11 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 // the next slot resolves.
 func (e *LookupEngine) slotBytes(s *lkSlot) []byte {
 	if s.kind == slotDup {
-		s = &e.slots[s.owner]
+		s = &e.slots[s.ref]
 	}
 	switch s.kind {
 	case slotFlash, slotZero:
-		e.dev.PeekVectorInto(&s.vr, e.ev)
+		e.dev.PeekVectorInto(&e.reads[s.ref], e.ev)
 	case slotHit:
 		addr, err := e.tr.Lookup(s.key.Table, s.key.Row)
 		if err != nil {
@@ -337,8 +340,9 @@ func (e *LookupEngine) readFlash(at sim.Time) {
 		if s.kind != slotFlash {
 			continue
 		}
-		vt, err := arr.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+		vr := &e.reads[s.ref]
+		vt, err := arr.ReadVector(vr.Start, vr.PPA, vr.Col, vr.Size)
 		s.ready, s.err = vt.Done, err
-		addLoad(&e.loads[s.vr.PPA.Channel*dies+s.vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
+		addLoad(&e.loads[vr.PPA.Channel*dies+vr.PPA.Die], at, vt.FlushStart, vt.FlushEnd)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -98,6 +99,14 @@ func runDiffRounds(pool func(at sim.Time, sparses [][][]int64, materialize bool)
 		at = td + 1
 	}
 	return out
+}
+
+// The plan appends one lkSlot per lookup, so its size is per-lookup copy
+// cost: the prepared flash read stays in the reads side table.
+func TestLookupSlotSize(t *testing.T) {
+	if got := reflect.TypeFor[lkSlot]().Size(); got > 64 {
+		t.Fatalf("lkSlot is %d bytes, want at most 64", got)
+	}
 }
 
 // TestPlannerMatchesReference is the engine-level differential test: the

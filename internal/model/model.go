@@ -341,11 +341,12 @@ func (l Layer) FLOPs() int64 { return 2 * int64(l.W.Rows) * int64(l.W.Cols) }
 // Model is a materialised recommendation model: configuration plus weights.
 //
 // The weights — Bottom, Top and every layer's W and B — are read-only after
-// Build: nothing writes them, so one Model may back any number of devices,
-// shards and array members, read concurrently from their goroutines. They
-// depend only on Cfg's seed and layer dimensions, never on its row space
-// (RowsPerTable, RowBase, RowStride), so a Model that keeps the layers and
-// swaps in a config differing only there is the same model over other rows.
+// Build and BuildResident (whose mapping makes a write fault): nothing
+// writes them, so one Model may back any number of devices, shards and
+// array members, read concurrently from their goroutines. They depend only
+// on Cfg's seed and layer dimensions, never on its row space (RowsPerTable,
+// RowBase, RowStride), so a Model that keeps the layers and swaps in a
+// config differing only there is the same model over other rows.
 type Model struct {
 	Cfg    Config
 	Bottom []Layer
@@ -353,29 +354,60 @@ type Model struct {
 }
 
 // Build materialises the model's MLP weights deterministically from the
-// config seed. Weight scale is kept small so deep towers do not saturate
-// the float32 range.
+// config seed, on the GC heap: one slice holds every layer's weights, so a
+// dropped model is freed like any other value. Weight scale is kept small so
+// deep towers do not saturate the float32 range.
 func Build(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{Cfg: cfg}
-	build := func(dims []int, in int, seedBase uint64, final bool) []Layer {
-		var layers []Layer
+	return layout(cfg, make([]float32, cfg.MLPWeightBytes()/4)), nil
+}
+
+// BuildResident is Build for a model that lives as long as the process: the
+// weights go into one anonymous private mapping outside the GC heap, which
+// is made read-only once filled and never unmapped (resident_unix.go;
+// platforms without mprotect get a heap slice). Off-heap bytes do not raise
+// the GC's heap goal, so a hosted model's weights no longer let as many
+// bytes of request garbage pile up between collections; but the GC cannot
+// see them either, so code that builds and drops models uses Build.
+func BuildResident(cfg Config) (*Model, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var m *Model
+	if err := residentWeights(int(cfg.MLPWeightBytes()/4), func(data []float32) { m = layout(cfg, data) }); err != nil {
+		return nil, fmt.Errorf("model %s: %w", cfg.Name, err)
+	}
+	return m, nil
+}
+
+// layout carves every layer's W and B out of data, which holds exactly
+// cfg.MLPWeightBytes()/4 elements: the bottom tower then the top, each
+// layer's W then its B. It fills them from the config seed, so the weights
+// do not depend on where data lives. The model's layers and matrix headers
+// take one allocation each.
+func layout(cfg Config, data []float32) *Model {
+	nb := len(cfg.BottomMLP)
+	layers := make([]Layer, nb+len(cfg.TopMLP))
+	mats := make([]tensor.Matrix, len(layers))
+	carve := func(layers []Layer, mats []tensor.Matrix, dims []int, in int, seedBase uint64, final bool) {
 		for i, out := range dims {
-			w := tensor.NewMatrix(out, in)
-			scale := float32(1 / math.Sqrt(float64(in)))
-			tensor.FillMatrix(w, seedBase+uint64(i)*2, scale)
-			b := make(tensor.Vector, out)
+			n := out * in
+			w := &mats[i]
+			*w = tensor.Matrix{Rows: out, Cols: in, Stride: in, Data: data[:n:n]}
+			tensor.FillMatrix(w, seedBase+uint64(i)*2, float32(1/math.Sqrt(float64(in))))
+			b := tensor.Vector(data[n : n+out : n+out])
 			tensor.FillVector(b, seedBase+uint64(i)*2+1, 0.01)
-			layers = append(layers, Layer{W: w, B: b, Final: final && i == len(dims)-1})
+			data = data[n+out:]
+			layers[i] = Layer{W: w, B: b, Final: final && i == len(dims)-1}
 			in = out
 		}
-		return layers
 	}
-	m.Bottom = build(cfg.BottomMLP, cfg.DenseDim, cfg.Seed^0xb07700, false)
-	m.Top = build(cfg.TopMLP, cfg.TopInputDim(), cfg.Seed^0x70b, true)
-	return m, nil
+	m := &Model{Cfg: cfg, Bottom: layers[:nb:nb], Top: layers[nb:]}
+	carve(m.Bottom, mats[:nb], cfg.BottomMLP, cfg.DenseDim, cfg.Seed^0xb07700, false)
+	carve(m.Top, mats[nb:], cfg.TopMLP, cfg.TopInputDim(), cfg.Seed^0x70b, true)
+	return m
 }
 
 // Validate reports whether m is servable: its config validates, every

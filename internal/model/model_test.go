@@ -175,6 +175,90 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// Build carves every layer out of one slice, and BuildResident out of one
+// mapping; both must fill exactly the weights a per-layer fill gives: each
+// layer's own matrix and bias filled from the seeds Build has always used.
+func TestBuildMatchesPerLayerFill(t *testing.T) {
+	ref := func(dims []int, in int, seedBase uint64) []Layer {
+		var layers []Layer
+		for i, out := range dims {
+			w := tensor.NewMatrix(out, in)
+			tensor.FillMatrix(w, seedBase+uint64(i)*2, float32(1/math.Sqrt(float64(in))))
+			b := make(tensor.Vector, out)
+			tensor.FillVector(b, seedBase+uint64(i)*2+1, 0.01)
+			layers = append(layers, Layer{W: w, B: b})
+			in = out
+		}
+		return layers
+	}
+	same := func(t *testing.T, tower string, got, want []Layer) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d layers, want %d", tower, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.W.Rows != w.W.Rows || g.W.Cols != w.W.Cols || g.W.Stride != w.W.Stride ||
+				len(g.W.Data) != len(w.W.Data) || cap(g.W.Data) != len(g.W.Data) || cap(g.B) != len(g.B) {
+				t.Fatalf("%s layer %d: header %dx%d stride %d len %d cap %d, want %dx%d compact",
+					tower, i, g.W.Rows, g.W.Cols, g.W.Stride, len(g.W.Data), cap(g.W.Data), w.W.Rows, w.W.Cols)
+			}
+			for j := range w.W.Data {
+				if math.Float32bits(g.W.Data[j]) != math.Float32bits(w.W.Data[j]) {
+					t.Fatalf("%s layer %d: W[%d] = %v, want %v", tower, i, j, g.W.Data[j], w.W.Data[j])
+				}
+			}
+			for j := range w.B {
+				if math.Float32bits(g.B[j]) != math.Float32bits(w.B[j]) {
+					t.Fatalf("%s layer %d: B[%d] = %v, want %v", tower, i, j, g.B[j], w.B[j])
+				}
+			}
+		}
+	}
+	for _, cfg := range AllConfigs() {
+		bottom := ref(cfg.BottomMLP, cfg.DenseDim, cfg.Seed^0xb07700)
+		top := ref(cfg.TopMLP, cfg.TopInputDim(), cfg.Seed^0x70b)
+		for _, b := range []struct {
+			name  string
+			build func(Config) (*Model, error)
+		}{{"Build", Build}, {"BuildResident", BuildResident}} {
+			t.Run(cfg.Name+"/"+b.name, func(t *testing.T) {
+				m, err := b.build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, "bottom", m.Bottom, bottom)
+				same(t, "top", m.Top, top)
+				if err := m.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+func TestBuildResidentRejectsInvalidConfig(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TopMLP = []int{4}
+	if _, err := BuildResident(cfg); err == nil {
+		t.Fatal("BuildResident accepted a top MLP that does not end in one output")
+	}
+}
+
+// BenchmarkBuild measures one heap build of RMC3 at 64 MiB of tables: its
+// allocations are the model, its layers, their matrix headers and the one
+// weight slice, whatever the depth. make bench-micro gates its allocs/op.
+func BenchmarkBuild(b *testing.B) {
+	cfg := RMC3()
+	cfg.RowsPerTable = cfg.RowsForBudget(64 << 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestInferOutputIsProbability(t *testing.T) {
 	m := MustBuild(smallConfig())
 	dense := make(tensor.Vector, m.Cfg.DenseDim)

@@ -84,6 +84,9 @@ var (
 	ModelByName = model.ConfigByName
 	// BuildModel materialises weights for a configuration.
 	BuildModel = model.Build
+	// BuildResidentModel materialises weights for a model hosted for the
+	// life of the process, in read-only memory outside the GC heap.
+	BuildResidentModel = model.BuildResident
 )
 
 // TableIIIBudget is the paper's 30 GB embedding-table budget per model.
