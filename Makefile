@@ -96,8 +96,9 @@ bench-perf:
 	$(GO) run ./cmd/rmperf
 
 # Allocation micro-benchmarks for the serving/lookup/cache hot paths, for
-# building a model (one weight slice however deep its towers) and for
-# building one more shard of a hosted model.
+# the host MLP's MatVec kernel (its output vector only), for building a
+# model (one weight slice however deep its towers) and for building one
+# more shard of a hosted model.
 # -benchtime=100x keeps it a smoke run: fixed iteration count, so it is
 # fast and deterministic enough for CI while still exercising
 # b.ReportAllocs on every hot path. The target fails when a benchmark's
@@ -108,7 +109,7 @@ bench-perf:
 # BenchmarkNewFromModel allocated 59 KB per shard once every device read
 # the hosted model's weights in place, and one per-device copy of RMC3's
 # top L0 would add 720 KB), or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0 BenchmarkBuild=4
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0 BenchmarkBuild=4 BenchmarkMatVec=1
 BYTES_CEILINGS := BenchmarkNewFromModel=89000
 
 bench-micro:
@@ -118,6 +119,7 @@ bench-micro:
 	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkPageCacheTouch -benchtime=100x -benchmem ./internal/hostio/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=100x -benchmem ./internal/model/ && \
+	  $(GO) test -run='^$$' -bench=BenchmarkMatVec -benchtime=100x -benchmem ./internal/tensor/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkNewFromModel -benchtime=100x -benchmem ./internal/core/; \
 	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \
 	awk -v allocs='$(ALLOC_CEILINGS)' -v bytes='$(BYTES_CEILINGS)' ' \

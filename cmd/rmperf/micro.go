@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"rmssd"
+	"rmssd/internal/engine"
 	"rmssd/internal/evcache"
+	"rmssd/internal/params"
 	"rmssd/internal/serving"
+	"rmssd/internal/tensor"
 )
 
 // Micro-benchmarks: per-operation allocation and latency numbers for the
@@ -26,6 +29,10 @@ import (
 // before shards shared their hosted model, when every shard built its own
 // weights. The resident-bytes baseline is the full churned 8 MiB cache of
 // 128-byte vectors measured the same way while a Go map indexed the slab.
+// The MLP-forward baseline is the same benchmark with the one-row MatVec
+// that preceded the four-row kernel (median of five runs on the 2-vCPU
+// host that produced BENCH_simcore.json; the kernel change moved no
+// allocation).
 const (
 	baseSubmitAllocs     = 5
 	baseSubmitBytes      = 288
@@ -36,6 +43,9 @@ const (
 	baseShardBuildAllocs = 1039
 	baseShardBuildBytes  = 13603256
 	baseResidentBytes    = 213.4
+	baseMLPForwardNs     = 3469789
+	baseMLPForwardAllocs = 10
+	baseMLPForwardBytes  = 15748
 )
 
 // MicroStat is one benchmark's per-op numbers next to its frozen baseline.
@@ -43,20 +53,22 @@ type MicroStat struct {
 	NsPerOp        float64 `json:"ns_per_op"`
 	AllocsPerOp    int64   `json:"allocs_per_op"`
 	BytesPerOp     int64   `json:"bytes_per_op"`
+	BaselineNs     float64 `json:"baseline_ns_per_op,omitempty"`
 	BaselineAllocs int64   `json:"baseline_allocs_per_op,omitempty"`
 	BaselineBytes  int64   `json:"baseline_bytes_per_op,omitempty"`
 }
 
 // MicroReport aggregates the micro-benchmarks plus the GC pause accumulated
-// while the hot-path ones ran, shard_build and the footprint excluded (host
-// wall-clock figures; simulated time is not involved), and the heap a full
-// EV cache retains per resident entry.
+// while the hot-path ones ran, shard_build, mlp_forward and the footprint
+// excluded (host wall-clock figures; simulated time is not involved), and
+// the heap a full EV cache retains per resident entry.
 type MicroReport struct {
 	PoolSubmit        MicroStat `json:"pool_submit"`
 	LookupPoolHot     MicroStat `json:"lookup_pool_hot"`
 	EVCacheHit        MicroStat `json:"evcache_hit"`
 	EVCacheMiss       MicroStat `json:"evcache_miss_fill"`
 	ShardBuild        MicroStat `json:"shard_build"`
+	MLPForward        MicroStat `json:"mlp_forward"`
 	GCPauseMS         float64   `json:"gc_pause_total_ms"`
 	ResidentBytes     float64   `json:"evcache_resident_bytes_per_entry"`
 	BaseResidentBytes float64   `json:"baseline_evcache_resident_bytes_per_entry"`
@@ -191,12 +203,39 @@ func runMicro() MicroReport {
 		}
 	})
 
+	// One RMC3 inference through the searched MLP engine's remapped
+	// towers over the same hosted weights: the host MatVec work that
+	// dominates the rmc3-mlp serving workload.
+	mlp, err := engine.NewMLPEngine(hosted, engine.DesignSearched, params.XCVU9P)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	dense := make(tensor.Vector, shardCfg.DenseDim)
+	tensor.FillVector(dense, 1, 1)
+	pooled := make([]tensor.Vector, shardCfg.Tables)
+	for t := range pooled {
+		pooled[t] = make(tensor.Vector, shardCfg.EVDim)
+		tensor.FillVector(pooled[t], uint64(2+t), 1)
+	}
+	var sink float32
+	forward := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += mlp.Forward(dense, pooled)
+		}
+	})
+	runtime.KeepAlive(sink)
+	mlpForward := stat(forward, baseMLPForwardAllocs, baseMLPForwardBytes)
+	mlpForward.BaselineNs = baseMLPForwardNs
+
 	return MicroReport{
 		PoolSubmit:        stat(submit, baseSubmitAllocs, baseSubmitBytes),
 		LookupPoolHot:     stat(lookup, baseLookupAllocs, baseLookupBytes),
 		EVCacheHit:        stat(hit, 0, 0),
 		EVCacheMiss:       stat(miss, baseMissFillAllocs, baseMissFillBytes),
 		ShardBuild:        stat(shardBuild, baseShardBuildAllocs, baseShardBuildBytes),
+		MLPForward:        mlpForward,
 		GCPauseMS:         float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
 		ResidentBytes:     residentBytesPerEntry(8<<20, 128),
 		BaseResidentBytes: baseResidentBytes,

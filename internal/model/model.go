@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"rmssd/internal/params"
@@ -356,12 +358,13 @@ type Model struct {
 // Build materialises the model's MLP weights deterministically from the
 // config seed, on the GC heap: one slice holds every layer's weights, so a
 // dropped model is freed like any other value. Weight scale is kept small so
-// deep towers do not saturate the float32 range.
+// deep towers do not saturate the float32 range. It fills on the calling
+// goroutine alone, so a build costs its few allocations and no goroutine.
 func Build(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return layout(cfg, make([]float32, cfg.MLPWeightBytes()/4)), nil
+	return layout(cfg, make([]float32, cfg.MLPWeightBytes()/4), 1), nil
 }
 
 // BuildResident is Build for a model that lives as long as the process: the
@@ -370,13 +373,16 @@ func Build(cfg Config) (*Model, error) {
 // platforms without mprotect get a heap slice). Off-heap bytes do not raise
 // the GC's heap goal, so a hosted model's weights no longer let as many
 // bytes of request garbage pile up between collections; but the GC cannot
-// see them either, so code that builds and drops models uses Build.
+// see them either, so code that builds and drops models uses Build. The
+// fill is split across GOMAXPROCS goroutines, which gives the same weights
+// as Build's serial fill (see layout).
 func BuildResident(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var m *Model
-	if err := residentWeights(int(cfg.MLPWeightBytes()/4), func(data []float32) { m = layout(cfg, data) }); err != nil {
+	fill := func(data []float32) { m = layout(cfg, data, runtime.GOMAXPROCS(0)) }
+	if err := residentWeights(int(cfg.MLPWeightBytes()/4), fill); err != nil {
 		return nil, fmt.Errorf("model %s: %w", cfg.Name, err)
 	}
 	return m, nil
@@ -387,16 +393,39 @@ func BuildResident(cfg Config) (*Model, error) {
 // layer's W then its B. It fills them from the config seed, so the weights
 // do not depend on where data lives. The model's layers and matrix headers
 // take one allocation each.
-func layout(cfg Config, data []float32) *Model {
+//
+// Each weight matrix's rows are filled in `workers` contiguous chunks:
+// chunk 0 on the calling goroutine, the others on goroutines that layout
+// joins before it returns. Every weight is a pure function of (seed, row,
+// column), so the split cannot change one; with one worker nothing is
+// spawned.
+func layout(cfg Config, data []float32, workers int) *Model {
 	nb := len(cfg.BottomMLP)
 	layers := make([]Layer, nb+len(cfg.TopMLP))
 	mats := make([]tensor.Matrix, len(layers))
+	var wg *sync.WaitGroup
+	if workers > 1 {
+		// Allocated only here: a WaitGroup that goroutines share lives
+		// on the heap, and the one-worker build needs none.
+		wg = new(sync.WaitGroup)
+	}
+	fill := func(w *tensor.Matrix, seed uint64, scale float32) {
+		chunk := (w.Rows + workers - 1) / workers
+		for r0 := chunk; r0 < w.Rows; r0 += chunk {
+			wg.Add(1)
+			go func(r0, r1 int) {
+				defer wg.Done()
+				tensor.FillMatrixRows(w, seed, scale, r0, r1)
+			}(r0, min(r0+chunk, w.Rows))
+		}
+		tensor.FillMatrixRows(w, seed, scale, 0, chunk)
+	}
 	carve := func(layers []Layer, mats []tensor.Matrix, dims []int, in int, seedBase uint64, final bool) {
 		for i, out := range dims {
 			n := out * in
 			w := &mats[i]
 			*w = tensor.Matrix{Rows: out, Cols: in, Stride: in, Data: data[:n:n]}
-			tensor.FillMatrix(w, seedBase+uint64(i)*2, float32(1/math.Sqrt(float64(in))))
+			fill(w, seedBase+uint64(i)*2, float32(1/math.Sqrt(float64(in))))
 			b := tensor.Vector(data[n : n+out : n+out])
 			tensor.FillVector(b, seedBase+uint64(i)*2+1, 0.01)
 			data = data[n+out:]
@@ -407,6 +436,9 @@ func layout(cfg Config, data []float32) *Model {
 	m := &Model{Cfg: cfg, Bottom: layers[:nb:nb], Top: layers[nb:]}
 	carve(m.Bottom, mats[:nb], cfg.BottomMLP, cfg.DenseDim, cfg.Seed^0xb07700, false)
 	carve(m.Top, mats[nb:], cfg.TopMLP, cfg.TopInputDim(), cfg.Seed^0x70b, true)
+	if wg != nil {
+		wg.Wait()
+	}
 	return m
 }
 

@@ -221,7 +221,7 @@ func TestBuildMatchesPerLayerFill(t *testing.T) {
 		for _, b := range []struct {
 			name  string
 			build func(Config) (*Model, error)
-		}{{"Build", Build}, {"BuildResident", BuildResident}} {
+		}{{"Build", Build}, {"BuildResident", BuildResident}, {"layout/3", layoutWorkers(3)}, {"layout/7", layoutWorkers(7)}} {
 			t.Run(cfg.Name+"/"+b.name, func(t *testing.T) {
 				m, err := b.build(cfg)
 				if err != nil {
@@ -234,6 +234,14 @@ func TestBuildMatchesPerLayerFill(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// layoutWorkers builds on the heap with the weight fill split across the
+// given number of goroutines.
+func layoutWorkers(workers int) func(Config) (*Model, error) {
+	return func(cfg Config) (*Model, error) {
+		return layout(cfg, make([]float32, cfg.MLPWeightBytes()/4), workers), nil
 	}
 }
 

@@ -36,11 +36,12 @@ func HashPrefix(keys ...uint64) uint64 {
 // by k.
 func HashFloatFrom(prefix, k uint64) float32 { return hashToFloat(Mix64(prefix ^ k)) }
 
-// hashToFloat maps a hash state to [-1, 1): 24 mantissa bits -> uniform in
-// [0,1), then shifted.
+// hashToFloat maps a hash state to [-1, 1): the top 24 bits, centred on
+// zero, scaled by 2^-23. Both steps are exact in float32 (a 24-bit integer
+// and a power-of-two scale), so this is the same value as (2*k/2^24 - 1)
+// computed in float64 and rounded, without leaving float32.
 func hashToFloat(h uint64) float32 {
-	u := float64(h>>40) / float64(1<<24)
-	return float32(2*u - 1)
+	return float32(int32(h>>40)-1<<23) * (1.0 / (1 << 23))
 }
 
 // RNG is a small deterministic PRNG (SplitMix64) for sequential generation.
@@ -78,11 +79,17 @@ func (r *RNG) Intn(n int) int {
 
 // FillMatrix initialises m with small deterministic weights derived from
 // seed, in [-scale, scale).
-func FillMatrix(m *Matrix, seed uint64, scale float32) {
-	for r := 0; r < m.Rows; r++ {
+func FillMatrix(m *Matrix, seed uint64, scale float32) { FillMatrixRows(m, seed, scale, 0, m.Rows) }
+
+// FillMatrixRows fills rows [r0, r1) of m as FillMatrix does. Each weight
+// is a pure function of (seed, row, column), so filling disjoint row
+// ranges concurrently gives the same matrix as one FillMatrix.
+func FillMatrixRows(m *Matrix, seed uint64, scale float32, r0, r1 int) {
+	for r := r0; r < r1; r++ {
 		p := HashPrefix(seed, uint64(r))
-		for c := 0; c < m.Cols; c++ {
-			m.Set(r, c, scale*HashFloatFrom(p, uint64(c)))
+		row := m.Data[r*m.Stride:][:m.Cols]
+		for c := range row {
+			row[c] = scale * HashFloatFrom(p, uint64(c))
 		}
 	}
 }

@@ -66,8 +66,28 @@ func (m *Matrix) MatVec(x Vector) Vector {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch: %dx%d by %d", m.Rows, m.Cols, len(x)))
 	}
 	y := make(Vector, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Stride : r*m.Stride+m.Cols]
+	n := m.Cols
+	x = x[:n]
+	// Four rows at a time: four independent accumulators keep four adds in
+	// flight instead of one chain, and each still sums its row in column
+	// order, so every output is bit-identical to the one-row loop below.
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		r0 := m.Data[r*m.Stride:][:n]
+		r1 := m.Data[(r+1)*m.Stride:][:n]
+		r2 := m.Data[(r+2)*m.Stride:][:n]
+		r3 := m.Data[(r+3)*m.Stride:][:n]
+		var a0, a1, a2, a3 float32
+		for c, v := range x {
+			a0 += r0[c] * v
+			a1 += r1[c] * v
+			a2 += r2[c] * v
+			a3 += r3[c] * v
+		}
+		y[r], y[r+1], y[r+2], y[r+3] = a0, a1, a2, a3
+	}
+	for ; r < m.Rows; r++ {
+		row := m.Data[r*m.Stride:][:n]
 		var acc float32
 		for c, w := range row {
 			acc += w * x[c]

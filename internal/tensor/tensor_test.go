@@ -409,3 +409,98 @@ func TestMix64Bijective(t *testing.T) {
 		seen[h] = i
 	}
 }
+
+// hashToFloat gives, for every one of the 2^24 values its top 24 bits can
+// take, the bits of the float64 formula it replaced, and ignores the low 40
+// bits (set to ones here).
+func TestHashToFloatExhaustive(t *testing.T) {
+	ref := func(h uint64) float32 {
+		u := float64(h>>40) / float64(1<<24)
+		return float32(2*u - 1)
+	}
+	for k := uint64(0); k < 1<<24; k++ {
+		h := k<<40 | (1<<40 - 1)
+		if got, want := hashToFloat(h), ref(h); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("hashToFloat(%#x) = %v (%#08x), want %v (%#08x)",
+				h, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+}
+
+// matVecRef is the one-accumulator loop MatVec's row blocking must match:
+// each output sums its row's products in column order.
+func matVecRef(m *Matrix, x Vector) Vector {
+	y := make(Vector, m.Rows)
+	for r := range y {
+		var acc float32
+		for c, w := range m.Row(r) {
+			acc += w * x[c]
+		}
+		y[r] = acc
+	}
+	return y
+}
+
+// MatVec is bit-identical to the one-accumulator reference for every row
+// count around its four-row block, for random larger shapes, for SplitCols
+// views (Stride > Cols) and for inputs holding -0, ±Inf and NaN.
+func TestMatVecMatchesReference(t *testing.T) {
+	check := func(t *testing.T, m *Matrix, x Vector) {
+		t.Helper()
+		if got, want := m.MatVec(x), matVecRef(m, x); !sameBits(got, want) {
+			t.Fatalf("%dx%d (stride %d): MatVec = %v, reference %v", m.Rows, m.Cols, m.Stride, got, want)
+		}
+	}
+	rng := NewRNG(5)
+	var shapes [][2]int
+	for rows := 1; rows <= 9; rows++ {
+		for _, cols := range []int{1, 2, 3, 7, 16} {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for i := 0; i < 20; i++ {
+		shapes = append(shapes, [2]int{1 + rng.Intn(300), 1 + rng.Intn(300)})
+	}
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for i, s := range shapes {
+		rows, cols := s[0], s[1]
+		m := NewMatrix(rows, cols)
+		FillMatrix(m, uint64(i), 1)
+		x := make(Vector, cols)
+		FillVector(x, uint64(i)+100, 1)
+		check(t, m, x)
+		// Special values, alone in x and in a row of the matrix.
+		for _, v := range specials {
+			xs := x.Clone()
+			xs[rng.Intn(cols)] = v
+			check(t, m, xs)
+			ms := m.Clone()
+			ms.Set(rng.Intn(rows), rng.Intn(cols), v)
+			check(t, ms, x)
+		}
+		if cols < 2 {
+			continue
+		}
+		// Strided views, including the right half whose Data starts
+		// mid-row.
+		l, r := m.SplitCols(1 + rng.Intn(cols-1))
+		check(t, l, x[:l.Cols])
+		check(t, r, x[l.Cols:])
+	}
+}
+
+// BenchmarkMatVec times RMC3's bottom L0 (2560 inputs, 1024 outputs), the
+// largest layer the host serves. Its one allocation is the output vector.
+func BenchmarkMatVec(b *testing.B) {
+	m := NewMatrix(1024, 2560)
+	FillMatrix(m, 1, 0.02)
+	x := make(Vector, m.Cols)
+	FillVector(x, 2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matVecSink = m.MatVec(x)
+	}
+}
+
+var matVecSink Vector

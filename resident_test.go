@@ -1,8 +1,10 @@
 package rmssd_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,8 +15,20 @@ import (
 // GC heap) serves exactly what a heap-built one does: for every built-in
 // config, on one device and on a two-member hash array whose members host
 // their MemberConfig over the shared resident layers, predictions and
-// completion times are bit-identical.
+// completion times are bit-identical. BuildResident splits its fill across
+// GOMAXPROCS goroutines, so the check also runs at GOMAXPROCS 1 (no split)
+// and 3 (chunks that do not divide a layer's rows evenly).
 func TestResidentModelMatchesHeapModel(t *testing.T) {
+	residentMatchesHeap(t)
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			residentMatchesHeap(t)
+		})
+	}
+}
+
+func residentMatchesHeap(t *testing.T) {
 	for _, cfg := range rmssd.AllModels() {
 		cfg.RowsPerTable = cfg.RowsForBudget(8 << 20)
 		heap, err := rmssd.BuildModel(cfg)
