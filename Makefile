@@ -7,10 +7,17 @@
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden race fuzz-smoke bench results results-check bench-perf bench-micro check
+.PHONY: build cross fmt vet lint lint-fixtures test test-benchmark test-simdebug test-golden race fuzz-smoke bench results results-check bench-perf bench-micro check
 
 build:
 	$(GO) build ./...
+
+# Cross-builds: vet for arm64, which has no hash kernel and runs
+# internal/tensor's generic path, and build for darwin, the other target
+# of internal/model's resident_unix.go.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOOS=darwin $(GO) build ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -73,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEVCacheOps -fuzztime=10s ./internal/evcache/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockingPipelineLanes -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockingPipelineBusiestLane -fuzztime=10s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzHashFloats -fuzztime=10s ./internal/tensor/
 
 bench:
 	$(GO) run ./cmd/rmbench -exp all
@@ -96,9 +104,10 @@ bench-perf:
 	$(GO) run ./cmd/rmperf
 
 # Allocation micro-benchmarks for the serving/lookup/cache hot paths, for
-# the host MLP's MatVec kernel (its output vector only), for building a
-# model (one weight slice however deep its towers) and for building one
-# more shard of a hosted model.
+# the host MLP's MatVec kernel (its output vector only), for the
+# hash-to-float kernel behind weight fill and vector synthesis (none), for
+# building a model (one weight slice however deep its towers) and for
+# building one more shard of a hosted model.
 # -benchtime=100x keeps it a smoke run: fixed iteration count, so it is
 # fast and deterministic enough for CI while still exercising
 # b.ReportAllocs on every hot path. The target fails when a benchmark's
@@ -109,7 +118,7 @@ bench-perf:
 # BenchmarkNewFromModel allocated 59 KB per shard once every device read
 # the hosted model's weights in place, and one per-device copy of RMC3's
 # top L0 would add 720 KB), or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0 BenchmarkBuild=4 BenchmarkMatVec=1
+ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0 BenchmarkBuild=4 BenchmarkMatVec=1 BenchmarkHashFloats=0
 BYTES_CEILINGS := BenchmarkNewFromModel=89000
 
 bench-micro:
@@ -119,7 +128,7 @@ bench-micro:
 	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkPageCacheTouch -benchtime=100x -benchmem ./internal/hostio/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=100x -benchmem ./internal/model/ && \
-	  $(GO) test -run='^$$' -bench=BenchmarkMatVec -benchtime=100x -benchmem ./internal/tensor/ && \
+	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkHashFloats' -benchtime=100x -benchmem ./internal/tensor/ && \
 	  $(GO) test -run='^$$' -bench=BenchmarkNewFromModel -benchtime=100x -benchmem ./internal/core/; \
 	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \
 	awk -v allocs='$(ALLOC_CEILINGS)' -v bytes='$(BYTES_CEILINGS)' ' \
@@ -130,5 +139,5 @@ bench-micro:
 				if ($$i + 0 > ceil[key] + 0) { printf "bench-micro: %s: %s %s, ceiling %s\n", name, $$i, $$(i+1), ceil[key]; bad = 1 } } } } \
 		END { for (k in ceil) if (!(k in ran)) { printf "bench-micro: %s (%s) did not run\n", substr(k, 1, index(k, " ") - 1), substr(k, index(k, " ") + 1); bad = 1 } exit bad }' "$$out"
 
-check: build fmt vet lint test test-benchmark test-simdebug test-golden race results-check bench-micro
+check: build cross fmt vet lint test test-benchmark test-simdebug test-golden race results-check bench-micro
 	@echo "all checks passed"

@@ -11,8 +11,8 @@
 // internal/lint for the analyzer suite: wallclock (determinism), units
 // (sim.Cycles vs time.Duration), errcheck (discarded errors), panicmsg
 // (package-prefixed panics), mapiter (map iteration feeding order-
-// sensitive sinks), goroutine (join/capture discipline in the concurrent
-// core), locks (mutex copy/release/send-under-lock discipline) and
+// sensitive sinks), goroutine (join/capture discipline outside cmd/,
+// examples/ and benchmark/), locks (mutex copy/release/send-under-lock discipline) and
 // allowaudit (stale //lint:allow directives).
 package main
 

@@ -32,7 +32,9 @@ import (
 // The MLP-forward baseline is the same benchmark with the one-row MatVec
 // that preceded the four-row kernel (median of five runs on the 2-vCPU
 // host that produced BENCH_simcore.json; the kernel change moved no
-// allocation).
+// allocation). The model-build baseline is the same RMC3 model.Build with
+// the scalar hash loop that preceded the vector hash kernel (median of
+// five runs alternated with the kernel's on the same host).
 const (
 	baseSubmitAllocs     = 5
 	baseSubmitBytes      = 288
@@ -46,6 +48,9 @@ const (
 	baseMLPForwardNs     = 3469789
 	baseMLPForwardAllocs = 10
 	baseMLPForwardBytes  = 15748
+	baseModelBuildNs     = 14352034
+	baseModelBuildAllocs = 4
+	baseModelBuildBytes  = 12829376
 )
 
 // MicroStat is one benchmark's per-op numbers next to its frozen baseline.
@@ -59,9 +64,9 @@ type MicroStat struct {
 }
 
 // MicroReport aggregates the micro-benchmarks plus the GC pause accumulated
-// while the hot-path ones ran, shard_build, mlp_forward and the footprint
-// excluded (host wall-clock figures; simulated time is not involved), and
-// the heap a full EV cache retains per resident entry.
+// while the hot-path ones ran, shard_build, mlp_forward, model_build and
+// the footprint excluded (host wall-clock figures; simulated time is not
+// involved), and the heap a full EV cache retains per resident entry.
 type MicroReport struct {
 	PoolSubmit        MicroStat `json:"pool_submit"`
 	LookupPoolHot     MicroStat `json:"lookup_pool_hot"`
@@ -69,6 +74,7 @@ type MicroReport struct {
 	EVCacheMiss       MicroStat `json:"evcache_miss_fill"`
 	ShardBuild        MicroStat `json:"shard_build"`
 	MLPForward        MicroStat `json:"mlp_forward"`
+	ModelBuild        MicroStat `json:"model_build"`
 	GCPauseMS         float64   `json:"gc_pause_total_ms"`
 	ResidentBytes     float64   `json:"evcache_resident_bytes_per_entry"`
 	BaseResidentBytes float64   `json:"baseline_evcache_resident_bytes_per_entry"`
@@ -203,6 +209,20 @@ func runMicro() MicroReport {
 		}
 	})
 
+	// Building the same RMC3 model on the heap: its weight fill is the
+	// hash-to-float kernel's bulk work. Mirrors internal/model's
+	// BenchmarkBuild.
+	build := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rmssd.BuildModel(shardCfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	modelBuild := stat(build, baseModelBuildAllocs, baseModelBuildBytes)
+	modelBuild.BaselineNs = baseModelBuildNs
+
 	// One RMC3 inference through the searched MLP engine's remapped
 	// towers over the same hosted weights: the host MatVec work that
 	// dominates the rmc3-mlp serving workload.
@@ -236,6 +256,7 @@ func runMicro() MicroReport {
 		EVCacheMiss:       stat(miss, baseMissFillAllocs, baseMissFillBytes),
 		ShardBuild:        stat(shardBuild, baseShardBuildAllocs, baseShardBuildBytes),
 		MLPForward:        mlpForward,
+		ModelBuild:        modelBuild,
 		GCPauseMS:         float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
 		ResidentBytes:     residentBytesPerEntry(8<<20, 128),
 		BaseResidentBytes: baseResidentBytes,

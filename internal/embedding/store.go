@@ -32,6 +32,9 @@ type Store struct {
 	dev   *ssd.Device
 	files []*hostio.File
 	vpp   int64 // vectors per page
+	// evSize is the model's vector size in bytes, kept here so the filler
+	// does not copy the model's Config on every call.
+	evSize int
 	// Table t occupies the logical pages [firstLPN + t*tablePages,
 	// firstLPN + (t+1)*tablePages).
 	firstLPN   int64
@@ -47,7 +50,7 @@ func NewStore(m *model.Model, fs *hostio.FS) (*Store, error) {
 	if evSize > ps {
 		return nil, fmt.Errorf("embedding: vector size %d exceeds page size %d", evSize, ps)
 	}
-	s := &Store{m: m, fs: fs, dev: fs.Device(), vpp: ps / evSize}
+	s := &Store{m: m, fs: fs, dev: fs.Device(), vpp: ps / evSize, evSize: int(evSize)}
 	s.tablePages = (cfg.RowsPerTable + s.vpp - 1) / s.vpp
 	for t := 0; t < cfg.Tables; t++ {
 		f, err := fs.Create(fmt.Sprintf("%s.emb.%d", cfg.Name, t), s.tablePages*ps)
@@ -121,7 +124,7 @@ func (s *Store) fill(lpn int64, col int, buf []byte) {
 		return
 	}
 	t := p / s.tablePages
-	evSize := s.m.Cfg.EVSize()
+	evSize := s.evSize
 	slot := int64(col / evSize)
 	within := col % evSize
 	row := (p-t*s.tablePages)*s.vpp + slot

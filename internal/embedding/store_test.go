@@ -228,3 +228,35 @@ func TestPoolViaDeviceMatchesReference(t *testing.T) {
 		t.Fatal("device-path pooling differs from reference")
 	}
 }
+
+// TestUnalignedPeekRangesMatchPage: any in-page byte range, at any offset
+// and of any length, reads back the same bytes as that slice of the whole
+// page, on never-written pages (from the filler) and written ones (after
+// MaterializeTable), for packed 128-byte vectors and for 96-byte vectors
+// with a padded page tail.
+func TestUnalignedPeekRangesMatchPage(t *testing.T) {
+	odd := smallRMC1()
+	odd.EVDim, odd.BottomMLP = 24, []int{64, 24}
+	for _, cfg := range []model.Config{smallRMC1(), odd} {
+		cfg.RowsPerTable = 300
+		_, st, fs := testSetup(t, cfg)
+		st.MaterializeTable(1)
+		dev := fs.Device()
+		ps := fs.PageSize()
+		r := tensor.NewRNG(uint64(cfg.EVDim))
+		for table := 0; table < 3; table++ {
+			f := st.File(table)
+			for page := int64(0); page < f.Size()/int64(ps); page++ {
+				addr := f.AddrOf(page * int64(ps))
+				whole := dev.PeekPage(addr / int64(ps))
+				for i := 0; i < 64; i++ {
+					col := r.Intn(ps)
+					n := 1 + r.Intn(min(ps-col, 300))
+					if got, want := dev.PeekRange(addr+int64(col), n), whole[col:col+n]; !bytes.Equal(got, want) {
+						t.Fatalf("EV dim %d table %d page %d bytes [%d,%d): differ from the page's", cfg.EVDim, table, page, col, col+n)
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,17 +6,19 @@ import (
 	"strings"
 )
 
-// Goroutine enforces spawn discipline in the simulator's concurrent core.
+// Goroutine enforces spawn discipline in every library package.
 //
-// The host-parallel paths (internal/serving pools and routers) are proven
-// byte-identical to their sequential counterparts — but only because every
-// goroutine today is joined before its results are observed. An unjoined
-// goroutine is how that proof rots: work completes "usually before" the
-// read instead of "always before", and the differential tests go flaky
-// instead of failing. The device path (sim, engine, flash, evcache, core)
-// spawns no goroutine at all; the analyzer covers it with serving and obs
-// (tests included) so one added there must be joined too. Command-line
-// harnesses measure wall-clock reality and are out of scope.
+// The host-parallel paths (internal/serving pools and routers, the
+// internal/bench cell sweep, model.BuildResident's row-split weight fill)
+// are proven byte-identical to their sequential counterparts — but only
+// because every goroutine is joined before its results are observed. An
+// unjoined goroutine is how that proof rots: work completes "usually
+// before" the read instead of "always before", and the differential tests
+// go flaky instead of failing. The device path (sim, engine, flash,
+// evcache, core) spawns no goroutine at all, so one added there must be
+// joined too. The analyzer covers every package, tests included, outside
+// cmd/, examples/ and benchmark/: command-line harnesses and examples
+// measure wall-clock reality and are out of scope.
 //
 // For each `go` statement the analyzer resolves the spawned function —
 // literals directly, local closures through the dataflow engine
@@ -41,22 +43,26 @@ import (
 // Passing the variable explicitly keeps the data flow auditable.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "flags go statements in internal/{sim,serving,engine,evcache,flash,core,obs} without a visible join/cancellation path, and loop-variable captures",
+	Doc:  "flags go statements outside cmd/, examples/ and benchmark/ without a visible join/cancellation path, and loop-variable captures",
 	Run:  runGoroutine,
 }
 
-// goroutineScoped limits the analyzer to the concurrent simulator core.
-// Matching by package name (with the external-test suffix stripped) keeps
-// fixture stand-ins in scope, mirroring the units analyzer's convention.
+// goroutineScoped reports whether the package lies outside the harness
+// trees: the top directory under the module ("rmssd/cmd/rmserve" ->
+// "cmd") is not cmd, examples or benchmark. Scoping by import path leaves
+// no package list to go stale; fixtures, loaded under one-element pseudo
+// paths, are in scope.
 func goroutineScoped(p *Package) bool {
-	if p.Types == nil {
-		return false
-	}
-	switch strings.TrimSuffix(p.Types.Name(), "_test") {
-	case "sim", "serving", "engine", "evcache", "flash", "core", "obs":
+	_, rest, ok := strings.Cut(p.Path, "/")
+	if !ok {
 		return true
 	}
-	return false
+	top, _, _ := strings.Cut(rest, "/")
+	switch strings.TrimSuffix(top, "_test") {
+	case "cmd", "examples", "benchmark":
+		return false
+	}
+	return true
 }
 
 func runGoroutine(p *Package) []Diagnostic {

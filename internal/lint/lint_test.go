@@ -119,6 +119,33 @@ func TestUnitsExemptsSimPackage(t *testing.T) {
 	}
 }
 
+// TestGoroutineScope checks the goroutine analyzer's scope by import path:
+// the seeded violations fire in internal/ and at the module root, and stay
+// silent under cmd/, examples/ and benchmark/, tests included.
+func TestGoroutineScope(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "goroutinebad")
+	for _, tc := range []struct {
+		path   string
+		scoped bool
+	}{
+		{"rmssd/internal/model", true},
+		{"rmssd/internal/bench_test", true},
+		{"rmssd", true},
+		{"rmssd/cmd/rmserve", false},
+		{"rmssd/cmd/rmserve_test", false},
+		{"rmssd/examples/quickstart", false},
+		{"rmssd/benchmark", false},
+	} {
+		p, err := NewTreeLoader("testdata/src").LoadDir(dir, tc.path)
+		if err != nil {
+			t.Fatalf("loading fixture as %s: %v", tc.path, err)
+		}
+		if n := len(Run([]*Package{p}, []*Analyzer{Goroutine})); (n > 0) != tc.scoped {
+			t.Errorf("fixture loaded as %s: %d findings, want findings %v", tc.path, n, tc.scoped)
+		}
+	}
+}
+
 // TestDirectives checks the //lint:allow paths: suppression on the same
 // line and the line above, and malformed directives (unknown analyzer,
 // missing reason, missing name) surfacing as "directive" diagnostics.

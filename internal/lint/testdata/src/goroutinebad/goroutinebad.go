@@ -1,8 +1,8 @@
-// Package engine stands in for rmssd/internal/engine — the goroutine
-// analyzer is scoped to the concurrent simulator core by package name —
-// and exercises its join/capture checks: every spawn needs a visible join
-// or cancellation path, and loop variables are passed, not captured.
-package engine
+// Package goroutinebad exercises the goroutine analyzer's join/capture
+// checks: every spawn needs a visible join or cancellation path, and loop
+// variables are passed, not captured. Loaded under its one-element fixture
+// path it is in scope; loaded under a cmd/ path it is not.
+package goroutinebad
 
 import (
 	"context"

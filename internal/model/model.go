@@ -506,15 +506,35 @@ func (m *Model) EVBytes(table int, row int64) []byte {
 }
 
 // EVBytesInto fills buf with the on-SSD byte encoding of the vector at
-// (table, row) starting from byte offset `from` within the vector.
-// It folds the vector's (seed, table, row) hash prefix once and derives
-// each element from it, bit-identical to EmbeddingValue per element.
+// (table, row) starting from byte offset `from` within the vector: buf
+// becomes bytes [from, from+len(buf)) of the vector's little-endian FP32
+// image, at any offset and length. It folds the vector's (seed, table,
+// row) hash prefix once and hashes the whole elements in the range with
+// one tensor.HashFloatBytes call, bit-identical to EmbeddingValue per
+// element; an element the range cuts at either end is encoded on its own
+// and its part copied.
 func (m *Model) EVBytesInto(table int, row int64, from int, buf []byte) {
 	p := tensor.HashPrefix(m.Cfg.Seed^0xe3b, uint64(table), uint64(m.Cfg.GlobalRow(row)))
-	for i := 0; i < len(buf); i += 4 {
-		e := (from + i) / 4
-		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(tensor.HashFloatFrom(p, uint64(e))))
+	e := from / 4
+	if head := from % 4; head != 0 {
+		w := evElementBytes(p, e)
+		n := copy(buf, w[head:])
+		buf, e = buf[n:], e+1
 	}
+	whole := len(buf) &^ 3
+	tensor.HashFloatBytes(buf[:whole], p, uint64(e), 1)
+	if tail := buf[whole:]; len(tail) > 0 {
+		w := evElementBytes(p, e+whole/4)
+		copy(tail, w[:])
+	}
+}
+
+// evElementBytes is the little-endian encoding of element e of the vector
+// whose hash prefix is p.
+func evElementBytes(p uint64, e int) [4]byte {
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], math.Float32bits(tensor.HashFloatFrom(p, uint64(e))))
+	return w
 }
 
 // DecodeEV decodes an on-SSD vector image back to floats.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -319,9 +320,10 @@ func TestEVBytesIntoPartial(t *testing.T) {
 }
 
 // TestEVBytesIntoMatchesEmbeddingValue: EVBytesInto, which folds the
-// vector's hash prefix once, writes the little-endian bits of EmbeddingValue
-// for element (from+i)/4 at every 4-byte step i, for every from offset in
-// the vector, on a plain config and on a row-remapped array member.
+// vector's hash prefix once, writes bytes [from, from+n) of the
+// little-endian image of EmbeddingValue's elements, for every offset and
+// length in the vector (a range may start or end inside an element), on a
+// plain config and on a row-remapped array member.
 func TestEVBytesIntoMatchesEmbeddingValue(t *testing.T) {
 	member := smallConfig()
 	member.RowBase, member.RowStride = 3, 5
@@ -332,14 +334,17 @@ func TestEVBytesIntoMatchesEmbeddingValue(t *testing.T) {
 			table int
 			row   int64
 		}{{0, 0}, {2, 77}, {cfg.Tables - 1, cfg.RowsPerTable - 1}} {
-			for from := 0; from < evSize; from++ {
-				buf := make([]byte, (evSize-from)&^3)
-				m.EVBytesInto(key.table, key.row, from, buf)
-				for i := 0; i < len(buf); i += 4 {
-					want := math.Float32bits(m.EmbeddingValue(key.table, key.row, (from+i)/4))
-					if got := binary.LittleEndian.Uint32(buf[i:]); got != want {
-						t.Fatalf("row base %d: table %d row %d from %d byte %d: bits %#x, want %#x",
-							cfg.RowBase, key.table, key.row, from, i, got, want)
+			image := make([]byte, evSize)
+			for e := 0; e < cfg.EVDim; e++ {
+				binary.LittleEndian.PutUint32(image[4*e:], math.Float32bits(m.EmbeddingValue(key.table, key.row, e)))
+			}
+			for from := 0; from <= evSize; from++ {
+				for n := 0; from+n <= evSize; n++ {
+					buf := make([]byte, n)
+					m.EVBytesInto(key.table, key.row, from, buf)
+					if want := image[from : from+n]; !bytes.Equal(buf, want) {
+						t.Fatalf("row base %d: table %d row %d bytes [%d,%d): % x, want % x",
+							cfg.RowBase, key.table, key.row, from, from+n, buf, want)
 					}
 				}
 			}

@@ -86,18 +86,10 @@ func FillMatrix(m *Matrix, seed uint64, scale float32) { FillMatrixRows(m, seed,
 // ranges concurrently gives the same matrix as one FillMatrix.
 func FillMatrixRows(m *Matrix, seed uint64, scale float32, r0, r1 int) {
 	for r := r0; r < r1; r++ {
-		p := HashPrefix(seed, uint64(r))
-		row := m.Data[r*m.Stride:][:m.Cols]
-		for c := range row {
-			row[c] = scale * HashFloatFrom(p, uint64(c))
-		}
+		HashFloats(m.Data[r*m.Stride:][:m.Cols], HashPrefix(seed, uint64(r)), 0, scale)
 	}
 }
 
 // FillVector initialises v with deterministic values derived from seed, in
-// [-scale, scale).
-func FillVector(v Vector, seed uint64, scale float32) {
-	for i := range v {
-		v[i] = scale * HashFloat(seed, uint64(i))
-	}
-}
+// [-scale, scale): v[i] = scale * HashFloat(seed, i).
+func FillVector(v Vector, seed uint64, scale float32) { HashFloats(v, HashPrefix(seed), 0, scale) }
