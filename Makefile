@@ -28,8 +28,9 @@ vet:
 
 # Domain-aware static analysis: determinism (wallclock, mapiter), unit
 # safety (units), error hygiene (errcheck), panic diagnosability
-# (panicmsg), concurrency discipline (goroutine, locks) and suppression
-# hygiene (allowaudit). CI runs the same gate as `rmlint -json`.
+# (panicmsg), concurrency discipline (goroutine, locks; lock copies are
+# left to vet's copylocks) and suppression hygiene (allowaudit). CI runs
+# the same gate as `rmlint -json`.
 lint:
 	$(GO) run ./cmd/rmlint ./...
 
@@ -103,41 +104,13 @@ results-check: results
 bench-perf:
 	$(GO) run ./cmd/rmperf
 
-# Allocation micro-benchmarks for the serving/lookup/cache hot paths, for
-# the host MLP's MatVec kernel (its output vector only), for the
-# hash-to-float kernel behind weight fill and vector synthesis (none), for
-# building a model (one weight slice however deep its towers) and for
-# building one more shard of a hosted model.
-# -benchtime=100x keeps it a smoke run: fixed iteration count, so it is
-# fast and deterministic enough for CI while still exercising
-# b.ReportAllocs on every hot path. The target fails when a benchmark's
-# allocs/op rises above its ceiling in ALLOC_CEILINGS (frozen at the
-# values measured when the gate was added; lower a ceiling when a change
-# removes allocations), when its B/op rises above its ceiling in
-# BYTES_CEILINGS (about 1.5x the value measured when the gate was added:
-# BenchmarkNewFromModel allocated 59 KB per shard once every device read
-# the hosted model's weights in place, and one per-device copy of RMC3's
-# top L0 would add 720 KB), or when a gated benchmark does not run.
-ALLOC_CEILINGS := BenchmarkPoolSubmit=2 BenchmarkDeviceShardServe=78 BenchmarkLookupPoolHotTrace=3 BenchmarkLookupPoolCachedHotTrace=3 BenchmarkEVCacheHit=0 BenchmarkEVCacheMissFill=0 BenchmarkPageCacheTouch=0 BenchmarkBuild=4 BenchmarkMatVec=1 BenchmarkHashFloats=0
-BYTES_CEILINGS := BenchmarkNewFromModel=89000
-
+# Host micro-benchmarks: every case in internal/perfcase, the one table
+# that rmperf's "micro" section also reports. -benchtime=100x keeps it a
+# smoke run: fixed iteration count, so it is fast and deterministic enough
+# for CI. The target fails when TestCeilings finds a case's allocs/op or
+# B/op above the ceiling the case declares.
 bench-micro:
-	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	{ $(GO) test -run='^$$' -bench='BenchmarkPoolSubmit|BenchmarkDeviceShardServe' -benchtime=100x -benchmem ./internal/serving/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkLookupPoolHotTrace|BenchmarkLookupPoolCachedHotTrace' -benchtime=100x -benchmem ./internal/engine/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkEVCacheHit|BenchmarkEVCacheMissFill' -benchtime=100x -benchmem ./internal/evcache/ && \
-	  $(GO) test -run='^$$' -bench=BenchmarkPageCacheTouch -benchtime=100x -benchmem ./internal/hostio/ && \
-	  $(GO) test -run='^$$' -bench=BenchmarkBuild -benchtime=100x -benchmem ./internal/model/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkMatVec|BenchmarkHashFloats' -benchtime=100x -benchmem ./internal/tensor/ && \
-	  $(GO) test -run='^$$' -bench=BenchmarkNewFromModel -benchtime=100x -benchmem ./internal/core/; \
-	} >"$$out" 2>&1; st=$$?; cat "$$out"; [ $$st -eq 0 ] && \
-	awk -v allocs='$(ALLOC_CEILINGS)' -v bytes='$(BYTES_CEILINGS)' ' \
-		function load(list, unit,    n, i, kv, p) { n = split(list, kv, " "); for (i = 1; i <= n; i++) { split(kv[i], p, "="); ceil[p[1] " " unit] = p[2] } } \
-		BEGIN { load(allocs, "allocs/op"); load(bytes, "B/op") } \
-		/^Benchmark/ { name = $$1; sub(/-[0-9]+$$/, "", name); \
-			for (i = 2; i < NF; i++) { key = name " " $$(i+1); if (key in ceil) { ran[key] = 1; \
-				if ($$i + 0 > ceil[key] + 0) { printf "bench-micro: %s: %s %s, ceiling %s\n", name, $$i, $$(i+1), ceil[key]; bad = 1 } } } } \
-		END { for (k in ceil) if (!(k in ran)) { printf "bench-micro: %s (%s) did not run\n", substr(k, 1, index(k, " ") - 1), substr(k, index(k, " ") + 1); bad = 1 } exit bad }' "$$out"
+	$(GO) test -count=1 -run=TestCeilings -bench=. -benchtime=100x -benchmem ./internal/perfcase/
 
 check: build cross fmt vet lint test test-benchmark test-simdebug test-golden race results-check bench-micro
 	@echo "all checks passed"

@@ -12,7 +12,7 @@
 // (sim.Cycles vs time.Duration), errcheck (discarded errors), panicmsg
 // (package-prefixed panics), mapiter (map iteration feeding order-
 // sensitive sinks), goroutine (join/capture discipline outside cmd/,
-// examples/ and benchmark/), locks (mutex copy/release/send-under-lock discipline) and
+// examples/ and benchmark/), locks (mutex release/send-under-lock discipline) and
 // allowaudit (stale //lint:allow directives).
 package main
 

@@ -85,7 +85,7 @@ type Report struct {
 	Note       string         `json:"note,omitempty"`
 	Sweep      SweepReport    `json:"sweep"`
 	Serve      ServeReport    `json:"rmserve"`
-	Micro      MicroReport    `json:"micro"`
+	Micro      map[string]any `json:"micro"`
 	Locality   LocalityReport `json:"locality"`
 	Obs        ObsReport      `json:"obs"`
 }

@@ -613,23 +613,6 @@ func within(sub, whole []float32) bool {
 	return len(sub) > 0 && k >= 0 && k+len(sub) <= len(whole) && &whole[:cap(whole)][k] == &sub[0]
 }
 
-// BenchmarkNewFromModel builds one more shard of a hosted model, as rmperf's
-// shard_build does: the RMC3 64 MiB device of the MLP-dominated serving
-// workload over weights that already exist. make bench-micro gates its
-// B/op, so a per-device weight copy coming back fails there.
-func BenchmarkNewFromModel(b *testing.B) {
-	cfg := model.RMC3()
-	cfg.RowsPerTable = cfg.RowsForBudget(64 << 20)
-	m := model.MustBuild(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewFromModel(m, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // NewFromModel refuses a nil model, one whose layers do not match its
 // config and one whose weight storage does not cover a layer's shape.
 func TestNewFromModelRejectsInconsistentModel(t *testing.T) {

@@ -803,40 +803,3 @@ func FuzzEVCacheOps(f *testing.F) {
 		checkAgainstRef(t, ops)
 	})
 }
-
-// BenchmarkEVCacheHit measures the host cost of the cache hit path: one Get
-// plus the port acquire. Tracked in BENCH_simcore.json.
-func BenchmarkEVCacheHit(b *testing.B) {
-	c := New(1024*128, 128)
-	for r := int64(0); r < 64; r++ {
-		c.Fill(c.Reserve(0, r))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(0, int64(i%64)); !ok {
-			b.Fatal("unexpected miss")
-		}
-		c.Hit(0)
-	}
-}
-
-// BenchmarkEVCacheMissFill measures a steady-state miss on a full cache: the
-// Get misses, the Reserve evicts the LRU entry, the Fill marks the new
-// entry filled. Tracked in BENCH_simcore.json as evcache_miss_fill.
-func BenchmarkEVCacheMissFill(b *testing.B) {
-	const capEntries = 1024
-	c := New(capEntries*128, 128)
-	for r := int64(0); r < capEntries; r++ {
-		c.Fill(c.Reserve(0, r))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row := int64(capEntries + i)
-		if _, ok := c.Get(0, row); ok {
-			b.Fatal("unexpected hit")
-		}
-		c.Fill(c.Reserve(0, row))
-	}
-}

@@ -151,25 +151,3 @@ func TestPageCacheMatchesListReference(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkPageCacheTouch measures the SSD-S/SSD-M page cache's steady
-// state on a full cache: per iteration one miss that faults a new page in
-// and evicts the least recently used one, and one hit on a resident page.
-func BenchmarkPageCacheTouch(b *testing.B) {
-	const capPages = 1 << 12
-	c := NewPageCache(capPages*4096, 4096)
-	for p := int64(0); p < capPages; p++ {
-		c.Touch(0, p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		miss := int64(capPages + i)
-		if c.Touch(0, miss) {
-			b.Fatal("unexpected hit")
-		}
-		if !c.Touch(0, miss-capPages/4) {
-			b.Fatal("unexpected miss")
-		}
-	}
-}

@@ -25,8 +25,9 @@
 //   - spawn discipline: every goroutine in the concurrent core needs a
 //     visible join or cancellation path, and loop variables are passed,
 //     not captured (`goroutine`);
-//   - mutex discipline: no lock copies, no Lock without a dominating
-//     release, no channel sends while a lock is held (`locks`);
+//   - mutex discipline: no Lock without a dominating release, no channel
+//     sends while a lock is held (`locks`; go vet's copylocks catches lock
+//     copies);
 //   - suppression hygiene: every //lint:allow directive must still
 //     suppress something (`allowaudit`).
 //

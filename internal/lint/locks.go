@@ -10,15 +10,10 @@ import (
 //
 // The serving layer's correctness arguments (Pool.Close never racing a
 // queue send, Registry counters staying consistent under -race) are
-// phrased as lock invariants; this analyzer keeps the three classic ways
-// of breaking them out of the tree:
+// phrased as lock invariants; this analyzer keeps two classic ways of
+// breaking them out of the tree (the third, copying a lock, is left to go
+// vet's copylocks check, which `make check` and CI run):
 //
-//   - copying a lock: a value whose type (transitively) contains a
-//     sync.Mutex/RWMutex/WaitGroup/Once/Cond forks the lock state when
-//     copied — the copy guards nothing. Flagged for by-value parameters
-//     and receivers, assignments from existing values, range-value copies
-//     and composite-literal fields. (Fresh composite literals and
-//     constructor return values are fine: there is no shared state yet.)
 //   - Lock without a dominating release: a Lock with no matching
 //     Unlock/deferred Unlock afterwards, or with a return path between the
 //     Lock and any release. Read locks pair with RUnlock, write locks with
@@ -37,7 +32,7 @@ import (
 // sections are its own, not the enclosing function's.
 var Locks = &Analyzer{
 	Name: "locks",
-	Doc:  "flags lock-by-value copies, Lock without a dominating Unlock/defer, and channel sends while a lock is held",
+	Doc:  "flags Lock without a dominating Unlock/defer, and channel sends while a lock is held",
 	Run:  runLocks,
 }
 
@@ -47,7 +42,6 @@ func runLocks(p *Package) []Diagnostic {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
-				out = append(out, p.checkLockCopiesInSignature(x)...)
 				if x.Body != nil {
 					out = append(out, p.checkLockBody(x.Body)...)
 				}
@@ -59,147 +53,6 @@ func runLocks(p *Package) []Diagnostic {
 			return true
 		})
 	}
-	// Copy checks over expressions are position-independent; run them over
-	// whole files so package-level declarations are covered too.
-	for _, f := range p.Files {
-		out = append(out, p.checkLockCopies(f)...)
-	}
-	return out
-}
-
-// --- copying ---------------------------------------------------------------
-
-// lockTypeNames are the sync types whose values must never be copied.
-var lockTypeNames = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true,
-}
-
-// containsLock reports whether t (by value) transitively contains one of
-// the sync lock types.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, map[types.Type]bool{})
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if obj := n.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypeNames[obj.Name()] {
-			return true
-		}
-		return containsLockRec(n.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// copiesExistingValue reports expressions that read an existing value (as
-// opposed to constructing a fresh one): identifiers, field selections,
-// indexing and derefs. Composite literals and call results are fresh.
-func copiesExistingValue(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesExistingValue(x.X)
-	}
-	return false
-}
-
-// checkLockCopiesInSignature flags by-value lock parameters and receivers.
-func (p *Package) checkLockCopiesInSignature(fd *ast.FuncDecl) []Diagnostic {
-	var out []Diagnostic
-	check := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := p.Info.Types[field.Type]
-			if !ok || tv.Type == nil {
-				continue
-			}
-			if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(tv.Type) {
-				out = append(out, p.Diag("locks", field.Pos(),
-					"%s passes a lock-containing value by value; the copy's lock guards nothing — take a pointer", fd.Name.Name))
-			}
-		}
-	}
-	check(fd.Recv)
-	check(fd.Type.Params)
-	return out
-}
-
-// checkLockCopies flags assignments, range values and composite-literal
-// fields that copy an existing lock-containing value.
-func (p *Package) checkLockCopies(f *ast.File) []Diagnostic {
-	var out []Diagnostic
-	flag := func(e ast.Expr) {
-		tv, ok := p.Info.Types[e]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-			return
-		}
-		if copiesExistingValue(e) && containsLock(tv.Type) {
-			out = append(out, p.Diag("locks", e.Pos(),
-				"copies a lock-containing value (%s); the copy's lock guards nothing — use a pointer", types.TypeString(tv.Type, func(pk *types.Package) string { return pk.Name() })))
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			if len(x.Lhs) == len(x.Rhs) {
-				for _, rhs := range x.Rhs {
-					flag(rhs)
-				}
-			}
-		case *ast.RangeStmt:
-			if x.Value != nil && !isBlank(x.Value) {
-				if tv, ok := p.Info.Types[x.X]; ok && tv.Type != nil {
-					switch u := tv.Type.Underlying().(type) {
-					case *types.Slice:
-						if containsLock(u.Elem()) {
-							out = append(out, p.Diag("locks", x.Value.Pos(),
-								"range copies lock-containing elements by value; iterate by index instead"))
-						}
-					case *types.Array:
-						if containsLock(u.Elem()) {
-							out = append(out, p.Diag("locks", x.Value.Pos(),
-								"range copies lock-containing elements by value; iterate by index instead"))
-						}
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			for _, e := range x.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					flag(kv.Value)
-				} else {
-					flag(e)
-				}
-			}
-		}
-		return true
-	})
 	return out
 }
 

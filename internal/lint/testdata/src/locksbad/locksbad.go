@@ -1,7 +1,7 @@
 // Package locksbad seeds lock-discipline violations for the locks
-// analyzer — by-value lock copies, Lock without a dominating release, and
-// channel sends inside critical sections — alongside the disciplined
-// shapes (defer, straight-line release, conditional release-on-every-path).
+// analyzer — Lock without a dominating release and channel sends inside
+// critical sections — alongside the disciplined shapes (defer,
+// straight-line release, conditional release-on-every-path).
 package locksbad
 
 import "sync"
@@ -36,18 +36,6 @@ func (c *Counter) Reset(hard bool) {
 		return
 	}
 	c.mu.Unlock()
-}
-
-// Snapshot copies the receiver — and with it the mutex.
-func (c *Counter) Snapshot() int {
-	snap := *c // want:locks
-	return snap.n
-}
-
-// ByValue receives the lock-containing struct by value: its mutex guards
-// a private copy, not the shared state.
-func ByValue(c Counter) int { // want:locks
-	return c.n
 }
 
 // LeakOnReturn can return with the lock still held.

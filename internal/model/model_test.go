@@ -254,20 +254,6 @@ func TestBuildResidentRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild measures one heap build of RMC3 at 64 MiB of tables: its
-// allocations are the model, its layers, their matrix headers and the one
-// weight slice, whatever the depth. make bench-micro gates its allocs/op.
-func BenchmarkBuild(b *testing.B) {
-	cfg := RMC3()
-	cfg.RowsPerTable = cfg.RowsForBudget(64 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestInferOutputIsProbability(t *testing.T) {
 	m := MustBuild(smallConfig())
 	dense := make(tensor.Vector, m.Cfg.DenseDim)

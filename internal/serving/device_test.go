@@ -299,24 +299,3 @@ func FuzzDeviceShard(f *testing.F) {
 		serve()
 	})
 }
-
-// BenchmarkDeviceShardServe measures one explicit 8-request batch through a
-// shard on a small RMC1 device: batch assembly, per-request validation and
-// the device call. make bench-micro gates its allocs/op, which guards the
-// shard's scratch reuse.
-func BenchmarkDeviceShardServe(b *testing.B) {
-	cfg := shardConfig()
-	sh := serving.NewDeviceShard(newBackend(b, cfg, core.Options{}), nil, cfg.DenseDim)
-	gen, seq := newGen(b, cfg, 31), 0
-	reqs := make([]serving.Request, 8)
-	for i := range reqs {
-		reqs[i] = drawExplicit(gen, &seq, 1, cfg.DenseDim)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := sh.ServeBatch(reqs); res.Err != nil || res.ReqErrs != nil {
-			b.Fatal(res.Err, res.ReqErrs)
-		}
-	}
-}

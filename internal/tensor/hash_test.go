@@ -179,15 +179,3 @@ func FuzzHashFloats(f *testing.F) {
 		checkHashFloats(t, prefix, from, int(n)%68, math.Float32frombits(scaleBits))
 	})
 }
-
-// BenchmarkHashFloats hashes one RMC3 bottom-layer weight row (2560
-// values) per op.
-func BenchmarkHashFloats(b *testing.B) {
-	row := make([]float32, 2560)
-	b.SetBytes(int64(4 * len(row)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HashFloats(row, uint64(i), 0, 0.05)
-	}
-}

@@ -488,19 +488,3 @@ func TestMatVecMatchesReference(t *testing.T) {
 		check(t, r, x[l.Cols:])
 	}
 }
-
-// BenchmarkMatVec times RMC3's bottom L0 (2560 inputs, 1024 outputs), the
-// largest layer the host serves. Its one allocation is the output vector.
-func BenchmarkMatVec(b *testing.B) {
-	m := NewMatrix(1024, 2560)
-	FillMatrix(m, 1, 0.02)
-	x := make(Vector, m.Cols)
-	FillVector(x, 2, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matVecSink = m.MatVec(x)
-	}
-}
-
-var matVecSink Vector
