@@ -32,11 +32,20 @@ type LocalityReport struct {
 	ByteIdentical bool    `json:"predictions_byte_identical"`
 }
 
+// The comparison's shape: table and EV cache budgets, inference count and
+// device batch size.
+const (
+	locTableMB    = 64 // MiB
+	locCacheMB    = 8  // MiB
+	locInferences = 512
+	locBatch      = 32
+)
+
 // runLocality builds the two devices, replays the shared hot trace and
 // compares.
-func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
+func runLocality() LocalityReport {
 	cfg := rmssd.RMC1() // embedding-dominated: the lookup stage is the bottleneck
-	cfg.RowsPerTable = cfg.RowsForBudget(tableMB << 20)
+	cfg.RowsPerTable = cfg.RowsForBudget(locTableMB << 20)
 
 	plain, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{})
 	if err != nil {
@@ -44,7 +53,7 @@ func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
 		os.Exit(1)
 	}
 	cached, err := rmssd.NewDevice(cfg, rmssd.DeviceOptions{
-		EVCacheBytes: cacheMB << 20,
+		EVCacheBytes: locCacheMB << 20,
 		DedupLookups: true,
 	})
 	if err != nil {
@@ -60,17 +69,17 @@ func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
 		os.Exit(1)
 	}
 	gen := rmssd.MustNewTrace(tc)
-	sparses := gen.Batch(inferences)
-	denses := make([]rmssd.Vector, inferences)
+	sparses := gen.Batch(locInferences)
+	denses := make([]rmssd.Vector, locInferences)
 	for i := range denses {
 		denses[i] = gen.DenseInput(i, cfg.DenseDim)
 	}
 
 	run := func(dev *rmssd.Device) ([]float32, float64) {
-		preds := make([]float32, 0, inferences)
+		preds := make([]float32, 0, locInferences)
 		var now time.Duration // simulated clock
-		for off := 0; off < len(sparses); off += batch {
-			end := off + batch
+		for off := 0; off < len(sparses); off += locBatch {
+			end := off + locBatch
 			if end > len(sparses) {
 				end = len(sparses)
 			}
@@ -105,10 +114,10 @@ func runLocality(tableMB, cacheMB int64, inferences, batch int) LocalityReport {
 	c := cached.Counters()
 	rep := LocalityReport{
 		Model:         cfg.Name,
-		TableMB:       tableMB,
+		TableMB:       locTableMB,
 		LocalityK:     2,
-		Inferences:    inferences,
-		EVCacheMB:     cacheMB,
+		Inferences:    locInferences,
+		EVCacheMB:     locCacheMB,
 		Lookups:       c.Lookups,
 		DedupHits:     c.DedupHits,
 		CacheHitRatio: c.HitRatio(),

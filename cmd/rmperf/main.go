@@ -20,11 +20,15 @@
 // clock; each use is annotated for the wallclock analyzer. Simulated
 // figures (tables, QPS) remain exclusively virtual-time products.
 //
+// The measurement's shape is fixed; three flags remain: -o (output path),
+// -table-mb (the sweep's table budget) and -requests (the serving request
+// count), the two a quick smoke run shrinks. A perf case that fails (its
+// setup or op called tb.Fatal) makes rmperf exit non-zero.
+//
 // Usage:
 //
-//	rmperf                          # defaults, writes BENCH_simcore.json
-//	rmperf -o - -exps fig10,fig12   # custom sweep, JSON to stdout
-//	rmperf -maxprocs 4              # pin GOMAXPROCS for the measurement
+//	rmperf                                   # writes BENCH_simcore.json
+//	rmperf -o - -table-mb 64 -requests 400   # quick run, JSON to stdout
 package main
 
 import (
@@ -33,13 +37,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
+	"testing"
 	"time"
 
 	"rmssd"
 	"rmssd/internal/bench"
 	"rmssd/internal/obs"
+	"rmssd/internal/perfcase"
 	"rmssd/internal/serving"
 )
 
@@ -90,45 +95,45 @@ type Report struct {
 	Obs        ObsReport      `json:"obs"`
 }
 
+// The sweep's experiments, and the serving measurement's table budget,
+// client count and request size (the observability replay shares the
+// request size). The sweep runs on GOMAXPROCS workers, and the serving
+// pool serves RMC1 on GOMAXPROCS shards.
+var sweepExps = []string{"fig10", "fig12", "ablation"}
+
+const (
+	serveTableMB = 64 // MiB
+	serveClients = 16
+	reqBatch     = 4 // inferences per request
+)
+
 func main() {
 	var (
 		out      = flag.String("o", "BENCH_simcore.json", "output path ('-' = stdout)")
-		exps     = flag.String("exps", "fig10,fig12,ablation", "comma-separated sweep experiments")
 		tableMB  = flag.Int64("table-mb", 256, "sweep embedding table budget in MiB")
-		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-		maxprocs = flag.Int("maxprocs", 0, "if > 0, set GOMAXPROCS for the whole measurement")
-		model    = flag.String("model", "RMC1", "serving model (RMC1/RMC2/RMC3/NCF/WnD)")
-		srvMB    = flag.Int64("serve-table-mb", 64, "serving embedding table budget in MiB")
-		shards   = flag.Int("shards", 0, "serving device shards (0 = GOMAXPROCS)")
-		clients  = flag.Int("clients", 16, "concurrent serving clients")
 		requests = flag.Int("requests", 2000, "total serving requests")
-		reqBatch = flag.Int("req-batch", 4, "inferences per serving request")
-
-		locTableMB = flag.Int64("locality-table-mb", 64, "locality comparison embedding table budget in MiB")
-		locCacheMB = flag.Int64("locality-cache-mb", 8, "locality comparison EV cache budget in MiB")
-		locInfer   = flag.Int("locality-inferences", 512, "locality comparison inference count")
-		locBatch   = flag.Int("locality-batch", 32, "locality comparison device batch size")
-
-		obsTableMB = flag.Int64("obs-table-mb", 64, "observability measurement embedding table budget in MiB")
-		obsShards  = flag.Int("obs-shards", 2, "observability measurement device shards")
-		obsReqs    = flag.Int("obs-requests", 400, "observability measurement replay requests")
 	)
 	flag.Parse()
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	}
+	// testing.Init registers the flags testing.Benchmark reads; without
+	// them a perf case that reports a failure panics inside package testing.
+	// Registering them after Parse keeps them off rmperf's command line.
+	testing.Init()
 
 	rep := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	if rep.NumCPU < 4 {
 		rep.Note = fmt.Sprintf("host exposes %d CPU(s); wall-clock speedup requires real cores — rerun on a >=4-core host for the parallel-vs-sequential comparison to be meaningful", rep.NumCPU)
 	}
 
-	names := strings.Split(*exps, ",")
-	rep.Sweep = runSweep(names, *tableMB, *parallel)
-	rep.Serve = runServe(*model, *srvMB, *shards, *clients, *requests, *reqBatch)
-	rep.Micro = runMicro()
-	rep.Locality = runLocality(*locTableMB, *locCacheMB, *locInfer, *locBatch)
-	rep.Obs = runObs(*model, *obsTableMB, *obsShards, *obsReqs, *reqBatch)
+	rep.Sweep = runSweep(sweepExps, *tableMB)
+	rep.Serve = runServe(*requests)
+	micro, err := runMicro(perfcase.Cases)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	rep.Micro = micro
+	rep.Locality = runLocality()
+	rep.Obs = runObs()
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -158,7 +163,7 @@ func renderSweep(names []string, opts bench.Options) (float64, []string, error) 
 	var tables []string
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time
 	for _, name := range names {
-		e, err := bench.Find(strings.TrimSpace(name))
+		e, err := bench.Find(name)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -170,12 +175,10 @@ func renderSweep(names []string, opts bench.Options) (float64, []string, error) 
 	return time.Since(start).Seconds(), tables, nil
 }
 
-// runSweep times the fixed sweep sequentially and in parallel and checks
-// the outputs are byte-identical.
-func runSweep(names []string, tableMB int64, parallel int) SweepReport {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
+// runSweep times the fixed sweep sequentially and on GOMAXPROCS workers
+// and checks the outputs are byte-identical.
+func runSweep(names []string, tableMB int64) SweepReport {
+	parallel := runtime.GOMAXPROCS(0)
 	seqOpts := bench.Options{TableBytes: tableMB << 20, Parallel: 1}
 	parOpts := bench.Options{TableBytes: tableMB << 20, Parallel: parallel}
 
@@ -260,26 +263,20 @@ func newShards(cfg rmssd.ModelConfig, n int, sink func(i int) obs.SpanSink) ([]s
 
 // runServe builds the sharded pool and measures host-side throughput under
 // concurrent clients.
-func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBatch int) ServeReport {
-	cfg, err := rmssd.ModelByName(modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cfg.RowsPerTable = cfg.RowsForBudget(tableMB << 20)
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
+func runServe(requests int) ServeReport {
+	cfg := rmssd.RMC1()
+	cfg.RowsPerTable = cfg.RowsForBudget(serveTableMB << 20)
+	nshards := runtime.GOMAXPROCS(0)
 	backends, first := newShards(cfg, nshards, nil)
 	pool := serving.NewPool(backends, first.NBatch(), 256)
 
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	for c := 0; c < serveClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for r := c; r < requests; r += clients {
+			for r := c; r < requests; r += serveClients {
 				if _, err := pool.Infer(reqBatch); err != nil {
 					panic(err) // unreachable: reqBatch > 0
 				}
@@ -305,9 +302,9 @@ func runServe(modelName string, tableMB int64, nshards, clients, requests, reqBa
 	perShardQPS := first.SteadyStateQPS(first.NBatch())
 	rep := ServeReport{
 		Model:             cfg.Name,
-		TableMB:           tableMB,
+		TableMB:           serveTableMB,
 		Shards:            nshards,
-		Clients:           clients,
+		Clients:           serveClients,
 		Requests:          st.Requests,
 		Inferences:        st.Inferences,
 		MeanBatch:         st.MeanBatch,

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rmssd/internal/evcache"
@@ -22,17 +24,24 @@ type MicroStat struct {
 	BaselineBytes  int64   `json:"baseline_bytes_per_op,omitempty"`
 }
 
-// runMicro times every internal/perfcase case in-process via
-// testing.Benchmark, so rmperf needs no `go test` invocation, and keys
-// each case's MicroStat by its name. Beside them it reports the GC pause
-// accumulated over the whole table (host wall-clock; simulated time is
-// not involved) and the heap a full EV cache retains per resident entry.
-func runMicro() map[string]any {
-	rep := make(map[string]any, len(perfcase.Cases)+3)
+// runMicro times every case in-process via testing.Benchmark, so rmperf
+// needs no `go test` invocation, and keys each case's MicroStat by its
+// name. Beside them it reports the GC pause accumulated over the whole
+// table (host wall-clock; simulated time is not involved) and the heap a
+// full EV cache retains per resident entry. testing.Benchmark reports a
+// failed case only as a zero-iteration result, so runMicro returns an
+// error naming every such case.
+func runMicro(cases []perfcase.Case) (map[string]any, error) {
+	rep := make(map[string]any, len(cases)+3)
+	var failed []string
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, c := range perfcase.Cases {
+	for _, c := range cases {
 		r := testing.Benchmark(c.Bench)
+		if r.N == 0 {
+			failed = append(failed, c.Name)
+			continue
+		}
 		rep[c.Name] = MicroStat{
 			NsPerOp:        float64(r.NsPerOp()),
 			AllocsPerOp:    r.AllocsPerOp(),
@@ -46,7 +55,10 @@ func runMicro() map[string]any {
 	rep["gc_pause_total_ms"] = float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6
 	rep["evcache_resident_bytes_per_entry"] = residentBytesPerEntry(8<<20, 128)
 	rep["baseline_evcache_resident_bytes_per_entry"] = baseResidentBytes
-	return rep
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("rmperf: perf case(s) failed: %s (run `go test -run=TestCeilings ./internal/perfcase/` for their output)", strings.Join(failed, ", "))
+	}
+	return rep, nil
 }
 
 // residentBytesPerEntry fills a New(budget, evSize) EV cache, churns three

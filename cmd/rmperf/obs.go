@@ -42,14 +42,22 @@ type ObsReport struct {
 	EmbSharePercent   float64 `json:"emb_stage_share_percent"`
 }
 
+// The measurement's table budget, shard count and replayed requests, on
+// RMC1 at the serving measurement's request size.
+const (
+	obsTableMB  = 64 // MiB
+	obsShards   = 2
+	obsRequests = 400
+)
+
 // obsReplay runs one replay over freshly built shards, optionally traced,
 // and returns the result plus the wall-clock spent inside Replay.
-func obsReplay(cfg rmssd.ModelConfig, nshards, requests, reqBatch int, tr *obs.Tracer) (serving.ReplayResult, float64) {
+func obsReplay(cfg rmssd.ModelConfig, tr *obs.Tracer) (serving.ReplayResult, float64) {
 	var sink func(i int) obs.SpanSink
 	if tr != nil {
 		sink = func(i int) obs.SpanSink { return tr.DeviceSink("default", i) }
 	}
-	backends, _ := newShards(cfg, nshards, sink)
+	backends, _ := newShards(cfg, obsShards, sink)
 	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
 		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
 	})
@@ -60,7 +68,7 @@ func obsReplay(cfg rmssd.ModelConfig, nshards, requests, reqBatch int, tr *obs.T
 	}
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time
 	res, err := serving.Replay(backends, serving.ReplayConfig{
-		Rate: 100000, MaxBatch: 8, Requests: requests, Seed: 5, Tracer: tr,
+		Rate: 100000, MaxBatch: 8, Requests: obsRequests, Seed: 5, Tracer: tr,
 	}, src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -83,23 +91,16 @@ func obsArtifact(tr *obs.Tracer) string {
 }
 
 // runObs measures tracing overhead and checks trace determinism.
-func runObs(modelName string, tableMB int64, nshards, requests, reqBatch int) ObsReport {
-	cfg, err := rmssd.ModelByName(modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cfg.RowsPerTable = cfg.RowsForBudget(tableMB << 20)
-	if nshards <= 0 {
-		nshards = 2
-	}
+func runObs() ObsReport {
+	cfg := rmssd.RMC1()
+	cfg.RowsPerTable = cfg.RowsForBudget(obsTableMB << 20)
 
-	plainRes, plainSec := obsReplay(cfg, nshards, requests, reqBatch, nil)
+	plainRes, plainSec := obsReplay(cfg, nil)
 
 	t1 := obs.NewTracer(obs.NewRegistry())
-	res1, tracedSec := obsReplay(cfg, nshards, requests, reqBatch, t1)
+	res1, tracedSec := obsReplay(cfg, t1)
 	t2 := obs.NewTracer(obs.NewRegistry())
-	res2, _ := obsReplay(cfg, nshards, requests, reqBatch, t2)
+	res2, _ := obsReplay(cfg, t2)
 
 	art1, art2 := obsArtifact(t1), obsArtifact(t2)
 
@@ -109,9 +110,9 @@ func runObs(modelName string, tableMB int64, nshards, requests, reqBatch int) Ob
 
 	rep := ObsReport{
 		Model:    cfg.Name,
-		TableMB:  tableMB,
-		Shards:   nshards,
-		Requests: requests,
+		TableMB:  obsTableMB,
+		Shards:   obsShards,
+		Requests: obsRequests,
 
 		UntracedSeconds: plainSec,
 		TracedSeconds:   tracedSec,

@@ -88,7 +88,7 @@ func TestArrayInfoAndStats(t *testing.T) {
 		t.Fatalf("info = %v", info)
 	}
 
-	if _, err := s.def.pool.Infer(5); err != nil {
+	if _, err := defPool(t, s).Infer(5); err != nil {
 		t.Fatal(err)
 	}
 	rec = httptest.NewRecorder()
@@ -215,7 +215,7 @@ func TestArrayShardCountPredInvariance(t *testing.T) {
 		s := arrayTestServer(t, shards, 2, "hash")
 		out := make([][]float32, requests)
 		for r, req := range payloads {
-			resp, err := s.def.pool.Submit(context.Background(), req)
+			resp, err := defPool(t, s).Submit(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%d shards, request %d: %v", shards, r, err)
 			}
@@ -361,7 +361,7 @@ func TestArrayShardFaultSeedsDistinct(t *testing.T) {
 func TestArrayMetricsPerDevice(t *testing.T) {
 	s := arrayTestServer(t, 1, 2, "range")
 	s.enableMetrics()
-	if _, err := s.def.pool.Infer(3); err != nil {
+	if _, err := defPool(t, s).Infer(3); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

@@ -49,6 +49,7 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 		want[i] = outs[0]
 	}
 
+	pool := defPool(t, s)
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -56,7 +57,7 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := serving.Request{Sparse: sparses[i : i+1], Dense: denses[i : i+1]}
-			resp, err := s.def.pool.Submit(context.Background(), req)
+			resp, err := pool.Submit(context.Background(), req)
 			if err != nil {
 				errs <- err
 				return
@@ -77,7 +78,7 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 			t.Fatalf("no EV cache installed on shard %d", i)
 		}
 	}
-	snap, err := s.def.snapshot(s.reg)
+	snap, err := s.def.snapshot(s.router)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,8 +181,8 @@ type modelSnapshot struct {
 }
 
 // snapshot reads every shard and the model's serving counters.
-func (m *hostedModel) snapshot(reg *serving.Registry) (modelSnapshot, error) {
-	st, err := reg.ModelStats(m.decl.Name)
+func (m *hostedModel) snapshot(rt *serving.Router) (modelSnapshot, error) {
+	st, err := rt.ModelStats(m.decl.Name)
 	if err != nil {
 		return modelSnapshot{}, err
 	}
@@ -213,13 +213,11 @@ func (m *hostedModel) snapshot(reg *serving.Registry) (modelSnapshot, error) {
 }
 
 // hostedModel is one named model on the server: its validated declaration,
-// resolved config and device shards. The pool itself lives in the registry;
-// the pointer here is a convenience for the handlers and tests.
+// resolved config and device shards. Its pool lives in the router.
 type hostedModel struct {
 	decl   modelDecl
 	cfg    rmssd.ModelConfig
 	shards []*deviceShard
-	pool   *serving.Pool
 }
 
 // backends adapts the shards to the serving layer.
@@ -231,12 +229,23 @@ func (m *hostedModel) backends() []serving.Batcher {
 	return bs
 }
 
-// server is the multi-model HTTP front-end: a registry of per-model pools
-// with a router dispatching by model name. The first hosted model is the
-// default for requests that do not name one, which keeps the single-model
-// API unchanged.
+// spec is the model's serving declaration, for the live router and the
+// mixed replay alike.
+func (m *hostedModel) spec() serving.ModelSpec {
+	return serving.ModelSpec{
+		Name:       m.decl.Name,
+		Backends:   m.backends(),
+		MaxBatch:   m.decl.MaxBatch,
+		QueueDepth: m.decl.Queue,
+		Weight:     m.decl.Weight,
+	}
+}
+
+// server is the multi-model HTTP front-end: a router owning one pool per
+// hosted model and dispatching by model name. The first hosted model is
+// the default for requests that do not name one, which keeps the
+// single-model API unchanged.
 type server struct {
-	reg    *serving.Registry
 	router *serving.Router
 	models []*hostedModel
 	byName map[string]*hostedModel
@@ -247,42 +256,24 @@ type server struct {
 	metrics *obs.Registry
 }
 
-// newServer registers the hosted models and builds the router with the
-// shared host budget (0 = unlimited).
+// newServer builds the router over the hosted models with the shared host
+// budget (0 = unlimited); the router refuses an empty list.
 func newServer(hosted []*hostedModel, budget int) (*server, error) {
-	if len(hosted) == 0 {
-		return nil, errors.New("rmserve: no models to host")
+	specs := make([]serving.ModelSpec, len(hosted))
+	byName := make(map[string]*hostedModel, len(hosted))
+	for i, m := range hosted {
+		specs[i] = m.spec()
+		byName[m.decl.Name] = m
 	}
-	s := &server{
-		reg:    serving.NewRegistry(),
-		models: hosted,
-		byName: make(map[string]*hostedModel, len(hosted)),
-		def:    hosted[0],
+	rt, err := serving.NewRouter(specs, budget)
+	if err != nil {
+		return nil, err
 	}
-	for _, m := range hosted {
-		err := s.reg.Register(serving.ModelSpec{
-			Name:       m.decl.Name,
-			Backends:   m.backends(),
-			MaxBatch:   m.decl.MaxBatch,
-			QueueDepth: m.decl.Queue,
-			Weight:     m.decl.Weight,
-		})
-		if err != nil {
-			s.reg.Close()
-			return nil, err
-		}
-		if m.pool, err = s.reg.Pool(m.decl.Name); err != nil {
-			s.reg.Close()
-			return nil, err
-		}
-		s.byName[m.decl.Name] = m
-	}
-	s.router = serving.NewRouter(s.reg, budget)
-	return s, nil
+	return &server{router: rt, models: hosted, byName: byName, def: hosted[0]}, nil
 }
 
 // close shuts down every pool.
-func (s *server) close() { s.reg.Close() }
+func (s *server) close() { s.router.Close() }
 
 // resolve maps a request's model name to its hosted model; empty names get
 // the default model.
@@ -414,7 +405,7 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	info["models"] = s.reg.Models()
+	info["models"] = s.router.Models()
 	info["defaultModel"] = s.def.decl.Name
 	info["hostBudget"] = s.router.Budget()
 	writeJSON(w, http.StatusOK, info)
@@ -428,7 +419,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(hosted, func(i, j int) bool { return hosted[i].decl.Name < hosted[j].decl.Name })
 	out := make([]map[string]interface{}, 0, len(hosted))
 	for _, m := range hosted {
-		snap, err := m.snapshot(s.reg)
+		snap, err := m.snapshot(s.router)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
@@ -638,7 +629,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		perShard    []map[string]interface{}
 	)
 	for _, m := range s.models {
-		snap, err := m.snapshot(s.reg)
+		snap, err := m.snapshot(s.router)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return

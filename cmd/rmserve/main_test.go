@@ -26,6 +26,16 @@ func serveDecls(t *testing.T, budget int, decls ...modelDecl) *server {
 	return s
 }
 
+// defPool returns the default model's pool from the server's router.
+func defPool(t *testing.T, s *server) *serving.Pool {
+	t.Helper()
+	p, err := s.router.Pool(s.def.decl.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func testServer(t *testing.T, shards int) *server {
 	t.Helper()
 	return serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64})
@@ -215,7 +225,7 @@ func TestConcurrentClients(t *testing.T) {
 	if want := clients * perClient * batch; seq != want {
 		t.Errorf("trace sequences advanced to %d, want %d", seq, want)
 	}
-	if ps := s.def.pool.Stats(); ps.Requests != clients*perClient {
+	if ps := defPool(t, s).Stats(); ps.Requests != clients*perClient {
 		t.Errorf("pool answered %d requests, want %d", ps.Requests, clients*perClient)
 	}
 }

@@ -374,9 +374,9 @@ func TestInferRoutesByModel(t *testing.T) {
 }
 
 // TestMultiModelConcurrentClients hammers both models through the real mux
-// with a shared host budget, racing against a registry close at the end.
-// Run with -race: this is the concurrency acceptance test for the
-// registry/router path in its HTTP embedding.
+// with a shared host budget, racing against a router close at the end.
+// Run with -race: this is the concurrency acceptance test for the router
+// path in its HTTP embedding.
 func TestMultiModelConcurrentClients(t *testing.T) {
 	s := testMultiServer(t, 3)
 	srv := httptest.NewServer(s.routes())

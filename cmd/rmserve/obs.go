@@ -62,7 +62,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // names of the shared obs.Counters table.
 func (s *server) collectModelMetrics() {
 	for _, m := range s.models {
-		snap, err := m.snapshot(s.reg)
+		snap, err := m.snapshot(s.router)
 		if err != nil {
 			continue
 		}

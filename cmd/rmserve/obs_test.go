@@ -42,7 +42,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t, 2)
 	s.enableMetrics()
-	if _, err := s.def.pool.Infer(3); err != nil {
+	if _, err := defPool(t, s).Infer(3); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

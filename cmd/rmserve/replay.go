@@ -107,16 +107,16 @@ func (s *server) replay(rc replayConfig) (serving.ReplayResult, error) {
 	}, src)
 }
 
-// multiReplay interleaves one source per hosted model by registration
-// weight and replays the mixed stream through every model's own pool
-// backends. Criteo mode opens the TSV once per model: each model maps the
+// multiReplay interleaves one source per hosted model by its declared
+// weight and replays the mixed stream through every model's spec (the
+// same backends its live pool serves). Criteo mode opens the TSV once per model: each model maps the
 // same record stream onto its own table geometry.
 func (s *server) multiReplay(rc replayConfig) (serving.MultiReplayResult, error) {
 	if rc.Mode == "synthetic" && rc.Requests <= 0 {
 		return serving.MultiReplayResult{}, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
 	}
 	parts := make([]serving.TaggedPart, 0, len(s.models))
-	models := make([]serving.ReplayModel, 0, len(s.models))
+	models := make([]serving.ModelSpec, 0, len(s.models))
 	for _, m := range s.models {
 		// Each model draws its inputs from its own seeded stream; the seed
 		// is derived exactly like the model's arrival seed so a solo rerun
@@ -129,7 +129,7 @@ func (s *server) multiReplay(rc replayConfig) (serving.MultiReplayResult, error)
 			defer closer.Close()
 		}
 		parts = append(parts, serving.TaggedPart{Model: m.decl.Name, Source: src, Weight: m.decl.Weight})
-		models = append(models, serving.ReplayModel{Name: m.decl.Name, Backends: m.backends(), MaxBatch: m.decl.MaxBatch})
+		models = append(models, m.spec())
 	}
 	src, err := serving.NewInterleavedSource(parts)
 	if err != nil {
@@ -168,7 +168,7 @@ func formatReplayResult(sb *strings.Builder, res serving.ReplayResult) {
 // replay reports stay byte-identical: locality with dedup or the EV cache,
 // scatter/gather on an array, and fault injection with its failed requests.
 func (s *server) formatCounters(sb *strings.Builder, m *hostedModel, res serving.ReplayResult) error {
-	snap, err := m.snapshot(s.reg)
+	snap, err := m.snapshot(s.router)
 	if err != nil {
 		return err
 	}

@@ -225,11 +225,11 @@ func TestReplayOutOfRangeTraceFailsTyped(t *testing.T) {
 	})
 	bad := gen.Batch(1)
 	bad[0][0][0] = cfg.RowsPerTable + 3
-	_, err := s.def.pool.Submit(context.Background(), serving.Request{Sparse: bad})
+	_, err := defPool(t, s).Submit(context.Background(), serving.Request{Sparse: bad})
 	if !errors.Is(err, rmssd.ErrRowOutOfRange) {
 		t.Fatalf("err = %v, want ErrRowOutOfRange", err)
 	}
-	resp, err := s.def.pool.Submit(context.Background(), serving.Request{Sparse: gen.Batch(1)})
+	resp, err := defPool(t, s).Submit(context.Background(), serving.Request{Sparse: gen.Batch(1)})
 	if err != nil || len(resp.Preds) != 1 {
 		t.Fatalf("in-range request after a rejected one: %+v %v", resp, err)
 	}

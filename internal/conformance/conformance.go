@@ -401,7 +401,7 @@ func renderMixedReplay() (string, error) {
 
 	const seed = 9
 	parts := make([]serving.TaggedPart, 0, len(hs))
-	models := make([]serving.ReplayModel, 0, len(hs))
+	models := make([]serving.ModelSpec, 0, len(hs))
 	for _, h := range hs {
 		tc, err := traceConfig(h.cfg, seed, 0)
 		if err != nil {
@@ -421,7 +421,7 @@ func renderMixedReplay() (string, error) {
 			return "", err
 		}
 		parts = append(parts, serving.TaggedPart{Model: h.name, Source: src, Weight: h.weight})
-		models = append(models, serving.ReplayModel{Name: h.name, Backends: backends, MaxBatch: 4})
+		models = append(models, serving.ModelSpec{Name: h.name, Backends: backends, MaxBatch: 4})
 	}
 	src, err := serving.NewInterleavedSource(parts)
 	if err != nil {

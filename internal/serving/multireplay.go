@@ -39,14 +39,6 @@ type TaggedSource interface {
 	Next() (TaggedRequest, error)
 }
 
-// ReplayModel is one hosted model's replay substrate: its backends (device
-// shards) and its coalescing cap.
-type ReplayModel struct {
-	Name     string
-	Backends []Batcher
-	MaxBatch int
-}
-
 // MultiReplayConfig tunes the mixed replay.
 type MultiReplayConfig struct {
 	// Rate is each model's offered load in requests per simulated second
@@ -117,31 +109,21 @@ func (s *sliceSource) Next() (Request, error) {
 }
 
 // MultiReplay partitions the tagged stream by model and replays each
-// model's subsequence through its own backends on its own seeded virtual
-// timeline. ServeBatch is invoked from this goroutine only, so the
-// backends must not concurrently serve a live Pool.
-func MultiReplay(models []ReplayModel, cfg MultiReplayConfig, src TaggedSource) (MultiReplayResult, error) {
+// model's subsequence through its spec's backends at its spec's batch cap,
+// on its own seeded virtual timeline (QueueDepth and Weight are live-path
+// knobs and play no part). The specs are validated like NewRouter's.
+// ServeBatch is invoked from this goroutine only, so the backends must not
+// concurrently serve a live Pool.
+func MultiReplay(models []ModelSpec, cfg MultiReplayConfig, src TaggedSource) (MultiReplayResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiReplayResult{}, err
 	}
-	if len(models) == 0 {
-		return MultiReplayResult{}, errors.New("serving: multi replay needs at least one model")
+	if err := validateSpecs(models); err != nil {
+		return MultiReplayResult{}, err
 	}
-	byName := make(map[string]*ReplayModel, len(models))
+	byName := make(map[string]*ModelSpec, len(models))
 	for i := range models {
-		m := &models[i]
-		switch {
-		case m.Name == "":
-			return MultiReplayResult{}, errors.New("serving: multi replay model needs a name")
-		case len(m.Backends) == 0:
-			return MultiReplayResult{}, fmt.Errorf("serving: multi replay model %q needs backends", m.Name)
-		case m.MaxBatch <= 0:
-			return MultiReplayResult{}, fmt.Errorf("serving: multi replay model %q max batch %d", m.Name, m.MaxBatch)
-		}
-		if _, dup := byName[m.Name]; dup {
-			return MultiReplayResult{}, fmt.Errorf("serving: multi replay model %q declared twice", m.Name)
-		}
-		byName[m.Name] = m
+		byName[models[i].Name] = &models[i]
 	}
 
 	// Partition the mixed stream, preserving each model's subsequence.

@@ -43,8 +43,8 @@ func mixedTrace(t *testing.T, n int) []TaggedRequest {
 	return reqs
 }
 
-func twoModels() []ReplayModel {
-	return []ReplayModel{
+func twoModels() []ModelSpec {
+	return []ModelSpec{
 		{Name: "ctr", Backends: []Batcher{&replayBatcher{}, &replayBatcher{}}, MaxBatch: 8},
 		{Name: "ranker", Backends: []Batcher{&replayBatcher{}}, MaxBatch: 4},
 	}
@@ -158,9 +158,6 @@ func TestMultiReplayErrors(t *testing.T) {
 	good := []TaggedRequest{{Model: "ctr", Req: Request{N: 1}}}
 	cfg := MultiReplayConfig{Rate: 1000, Seed: 1}
 
-	if _, err := MultiReplay(nil, cfg, &taggedSlice{reqs: good}); err == nil {
-		t.Fatal("no models must error")
-	}
 	if _, err := MultiReplay(twoModels(), MultiReplayConfig{Rate: 0}, &taggedSlice{reqs: good}); err == nil {
 		t.Fatal("zero rate must error")
 	}
@@ -169,22 +166,6 @@ func TestMultiReplayErrors(t *testing.T) {
 	}
 	if _, err := MultiReplay(twoModels(), cfg, &taggedSlice{}); err == nil {
 		t.Fatal("empty stream must error")
-	}
-	bad := []ReplayModel{{Name: "", Backends: []Batcher{&replayBatcher{}}, MaxBatch: 1}}
-	if _, err := MultiReplay(bad, cfg, &taggedSlice{reqs: good}); err == nil {
-		t.Fatal("nameless model must error")
-	}
-	bad = []ReplayModel{{Name: "ctr", MaxBatch: 1}}
-	if _, err := MultiReplay(bad, cfg, &taggedSlice{reqs: good}); err == nil {
-		t.Fatal("backend-less model must error")
-	}
-	bad = []ReplayModel{{Name: "ctr", Backends: []Batcher{&replayBatcher{}}, MaxBatch: 0}}
-	if _, err := MultiReplay(bad, cfg, &taggedSlice{reqs: good}); err == nil {
-		t.Fatal("zero max batch must error")
-	}
-	bad = append(twoModels(), ReplayModel{Name: "ctr", Backends: []Batcher{&replayBatcher{}}, MaxBatch: 1})
-	if _, err := MultiReplay(bad, cfg, &taggedSlice{reqs: good}); err == nil {
-		t.Fatal("duplicate model must error")
 	}
 	unknown := []TaggedRequest{{Model: "mystery", Req: Request{N: 1}}}
 	if _, err := MultiReplay(twoModels(), cfg, &taggedSlice{reqs: unknown}); err == nil {

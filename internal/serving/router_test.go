@@ -4,78 +4,126 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// newTestRegistry builds a registry hosting the named models over fresh
-// fake batchers (one shard each unless overridden).
-func newTestRegistry(t *testing.T, specs ...ModelSpec) *Registry {
+// newTestRouter builds a router over the given budget hosting the named
+// models over fresh fake batchers (one shard each unless overridden).
+func newTestRouter(t *testing.T, budget int, specs ...ModelSpec) *Router {
 	t.Helper()
-	reg := NewRegistry()
-	for _, spec := range specs {
-		if spec.Backends == nil {
-			spec.Backends = []Batcher{&fakeBatcher{}}
+	for i := range specs {
+		if specs[i].Backends == nil {
+			specs[i].Backends = []Batcher{&fakeBatcher{}}
 		}
-		if spec.MaxBatch == 0 {
-			spec.MaxBatch = 8
+		if specs[i].MaxBatch == 0 {
+			specs[i].MaxBatch = 8
 		}
-		if spec.QueueDepth == 0 {
-			spec.QueueDepth = 16
-		}
-		if err := reg.Register(spec); err != nil {
-			t.Fatal(err)
+		if specs[i].QueueDepth == 0 {
+			specs[i].QueueDepth = 16
 		}
 	}
-	t.Cleanup(reg.Close)
-	return reg
-}
-
-func TestRegistryRegisterAndResolve(t *testing.T) {
-	reg := newTestRegistry(t, ModelSpec{Name: "a"}, ModelSpec{Name: "b", Weight: 3})
-	if got := reg.Models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("models = %v", got)
-	}
-	if _, err := reg.Pool("a"); err != nil {
+	rt, err := NewRouter(specs, budget)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Pool("zzz"); !errors.Is(err, ErrUnknownModel) {
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+func TestRouterResolve(t *testing.T) {
+	rt := newTestRouter(t, 0, ModelSpec{Name: "b", Weight: 3}, ModelSpec{Name: "a"})
+	if got := rt.Models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("models = %v, want sorted", got)
+	}
+	if _, err := rt.Pool("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Pool("zzz"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	st, err := reg.ModelStats("b")
+	if _, err := rt.ModelStats("zzz"); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("unknown model stats err = %v", err)
+	}
+	st, err := rt.ModelStats("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Model != "b" || st.Weight != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Duplicate, empty and backend-less registrations are refused.
-	if err := reg.Register(ModelSpec{Name: "a", Backends: []Batcher{&fakeBatcher{}}}); err == nil {
-		t.Fatal("duplicate registration must error")
-	}
-	if err := reg.Register(ModelSpec{Backends: []Batcher{&fakeBatcher{}}}); err == nil {
-		t.Fatal("nameless registration must error")
-	}
-	if err := reg.Register(ModelSpec{Name: "c"}); err == nil {
-		t.Fatal("backend-less registration must error")
-	}
-	if err := reg.Register(ModelSpec{Name: "c", Weight: -1, Backends: []Batcher{&fakeBatcher{}}}); err == nil {
-		t.Fatal("negative weight must error")
+	if st, err := rt.ModelStats("a"); err != nil || st.Weight != 1 {
+		t.Fatalf("zero weight: stats %+v, err %v; want weight 1", st, err)
 	}
 }
 
+// badSpecLists are hosted-model lists that both NewRouter and MultiReplay
+// must refuse.
+func badSpecLists() []struct {
+	name  string
+	specs []ModelSpec
+} {
+	one := func(name string) ModelSpec {
+		return ModelSpec{Name: name, Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 1}
+	}
+	return []struct {
+		name  string
+		specs []ModelSpec
+	}{
+		{"empty", nil},
+		{"nameless", []ModelSpec{one("")}},
+		{"duplicate", []ModelSpec{one("a"), one("b"), one("a")}},
+		{"backend-less", []ModelSpec{one("a"), {Name: "b", MaxBatch: 1}}},
+		{"max batch 0", []ModelSpec{{Name: "a", Backends: []Batcher{&fakeBatcher{}}}}},
+		{"negative weight", []ModelSpec{{Name: "a", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 1, Weight: -1}}},
+	}
+}
+
+func TestBadSpecsRefused(t *testing.T) {
+	good := []TaggedRequest{{Model: "a", Req: Request{N: 1}}}
+	for _, tc := range badSpecLists() {
+		t.Run(tc.name, func(t *testing.T) {
+			if rt, err := NewRouter(tc.specs, 0); err == nil {
+				rt.Close()
+				t.Error("NewRouter accepted the list")
+			}
+			if _, err := MultiReplay(tc.specs, MultiReplayConfig{Rate: 1000}, &taggedSlice{reqs: good}); err == nil {
+				t.Error("MultiReplay accepted the list")
+			}
+		})
+	}
+}
+
+// TestNewRouterBuildsNothingOnError: a list whose first spec is valid and
+// whose second is not is refused before any pool (and so any shard
+// goroutine) exists.
+func TestNewRouterBuildsNothingOnError(t *testing.T) {
+	valid := ModelSpec{Name: "a", Backends: []Batcher{&fakeBatcher{}, &fakeBatcher{}, &fakeBatcher{}, &fakeBatcher{}}, MaxBatch: 4}
+	before := runtime.NumGoroutine()
+	rt, err := NewRouter([]ModelSpec{valid, {Name: "b", MaxBatch: 4}}, 0)
+	after := runtime.NumGoroutine()
+	if err == nil {
+		rt.Close()
+		t.Fatal("NewRouter accepted a backend-less second spec")
+	}
+	// Goroutines left over from earlier tests can only exit meanwhile, so
+	// any rise means NewRouter started shard workers.
+	if after > before {
+		t.Fatalf("goroutines %d -> %d: a refused list started shard workers", before, after)
+	}
+}
+
+// TestRegistryCloseRefusesLateWork: Close is idempotent, and a submission
+// after it fails with ErrPoolClosed.
 func TestRegistryCloseRefusesLateWork(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(ModelSpec{Name: "a", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 4, QueueDepth: 4}); err != nil {
+	rt, err := NewRouter([]ModelSpec{{Name: "a", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 4, QueueDepth: 4}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRouter(reg, 0)
-	reg.Close()
-	reg.Close() // idempotent
-	if err := reg.Register(ModelSpec{Name: "b", Backends: []Batcher{&fakeBatcher{}}}); !errors.Is(err, ErrRegistryClosed) {
-		t.Fatalf("late register err = %v", err)
-	}
+	rt.Close()
+	rt.Close() // idempotent
 	if _, err := rt.Submit(context.Background(), "a", Request{N: 1}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close err = %v", err)
 	}
@@ -83,11 +131,10 @@ func TestRegistryCloseRefusesLateWork(t *testing.T) {
 
 func TestRouterRoutesByModel(t *testing.T) {
 	fa, fb := &fakeBatcher{}, &fakeBatcher{}
-	reg := newTestRegistry(t,
+	rt := newTestRouter(t, 0,
 		ModelSpec{Name: "a", Backends: []Batcher{fa}},
 		ModelSpec{Name: "b", Backends: []Batcher{fb}},
 	)
-	rt := NewRouter(reg, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := rt.Submit(context.Background(), "a", Request{N: 2}); err != nil {
 			t.Fatal(err)
@@ -99,11 +146,11 @@ func TestRouterRoutesByModel(t *testing.T) {
 	if _, err := rt.Submit(context.Background(), "nope", Request{N: 1}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	sa, err := reg.ModelStats("a")
+	sa, err := rt.ModelStats("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := reg.ModelStats("b")
+	sb, err := rt.ModelStats("b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +162,6 @@ func TestRouterRoutesByModel(t *testing.T) {
 	}
 	if sa.MeanLatency <= 0 || sa.MaxLatency < sa.MeanLatency {
 		t.Fatalf("latency stats: %+v", sa)
-	}
-	all := reg.Stats()
-	if len(all) != 2 || all[0].Model != "a" || all[1].Model != "b" {
-		t.Fatalf("stats order = %+v", all)
 	}
 }
 
@@ -148,11 +191,10 @@ func TestRouterWRRAdmission(t *testing.T) {
 	var order []string
 	ga := &orderBatcher{fakeBatcher: fakeBatcher{gate: gate}, name: "heavy", mu: &mu, order: &order}
 	gb := &orderBatcher{fakeBatcher: fakeBatcher{gate: gate}, name: "light", mu: &mu, order: &order}
-	reg := newTestRegistry(t,
+	rt := newTestRouter(t, 1,
 		ModelSpec{Name: "heavy", Backends: []Batcher{ga}, Weight: 2},
 		ModelSpec{Name: "light", Backends: []Batcher{gb}, Weight: 1},
 	)
-	rt := NewRouter(reg, 1)
 
 	// Occupy the single budget slot with a gated submission (it records
 	// "heavy" first, then blocks in ServeBatch until the gate opens).
@@ -198,7 +240,7 @@ func TestRouterWRRAdmission(t *testing.T) {
 			t.Fatalf("grant order = %v, want %v", order, want)
 		}
 	}
-	hs, err := reg.ModelStats("heavy")
+	hs, err := rt.ModelStats("heavy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +281,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // admission must error out without leaking the budget slot.
 func TestRouterAdmissionCancellation(t *testing.T) {
 	gate := make(chan bool)
-	reg := newTestRegistry(t, ModelSpec{Name: "m", Backends: []Batcher{&fakeBatcher{gate: gate}}})
-	rt := NewRouter(reg, 1)
+	rt := newTestRouter(t, 1, ModelSpec{Name: "m", Backends: []Batcher{&fakeBatcher{gate: gate}}})
 
 	var occupied sync.WaitGroup
 	occupied.Add(1)
@@ -278,24 +319,24 @@ func TestRouterAdmissionCancellation(t *testing.T) {
 }
 
 // TestRouterConcurrentModelsAndClose is the race-coverage check the issue
-// asks for: concurrent submits to different models racing a registry
+// asks for: concurrent submits to different models racing the router's
 // Close must never panic — they either serve or fail with ErrPoolClosed.
 // Run with -race.
 func TestRouterConcurrentModelsAndClose(t *testing.T) {
 	for round := 0; round < 4; round++ {
-		reg := NewRegistry()
 		names := []string{"a", "b", "c"}
+		specs := make([]ModelSpec, len(names))
 		for i, n := range names {
-			err := reg.Register(ModelSpec{
+			specs[i] = ModelSpec{
 				Name:     n,
 				Backends: []Batcher{&fakeBatcher{}, &fakeBatcher{}},
 				MaxBatch: 8, QueueDepth: 8, Weight: i + 1,
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
-		rt := NewRouter(reg, 2)
+		rt, err := NewRouter(specs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		for c := 0; c < 8; c++ {
 			wg.Add(1)
@@ -313,14 +354,18 @@ func TestRouterConcurrentModelsAndClose(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reg.Close()
+			rt.Close()
 		}()
 		wg.Wait()
 		// Post-close: all submissions fail cleanly, stats still readable.
 		if _, err := rt.Submit(context.Background(), "a", Request{N: 1}); !errors.Is(err, ErrPoolClosed) {
 			t.Fatalf("post-close err = %v", err)
 		}
-		for _, st := range reg.Stats() {
+		for _, name := range rt.Models() {
+			st, err := rt.ModelStats(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if st.Rejected > st.Submitted {
 				t.Fatalf("counters inconsistent: %+v", st)
 			}
@@ -368,11 +413,12 @@ func ExampleRouter() {
 			panic(fmt.Sprintf("serving: example router: %v", err))
 		}
 	}
-	reg := NewRegistry()
-	must(reg.Register(ModelSpec{Name: "ctr", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 8, QueueDepth: 8, Weight: 2}))
-	must(reg.Register(ModelSpec{Name: "ranker", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 8, QueueDepth: 8}))
-	defer reg.Close()
-	rt := NewRouter(reg, 4)
+	rt, err := NewRouter([]ModelSpec{
+		{Name: "ctr", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 8, QueueDepth: 8, Weight: 2},
+		{Name: "ranker", Backends: []Batcher{&fakeBatcher{}}, MaxBatch: 8, QueueDepth: 8},
+	}, 4)
+	must(err)
+	defer rt.Close()
 	resp, err := rt.Submit(context.Background(), "ctr", Request{N: 2})
 	must(err)
 	fmt.Println(len(resp.Preds), rt.Models())

@@ -358,25 +358,23 @@ var (
 
 // --- multi-model serving ---
 
-// ModelRegistry owns one named serving pool per hosted model; ModelSpec
-// declares a model's backends, batching limits and admission weight, and
+// ModelSpec declares a hosted model's backends, batching limits and
+// admission weight, for the live router and the mixed replay alike;
 // ModelStats is a live per-model counter snapshot.
 type (
-	ModelRegistry = serving.Registry
-	ModelSpec     = serving.ModelSpec
-	ModelStats    = serving.ModelStats
+	ModelSpec  = serving.ModelSpec
+	ModelStats = serving.ModelStats
 )
 
-// ModelRouter dispatches requests by model name with optional shared-host
-// admission control (weighted round robin over a bounded in-flight budget).
+// ModelRouter owns one serving pool per hosted model and dispatches
+// requests by model name with optional shared-host admission control
+// (weighted round robin over a bounded in-flight budget).
 type ModelRouter = serving.Router
 
-// Multi-model registry/router constructors and sentinel errors.
+// Multi-model router constructor and sentinel error.
 var (
-	NewModelRegistry  = serving.NewRegistry
-	NewModelRouter    = serving.NewRouter
-	ErrUnknownModel   = serving.ErrUnknownModel
-	ErrRegistryClosed = serving.ErrRegistryClosed
+	NewModelRouter  = serving.NewRouter
+	ErrUnknownModel = serving.ErrUnknownModel
 )
 
 // Mixed-model trace replay: a tagged request stream partitioned by model,
@@ -385,10 +383,13 @@ type (
 	TaggedRequest     = serving.TaggedRequest
 	TaggedSource      = serving.TaggedSource
 	TaggedPart        = serving.TaggedPart
-	ReplayModel       = serving.ReplayModel
 	MultiReplayConfig = serving.MultiReplayConfig
 	MultiReplayResult = serving.MultiReplayResult
 )
+
+// ReplayModel is the former name of ModelSpec in MultiReplay's model list,
+// kept as an alias because the benchmark module still uses it.
+type ReplayModel = ModelSpec
 
 // MultiReplay helpers: the replay itself, the deterministic weighted
 // interleave of per-model sources, and the per-model seed derivation that
