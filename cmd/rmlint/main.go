@@ -1,19 +1,19 @@
 // Command rmlint runs rmssd's domain-aware static-analysis suite.
 //
 //	go run ./cmd/rmlint ./...
-//	go run ./cmd/rmlint -analyzers wallclock,units ./internal/... (subtree)
+//	go run ./cmd/rmlint ./internal/... (subtree)
 //	go run ./cmd/rmlint -json ./... (one JSON diagnostic per line, for CI)
-//	go run ./cmd/rmlint -list
 //
-// rmlint exits 0 when the tree is clean, 1 if any diagnostic survives
-// //lint:allow filtering, and 2 on load/usage errors, making it suitable
-// as a CI gate (see .github/workflows/ci.yml and `make check`). See
-// internal/lint for the analyzer suite: wallclock (determinism), units
-// (sim.Cycles vs time.Duration), errcheck (discarded errors), panicmsg
-// (package-prefixed panics), mapiter (map iteration feeding order-
-// sensitive sinks), goroutine (join/capture discipline outside cmd/,
-// examples/ and benchmark/), locks (mutex release/send-under-lock discipline) and
-// allowaudit (stale //lint:allow directives).
+// rmlint always runs the whole suite; `make lint-fixtures` runs the
+// analyzers' own tests. It exits 0 when the tree is clean, 1 if any
+// diagnostic survives //lint:allow filtering, and 2 on load/usage errors,
+// making it suitable as a CI gate (see .github/workflows/ci.yml and `make
+// check`). See internal/lint for the analyzer suite: wallclock
+// (determinism), units (sim.Cycles vs time.Duration), errcheck (discarded
+// errors), panicmsg (package-prefixed panics), mapiter (map iteration
+// feeding order-sensitive sinks), goroutine (join discipline outside cmd/,
+// examples/ and benchmark/), locks (mutex release/send-under-lock
+// discipline) and allowaudit (stale //lint:allow directives).
 package main
 
 import (
@@ -37,19 +37,10 @@ type jsonDiagnostic struct {
 
 func main() {
 	var (
-		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		rootDir   = flag.String("root", "", "module root (default: nearest go.mod upward from the working directory)")
-		list      = flag.Bool("list", false, "list available analyzers and exit")
-		asJSON    = flag.Bool("json", false, "emit one JSON diagnostic per line ({\"pos\",\"analyzer\",\"message\"}) instead of plain text")
+		rootDir = flag.String("root", "", "module root (default: nearest go.mod upward from the working directory)")
+		asJSON  = flag.Bool("json", false, "emit one JSON diagnostic per line ({\"pos\",\"analyzer\",\"message\"}) instead of plain text")
 	)
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -65,17 +56,12 @@ func main() {
 		}
 	}
 
-	selected, err := lint.ByName(*analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmlint:", err)
-		os.Exit(2)
-	}
 	pkgs, err := lint.LoadPatterns(root, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmlint:", err)
 		os.Exit(2)
 	}
-	diags := lint.Run(pkgs, selected)
+	diags := lint.Run(pkgs, lint.All())
 	for _, d := range diags {
 		if *asJSON {
 			line, err := json.Marshal(jsonDiagnostic{

@@ -43,7 +43,6 @@ import (
 
 	"rmssd"
 	"rmssd/internal/bench"
-	"rmssd/internal/obs"
 	"rmssd/internal/perfcase"
 	"rmssd/internal/serving"
 )
@@ -125,15 +124,20 @@ func main() {
 	}
 
 	rep.Sweep = runSweep(sweepExps, *tableMB)
-	rep.Serve = runServe(*requests)
-	micro, err := runMicro(perfcase.Cases)
-	if err != nil {
+	var err error
+	if rep.Serve, err = runServe(*requests); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rep.Micro = micro
+	if rep.Micro, err = runMicro(perfcase.Cases); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	rep.Locality = runLocality()
-	rep.Obs = runObs()
+	if rep.Obs, err = runObs(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -228,46 +232,24 @@ func runSweep(names []string, tableMB int64) SweepReport {
 	return rep
 }
 
-// newShards builds n independent device shards of cfg over one shared
-// model, each drawing count-only inputs from its own trace stream, and
-// returns them with their first device. A non-nil sink(i) receives shard
-// i's device spans.
-func newShards(cfg rmssd.ModelConfig, n int, sink func(i int) obs.SpanSink) ([]serving.Batcher, *rmssd.Device) {
-	m, err := rmssd.BuildModel(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	var first *rmssd.Device
-	backends := make([]serving.Batcher, 0, n)
-	for i := 0; i < n; i++ {
-		dev, err := rmssd.NewDeviceFromModel(m, rmssd.DeviceOptions{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if first == nil {
-			first = dev
-		}
-		if sink != nil {
-			dev.SetSpanSink(sink(i))
-		}
-		gen := rmssd.MustNewTrace(rmssd.TraceConfig{
-			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-			Seed: serving.ShardSeed(1, i, 1),
-		})
-		backends = append(backends, serving.NewDeviceShard(dev, gen, cfg.DenseDim))
-	}
-	return backends, first
-}
-
 // runServe builds the sharded pool and measures host-side throughput under
 // concurrent clients.
-func runServe(requests int) ServeReport {
+func runServe(requests int) (ServeReport, error) {
 	cfg := rmssd.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(serveTableMB << 20)
+	m, err := rmssd.BuildModel(cfg)
+	if err != nil {
+		return ServeReport{}, err
+	}
 	nshards := runtime.GOMAXPROCS(0)
-	backends, first := newShards(cfg, nshards, nil)
+	shards, err := serving.NewShards(m, rmssd.DeviceOptions{}, nshards, rmssd.TraceConfig{
+		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 1,
+	})
+	if err != nil {
+		return ServeReport{}, err
+	}
+	backends := serving.Batchers(shards)
+	first := shards[0].Device()
 	pool := serving.NewPool(backends, first.NBatch(), 256)
 
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time
@@ -294,8 +276,7 @@ func runServe(requests int) ServeReport {
 		Rate: 1e12, MaxBatch: first.NBatch(), Requests: requests, Seed: 1,
 	}, serving.CountSource(reqBatch))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return ServeReport{}, err
 	}
 
 	st := pool.Stats()
@@ -317,5 +298,5 @@ func runServe(requests int) ServeReport {
 		rep.HostRequestsPerS = float64(st.Requests) / wall
 		rep.HostInferPerS = float64(st.Inferences) / wall
 	}
-	return rep
+	return rep, nil
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -50,59 +48,80 @@ const (
 	obsRequests = 400
 )
 
-// obsReplay runs one replay over freshly built shards, optionally traced,
-// and returns the result plus the wall-clock spent inside Replay.
-func obsReplay(cfg rmssd.ModelConfig, tr *obs.Tracer) (serving.ReplayResult, float64) {
-	var sink func(i int) obs.SpanSink
-	if tr != nil {
-		sink = func(i int) obs.SpanSink { return tr.DeviceSink("default", i) }
+// obsReplay runs one replay over fresh shards of the model m, optionally
+// traced, and returns the result plus the wall-clock spent inside Replay.
+func obsReplay(m *rmssd.Model, tr *obs.Tracer) (serving.ReplayResult, float64, error) {
+	cfg := m.Cfg
+	tc := rmssd.TraceConfig{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 1}
+	shards, err := serving.NewShards(m, rmssd.DeviceOptions{}, obsShards, tc)
+	if err != nil {
+		return serving.ReplayResult{}, 0, err
 	}
-	backends, _ := newShards(cfg, obsShards, sink)
-	gen := rmssd.MustNewTrace(rmssd.TraceConfig{
-		Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 5,
-	})
+	if tr != nil {
+		for i, sh := range shards {
+			sh.Device().(*rmssd.Device).SetSpanSink(tr.DeviceSink("default", i))
+		}
+	}
+	tc.Seed = 5
+	gen, err := rmssd.NewTrace(tc)
+	if err != nil {
+		return serving.ReplayResult{}, 0, err
+	}
 	src, err := serving.NewGeneratorSource(gen, reqBatch, cfg.DenseDim)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return serving.ReplayResult{}, 0, err
 	}
 	start := time.Now() //lint:allow wallclock host-side perf harness measures real elapsed time
-	res, err := serving.Replay(backends, serving.ReplayConfig{
+	res, err := serving.Replay(serving.Batchers(shards), serving.ReplayConfig{
 		Rate: 100000, MaxBatch: 8, Requests: obsRequests, Seed: 5, Tracer: tr,
 	}, src)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	//lint:allow wallclock host-side perf harness measures real elapsed time
-	return res, time.Since(start).Seconds()
+	return res, time.Since(start).Seconds(), err
 }
 
 // obsArtifact renders a tracer's full deterministic output: the JSONL
 // trace followed by the Prometheus text of its registry.
-func obsArtifact(tr *obs.Tracer) string {
+func obsArtifact(tr *obs.Tracer) (string, error) {
 	var sb strings.Builder
 	if err := tr.WriteJSONL(&sb); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return "", err
 	}
 	sb.WriteString(tr.Registry().RenderPrometheus())
-	return sb.String()
+	return sb.String(), nil
 }
 
 // runObs measures tracing overhead and checks trace determinism.
-func runObs() ObsReport {
+// The three replays share one model, as a hosted model's shards do.
+func runObs() (ObsReport, error) {
 	cfg := rmssd.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(obsTableMB << 20)
+	m, err := rmssd.BuildModel(cfg)
+	if err != nil {
+		return ObsReport{}, err
+	}
 
-	plainRes, plainSec := obsReplay(cfg, nil)
-
+	plainRes, plainSec, err := obsReplay(m, nil)
+	if err != nil {
+		return ObsReport{}, err
+	}
 	t1 := obs.NewTracer(obs.NewRegistry())
-	res1, tracedSec := obsReplay(cfg, t1)
+	res1, tracedSec, err := obsReplay(m, t1)
+	if err != nil {
+		return ObsReport{}, err
+	}
 	t2 := obs.NewTracer(obs.NewRegistry())
-	res2, _ := obsReplay(cfg, t2)
-
-	art1, art2 := obsArtifact(t1), obsArtifact(t2)
+	res2, _, err := obsReplay(m, t2)
+	if err != nil {
+		return ObsReport{}, err
+	}
+	art1, err := obsArtifact(t1)
+	if err != nil {
+		return ObsReport{}, err
+	}
+	art2, err := obsArtifact(t2)
+	if err != nil {
+		return ObsReport{}, err
+	}
 
 	bd := t1.Breakdown("default")
 	busy := bd.Send + bd.Emb + bd.Bot + bd.Top + bd.Read
@@ -132,5 +151,5 @@ func runObs() ObsReport {
 	if busy > 0 {
 		rep.EmbSharePercent = 100 * float64(bd.Emb) / float64(busy)
 	}
-	return rep
+	return rep, nil
 }

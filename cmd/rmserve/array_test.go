@@ -160,9 +160,7 @@ func TestArrayReplayDeterministic(t *testing.T) {
 		}
 		var sb strings.Builder
 		formatReplayResult(&sb, res)
-		if err := s.formatCounters(&sb, s.def, res); err != nil {
-			t.Fatal(err)
-		}
+		formatCounters(&sb, s.def, res)
 		return sb.String()
 	}
 	rep := report(2)
@@ -181,9 +179,7 @@ func TestArrayReplayDeterministic(t *testing.T) {
 	}
 	var sb strings.Builder
 	formatReplayResult(&sb, res)
-	if err := s.formatCounters(&sb, s.def, res); err != nil {
-		t.Fatal(err)
-	}
+	formatCounters(&sb, s.def, res)
 	if strings.Contains(sb.String(), "array:") {
 		t.Fatalf("plain replay grew an array line:\n%s", sb.String())
 	}
@@ -309,7 +305,7 @@ func TestArrayModelsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a := hosted[0].shards[0].array(); a == nil || a.Layout().Devices() != 2 {
-		t.Fatalf("big not array-backed: %v", hosted[0].shards[0].dev)
+		t.Fatalf("big not array-backed: %v", hosted[0].shards[0].sh.Device())
 	}
 	if a := hosted[1].shards[0].array(); a != nil {
 		t.Fatal("small unexpectedly array-backed")

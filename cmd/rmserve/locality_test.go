@@ -74,7 +74,7 @@ func TestCachedShardedPoolConcurrent(t *testing.T) {
 	}
 
 	for i, sh := range s.def.shards {
-		if sh.dev.(*rmssd.Device).Lookup().EVCache() == nil {
+		if sh.sh.Device().(*rmssd.Device).Lookup().EVCache() == nil {
 			t.Fatalf("no EV cache installed on shard %d", i)
 		}
 	}
@@ -100,7 +100,7 @@ func TestEVCacheMBBounds(t *testing.T) {
 	// The top of the range is accepted: the cache allocates only what is
 	// resident, so even a 2^40-byte budget costs nothing up front.
 	s := serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 1, Shards: 1, Queue: 8, EVCacheMB: 1 << 20})
-	if c := s.def.shards[0].dev.(*rmssd.Device).Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
+	if c := s.def.shards[0].sh.Device().(*rmssd.Device).Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
 		t.Fatal("2^20 MiB cache not installed")
 	}
 }

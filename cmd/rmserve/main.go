@@ -60,12 +60,13 @@
 //	-array-devices  arrayDevices  0 (one device)   [0, 64]
 //	-partition      partition     range            range or hash; needs arrayDevices > 1
 //
-// With -trace, rmserve does not serve HTTP at all: it replays a request
-// stream through the pool(s) open-loop at -rate requests per simulated
-// second and prints a deterministic latency/coalescing report
-// (byte-identical for the same seed and configuration). In multi-model mode
-// the replay interleaves each model's stream by weight and reports one
-// section per model plus the aggregate:
+// With -trace, rmserve does not serve HTTP at all: it builds the hosted
+// models' shards, with no router or pool, replays a request stream through
+// them open-loop at -rate requests per simulated second and prints a
+// deterministic latency/coalescing report (byte-identical for the same seed
+// and configuration). In multi-model mode the replay interleaves each
+// model's stream by weight and reports one section per model plus the
+// aggregate:
 //
 //	rmserve -trace synthetic -requests 2000 -rate 50000 -req-batch 2
 //	rmserve -trace criteo -criteo-in day0.tsv -rate 50000
@@ -97,25 +98,12 @@ import (
 	"rmssd/internal/serving"
 )
 
-// backendDevice is the compute backend behind one shard: a single simulated
-// device or a multi-device array, serving batches through serving.Device
-// and exposing the counters and oracles the endpoints read.
-type backendDevice interface {
-	serving.Device
-	NBatch() int
-	Inferences() int64
-	Counters() obs.Counters
-	SteadyStateQPS(n int) float64
-	Latency(n int) time.Duration
-}
-
 // deviceShard is one independent device replica: a serving.DeviceShard
 // (its own virtual clock and trace stream) behind a mutex. The pool calls
 // ServeBatch from one goroutine; the mutex only fences those calls against
 // stats readers.
 type deviceShard struct {
-	id  int
-	dev backendDevice
+	id int
 
 	mu sync.Mutex
 	sh *serving.DeviceShard
@@ -132,7 +120,7 @@ func (d *deviceShard) ServeBatch(reqs []serving.Request) serving.BatchResult {
 // array returns the shard's backend as a multi-device array, or nil for a
 // plain single-device shard.
 func (d *deviceShard) array() *rmssd.Array {
-	a, _ := d.dev.(*rmssd.Array)
+	a, _ := d.sh.Device().(*rmssd.Array)
 	return a
 }
 
@@ -141,7 +129,7 @@ func (d *deviceShard) array() *rmssd.Array {
 func (d *deviceShard) setSpanSinks(single obs.SpanSink, member func(i int) obs.SpanSink) {
 	a := d.array()
 	if a == nil {
-		d.dev.(*rmssd.Device).SetSpanSink(single)
+		d.sh.Device().(*rmssd.Device).SetSpanSink(single)
 		return
 	}
 	for i, dev := range a.Devices() {
@@ -161,7 +149,8 @@ type shardSnapshot struct {
 func (d *deviceShard) snapshot() shardSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sn := shardSnapshot{Counters: d.dev.Counters(), inferences: d.dev.Inferences(), now: d.sh.Now()}
+	dev := d.sh.Device()
+	sn := shardSnapshot{Counters: dev.Counters(), inferences: dev.Inferences(), now: d.sh.Now()}
 	if a := d.array(); a != nil {
 		st := a.Stats()
 		sn.array = &st
@@ -182,11 +171,16 @@ type modelSnapshot struct {
 
 // snapshot reads every shard and the model's serving counters.
 func (m *hostedModel) snapshot(rt *serving.Router) (modelSnapshot, error) {
-	st, err := rt.ModelStats(m.decl.Name)
-	if err != nil {
-		return modelSnapshot{}, err
-	}
-	snap := modelSnapshot{ModelStats: st}
+	snap := m.devices()
+	var err error
+	snap.ModelStats, err = rt.ModelStats(m.decl.Name)
+	return snap, err
+}
+
+// devices reads every shard and sums their device counters; the serving
+// counters stay zero.
+func (m *hostedModel) devices() modelSnapshot {
+	var snap modelSnapshot
 	for _, sh := range m.shards {
 		sn := sh.snapshot()
 		snap.Add(sn.Counters)
@@ -209,7 +203,7 @@ func (m *hostedModel) snapshot(rt *serving.Router) (modelSnapshot, error) {
 		}
 		snap.shards = append(snap.shards, sn)
 	}
-	return snap, nil
+	return snap
 }
 
 // hostedModel is one named model on the server: its validated declaration,
@@ -241,15 +235,43 @@ func (m *hostedModel) spec() serving.ModelSpec {
 	}
 }
 
-// server is the multi-model HTTP front-end: a router owning one pool per
-// hosted model and dispatching by model name. The first hosted model is
-// the default for requests that do not name one, which keeps the
-// single-model API unchanged.
-type server struct {
-	router *serving.Router
+// hosting is the process's hosted models, by name and in declaration
+// order; the first is the default for requests that do not name one, which
+// keeps the single-model API unchanged. Replay mode runs on it alone and
+// starts no goroutine; the HTTP server puts a router over it.
+type hosting struct {
 	models []*hostedModel
 	byName map[string]*hostedModel
 	def    *hostedModel
+}
+
+// newHosting indexes built models; the first one is the default.
+func newHosting(hosted []*hostedModel) hosting {
+	byName := make(map[string]*hostedModel, len(hosted))
+	for _, m := range hosted {
+		byName[m.decl.Name] = m
+	}
+	return hosting{models: hosted, byName: byName, def: hosted[0]}
+}
+
+// resolve maps a request's model name to its hosted model; empty names get
+// the default model.
+func (h hosting) resolve(name string) (*hostedModel, error) {
+	if name == "" {
+		return h.def, nil
+	}
+	m, ok := h.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", serving.ErrUnknownModel, name)
+	}
+	return m, nil
+}
+
+// server is the multi-model HTTP front-end: a router owning one pool per
+// hosted model and dispatching by model name.
+type server struct {
+	hosting
+	router *serving.Router
 
 	// metrics is the observability registry behind /metrics; nil (the
 	// default) keeps the endpoint returning 404 and the devices span-free.
@@ -257,36 +279,21 @@ type server struct {
 }
 
 // newServer builds the router over the hosted models with the shared host
-// budget (0 = unlimited); the router refuses an empty list.
-func newServer(hosted []*hostedModel, budget int) (*server, error) {
-	specs := make([]serving.ModelSpec, len(hosted))
-	byName := make(map[string]*hostedModel, len(hosted))
-	for i, m := range hosted {
+// budget (0 = unlimited).
+func newServer(h hosting, budget int) (*server, error) {
+	specs := make([]serving.ModelSpec, len(h.models))
+	for i, m := range h.models {
 		specs[i] = m.spec()
-		byName[m.decl.Name] = m
 	}
 	rt, err := serving.NewRouter(specs, budget)
 	if err != nil {
 		return nil, err
 	}
-	return &server{router: rt, models: hosted, byName: byName, def: hosted[0]}, nil
+	return &server{hosting: h, router: rt}, nil
 }
 
 // close shuts down every pool.
 func (s *server) close() { s.router.Close() }
-
-// resolve maps a request's model name to its hosted model; empty names get
-// the default model.
-func (s *server) resolve(name string) (*hostedModel, error) {
-	if name == "" {
-		return s.def, nil
-	}
-	m, ok := s.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", serving.ErrUnknownModel, name)
-	}
-	return m, nil
-}
 
 func main() {
 	var single modelDecl
@@ -296,7 +303,7 @@ func main() {
 		hostBudget = flag.Int("host-budget", 0, "shared in-flight request budget across models (0 = unlimited)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		seed       = flag.Uint64("seed", 1, "trace seed")
-		traceMode  = flag.String("trace", "", "replay a trace through the pool(s) and exit: 'synthetic' or 'criteo'")
+		traceMode  = flag.String("trace", "", "replay a trace through the shards and exit: 'synthetic' or 'criteo'")
 		criteoIn   = flag.String("criteo-in", "", "Criteo-format TSV file for -trace criteo")
 		rate       = flag.Float64("rate", 50000, "replay offered load in requests per simulated second")
 		requests   = flag.Int("requests", 2000, "replay request count (synthetic; criteo stops at EOF)")
@@ -314,12 +321,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	log.Printf("building RM-SSD pools for %d model(s)...", len(mc.Models))
-	s, err := mc.serve(*seed, *hostBudget)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	if *traceMode != "" {
 		rc := replayConfig{
 			Mode: *traceMode, CriteoIn: *criteoIn, Rate: *rate,
@@ -329,11 +330,17 @@ func main() {
 		if *traceOut != "" || *metrics {
 			rc.Tracer = obs.NewTracer(obs.NewRegistry())
 		}
-		if err := s.runReplay(rc, os.Stdout); err != nil {
+		log.Printf("building RM-SSD shards for %d model(s)...", len(mc.Models))
+		if err := mc.replay(*seed, rc, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		s.close()
 		return
+	}
+
+	log.Printf("building RM-SSD pools for %d model(s)...", len(mc.Models))
+	s, err := mc.serve(*seed, *hostBudget)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *metrics {
@@ -345,7 +352,7 @@ func main() {
 	}
 	var agg float64
 	for _, m := range s.models {
-		dev := m.shards[0].dev
+		dev := m.shards[0].sh.Device()
 		agg += dev.SteadyStateQPS(dev.NBatch()) * float64(len(m.shards))
 	}
 	log.Printf("serving on %s (%d models, budget %d, aggregate steady-state %.0f QPS)",
@@ -393,7 +400,7 @@ func (m *hostedModel) describe() (map[string]interface{}, error) {
 	out["rowsPerTable"] = m.cfg.RowsPerTable
 	out["denseDim"] = m.cfg.DenseDim
 	out["tableBytes"] = m.cfg.TableBytes()
-	out["deviceBatch"] = m.shards[0].dev.NBatch()
+	out["deviceBatch"] = m.shards[0].sh.Device().NBatch()
 	return out, nil
 }
 
@@ -466,14 +473,14 @@ func (s *server) handleQPS(w http.ResponseWriter, r *http.Request) {
 	}
 	// SteadyStateQPS and Latency are pure functions of the configuration;
 	// no shard state is involved.
-	per := m.shards[0].dev.SteadyStateQPS(batch)
+	per := m.shards[0].sh.Device().SteadyStateQPS(batch)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"model":          m.decl.Name,
 		"batch":          batch,
 		"shards":         len(m.shards),
 		"steadyStateQPS": per,
 		"aggregateQPS":   per * float64(len(m.shards)),
-		"batchLatency":   m.shards[0].dev.Latency(batch).String(),
+		"batchLatency":   m.shards[0].sh.Device().Latency(batch).String(),
 	})
 }
 

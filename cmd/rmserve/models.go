@@ -210,69 +210,60 @@ func loadModelsConfig(path string) (modelsConfig, error) {
 	return parseModelsConfig(f)
 }
 
-// serve validates the declarations (a no-op for a parsed file), builds
-// them and hosts them behind one router with the shared host budget
-// (0 = unlimited). The first declaration is the default model.
+// serve hosts the declarations behind one router with the shared host
+// budget (0 = unlimited).
 func (mc modelsConfig) serve(globalSeed uint64, budget int) (*server, error) {
-	if err := mc.validate(); err != nil {
-		return nil, err
-	}
 	hosted, err := mc.build(globalSeed)
 	if err != nil {
 		return nil, err
 	}
-	return newServer(hosted, budget)
+	return newServer(newHosting(hosted), budget)
 }
 
-// build materialises validated declarations as hosted models: each resolves
-// its architecture, sizes its tables for the budget, builds its weights once
-// and gets its own device shards over them (every shard, single device or
-// array, reads the same read-only model.Model). The hosted decl records
-// the resolved seed and batch cap.
+// build validates the declarations (a no-op for a parsed file) and
+// materialises them as hosted models, the first one the default: each
+// resolves its architecture, sizes its tables for the budget, builds its
+// weights once and gets its device shards over them from serving.NewShards
+// (every shard, single device or array, reads the same read-only
+// model.Model). The hosted decl records the resolved seed (a zero seed
+// inherits globalSeed) and batch cap (a zero cap is the device NBatch).
 func (mc modelsConfig) build(globalSeed uint64) ([]*hostedModel, error) {
+	if err := mc.validate(); err != nil {
+		return nil, err
+	}
 	hosted := make([]*hostedModel, 0, len(mc.Models))
 	for i, d := range mc.Models {
+		wrap := func(err error) error { return fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err) }
 		cfg, err := d.config()
 		if err != nil {
-			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
+			return nil, wrap(err)
 		}
 		if d.Seed == 0 {
 			d.Seed = globalSeed
 		}
 		weights, err := rmssd.BuildResidentModel(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
+			return nil, wrap(err)
 		}
-		m := &hostedModel{cfg: cfg}
-		for s := 0; s < d.Shards; s++ {
-			opts := rmssd.DeviceOptions{
-				EVCacheBytes: d.EVCacheMB << 20,
-				DedupLookups: d.Dedup,
-				// Every device of every shard draws its own (but reproducible)
-				// fault sequence.
-				FaultPlan:    rmssd.FaultPlan{Rate: d.FaultRate, Seed: serving.ShardSeed(d.FaultSeed, s, d.ArrayDevices)},
-				ArrayDevices: d.ArrayDevices,
-				Partition:    d.Partition,
-			}
-			var dev backendDevice
-			if d.ArrayDevices > 1 {
-				dev, err = rmssd.NewArrayFromModel(weights, opts)
-			} else {
-				dev, err = rmssd.NewDeviceFromModel(weights, opts)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("rmserve: models[%d] (%q): %w", i, d.Name, err)
-			}
-			if d.MaxBatch == 0 {
-				d.MaxBatch = dev.NBatch()
-			}
-			gen := rmssd.MustNewTrace(rmssd.TraceConfig{
-				Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups,
-				Seed: serving.ShardSeed(d.Seed, s, 1),
-			})
-			m.shards = append(m.shards, &deviceShard{id: s, dev: dev, sh: serving.NewDeviceShard(dev, gen, cfg.DenseDim)})
+		shards, err := serving.NewShards(weights, rmssd.DeviceOptions{
+			EVCacheBytes: d.EVCacheMB << 20,
+			DedupLookups: d.Dedup,
+			FaultPlan:    rmssd.FaultPlan{Rate: d.FaultRate, Seed: d.FaultSeed},
+			ArrayDevices: d.ArrayDevices,
+			Partition:    d.Partition,
+		}, d.Shards, rmssd.TraceConfig{
+			Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: d.Seed,
+		})
+		if err != nil {
+			return nil, wrap(err)
 		}
-		m.decl = d
+		if d.MaxBatch == 0 {
+			d.MaxBatch = shards[0].Device().NBatch()
+		}
+		m := &hostedModel{decl: d, cfg: cfg}
+		for s, sh := range shards {
+			m.shards = append(m.shards, &deviceShard{id: s, sh: sh})
+		}
 		hosted = append(hosted, m)
 	}
 	return hosted, nil

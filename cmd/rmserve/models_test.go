@@ -84,7 +84,7 @@ func TestShardsShareWeights(t *testing.T) {
 			if a := sh.array(); a != nil {
 				devs = append(devs, a.Devices()...)
 			} else {
-				devs = append(devs, sh.dev.(*rmssd.Device))
+				devs = append(devs, sh.sh.Device().(*rmssd.Device))
 			}
 		}
 		if want := 2 * max(h.decl.ArrayDevices, 1); len(devs) != want {

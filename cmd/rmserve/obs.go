@@ -105,7 +105,7 @@ func mountPprof(mux *http.ServeMux) {
 // EndBatch uses, so device spans join their batch records. An array emits
 // its top member's span last, which the tracer keeps as the batch's device
 // span.
-func (s *server) installReplaySinks(t *obs.Tracer) {
+func (s hosting) installReplaySinks(t *obs.Tracer) {
 	for _, m := range s.models {
 		for _, sh := range m.shards {
 			model, shard := m.decl.Name, sh.id

@@ -255,15 +255,7 @@ func TestReplayReportTracedDifferential(t *testing.T) {
 		if err := s.runReplay(c, &sb); err != nil {
 			t.Fatal(err)
 		}
-		// Strip the wall-clock line: it is the one intentionally
-		// host-dependent line of the report.
-		var kept []string
-		for _, line := range strings.Split(sb.String(), "\n") {
-			if !strings.HasPrefix(line, "wall clock:") {
-				kept = append(kept, line)
-			}
-		}
-		report := strings.Join(kept, "\n")
+		report := withoutWallClock(sb.String())
 		var trace string
 		if traceOut != "" {
 			b, err := os.ReadFile(traceOut)

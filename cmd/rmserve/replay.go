@@ -12,13 +12,13 @@ import (
 	"rmssd/internal/serving"
 )
 
-// Trace replay mode: `rmserve -trace synthetic|criteo` drives the sharded
-// pool(s) open-loop from an externally supplied request stream instead of
-// serving HTTP — the trace-driven analogue of RecSSD's evaluation, which
-// replays measured Criteo access streams against the device. The arrival
-// timeline is virtual and the source is deterministic, so the emitted
-// report is byte-identical across runs with the same seed and
-// configuration.
+// Trace replay mode: `rmserve -trace synthetic|criteo` drives the hosted
+// models' shards open-loop from an externally supplied request stream
+// instead of serving HTTP — the trace-driven analogue of RecSSD's
+// evaluation, which replays measured Criteo access streams against the
+// device. The arrival timeline is virtual and the source is deterministic,
+// so the emitted report is byte-identical across runs with the same seed
+// and configuration.
 //
 // In multi-model mode the replayed stream is the weighted interleave of one
 // per-model source (each model draws inputs shaped for its own tables), and
@@ -83,10 +83,20 @@ func (m *hostedModel) newSource(rc replayConfig, seed uint64) (serving.RequestSo
 	}
 }
 
+// replay hosts the declarations and replays rc through their shards. It
+// builds no router and no pool, so it starts no goroutine that outlives it.
+func (mc modelsConfig) replay(globalSeed uint64, rc replayConfig, w io.Writer) error {
+	hosted, err := mc.build(globalSeed)
+	if err != nil {
+		return err
+	}
+	return newHosting(hosted).runReplay(rc, w)
+}
+
 // replay drives the default model's shards and returns the deterministic
-// result. The pool's workers must be idle (no concurrent HTTP traffic):
-// ServeBatch is invoked from this goroutine only.
-func (s *server) replay(rc replayConfig) (serving.ReplayResult, error) {
+// result. ServeBatch is invoked from this goroutine only, so a live
+// server's pools must be idle (no concurrent HTTP traffic).
+func (s hosting) replay(rc replayConfig) (serving.ReplayResult, error) {
 	if rc.Mode == "synthetic" && rc.Requests <= 0 {
 		return serving.ReplayResult{}, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
 	}
@@ -109,9 +119,10 @@ func (s *server) replay(rc replayConfig) (serving.ReplayResult, error) {
 
 // multiReplay interleaves one source per hosted model by its declared
 // weight and replays the mixed stream through every model's spec (the
-// same backends its live pool serves). Criteo mode opens the TSV once per model: each model maps the
-// same record stream onto its own table geometry.
-func (s *server) multiReplay(rc replayConfig) (serving.MultiReplayResult, error) {
+// same backends a live pool serves). Criteo mode opens the TSV once per
+// model: each model maps the same record stream onto its own table
+// geometry.
+func (s hosting) multiReplay(rc replayConfig) (serving.MultiReplayResult, error) {
 	if rc.Mode == "synthetic" && rc.Requests <= 0 {
 		return serving.MultiReplayResult{}, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
 	}
@@ -167,11 +178,8 @@ func formatReplayResult(sb *strings.Builder, res serving.ReplayResult) {
 // its feature is on, so the default configuration prints none and classic
 // replay reports stay byte-identical: locality with dedup or the EV cache,
 // scatter/gather on an array, and fault injection with its failed requests.
-func (s *server) formatCounters(sb *strings.Builder, m *hostedModel, res serving.ReplayResult) error {
-	snap, err := m.snapshot(s.router)
-	if err != nil {
-		return err
-	}
+func formatCounters(sb *strings.Builder, m *hostedModel, res serving.ReplayResult) {
+	snap := m.devices()
 	if cached := m.decl.EVCacheMB > 0; cached || m.decl.Dedup {
 		fmt.Fprintf(sb, "locality:     %d/%d lookups deduped", snap.DedupHits, snap.Lookups)
 		if cached {
@@ -192,13 +200,12 @@ func (s *server) formatCounters(sb *strings.Builder, m *hostedModel, res serving
 		fmt.Fprintf(sb, "faults:       %d read faults, %d ECC retries, %d uncorrectable; %d requests failed\n",
 			snap.ReadFaults, snap.ECCRetries, snap.Uncorrectable, res.Failed)
 	}
-	return nil
 }
 
 // runReplay runs the replay and prints the report: the classic single-model
 // report when one model is hosted, or one section per model plus the
 // aggregate in multi-model mode.
-func (s *server) runReplay(rc replayConfig, w io.Writer) error {
+func (s hosting) runReplay(rc replayConfig, w io.Writer) error {
 	//lint:allow wallclock host-side harness reports real elapsed time next to simulated results
 	start := time.Now()
 
@@ -213,9 +220,7 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 		fmt.Fprintf(&sb, "replay %s: model=%s shards=%d rate=%.0f req/s req-batch=%d seed=%d\n",
 			rc.Mode, s.def.cfg.Name, len(s.def.shards), rc.Rate, rc.ReqBatch, rc.Seed)
 		formatReplayResult(&sb, res)
-		if err := s.formatCounters(&sb, s.def, res); err != nil {
-			return err
-		}
+		formatCounters(&sb, s.def, res)
 		if rc.Tracer != nil {
 			formatStages(&sb, rc.Tracer, s.def.decl.Name)
 		}
@@ -233,9 +238,7 @@ func (s *server) runReplay(rc replayConfig, w io.Writer) error {
 			fmt.Fprintf(&sb, "--- model %s (%s, %d shards, weight %d, seed %d)\n",
 				name, m.cfg.Name, len(m.shards), m.decl.Weight, serving.ModelReplaySeed(rc.Seed, name))
 			formatReplayResult(&sb, res.PerModel[name])
-			if err := s.formatCounters(&sb, m, res.PerModel[name]); err != nil {
-				return err
-			}
+			formatCounters(&sb, m, res.PerModel[name])
 			if rc.Tracer != nil {
 				formatStages(&sb, rc.Tracer, name)
 			}

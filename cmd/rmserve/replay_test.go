@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -194,6 +195,54 @@ func TestReplayCriteo(t *testing.T) {
 	wantInf := records / s.def.cfg.Lookups
 	if !strings.Contains(out, fmt.Sprintf("%d inferences", wantInf)) {
 		t.Fatalf("report does not account for %d inferences:\n%s", wantInf, out)
+	}
+}
+
+// withoutWallClock drops a replay report's wall-clock line, its one
+// intentionally host-dependent line.
+func withoutWallClock(report string) string {
+	var kept []string
+	for _, line := range strings.Split(report, "\n") {
+		if !strings.HasPrefix(line, "wall clock:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// Replay mode (rmserve -trace) hosts the models without a router: it starts
+// no goroutine that outlives it, where a router's pools would leave one
+// shard worker per shard running, and it prints the report the same replay
+// prints over a live server's shards.
+func TestReplayModeStartsNoGoroutine(t *testing.T) {
+	mc := modelsConfig{Models: []modelDecl{
+		{Name: "ctr", Model: "RMC1", TableMB: 8, Shards: 2, Weight: 2, Dedup: true},
+		{Name: "wide", Model: "WnD", TableMB: 8, Shards: 2, ArrayDevices: 2, FaultRate: 0.05},
+	}}
+	rc := replayConfig{Mode: "synthetic", Rate: 100000, Requests: 40, ReqBatch: 2, Seed: 5}
+	before := runtime.NumGoroutine()
+	var got strings.Builder
+	if err := mc.replay(1, rc, &got); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine that is already exiting may still be counted; let it
+	// finish rather than failing on it.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("replay mode left %d goroutines running, want none", after-before)
+	}
+
+	s := serveDecls(t, 0, mc.Models...)
+	var want strings.Builder
+	if err := s.runReplay(rc, &want); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := withoutWallClock(got.String()), withoutWallClock(want.String()); g != w {
+		t.Fatalf("replay mode report differs from the server's:\n%s\nwant:\n%s", g, w)
 	}
 }
 

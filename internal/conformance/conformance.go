@@ -167,77 +167,47 @@ func confRMC1() model.Config {
 	return cfg
 }
 
-// newDevice builds shard i's device over the hosted model m, which every
-// shard shares.
-type newDevice func(m *model.Model, i int) (serving.Device, error)
-
-// plainDevice builds a default sequential device for every shard.
-func plainDevice(m *model.Model, _ int) (serving.Device, error) {
-	return core.NewFromModel(m, core.Options{})
-}
-
-// deviceShards builds cfg's model once and nshards DeviceShards over the
-// devices newDev returns from it. Shard i draws count-only inputs from a
-// generator of shape tc seeded serving.ShardSeed(tc.Seed, i, 1).
-func deviceShards(cfg model.Config, tc trace.Config, nshards int, newDev newDevice) ([]serving.Batcher, error) {
+// replayRMC1 replays the pinned synthetic stream (40 requests of two
+// inferences at 100k req/s, seed 5) through two confRMC1 shards that
+// serving.NewShards builds with opts, as rmserve -trace does, and returns
+// the result with the shards. Shard generators are seeded from shardSeed;
+// k > 0 gives the shards and the stream locality preset k. A non-nil
+// tracer records the replay and every shard device's spans.
+func replayRMC1(shardSeed uint64, k float64, opts core.Options, tracer *obs.Tracer) (serving.ReplayResult, []*serving.DeviceShard, error) {
+	cfg := confRMC1()
+	tc := trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: shardSeed}
+	var err error
+	if k > 0 {
+		if tc, err = tc.WithLocality(k); err != nil {
+			return serving.ReplayResult{}, nil, err
+		}
+	}
 	m, err := model.Build(cfg)
 	if err != nil {
-		return nil, err
+		return serving.ReplayResult{}, nil, err
 	}
-	backends := make([]serving.Batcher, 0, nshards)
-	base := tc.Seed
-	for i := 0; i < nshards; i++ {
-		dev, err := newDev(m, i)
-		if err != nil {
-			return nil, err
-		}
-		tc.Seed = serving.ShardSeed(base, i, 1)
-		gen, err := trace.NewGenerator(tc)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, serving.NewDeviceShard(dev, gen, cfg.DenseDim))
-	}
-	return backends, nil
-}
-
-// traceConfig is cfg's trace shape at seed, with locality preset k when
-// k > 0.
-func traceConfig(cfg model.Config, seed uint64, k float64) (trace.Config, error) {
-	tc := trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: seed}
-	if k > 0 {
-		return tc.WithLocality(k)
-	}
-	return tc, nil
-}
-
-// replayRMC1 replays the pinned synthetic stream (40 requests of two
-// inferences at 100k req/s, seed 5) through two confRMC1 shards over the
-// devices newDev returns: the rmserve -trace synthetic path in library
-// form. Shard generators are seeded from shardSeed; k > 0 gives the shards
-// and the stream locality preset k.
-func replayRMC1(shardSeed uint64, k float64, tracer *obs.Tracer, newDev newDevice) (serving.ReplayResult, error) {
-	cfg := confRMC1()
-	tc, err := traceConfig(cfg, shardSeed, k)
+	shards, err := serving.NewShards(m, opts, 2, tc)
 	if err != nil {
-		return serving.ReplayResult{}, err
+		return serving.ReplayResult{}, nil, err
 	}
-	backends, err := deviceShards(cfg, tc, 2, newDev)
-	if err != nil {
-		return serving.ReplayResult{}, err
+	if tracer != nil {
+		for i, sh := range shards {
+			sh.Device().(*core.RMSSD).SetSpanSink(tracer.DeviceSink("default", i))
+		}
 	}
 	tc.Seed = 5
 	gen, err := trace.NewGenerator(tc)
 	if err != nil {
-		return serving.ReplayResult{}, err
+		return serving.ReplayResult{}, nil, err
 	}
 	src, err := serving.NewGeneratorSource(gen, 2, cfg.DenseDim)
 	if err != nil {
-		return serving.ReplayResult{}, err
+		return serving.ReplayResult{}, nil, err
 	}
-	return serving.Replay(backends, serving.ReplayConfig{
+	res, err := serving.Replay(serving.Batchers(shards), serving.ReplayConfig{
 		Rate: 100000, MaxBatch: 8, Requests: 40, Seed: 5, Tracer: tracer,
 	}, src)
+	return res, shards, err
 }
 
 // formatReplay renders a replay result completely — counts, coalescing,
@@ -254,9 +224,9 @@ func formatReplay(res serving.ReplayResult) string {
 }
 
 // renderSingleReplay replays a synthetic trace through two RMC1 device
-// shards: the rmserve -trace synthetic path in library form.
+// shards: the rmserve -trace synthetic path.
 func renderSingleReplay() (string, error) {
-	res, err := replayRMC1(1, 0, nil, plainDevice)
+	res, _, err := replayRMC1(1, 0, core.Options{}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -265,28 +235,20 @@ func renderSingleReplay() (string, error) {
 
 // renderEVCacheReplay replays a hot-locality synthetic trace through two
 // RMC1 shards with the device EV cache and intra-batch dedup enabled: the
-// rmserve -trace -ev-cache-mb -dedup path in library form. Beyond the
-// standard replay profile it pins the cache hit/miss/eviction and dedup
-// counters, so both the timing effect of the cache and its bookkeeping are
-// under golden control.
+// rmserve -trace -ev-cache-mb -dedup path. Beyond the standard replay
+// profile it pins the cache hit/miss/eviction and dedup counters, so both
+// the timing effect of the cache and its bookkeeping are under golden
+// control.
 func renderEVCacheReplay() (string, error) {
-	var devs []*core.RMSSD
-	res, err := replayRMC1(5, 2, nil, func(m *model.Model, _ int) (serving.Device, error) {
-		dev, err := core.NewFromModel(m, core.Options{
-			EVCacheBytes: 4 << 20,
-			DedupLookups: true,
-		})
-		devs = append(devs, dev)
-		return dev, err
-	})
+	res, shards, err := replayRMC1(5, 2, core.Options{EVCacheBytes: 4 << 20, DedupLookups: true}, nil)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
 	sb.WriteString("replay RMC1 shards=2 evcache=4MiB dedup=on locality K=2\n")
 	sb.WriteString(formatReplay(res))
-	for i, dev := range devs {
-		c := dev.Counters()
+	for i, sh := range shards {
+		c := sh.Device().Counters()
 		fmt.Fprintf(&sb, "shard %d: lookups=%d dedup=%d hits=%d misses=%d evictions=%d\n",
 			i, c.Lookups, c.DedupHits, c.CacheHits, c.CacheMisses, c.CacheEvictions)
 	}
@@ -294,20 +256,13 @@ func renderEVCacheReplay() (string, error) {
 }
 
 // renderFaultReplay replays the single-model trace on devices with the
-// deterministic fault plan enabled: the rmserve -fault-rate path in library
-// form. Beyond the replay profile it pins the failed-request count and each
+// deterministic fault plan enabled: the rmserve -fault-rate path. Beyond
+// the replay profile it pins the failed-request count and each
 // shard's fault counters, so the seeded fault sequence itself — which reads
 // retried, which went uncorrectable, and what the retries cost the
 // timeline — is under golden control.
 func renderFaultReplay() (string, error) {
-	var devs []*core.RMSSD
-	res, err := replayRMC1(5, 0, nil, func(m *model.Model, i int) (serving.Device, error) {
-		dev, err := core.NewFromModel(m, core.Options{
-			FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: serving.ShardSeed(7, i, 1)},
-		})
-		devs = append(devs, dev)
-		return dev, err
-	})
+	res, shards, err := replayRMC1(5, 0, core.Options{FaultPlan: flash.FaultPlan{Rate: 0.35, Seed: 7}}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -315,8 +270,8 @@ func renderFaultReplay() (string, error) {
 	sb.WriteString("replay RMC1 shards=2 faultrate=0.35\n")
 	sb.WriteString(formatReplay(res))
 	fmt.Fprintf(&sb, "failed=%d\n", res.Failed)
-	for i, dev := range devs {
-		c := dev.Counters()
+	for i, sh := range shards {
+		c := sh.Device().Counters()
 		fmt.Fprintf(&sb, "shard %d: readfaults=%d eccretries=%d uncorrectable=%d\n",
 			i, c.ReadFaults, c.ECCRetries, c.Uncorrectable)
 	}
@@ -325,30 +280,22 @@ func renderFaultReplay() (string, error) {
 
 // renderArrayReplay replays the single-model trace on shards backed by
 // two-device hash-partitioned arrays: the rmserve -array-devices -partition
-// path in library form. Beyond the replay profile it pins each shard's
+// path. Beyond the replay profile it pins each shard's
 // scatter/gather counters, so the partition routing, the partial-sum
 // traffic and the modeled inter-device transfer cost (ArrayTransferSetup /
 // ArrayTransferBandwidth — both in the timing fingerprint) are under golden
 // control. The array merges partials in member-index order, so the
 // prediction checksum here is as pinnable as any single-device case.
 func renderArrayReplay() (string, error) {
-	var arrs []*array.Array
-	res, err := replayRMC1(5, 0, nil, func(m *model.Model, _ int) (serving.Device, error) {
-		arr, err := array.NewFromModel(m, core.Options{
-			ArrayDevices: 2,
-			Partition:    string(array.StrategyHash),
-		})
-		arrs = append(arrs, arr)
-		return arr, err
-	})
+	res, shards, err := replayRMC1(5, 0, core.Options{ArrayDevices: 2, Partition: string(array.StrategyHash)}, nil)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
 	sb.WriteString("replay RMC1 shards=2 array=2x(hash)\n")
 	sb.WriteString(formatReplay(res))
-	for i, arr := range arrs {
-		st := arr.Stats()
+	for i, sh := range shards {
+		st := sh.Device().(*array.Array).Stats()
 		fmt.Fprintf(&sb, "shard %d: scattered=%v partials=%d transfers=%d bytes=%d\n",
 			i, st.Scattered, st.Partials, st.Transfers, st.TransferBytes)
 	}
@@ -365,14 +312,7 @@ func renderArrayReplay() (string, error) {
 // move them (the differential suite enforces that directly).
 func renderTraceReplay() (string, error) {
 	tracer := obs.NewTracer(obs.NewRegistry())
-	if _, err := replayRMC1(5, 0, tracer, func(m *model.Model, i int) (serving.Device, error) {
-		dev, err := core.NewFromModel(m, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		dev.SetSpanSink(tracer.DeviceSink("default", i))
-		return dev, nil
-	}); err != nil {
+	if _, _, err := replayRMC1(5, 0, core.Options{}, tracer); err != nil {
 		return "", err
 	}
 	var sb strings.Builder
@@ -386,7 +326,7 @@ func renderTraceReplay() (string, error) {
 }
 
 // renderMixedReplay replays a weighted two-model mixed trace: the rmserve
-// -models -trace path in library form. Each model's section is pinned, so
+// -models -trace path. Each model's section is pinned, so
 // the golden also guards the per-model isolation guarantee.
 func renderMixedReplay() (string, error) {
 	type hosted struct {
@@ -403,11 +343,12 @@ func renderMixedReplay() (string, error) {
 	parts := make([]serving.TaggedPart, 0, len(hs))
 	models := make([]serving.ModelSpec, 0, len(hs))
 	for _, h := range hs {
-		tc, err := traceConfig(h.cfg, seed, 0)
+		tc := trace.Config{Tables: h.cfg.Tables, Rows: h.cfg.RowsPerTable, Lookups: h.cfg.Lookups, Seed: seed}
+		m, err := model.Build(h.cfg)
 		if err != nil {
 			return "", err
 		}
-		backends, err := deviceShards(h.cfg, tc, 1, plainDevice)
+		shards, err := serving.NewShards(m, core.Options{}, 1, tc)
 		if err != nil {
 			return "", err
 		}
@@ -421,7 +362,7 @@ func renderMixedReplay() (string, error) {
 			return "", err
 		}
 		parts = append(parts, serving.TaggedPart{Model: h.name, Source: src, Weight: h.weight})
-		models = append(models, serving.ModelSpec{Name: h.name, Backends: backends, MaxBatch: 4})
+		models = append(models, serving.ModelSpec{Name: h.name, Backends: serving.Batchers(shards), MaxBatch: 4})
 	}
 	src, err := serving.NewInterleavedSource(parts)
 	if err != nil {

@@ -15,8 +15,8 @@ package lint
 // over a package, which is why Run special-cases it: the directive index
 // tracks which directives matched a finding, and the audit reports the
 // remainder. The Run func below is accordingly a no-op; the Analyzer
-// value exists so the pass is listed, selectable with -analyzers, and
-// addressable by its own suppressions.
+// value exists so the pass is in All() and addressable by its own
+// suppressions.
 //
 // A directive the audit flags is either deleted (the usual case) or
 // re-justified in place by a companion directive:
@@ -28,6 +28,5 @@ package lint
 // of the auditor is a statement about the audit, not about a finding.
 var AllowAudit = &Analyzer{
 	Name: "allowaudit",
-	Doc:  "reports //lint:allow directives that no longer suppress any finding",
 	Run:  func(p *Package) []Diagnostic { return nil },
 }

@@ -21,7 +21,6 @@ import (
 // never to fail.
 var Errcheck = &Analyzer{
 	Name: "errcheck",
-	Doc:  "flags discarded error returns in internal/ and cmd/",
 	Run:  runErrcheck,
 }
 

@@ -35,15 +35,8 @@ import (
 // A spawned function the analyzer cannot see into (method value, package
 // function, parameter) is accepted only when a WaitGroup Add precedes the
 // spawn; otherwise it is flagged — one-sided, by design.
-//
-// Separately, a body that references an enclosing loop variable without
-// receiving it as an argument is flagged: since Go 1.22 the capture is
-// per-iteration and memory-safe, but the dependence is invisible at the
-// spawn site, and the pre-1.22 reading of the same code was a data race.
-// Passing the variable explicitly keeps the data flow auditable.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "flags go statements outside cmd/, examples/ and benchmark/ without a visible join/cancellation path, and loop-variable captures",
 	Run:  runGoroutine,
 }
 
@@ -72,55 +65,21 @@ func runGoroutine(p *Package) []Diagnostic {
 	var out []Diagnostic
 	forEachFuncBody(p, func(fd *ast.FuncDecl) {
 		var flow *FuncFlow
-		// Walk with an explicit loop-variable scope stack so a go statement
-		// knows which range/for variables enclose it.
-		var loopVars []map[types.Object]bool
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.RangeStmt:
-				vars := map[types.Object]bool{}
-				for _, e := range []ast.Expr{x.Key, x.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := p.Info.Defs[id]; obj != nil {
-							vars[obj] = true
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				ast.Inspect(x.Body, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return false
-			case *ast.ForStmt:
-				vars := map[types.Object]bool{}
-				if init, ok := x.Init.(*ast.AssignStmt); ok && init.Tok.String() == ":=" {
-					for _, lhs := range init.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-							if obj := p.Info.Defs[id]; obj != nil {
-								vars[obj] = true
-							}
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				ast.Inspect(x.Body, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return false
-			case *ast.GoStmt:
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
 				if flow == nil {
 					flow = NewFuncFlow(p, fd.Body)
 				}
-				out = append(out, p.checkGoStmt(flow, fd, x, loopVars)...)
+				out = append(out, p.checkGoStmt(flow, fd, g)...)
 			}
 			return true
-		}
-		ast.Inspect(fd.Body, walk)
+		})
 	})
 	return out
 }
 
-// checkGoStmt applies the capture and join checks to one go statement.
-func (p *Package) checkGoStmt(flow *FuncFlow, fd *ast.FuncDecl, g *ast.GoStmt, loopVars []map[types.Object]bool) []Diagnostic {
+// checkGoStmt applies the join check to one go statement.
+func (p *Package) checkGoStmt(flow *FuncFlow, fd *ast.FuncDecl, g *ast.GoStmt) []Diagnostic {
 	var out []Diagnostic
 	lit := flow.ResolveFuncLit(g.Call.Fun)
 
@@ -132,29 +91,6 @@ func (p *Package) checkGoStmt(flow *FuncFlow, fd *ast.FuncDecl, g *ast.GoStmt, l
 				"go statement spawns a function the analyzer cannot see into, with no WaitGroup.Add before the spawn; add a visible join (WaitGroup, channel) or //lint:allow goroutine <reason>"))
 		}
 		return out
-	}
-
-	// Loop-variable capture by reference.
-	if len(loopVars) > 0 {
-		all := map[types.Object]bool{}
-		for _, scope := range loopVars {
-			for obj := range scope {
-				all[obj] = true
-			}
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if obj := p.Info.Uses[id]; obj != nil && all[obj] {
-				out = append(out, p.Diag("goroutine", g.Pos(),
-					"goroutine body captures loop variable %q by reference; pass it as an argument (go func(%s ...) {...}(%s)) to keep the dependence visible",
-					id.Name, id.Name, id.Name))
-				delete(all, obj) // one diagnostic per variable
-			}
-			return true
-		})
 	}
 
 	// Join / cancellation evidence inside the body.

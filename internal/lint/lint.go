@@ -23,8 +23,7 @@
 //     output, escaping unsorted accumulations, channel sends, folds
 //     (`mapiter`);
 //   - spawn discipline: every goroutine in the concurrent core needs a
-//     visible join or cancellation path, and loop variables are passed,
-//     not captured (`goroutine`);
+//     visible join or cancellation path (`goroutine`);
 //   - mutex discipline: no Lock without a dominating release, no channel
 //     sends while a lock is held (`locks`; go vet's copylocks catches lock
 //     copies);
@@ -53,15 +52,12 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named static check.
 type Analyzer struct {
 	// Name is the identifier used in diagnostics and //lint:allow.
 	Name string
-	// Doc is a one-line description.
-	Doc string
 	// Run inspects one type-checked package and reports findings.
 	Run func(p *Package) []Diagnostic
 }
@@ -111,27 +107,6 @@ func (p *Package) Diag(analyzer string, pos token.Pos, format string, args ...in
 // then the suppression audit.
 func All() []*Analyzer {
 	return []*Analyzer{Wallclock, Units, Errcheck, Panicmsg, Mapiter, Goroutine, Locks, AllowAudit}
-}
-
-// ByName resolves a comma-separated analyzer list ("wallclock,units").
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // Run applies the analyzers to the packages, filters suppressed findings

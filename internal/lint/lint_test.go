@@ -175,21 +175,6 @@ func TestAllowAudit(t *testing.T) {
 	diffSets(t, want, gotKeys(diags), diags)
 }
 
-// TestByName covers analyzer selection.
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != len(All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full suite", len(all), err)
-	}
-	two, err := ByName("wallclock, units")
-	if err != nil || len(two) != 2 || two[0] != Wallclock || two[1] != Units {
-		t.Fatalf("ByName(\"wallclock, units\") = %v, err %v", two, err)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName(\"nosuch\") succeeded; want an error")
-	}
-}
-
 // TestRepositoryIsLintClean dogfoods the whole suite over the real module:
 // the tree must stay free of findings, so the rmlint CI gate cannot rot.
 func TestRepositoryIsLintClean(t *testing.T) {

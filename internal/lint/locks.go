@@ -32,7 +32,6 @@ import (
 // sections are its own, not the enclosing function's.
 var Locks = &Analyzer{
 	Name: "locks",
-	Doc:  "flags Lock without a dominating Unlock/defer, and channel sends while a lock is held",
 	Run:  runLocks,
 }
 

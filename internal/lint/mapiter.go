@@ -42,7 +42,6 @@ import (
 //	for _, k := range keys { ... }
 var Mapiter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "flags map iteration feeding order-sensitive sinks (output, escaping appends, sends, checksums) unless keys are sorted first",
 	Run:  runMapiter,
 }
 

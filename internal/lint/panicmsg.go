@@ -18,7 +18,6 @@ import (
 // log.Fatal and friends.
 var Panicmsg = &Analyzer{
 	Name: "panicmsg",
-	Doc:  `enforces "<pkg>: " prefixes on library panic messages`,
 	Run:  runPanicmsg,
 }
 

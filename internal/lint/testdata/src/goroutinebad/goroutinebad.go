@@ -1,7 +1,7 @@
-// Package goroutinebad exercises the goroutine analyzer's join/capture
-// checks: every spawn needs a visible join or cancellation path, and loop
-// variables are passed, not captured. Loaded under its one-element fixture
-// path it is in scope; loaded under a cmd/ path it is not.
+// Package goroutinebad exercises the goroutine analyzer's join check: every
+// spawn needs a visible join or cancellation path. Loaded under its
+// one-element fixture path it is in scope; loaded under a cmd/ path it is
+// not.
 package goroutinebad
 
 import (
@@ -11,8 +11,6 @@ import (
 
 func work() {}
 
-func sink(int) {}
-
 // Joined follows the Add-before-spawn, deferred-Done discipline.
 func Joined(n int) {
 	var wg sync.WaitGroup
@@ -21,20 +19,6 @@ func Joined(n int) {
 		go func() {
 			defer wg.Done()
 			work()
-		}()
-	}
-	wg.Wait()
-}
-
-// Captures references the loop variable inside the body instead of passing
-// it as an argument.
-func Captures(xs []int) {
-	var wg sync.WaitGroup
-	for _, v := range xs {
-		wg.Add(1)
-		go func() { // want:goroutine
-			defer wg.Done()
-			sink(v)
 		}()
 	}
 	wg.Wait()

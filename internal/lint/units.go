@@ -31,7 +31,6 @@ import (
 // The converters themselves live in package sim, which is exempt.
 var Units = &Analyzer{
 	Name: "units",
-	Doc:  "flags raw conversions between sim.Cycles and time.Duration, and raw sim.ByteRate<->float64 conversions (use the converters)",
 	Run:  runUnits,
 }
 

@@ -15,7 +15,6 @@ import (
 // progress report) annotates intent with //lint:allow wallclock <reason>.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "forbids time.Now/time.Sleep and unseeded math/rand (determinism guard)",
 	Run:  runWallclock,
 }
 

@@ -2,9 +2,12 @@ package serving
 
 import (
 	"errors"
+	"time"
 
 	"rmssd/internal/array"
 	"rmssd/internal/core"
+	"rmssd/internal/model"
+	"rmssd/internal/obs"
 	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
 	"rmssd/internal/trace"
@@ -19,6 +22,15 @@ type Device interface {
 	// InferBatch runs one device batch starting at the given simulated time
 	// and returns its predictions, its completion time and stage breakdown.
 	InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]int64) ([]float32, sim.Time, core.Breakdown, error)
+	// NBatch is the device batch size its kernels were fitted to.
+	NBatch() int
+	// Inferences counts the inferences the device has served.
+	Inferences() int64
+	// Counters sums the device's counters (over every member of an array).
+	Counters() obs.Counters
+	// SteadyStateQPS and Latency are the analytic oracle at batch n.
+	SteadyStateQPS(n int) float64
+	Latency(n int) time.Duration
 }
 
 // ErrNoGenerator fails a count-only request sent to a DeviceShard built
@@ -37,6 +49,54 @@ const seedStride = array.SeedStride
 // base + s*seedStride.
 func ShardSeed(base uint64, s, devices int) uint64 {
 	return base + uint64(s)*uint64(max(devices, 1))*seedStride
+}
+
+// NewShards builds the n device shards of one hosted model; it is the only
+// code that turns a model into its shard set. Every shard's device reads m,
+// which is shared read-only: an opts.ArrayDevices > 1 array
+// (array.NewFromModel) or a single device (core.NewFromModel). Shard s's
+// fault plan is seeded ShardSeed(opts.FaultPlan.Seed, s, opts.ArrayDevices),
+// so every member of every shard draws its own fault stream, and its
+// count-only inputs come from a generator of tc's shape seeded
+// ShardSeed(tc.Seed, s, 1). Shards are built in index order, each device
+// before its generator.
+func NewShards(m *model.Model, opts core.Options, n int, tc trace.Config) ([]*DeviceShard, error) {
+	if n <= 0 {
+		return nil, errors.New("serving: a hosted model needs at least one shard")
+	}
+	shards := make([]*DeviceShard, n)
+	for s := range shards {
+		o := opts
+		o.FaultPlan.Seed = ShardSeed(opts.FaultPlan.Seed, s, opts.ArrayDevices)
+		var dev Device
+		var err error
+		if opts.ArrayDevices > 1 {
+			dev, err = array.NewFromModel(m, o)
+		} else {
+			dev, err = core.NewFromModel(m, o)
+		}
+		if err != nil {
+			return nil, err
+		}
+		st := tc
+		st.Seed = ShardSeed(tc.Seed, s, 1)
+		gen, err := trace.NewGenerator(st)
+		if err != nil {
+			return nil, err
+		}
+		shards[s] = NewDeviceShard(dev, gen, m.Cfg.DenseDim)
+	}
+	return shards, nil
+}
+
+// Batchers returns the shards as the Batchers a Pool, Replay or ModelSpec
+// takes.
+func Batchers(shards []*DeviceShard) []Batcher {
+	bs := make([]Batcher, len(shards))
+	for i, sh := range shards {
+		bs[i] = sh
+	}
+	return bs
 }
 
 // DeviceShard is the Batcher over one simulated device or array: one model
@@ -66,6 +126,11 @@ type DeviceShard struct {
 func NewDeviceShard(dev Device, gen *trace.Generator, denseDim int) *DeviceShard {
 	return &DeviceShard{dev: dev, gen: gen, denseDim: denseDim, zeroDense: make(tensor.Vector, denseDim)}
 }
+
+// Device returns the shard's device, for its counters, oracle and span
+// sinks. ServeBatch changes the device's state, so reading that state while
+// the shard serves needs the caller's own fence.
+func (d *DeviceShard) Device() Device { return d.dev }
 
 // Now returns the shard's simulated clock: the completion time of the last
 // device batch it served.

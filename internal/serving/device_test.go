@@ -2,11 +2,13 @@ package serving_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"rmssd/internal/array"
 	"rmssd/internal/core"
+	"rmssd/internal/flash"
 	"rmssd/internal/model"
 	"rmssd/internal/serving"
 	"rmssd/internal/sim"
@@ -191,6 +193,100 @@ func TestDeviceShardContract(t *testing.T) {
 			t.Run(b.name+"/"+c.name, func(t *testing.T) {
 				c.run(t, func() serving.Device { return newBackend(t, cfg, b.opts) })
 			})
+		}
+	}
+}
+
+// members returns a shard device's member RM-SSDs: an array's members, or
+// the device itself.
+func members(dev serving.Device) []*core.RMSSD {
+	if a, ok := dev.(*array.Array); ok {
+		return a.Devices()
+	}
+	return []*core.RMSSD{dev.(*core.RMSSD)}
+}
+
+// TestNewShardsSeeds pins the seed rule NewShards applies. With an enabled
+// fault plan, member d of shard s runs fault seed
+// ShardSeed(base, s, devices) + d*SeedStride, distinct across the whole
+// shard set, and shard s's count-only inputs are the stream of a generator
+// seeded ShardSeed(tc.Seed, s, 1): its first count-only batch matches the
+// explicit batch drawn from such a generator on a twin shard set.
+func TestNewShardsSeeds(t *testing.T) {
+	cfg := shardConfig()
+	m, err := model.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 41}
+	const base = 1000
+	for _, n := range []int{1, 3} {
+		for _, devices := range []int{0, 1, 2, 3} {
+			t.Run(fmt.Sprintf("n=%d/devices=%d", n, devices), func(t *testing.T) {
+				opts := core.Options{FaultPlan: flash.FaultPlan{Rate: 0.01, Seed: base}, ArrayDevices: devices}
+				shards, err := serving.NewShards(m, opts, n, tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twins, err := serving.NewShards(m, opts, n, tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(shards) != n {
+					t.Fatalf("%d shards, want %d", len(shards), n)
+				}
+				seen := map[uint64]bool{}
+				for s, sh := range shards {
+					devs := members(sh.Device())
+					if len(devs) != max(devices, 1) {
+						t.Fatalf("shard %d: %d member devices, want %d", s, len(devs), max(devices, 1))
+					}
+					for d, dev := range devs {
+						got := dev.Device().Array().FaultPlan().Seed
+						if want := serving.ShardSeed(base, s, devices) + uint64(d)*array.SeedStride; got != want {
+							t.Fatalf("shard %d member %d: fault seed %d, want %d", s, d, got, want)
+						}
+						if seen[got] {
+							t.Fatalf("shard %d member %d: fault seed %d already drawn by another device", s, d, got)
+						}
+						seen[got] = true
+					}
+
+					ref := tc
+					ref.Seed = serving.ShardSeed(tc.Seed, s, 1)
+					gen, err := trace.NewGenerator(ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seq := 0
+					got := sh.ServeBatch([]serving.Request{{N: 3}})
+					want := twins[s].ServeBatch([]serving.Request{drawExplicit(gen, &seq, 3, cfg.DenseDim)})
+					if got.Err != nil || want.Err != nil {
+						t.Fatalf("shard %d: batch errors %v / %v", s, got.Err, want.Err)
+					}
+					samePreds(t, got.Preds, want.Preds)
+					if got.Latency != want.Latency {
+						t.Fatalf("shard %d: count-only batch took %v, its reference stream %v", s, got.Latency, want.Latency)
+					}
+				}
+			})
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		n    int
+		opts core.Options
+		tc   trace.Config
+	}{
+		{"no shards", 0, core.Options{}, tc},
+		{"negative shards", -1, core.Options{}, tc},
+		{"fault rate out of range", 1, core.Options{FaultPlan: flash.FaultPlan{Rate: 1.5}}, tc},
+		{"unknown partition", 2, core.Options{ArrayDevices: 2, Partition: "bogus"}, tc},
+		{"trace without tables", 1, core.Options{}, trace.Config{Rows: cfg.RowsPerTable, Lookups: cfg.Lookups}},
+	} {
+		if shards, err := serving.NewShards(m, c.opts, c.n, c.tc); err == nil {
+			t.Errorf("%s: built %d shards, want an error", c.name, len(shards))
 		}
 	}
 }
