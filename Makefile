@@ -76,7 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCriteoSource -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceShard -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s ./cmd/rmserve/
-	$(GO) test -run='^$$' -fuzz=FuzzModelsConfig -fuzztime=10s ./cmd/rmserve/
+	$(GO) test -run='^$$' -fuzz=FuzzModelsConfig -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzArrayPartitionConfig -fuzztime=10s ./internal/array/
 	$(GO) test -run='^$$' -fuzz=FuzzEVCacheOps -fuzztime=10s ./internal/evcache/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockingPipelineLanes -fuzztime=10s ./internal/sim/

@@ -33,41 +33,11 @@ import (
 	"sync"
 	"time"
 
-	"rmssd"
 	"rmssd/internal/obs"
+	"rmssd/internal/serving"
+	"rmssd/internal/trace"
+	"rmssd/internal/wire"
 )
-
-// info mirrors the fields of rmserve's /info and /models responses the
-// client needs. Name is the serving name (multi-model servers), Model the
-// underlying architecture.
-type info struct {
-	Name         string `json:"name"`
-	Model        string `json:"model"`
-	Tables       int    `json:"tables"`
-	Lookups      int    `json:"lookups"`
-	RowsPerTable int64  `json:"rowsPerTable"`
-	DenseDim     int    `json:"denseDim"`
-	DeviceBatch  int    `json:"deviceBatch"`
-	Shards       int    `json:"shards"`
-}
-
-// inferBody is the explicit-payload /infer request body. Model addresses a
-// hosted model on a multi-model server; empty means the server's default.
-type inferBody struct {
-	Model  string         `json:"model,omitempty"`
-	Sparse [][][]int64    `json:"sparse"`
-	Dense  []rmssd.Vector `json:"dense,omitempty"`
-}
-
-// inferReply is the subset of the /infer response the client reads.
-type inferReply struct {
-	Predictions       []float32 `json:"predictions"`
-	SimulatedLatency  string    `json:"simulatedLatency"`
-	Shard             int       `json:"shard"`
-	CoalescedBatch    int       `json:"coalescedBatch"`
-	CoalescedRequests int       `json:"coalescedRequests"`
-	Error             string    `json:"error"`
-}
 
 // sample is one request's measured outcome.
 type sample struct {
@@ -110,7 +80,9 @@ func run(addr, model, criteoIn string, requests, reqBatch int, rate float64, con
 		return err
 	}
 
-	src, closer, err := newSource(criteoIn, inf, reqBatch, seed)
+	src, closer, err := serving.NewSource(trace.Config{
+		Tables: inf.Tables, Rows: inf.RowsPerTable, Lookups: inf.Lookups, Seed: seed,
+	}, inf.DenseDim, reqBatch, criteoIn)
 	if err != nil {
 		return err
 	}
@@ -129,7 +101,7 @@ func run(addr, model, criteoIn string, requests, reqBatch int, rate float64, con
 		if err != nil {
 			return fmt.Errorf("trace source: %w", err)
 		}
-		b, err := json.Marshal(inferBody{Model: model, Sparse: req.Sparse, Dense: req.Dense})
+		b, err := json.Marshal(wire.InferRequest{Model: model, Sparse: req.Sparse, Dense: req.Dense})
 		if err != nil {
 			return err
 		}
@@ -197,80 +169,44 @@ func run(addr, model, criteoIn string, requests, reqBatch int, rate float64, con
 	return err
 }
 
-// newSource picks the trace source: a Criteo TSV or the synthetic locality
-// model matched to the server's shape.
-func newSource(criteoIn string, inf info, reqBatch int, seed uint64) (rmssd.RequestSource, io.Closer, error) {
-	if criteoIn != "" {
-		f, err := os.Open(criteoIn)
-		if err != nil {
-			return nil, nil, err
-		}
-		p, err := rmssd.NewCriteoParser(f, inf.RowsPerTable)
-		if err != nil {
-			//lint:allow errcheck read-only file on an error path; the parse error is what matters
-			f.Close()
-			return nil, nil, err
-		}
-		src, err := rmssd.NewCriteoSource(p, inf.Tables, inf.Lookups, inf.DenseDim, reqBatch)
-		if err != nil {
-			//lint:allow errcheck read-only file on an error path; the source error is what matters
-			f.Close()
-			return nil, nil, err
-		}
-		return src, f, nil
-	}
-	gen, err := rmssd.NewTrace(rmssd.TraceConfig{
-		Tables: inf.Tables, Rows: inf.RowsPerTable, Lookups: inf.Lookups, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	src, err := rmssd.NewGeneratorSource(gen, reqBatch, inf.DenseDim)
-	return src, nil, err
-}
-
 // fetchInfo resolves the target model's shape: the server's default model
 // via /info, or — when -model names a hosted model — its /models entry.
-func fetchInfo(addr, model string) (info, error) {
+func fetchInfo(addr, model string) (wire.ModelInfo, error) {
 	if model == "" {
-		resp, err := http.Get(addr + "/info")
-		if err != nil {
-			return info{}, err
+		var inf wire.Info
+		if err := getJSON(addr+"/info", &inf); err != nil {
+			return wire.ModelInfo{}, fmt.Errorf("/info: %w", err)
 		}
-		defer resp.Body.Close()
-		var inf info
-		if err := json.NewDecoder(resp.Body).Decode(&inf); err != nil {
-			return info{}, fmt.Errorf("/info: %w", err)
-		}
-		return checkInfo(inf)
+		return checkInfo(inf.ModelInfo)
 	}
-	resp, err := http.Get(addr + "/models")
-	if err != nil {
-		return info{}, err
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Models []info `json:"models"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return info{}, fmt.Errorf("/models: %w", err)
-	}
-	for _, inf := range body.Models {
-		if inf.Name == model {
-			return checkInfo(inf)
-		}
+	var body wire.Models
+	if err := getJSON(addr+"/models", &body); err != nil {
+		return wire.ModelInfo{}, fmt.Errorf("/models: %w", err)
 	}
 	names := make([]string, len(body.Models))
-	for i, inf := range body.Models {
-		names[i] = inf.Name
+	for i, e := range body.Models {
+		if e.Name == model {
+			return checkInfo(e.ModelInfo)
+		}
+		names[i] = e.Name
 	}
-	return info{}, fmt.Errorf("server does not host model %q (hosts: %s)", model, strings.Join(names, ", "))
+	return wire.ModelInfo{}, fmt.Errorf("server does not host model %q (hosts: %s)", model, strings.Join(names, ", "))
+}
+
+// getJSON fetches url and decodes its JSON body into v.
+func getJSON(url string, v interface{}) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // checkInfo rejects shapes the trace sources cannot feed.
-func checkInfo(inf info) (info, error) {
+func checkInfo(inf wire.ModelInfo) (wire.ModelInfo, error) {
 	if inf.Tables <= 0 || inf.Lookups <= 0 || inf.RowsPerTable <= 0 || inf.DenseDim <= 0 {
-		return info{}, fmt.Errorf("server reported an unusable shape: %+v", inf)
+		return wire.ModelInfo{}, fmt.Errorf("server reported an unusable shape: %+v", inf)
 	}
 	return inf, nil
 }
@@ -284,15 +220,19 @@ func send(addr string, body []byte) (sample, error) {
 		return sample{}, err
 	}
 	defer resp.Body.Close()
-	var rep inferReply
+	if resp.StatusCode != http.StatusOK {
+		var e wire.ErrorReply
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			return sample{}, fmt.Errorf("status %d: decode: %w", resp.StatusCode, err)
+		}
+		return sample{}, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
+	}
+	var rep wire.InferReply
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		return sample{}, fmt.Errorf("decode: %w", err)
 	}
 	//lint:allow wallclock host-side load client measures round-trip time
 	wall := time.Since(t0)
-	if resp.StatusCode != http.StatusOK {
-		return sample{}, fmt.Errorf("status %d: %s", resp.StatusCode, rep.Error)
-	}
 	sim, err := time.ParseDuration(rep.SimulatedLatency)
 	if err != nil {
 		return sample{}, fmt.Errorf("simulatedLatency %q: %w", rep.SimulatedLatency, err)
@@ -315,8 +255,8 @@ func report(samples []sample, shards int, elapsed time.Duration) string {
 		coalescedSum += s.coalesced
 		preds += s.preds
 	}
-	p50s, p95s, p99s, maxs := quantiles(sims)
-	p50w, p95w, p99w, maxw := quantiles(walls)
+	p50s, p95s, p99s, maxs := obs.Quantiles(sims)
+	p50w, p95w, p99w, maxw := obs.Quantiles(walls)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "served:       %d requests, %d predictions in %v wall (%.0f req/s)\n",
 		len(samples), preds, elapsed.Round(time.Millisecond),
@@ -341,21 +281,11 @@ func report(samples []sample, shards int, elapsed time.Duration) string {
 // fetchStats renders the server's own aggregate view, best-effort: an
 // unreachable or unparseable /stats yields an empty string.
 func fetchStats(addr string) string {
-	resp, err := http.Get(addr + "/stats")
-	if err != nil {
+	var st wire.Stats
+	if err := getJSON(addr+"/stats", &st); err != nil {
 		return ""
 	}
-	defer resp.Body.Close()
-	var st struct {
-		Inferences    float64 `json:"inferences"`
-		Requests      float64 `json:"requests"`
-		DeviceBatches float64 `json:"deviceBatches"`
-		MeanBatch     float64 `json:"meanBatch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return ""
-	}
-	return fmt.Sprintf("server:       %.0f requests, %.0f inferences, %.0f device batches (%.2f inferences/batch)\n",
+	return fmt.Sprintf("server:       %d requests, %d inferences, %d device batches (%.2f inferences/batch)\n",
 		st.Requests, st.Inferences, st.DeviceBatches, st.MeanBatch)
 }
 
@@ -376,10 +306,4 @@ func fetchMetrics(addr string) string {
 		return fmt.Sprintf("metrics:      unavailable (%s)\n", strings.TrimSpace(string(body)))
 	}
 	return "-- /metrics --\n" + string(body)
-}
-
-// quantiles delegates to the repo's single quantile implementation so the
-// client report and every server-side report agree on the convention.
-func quantiles(lat []time.Duration) (p50, p95, p99, max time.Duration) {
-	return obs.Quantiles(lat)
 }

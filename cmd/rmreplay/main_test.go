@@ -7,11 +7,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rmssd/internal/wire"
 )
 
 // stubServer mimics the slice of rmserve's API rmreplay consumes: /info
 // (default model), /models (hosted models), /infer (echoes a fixed reply
-// while recording which model each body addressed) and /stats.
+// while recording which model each body addressed) and /stats. It encodes
+// rmserve's own wire types, so a renamed field fails these tests.
 func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 	t.Helper()
 	var seen sync.Map // model name -> request count (int)
@@ -22,25 +25,28 @@ func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 			t.Errorf("encode: %v", err)
 		}
 	}
-	def := map[string]interface{}{
-		"name": "ctr", "model": "RMC1", "tables": 2, "lookups": 3,
-		"rowsPerTable": 64, "denseDim": 4, "deviceBatch": 8, "shards": 2,
+	def := wire.ModelInfo{
+		ModelDecl: wire.ModelDecl{Name: "ctr", Model: "RMC1", Shards: 2},
+		Tables:    2, Lookups: 3, RowsPerTable: 64, DenseDim: 4, DeviceBatch: 8,
 	}
-	wide := map[string]interface{}{
-		"name": "wide", "model": "WnD", "tables": 3, "lookups": 1,
-		"rowsPerTable": 32, "denseDim": 2, "deviceBatch": 4, "shards": 1,
+	wide := wire.ModelInfo{
+		ModelDecl: wire.ModelDecl{Name: "wide", Model: "WnD", Shards: 1},
+		Tables:    3, Lookups: 1, RowsPerTable: 32, DenseDim: 2, DeviceBatch: 4,
 	}
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, def)
+		writeJSON(w, wire.Info{ModelInfo: def, Models: []string{"ctr", "wide"}, DefaultModel: "ctr"})
 	})
 	mux.HandleFunc("/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]interface{}{"models": []interface{}{def, wide}})
+		writeJSON(w, wire.Models{
+			Models:       []wire.ModelEntry{{ModelInfo: def}, {ModelInfo: wide}},
+			DefaultModel: "ctr",
+		})
 	})
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		var body inferBody
+		var body wire.InferRequest
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			w.WriteHeader(http.StatusBadRequest)
-			writeJSON(w, map[string]string{"error": err.Error()})
+			writeJSON(w, wire.ErrorReply{Error: err.Error()})
 			return
 		}
 		n, _ := seen.LoadOrStore(body.Model, new(int))
@@ -48,18 +54,16 @@ func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 		// The test server is single-threaded per count via this mutex-free
 		// pattern only because rmreplay runs make one concurrency lane.
 		*cnt++
-		writeJSON(w, map[string]interface{}{
-			"predictions":       make([]float32, len(body.Sparse)),
-			"simulatedLatency":  "10µs",
-			"shard":             0,
-			"coalescedBatch":    len(body.Sparse),
-			"coalescedRequests": 1,
+		writeJSON(w, wire.InferReply{
+			Model:             body.Model,
+			Predictions:       make([]float32, len(body.Sparse)),
+			SimulatedLatency:  "10µs",
+			CoalescedBatch:    len(body.Sparse),
+			CoalescedRequests: 1,
 		})
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]interface{}{
-			"requests": 1, "inferences": 1, "deviceBatches": 1, "meanBatch": 1.0,
-		})
+		writeJSON(w, wire.Stats{Requests: 1, Inferences: 1, DeviceBatches: 1, MeanBatch: 1})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -73,7 +77,8 @@ func TestRunDefaultModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"target:", "model=RMC1", "sim latency:", "wall latency:", "server:"} {
+	for _, want := range []string{"target:", "model=RMC1", "sim latency:", "wall latency:",
+		"server:       1 requests, 1 inferences, 1 device batches"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

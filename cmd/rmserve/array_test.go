@@ -14,13 +14,14 @@ import (
 	"rmssd"
 	"rmssd/internal/obs"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // arrayTestServer hosts RMC1 with every shard backed by a multi-device
 // array.
 func arrayTestServer(t *testing.T, shards, devices int, partition string) *server {
 	t.Helper()
-	return serveDecls(t, 0, modelDecl{
+	return serveDecls(t, 0, wire.ModelDecl{
 		Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64,
 		ArrayDevices: devices, Partition: partition,
 	})
@@ -49,7 +50,7 @@ func TestArrayExplicitInferMatchesArray(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, err := json.Marshal(map[string]interface{}{"sparse": sparses, "dense": denses})
+	body, err := json.Marshal(wire.InferRequest{Sparse: sparses, Dense: denses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,8 @@ func TestArrayExplicitInferMatchesArray(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Predictions []float32 `json:"predictions"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	var resp wire.InferReply
+	decodeReply(t, rec, &resp)
 	if len(resp.Predictions) != batch {
 		t.Fatalf("predictions = %v", resp.Predictions)
 	}
@@ -80,12 +77,10 @@ func TestArrayInfoAndStats(t *testing.T) {
 	s := arrayTestServer(t, 2, 4, "range")
 	rec := httptest.NewRecorder()
 	s.handleInfo(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
-	var info map[string]interface{}
-	if err := json.NewDecoder(rec.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	if info["arrayDevices"].(float64) != 4 || info["partition"] != "range" {
-		t.Fatalf("info = %v", info)
+	var info wire.Info
+	decodeReply(t, rec, &info)
+	if info.ArrayDevices != 4 || info.Partition != "range" {
+		t.Fatalf("info = %+v", info)
 	}
 
 	if _, err := defPool(t, s).Infer(5); err != nil {
@@ -93,23 +88,8 @@ func TestArrayInfoAndStats(t *testing.T) {
 	}
 	rec = httptest.NewRecorder()
 	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats struct {
-		Inferences int64 `json:"inferences"`
-		Shards     []struct {
-			Shard int `json:"shard"`
-			Array *struct {
-				Devices       int     `json:"devices"`
-				Partition     string  `json:"partition"`
-				Scattered     []int64 `json:"scattered"`
-				Partials      int64   `json:"partials"`
-				Transfers     int64   `json:"transfers"`
-				TransferBytes int64   `json:"transferBytes"`
-			} `json:"array"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	var stats wire.Stats
+	decodeReply(t, rec, &stats)
 	if stats.Inferences != 5 || len(stats.Shards) != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -133,11 +113,7 @@ func TestArrayInfoAndStats(t *testing.T) {
 	plain := testServer(t, 1)
 	rec = httptest.NewRecorder()
 	plain.handleInfo(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
-	var plainInfo map[string]interface{}
-	if err := json.NewDecoder(rec.Body).Decode(&plainInfo); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plainInfo["arrayDevices"]; ok {
+	if strings.Contains(rec.Body.String(), `"arrayDevices"`) {
 		t.Fatal("plain server reports arrayDevices")
 	}
 	rec = httptest.NewRecorder()
@@ -293,14 +269,14 @@ func TestArrayReplayTraced(t *testing.T) {
 // The -models file accepts per-model arrayDevices/partition keys and builds
 // array-backed shards from them; malformed array declarations fail loudly.
 func TestArrayModelsConfig(t *testing.T) {
-	mc, err := parseModelsConfig(strings.NewReader(`{"models": [
+	mc, err := wire.ParseModelsConfig(strings.NewReader(`{"models": [
 		{"name": "big", "model": "RMC1", "tableMB": 16, "arrayDevices": 2, "partition": "hash"},
 		{"name": "small", "model": "RMC2", "tableMB": 16}
 	]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosted, err := mc.build(1)
+	hosted, err := buildModels(mc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +307,7 @@ func TestArrayModelsConfig(t *testing.T) {
 // member d must not share shard s+1 member d-1's seed, and shard 0 keeps the
 // declared seed.
 func TestArrayShardFaultSeedsDistinct(t *testing.T) {
-	s := serveDecls(t, 0, modelDecl{
+	s := serveDecls(t, 0, wire.ModelDecl{
 		Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64,
 		ArrayDevices: 2, Partition: "hash", FaultRate: 0.1, FaultSeed: 5,
 	})

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"rmssd"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // fuzzOnce builds one small two-model server shared by every fuzz
@@ -21,10 +20,10 @@ var (
 
 func fuzzSrv() *server {
 	fuzzOnce.Do(func() {
-		mk := func(name, arch string, weight int) modelDecl {
-			return modelDecl{Name: name, Model: arch, TableMB: 8, Shards: 1, MaxBatch: 4, Queue: 16, Weight: weight}
+		mk := func(name, arch string, weight int) wire.ModelDecl {
+			return wire.ModelDecl{Name: name, Model: arch, TableMB: 8, Shards: 1, MaxBatch: 4, Queue: 16, Weight: weight}
 		}
-		s, err := modelsConfig{Models: []modelDecl{mk("ctr", "RMC1", 2), mk("wide", "WnD", 1)}}.serve(1, 0)
+		s, err := serveModels(wire.ModelsConfig{Models: []wire.ModelDecl{mk("ctr", "RMC1", 2), mk("wide", "WnD", 1)}}, 1, 0)
 		if err != nil {
 			panic(fmt.Sprintf("rmserve: fuzz server: %v", err))
 		}
@@ -41,7 +40,7 @@ func fuzzValidBody(f *testing.F) []byte {
 	for t := range sparse {
 		sparse[t] = []int64{int64(t)}
 	}
-	body, err := json.Marshal(inferRequest{
+	body, err := json.Marshal(wire.InferRequest{
 		Model:  "wide",
 		Sparse: [][][]int64{sparse},
 		Dense:  []rmssd.Vector{make(rmssd.Vector, 13)},
@@ -71,7 +70,7 @@ func FuzzInferRequest(f *testing.F) {
 	f.Add(fuzzValidBody(f))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := fuzzSrv()
-		var req inferRequest
+		var req wire.InferRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return // malformed JSON: the handler 400s it
 		}
@@ -93,65 +92,6 @@ func FuzzInferRequest(f *testing.F) {
 			if err := validatePayload(m.cfg, sreq); err != nil {
 				t.Fatalf("accepted payload fails the model's own shape check: %v", err)
 			}
-		}
-	})
-}
-
-// checkDeclBounds restates every bound an accepted decl must satisfy.
-func checkDeclBounds(d modelDecl) error {
-	if _, err := rmssd.ModelByName(d.Model); err != nil || d.Name == "" {
-		return fmt.Errorf("unresolved name %q or architecture %q", d.Name, d.Model)
-	}
-	if d.TableMB <= 0 || d.TableMB > 1<<20 || d.EVCacheMB < 0 || d.EVCacheMB > 1<<20 {
-		return fmt.Errorf("budgets tableMB %d evCacheMB %d", d.TableMB, d.EVCacheMB)
-	}
-	if d.Shards < 1 || d.Queue < 1 || d.Weight < 1 || d.MaxBatch < 0 {
-		return fmt.Errorf("shards %d queue %d weight %d maxBatch %d", d.Shards, d.Queue, d.Weight, d.MaxBatch)
-	}
-	if !(d.FaultRate >= 0 && d.FaultRate < 1) {
-		return fmt.Errorf("faultRate %v", d.FaultRate)
-	}
-	if d.ArrayDevices < 0 || d.ArrayDevices > rmssd.MaxArrayDevices {
-		return fmt.Errorf("arrayDevices %d", d.ArrayDevices)
-	}
-	if d.ArrayDevices > 1 && d.Partition != "range" && d.Partition != "hash" ||
-		d.ArrayDevices <= 1 && d.Partition != "" {
-		return fmt.Errorf("partition %q with arrayDevices %d", d.Partition, d.ArrayDevices)
-	}
-	return nil
-}
-
-// FuzzModelsConfig drives the -models decoder over arbitrary bytes. The
-// contract: never panic; every accepted decl satisfies every bound under a
-// unique name; and validation is idempotent, so re-encoding an accepted
-// config and parsing it again yields the same decls. The seed corpus lives
-// in testdata/fuzz/FuzzModelsConfig.
-func FuzzModelsConfig(f *testing.F) {
-	f.Fuzz(func(t *testing.T, doc []byte) {
-		mc, err := parseModelsConfig(bytes.NewReader(doc))
-		if err != nil {
-			return
-		}
-		seen := make(map[string]bool, len(mc.Models))
-		for i, d := range mc.Models {
-			if err := checkDeclBounds(d); err != nil {
-				t.Fatalf("accepted models[%d] out of bounds: %v\n%+v", i, err, d)
-			}
-			if seen[d.Name] {
-				t.Fatalf("accepted duplicate name %q", d.Name)
-			}
-			seen[d.Name] = true
-		}
-		raw, err := json.Marshal(mc)
-		if err != nil {
-			t.Fatalf("accepted config does not re-encode: %v", err)
-		}
-		again, err := parseModelsConfig(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("re-encoded config rejected: %v\n%s", err, raw)
-		}
-		if !reflect.DeepEqual(mc, again) {
-			t.Fatalf("validate not idempotent:\n%+v\n%+v", mc, again)
 		}
 	})
 }

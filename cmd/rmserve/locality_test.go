@@ -9,6 +9,7 @@ import (
 
 	"rmssd"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // TestCachedShardedPoolConcurrent drives a cache+dedup server from many
@@ -20,7 +21,7 @@ import (
 func TestCachedShardedPoolConcurrent(t *testing.T) {
 	cfg := rmssd.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(8 << 20)
-	s := serveDecls(t, 0, modelDecl{
+	s := serveDecls(t, 0, wire.ModelDecl{
 		Model: "RMC1", TableMB: 8, Shards: 2, MaxBatch: 8, Queue: 64,
 		EVCacheMB: 4, Dedup: true,
 	})
@@ -99,7 +100,7 @@ func TestEVCacheMBBounds(t *testing.T) {
 	}
 	// The top of the range is accepted: the cache allocates only what is
 	// resident, so even a 2^40-byte budget costs nothing up front.
-	s := serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 1, Shards: 1, Queue: 8, EVCacheMB: 1 << 20})
+	s := serveDecls(t, 0, wire.ModelDecl{Model: "RMC1", TableMB: 1, Shards: 1, Queue: 8, EVCacheMB: 1 << 20})
 	if c := s.def.shards[0].sh.Device().(*rmssd.Device).Lookup().EVCache(); c == nil || c.CapEntries() == 0 {
 		t.Fatal("2^20 MiB cache not installed")
 	}

@@ -37,12 +37,14 @@
 // independent); freed slots are granted by weighted round robin over the
 // waiting models.
 //
-// A hosted model is one declaration (modelDecl): each -models entry is one,
-// and single-model mode binds its flags into one. Both go through the same
-// validation, which applies every default and owns every bound; /info and
-// /models render the validated declaration back with the same keys. Only
-// -shards and -fault-seed default differently from their keys (the key's
-// default is in parentheses):
+// Every request and reply body, and the hosted-model declaration, is
+// declared once in package internal/wire, which rmreplay and the tests
+// share. A hosted model is one declaration (wire.ModelDecl): each -models
+// entry is one, and single-model mode binds its flags into one. Both go
+// through the same validation, which applies every default and owns every
+// bound; /info and /models render the validated declaration back with the
+// same keys. Only -shards and -fault-seed default differently from their
+// keys (the key's default is in parentheses):
 //
 //	flag            key           default          bound
 //	-model          model         RMC1 (required)  a built-in architecture
@@ -79,7 +81,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,6 +97,7 @@ import (
 	"rmssd"
 	"rmssd/internal/obs"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // deviceShard is one independent device replica: a serving.DeviceShard
@@ -209,7 +211,7 @@ func (m *hostedModel) devices() modelSnapshot {
 // hostedModel is one named model on the server: its validated declaration,
 // resolved config and device shards. Its pool lives in the router.
 type hostedModel struct {
-	decl   modelDecl
+	decl   wire.ModelDecl
 	cfg    rmssd.ModelConfig
 	shards []*deviceShard
 }
@@ -296,7 +298,7 @@ func newServer(h hosting, budget int) (*server, error) {
 func (s *server) close() { s.router.Close() }
 
 func main() {
-	var single modelDecl
+	var single wire.ModelDecl
 	bindModelFlags(flag.CommandLine, &single)
 	var (
 		modelsFile = flag.String("models", "", "JSON file declaring hosted models (multi-model mode; overrides -model)")
@@ -314,10 +316,10 @@ func main() {
 	)
 	flag.Parse()
 
-	mc := modelsConfig{Models: []modelDecl{single}}
+	mc := wire.ModelsConfig{Models: []wire.ModelDecl{single}}
 	if *modelsFile != "" {
 		var err error
-		if mc, err = loadModelsConfig(*modelsFile); err != nil {
+		if mc, err = wire.LoadModelsConfig(*modelsFile); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -331,14 +333,14 @@ func main() {
 			rc.Tracer = obs.NewTracer(obs.NewRegistry())
 		}
 		log.Printf("building RM-SSD shards for %d model(s)...", len(mc.Models))
-		if err := mc.replay(*seed, rc, os.Stdout); err != nil {
+		if err := replayModels(mc, *seed, rc, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	log.Printf("building RM-SSD pools for %d model(s)...", len(mc.Models))
-	s, err := mc.serve(*seed, *hostBudget)
+	s, err := serveModels(mc, *seed, *hostBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -381,41 +383,25 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	}
 }
 
-// describe renders the model's validated declaration together with its
-// resolved architecture: the shared base of its /info and /models entries.
-func (m *hostedModel) describe() (map[string]interface{}, error) {
-	raw, err := json.Marshal(m.decl)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber() // keeps 64-bit seeds exact
-	var out map[string]interface{}
-	if err := dec.Decode(&out); err != nil {
-		return nil, err
-	}
-	out["tables"] = m.cfg.Tables
-	out["lookups"] = m.cfg.Lookups
-	out["evDim"] = m.cfg.EVDim
-	out["rowsPerTable"] = m.cfg.RowsPerTable
-	out["denseDim"] = m.cfg.DenseDim
-	out["tableBytes"] = m.cfg.TableBytes()
-	out["deviceBatch"] = m.shards[0].sh.Device().NBatch()
-	return out, nil
+// info describes the model: its validated declaration and resolved shape.
+func (m *hostedModel) info() wire.ModelInfo {
+	return wire.NewModelInfo(m.decl, m.cfg, m.shards[0].sh.Device().NBatch())
+}
+
+// writeError writes err as an error reply with the given status.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, wire.ErrorReply{Error: err.Error()})
 }
 
 func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	// The model fields describe the default model, which keeps the
 	// single-model API shape; `models` lists every hosted name.
-	info, err := s.def.describe()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	info["models"] = s.router.Models()
-	info["defaultModel"] = s.def.decl.Name
-	info["hostBudget"] = s.router.Budget()
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, wire.Info{
+		ModelInfo:    s.def.info(),
+		Models:       s.router.Models(),
+		DefaultModel: s.def.decl.Name,
+		HostBudget:   s.router.Budget(),
+	})
 }
 
 // handleModels lists every hosted model's configuration alongside its live
@@ -424,49 +410,40 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	hosted := append([]*hostedModel(nil), s.models...)
 	sort.Slice(hosted, func(i, j int) bool { return hosted[i].decl.Name < hosted[j].decl.Name })
-	out := make([]map[string]interface{}, 0, len(hosted))
+	out := wire.Models{
+		Models:       make([]wire.ModelEntry, 0, len(hosted)),
+		DefaultModel: s.def.decl.Name,
+		HostBudget:   s.router.Budget(),
+	}
 	for _, m := range hosted {
 		snap, err := m.snapshot(s.router)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		e, err := m.describe()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		e["submitted"] = snap.Submitted
-		e["rejected"] = snap.Rejected
-		e["failed"] = snap.Failed
-		e["shardFaults"] = snap.Pool.Faults
-		e["waited"] = snap.Waited
-		e["requests"] = snap.Pool.Requests
-		e["inferences"] = snap.Pool.Inferences
-		e["deviceBatches"] = snap.Pool.Batches
-		e["meanBatch"] = snap.Pool.MeanBatch
-		e["meanSimLatency"] = snap.MeanLatency.String()
-		e["maxSimLatency"] = snap.MaxLatency.String()
-		out = append(out, e)
+		out.Models = append(out.Models, wire.ModelEntry{
+			ModelInfo: m.info(),
+			Submitted: snap.Submitted, Rejected: snap.Rejected, Failed: snap.Failed,
+			ShardFaults: snap.Pool.Faults, Waited: snap.Waited,
+			Requests: snap.Pool.Requests, Inferences: snap.Pool.Inferences,
+			DeviceBatches: snap.Pool.Batches, MeanBatch: snap.Pool.MeanBatch,
+			MeanSimLatency: snap.MeanLatency.String(), MaxSimLatency: snap.MaxLatency.String(),
+		})
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"models":       out,
-		"defaultModel": s.def.decl.Name,
-		"hostBudget":   s.router.Budget(),
-	})
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleQPS(w http.ResponseWriter, r *http.Request) {
 	m, err := s.resolve(r.URL.Query().Get("model"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	batch := 1
 	if b := r.URL.Query().Get("batch"); b != "" {
 		v, err := strconv.Atoi(b)
 		if err != nil || v < 1 || v > 4096 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch must be in [1,4096]"})
+			writeError(w, http.StatusBadRequest, errors.New("batch must be in [1,4096]"))
 			return
 		}
 		batch = v
@@ -474,30 +451,14 @@ func (s *server) handleQPS(w http.ResponseWriter, r *http.Request) {
 	// SteadyStateQPS and Latency are pure functions of the configuration;
 	// no shard state is involved.
 	per := m.shards[0].sh.Device().SteadyStateQPS(batch)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"model":          m.decl.Name,
-		"batch":          batch,
-		"shards":         len(m.shards),
-		"steadyStateQPS": per,
-		"aggregateQPS":   per * float64(len(m.shards)),
-		"batchLatency":   m.shards[0].sh.Device().Latency(batch).String(),
+	writeJSON(w, http.StatusOK, wire.QPS{
+		Model:          m.decl.Name,
+		Batch:          batch,
+		Shards:         len(m.shards),
+		SteadyStateQPS: per,
+		AggregateQPS:   per * float64(len(m.shards)),
+		BatchLatency:   m.shards[0].sh.Device().Latency(batch).String(),
 	})
-}
-
-// inferRequest is /infer's body. Two forms, optionally naming a model:
-//
-//	{"model": "ctr", "batch": N}      count-only; the server synthesises inputs
-//	{"model": "ctr",
-//	 "sparse": [[[i,...],...],...],   explicit payload: sparse[i][t] lists
-//	 "dense": [[f,...],...]}          table t's lookups for inference i;
-//	                                  dense is optional (zero vectors if absent)
-//
-// An absent model field addresses the default (first configured) model.
-type inferRequest struct {
-	Model  string         `json:"model"`
-	Batch  int            `json:"batch"`
-	Sparse [][][]int64    `json:"sparse"`
-	Dense  []rmssd.Vector `json:"dense"`
 }
 
 // maxInferBatch caps one request's inference count.
@@ -531,7 +492,7 @@ func validatePayload(cfg rmssd.ModelConfig, req serving.Request) error {
 // buildInferRequest validates the decoded body against the addressed
 // model's shape and converts it to a serving request. Shared by the HTTP
 // handler and the fuzz harness.
-func (s *server) buildInferRequest(req inferRequest) (*hostedModel, serving.Request, error) {
+func (s *server) buildInferRequest(req wire.InferRequest) (*hostedModel, serving.Request, error) {
 	m, err := s.resolve(req.Model)
 	if err != nil {
 		return nil, serving.Request{}, err
@@ -567,12 +528,12 @@ func (s *server) buildInferRequest(req inferRequest) (*hostedModel, serving.Requ
 
 func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	var req inferRequest
+	var req wire.InferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	m, sreq, err := s.buildInferRequest(req)
@@ -581,38 +542,33 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, serving.ErrUnknownModel) {
 			status = http.StatusNotFound
 		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		writeError(w, status, err)
 		return
 	}
 	resp, err := s.router.Submit(r.Context(), m.decl.Name, sreq)
 	if err != nil {
-		writeJSON(w, inferStatus(err), map[string]string{"error": err.Error()})
+		writeError(w, inferStatus(err), err)
 		return
 	}
 	bd, _ := resp.Meta.(rmssd.Breakdown)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"model":             m.decl.Name,
-		"predictions":       resp.Preds,
-		"simulatedLatency":  resp.Latency.String(),
-		"shard":             resp.Shard,
-		"coalescedBatch":    resp.BatchSize,
-		"coalescedRequests": resp.Coalesced,
-		"breakdown": map[string]string{
-			"send": bd.Send.String(),
-			"emb":  bd.Emb.String(),
-			"bot":  bd.Bot.String(),
-			"top":  bd.Top.String(),
-			"read": bd.Read.String(),
-		},
+	writeJSON(w, http.StatusOK, wire.InferReply{
+		Model:             m.decl.Name,
+		Predictions:       resp.Preds,
+		SimulatedLatency:  resp.Latency.String(),
+		Shard:             resp.Shard,
+		CoalescedBatch:    resp.BatchSize,
+		CoalescedRequests: resp.Coalesced,
+		Breakdown:         wire.NewBreakdown(bd),
 	})
 }
 
 // inferStatus maps a submission error onto an HTTP status: malformed
-// payloads are the client's fault (400), transient conditions — shutdown,
-// cancellation, an injected read fault the client may retry — are 503, and
-// a recovered backend panic is a genuine server error (500).
+// payloads are the client's fault (400), an unknown model is 404, transient
+// conditions — shutdown, cancellation, an injected read fault the client
+// may retry — are 503, and anything else is a server error (500). A
+// recovered backend panic (*serving.ShardFaultError) is one: a genuine
+// server error, so it needs no case of its own.
 func inferStatus(err error) int {
-	var fault *serving.ShardFaultError
 	switch {
 	case errors.Is(err, rmssd.ErrShapeMismatch), errors.Is(err, rmssd.ErrRowOutOfRange):
 		return http.StatusBadRequest
@@ -621,8 +577,6 @@ func inferStatus(err error) int {
 	case errors.Is(err, serving.ErrPoolClosed), errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded), errors.Is(err, rmssd.ErrReadFault):
 		return http.StatusServiceUnavailable
-	case errors.As(err, &fault):
-		return http.StatusInternalServerError
 	}
 	return http.StatusInternalServerError
 }
@@ -630,74 +584,39 @@ func inferStatus(err error) int {
 // handleStats renders every model's snapshot: the device counters and
 // pool totals summed over models, and one entry per shard.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var (
-		total       modelSnapshot
-		observedQPS float64
-		perShard    []map[string]interface{}
-	)
+	out := wire.Stats{InFlight: s.router.InFlight()}
+	var c obs.Counters
 	for _, m := range s.models {
 		snap, err := m.snapshot(s.router)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		total.Add(snap.Counters)
-		total.inferences += snap.inferences
-		total.Pool.Requests += snap.Pool.Requests
-		total.Pool.Batches += snap.Pool.Batches
-		total.Pool.Faults += snap.Pool.Faults
-		total.Pool.Failed += snap.Pool.Failed
+		c.Add(snap.Counters)
+		out.Inferences += snap.inferences
+		out.Requests += snap.Pool.Requests
+		out.DeviceBatches += snap.Pool.Batches
+		out.ShardFaults += snap.Pool.Faults
+		out.FailedRequests += snap.Pool.Failed
 		for i, sh := range snap.shards {
-			var qps float64
+			e := wire.ShardStats{Model: m.decl.Name, Shard: m.shards[i].id, Inferences: sh.inferences, SimClock: sh.now.String()}
 			if sh.now > 0 {
-				qps = float64(sh.inferences) / sh.now.Seconds()
+				e.QPS = float64(sh.inferences) / sh.now.Seconds()
 			}
-			observedQPS += qps
-			entry := map[string]interface{}{
-				"model":      m.decl.Name,
-				"shard":      m.shards[i].id,
-				"inferences": sh.inferences,
-				"simClock":   sh.now.String(),
-				"qps":        qps,
+			if sh.array != nil {
+				e.Array = wire.NewArrayStats(*sh.array)
 			}
-			if a := sh.array; a != nil {
-				entry["array"] = map[string]interface{}{
-					"devices":       a.Devices,
-					"partition":     string(a.Partition),
-					"scattered":     a.Scattered,
-					"partials":      a.Partials,
-					"transfers":     a.Transfers,
-					"transferBytes": a.TransferBytes,
-				}
-			}
-			perShard = append(perShard, entry)
+			out.ObservedQPS += e.QPS
+			out.Shards = append(out.Shards, e)
 		}
 	}
-	var meanBatch float64
-	if total.Pool.Batches > 0 {
-		meanBatch = float64(total.inferences) / float64(total.Pool.Batches)
+	if out.DeviceBatches > 0 {
+		out.MeanBatch = float64(out.Inferences) / float64(out.DeviceBatches)
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"vectorReads":      total.VectorReads,
-		"pageReads":        total.PageReads,
-		"bytesTransferred": total.BytesTransferred,
-		"inferences":       total.inferences,
-		"observedQPS":      observedQPS,
-		"requests":         total.Pool.Requests,
-		"deviceBatches":    total.Pool.Batches,
-		"meanBatch":        meanBatch,
-		"lookups":          total.Lookups,
-		"dedupHits":        total.DedupHits,
-		"evCacheHits":      total.CacheHits,
-		"evCacheMisses":    total.CacheMisses,
-		"evCacheEvictions": total.CacheEvictions,
-		"evCacheHitRatio":  total.HitRatio(),
-		"readFaults":       total.ReadFaults,
-		"eccRetries":       total.ECCRetries,
-		"uncorrectable":    total.Uncorrectable,
-		"shardFaults":      total.Pool.Faults,
-		"failedRequests":   total.Pool.Failed,
-		"inFlight":         s.router.InFlight(),
-		"shards":           perShard,
-	})
+	out.VectorReads, out.PageReads, out.BytesTransferred = c.VectorReads, c.PageReads, c.BytesTransferred
+	out.Lookups, out.DedupHits = c.Lookups, c.DedupHits
+	out.EVCacheHits, out.EVCacheMisses, out.EVCacheEvictions = c.CacheHits, c.CacheMisses, c.CacheEvictions
+	out.EVCacheHitRatio = c.HitRatio()
+	out.ReadFaults, out.ECCRetries, out.Uncorrectable = c.ReadFaults, c.ECCRetries, c.Uncorrectable
+	writeJSON(w, http.StatusOK, out)
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,14 +13,16 @@ import (
 	"testing"
 	"time"
 
+	"rmssd"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // serveDecls validates, builds and hosts decls exactly as rmserve does, at
 // global seed 1 behind the given host budget.
-func serveDecls(t *testing.T, budget int, decls ...modelDecl) *server {
+func serveDecls(t *testing.T, budget int, decls ...wire.ModelDecl) *server {
 	t.Helper()
-	s, err := modelsConfig{Models: decls}.serve(1, budget)
+	s, err := serveModels(wire.ModelsConfig{Models: decls}, 1, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +40,17 @@ func defPool(t *testing.T, s *server) *serving.Pool {
 	return p
 }
 
+// decodeReply decodes a recorded reply body into v.
+func decodeReply(t *testing.T, rec *httptest.ResponseRecorder, v interface{}) {
+	t.Helper()
+	if err := json.NewDecoder(rec.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func testServer(t *testing.T, shards int) *server {
 	t.Helper()
-	return serveDecls(t, 0, modelDecl{Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64})
+	return serveDecls(t, 0, wire.ModelDecl{Model: "RMC1", TableMB: 16, Shards: shards, MaxBatch: 8, Queue: 64})
 }
 
 func TestHandleInfo(t *testing.T) {
@@ -48,27 +60,23 @@ func TestHandleInfo(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	var body map[string]interface{}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
+	var body wire.Info
+	decodeReply(t, rec, &body)
+	if body.Model != "RMC1" || body.Tables != 8 {
+		t.Fatalf("body = %+v", body)
 	}
-	if body["model"] != "RMC1" || body["tables"].(float64) != 8 {
-		t.Fatalf("body = %v", body)
-	}
-	if body["shards"].(float64) != 2 {
-		t.Fatalf("shards = %v", body["shards"])
+	if body.Shards != 2 {
+		t.Fatalf("shards = %v", body.Shards)
 	}
 
 	// /info renders the default model's validated decl, every knob set.
 	for _, s := range []*server{s, knobServer(t)} {
 		rec := httptest.NewRecorder()
 		s.handleInfo(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
-		var d modelDecl
-		if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
-			t.Fatal(err)
-		}
-		if d != s.def.decl {
-			t.Fatalf("/info decl %+v, hosted %+v", d, s.def.decl)
+		var info wire.Info
+		decodeReply(t, rec, &info)
+		if info.ModelDecl != s.def.decl {
+			t.Fatalf("/info decl %+v, hosted %+v", info.ModelDecl, s.def.decl)
 		}
 	}
 }
@@ -77,7 +85,7 @@ func TestHandleInfo(t *testing.T) {
 // default, so endpoint round trips cover them all.
 func knobServer(t *testing.T) *server {
 	t.Helper()
-	return serveDecls(t, 0, modelDecl{
+	return serveDecls(t, 0, wire.ModelDecl{
 		Name: "knobs", Model: "RMC2", TableMB: 8, Shards: 2, MaxBatch: 4, Queue: 32, Weight: 3,
 		Seed: 1 << 63, EVCacheMB: 2, Dedup: true, FaultRate: 0.001, FaultSeed: 5,
 		ArrayDevices: 2, Partition: "hash",
@@ -88,15 +96,13 @@ func TestHandleQPS(t *testing.T) {
 	s := testServer(t, 3)
 	rec := httptest.NewRecorder()
 	s.handleQPS(rec, httptest.NewRequest(http.MethodGet, "/qps?batch=4", nil))
-	var body map[string]interface{}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	per := body["steadyStateQPS"].(float64)
+	var body wire.QPS
+	decodeReply(t, rec, &body)
+	per := body.SteadyStateQPS
 	if per <= 0 {
 		t.Fatal("no QPS reported")
 	}
-	if agg := body["aggregateQPS"].(float64); agg != per*3 {
+	if agg := body.AggregateQPS; agg != per*3 {
 		t.Fatalf("aggregate %v != 3x per-shard %v", agg, per)
 	}
 	// Invalid batch rejected.
@@ -115,16 +121,8 @@ func TestHandleInfer(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var body struct {
-		Predictions      []float64         `json:"predictions"`
-		SimulatedLatency string            `json:"simulatedLatency"`
-		Shard            int               `json:"shard"`
-		CoalescedBatch   int               `json:"coalescedBatch"`
-		Breakdown        map[string]string `json:"breakdown"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
+	var body wire.InferReply
+	decodeReply(t, rec, &body)
 	if len(body.Predictions) != 2 {
 		t.Fatalf("predictions = %v", body.Predictions)
 	}
@@ -139,8 +137,11 @@ func TestHandleInfer(t *testing.T) {
 	if body.Shard < 0 || body.Shard >= 2 || body.CoalescedBatch < 2 {
 		t.Fatalf("shard=%d coalesced=%d", body.Shard, body.CoalescedBatch)
 	}
-	if len(body.Breakdown) != 5 {
-		t.Fatalf("breakdown = %v", body.Breakdown)
+	bd := body.Breakdown
+	for _, d := range []string{bd.Send, bd.Emb, bd.Bot, bd.Top, bd.Read} {
+		if _, err := time.ParseDuration(d); err != nil {
+			t.Fatalf("breakdown %+v: %v", bd, err)
+		}
 	}
 	// GET rejected.
 	rec = httptest.NewRecorder()
@@ -252,20 +253,43 @@ func TestHandleStats(t *testing.T) {
 	s.handleInfer(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(`{}`)))
 	rec = httptest.NewRecorder()
 	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var body map[string]interface{}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body["vectorReads"].(float64) <= 0 {
+	var body wire.Stats
+	decodeReply(t, rec, &body)
+	if body.VectorReads <= 0 {
 		t.Fatal("no vector reads counted")
 	}
-	if body["pageReads"].(float64) != 0 {
+	if body.PageReads != 0 {
 		t.Fatal("RM-SSD inference must not issue page reads")
 	}
-	if body["observedQPS"].(float64) <= 0 {
+	if body.ObservedQPS <= 0 {
 		t.Fatal("no observed QPS")
 	}
-	if len(body["shards"].([]interface{})) != 2 {
-		t.Fatalf("shards = %v", body["shards"])
+	if len(body.Shards) != 2 {
+		t.Fatalf("shards = %+v", body.Shards)
+	}
+}
+
+// TestInferStatus maps every submission error class to its HTTP status,
+// bare and wrapped the way the device and pool wrap them.
+func TestInferStatus(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{rmssd.ErrShapeMismatch, http.StatusBadRequest},
+		{rmssd.ErrRowOutOfRange, http.StatusBadRequest},
+		{serving.ErrUnknownModel, http.StatusNotFound},
+		{serving.ErrPoolClosed, http.StatusServiceUnavailable},
+		{context.Canceled, http.StatusServiceUnavailable},
+		{context.DeadlineExceeded, http.StatusServiceUnavailable},
+		{rmssd.ErrReadFault, http.StatusServiceUnavailable},
+		{&serving.ShardFaultError{Shard: 1, Recovered: "boom"}, http.StatusInternalServerError},
+		{errors.New("plain"), http.StatusInternalServerError},
+	} {
+		for _, err := range []error{c.err, fmt.Errorf("shard 0: %w", c.err)} {
+			if got := inferStatus(err); got != c.want {
+				t.Errorf("inferStatus(%v) = %d, want %d", err, got, c.want)
+			}
+		}
 	}
 }

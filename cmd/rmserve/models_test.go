@@ -15,6 +15,7 @@ import (
 
 	"rmssd"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // testMultiServer hosts two heterogeneous models: a sharded RMC1 replica
@@ -24,14 +25,14 @@ import (
 func testMultiServer(t *testing.T, budget int) *server {
 	t.Helper()
 	return serveDecls(t, budget, ctrDecl,
-		modelDecl{Name: "wide", Model: "WnD", TableMB: 16, Shards: 1, MaxBatch: 8, Queue: 64, Weight: 1})
+		wire.ModelDecl{Name: "wide", Model: "WnD", TableMB: 16, Shards: 1, MaxBatch: 8, Queue: 64, Weight: 1})
 }
 
 // ctrDecl is testMultiServer's first model, also replayed solo.
-var ctrDecl = modelDecl{Name: "ctr", Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64, Weight: 2}
+var ctrDecl = wire.ModelDecl{Name: "ctr", Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64, Weight: 2}
 
 func TestParseModelsConfig(t *testing.T) {
-	mc, err := parseModelsConfig(strings.NewReader(`{"models": [
+	mc, err := wire.ParseModelsConfig(strings.NewReader(`{"models": [
 		{"name": "ctr", "model": "RMC1", "tableMB": 16, "shards": 2, "weight": 2},
 		{"model": "WnD", "tableMB": 16}
 	]}`))
@@ -51,7 +52,7 @@ func TestParseModelsConfig(t *testing.T) {
 		t.Fatalf("decl 1 = %+v", d)
 	}
 
-	hosted, err := mc.build(7)
+	hosted, err := buildModels(mc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +68,14 @@ func TestParseModelsConfig(t *testing.T) {
 // Both shards of a -models entry read one copy of the model's weights,
 // whether each shard is a single device or a two-device array.
 func TestShardsShareWeights(t *testing.T) {
-	mc, err := parseModelsConfig(strings.NewReader(`{"models": [
+	mc, err := wire.ParseModelsConfig(strings.NewReader(`{"models": [
 		{"name": "plain", "model": "RMC1", "tableMB": 16, "shards": 2},
 		{"name": "arr", "model": "RMC1", "tableMB": 16, "shards": 2, "arrayDevices": 2}
 	]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosted, err := mc.build(1)
+	hosted, err := buildModels(mc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func TestShardsShareWeights(t *testing.T) {
 // state. With its 12.2 MiB of weights on the heap, HeapAlloc grew by about
 // that much, and the GC let as much request garbage build up again.
 func TestBuildKeepsWeightsOffHeap(t *testing.T) {
-	mc := modelsConfig{Models: []modelDecl{{Model: "RMC3", TableMB: 64, Shards: 2}}}
-	if err := mc.validate(); err != nil {
+	mc := wire.ModelsConfig{Models: []wire.ModelDecl{{Model: "RMC3", TableMB: 64, Shards: 2}}}
+	if err := mc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	hosted, err := mc.build(1)
+	hosted, err := buildModels(mc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +126,17 @@ func TestBuildKeepsWeightsOffHeap(t *testing.T) {
 
 // parseSingleFlags binds args into one decl exactly as single-model mode
 // does and validates it as a one-entry config.
-func parseSingleFlags(args []string) (modelDecl, error) {
+func parseSingleFlags(args []string) (wire.ModelDecl, error) {
 	fs := flag.NewFlagSet("rmserve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	var d modelDecl
+	var d wire.ModelDecl
 	bindModelFlags(fs, &d)
 	if err := fs.Parse(args); err != nil {
-		return modelDecl{}, err
+		return wire.ModelDecl{}, err
 	}
-	mc := modelsConfig{Models: []modelDecl{d}}
-	if err := mc.validate(); err != nil {
-		return modelDecl{}, err
+	mc := wire.ModelsConfig{Models: []wire.ModelDecl{d}}
+	if err := mc.Validate(); err != nil {
+		return wire.ModelDecl{}, err
 	}
 	return mc.Models[0], nil
 }
@@ -157,7 +158,7 @@ func rejectBoth(t *testing.T, name string, args []string, doc, want string) {
 		check("flags", err)
 	}
 	if doc != "" {
-		_, err := parseModelsConfig(strings.NewReader(doc))
+		_, err := wire.ParseModelsConfig(strings.NewReader(doc))
 		check("-models", err)
 	}
 }
@@ -206,7 +207,7 @@ func TestSingleFlagsMatchModelsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := parseModelsConfig(strings.NewReader(`{"models": [{"model": "RMC2", "tableMB": 16,
+	mc, err := wire.ParseModelsConfig(strings.NewReader(`{"models": [{"model": "RMC2", "tableMB": 16,
 		"shards": 0, "maxBatch": 4, "queue": 0, "evCacheMB": 2, "dedup": true,
 		"faultRate": 0.1, "faultSeed": 9, "arrayDevices": 2, "partition": "hash"}]}`))
 	if err != nil {
@@ -243,24 +244,8 @@ func TestHandleModels(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	var body struct {
-		Models []struct {
-			Name       string  `json:"name"`
-			Model      string  `json:"model"`
-			Tables     int     `json:"tables"`
-			Shards     int     `json:"shards"`
-			Weight     int     `json:"weight"`
-			Submitted  int64   `json:"submitted"`
-			Inferences int64   `json:"inferences"`
-			MeanBatch  float64 `json:"meanBatch"`
-			MeanSimLat string  `json:"meanSimLatency"`
-		} `json:"models"`
-		DefaultModel string `json:"defaultModel"`
-		HostBudget   int    `json:"hostBudget"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
+	var body wire.Models
+	decodeReply(t, rec, &body)
 	if len(body.Models) != 2 || body.DefaultModel != "ctr" || body.HostBudget != 0 {
 		t.Fatalf("body = %+v", body)
 	}
@@ -277,26 +262,22 @@ func TestHandleModels(t *testing.T) {
 	if ctr.Inferences != 2 || wide.Inferences != 1 {
 		t.Fatalf("inferences = %d/%d", ctr.Inferences, wide.Inferences)
 	}
-	if ctr.MeanSimLat == "0s" || wide.MeanSimLat == "0s" {
-		t.Fatalf("no latency observed: %q/%q", ctr.MeanSimLat, wide.MeanSimLat)
+	if ctr.MeanSimLatency == "0s" || wide.MeanSimLatency == "0s" {
+		t.Fatalf("no latency observed: %q/%q", ctr.MeanSimLatency, wide.MeanSimLatency)
 	}
 
 	// Every /models entry decodes back into its hosted validated decl.
 	for _, s := range []*server{s, knobServer(t)} {
 		rec := httptest.NewRecorder()
 		s.handleModels(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
-		var decls struct {
-			Models []modelDecl `json:"models"`
+		var entries wire.Models
+		decodeReply(t, rec, &entries)
+		if len(entries.Models) != len(s.models) {
+			t.Fatalf("/models lists %d models, hosting %d", len(entries.Models), len(s.models))
 		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &decls); err != nil {
-			t.Fatal(err)
-		}
-		if len(decls.Models) != len(s.models) {
-			t.Fatalf("/models lists %d models, hosting %d", len(decls.Models), len(s.models))
-		}
-		for _, d := range decls.Models {
-			if m := s.byName[d.Name]; m == nil || d != m.decl {
-				t.Fatalf("/models decl %+v, hosted %+v", d, m)
+		for _, e := range entries.Models {
+			if m := s.byName[e.Name]; m == nil || e.ModelDecl != m.decl {
+				t.Fatalf("/models decl %+v, hosted %+v", e.ModelDecl, m)
 			}
 		}
 	}
@@ -319,7 +300,7 @@ func TestInferRoutesByModel(t *testing.T) {
 	for t := range inf {
 		inf[t] = []int64{0}
 	}
-	payload, err := json.Marshal(map[string]interface{}{"sparse": [][][]int64{inf}})
+	payload, err := json.Marshal(wire.InferRequest{Sparse: [][][]int64{inf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +309,7 @@ func TestInferRoutesByModel(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("wide payload on ctr: status %d: %s", rec.Code, rec.Body.String())
 	}
-	tagged, err := json.Marshal(map[string]interface{}{"model": "wide", "sparse": [][][]int64{inf}})
+	tagged, err := json.Marshal(wire.InferRequest{Model: "wide", Sparse: [][][]int64{inf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +318,8 @@ func TestInferRoutesByModel(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("wide payload on wide: status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Model       string    `json:"model"`
-		Predictions []float32 `json:"predictions"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	var resp wire.InferReply
+	decodeReply(t, rec, &resp)
 	if resp.Model != "wide" || len(resp.Predictions) != 1 {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -356,13 +332,8 @@ func TestInferRoutesByModel(t *testing.T) {
 	// QPS is per model too.
 	rec = httptest.NewRecorder()
 	s.handleQPS(rec, httptest.NewRequest(http.MethodGet, "/qps?batch=2&model=wide", nil))
-	var qps struct {
-		Model  string `json:"model"`
-		Shards int    `json:"shards"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&qps); err != nil {
-		t.Fatal(err)
-	}
+	var qps wire.QPS
+	decodeReply(t, rec, &qps)
 	if qps.Model != "wide" || qps.Shards != 1 {
 		t.Fatalf("qps = %+v", qps)
 	}

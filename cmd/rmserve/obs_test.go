@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"rmssd/internal/obs"
+	"rmssd/internal/wire"
 )
 
 // TestMetricsDisabledByDefault: without -metrics the endpoint answers 404
@@ -112,14 +113,14 @@ func TestCounterSurfacesAgree(t *testing.T) {
 		"rmssd_flash_uncorrectable_total":     "uncorrectable",
 		"rmssd_flash_bytes_transferred_total": "bytesTransferred",
 	}
-	base := modelDecl{Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64}
+	base := wire.ModelDecl{Model: "RMC1", TableMB: 16, Shards: 2, MaxBatch: 8, Queue: 64}
 	cached, faulty, arrayed := base, base, base
 	cached.EVCacheMB, cached.Dedup = 8, true
 	faulty.FaultRate = 0.3
 	arrayed.ArrayDevices, arrayed.Partition = 2, "hash"
 	for _, tc := range []struct {
 		name  string
-		decl  modelDecl
+		decl  wire.ModelDecl
 		moved string // a /stats counter the traffic must move
 	}{
 		{"plain", base, "vectorReads"},
@@ -168,11 +169,7 @@ func TestCounterSurfacesAgree(t *testing.T) {
 			if err := json.Unmarshal(get("/stats"), &stats); err != nil {
 				t.Fatal(err)
 			}
-			var models struct {
-				Models []struct {
-					Inferences int64 `json:"inferences"`
-				} `json:"models"`
-			}
+			var models wire.Models
 			if err := json.Unmarshal(get("/models"), &models); err != nil {
 				t.Fatal(err)
 			}

@@ -3,13 +3,12 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
-	"rmssd"
 	"rmssd/internal/obs"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // Trace replay mode: `rmserve -trace synthetic|criteo` drives the hosted
@@ -46,47 +45,30 @@ type replayConfig struct {
 // the given stream seed. The returned closer is nil for sources without an
 // underlying file.
 func (m *hostedModel) newSource(rc replayConfig, seed uint64) (serving.RequestSource, io.Closer, error) {
+	var criteoIn string
 	switch rc.Mode {
 	case "synthetic":
-		gen, err := rmssd.NewTrace(rmssd.TraceConfig{
-			Tables: m.cfg.Tables, Rows: m.cfg.RowsPerTable, Lookups: m.cfg.Lookups,
-			Seed: seed,
-		})
-		if err != nil {
-			return nil, nil, err
+		if rc.Requests <= 0 {
+			return nil, nil, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
 		}
-		src, err := serving.NewGeneratorSource(gen, rc.ReqBatch, m.cfg.DenseDim)
-		return src, nil, err
 	case "criteo":
 		if rc.CriteoIn == "" {
 			return nil, nil, fmt.Errorf("rmserve: -trace criteo needs -criteo-in")
 		}
-		f, err := os.Open(rc.CriteoIn)
-		if err != nil {
-			return nil, nil, err
-		}
-		p, err := rmssd.NewCriteoParser(f, m.cfg.RowsPerTable)
-		if err != nil {
-			//lint:allow errcheck read-only file on an error path; the parse error is what matters
-			f.Close()
-			return nil, nil, err
-		}
-		src, err := serving.NewCriteoSource(p, m.cfg.Tables, m.cfg.Lookups, m.cfg.DenseDim, rc.ReqBatch)
-		if err != nil {
-			//lint:allow errcheck read-only file on an error path; the source error is what matters
-			f.Close()
-			return nil, nil, err
-		}
-		return src, f, nil
+		criteoIn = rc.CriteoIn
 	default:
 		return nil, nil, fmt.Errorf("rmserve: unknown -trace mode %q (want synthetic or criteo)", rc.Mode)
 	}
+	tc := m.decl.Trace(m.cfg)
+	tc.Seed = seed
+	return serving.NewSource(tc, m.cfg.DenseDim, rc.ReqBatch, criteoIn)
 }
 
-// replay hosts the declarations and replays rc through their shards. It
-// builds no router and no pool, so it starts no goroutine that outlives it.
-func (mc modelsConfig) replay(globalSeed uint64, rc replayConfig, w io.Writer) error {
-	hosted, err := mc.build(globalSeed)
+// replayModels hosts the declarations and replays rc through their shards.
+// It builds no router and no pool, so it starts no goroutine that outlives
+// it.
+func replayModels(mc wire.ModelsConfig, globalSeed uint64, rc replayConfig, w io.Writer) error {
+	hosted, err := buildModels(mc, globalSeed)
 	if err != nil {
 		return err
 	}
@@ -97,9 +79,6 @@ func (mc modelsConfig) replay(globalSeed uint64, rc replayConfig, w io.Writer) e
 // result. ServeBatch is invoked from this goroutine only, so a live
 // server's pools must be idle (no concurrent HTTP traffic).
 func (s hosting) replay(rc replayConfig) (serving.ReplayResult, error) {
-	if rc.Mode == "synthetic" && rc.Requests <= 0 {
-		return serving.ReplayResult{}, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
-	}
 	m := s.def
 	src, closer, err := m.newSource(rc, rc.Seed)
 	if err != nil {
@@ -123,9 +102,6 @@ func (s hosting) replay(rc replayConfig) (serving.ReplayResult, error) {
 // model: each model maps the same record stream onto its own table
 // geometry.
 func (s hosting) multiReplay(rc replayConfig) (serving.MultiReplayResult, error) {
-	if rc.Mode == "synthetic" && rc.Requests <= 0 {
-		return serving.MultiReplayResult{}, fmt.Errorf("rmserve: synthetic replay needs -requests > 0")
-	}
 	parts := make([]serving.TaggedPart, 0, len(s.models))
 	models := make([]serving.ModelSpec, 0, len(s.models))
 	for _, m := range s.models {

@@ -18,6 +18,7 @@ import (
 
 	"rmssd"
 	"rmssd/internal/serving"
+	"rmssd/internal/wire"
 )
 
 // TestExplicitInferMatchesDevice is the acceptance check for the
@@ -46,7 +47,7 @@ func TestExplicitInferMatchesDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, err := json.Marshal(map[string]interface{}{"sparse": sparses, "dense": denses})
+	body, err := json.Marshal(wire.InferRequest{Sparse: sparses, Dense: denses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +56,8 @@ func TestExplicitInferMatchesDevice(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Predictions []float32 `json:"predictions"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	var resp wire.InferReply
+	decodeReply(t, rec, &resp)
 	if len(resp.Predictions) != batch {
 		t.Fatalf("%d predictions, want %d", len(resp.Predictions), batch)
 	}
@@ -85,30 +82,30 @@ func TestExplicitInferValidation(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		body map[string]interface{}
+		body wire.InferRequest
 	}{
-		{"wrong tables", map[string]interface{}{"sparse": [][][]int64{goodInf()[:1]}}},
-		{"wrong lookups", map[string]interface{}{"sparse": func() [][][]int64 {
+		{"wrong tables", wire.InferRequest{Sparse: [][][]int64{goodInf()[:1]}}},
+		{"wrong lookups", wire.InferRequest{Sparse: func() [][][]int64 {
 			inf := goodInf()
 			inf[0] = inf[0][:1]
 			return [][][]int64{inf}
 		}()}},
-		{"row out of range", map[string]interface{}{"sparse": func() [][][]int64 {
+		{"row out of range", wire.InferRequest{Sparse: func() [][][]int64 {
 			inf := goodInf()
 			inf[0][0] = cfg.RowsPerTable
 			return [][][]int64{inf}
 		}()}},
-		{"negative row", map[string]interface{}{"sparse": func() [][][]int64 {
+		{"negative row", wire.InferRequest{Sparse: func() [][][]int64 {
 			inf := goodInf()
 			inf[0][0] = -1
 			return [][][]int64{inf}
 		}()}},
-		{"batch mismatch", map[string]interface{}{"batch": 2, "sparse": [][][]int64{goodInf()}}},
-		{"dense mismatch", map[string]interface{}{"sparse": [][][]int64{goodInf()},
-			"dense": [][]float32{make([]float32, cfg.DenseDim+1)}}},
-		{"dense count mismatch", map[string]interface{}{"sparse": [][][]int64{goodInf()},
-			"dense": [][]float32{make([]float32, cfg.DenseDim), make([]float32, cfg.DenseDim)}}},
-		{"dense without sparse", map[string]interface{}{"dense": [][]float32{make([]float32, cfg.DenseDim)}}},
+		{"batch mismatch", wire.InferRequest{Batch: 2, Sparse: [][][]int64{goodInf()}}},
+		{"dense mismatch", wire.InferRequest{Sparse: [][][]int64{goodInf()},
+			Dense: []rmssd.Vector{make(rmssd.Vector, cfg.DenseDim+1)}}},
+		{"dense count mismatch", wire.InferRequest{Sparse: [][][]int64{goodInf()},
+			Dense: []rmssd.Vector{make(rmssd.Vector, cfg.DenseDim), make(rmssd.Vector, cfg.DenseDim)}}},
+		{"dense without sparse", wire.InferRequest{Dense: []rmssd.Vector{make(rmssd.Vector, cfg.DenseDim)}}},
 	}
 	for _, c := range cases {
 		body, err := json.Marshal(c.body)
@@ -122,7 +119,7 @@ func TestExplicitInferValidation(t *testing.T) {
 		}
 	}
 	// A valid explicit request with no dense vectors is accepted.
-	body, err := json.Marshal(map[string]interface{}{"sparse": [][][]int64{goodInf()}})
+	body, err := json.Marshal(wire.InferRequest{Sparse: [][][]int64{goodInf()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +212,14 @@ func withoutWallClock(report string) string {
 // shard worker per shard running, and it prints the report the same replay
 // prints over a live server's shards.
 func TestReplayModeStartsNoGoroutine(t *testing.T) {
-	mc := modelsConfig{Models: []modelDecl{
+	mc := wire.ModelsConfig{Models: []wire.ModelDecl{
 		{Name: "ctr", Model: "RMC1", TableMB: 8, Shards: 2, Weight: 2, Dedup: true},
 		{Name: "wide", Model: "WnD", TableMB: 8, Shards: 2, ArrayDevices: 2, FaultRate: 0.05},
 	}}
 	rc := replayConfig{Mode: "synthetic", Rate: 100000, Requests: 40, ReqBatch: 2, Seed: 5}
 	before := runtime.NumGoroutine()
 	var got strings.Builder
-	if err := mc.replay(1, rc, &got); err != nil {
+	if err := replayModels(mc, 1, rc, &got); err != nil {
 		t.Fatal(err)
 	}
 	// A goroutine that is already exiting may still be counted; let it

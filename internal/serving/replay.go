@@ -246,7 +246,7 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 	if res.Elapsed > 0 {
 		res.ThroughputQPS = float64(res.Inferences) / res.Elapsed.Seconds()
 	}
-	res.P50, res.P95, res.P99, res.Max = latencyQuantiles(latencies)
+	res.P50, res.P95, res.P99, res.Max = obs.Quantiles(latencies)
 	return res, nil
 }
 
@@ -263,11 +263,4 @@ func batchStages(br BatchResult) []sim.Stage {
 		return s.Stages()
 	}
 	return []sim.Stage{{Name: "batch", Time: br.Latency}}
-}
-
-// latencyQuantiles delegates to obs.Quantiles, the tree's single quantile
-// implementation: the replay report and any histogram built over the same
-// samples therefore share one definition of the order statistics.
-func latencyQuantiles(lat []time.Duration) (p50, p95, p99, max time.Duration) {
-	return obs.Quantiles(lat)
 }

@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"rmssd/internal/tensor"
 	"rmssd/internal/trace"
@@ -13,6 +14,38 @@ import (
 // originated outside the pool, which is what makes the replay trace-driven
 // rather than self-stimulating. CountSource is the exception, for
 // timing-only replays.
+
+// NewSource builds the request source for a model of tc's shape whose
+// requests carry batch inferences with denseDim dense features. An empty
+// criteoPath selects a GeneratorSource over the locality model tc (seeded
+// by tc.Seed); otherwise the source is a CriteoSource over the TSV at
+// criteoPath. The returned closer is nil for the synthetic source and
+// closes the TSV otherwise.
+func NewSource(tc trace.Config, denseDim, batch int, criteoPath string) (RequestSource, io.Closer, error) {
+	if criteoPath == "" {
+		gen, err := trace.NewGenerator(tc)
+		if err != nil {
+			return nil, nil, err
+		}
+		src, err := NewGeneratorSource(gen, batch, denseDim)
+		return src, nil, err
+	}
+	f, err := os.Open(criteoPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := trace.NewCriteoParser(f, tc.Rows)
+	var src *CriteoSource
+	if err == nil {
+		src, err = NewCriteoSource(p, tc.Tables, tc.Lookups, denseDim, batch)
+	}
+	if err != nil {
+		//lint:allow errcheck read-only file on an error path; the parse or source error is what matters
+		f.Close()
+		return nil, nil, err
+	}
+	return src, f, nil
+}
 
 // CountSource yields count-only requests of n inferences without end; the
 // backends synthesise their own inputs. Bound the replay with

@@ -64,11 +64,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Float32Range returns a uniform float32 in [lo, hi).
-func (r *RNG) Float32Range(lo, hi float32) float32 {
-	return lo + float32(r.Float64())*(hi-lo)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -187,18 +187,6 @@ func Concat(vs ...Vector) Vector {
 	return out
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc float32
-	for i := range a {
-		acc += a[i] * b[i]
-	}
-	return acc
-}
-
 // MaxAbsDiff returns the largest absolute elementwise difference between a
 // and b; used by equivalence tests between implementations.
 func MaxAbsDiff(a, b Vector) float32 {

@@ -269,12 +269,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	if Dot(Vector{1, 2, 3}, Vector{4, 5, 6}) != 32 {
-		t.Fatal("Dot broken")
-	}
-}
-
 func TestMaxAbsDiff(t *testing.T) {
 	if d := MaxAbsDiff(Vector{1, 5}, Vector{1.5, 3}); d != 2 {
 		t.Fatalf("MaxAbsDiff = %v, want 2", d)
