@@ -72,7 +72,7 @@ func residentBytesPerEntry(budget int64, evSize int) float64 {
 	runtime.ReadMemStats(&before)
 	c := evcache.New(budget, evSize)
 	for r := range 3 * c.CapEntries() {
-		c.Fill(c.Reserve(0, int64(r)))
+		c.Reserve(0, int64(r))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

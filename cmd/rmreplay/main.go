@@ -161,7 +161,7 @@ func run(addr, model, criteoIn string, requests, reqBatch int, rate float64, con
 			nerr, len(bodies), strings.Join(firstErrs, "\n  "))
 	}
 
-	out := report(samples, inf.Shards, elapsed) + fetchStats(addr)
+	out := report(samples, inf.Shards, elapsed) + fetchStats(addr, model)
 	if metricsOn {
 		out += fetchMetrics(addr)
 	}
@@ -179,18 +179,27 @@ func fetchInfo(addr, model string) (wire.ModelInfo, error) {
 		}
 		return checkInfo(inf.ModelInfo)
 	}
+	e, err := fetchEntry(addr, model)
+	if err != nil {
+		return wire.ModelInfo{}, err
+	}
+	return checkInfo(e.ModelInfo)
+}
+
+// fetchEntry returns the named model's /models entry.
+func fetchEntry(addr, model string) (wire.ModelEntry, error) {
 	var body wire.Models
 	if err := getJSON(addr+"/models", &body); err != nil {
-		return wire.ModelInfo{}, fmt.Errorf("/models: %w", err)
+		return wire.ModelEntry{}, fmt.Errorf("/models: %w", err)
 	}
 	names := make([]string, len(body.Models))
 	for i, e := range body.Models {
 		if e.Name == model {
-			return checkInfo(e.ModelInfo)
+			return e, nil
 		}
 		names[i] = e.Name
 	}
-	return wire.ModelInfo{}, fmt.Errorf("server does not host model %q (hosts: %s)", model, strings.Join(names, ", "))
+	return wire.ModelEntry{}, fmt.Errorf("server does not host model %q (hosts: %s)", model, strings.Join(names, ", "))
 }
 
 // getJSON fetches url and decodes its JSON body into v.
@@ -278,15 +287,24 @@ func report(samples []sample, shards int, elapsed time.Duration) string {
 	return sb.String()
 }
 
-// fetchStats renders the server's own aggregate view, best-effort: an
-// unreachable or unparseable /stats yields an empty string.
-func fetchStats(addr string) string {
+// fetchStats renders the server's own view of the addressed model,
+// best-effort: an unreachable or unparseable endpoint yields an empty
+// string. /stats sums every hosted model, so a named model's counters come
+// from its /models entry.
+func fetchStats(addr, model string) string {
+	const line = "server:       %d requests, %d inferences, %d device batches (%.2f inferences/batch)\n"
+	if model != "" {
+		e, err := fetchEntry(addr, model)
+		if err != nil {
+			return ""
+		}
+		return fmt.Sprintf(line, e.Requests, e.Inferences, e.DeviceBatches, e.MeanBatch)
+	}
 	var st wire.Stats
 	if err := getJSON(addr+"/stats", &st); err != nil {
 		return ""
 	}
-	return fmt.Sprintf("server:       %d requests, %d inferences, %d device batches (%.2f inferences/batch)\n",
-		st.Requests, st.Inferences, st.DeviceBatches, st.MeanBatch)
+	return fmt.Sprintf(line, st.Requests, st.Inferences, st.DeviceBatches, st.MeanBatch)
 }
 
 // fetchMetrics pulls the server's Prometheus exposition, best-effort: an

@@ -12,9 +12,10 @@ import (
 )
 
 // stubServer mimics the slice of rmserve's API rmreplay consumes: /info
-// (default model), /models (hosted models), /infer (echoes a fixed reply
-// while recording which model each body addressed) and /stats. It encodes
-// rmserve's own wire types, so a renamed field fails these tests.
+// (default model), /models (hosted models with fixed counters), /infer
+// (echoes a fixed reply while recording which model each body addressed)
+// and /stats (the two models' counters summed). It encodes rmserve's own
+// wire types, so a renamed field fails these tests.
 func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 	t.Helper()
 	var seen sync.Map // model name -> request count (int)
@@ -38,7 +39,10 @@ func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 	})
 	mux.HandleFunc("/models", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, wire.Models{
-			Models:       []wire.ModelEntry{{ModelInfo: def}, {ModelInfo: wide}},
+			Models: []wire.ModelEntry{
+				{ModelInfo: def, Requests: 5, Inferences: 5, DeviceBatches: 5, MeanBatch: 1},
+				{ModelInfo: wide, Requests: 4, Inferences: 8, DeviceBatches: 2, MeanBatch: 4},
+			},
 			DefaultModel: "ctr",
 		})
 	})
@@ -63,7 +67,7 @@ func stubServer(t *testing.T) (*httptest.Server, *sync.Map) {
 		})
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, wire.Stats{Requests: 1, Inferences: 1, DeviceBatches: 1, MeanBatch: 1})
+		writeJSON(w, wire.Stats{Requests: 9, Inferences: 13, DeviceBatches: 7, MeanBatch: 13.0 / 7})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -78,7 +82,7 @@ func TestRunDefaultModel(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{"target:", "model=RMC1", "sim latency:", "wall latency:",
-		"server:       1 requests, 1 inferences, 1 device batches"} {
+		"server:       9 requests, 13 inferences, 7 device batches (1.86 inferences/batch)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
@@ -96,8 +100,13 @@ func TestRunNamedModel(t *testing.T) {
 	if err := run(srv.URL, "wide", "", 4, 1, 0, 1, 1, false, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "model=WnD") {
-		t.Fatalf("report does not describe the named model:\n%s", sb.String())
+	// The server line reports the named model's /models counters, not the
+	// /stats totals over both models.
+	for _, want := range []string{"model=WnD",
+		"server:       4 requests, 8 inferences, 2 device batches (4.00 inferences/batch)"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, sb.String())
+		}
 	}
 	n, ok := seen.Load("wide")
 	if !ok || *n.(*int) != 4 {

@@ -89,30 +89,49 @@ func TestAllSystemsFunctionallyEquivalent(t *testing.T) {
 
 // Materialising values must not change timing: twin systems, one running
 // InferBatch and the other InferBatchTiming over the same chained batches,
-// finish every batch at the same instant with the same breakdown.
+// finish every batch at the same instant with the same breakdown. Warmed,
+// both twins first run the same timing pass, and RecSSD's twins are also
+// pre-warmed with the trace's hot set, so the materialising twin meets cache
+// entries that only timing runs and PreWarmHot made resident.
 func TestMaterialisedMatchesTiming(t *testing.T) {
 	for _, name := range []string{"RMC1", "RMC2", "RMC3", "NCF", "WnD"} {
 		cfg := smallCfg(name)
 		for _, b := range []int{1, 4} {
-			values, timing := allSystems(t, cfg), allSystems(t, cfg)
-			for si := range values {
-				g := batchGen(cfg, 19)
-				var nowV, nowT sim.Time
-				for it := 0; it < 6; it++ {
-					sparses := g.Batch(b)
-					denses := make([]tensor.Vector, b)
-					for i := range denses {
-						denses[i] = g.DenseInput(it*b+i, cfg.DenseDim)
-					}
-					_, doneV, bdV := values[si].InferBatch(nowV, denses, sparses)
-					doneT, bdT := timing[si].InferBatchTiming(nowT, sparses)
-					if doneV != doneT || bdV != bdT {
-						t.Fatalf("%s/%s batch %d iteration %d: InferBatch %v %+v, InferBatchTiming %v %+v",
-							name, values[si].Name(), b, it, doneV, bdV, doneT, bdT)
-					}
-					nowV, nowT = doneV, doneT
-				}
+			for _, warm := range []bool{false, true} {
+				matchTwins(t, cfg, b, warm)
 			}
+		}
+	}
+}
+
+func matchTwins(t *testing.T, cfg model.Config, b int, warm bool) {
+	t.Helper()
+	values, timing := allSystems(t, cfg), allSystems(t, cfg)
+	for si := range values {
+		g := batchGen(cfg, 19)
+		var nowV, nowT sim.Time
+		if warm {
+			if rec, ok := values[si].(*RecSSD); ok {
+				rec.PreWarmHot(g.HotRow, g.HotSetSize())
+				timing[si].(*RecSSD).PreWarmHot(g.HotRow, g.HotSetSize())
+			}
+			warmup := g.Batch(b)
+			nowV, _ = values[si].InferBatchTiming(0, warmup)
+			nowT, _ = timing[si].InferBatchTiming(0, warmup)
+		}
+		for it := 0; it < 6; it++ {
+			sparses := g.Batch(b)
+			denses := make([]tensor.Vector, b)
+			for i := range denses {
+				denses[i] = g.DenseInput(it*b+i, cfg.DenseDim)
+			}
+			_, doneV, bdV := values[si].InferBatch(nowV, denses, sparses)
+			doneT, bdT := timing[si].InferBatchTiming(nowT, sparses)
+			if doneV != doneT || bdV != bdT {
+				t.Fatalf("%s/%s batch %d warm %v iteration %d: InferBatch %v %+v, InferBatchTiming %v %+v",
+					cfg.Name, values[si].Name(), b, warm, it, doneV, bdV, doneT, bdT)
+			}
+			nowV, nowT = doneV, doneT
 		}
 	}
 }
@@ -234,18 +253,16 @@ func TestRecSSDCacheHitRatioTracksLocality(t *testing.T) {
 	}
 }
 
-// TestRecSSDPresenceOnlyEntriesRefill: a timing run leaves presence-only
-// entries (reserved, never filled) in RecSSD's host cache. A materialised
-// batch over the same rows must serve each of them as a miss — the same
-// device reads and breakdown as a RecSSD that never ran the timing pass —
-// fill it, and predict bit for bit what the DRAM host does. The cache
-// counts every lookup of a resident key as a hit, presence-only or not, so
-// with no evictions its hit ratio over both passes is (2L-D)/2L for L
-// lookups of D distinct keys.
-func TestRecSSDPresenceOnlyEntriesRefill(t *testing.T) {
+// TestRecSSDResidentEntriesHit: a timing pass leaves its rows resident in
+// RecSSD's host cache. A materialised batch over the same rows serves each
+// of them as a hit, with no device read: the same breakdown as a second
+// timing pass, and bit for bit the predictions of the DRAM host. Every
+// lookup of the second pass hits, so with no evictions the hit ratio over
+// both passes is (2L-D)/2L for L lookups of D distinct keys.
+func TestRecSSDResidentEntriesHit(t *testing.T) {
 	cfg := smallCfg("RMC1")
 	env := MustNewEnv(cfg, testGeo())
-	rec, fresh, dram := NewRecSSD(env), NewRecSSD(MustNewEnv(cfg, testGeo())), NewDRAM(env.M)
+	rec, twin, dram := NewRecSSD(env), NewRecSSD(MustNewEnv(cfg, testGeo())), NewDRAM(env.M)
 	g := batchGen(cfg, 17)
 	sparses := g.Batch(4)
 	denses := make([]tensor.Vector, len(sparses))
@@ -262,34 +279,26 @@ func TestRecSSDPresenceOnlyEntriesRefill(t *testing.T) {
 		}
 	}
 	now, _ := rec.InferBatchTiming(0, sparses)
+	twinNow, _ := twin.InferBatchTiming(0, sparses)
 	if rec.Cache().Len() != len(distinct) {
 		t.Fatalf("timing pass left %d entries, want %d", rec.Cache().Len(), len(distinct))
 	}
-	got, _, bd := rec.InferBatch(now, denses, sparses)
-	_, _, freshBD := fresh.InferBatch(now, denses, sparses)
+	got, done, bd := rec.InferBatch(now, denses, sparses)
+	twinDone, twinBD := twin.InferBatchTiming(twinNow, sparses)
 	want, _, _ := dram.InferBatch(0, denses, sparses)
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("inference %d: RecSSD predicts %v, DRAM %v", i, got[i], want[i])
 		}
 	}
-	if bd != freshBD {
-		t.Fatalf("breakdown %+v after the timing pass, %+v without it", bd, freshBD)
+	if done != twinDone || bd != twinBD {
+		t.Fatalf("materialised pass %v %+v, timing pass %v %+v", done, bd, twinDone, twinBD)
 	}
-	if bd.EmbSSD <= 0 {
-		t.Fatal("presence-only entries were served without device reads")
+	if bd.EmbSSD != 0 {
+		t.Fatalf("resident entries read the device for %v", bd.EmbSSD)
 	}
 	if got, want := rec.Cache().HitRatio(), float64(2*lookups-len(distinct))/float64(2*lookups); got != want {
 		t.Fatalf("hit ratio %v, want %v", got, want)
-	}
-	for _, sparse := range sparses {
-		for tb, rows := range sparse {
-			for _, row := range rows {
-				if h, ok := rec.Cache().Get(tb, row); !ok || !rec.Cache().Filled(h) {
-					t.Fatalf("table %d row %d not filled by the materialised pass", tb, row)
-				}
-			}
-		}
 	}
 }
 

@@ -157,7 +157,7 @@ func TestPreWarmHotBounded(t *testing.T) {
 		t.Fatalf("prewarm overfilled: %d entries", rec.Cache().Len())
 	}
 	// The hottest rank of table 0 must be resident.
-	if _, ok := rec.Cache().Get(0, gen.HotRow(0, 0)); !ok {
+	if !rec.Cache().Get(0, gen.HotRow(0, 0)) {
 		t.Fatal("hottest entry not resident after prewarm")
 	}
 }

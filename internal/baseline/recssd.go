@@ -78,8 +78,8 @@ func (s *RecSSD) Cache() *evcache.Cache { return s.cache }
 func (s *RecSSD) PreWarmHot(hotRow func(table int, rank int64) int64, hotPerTable int64) {
 	tables := s.env.M.Cfg.Tables
 	per := min(int64(s.cache.CapEntries()/tables), hotPerTable)
-	// Insert coldest-first so the hottest entries end up most recent. The
-	// entries are presence-only (reserved, never filled).
+	// Insert coldest-first so the hottest entries end up most recent. A
+	// resident entry is a hit in both modes.
 	for t := 0; t < tables; t++ {
 		for rank := per - 1; rank >= 0; rank-- {
 			s.cache.Reserve(t, hotRow(t, rank))
@@ -121,25 +121,20 @@ func (s *RecSSD) batch(at sim.Time, denses []tensor.Vector, sparses [][][]int64,
 		}
 		for t, rows := range sparse {
 			for _, row := range rows {
-				// An unfilled entry (a reservation from a timing run or
-				// PreWarmHot) does not serve a materialised inference;
-				// treat it as a miss then, and fill it. Either way the
+				// The cache decides timing only: hit or miss, the
 				// vector's bytes come from the device's page store.
 				addr := mustAddr(s.tr, t, row)
 				if materialize {
 					s.env.Dev.PeekRangeInto(addr, s.ev)
 					model.AccumulateEV(pooled[i][t], s.ev)
 				}
-				if h, ok := s.cache.Get(t, row); ok && (!materialize || s.cache.Filled(h)) {
+				if s.cache.Get(t, row) {
 					hits++
 					continue
 				}
 				issue += params.CycleTime
 				devDone = sim.Max(devDone, s.pageRead(issue, addr/ps))
-				h := s.cache.Reserve(t, row)
-				if materialize {
-					s.cache.Fill(h)
-				}
+				s.cache.Reserve(t, row)
 			}
 		}
 	}

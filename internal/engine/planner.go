@@ -33,11 +33,10 @@ import (
 //     hands every resource, and every channel's fault stream, its reads in
 //     plan order. The phase is timing only: a read returns its schedule and
 //     no bytes.
-//  3. reduce (sequential, global order): fill reserved cache entries,
-//     replay the EV Sum unit and, when values are asked for, resolve every
-//     slot's bytes — flash read, zeros, cache hit or duplicate — from the
-//     device's page store (slotBytes) and accumulate them in the original
-//     lookup order.
+//  3. reduce (sequential, global order): replay the EV Sum unit and, when
+//     values are asked for, resolve every slot's bytes — flash read, zeros,
+//     cache hit or duplicate — from the device's page store (slotBytes) and
+//     accumulate them in the original lookup order.
 //
 // Values, times and every counter are therefore independent of shard
 // interleaving by construction. With no cache and dedup off this is the
@@ -62,15 +61,13 @@ import (
 //     cycle), so dedup can only pull completion earlier, exactly like the
 //     hardware broadcasting one returned vector to several accumulators.
 //
-// MSHR invariant: a miss Reserves its cache entry during plan and Fills it
-// during reduce, so an unfilled resident entry always belongs to the current
-// batch and its owning slot is in e.owners. Entries never persist unfilled
-// across batches.
-//
-// Stale handles: when a batch reserves more entries than the cache holds, a
-// later reservation in the same plan can evict an earlier one and reuse its
-// cache slot. The earlier lookup's handle is then stale and its reduce-phase
-// Fill is a no-op, leaving the slot to its new owner.
+// In-flight misses: e.owners, cleared per batch, is the only record of them.
+// A cache entry is reserved only by a miss, which records its slot in
+// e.owners, and every reservation is settled before the next plan (its read
+// completes, or a failed read or an aborted plan invalidates it). So a
+// resident entry is in flight exactly when its key has an owner in this
+// batch: a cache hit on an owned key merges with the owner (MSHR), and any
+// other hit is served over the DRAM port.
 
 // slotKind says how one lookup's bytes are produced.
 type slotKind uint8
@@ -82,15 +79,15 @@ const (
 	slotDup                   // merged with an earlier slot's read
 )
 
-// lkSlot is one lookup's state across the three phases, 64 bytes: the plan
+// lkSlot is one lookup's state across the three phases, 56 bytes: the plan
 // appends one per lookup, so a flash or zero slot's prepared read lives in
 // the engine's reads side table rather than in every slot.
 type lkSlot struct {
-	vec  int32          // flat accumulator index: inference*Tables + table
-	ref  int32          // slotDup: the owning slot's index; slotFlash/slotZero: its read in e.reads
-	fill evcache.Handle // slotFlash/slotZero: reserved entry to Fill (may be zero)
-	kind slotKind
-	key  evcache.Key
+	vec      int32 // flat accumulator index: inference*Tables + table
+	ref      int32 // slotDup: the owning slot's index; slotFlash/slotZero: its read in e.reads
+	kind     slotKind
+	reserved bool // slotFlash/slotZero: the miss reserved a cache entry
+	key      evcache.Key
 	// ready is when the slot's bytes are ready. A duplicate's holds its own
 	// issue time until reduce raises it to its owner's.
 	ready sim.Time
@@ -106,12 +103,12 @@ type lkSlot struct {
 // scratch, valid until its next batch.
 func (e *LookupEngine) Loads() []sim.LaneLoad { return e.loads }
 
-// abortPlan restores the MSHR invariant after an aborted plan phase: every
-// entry the plan reserved is dropped from the cache, so no unfilled entry
-// survives into the next batch.
+// abortPlan settles an aborted plan phase's reservations: every entry the
+// plan reserved is dropped from the cache, so none survives into the next
+// batch without its read.
 func (e *LookupEngine) abortPlan(slots []lkSlot) {
 	for i := range slots {
-		if slots[i].fill.Reserved() {
+		if slots[i].reserved {
 			e.cache.Invalidate(slots[i].key.Table, slots[i].key.Row)
 		}
 	}
@@ -182,23 +179,20 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 						continue
 					}
 				}
-				if e.cache != nil {
-					if h, ok := e.cache.Get(t, row); ok {
-						if e.cache.Filled(h) {
-							// Resident vector: one DRAM burst on the port.
-							ready := e.cache.Hit(issue)
-							addLoad(&e.loads[len(e.loads)-1], at, ready-e.cache.HitOccupancy(), ready)
-							slots = append(slots, lkSlot{vec: vec, kind: slotHit, key: key, ready: ready})
-						} else {
+				if e.cache != nil && e.cache.Get(t, row) {
+					// With dedup on, the lookup above found no owner.
+					if !e.dedup {
+						if own, ok := e.owners[key]; ok {
 							// In-flight miss from this batch (MSHR merge).
-							own, ok := e.owners[key]
-							if !ok {
-								panic(fmt.Sprintf("engine: unfilled cache entry for table %d row %d has no owning slot", t, row))
-							}
 							slots = append(slots, lkSlot{vec: vec, kind: slotDup, ref: own, ready: issue, key: key})
+							continue
 						}
-						continue
 					}
+					// Resident vector: one DRAM burst on the port.
+					ready := e.cache.Hit(issue)
+					addLoad(&e.loads[len(e.loads)-1], at, ready-e.cache.HitOccupancy(), ready)
+					slots = append(slots, lkSlot{vec: vec, kind: slotHit, key: key, ready: ready})
+					continue
 				}
 
 				// Miss everywhere: read flash.
@@ -208,18 +202,15 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 					return nil, sim.Max(issue, maxIssue), fmt.Errorf("engine: inference %d: %w", b, err)
 				}
 				vr := e.dev.PrepareVectorRead(issue, addr, evSize)
-				var fill evcache.Handle
-				if e.cache != nil {
-					fill = e.cache.Reserve(t, row)
-				}
+				reserved := e.cache != nil && e.cache.Reserve(t, row)
 				ref := int32(len(reads))
 				reads = append(reads, vr)
 				if vr.Mapped {
-					slots = append(slots, lkSlot{vec: vec, kind: slotFlash, ref: ref, fill: fill, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotFlash, ref: ref, reserved: reserved, key: key})
 				} else {
 					// Never-written page on a dynamic device: zeros at
 					// translation time, no flash involvement.
-					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ref: ref, ready: vr.Start, fill: fill, key: key})
+					slots = append(slots, lkSlot{vec: vec, kind: slotZero, ref: ref, ready: vr.Start, reserved: reserved, key: key})
 				}
 				if track {
 					e.owners[key] = idx
@@ -251,12 +242,12 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 			s.err = own.err
 		}
 		if s.err != nil {
-			// Uncorrectable read: drop the reserved entry (left unfilled
-			// it would later look like another batch's in-flight miss),
-			// contribute no bytes and no EV Sum term, and fail the call
-			// after the reduce completes so the timeline and cache state
-			// stay on the deterministic schedule.
-			if s.fill.Reserved() {
+			// Uncorrectable read: drop the reserved entry (a later batch
+			// would otherwise hit a vector that never arrived), contribute
+			// no bytes and no EV Sum term, and fail the call after the
+			// reduce completes so the timeline and cache state stay on the
+			// deterministic schedule.
+			if s.reserved {
 				e.cache.Invalidate(s.key.Table, s.key.Row)
 			}
 			if firstErr == nil {
@@ -265,11 +256,6 @@ func (e *LookupEngine) PoolBatch(at sim.Time, sparses [][][]int64, values bool) 
 			}
 			done = sim.Max(done, s.ready)
 			continue
-		}
-		if s.fill.Reserved() {
-			// The read completed (global order; recency untouched; a no-op
-			// if a later reservation took the slot).
-			e.cache.Fill(s.fill)
 		}
 		if values {
 			model.AccumulateEV(vecs[s.vec], e.slotBytes(s))

@@ -28,22 +28,15 @@ func TestByteBudgetToEntries(t *testing.T) {
 
 func TestGetMissReserveFill(t *testing.T) {
 	c := New(4*128, 128)
-	if _, ok := c.Get(0, 7); ok {
+	if c.Get(0, 7) {
 		t.Fatal("empty cache must miss")
 	}
-	h := c.Reserve(0, 7)
-	if !h.Reserved() || c.Filled(h) {
-		t.Fatalf("reserve returned %+v (filled %v)", h, c.Filled(h))
+	if !c.Reserve(0, 7) {
+		t.Fatal("reserve must admit into a cache with room")
 	}
-	// In-flight merge: a Get before Fill is a hit on the unfilled entry.
-	got, ok := c.Get(0, 7)
-	if !ok || got != h || c.Filled(got) {
-		t.Fatalf("get during flight = %v, %v", got, ok)
-	}
-	c.Fill(h)
-	got, ok = c.Get(0, 7)
-	if !ok || got != h || !c.Filled(got) {
-		t.Fatal("filled entry must read as filled through the same handle")
+	// A reserved entry is resident at once, its read in flight or not.
+	if !c.Get(0, 7) || !c.Get(0, 7) {
+		t.Fatal("reserved entry must hit")
 	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
@@ -53,17 +46,17 @@ func TestGetMissReserveFill(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := New(2*128, 128)
-	c.Fill(c.Reserve(0, 1))
-	c.Fill(c.Reserve(0, 2))
+	c.Reserve(0, 1)
+	c.Reserve(0, 2)
 	c.Get(0, 1) // refresh 1; 2 is now LRU
-	c.Fill(c.Reserve(0, 3))
-	if _, ok := c.Get(0, 2); ok {
+	c.Reserve(0, 3)
+	if c.Get(0, 2) {
 		t.Fatal("row 2 should have been evicted")
 	}
-	if _, ok := c.Get(0, 1); !ok {
+	if !c.Get(0, 1) {
 		t.Fatal("row 1 was refreshed and must survive")
 	}
-	if _, ok := c.Get(0, 3); !ok {
+	if !c.Get(0, 3) {
 		t.Fatal("row 3 was just inserted and must survive")
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
@@ -76,33 +69,30 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestReserveExistingRefreshes(t *testing.T) {
 	c := New(2*128, 128)
-	h1 := c.Reserve(0, 1)
-	c.Fill(h1)
-	c.Fill(c.Reserve(0, 2))
-	if h := c.Reserve(0, 1); h != h1 || !c.Filled(h) {
-		t.Fatal("reserving a present key must return the existing, still filled, entry")
+	c.Reserve(0, 1)
+	c.Reserve(0, 2)
+	if !c.Reserve(0, 1) || c.Len() != 2 {
+		t.Fatal("reserving a present key must keep its one entry")
 	}
-	c.Fill(c.Reserve(0, 3)) // evicts 2, not the refreshed 1
-	if _, ok := c.Get(0, 1); !ok {
-		t.Fatal("refreshed entry evicted")
+	c.Reserve(0, 3) // evicts 2, not the refreshed 1
+	if !c.Get(0, 1) || c.Get(0, 2) {
+		t.Fatal("reserve must refresh a present key, leaving the other LRU")
 	}
-	// Filling a present entry again keeps it filled in place.
-	c.Fill(c.Reserve(0, 1))
-	if h, ok := c.Get(0, 1); !ok || h != h1 || !c.Filled(h) || c.Len() != 2 {
-		t.Fatal("refill must keep the entry filled without adding one")
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Fatalf("evictions = %d, want 1", ev)
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	c := New(4*128, 128)
-	c.Fill(c.Reserve(1, 5))
+	c.Reserve(1, 5)
 	if !c.Invalidate(1, 5) {
 		t.Fatal("invalidate must report a resident entry")
 	}
 	if c.Invalidate(1, 5) {
 		t.Fatal("second invalidate must miss")
 	}
-	if _, ok := c.Get(1, 5); ok {
+	if c.Get(1, 5) {
 		t.Fatal("invalidated entry still resident")
 	}
 }
@@ -121,7 +111,7 @@ func TestUnrepresentableKeysMiss(t *testing.T) {
 	resident := []Key{{0, 5}, {1, 5}, {maxTable, 5}, {0, maxRow}, {3, maxRow}, {maxTable, maxRow}}
 	c := New(16*128, 128)
 	for _, k := range resident {
-		c.Fill(c.Reserve(k.Table, k.Row))
+		c.Reserve(k.Table, k.Row)
 	}
 	for _, k := range []Key{
 		{0, -1}, {3, -1}, {maxTable, -1}, // row -1
@@ -129,7 +119,7 @@ func TestUnrepresentableKeysMiss(t *testing.T) {
 		{maxTable + 1, 5}, {maxTable + 2, 5}, {-1, 5}, // table 1<<16 and beyond, table -1
 	} {
 		before := c.Stats()
-		if _, ok := c.Get(k.Table, k.Row); ok {
+		if c.Get(k.Table, k.Row) {
 			t.Errorf("Get%v hit", k)
 		}
 		if got := c.Stats(); got.Hits != before.Hits || got.Misses != before.Misses+1 {
@@ -162,7 +152,7 @@ func TestUnrepresentableKeysMiss(t *testing.T) {
 		}
 	}
 	for _, k := range resident {
-		if _, ok := c.Get(k.Table, k.Row); !ok {
+		if !c.Get(k.Table, k.Row) {
 			t.Errorf("resident key %v lost", k)
 		}
 	}
@@ -170,44 +160,14 @@ func TestUnrepresentableKeysMiss(t *testing.T) {
 
 func TestZeroCapReserveNil(t *testing.T) {
 	c := New(0, 128)
-	if h := c.Reserve(0, 0); h.Reserved() {
+	if c.Reserve(0, 0) {
 		t.Fatal("zero-cap cache must not reserve")
 	}
-	if _, ok := c.Get(0, 0); ok {
+	if c.Get(0, 0) {
 		t.Fatal("zero-cap cache must miss")
 	}
-	c.Fill(Handle{}) // filling the zero Handle is a no-op
-	if c.Len() != 0 {
+	if c.Len() != 0 || c.Stats().Evictions != 0 {
 		t.Fatal("zero-cap cache admitted an entry")
-	}
-}
-
-// TestStaleHandleFillIsNoOp: a handle whose entry was evicted and whose slot
-// a later reservation reused must not mark the new occupant filled — the
-// case of a lookup batch with more misses than the cache has entries.
-func TestStaleHandleFillIsNoOp(t *testing.T) {
-	c := New(128, 128) // one entry
-	stale := c.Reserve(0, 1)
-	fresh := c.Reserve(0, 2) // evicts row 1 and reuses its slot
-	if c.Filled(stale) {
-		t.Fatal("stale handle must read as unfilled")
-	}
-	c.Fill(stale)
-	if c.Filled(fresh) || c.Filled(stale) {
-		t.Fatal("stale fill marked the slot's new occupant filled")
-	}
-	c.Fill(fresh)
-	c.Fill(stale)
-	h, ok := c.Get(0, 2)
-	if !ok || h != fresh || !c.Filled(h) || c.Filled(stale) {
-		t.Fatal("stale fill disturbed the new occupant")
-	}
-	// The same key reserved again after an invalidate gets a new handle too.
-	c.Invalidate(0, 2)
-	again := c.Reserve(0, 2)
-	c.Fill(fresh)
-	if c.Filled(again) {
-		t.Fatal("handle from before the invalidate filled the re-reserved entry")
 	}
 }
 
@@ -240,7 +200,7 @@ func TestHitFarCheaperThanFlash(t *testing.T) {
 
 func TestHitRatioAndReset(t *testing.T) {
 	c := New(4*128, 128)
-	c.Fill(c.Reserve(0, 1))
+	c.Reserve(0, 1)
 	c.Get(0, 1)
 	c.Get(0, 2)
 	if hr := c.HitRatio(); hr != 0.5 {
@@ -267,7 +227,7 @@ func TestHugeBudgetAllocatesOnlyResident(t *testing.T) {
 		t.Fatalf("New with a 2^40-byte budget allocated %d bytes", got)
 	}
 	for r := int64(0); r < 16; r++ {
-		c.Fill(c.Reserve(0, r))
+		c.Reserve(0, r)
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - mid.TotalAlloc; got > 256<<10 {
@@ -279,9 +239,8 @@ func TestHugeBudgetAllocatesOnlyResident(t *testing.T) {
 }
 
 // refCache is the list+map LRU this package shipped before the slab: every
-// entry is a *refEntry in a container/list element, Fill marks it, and an
-// evicted entry simply detaches (filling it changes nothing the cache can
-// see). It is the oracle for the slab cache's semantics.
+// entry is a Key in a container/list element. It is the oracle for the slab
+// cache's semantics.
 type refCache struct {
 	capEntries int
 	lru        *list.List // front = most recently used
@@ -289,42 +248,36 @@ type refCache struct {
 	stats      Stats
 }
 
-type refEntry struct {
-	key    Key
-	filled bool
-}
-
 func newRef(capEntries int) *refCache {
 	return &refCache{capEntries: capEntries, lru: list.New(), index: make(map[Key]*list.Element)}
 }
 
-func (c *refCache) get(k Key) (*refEntry, bool) {
+func (c *refCache) get(k Key) bool {
 	if el, ok := c.index[k]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits++
-		return el.Value.(*refEntry), true
+		return true
 	}
 	c.stats.Misses++
-	return nil, false
+	return false
 }
 
-func (c *refCache) reserve(k Key) *refEntry {
+func (c *refCache) reserve(k Key) bool {
 	if el, ok := c.index[k]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*refEntry)
+		return true
 	}
 	if c.capEntries <= 0 {
-		return nil
+		return false
 	}
 	for c.lru.Len() >= c.capEntries {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.index, oldest.Value.(*refEntry).key)
+		delete(c.index, oldest.Value.(Key))
 		c.stats.Evictions++
 	}
-	e := &refEntry{key: k}
-	c.index[k] = c.lru.PushFront(e)
-	return e
+	c.index[k] = c.lru.PushFront(k)
+	return true
 }
 
 func (c *refCache) invalidate(k Key) bool {
@@ -340,7 +293,7 @@ func (c *refCache) invalidate(k Key) bool {
 func (c *refCache) order() []Key {
 	var keys []Key
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*refEntry).key)
+		keys = append(keys, el.Value.(Key))
 	}
 	return keys
 }
@@ -356,9 +309,8 @@ func (l *LRU) order() []Key {
 
 // refOp is one decoded operation for checkOps.
 type refOp struct {
-	op  byte // 0 Get, 1 Reserve, 2 Fill, 3 Invalidate
+	op  byte // 0 Get, 1 Reserve, 2 no-op (so the committed corpus decodes as before), 3 Invalidate
 	key Key
-	arg int // Fill: which earlier reservation to fill through
 }
 
 // wideMode marks a byte stream's first byte as selecting decodeOps's wide
@@ -392,7 +344,7 @@ func decodeOps(ops []byte) (capEntries int, oneBucket bool, seq []refOp) {
 	for i := 1; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%4, ops[i+1]
 		if !wide {
-			seq = append(seq, refOp{op, Key{Table: int(arg>>3) & 1, Row: int64(arg & 7)}, int(arg)})
+			seq = append(seq, refOp{op, Key{Table: int(arg>>3) & 1, Row: int64(arg & 7)}})
 			continue
 		}
 		hi := int(ops[i] >> 2)
@@ -400,7 +352,7 @@ func decodeOps(ops []byte) (capEntries int, oneBucket bool, seq []refOp) {
 		if hi>>5 != 0 {
 			k = Key{Table: maxTable - k.Table, Row: maxRow - k.Row}
 		}
-		seq = append(seq, refOp{op, k, hi<<8 | int(arg)})
+		seq = append(seq, refOp{op, k})
 	}
 	return capEntries, oneBucket, seq
 }
@@ -457,11 +409,11 @@ func checkAgainstRef(t *testing.T, ops []byte) checkStats {
 }
 
 // checkOps drives the slab cache and the reference LRU with one
-// Get/Reserve/Fill/Invalidate sequence and fails on the first divergence in
-// outcomes, bytes, Stats, Len or recency (eviction) order, or on a broken
-// hash index (indexErr). Reservations are remembered so later fills may go
-// through handles that have since gone stale. With oneBucket the index
-// never grows past one bucket, so every resident key shares one chain.
+// Get/Reserve/Invalidate sequence and fails on the first divergence in
+// outcomes, Stats, Len or recency (eviction) order, or on a broken hash
+// index (indexErr). Every step is checked, a no-op included. With oneBucket
+// the index never grows past one bucket, so every resident key shares one
+// chain.
 func checkOps(t *testing.T, capEntries int, oneBucket bool, seq []refOp) checkStats {
 	t.Helper()
 	const evSize = 8
@@ -470,46 +422,22 @@ func checkOps(t *testing.T, capEntries int, oneBucket bool, seq []refOp) checkSt
 		slab.lru.maxBuckets = 1
 	}
 	ref := newRef(capEntries)
-	type reservation struct {
-		h Handle
-		e *refEntry
-	}
-	var held []reservation
 	var st checkStats
 	for step, o := range seq {
 		k := o.key
 		where := fmt.Sprintf("step %d (op %d, key %v, cap %d, one bucket %v)", step, o.op, k, capEntries, oneBucket)
 		switch o.op {
 		case 0:
-			h, ok := slab.Get(k.Table, k.Row)
-			e, rok := ref.get(k)
-			if ok != rok {
-				t.Fatalf("%s: get hit %v, reference %v", where, ok, rok)
-			}
-			if ok {
-				if slab.Filled(h) != e.filled {
-					t.Fatalf("%s: filled %v, reference %v", where, slab.Filled(h), e.filled)
-				}
+			if got, want := slab.Get(k.Table, k.Row), ref.get(k); got != want {
+				t.Fatalf("%s: get hit %v, reference %v", where, got, want)
 			}
 		case 1:
 			if slab.lru.n == slab.lru.capEntries && slab.lru.capEntries > 0 && slab.lru.find(k) == noSlot {
 				st.unlinked[slab.lru.chainPos(slab.lru.tail)]++
 			}
-			h := slab.Reserve(k.Table, k.Row)
-			e := ref.reserve(k)
-			if h.Reserved() != (e != nil) {
-				t.Fatalf("%s: reserved %v, reference %v", where, h.Reserved(), e != nil)
+			if got, want := slab.Reserve(k.Table, k.Row), ref.reserve(k); got != want {
+				t.Fatalf("%s: reserved %v, reference %v", where, got, want)
 			}
-			if e != nil {
-				held = append(held, reservation{h, e})
-			}
-		case 2:
-			if len(held) == 0 {
-				continue
-			}
-			r := held[o.arg%len(held)]
-			slab.Fill(r.h)
-			r.e.filled = true
 		case 3:
 			if i := slab.lru.find(k); i != noSlot {
 				st.unlinked[slab.lru.chainPos(i)]++
@@ -533,7 +461,7 @@ func checkOps(t *testing.T, capEntries int, oneBucket bool, seq []refOp) checkSt
 }
 
 // wideOps builds a seeded wide-form stream (see decodeOps) of n operations
-// at capacity capSel*5: Gets and Reserves mostly, some Fills and
+// at capacity capSel*5: Gets and Reserves mostly, some no-ops and
 // Invalidates, with keys drawn half from 64 hot ones and half from 4096,
 // one in eight of them mirrored to the packing boundary.
 func wideOps(rng *rand.Rand, capSel int, oneBucket bool, n int) []byte {
@@ -632,7 +560,7 @@ func TestChainUnlinkPositions(t *testing.T) {
 		}
 	}
 	for r := int64(0); r < 10; r++ {
-		_, ok := c.Get(0, r)
+		ok := c.Get(0, r)
 		if gone := r == 9 || r == 4 || r == 0; ok == gone {
 			t.Fatalf("row %d: resident %v after the unlinks", r, ok)
 		}
@@ -729,7 +657,7 @@ func residentBytesPerEntry(budget int64, evSize int) float64 {
 	runtime.ReadMemStats(&before)
 	c := New(budget, evSize)
 	for r := range 3 * c.CapEntries() {
-		c.Fill(c.Reserve(0, int64(r)))
+		c.Reserve(0, int64(r))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -762,8 +690,8 @@ func TestResidentFootprint(t *testing.T) {
 
 // FuzzEVCacheOps drives checkAgainstRef with arbitrary operation streams.
 func FuzzEVCacheOps(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 1, 2, 2, 0, 0, 1})             // one entry: evict before fill
-	f.Add([]byte{2, 1, 0, 1, 1, 1, 2, 0, 0, 2, 1, 0, 1}) // two entries, refill
+	f.Add([]byte{1, 1, 1, 1, 2, 2, 0, 0, 1})             // one entry: evict, no-op, get
+	f.Add([]byte{2, 1, 0, 1, 1, 1, 2, 0, 0, 2, 1, 0, 1}) // two entries: evict, get, no-op, get
 	f.Add([]byte{0, 1, 3, 0, 3, 2, 0, 3, 3})             // zero capacity
 	// Wide form, 20 entries: reservation r is key (r%2, r*37 mod 256).
 	// 17 of them grow the bucket array from 8 to 16 and then to 32;
@@ -785,8 +713,8 @@ func FuzzEVCacheOps(f *testing.F) {
 	// middle, head and tail.
 	f.Add(wide(wideMode|oneBucketBit|4, append(grow, 3, 4, 3, 16, 3, 0, 0, 2)...))
 	// Keys at the packing boundary beside small ones, 10 entries: reserve
-	// (maxTable, maxRow), (0, 0), (maxTable-1, maxRow) and (1, 0), fill
-	// the first, look three up, invalidate the two boundary keys, and look
+	// (maxTable, maxRow), (0, 0), (maxTable-1, maxRow) and (1, 0), a
+	// no-op, look three up, invalidate the two boundary keys, and look
 	// up (maxTable, maxRow) and (0, 0) again. Then the same in one chain.
 	edge := []byte{
 		0x81, 0, 0x01, 0, 0x85, 0, 0x05, 0, 0x02, 0,

@@ -14,14 +14,15 @@ import (
 //
 // Storage is one pointer-free slab. Each resident key occupies a slot: a
 // 24-byte record holding the Key packed into one word, its recency links
-// and its hash-chain link (slot indices, not pointers) and a generation.
-// The slot array grows as slots are first used, so an LRU costs only what
-// is resident however large its capacity. The index is part of the slab too: a power-of-two array of
-// bucket heads, each the first slot of a chain linked through the slots,
-// keyed by a fixed 64-bit mix of the packed Key. The bucket array doubles
-// (rehashing every chain) whenever the resident count reaches its length,
-// up to the capacity rounded up to a power of two, so chains average at
-// most one slot and the index costs about 4 bytes per resident entry.
+// and its hash-chain link (slot indices, not pointers). The slot array
+// grows as slots are first used, so an LRU costs only what is resident
+// however large its capacity. The index is part of the slab too: a
+// power-of-two array of bucket heads, each the first slot of a chain linked
+// through the slots, keyed by a fixed 64-bit mix of the packed Key. The
+// bucket array doubles (rehashing every chain) whenever the resident count
+// reaches its length, up to the capacity rounded up to a power of two, so
+// chains average at most one slot and the index costs about 4 bytes per
+// resident entry.
 //
 // A Key packs as Table<<48 | Row, so the LRU holds only keys with
 // 0 <= Table < 1<<16 (model.MaxTables; hostio numbers files from 0) and
@@ -53,22 +54,13 @@ const (
 // minBuckets is the bucket array's length once the first entry arrives.
 const minBuckets = 8
 
-// A slot's gen counts in its bits above bit 0 the entries that have left
-// the slot; bit 0 is the owner's (Cache marks a filled entry there). When
-// an entry leaves, gen advances by genStep, which also clears filledBit, so
-// a slot number remembered together with its gen goes stale.
-const (
-	filledBit = 1
-	genStep   = 2
-)
-
-// slot is one entry's bookkeeping: 24 bytes holding no pointers, so the slot
-// array is invisible to the garbage collector's scan.
+// slot is one entry's bookkeeping: 24 bytes (20 and alignment padding)
+// holding no pointers, so the slot array is invisible to the garbage
+// collector's scan.
 type slot struct {
 	key        uint64 // packKey of the entry's Key
 	prev, next int32  // recency neighbours (free list: next only)
 	hnext      int32  // next slot in the key's bucket chain
-	gen        uint32 // generation<<1 | filled
 }
 
 // rowBits is the width of a packed key's row field; the table takes the
@@ -170,13 +162,12 @@ func (l *LRU) alloc() int32 {
 }
 
 // remove drops slot i's entry: it leaves the recency list and its hash
-// chain, its generation advances, and the slot joins the free list.
+// chain, and the slot joins the free list.
 func (l *LRU) remove(i int32) {
 	l.unlink(i)
 	l.unhash(i)
 	s := &l.slots[i]
 	s.hnext = offChain
-	s.gen = s.gen&^filledBit + genStep
 	s.next = l.free
 	l.free = i
 	l.n--

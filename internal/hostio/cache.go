@@ -63,9 +63,6 @@ func (c *PageCache) Warm(fileID int, lpn int64) { c.lru.Access(pageKey(fileID, l
 // Len returns the number of resident pages.
 func (c *PageCache) Len() int { return c.lru.Len() }
 
-// CapacityPages returns the page budget (0 for a non-positive budget).
-func (c *PageCache) CapacityPages() int { return c.lru.Cap() }
-
 // Stats returns a snapshot of the counters.
 func (c *PageCache) Stats() CacheStats { return c.stats }
 

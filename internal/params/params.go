@@ -207,8 +207,6 @@ const (
 	LUTPerFAdd = 300
 	FFPerFMul  = 190
 	FFPerFAdd  = 110
-	DSPPerFMul = 3
-	DSPPerFAdd = 0
 	// ControlLUTPerLayer covers the per-layer stream control, scan
 	// counters and buffering logic.
 	ControlLUTPerLayer = 2000

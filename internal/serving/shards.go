@@ -141,10 +141,9 @@ type shard struct {
 
 // Pool is the sharded batching front-end.
 type Pool struct {
-	shards   []*shard
-	maxBatch int
-	rr       atomic.Uint64
-	wg       sync.WaitGroup
+	shards []*shard
+	rr     atomic.Uint64
+	wg     sync.WaitGroup
 
 	// mu fences submitters against Close: submitters hold the read lock
 	// across the queue send, Close takes the write lock before closing the
@@ -168,7 +167,7 @@ func NewPool(backends []Batcher, maxBatch, queueDepth int) *Pool {
 	if queueDepth <= 0 {
 		queueDepth = 64
 	}
-	p := &Pool{maxBatch: maxBatch}
+	p := &Pool{}
 	for i, b := range backends {
 		s := &shard{id: i, b: b, subs: make(chan submission, queueDepth)}
 		p.shards = append(p.shards, s)
@@ -180,12 +179,6 @@ func NewPool(backends []Batcher, maxBatch, queueDepth int) *Pool {
 	}
 	return p
 }
-
-// Shards returns the number of shards.
-func (p *Pool) Shards() int { return len(p.shards) }
-
-// MaxBatch returns the coalesced device batch cap.
-func (p *Pool) MaxBatch() int { return p.maxBatch }
 
 // Infer submits n count-only inferences and blocks until a shard serves
 // them. The request may be coalesced with others queued on the same shard.

@@ -40,9 +40,6 @@ func (r ByteRate) BytesPerSecond() float64 {
 // MBPerSecond returns the rate in decimal megabytes per second.
 func (r ByteRate) MBPerSecond() float64 { return r.BytesPerSecond() / 1e6 }
 
-// GBPerSecond returns the rate in decimal gigabytes per second.
-func (r ByteRate) GBPerSecond() float64 { return r.BytesPerSecond() / 1e9 }
-
 // UnitsPerSecond returns the rate in fixed-size units (e.g. embedding
 // vectors of unitBytes) per second: the form Eq. 1a's bEV takes.
 func (r ByteRate) UnitsPerSecond(unitBytes int) float64 {
@@ -50,12 +47,4 @@ func (r ByteRate) UnitsPerSecond(unitBytes int) float64 {
 		panic(fmt.Sprintf("sim: non-positive unit size %d", unitBytes))
 	}
 	return r.BytesPerSecond() / float64(unitBytes)
-}
-
-// DurationFor returns the simulated time the rate needs to move n bytes.
-func (r ByteRate) DurationFor(n int64) time.Duration {
-	if r <= 0 {
-		panic(fmt.Sprintf("sim: DurationFor on non-positive rate %v", float64(r)))
-	}
-	return time.Duration(float64(n) / r.BytesPerSecond() * float64(time.Second))
 }

@@ -27,8 +27,7 @@ func (c Cycles) Duration(cycleTime time.Duration) time.Duration {
 }
 
 // DurationToCycles converts a simulated duration to whole cycles at the
-// given cycle time, truncating toward zero (a sub-cycle remainder is lost;
-// use DurationToCyclesCeil when the consumer must cover d entirely).
+// given cycle time, truncating toward zero (a sub-cycle remainder is lost).
 func DurationToCycles(d, cycleTime time.Duration) Cycles {
 	if cycleTime <= 0 {
 		panic(fmt.Sprintf("sim: non-positive cycle time %v", cycleTime))
@@ -38,31 +37,10 @@ func DurationToCycles(d, cycleTime time.Duration) Cycles {
 	return Cycles(d / cycleTime)
 }
 
-// DurationToCyclesCeil converts a simulated duration to the smallest cycle
-// count whose duration is >= d.
-func DurationToCyclesCeil(d, cycleTime time.Duration) Cycles {
-	if cycleTime <= 0 {
-		panic(fmt.Sprintf("sim: non-positive cycle time %v", cycleTime))
-	}
-	c := DurationToCycles(d, cycleTime)
-	if c.Duration(cycleTime) < d {
-		c++
-	}
-	return c
-}
-
 // Times scales the cycle count by a dimensionless factor (e.g. batch waves).
 // It exists so call sites do not need a bare Cycles(n) conversion, which the
 // units analyzer treats with suspicion.
 func (c Cycles) Times(n int64) Cycles { return c * Cycles(n) }
-
-// CeilDiv returns ceil(c/n) for a positive dimensionless divisor n.
-func (c Cycles) CeilDiv(n int64) Cycles {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: CeilDiv by %d", n))
-	}
-	return (c + Cycles(n) - 1) / Cycles(n)
-}
 
 // MaxCycles returns the larger of two cycle counts.
 func MaxCycles(a, b Cycles) Cycles {
