@@ -14,10 +14,23 @@ build:
 
 # Cross-builds: vet for arm64, which has no hash kernel and runs
 # internal/tensor's generic path, and build for darwin, the other target
-# of internal/model's resident_unix.go.
+# of internal/model's resident_unix.go. Then build for arm64, ppc64le and
+# riscv64, whose compilers may fuse x*y+z into one instruction with a
+# single rounding (amd64's never does), and fail on any fused multiply-add
+# in the module's assembly: a product that feeds a sum is written with an
+# explicit conversion, which rounds it, so every record is the same on
+# every CPU.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOOS=darwin $(GO) build ./...
+	@for arch in arm64 ppc64le riscv64; do \
+		GOARCH=$$arch $(GO) build ./... || exit 1; \
+		fused="$$(GOARCH=$$arch $(GO) build -gcflags=-S ./... 2>&1 | grep -E '[[:space:]]F[A-Z]*M(ADD|SUB)[A-Z]*[[:space:]]')"; \
+		if [ -n "$$fused" ]; then \
+			echo "fused multiply-adds on $$arch (write each product as an explicit conversion):"; \
+			echo "$$fused"; exit 1; \
+		fi; \
+	done
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -355,7 +355,7 @@ func main() {
 	var agg float64
 	for _, m := range s.models {
 		dev := m.shards[0].sh.Device()
-		agg += dev.SteadyStateQPS(dev.NBatch()) * float64(len(m.shards))
+		agg += float64(dev.SteadyStateQPS(dev.NBatch()) * float64(len(m.shards)))
 	}
 	log.Printf("serving on %s (%d models, budget %d, aggregate steady-state %.0f QPS)",
 		*addr, len(s.models), s.router.Budget(), agg)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"rmssd/internal/engine"
 	"rmssd/internal/model"
@@ -97,6 +98,10 @@ func Table6() *Table {
 		Title:  "Table VI: resource consumption of the MLP Acceleration Engine",
 		Header: []string{"Model", "Unit", "LUT", "FF", "BRAM", "DSP", "fits XCVU9P", "fits XC7A200T"},
 	}
+	// The rows print the XCVU9P build; the XC7A200T column re-runs the
+	// kernel search for that part, whose build the note gives where it
+	// differs.
+	var smallBuilds []string
 	for _, name := range []string{"RMC1", "RMC2", "RMC3"} {
 		cfg, err := model.ConfigByName(name)
 		if err != nil {
@@ -111,8 +116,15 @@ func Table6() *Table {
 			}
 			r := big.Resources()
 			fitsSmall := "yes"
-			if small, err := engine.NewMLPEngine(m, d, params.XC7A200T); err != nil || !small.FitsPart() {
+			small, err := engine.NewMLPEngine(m, d, params.XC7A200T)
+			if err != nil || !small.FitsPart() {
 				fitsSmall = "no"
+			}
+			if err == nil {
+				if sr := small.Resources(); sr != r {
+					smallBuilds = append(smallBuilds, fmt.Sprintf("%s %s %d/%d/%.1f/%d",
+						name, d, sr.LUT, sr.FF, sr.BRAM, sr.DSP))
+				}
 			}
 			fitsBig := "yes"
 			if !big.FitsPart() {
@@ -130,6 +142,10 @@ func Table6() *Table {
 	t.AddRow("budget", params.XC7A200T.Name,
 		fmt.Sprintf("%d", params.XC7A200T.LUT), fmt.Sprintf("%d", params.XC7A200T.FF),
 		fmt.Sprintf("%.0f", params.XC7A200T.BRAM), fmt.Sprintf("%d", params.XC7A200T.DSP), "-", "-")
+	if len(smallBuilds) > 0 {
+		t.Notes = append(t.Notes, "XC7A200T builds (LUT/FF/BRAM/DSP) where they differ from the row's XCVU9P build: "+
+			strings.Join(smallBuilds, "; "))
+	}
 	t.Notes = append(t.Notes,
 		"paper: RMC1/2 naive 154541/59032/237/612, op 19064/8294/85/41; RMC3 naive exceeds XC7A200T LUT")
 	return t

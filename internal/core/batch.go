@@ -91,7 +91,11 @@ func (b *Batch) Finish(embReady sim.Time) sim.Time {
 	}
 	sp.Bot = obs.StageSpan{From: botFrom, To: botFrom + params.Duration(r.mlp.BottomStageCycles(sp.N))}
 	if b.lanes != nil {
-		b.lanes[len(b.lanes)-1] = sim.LaneLoad{Busy: sp.Bot.Len()}
+		// The bottom MLP gates admission: its kernels cost a full pass per
+		// wave of inferences whatever the batch's size, so a batch formed
+		// while it is busy would only wait, and miss the requests that
+		// arrive meanwhile.
+		b.lanes[len(b.lanes)-1] = sim.LaneLoad{Busy: sp.Bot.Len(), Gate: true}
 	}
 	joined := sim.Max(embReady, sp.Bot.To)
 	sp.Top = obs.StageSpan{From: joined, To: joined + params.Duration(r.mlp.TopStageCycles(sp.N))}
@@ -175,8 +179,9 @@ func GatherBreakdown(top *Batch, members []*Batch) Breakdown {
 			if ld.Busy == 0 {
 				continue
 			}
-			rel := max(0, ld.Release+shift)
-			bd.Lanes[d*per+l] = sim.LaneLoad{Release: rel, Busy: min(ld.Busy, stage-rel)}
+			ld.Release = max(0, ld.Release+shift)
+			ld.Busy = min(ld.Busy, stage-ld.Release)
+			bd.Lanes[d*per+l] = ld
 		}
 	}
 	return bd

@@ -80,7 +80,7 @@ func PoolQuantized(vs []QuantizedEV) tensor.Vector {
 			panic(fmt.Sprintf("embedding: quantized dim mismatch %d vs %d", len(v.Q), dim))
 		}
 		for i, x := range v.Q {
-			sum[i] += float32(x) * v.Scale
+			sum[i] += float32(float32(x) * v.Scale)
 		}
 	}
 	return sum

@@ -62,7 +62,7 @@ func KernelGEMV(w *tensor.Matrix, x tensor.Vector, kr, kc int, order ScanOrder) 
 		for c := c0; c < c0+kc && c < C; c++ {
 			var sum float32
 			for r := r0; r < r0+kr && r < R; r++ {
-				sum += w.At(c, r) * x[r]
+				sum += float32(w.At(c, r) * x[r])
 				tr.MACs++
 			}
 			acc[c] += sum

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"rmssd/internal/fpga"
 	"rmssd/internal/model"
 	"rmssd/internal/params"
 	"rmssd/internal/sim"
@@ -361,5 +362,31 @@ func TestPow2Helpers(t *testing.T) {
 	}
 	if maxKernelDim(13) != 16 || maxKernelDim(1) != 1 || maxKernelDim(4096) != 16 {
 		t.Fatal("maxKernelDim broken")
+	}
+}
+
+// TestEVSumRingFitsBesideSearchedEngine: the device's emb stage holds
+// sim.LaneDepth batches, each pooling into its own EV-Sum buffer of
+// NBatch·Tables·EVDim float32 sums. That ring's BRAM fits beside the
+// searched MLP engine of every built-in model on both parts.
+func TestEVSumRingFitsBesideSearchedEngine(t *testing.T) {
+	for _, name := range []string{"RMC1", "RMC2", "RMC3", "NCF", "WnD"} {
+		cfg := testCfg(name)
+		m := model.MustBuild(cfg)
+		for _, part := range []params.FPGAPart{params.XCVU9P, params.XC7A200T} {
+			e, err := NewMLPEngine(m, DesignSearched, part)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, part.Name, err)
+			}
+			buf := fpga.BRAMBlocksFor(int64(e.NBatch) * int64(cfg.Tables) * int64(cfg.EVSize()))
+			r := e.Resources()
+			t.Logf("%-4s %-8s NBatch %d: engine %.1f + ring %d×%.0f BRAM of %.0f",
+				name, part.Name, e.NBatch, r.BRAM, sim.LaneDepth, buf, part.BRAM)
+			r.BRAM += sim.LaneDepth * buf
+			if !r.FitsIn(part) {
+				t.Fatalf("%s on %s: searched engine plus a %d-buffer EV-Sum ring (%s) exceeds the part",
+					name, part.Name, sim.LaneDepth, r)
+			}
+		}
 	}
 }

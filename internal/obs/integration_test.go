@@ -7,7 +7,8 @@
 //     byte-identical across shard counts and reruns;
 //  3. span properties — every emitted DeviceSpan satisfies the stage
 //     accounting invariants, spans on one device never overlap, and the
-//     replay's pipelined batch windows never put two batches in one stage.
+//     replay's pipelined batch windows never put two batches in send, top
+//     or read, nor more than sim.LaneDepth in emb.
 package obs_test
 
 import (
@@ -22,6 +23,7 @@ import (
 	"rmssd/internal/model"
 	"rmssd/internal/obs"
 	"rmssd/internal/serving"
+	"rmssd/internal/sim"
 	"rmssd/internal/tensor"
 	"rmssd/internal/trace"
 )
@@ -312,11 +314,11 @@ func TestPercentileHistogramAgree(t *testing.T) {
 // long when its shard's previous batch had already completed by admission.
 // Consecutive batches on one shard overlap in time (the shard pipelines
 // them), yet send, top and read never hold two batches at once, emb never
-// holds more than two (the double-buffered EV Sum), counted from
+// holds more than sim.LaneDepth (the EV Sum's buffer ring), counted from
 // admission, and each die lane serves its batches in order without
 // overlap.
 func TestTraceSpansJoinBatches(t *testing.T) {
-	const embDepth = 2
+	const embDepth = sim.LaneDepth
 	cfg := model.RMC1()
 	cfg.RowsPerTable = cfg.RowsForBudget(testBudget)
 	tr := obs.NewTracer(nil)
@@ -392,7 +394,7 @@ func TestTraceSpansJoinBatches(t *testing.T) {
 			}
 			if len(shardRecs) >= embDepth {
 				// A batch claims its emb buffer when it is admitted: the
-				// batch two places ahead had left emb by then.
+				// batch embDepth places ahead had left emb by then.
 				ahead := shardRecs[len(shardRecs)-embDepth]
 				if ahead.Complete > rec.Start {
 					deep++
@@ -438,10 +440,10 @@ func TestTraceSpansJoinBatches(t *testing.T) {
 		shardRecs = append(shardRecs, rec)
 		shardBDs = append(shardBDs, bd)
 	}
-	t.Logf("%d records: %d admitted behind a busy batch, %d behind two, %d die-lane waits", len(recs), overlapped, deep, laneWaits)
+	t.Logf("%d records: %d admitted behind a busy batch, %d behind %d, %d die-lane waits", len(recs), overlapped, deep, embDepth, laneWaits)
 	if overlapped == 0 || deep == 0 || laneWaits == 0 {
-		t.Fatalf("overlapped %d, two deep %d, lane waits %d: the replay did not pipeline its emb stage",
-			overlapped, deep, laneWaits)
+		t.Fatalf("overlapped %d, %d deep %d, lane waits %d: the replay did not pipeline its emb stage",
+			overlapped, embDepth, deep, laneWaits)
 	}
 }
 

@@ -376,7 +376,7 @@ func TimingFingerprint() uint64 {
 			h *= 1099511628211
 		}
 	}
-	mixF := func(f float64) { mix(uint64(f * 1e6)) }
+	mixF := func(f float64) { mix(uint64(float64(f * 1e6))) }
 	for _, v := range []uint64{
 		// FPGA clock.
 		FPGAClockHz, uint64(CycleTime),

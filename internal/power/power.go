@@ -94,11 +94,11 @@ func (p Profile) Total() Energy {
 	e := ActiveEnergy(p.HostCPUTime, HostCPUPower)
 	e += ActiveEnergy(p.DeviceTime, SSDIdlePower)
 	e += ActiveEnergy(p.FPGAActive, FPGAStaticPower)
-	e += Energy(p.FlashPageReads) * PageSenseEnergy
-	e += Energy(float64(p.FlashBytesMoved)) * FlashBusEnergyPerByte
-	e += Energy(float64(p.PCIeBytes)) * PCIeEnergyPerByte
-	e += Energy(float64(p.HostDRAMBytes)) * DRAMEnergyPerByte
-	e += Energy(float64(p.MACs)) * FPGAMACEnergy
+	e += Energy(Energy(p.FlashPageReads) * PageSenseEnergy)
+	e += Energy(Energy(p.FlashBytesMoved) * FlashBusEnergyPerByte)
+	e += Energy(Energy(p.PCIeBytes) * PCIeEnergyPerByte)
+	e += Energy(Energy(p.HostDRAMBytes) * DRAMEnergyPerByte)
+	e += Energy(Energy(p.MACs) * FPGAMACEnergy)
 	return e
 }
 

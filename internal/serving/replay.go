@@ -36,11 +36,13 @@ import (
 // stage over the batch's per-die loads: it holds up to sim.LaneDepth
 // batches, so batch i+1 reads the dies batch i has finished with while
 // batch i still drains. The shard forms its next batch the moment the
-// pipeline can take it (BlockingPipeline.Vacant), from every request that
-// has already arrived, capped at MaxBatch — the deterministic mirror of
-// the pool's drain-what's-queued coalescing. Because the whole timeline is
-// virtual and the source is deterministic, two runs with the same seed,
-// source and shard count produce byte-identical results.
+// pipeline can take it (BlockingPipeline.Vacant, which on the searched
+// design also waits until the send would end as the bottom MLP frees),
+// from every request that has already arrived, capped at MaxBatch — the
+// deterministic mirror of the pool's drain-what's-queued coalescing.
+// Because the whole timeline is virtual and the source is deterministic,
+// two runs with the same seed, source and shard count produce
+// byte-identical results.
 
 // RequestSource yields successive requests of a trace; it returns io.EOF
 // when the trace is exhausted.

@@ -22,15 +22,22 @@ type Stage struct {
 // lane with zero Busy is one the item never touched. Release+Busy never
 // exceeds the stage's Time: the rest of Time is the item's tail, the work
 // that follows its last lane.
+//
+// Gate marks the lane as the pipeline's admission gate: Vacant waits until
+// the gate lane's last finish less the latest item's head-stage Time, so an
+// item formed at Vacant with as long a head stage ends it just as the gate
+// frees.
 type LaneLoad struct {
 	Release time.Duration
 	Busy    time.Duration
+	Gate    bool
 }
 
 // LaneDepth is how many items a lane stage of BlockingPipeline holds at
-// once. The device's EV Sum is double-buffered: batch b+1 may start its
-// reads while batch b still drains, but not before batch b-1 has left.
-const LaneDepth = 2
+// once. The device's EV Sum is a ring of four buffers: batch b+3 may start
+// its reads while batches b..b+2 still drain, but not before batch b-1 has
+// left.
+const LaneDepth = 4
 
 // PipelineResult summarises the steady-state behaviour of a linear pipeline.
 type PipelineResult struct {
@@ -74,7 +81,7 @@ func Pipeline(stages ...Stage) PipelineResult {
 // A stage the item reports with Lanes is a lane stage, which LaneDepth
 // items can share. The item claims its place there when it enters the
 // pipeline, so it enters stage 0 only once the item LaneDepth places ahead
-// has left the lane stage: the device's buffer pair receives a batch's
+// has left the lane stage: the device's buffer ring receives a batch's
 // inputs and pools its vectors, so a batch cannot be sent before a buffer
 // is free, and stages ahead of the lane stage never hold a batch that
 // only waits for one. Each of the item's lanes starts at the later of its
@@ -84,6 +91,9 @@ func Pipeline(stages ...Stage) PipelineResult {
 // therefore takes exactly the stage's Time, as in a stage without lanes,
 // and a saturated lane stage is bounded by each lane's own load rather
 // than by every item's busiest lane. Items leave every stage in order.
+// A gate lane (LaneLoad.Gate) changes no item's timeline once pushed; it
+// only holds back Vacant, so a caller that forms its next item at Vacant
+// does not form it while the gate is still busy.
 //
 // An item occupies only the stages it lists, so a shorter item (one that
 // failed early, or a backend that reports a single stage) leaves the later
@@ -91,6 +101,8 @@ func Pipeline(stages ...Stage) PipelineResult {
 // the epoch.
 type BlockingPipeline struct {
 	stages []stageState
+	head   time.Duration // the latest item's stage-0 Time
+	gate   Time          // the latest finish of a gate lane
 }
 
 // stageState is one stage's history: when its latest items left it, most
@@ -102,13 +114,14 @@ type stageState struct {
 }
 
 // Vacant returns when the pipeline can take its next item: stage 0 has
-// released every item it took, and every stage that has served as a lane
-// stage has room.
+// released every item it took, every stage that has served as a lane
+// stage has room, and an item with the latest item's head-stage Time
+// would end its head stage no earlier than the gate lane frees.
 func (p *BlockingPipeline) Vacant() Time {
 	if len(p.stages) == 0 {
 		return 0
 	}
-	t := p.stages[0].left[0]
+	t := Max(p.stages[0].left[0], p.gate-p.head)
 	for _, st := range p.stages[1:] {
 		if st.lanes != nil {
 			t = Max(t, st.left[LaneDepth-1])
@@ -135,6 +148,7 @@ func (p *BlockingPipeline) Push(at Time, stages []Stage) Time {
 	if len(stages) == 0 {
 		return Max(at, p.Vacant())
 	}
+	p.head = stages[0].Time
 	t := Max(at, p.admits(0, stages[0]))
 	for k, s := range stages[1:] {
 		if len(s.Lanes) > 0 {
@@ -148,7 +162,7 @@ func (p *BlockingPipeline) Push(at Time, stages []Stage) Time {
 		st := &p.stages[k]
 		done := t + s.Time
 		if len(s.Lanes) > 0 {
-			done = st.runLanes(t, s)
+			done = st.runLanes(t, s, &p.gate)
 		}
 		// In order: the item leaves after its predecessor, and only once
 		// the next stage has room.
@@ -163,8 +177,9 @@ func (p *BlockingPipeline) Push(at Time, stages []Stage) Time {
 }
 
 // runLanes schedules an item that entered lane stage s at entry on the
-// stage's lanes and returns when it completes the stage.
-func (st *stageState) runLanes(entry Time, s Stage) Time {
+// stage's lanes, moves gate to the finish of each gate lane it ran, and
+// returns when it completes the stage.
+func (st *stageState) runLanes(entry Time, s Stage, gate *Time) Time {
 	for len(st.lanes) < len(s.Lanes) {
 		st.lanes = append(st.lanes, 0)
 	}
@@ -179,6 +194,9 @@ func (st *stageState) runLanes(entry Time, s Stage) Time {
 		}
 		end := Max(entry+ld.Release, st.lanes[l]) + ld.Busy
 		st.lanes[l] = end
+		if ld.Gate {
+			*gate = Max(*gate, end)
+		}
 		last = Max(last, end)
 		reach = max(reach, ld.Release+ld.Busy)
 	}

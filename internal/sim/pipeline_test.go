@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,7 +140,8 @@ func TestBlockingPipelineBlocks(t *testing.T) {
 // laneItems decodes raw fuzz bytes into arrival gaps and stage vectors of
 // 1..4 stages, the second of which is a lane stage over up to four lanes
 // whose Release+Busy fits the stage time (the LaneLoad contract). Lanes a
-// byte leaves idle have zero Busy.
+// byte leaves idle have zero Busy; lanes whose release byte is odd are
+// gate lanes.
 func laneItems(raw []byte) (gaps []Time, items [][]Stage) {
 	next := func() time.Duration {
 		if len(raw) == 0 {
@@ -160,7 +162,8 @@ func laneItems(raw []byte) (gaps []Time, items [][]Stage) {
 			lanes := make([]LaneLoad, 1+int(next())%4)
 			var reach time.Duration
 			for l := range lanes {
-				lanes[l] = LaneLoad{Release: next() / 4, Busy: next()}
+				r := next()
+				lanes[l] = LaneLoad{Release: r / 4, Busy: next(), Gate: r%2 == 1}
 				reach = max(reach, lanes[l].Release+lanes[l].Busy)
 			}
 			st[1] = Stage{Name: "lanes", Time: reach + next()/8, Lanes: lanes}
@@ -182,6 +185,31 @@ func withoutLanes(items [][]Stage) [][]Stage {
 	return out
 }
 
+// withoutGates clears every lane's Gate, leaving its load.
+func withoutGates(items [][]Stage) [][]Stage {
+	out := make([][]Stage, len(items))
+	for i, st := range items {
+		out[i] = make([]Stage, len(st))
+		for k, s := range st {
+			out[i][k] = Stage{Name: s.Name, Time: s.Time}
+			for _, ld := range s.Lanes {
+				ld.Gate = false
+				out[i][k].Lanes = append(out[i][k].Lanes, ld)
+			}
+		}
+	}
+	return out
+}
+
+// arrivals is how checkLanes times its items.
+type arrivals int
+
+const (
+	saturated arrivals = iota // at the running sum of the gaps
+	spaced                    // each a gap after its predecessor completed
+	admitted                  // at the running sum of the gaps, or Vacant if later
+)
+
 // checkLanes pushes items through a BlockingPipeline at the given gaps and
 // checks the lane-stage properties against the pipeline's own history
 // after every push: each lane serves items in order without overlap and
@@ -190,26 +218,36 @@ func withoutLanes(items [][]Stage) [][]Stage {
 // pipeline, and any other stage one; items leave
 // every stage in order; no item completes later than in the same pipeline
 // without lanes; and the makespan covers every lane's cumulative busy
-// time. With spaced, each item arrives once its predecessor completed,
-// and the timeline must equal the lane-less one exactly.
-func checkLanes(gaps []Time, items [][]Stage, spaced bool) error {
-	var p, plain BlockingPipeline
-	flat := withoutLanes(items)
+// time. Gate lanes never move an item: the timeline equals the one with
+// every Gate cleared, and Vacant is that pipeline's Vacant or the gate
+// lanes' latest end less the latest item's head-stage Time, whichever is
+// later. When spaced, the timeline must also equal the lane-less one
+// exactly.
+func checkLanes(gaps []Time, items [][]Stage, mode arrivals) error {
+	var p, plain, ungated BlockingPipeline
+	flat, open := withoutLanes(items), withoutGates(items)
+	var gateEnd Time              // the latest end of a gate lane
 	var entered []Time            // each item's pipeline entry
 	left := map[int][]Time{}      // stage -> leave times of the items that used it
 	laneEnd := map[[2]int]Time{}  // (stage, lane) -> end of its latest interval
 	laneBusy := map[[2]int]Time{} // (stage, lane) -> cumulative busy time
 	var at, makespan Time
 	for i, st := range items {
-		if spaced {
+		switch mode {
+		case spaced:
 			at = makespan + gaps[i]
-		} else {
+		case admitted:
+			at = Max(at+gaps[i], p.Vacant())
+		default:
 			at += gaps[i]
 		}
 		done := p.Push(at, st)
 		want := plain.Push(at, flat[i])
-		if done > want || (spaced && done != want) {
+		if done > want || (mode == spaced && done != want) {
 			return fmt.Errorf("item %d: completes at %v, lane-less pipeline %v", i, done, want)
+		}
+		if got := ungated.Push(at, open[i]); got != done {
+			return fmt.Errorf("item %d: completes at %v, %v without gates", i, done, got)
 		}
 		makespan = Max(makespan, done)
 		entry := at
@@ -259,8 +297,15 @@ func checkLanes(gaps []Time, items [][]Stage, spaced bool) error {
 				}
 				laneEnd[key] = end
 				laneBusy[key] += ld.Busy
+				if ld.Gate {
+					gateEnd = Max(gateEnd, end)
+				}
 			}
 			entry = leave
+		}
+		if v, want := p.Vacant(), Max(ungated.Vacant(), gateEnd-st[0].Time); v != want {
+			return fmt.Errorf("item %d: vacant at %v, want %v (gate lanes end at %v, head stage %v)",
+				i, v, want, gateEnd, st[0].Time)
 		}
 	}
 	// Lane-stage occupancy from pipeline entry: when an item entered, at
@@ -288,28 +333,31 @@ func checkLanes(gaps []Time, items [][]Stage, spaced bool) error {
 }
 
 // TestBlockingPipelineLaneProperties runs checkLanes over random items,
-// both saturated and widely spaced.
+// saturated, widely spaced and admitted at Vacant.
 func TestBlockingPipelineLaneProperties(t *testing.T) {
-	for _, spaced := range []bool{false, true} {
+	for _, mode := range []arrivals{saturated, spaced, admitted} {
 		f := func(raw []byte) bool {
 			gaps, items := laneItems(raw)
-			if err := checkLanes(gaps, items, spaced); err != nil {
+			if err := checkLanes(gaps, items, mode); err != nil {
 				t.Log(err)
 				return false
 			}
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Fatalf("spaced=%v: %v", spaced, err)
+			t.Fatalf("arrivals %d: %v", mode, err)
 		}
 	}
 }
 
-// TestBlockingPipelineLanesOverlapBatches: two items whose loads sit on
-// different lanes share the lane stage; a third enters the pipeline only
-// once the first has left it (depth 2); on the same lane an item waits for
-// the one ahead.
+// TestBlockingPipelineLanesOverlapBatches: items whose loads sit on
+// different lanes share the lane stage; an item on a busy lane waits for
+// the one ahead of it there; and a fifth item enters the pipeline only
+// once the first has left the lane stage (depth LaneDepth = 4).
 func TestBlockingPipelineLanesOverlapBatches(t *testing.T) {
+	if LaneDepth != 4 {
+		t.Fatalf("expectations derived for LaneDepth 4, have %d", LaneDepth)
+	}
 	item := func(a, b time.Duration) []Stage {
 		return []Stage{
 			{Name: "send", Time: 1},
@@ -318,28 +366,32 @@ func TestBlockingPipelineLanesOverlapBatches(t *testing.T) {
 		}
 	}
 	var p BlockingPipeline
+	// Sends until 1, lane 0 until 11, tail 2: leaves emb at 13, reads
+	// until 14.
 	if done := p.Push(0, item(10, 0)); done != 14 {
 		t.Fatalf("first item done at %v, want 14", done)
 	}
-	// Enters emb at 2 on the idle lane 1: finishes at 12, tail 2, leaves
-	// at 14 behind the first, reads until 15.
+	// Sends 1..2, lane 1 is idle: 2+10 = 12, tail 2, leaves emb at 14
+	// behind the first, reads until 15.
 	if done := p.Push(0, item(0, 10)); done != 15 {
 		t.Fatalf("disjoint-lane item done at %v, want 15", done)
 	}
-	// Enters the pipeline only when the first left emb (13), so emb never
-	// holds three; sends until 14, lane 0 has been idle since 11:
-	// 14+10+2 = 26, read until 27.
-	if done := p.Push(0, item(10, 0)); done != 27 {
-		t.Fatalf("third item done at %v, want 27", done)
+	// The ring has room, so it sends 2..3 while emb holds both; lane 0 is
+	// busy until 11: 11+10 = 21, tail 2, leaves at 23, reads until 24.
+	if done := p.Push(0, item(10, 0)); done != 24 {
+		t.Fatalf("third item done at %v, want 24", done)
 	}
-	if v := p.Vacant(); v != 14 {
-		t.Fatalf("pipeline vacant at %v, want 14 (when the second item leaves emb)", v)
+	// Sends 3..4; lane 0 is busy until 21: 21+10+2 = 33, reads until 34.
+	if done := p.Push(0, item(10, 0)); done != 34 {
+		t.Fatalf("fourth item done at %v, want 34", done)
 	}
-	// Same lane as the item ahead of it: enters at 14, reaches emb at 15,
-	// but lane 0 is busy until 24, so it finishes at 34, leaves at 36 and
-	// reads until 37.
-	if done := p.Push(0, item(10, 0)); done != 37 {
-		t.Fatalf("same-lane item done at %v, want 37", done)
+	if v := p.Vacant(); v != 13 {
+		t.Fatalf("pipeline vacant at %v, want 13 (when the first item leaves emb)", v)
+	}
+	// Enters at 13, sends until 14, lane 1 idle since 12: 14+10+2 = 26,
+	// but it leaves emb only after the fourth (33) and reads until 35.
+	if done := p.Push(0, item(0, 10)); done != 35 {
+		t.Fatalf("fifth item done at %v, want 35", done)
 	}
 	defer func() {
 		if recover() == nil {
@@ -350,15 +402,16 @@ func TestBlockingPipelineLanesOverlapBatches(t *testing.T) {
 }
 
 // FuzzBlockingPipelineLanes checks the lane-stage properties of checkLanes
-// on arbitrary item streams, saturated and widely spaced.
+// on arbitrary item streams, saturated, widely spaced and admitted at
+// Vacant.
 func FuzzBlockingPipelineLanes(f *testing.F) {
 	f.Add([]byte{0, 3, 5, 40, 2, 0, 30, 1, 9, 7, 5, 3, 0, 3, 5, 40, 2, 0, 30, 1, 9, 7, 5, 3})
 	f.Add([]byte{1, 1, 9, 200, 4, 255, 0, 255, 10, 0, 10, 8, 8, 8})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		gaps, items := laneItems(raw)
-		for _, spaced := range []bool{false, true} {
-			if err := checkLanes(gaps, items, spaced); err != nil {
-				t.Fatalf("spaced=%v: %v", spaced, err)
+		for _, mode := range []arrivals{saturated, spaced, admitted} {
+			if err := checkLanes(gaps, items, mode); err != nil {
+				t.Fatalf("arrivals %d: %v", mode, err)
 			}
 		}
 	})
@@ -487,28 +540,87 @@ func TestBlockingPipelineBusiestLaneBound(t *testing.T) {
 }
 
 // TestBlockingPipelineMixedLanesOutrunMeanLoad: the busiest-lane bound
-// needs identical items. Items that alternate lanes in runs of three leave
-// each lane idle while the lane stage's two places hold items of the other
-// lane, so the makespan grows to about 4/3 of the busiest lane's load, well
-// past that load plus one item's serial time.
+// needs identical items. Items of one lane stage (Time 10, each busy 10 on
+// one of two lanes), all pushed at 0, alternate lanes in runs of r.
+//
+// Runs of three meet the bound at depth four: A's q-th item and B's q-th
+// item both run [10q, 10q+10), since every item's entry waits for the item
+// four places back, which has left by then (A item 6k+6+j waits for item
+// 6k+2+j, which leaves by 10(3k+3+j); B item 6k+3+j for item 6k-1+j, which
+// leaves by 10(3k+j)). So neither lane idles, and n items take 10·n/2.
+//
+// Runs of r ≥ 2·LaneDepth-2 do not: while one lane works through its run,
+// the other lane's next run enters only as the item LaneDepth places back
+// leaves, so run k+1 starts 10(r-LaneDepth+1) after run k, and its lane
+// (run k-1's, done 10r after that run started) is free by then. m runs
+// take (m-1)·10(r-LaneDepth+1) + 10r against the busiest lane's 10r·m/2;
+// at r = 2·LaneDepth that is a ratio of (LaneDepth+1)/LaneDepth.
 func TestBlockingPipelineMixedLanesOutrunMeanLoad(t *testing.T) {
+	if LaneDepth != 4 {
+		t.Fatalf("expectations derived for LaneDepth 4, have %d", LaneDepth)
+	}
 	item := func(lane int) []Stage {
 		loads := make([]LaneLoad, 2)
 		loads[lane].Busy = 10
 		return []Stage{{Name: "lanes", Time: 10, Lanes: loads}}
 	}
+	makespan := func(n, r int) Time {
+		var p BlockingPipeline
+		var end Time
+		for i := range n {
+			end = Max(end, p.Push(0, item(i/r%2)))
+		}
+		return end
+	}
+	if got, busiest := makespan(60, 3), Time(30*10); got != busiest {
+		t.Fatalf("runs of three: makespan %v, want the busiest lane's load %v", got, busiest)
+	}
+	const r, m = 2 * LaneDepth, 16
+	busiest := Time(r*m/2) * 10
+	want := Time(m-1)*10*(r-LaneDepth+1) + 10*r
+	got := makespan(r*m, r)
+	if got != want {
+		t.Fatalf("runs of %d: makespan %v, want %v", r, got, want)
+	}
+	if got <= busiest+10 {
+		t.Fatalf("runs of %d: makespan %v within the busiest lane's load %v plus one item", r, got, busiest)
+	}
+}
+
+// TestBlockingPipelineGateNeverIdlesThroughSend: identical items whose gate
+// lane binds, each pushed the moment Vacant allows, keep the gate busy back
+// to back: each item finishes its send just as the gate frees, so the gate
+// lane never idles through a send. Every item enters the pipeline its send
+// time before the gate frees, and no earlier, though the ring has room.
+func TestBlockingPipelineGateNeverIdlesThroughSend(t *testing.T) {
+	const send, gate = 2, 20
+	stages := []Stage{
+		{Name: "send", Time: send},
+		{Name: "emb", Time: gate, Lanes: []LaneLoad{{Busy: 5}, {Release: 3, Busy: 4}, {Busy: gate, Gate: true}}},
+		{Name: "top", Time: 3},
+		{Name: "read", Time: 1},
+	}
 	var p BlockingPipeline
-	var makespan Time
-	const n = 60
-	for i := range n {
-		makespan = Max(makespan, p.Push(0, item(i/3%2)))
+	for i := range 12 {
+		at := p.Vacant()
+		if want := Time(i) * gate; at != want {
+			t.Fatalf("item %d vacant at %v, want %v", i, at, want)
+		}
+		p.Push(at, stages)
+		if end, want := p.stages[1].lanes[2], Time(i+1)*gate+send; end != want {
+			t.Fatalf("item %d: gate lane ends at %v, want %v (busy back to back from %v)", i, end, want, Time(send))
+		}
 	}
-	busiest := Time(n/2) * 10
-	if makespan <= busiest+10 {
-		t.Fatalf("makespan %v within the busiest lane's load %v plus one item", makespan, busiest)
+	// The same items without the gate are formed as soon as the ring has
+	// room, and wait for the bottom lane there.
+	ungated := slices.Clone(stages)
+	ungated[1].Lanes = []LaneLoad{{Busy: 5}, {Release: 3, Busy: 4}, {Busy: gate}}
+	var q BlockingPipeline
+	for range 3 {
+		q.Push(q.Vacant(), ungated)
 	}
-	if want := busiest * 4 / 3; makespan < want-20 || makespan > want+20 {
-		t.Fatalf("makespan %v, want about %v", makespan, want)
+	if v := q.Vacant(); v != 3*send {
+		t.Fatalf("ungated pipeline vacant at %v, want %v", v, 3*send)
 	}
 }
 

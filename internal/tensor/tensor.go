@@ -71,6 +71,8 @@ func (m *Matrix) MatVec(x Vector) Vector {
 	// Four rows at a time: four independent accumulators keep four adds in
 	// flight instead of one chain, and each still sums its row in column
 	// order, so every output is bit-identical to the one-row loop below.
+	// Each product is converted, which rounds it, so no CPU fuses it into
+	// the sum (DESIGN §6; `make cross` checks).
 	r := 0
 	for ; r+4 <= m.Rows; r += 4 {
 		r0 := m.Data[r*m.Stride:][:n]
@@ -79,10 +81,10 @@ func (m *Matrix) MatVec(x Vector) Vector {
 		r3 := m.Data[(r+3)*m.Stride:][:n]
 		var a0, a1, a2, a3 float32
 		for c, v := range x {
-			a0 += r0[c] * v
-			a1 += r1[c] * v
-			a2 += r2[c] * v
-			a3 += r3[c] * v
+			a0 += float32(r0[c] * v)
+			a1 += float32(r1[c] * v)
+			a2 += float32(r2[c] * v)
+			a3 += float32(r3[c] * v)
 		}
 		y[r], y[r+1], y[r+2], y[r+3] = a0, a1, a2, a3
 	}
@@ -90,7 +92,7 @@ func (m *Matrix) MatVec(x Vector) Vector {
 		row := m.Data[r*m.Stride:][:n]
 		var acc float32
 		for c, w := range row {
-			acc += w * x[c]
+			acc += float32(w * x[c])
 		}
 		y[r] = acc
 	}

@@ -195,7 +195,7 @@ func (g *Generator) zipfRank() int64 {
 		x = math.Exp(u*g.zipfNorm) - 1
 	} else {
 		// CDF(x) = ((x+1)^(1-s) - 1) / ((n+1)^(1-s) - 1)
-		x = math.Pow(u*g.zipfNorm+1, g.zipfExp) - 1
+		x = math.Pow(float64(u*g.zipfNorm)+1, g.zipfExp) - 1
 	}
 	r := int64(x)
 	if r < 0 {
