@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConfigValidate -fuzztime=10s ./internal/model/
 	$(GO) test -run='^$$' -fuzz=FuzzCriteoSource -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceShard -fuzztime=10s ./internal/serving/
+	$(GO) test -run='^$$' -fuzz=FuzzReplayDispatch -fuzztime=10s ./internal/serving/
 	$(GO) test -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s ./cmd/rmserve/
 	$(GO) test -run='^$$' -fuzz=FuzzModelsConfig -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzArrayPartitionConfig -fuzztime=10s ./internal/array/

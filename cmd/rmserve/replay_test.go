@@ -243,6 +243,29 @@ func TestReplayModeStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestReplayNoDenseModel: replay mode hosts NCF, a model without dense
+// features, alone and beside a dense model, and serves every inference.
+func TestReplayNoDenseModel(t *testing.T) {
+	ncf := wire.ModelDecl{Name: "ncf", Model: "NCF", TableMB: 8, Shards: 1}
+	rmc1 := wire.ModelDecl{Name: "ctr", Model: "RMC1", TableMB: 8, Shards: 1}
+	rc := replayConfig{Mode: "synthetic", Rate: 100000, Requests: 40, ReqBatch: 2, Seed: 5}
+	for _, c := range []struct {
+		decls []wire.ModelDecl
+		want  string
+	}{
+		{[]wire.ModelDecl{ncf}, "served:       40 requests, 80 inferences"},
+		{[]wire.ModelDecl{rmc1, ncf}, "--- model ncf (NCF"},
+	} {
+		var out strings.Builder
+		if err := replayModels(wire.ModelsConfig{Models: c.decls}, 1, rc, &out); err != nil {
+			t.Fatalf("%d models: %v", len(c.decls), err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Fatalf("report lacks %q:\n%s", c.want, out.String())
+		}
+	}
+}
+
 // TestReplayErrors: bad replay configurations fail cleanly.
 func TestReplayErrors(t *testing.T) {
 	s := testServer(t, 1)

@@ -66,8 +66,9 @@ func wireBody(t *testing.T, s *server, name string, n int, dense bool) string {
 
 // TestWireGolden pins every endpoint's reply bodies: a fixed sequential
 // request list against a two-model server and knobServer, each reply's
-// status and canonical JSON compared with testdata/wire.golden. The pools
-// dispatch round robin and each request is served alone, so the bodies are
+// status and canonical JSON compared with testdata/wire.golden. Each
+// request is sent after the previous one's reply, so idle shards take the
+// requests in turn and each request is served alone: the bodies are
 // deterministic. Regenerate with `go test ./cmd/rmserve -run
 // TestWireGolden -update`.
 func TestWireGolden(t *testing.T) {

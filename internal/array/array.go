@@ -169,13 +169,6 @@ func (a *Array) Counters() obs.Counters {
 	return c
 }
 
-// ResetTime idles every member's timing resources (between experiments).
-func (a *Array) ResetTime() {
-	for _, dev := range a.devs {
-		dev.ResetTime()
-	}
-}
-
 // TransferCost prices one member->top gather hop carrying the given bytes
 // of partial sums: a fixed peer-DMA setup plus bytes over the inter-device
 // link (params.ArrayTransferSetup / ArrayTransferBandwidth, the same shape

@@ -27,15 +27,9 @@ func EnergyStudy(opts Options) []*Table {
 		macs := int64(cfg.MLPWeightBytes() / 4)
 
 		addRow := func(sys string, p power.Profile) {
-			flash := power.Energy(power.Energy(p.FlashPageReads)*power.PageSenseEnergy) +
-				power.Energy(power.Energy(p.FlashBytesMoved)*power.FlashBusEnergyPerByte)
-			t.AddRow(name, sys,
-				p.Total().String(),
-				power.ActiveEnergy(p.HostCPUTime, power.HostCPUPower).String(),
-				flash.String(),
-				(power.Energy(float64(p.PCIeBytes)) * power.PCIeEnergyPerByte).String(),
-				(power.ActiveEnergy(p.FPGAActive, power.FPGAStaticPower) +
-					power.Energy(power.Energy(p.MACs)*power.FPGAMACEnergy)).String())
+			c := p.Components()
+			t.AddRow(name, sys, p.Total().String(), c.HostCPU.String(),
+				(c.PageSense + c.FlashBus).String(), c.PCIe.String(), (c.FPGAStatic + c.MACs).String())
 		}
 
 		// DRAM: everything on the host.

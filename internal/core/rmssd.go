@@ -498,11 +498,3 @@ func (r *RMSSD) Counters() obs.Counters {
 	}
 	return c
 }
-
-// ResetTime idles the device's timing resources (between experiments).
-func (r *RMSSD) ResetTime() {
-	r.dev.ResetTime()
-	if c := r.lookup.EVCache(); c != nil {
-		c.ResetTime()
-	}
-}

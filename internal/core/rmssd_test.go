@@ -386,11 +386,6 @@ func TestAccessorsAndErrors(t *testing.T) {
 	if r.MLP() == nil || r.Lookup() == nil {
 		t.Fatal("engine accessors returned nil")
 	}
-	r.Device().ReadPage(0, 0)
-	r.ResetTime()
-	if r.Device().Drained() != 0 {
-		t.Fatal("ResetTime did not idle the device")
-	}
 	// Construction failure paths.
 	bad := smallCfg("RMC1")
 	bad.Tables = 0

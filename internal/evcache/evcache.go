@@ -137,9 +137,6 @@ func (c *Cache) Hit(at sim.Time) sim.Time {
 // HitOccupancy returns how long one hit holds the DRAM port.
 func (c *Cache) HitOccupancy() sim.Time { return c.hitOcc }
 
-// ResetTime idles the DRAM port (between experiment phases).
-func (c *Cache) ResetTime() { c.port.Reset() }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -182,10 +182,6 @@ func TestHitTimingSerializesOnPort(t *testing.T) {
 	if d2 := c.Hit(0); d2 != 2*occ {
 		t.Fatalf("second hit done = %v, want %v", d2, 2*occ)
 	}
-	c.ResetTime()
-	if d := c.Hit(0); d != occ {
-		t.Fatalf("after ResetTime hit done = %v, want %v", d, occ)
-	}
 }
 
 func TestHitFarCheaperThanFlash(t *testing.T) {

@@ -89,17 +89,38 @@ type Profile struct {
 	MACs            int64 // fp32 multiply-accumulates on the FPGA
 }
 
-// Total returns the profile's total energy.
+// Components is a profile's energy by component.
+type Components struct {
+	HostCPU    Energy // host CPU active power over HostCPUTime
+	SSDStatic  Energy // the rest of the SSD over DeviceTime
+	FPGAStatic Energy // FPGA static power over FPGAActive
+	PageSense  Energy // flash page senses
+	FlashBus   Energy // bytes over the flash channel buses
+	PCIe       Energy // bytes over the host interface
+	HostDRAM   Energy // bytes the host touches in DRAM
+	MACs       Energy // fp32 multiply-accumulates on the FPGA
+}
+
+// Components returns the profile's energy by component. Each product is an
+// explicit conversion, so no CPU fuses it into the sum that follows.
+func (p Profile) Components() Components {
+	return Components{
+		HostCPU:    ActiveEnergy(p.HostCPUTime, HostCPUPower),
+		SSDStatic:  ActiveEnergy(p.DeviceTime, SSDIdlePower),
+		FPGAStatic: ActiveEnergy(p.FPGAActive, FPGAStaticPower),
+		PageSense:  Energy(Energy(p.FlashPageReads) * PageSenseEnergy),
+		FlashBus:   Energy(Energy(p.FlashBytesMoved) * FlashBusEnergyPerByte),
+		PCIe:       Energy(Energy(p.PCIeBytes) * PCIeEnergyPerByte),
+		HostDRAM:   Energy(Energy(p.HostDRAMBytes) * DRAMEnergyPerByte),
+		MACs:       Energy(Energy(p.MACs) * FPGAMACEnergy),
+	}
+}
+
+// Total returns the profile's total energy: its components summed in
+// declaration order.
 func (p Profile) Total() Energy {
-	e := ActiveEnergy(p.HostCPUTime, HostCPUPower)
-	e += ActiveEnergy(p.DeviceTime, SSDIdlePower)
-	e += ActiveEnergy(p.FPGAActive, FPGAStaticPower)
-	e += Energy(Energy(p.FlashPageReads) * PageSenseEnergy)
-	e += Energy(Energy(p.FlashBytesMoved) * FlashBusEnergyPerByte)
-	e += Energy(Energy(p.PCIeBytes) * PCIeEnergyPerByte)
-	e += Energy(Energy(p.HostDRAMBytes) * DRAMEnergyPerByte)
-	e += Energy(Energy(p.MACs) * FPGAMACEnergy)
-	return e
+	c := p.Components()
+	return c.HostCPU + c.SSDStatic + c.FPGAStatic + c.PageSense + c.FlashBus + c.PCIe + c.HostDRAM + c.MACs
 }
 
 // Add merges two profiles.

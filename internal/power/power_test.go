@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,47 @@ func TestProfileTotalComposition(t *testing.T) {
 	sum := p.Add(p2)
 	if sum.Total() != p.Total()+p2.Total() {
 		t.Fatal("Add does not compose")
+	}
+}
+
+// TestComponentsSumToTotal: the components Total sums are the per-unit
+// products and active energies, and they add up to Total bit for bit in
+// declaration order, so a breakdown printed from them always matches its
+// total.
+func TestComponentsSumToTotal(t *testing.T) {
+	x := uint64(0x9e3779b97f4a7c15)
+	draw := func() int64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int64(x % 1e9)
+	}
+	for i := 0; i < 200; i++ {
+		p := Profile{
+			HostCPUTime: time.Duration(draw()), DeviceTime: time.Duration(draw()), FPGAActive: time.Duration(draw()),
+			FlashPageReads: draw(), FlashBytesMoved: draw(), PCIeBytes: draw(), HostDRAMBytes: draw(), MACs: draw(),
+		}
+		c := p.Components()
+		want := Components{
+			HostCPU:    ActiveEnergy(p.HostCPUTime, HostCPUPower),
+			SSDStatic:  ActiveEnergy(p.DeviceTime, SSDIdlePower),
+			FPGAStatic: ActiveEnergy(p.FPGAActive, FPGAStaticPower),
+			PageSense:  Energy(Energy(p.FlashPageReads) * PageSenseEnergy),
+			FlashBus:   Energy(Energy(p.FlashBytesMoved) * FlashBusEnergyPerByte),
+			PCIe:       Energy(Energy(p.PCIeBytes) * PCIeEnergyPerByte),
+			HostDRAM:   Energy(Energy(p.HostDRAMBytes) * DRAMEnergyPerByte),
+			MACs:       Energy(Energy(p.MACs) * FPGAMACEnergy),
+		}
+		if c != want {
+			t.Fatalf("profile %+v: components %+v, want %+v", p, c, want)
+		}
+		e := c.HostCPU
+		for _, v := range []Energy{c.SSDStatic, c.FPGAStatic, c.PageSense, c.FlashBus, c.PCIe, c.HostDRAM, c.MACs} {
+			e += v
+		}
+		if math.Float64bits(float64(e)) != math.Float64bits(float64(p.Total())) {
+			t.Fatalf("profile %+v: components sum to %v, Total %v", p, float64(e), float64(p.Total()))
+		}
 	}
 }
 

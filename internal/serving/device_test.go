@@ -395,3 +395,42 @@ func FuzzDeviceShard(f *testing.F) {
 		serve()
 	})
 }
+
+// TestReplayNoDenseModel: a model without dense features (NCF) replays
+// from a generator source of dense dim 0, each inference carrying an empty
+// dense vector, and its shards serve every request.
+func TestReplayNoDenseModel(t *testing.T) {
+	cfg := model.NCF()
+	cfg.RowsPerTable = cfg.RowsForBudget(2 << 20)
+	if cfg.DenseDim != 0 {
+		t.Fatalf("NCF dense dim %d, want 0", cfg.DenseDim)
+	}
+	m, err := model.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 3}
+	shards, err := serving.NewShards(m, core.Options{}, 2, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := serving.NewSource(tc, cfg.DenseDim, 2, "")
+	if err != nil {
+		t.Fatalf("dense dim 0 rejected: %v", err)
+	}
+	req, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Dense) != 2 || len(req.Dense[0]) != 0 || len(req.Dense[1]) != 0 {
+		t.Fatalf("dense payload %v, want two empty vectors", req.Dense)
+	}
+	backends := []serving.Batcher{shards[0], shards[1]}
+	res, err := serving.Replay(backends, serving.ReplayConfig{Rate: 50000, MaxBatch: 8, Requests: 40, Seed: 1}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 0 || res.Requests != 40 || res.Inferences != 80 || res.PredCheck == 0 {
+		t.Fatalf("NCF replay = %+v", res)
+	}
+}

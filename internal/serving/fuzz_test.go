@@ -55,7 +55,7 @@ func FuzzCriteoSource(f *testing.F) {
 		}
 		src, err := NewCriteoSource(p, tables, lookups, denseDim, batch)
 		if err != nil {
-			if tables > 0 && lookups > 0 && denseDim > 0 && batch > 0 {
+			if tables > 0 && lookups > 0 && denseDim >= 0 && batch > 0 {
 				t.Fatalf("source rejected servable shape %dx%d dense=%d batch=%d: %v",
 					tables, lookups, denseDim, batch, err)
 			}

@@ -26,8 +26,9 @@ import (
 // virtual arrival timeline.
 //
 // Replay pushes real payloads through real simulated devices. Arrivals are
-// a seeded exponential process; requests are assigned to shards
-// round-robin (exactly like Pool.Submit). Each shard is a blocking stage
+// a seeded exponential process into one arrival-ordered queue, and the
+// next batch goes to the shard that can start it soonest (the rule
+// Pool.Submit follows on the host clock). Each shard is a blocking stage
 // pipeline (sim.BlockingPipeline) over the stages its batches report: a
 // core.Breakdown gives send | emb∥bot | top | read on the searched design,
 // so the host pre-sends batch i+1 while the device computes batch i and
@@ -35,11 +36,16 @@ import (
 // other backend is one stage of its batch latency. The emb stage is a lane
 // stage over the batch's per-die loads: it holds up to sim.LaneDepth
 // batches, so batch i+1 reads the dies batch i has finished with while
-// batch i still drains. The shard forms its next batch the moment the
-// pipeline can take it (BlockingPipeline.Vacant, which on the searched
-// design also waits until the send would end as the bottom MLP frees),
-// from every request that has already arrived, capped at MaxBatch — the
-// deterministic mirror of the pool's drain-what's-queued coalescing.
+// batch i still drains. A shard can start the head request at its
+// arrival or once the shard's pipeline can take a batch
+// (BlockingPipeline.Vacant, which on the searched design also waits until
+// the send would end as the bottom MLP frees), whichever is later. The
+// shard that can start it earliest forms the next batch then, from every
+// request that has already arrived, capped at MaxBatch — the
+// deterministic mirror of the pool's drain-what's-queued coalescing. Ties
+// go to the shard whose latest batch completed earliest (a shard that has
+// not served yet counts as completing at 0), then to the lowest index, so
+// shards that are all idle take requests in turn.
 // Because the whole timeline is virtual and the source is deterministic,
 // two runs with the same seed, source and shard count produce
 // byte-identical results.
@@ -109,9 +115,12 @@ type ReplayResult struct {
 	ThroughputQPS float64
 	// PerShard counts inferences served by each shard.
 	PerShard []int64
-	// PredCheck folds every prediction's bit pattern (in service order)
-	// into one checksum: equal checksums across runs mean the functional
-	// outputs matched bit for bit, not just the timing statistics.
+	// PredCheck folds every prediction's bit pattern into one checksum:
+	// equal checksums across runs mean the functional outputs matched bit
+	// for bit, not just the timing statistics. It folds by stream: request
+	// draw index mod the shard count picks the stream, streams go in
+	// index order and each stream in draw order, so the checksum does not
+	// depend on which shard served which request.
 	PredCheck uint64
 }
 
@@ -136,13 +145,14 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 		cfg.Requests = math.MaxInt
 	}
 
-	// Draw the whole arrival sequence: seeded exponential gaps, round-robin
-	// shard assignment (the pool's dispatch rule).
+	// Draw the whole arrival sequence: seeded exponential gaps into one
+	// arrival-ordered queue.
 	rng := tensor.NewRNG(cfg.Seed ^ 0x5e41)
-	queues := make([][]replayJob, len(backends))
-	var now sim.Time
-	drawn := 0
-	for drawn < cfg.Requests {
+	var (
+		jobs []replayJob
+		now  sim.Time
+	)
+	for len(jobs) < cfg.Requests {
 		req, err := src.Next()
 		if err == io.EOF {
 			break
@@ -151,18 +161,16 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 			return ReplayResult{}, fmt.Errorf("serving: replay source: %w", err)
 		}
 		if verr := req.Validate(); verr != nil {
-			return ReplayResult{}, fmt.Errorf("serving: replay request %d: %w", drawn, verr)
+			return ReplayResult{}, fmt.Errorf("serving: replay request %d: %w", len(jobs), verr)
 		}
 		u := rng.Float64()
 		if u <= 0 {
 			u = 1e-12
 		}
 		now += sim.Time(-math.Log(u) / cfg.Rate * 1e9)
-		queues[drawn%len(backends)] = append(queues[drawn%len(backends)],
-			replayJob{req: req, arrival: now, id: int64(drawn)})
-		drawn++
+		jobs = append(jobs, replayJob{req: req, arrival: now, id: int64(len(jobs))})
 	}
-	if drawn == 0 {
+	if len(jobs) == 0 {
 		return ReplayResult{}, errors.New("serving: replay source yielded no requests")
 	}
 
@@ -172,70 +180,91 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 		end       sim.Time
 	)
 	res.PerShard = make([]int64, len(backends))
-	res.PredCheck = 1469598103934665603 // FNV-1a offset basis
+	res.PredCheck = fnvOffset
+	// Stream 0 folds straight into PredCheck; the other streams keep their
+	// prediction bits in draw order until every stream before them is in.
+	streams := make([][]uint32, len(backends))
 	traceModel := cfg.TraceModel
 	if traceModel == "" {
 		traceModel = "default"
 	}
-	for sid, jobs := range queues {
-		var pipe sim.BlockingPipeline
-		i := 0
-		for i < len(jobs) {
-			// The worker picks up the first waiting request the moment it
-			// has arrived and the shard's pipeline can take it, then drains
-			// everything that has already arrived, capped at MaxBatch (a
-			// request larger than MaxBatch still runs, as its own batch).
-			start := sim.Max(jobs[i].arrival, pipe.Vacant())
-			batch := []Request{jobs[i].req}
-			total := jobs[i].req.Count()
-			j := i + 1
-			for j < len(jobs) && jobs[j].arrival <= start && total+jobs[j].req.Count() <= cfg.MaxBatch {
-				batch = append(batch, jobs[j].req)
-				total += jobs[j].req.Count()
-				j++
+	pipes := make([]sim.BlockingPipeline, len(backends))
+	last := make([]sim.Time, len(backends)) // each shard's latest completion
+	for i := 0; i < len(jobs); {
+		// The shard that can start the head request soonest takes it.
+		sid, start := 0, sim.Max(jobs[i].arrival, pipes[0].Vacant())
+		for s := 1; s < len(pipes); s++ {
+			at := sim.Max(jobs[i].arrival, pipes[s].Vacant())
+			if at < start || (at == start && last[s] < last[sid]) {
+				sid, start = s, at
 			}
-			br := backends[sid].ServeBatch(batch)
-			for _, p := range br.Preds {
-				res.PredCheck ^= uint64(math.Float32bits(p))
-				res.PredCheck *= 1099511628211 // FNV prime
-			}
-			complete := pipe.Push(start, batchStages(br))
-			end = sim.Max(end, complete)
-			var traced []obs.TraceRequest
-			if cfg.Tracer != nil {
-				traced = make([]obs.TraceRequest, 0, j-i)
-			}
-			for k := i; k < j; k++ {
-				// Errored requests still rode the batch: their latency is
-				// real, only their inferences are not served.
-				latencies = append(latencies, time.Duration(complete-jobs[k].arrival))
-				failed := false
-				switch {
-				case k-i < len(br.ReqErrs) && br.ReqErrs[k-i] != nil:
-					res.Failed++
-					failed = true
-				case br.Err != nil:
-					res.Failed++
-					failed = true
-				default:
-					n := jobs[k].req.Count()
-					res.Inferences += n
-					res.PerShard[sid] += int64(n)
-				}
-				if cfg.Tracer != nil {
-					traced = append(traced, obs.TraceRequest{
-						ID:      jobs[k].id,
-						Arrival: time.Duration(jobs[k].arrival),
-						N:       jobs[k].req.Count(),
-						Failed:  failed,
-					})
+		}
+		// It drains everything that has already arrived, capped at
+		// MaxBatch (a request larger than MaxBatch still runs, as its own
+		// batch).
+		batch := []Request{jobs[i].req}
+		total := jobs[i].req.Count()
+		j := i + 1
+		for j < len(jobs) && jobs[j].arrival <= start && total+jobs[j].req.Count() <= cfg.MaxBatch {
+			batch = append(batch, jobs[j].req)
+			total += jobs[j].req.Count()
+			j++
+		}
+		br := backends[sid].ServeBatch(batch)
+		complete := pipes[sid].Push(start, batchStages(br))
+		last[sid] = complete
+		end = sim.Max(end, complete)
+		var traced []obs.TraceRequest
+		if cfg.Tracer != nil {
+			traced = make([]obs.TraceRequest, 0, j-i)
+		}
+		off := 0
+		for k := i; k < j; k++ {
+			// Errored requests still rode the batch: their latency is
+			// real, only their inferences are not served.
+			latencies = append(latencies, time.Duration(complete-jobs[k].arrival))
+			n := jobs[k].req.Count()
+			reqErr := k-i < len(br.ReqErrs) && br.ReqErrs[k-i] != nil
+			if !reqErr {
+				// Every request not failed on its own owns the next
+				// window of predictions; a failed batch carries none.
+				w := br.Preds[off:min(off+n, len(br.Preds))]
+				off += len(w)
+				if s := int(jobs[k].id % int64(len(backends))); s == 0 {
+					for _, p := range w {
+						res.PredCheck = fnvFold(res.PredCheck, math.Float32bits(p))
+					}
+				} else {
+					for _, p := range w {
+						streams[s] = append(streams[s], math.Float32bits(p))
+					}
 				}
 			}
-			if cfg.Tracer != nil {
-				cfg.Tracer.EndBatch(traceModel, sid, traced, time.Duration(start), time.Duration(complete))
+			failed := reqErr || br.Err != nil
+			if failed {
+				res.Failed++
+			} else {
+				res.Inferences += n
+				res.PerShard[sid] += int64(n)
 			}
-			res.Batches++
-			i = j
+			if cfg.Tracer != nil {
+				traced = append(traced, obs.TraceRequest{
+					ID:      jobs[k].id,
+					Arrival: time.Duration(jobs[k].arrival),
+					N:       n,
+					Failed:  failed,
+				})
+			}
+		}
+		if cfg.Tracer != nil {
+			cfg.Tracer.EndBatch(traceModel, sid, traced, time.Duration(start), time.Duration(complete))
+		}
+		res.Batches++
+		i = j
+	}
+	for _, bits := range streams[1:] {
+		for _, b := range bits {
+			res.PredCheck = fnvFold(res.PredCheck, b)
 		}
 	}
 
@@ -251,6 +280,14 @@ func Replay(backends []Batcher, cfg ReplayConfig, src RequestSource) (ReplayResu
 	res.P50, res.P95, res.P99, res.Max = obs.Quantiles(latencies)
 	return res, nil
 }
+
+const (
+	fnvOffset = 1469598103934665603 // FNV-1a 64-bit offset basis
+	fnvPrime  = 1099511628211
+)
+
+// fnvFold folds one prediction's bit pattern into an FNV-1a checksum.
+func fnvFold(h uint64, bits uint32) uint64 { return (h ^ uint64(bits)) * fnvPrime }
 
 // stager is batch metadata that knows the pipeline stages its batch
 // occupied (core.Breakdown).

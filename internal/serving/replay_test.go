@@ -47,17 +47,17 @@ func genSource(t *testing.T, seed uint64) *GeneratorSource {
 }
 
 func TestReplayDeterministic(t *testing.T) {
-	run := func() ReplayResult {
+	run := func(rate float64) ReplayResult {
 		backends := []Batcher{&replayBatcher{}, &replayBatcher{}, &replayBatcher{}}
 		res, err := Replay(backends, ReplayConfig{
-			Rate: 200000, MaxBatch: 8, Requests: 300, Seed: 42,
+			Rate: rate, MaxBatch: 8, Requests: 300, Seed: 42,
 		}, genSource(t, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := run(200000), run(200000)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay not deterministic:\n%+v\n%+v", a, b)
 	}
@@ -73,10 +73,12 @@ func TestReplayDeterministic(t *testing.T) {
 	if len(a.PerShard) != 3 || a.PerShard[0]+a.PerShard[1]+a.PerShard[2] != 300 {
 		t.Fatalf("per-shard = %v", a.PerShard)
 	}
-	// Round-robin dispatch balances the shards to within one request.
-	for _, n := range a.PerShard {
+	// With every shard idle at each arrival, ties go to the shard whose
+	// latest batch completed earliest, so the shards take requests in turn.
+	idle := run(10)
+	for _, n := range idle.PerShard {
 		if n != 100 {
-			t.Fatalf("imbalanced shards: %v", a.PerShard)
+			t.Fatalf("idle shards did not take turns: %v", idle.PerShard)
 		}
 	}
 }

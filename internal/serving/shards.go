@@ -19,9 +19,10 @@ import (
 // RM-SSD per model replica — is N independent devices, each with its own
 // virtual clock, behind a dispatcher.
 //
-// Pool implements that front-end: requests are assigned to shards
-// round-robin, and each shard's goroutine coalesces everything queued for
-// it into one device batch before serving (the consecutive-small-batch
+// Pool implements that front-end: each request goes to the shard that can
+// start it soonest (Pool.pick, the rule Replay follows on the virtual
+// clock), and each shard's goroutine coalesces everything queued for it
+// into one device batch before serving (the consecutive-small-batch
 // pipelining of Section VI: many small host requests ride one device batch,
 // amortising the MMIO/DMA and kernel-launch overheads). Because shards
 // share no simulation state, the host serves requests on all cores with no
@@ -133,6 +134,13 @@ type shard struct {
 	failed  atomic.Int64 // requests answered with an error
 	faults  atomic.Int64 // backend panics recovered (ShardFaultError batches)
 
+	// outstanding counts requests dispatched to the shard and not yet
+	// answered; done is the pool's completion stamp of its latest batch (0
+	// until it serves one), set from stamp before the batch's replies.
+	outstanding atomic.Int64
+	done        atomic.Uint64
+	stamp       *atomic.Uint64
+
 	// reqScratch backs the []Request view handed to ServeBatch, reused
 	// across batches (the Batcher contract forbids retaining it). Only the
 	// shard goroutine touches it.
@@ -142,7 +150,7 @@ type shard struct {
 // Pool is the sharded batching front-end.
 type Pool struct {
 	shards []*shard
-	rr     atomic.Uint64
+	stamp  atomic.Uint64 // completion stamps, one per served batch
 	wg     sync.WaitGroup
 
 	// mu fences submitters against Close: submitters hold the read lock
@@ -169,7 +177,7 @@ func NewPool(backends []Batcher, maxBatch, queueDepth int) *Pool {
 	}
 	p := &Pool{}
 	for i, b := range backends {
-		s := &shard{id: i, b: b, subs: make(chan submission, queueDepth)}
+		s := &shard{id: i, b: b, subs: make(chan submission, queueDepth), stamp: &p.stamp}
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
 		go func() {
@@ -201,12 +209,14 @@ func (p *Pool) Submit(ctx context.Context, req Request) (Response, error) {
 		// queue-full condition.
 		return Response{}, err
 	}
-	s := p.shards[(p.rr.Add(1)-1)%uint64(len(p.shards))]
+	s := p.pick()
+	s.outstanding.Add(1)
 	reply := replyPool.Get().(chan Response)
 
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
+		s.outstanding.Add(-1)
 		replyPool.Put(reply)
 		return Response{}, ErrPoolClosed
 	}
@@ -223,6 +233,7 @@ func (p *Pool) Submit(ctx context.Context, req Request) (Response, error) {
 			p.mu.RUnlock()
 		case <-ctx.Done():
 			p.mu.RUnlock()
+			s.outstanding.Add(-1)
 			replyPool.Put(reply)
 			return Response{}, fmt.Errorf("serving: shard %d queue full: %w", s.id, ctx.Err())
 		}
@@ -237,6 +248,21 @@ func (p *Pool) Submit(ctx context.Context, req Request) (Response, error) {
 		// Abandon the channel: the shard will still deposit a response.
 		return Response{}, ctx.Err()
 	}
+}
+
+// pick returns the shard that can start a request soonest: the one with
+// the fewest outstanding requests, then the one whose latest batch
+// completed earliest, then the lowest index. Sequential callers therefore
+// take the shards in turn.
+func (p *Pool) pick() *shard {
+	best := p.shards[0]
+	bo, bd := best.outstanding.Load(), best.done.Load()
+	for _, s := range p.shards[1:] {
+		if o, d := s.outstanding.Load(), s.done.Load(); o < bo || (o == bo && d < bd) {
+			best, bo, bd = s, o, d
+		}
+	}
+	return best
 }
 
 // Stats is an aggregate snapshot of pool activity.
@@ -379,6 +405,8 @@ func (s *shard) serve(batch []submission, total int) {
 	s.reqScratch = reqs[:0]
 	s.batches.Add(1)
 	s.reqs.Add(int64(len(batch)))
+	s.outstanding.Add(-int64(len(batch)))
+	s.done.Store(s.stamp.Add(1))
 	off := 0
 	for i, sub := range batch {
 		n := sub.req.Count()

@@ -96,9 +96,9 @@ func TestPoolServesAndCounts(t *testing.T) {
 	if len(st.PerShard) != 2 || st.PerShard[0]+st.PerShard[1] != reqs*2 {
 		t.Fatalf("per-shard = %v", st.PerShard)
 	}
-	// Round-robin: sequential requests alternate shards evenly.
+	// Sequential requests find both shards idle and take them in turn.
 	if st.PerShard[0] != st.PerShard[1] {
-		t.Fatalf("round-robin skew: %v", st.PerShard)
+		t.Fatalf("idle shards did not take turns: %v", st.PerShard)
 	}
 	if _, err := p.Infer(0); err == nil {
 		t.Fatal("Infer(0) must error")

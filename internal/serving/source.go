@@ -68,12 +68,13 @@ type GeneratorSource struct {
 // NewGeneratorSource wraps gen; each request carries batch inferences and
 // dense vectors of denseDim features (matching Generator.DenseInput's
 // sequence, so a replay consumes the generator stream exactly like the
-// count-only serving path does).
+// count-only serving path does). A model without dense features (NCF) has
+// denseDim 0: each inference then carries an empty dense vector.
 func NewGeneratorSource(gen *trace.Generator, batch, denseDim int) (*GeneratorSource, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("serving: generator source batch %d", batch)
 	}
-	if denseDim <= 0 {
+	if denseDim < 0 {
 		return nil, fmt.Errorf("serving: generator source dense dim %d", denseDim)
 	}
 	return &GeneratorSource{gen: gen, batch: batch, denseDim: denseDim}, nil
@@ -107,7 +108,8 @@ type CriteoSource struct {
 }
 
 // NewCriteoSource builds a source mapping records onto a model with the
-// given tables × lookups sparse shape and denseDim dense features; each
+// given tables × lookups sparse shape and denseDim dense features (0 for a
+// model without them, whose inferences carry empty dense vectors); each
 // request carries batch inferences.
 func NewCriteoSource(p *trace.CriteoParser, tables, lookups, denseDim, batch int) (*CriteoSource, error) {
 	switch {
@@ -115,7 +117,7 @@ func NewCriteoSource(p *trace.CriteoParser, tables, lookups, denseDim, batch int
 		return nil, fmt.Errorf("serving: nil criteo parser")
 	case tables <= 0 || lookups <= 0:
 		return nil, fmt.Errorf("serving: criteo source shape %d tables x %d lookups", tables, lookups)
-	case denseDim <= 0:
+	case denseDim < 0:
 		return nil, fmt.Errorf("serving: criteo source dense dim %d", denseDim)
 	case batch <= 0:
 		return nil, fmt.Errorf("serving: criteo source batch %d", batch)

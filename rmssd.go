@@ -309,7 +309,8 @@ type ServingRequest = serving.Request
 type ServingResponse = serving.Response
 
 // ServingPool is the sharded batching front-end: N independent devices,
-// each with its own virtual clock, behind round-robin dispatch with
+// each with its own virtual clock, behind a dispatcher that sends each
+// request to the shard that can start it soonest, with
 // consecutive-small-batch coalescing.
 type ServingPool = serving.Pool
 
